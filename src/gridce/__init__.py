@@ -40,6 +40,8 @@ from .posterior import (
     compute_marginals,
     enumerate_marginal_supports,
     error_covariance,
+    error_covariances,
+    lattice_marginals,
 )
 from .qam import QamAlphabet, build_qam_alphabet
 from .sharing import (
@@ -56,10 +58,12 @@ from .sharing import (
 )
 from .solver import (
     BernoulliPrior,
+    ChainStack,
     SparseEstimate,
     ammse_combine,
     blue_estimate,
     greedy_search,
+    greedy_search_batch,
     init_params,
     support_metric,
 )

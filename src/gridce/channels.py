@@ -26,6 +26,9 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 #: tap draws with magnitude below this are rejected to keep supports exact
 MIN_TAP_MAGNITUDE = 1e-9
 
+#: named per-scatterer power profiles accepted by ``generate_channels``
+POWER_PROFILES = ("flat", "geometric")
+
 
 class ArrayKind(enum.Enum):
     SIA = "SIA"

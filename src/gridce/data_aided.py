@@ -15,10 +15,10 @@ import numpy as np
 from .channels import AntennaGrid, neighbors
 from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
 from .ofdm import OfdmFrame, SensingMatrix, equalize_and_slice, freq_response
-from .posterior import ErrorCovariance, error_covariance
+from .posterior import ErrorCovariance, error_covariance, error_covariances
 from .qam import QamAlphabet
 from .sharing import GridEstimate, GridSolverConfig
-from .solver import BernoulliPrior, greedy_search
+from .solver import BernoulliPrior, greedy_search, greedy_search_batch
 
 #: reliability ratios are capped here instead of overflowing to inf
 RELIABILITY_CAP = 1e300
@@ -30,17 +30,17 @@ RHO_REFERENCE = 0.04
 #: minimum per-antenna carrier budget (keeps refinement strictly active)
 MIN_RELIABLE = 2
 
+#: antennas whose augmented Gram matrices (L x L each) are held at once
+#: during re-estimation; bounds memory, results do not depend on it
+GRAM_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class ReliabilityContext:
-    """Per-carrier variance of the combined distortion A h_err + w.
-
-    Only the diagonal of the full covariance A R A^H + sigma_w^2 I is ever
-    consumed; the full matrix is materialized only on request.
-    """
+    """Per-carrier variance of the combined distortion A h_err + w: the
+    diagonal of A R A^H + sigma_w^2 I, the only part ever consumed."""
 
     per_carrier_var: np.ndarray
-    full_matrix: np.ndarray | None = None
 
 
 @dataclass
@@ -58,17 +58,19 @@ def distortion_covariance(
     sensing_full: SensingMatrix | np.ndarray,
     err_cov: ErrorCovariance | np.ndarray,
     noise_var: float,
-    keep_full: bool = False,
 ) -> ReliabilityContext:
-    """Variance of the combined distortion per carrier: diag(A R A^H) + sigma_w^2."""
+    """Variance of the combined distortion per carrier: diag(A R A^H) + sigma_w^2.
+
+    An ``ErrorCovariance`` lives on its detected taps, so only those
+    columns of A enter; a bare matrix is taken over all L columns.
+    """
     a = sensing_full.rows if isinstance(sensing_full, SensingMatrix) else np.asarray(sensing_full)
-    r = err_cov.matrix if isinstance(err_cov, ErrorCovariance) else np.asarray(err_cov)
-    ar = a @ r
-    diag = np.einsum("ij,ij->i", ar, a.conj()).real + noise_var
-    full = None
-    if keep_full:
-        full = ar @ a.conj().T + noise_var * np.eye(a.shape[0])
-    return ReliabilityContext(per_carrier_var=diag, full_matrix=full)
+    if isinstance(err_cov, ErrorCovariance):
+        a, r = a[:, err_cov.taps], err_cov.matrix
+    else:
+        r = np.asarray(err_cov)
+    diag = np.einsum("ij,ij->i", a @ r, a.conj()).real + noise_var
+    return ReliabilityContext(per_carrier_var=diag)
 
 
 def carrier_reliability(x_hat, variance, alphabet) -> np.ndarray:
@@ -241,51 +243,63 @@ def run_data_aided(
 
     agreements = select_and_agree(grid, top_sets, hard, pilots)
 
-    taps = np.zeros_like(base.taps)
-    estimates = [[None] * grid.cols for _ in range(grid.rows)]
-    covariances = [[None] * grid.cols for _ in range(grid.rows)]
-    failed = np.zeros((grid.rows, grid.cols), dtype=bool)
-    fallback = np.zeros((grid.rows, grid.cols), dtype=bool)
+    taps = base.taps.copy()
+    estimates = [list(row) for row in base.estimates]
+    covariances = [list(row) for row in base.covariances]
+    failed = base.failed.copy()
+    fallback = np.ones((grid.rows, grid.cols), dtype=bool)
     t_max = config.resolve_t_max(length, pilots.shape[0])
     dft_rows = rows_mat / frame.freq_symbols[:, None]  # bare F_L rows
 
-    for r, c in grid.antennas():
+    def augmented(r, c):
+        """Pilot rows plus the consensus carriers, with the agreed
+        decisions standing in as pilot symbols."""
         reliable = agreements[r][c]
-        if base.failed[r, c] or reliable.consensus.size == 0:
-            fallback[r, c] = True
-            taps[r, c] = base.taps[r, c]
-            estimates[r][c] = base.estimates[r][c]
-            covariances[r][c] = base.covariances[r][c]
-            failed[r, c] = base.failed[r, c]
-            continue
-        aug_idx = reliable.consensus
-        a_aug = np.vstack(
-            [
-                rows_mat[pilots],
-                reliable.agreed_symbols[:, None] * dft_rows[aug_idx],
-            ]
+        a_aug = np.vstack([
+            rows_mat[pilots],
+            reliable.agreed_symbols[:, None] * dft_rows[reliable.consensus],
+        ])
+        y_aug = np.concatenate([
+            observations_full[r, c, pilots],
+            observations_full[r, c, reliable.consensus],
+        ])
+        return a_aug, y_aug
+
+    # every augmented system has at least K + 1 > t_max rows, so no chain
+    # fills its rows and all of them go through the batched search
+    aided = [(r, c) for r, c in grid.antennas()
+             if not base.failed[r, c] and agreements[r][c].consensus.size]
+    for start in range(0, len(aided), GRAM_CHUNK):
+        chunk = aided[start:start + GRAM_CHUNK]
+        gram = np.empty((len(chunk), length, length), dtype=complex)
+        corr = np.empty((len(chunk), length), dtype=complex)
+        y_norm2 = np.empty(len(chunk))
+        for k, (r, c) in enumerate(chunk):
+            a_aug, y_aug = augmented(r, c)
+            gram[k] = a_aug.conj().T @ a_aug
+            corr[k] = a_aug.conj().T @ y_aug
+            y_norm2[k] = np.vdot(y_aug, y_aug).real
+        chunk_rows, chunk_cols = np.array(chunk).T
+        stack = greedy_search_batch(
+            gram, corr, y_norm2, base.priors[chunk_rows, chunk_cols],
+            base.noise_vars[chunk_rows, chunk_cols], t_max,
         )
-        y_aug = np.concatenate(
-            [observations_full[r, c, pilots], observations_full[r, c, aug_idx]]
-        )
-        try:
-            est = greedy_search(
-                a_aug,
-                y_aug,
-                BernoulliPrior(base.priors[r, c]),
-                base.noise_vars[r, c],
-                min(t_max, a_aug.shape[0]),
-            )
-        except IllConditionedSupportError:
-            fallback[r, c] = True
-            taps[r, c] = base.taps[r, c]
-            estimates[r][c] = base.estimates[r][c]
-            covariances[r][c] = base.covariances[r][c]
-            failed[r, c] = base.failed[r, c]
-            continue
-        estimates[r][c] = est
-        taps[r, c] = est.h_ammse
-        covariances[r][c] = error_covariance(est)
+        blocks = error_covariances(stack)
+        for k, ((r, c), est) in enumerate(zip(chunk, stack.estimates())):
+            if not stack.failed[k]:
+                cov = ErrorCovariance(taps=stack.chosen[k], matrix=blocks[k])
+            else:  # the chain stopped early: the per-antenna solver decides
+                a_aug, y_aug = augmented(r, c)
+                try:
+                    est = greedy_search(a_aug, y_aug, BernoulliPrior(base.priors[r, c]),
+                                        base.noise_vars[r, c], t_max)
+                except IllConditionedSupportError:
+                    continue  # keeps the base estimate, flagged as a fallback
+                cov = error_covariance(est)
+            fallback[r, c] = False
+            estimates[r][c] = est
+            taps[r, c] = est.h_ammse
+            covariances[r][c] = cov
 
     return GridEstimate(
         taps=taps,

@@ -17,12 +17,19 @@ import logging
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .channels import AntennaGrid, ArrayKind, generate_channels, neighbors
+from .channels import (
+    POWER_PROFILES,
+    AntennaGrid,
+    ArrayKind,
+    generate_channels,
+    neighbors,
+)
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
     OfdmConfig,
@@ -35,6 +42,7 @@ from .ofdm import (
     synthesize_received,
 )
 from .data_aided import run_data_aided
+from .qam import build_qam_alphabet
 from .sharing import GridSolverConfig, run_integer_based, run_marginal_based
 from .solver import blue_estimate
 
@@ -76,6 +84,7 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        """Reject configurations that would otherwise fail inside a trial."""
         if not self.n_pilots or not self.snr_db or not self.depth:
             raise ConfigurationError("sweep axes must be nonempty")
         if self.trials < 1:
@@ -85,6 +94,26 @@ class ExperimentSpec:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigurationError(f"unknown algorithms: {sorted(unknown)}")
+        n = self.n_carriers
+        if not all(1 <= k <= n for k in self.n_pilots):
+            raise ConfigurationError(f"n_pilots {self.n_pilots} must lie in [1, {n}]")
+        if not 1 <= self.channel_len <= n:
+            raise ConfigurationError(f"channel_len={self.channel_len} must lie in [1, {n}]")
+        if not 1 <= self.sparsity <= self.channel_len:
+            raise ConfigurationError(
+                f"sparsity={self.sparsity} must lie in [1, {self.channel_len}]")
+        if any(d < 0 for d in self.depth):
+            raise ConfigurationError(f"depth {self.depth} must be nonnegative")
+        build_qam_alphabet(self.qam_order)
+        if self.workers < 1:
+            raise ConfigurationError("workers must be >= 1")
+        if not 0.0 < self.lambda_small < 1.0:
+            raise ConfigurationError(f"lambda_small={self.lambda_small} must lie in (0, 1)")
+        if not 0.0 <= self.drift <= 1.0:
+            raise ConfigurationError(f"drift={self.drift} must lie in [0, 1]")
+        if self.power_profile not in POWER_PROFILES:
+            raise ConfigurationError(
+                f"power_profile must be one of {POWER_PROFILES}, got {self.power_profile!r}")
 
     @property
     def kind(self) -> ArrayKind:
@@ -472,7 +501,8 @@ def run_experiment(spec: ExperimentSpec) -> list:
     """Full sweep x algorithms x trials; returns aggregated ResultRows.
 
     Rows are ordered by sweep point then by the spec's algorithm order and
-    are reproducible for a fixed seed regardless of worker count.
+    are reproducible for a fixed seed regardless of worker count.  With
+    several workers one process pool serves every sweep point.
     """
     rows: list[ResultRow] = []
     points = [
@@ -481,39 +511,43 @@ def run_experiment(spec: ExperimentSpec) -> list:
         for snr in spec.snr_db
         for d in spec.depth
     ]
-    for point_index, point in enumerate(points):
-        jobs = [(spec, point_index, point, t) for t in range(spec.trials)]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                outcomes = dict(pool.map(_trial_worker, jobs))
-        else:
-            outcomes = dict(map(_trial_worker, jobs))
+    parallel = spec.workers > 1
+    with ProcessPoolExecutor(max_workers=spec.workers) if parallel else nullcontext() as pool:
+        for point_index, point in enumerate(points):
+            jobs = [(spec, point_index, point, t) for t in range(spec.trials)]
+            outcomes = dict((pool.map if parallel else map)(_trial_worker, jobs))
+            rows.extend(_point_rows(spec, point, outcomes))
+    return rows
 
-        per_algorithm = {name: [] for name in spec.algorithms}
-        for trial in range(spec.trials):  # fixed order: reduction is stable
-            for name in spec.algorithms:
-                per_algorithm[name].append(outcomes[trial][name])
 
-        n_pilots, snr_db, depth = point
+def _point_rows(spec: ExperimentSpec, point: tuple, outcomes: dict) -> list:
+    """One ResultRow per algorithm from a sweep point's {trial: outcome}."""
+    rows = []
+    per_algorithm = {name: [] for name in spec.algorithms}
+    for trial in range(spec.trials):  # fixed order: reduction is stable
         for name in spec.algorithms:
-            ratios = [entry[0] for entry in per_algorithm[name]]
-            errors = sum(entry[1] for entry in per_algorithm[name])
-            total = sum(entry[2] for entry in per_algorithm[name])
-            seconds = sum(entry[3] for entry in per_algorithm[name])
-            rows.append(
-                ResultRow(
-                    algorithm=name,
-                    n_pilots=n_pilots,
-                    snr_db=snr_db,
-                    depth=depth,
-                    mode=spec.mode,
-                    nmse_db=nmse_db_from_ratios(ratios),
-                    ber=errors / total if total else 0.0,
-                    success_rate=float(np.mean([r < SUCCESS_RATIO for r in ratios])),
-                    wall_time_s=seconds,
-                    trials=spec.trials,
-                )
+            per_algorithm[name].append(outcomes[trial][name])
+
+    n_pilots, snr_db, depth = point
+    for name in spec.algorithms:
+        ratios = [entry[0] for entry in per_algorithm[name]]
+        errors = sum(entry[1] for entry in per_algorithm[name])
+        total = sum(entry[2] for entry in per_algorithm[name])
+        seconds = sum(entry[3] for entry in per_algorithm[name])
+        rows.append(
+            ResultRow(
+                algorithm=name,
+                n_pilots=n_pilots,
+                snr_db=snr_db,
+                depth=depth,
+                mode=spec.mode,
+                nmse_db=nmse_db_from_ratios(ratios),
+                ber=errors / total if total else 0.0,
+                success_rate=float(np.mean([r < SUCCESS_RATIO for r in ratios])),
+                wall_time_s=seconds,
+                trials=spec.trials,
             )
+        )
     return rows
 
 

@@ -7,6 +7,9 @@ that are chain prefixes reuse the values already computed during the
 search; the remaining subsets are solved fresh (batched per subset size).
 Posteriors are normalized over the lattice only -- supports involving
 undetected taps carry negligible mass and are excluded by construction.
+
+Every function has a stacked form for a ``ChainStack`` of antennas:
+``error_covariances`` and ``lattice_marginals``.
 """
 
 from dataclasses import dataclass
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .solver import (
     BernoulliPrior,
+    ChainStack,
     SparseEstimate,
     _normalize_log_posteriors,
     _prior_terms,
@@ -30,8 +34,14 @@ MAX_LATTICE_TAPS = 20
 
 @dataclass(frozen=True)
 class ErrorCovariance:
-    """R = sigma_w^2 * sum_S p(S|y) (A_S^H A_S)^-1, embedded at support indices."""
+    """R = sigma_w^2 * sum_S p(S|y) (A_S^H A_S)^-1 on the detected taps.
 
+    Every chain support is a prefix of the detected taps, so the L x L
+    matrix vanishes outside taps x taps; ``matrix`` is that T x T block,
+    rows and columns in the order of ``taps``.
+    """
+
+    taps: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -67,16 +77,28 @@ def error_covariance(
     lacks them.
     """
     noise_var = estimate.noise_var if noise_var is None else noise_var
-    length = estimate.channel_len
-    matrix = np.zeros((length, length), dtype=complex)
+    taps = estimate.detected_taps
+    matrix = np.zeros((taps.size, taps.size), dtype=complex)
     for weight, support, ginv in zip(
         estimate.posteriors, estimate.supports, estimate.gram_inverses
     ):
         if ginv is None:
             a_s = np.asarray(sensing_rows)[:, support]
             ginv = np.linalg.inv(a_s.conj().T @ a_s)
-        matrix[np.ix_(support, support)] += weight * ginv
-    return ErrorCovariance(matrix=noise_var * matrix)
+        matrix[: support.size, : support.size] += weight * ginv
+    return ErrorCovariance(taps=taps, matrix=noise_var * matrix)
+
+
+def error_covariances(stack: ChainStack) -> np.ndarray:
+    """``error_covariance`` of every row of a stack, as (B, T, T) blocks.
+
+    The padded stage-s Gram inverse is R^-1 D_s R^-H with D_s selecting the
+    first s positions, so the posterior-weighted sum is R^-1 diag(w) R^-H
+    with w the tail weights of the chain.
+    """
+    rinv = stack.r_inverses
+    weighted = rinv * stack.tail_weights()[:, None, :]
+    return stack.noise_vars[:, None, None] * (weighted @ rinv.conj().transpose(0, 2, 1))
 
 
 @lru_cache(maxsize=32)
@@ -94,11 +116,18 @@ def enumerate_marginal_supports(detected_taps: np.ndarray) -> list:
     then lexicographically in detection order."""
     detected_taps = np.asarray(detected_taps)
     t = detected_taps.shape[0]
-    if t > MAX_LATTICE_TAPS:
-        raise ConfigurationError(
-            f"lattice of {t} taps exceeds the enumeration guard ({MAX_LATTICE_TAPS})"
-        )
+    _check_lattice_size(t)
     return [detected_taps[combo] for block in _position_combos(t) for combo in block]
+
+
+@lru_cache(maxsize=32)
+def _membership(n_detected: int) -> np.ndarray:
+    """(2^T - 1, T) 0/1 matrix: row i marks the positions in lattice subset i."""
+    rows = [combo for block in _position_combos(n_detected) for combo in block]
+    out = np.zeros((len(rows), n_detected))
+    for i, combo in enumerate(rows):
+        out[i, list(combo)] = 1.0
+    return out
 
 
 def marginals_from_lattice(
@@ -109,6 +138,21 @@ def marginals_from_lattice(
     for combo, weight in zip(subsets_positions, posteriors):
         marginals[list(combo)] += weight
     return marginals
+
+
+def _lattice_sums(posteriors: np.ndarray) -> np.ndarray:
+    """(B, 2^T - 1) lattice posteriors -> (B, T) marginals.  One product
+    per row: a single (B, n) x (n, T) product may round a row differently
+    depending on how many rows share it."""
+    t = int(np.log2(posteriors.shape[1] + 1))
+    return (posteriors[:, None, :] @ _membership(t))[:, 0, :]
+
+
+def _check_lattice_size(t: int):
+    if t > MAX_LATTICE_TAPS:
+        raise ConfigurationError(
+            f"lattice of {t} taps exceeds the enumeration guard ({MAX_LATTICE_TAPS})"
+        )
 
 
 def compute_marginals(
@@ -128,27 +172,30 @@ def compute_marginals(
     noise_var = estimate.noise_var if noise_var is None else noise_var
     detected = estimate.detected_taps
     t = detected.shape[0]
-    if t > MAX_LATTICE_TAPS:
-        raise ConfigurationError(
-            f"lattice of {t} taps exceeds the enumeration guard ({MAX_LATTICE_TAPS})"
-        )
+    _check_lattice_size(t)
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     y = np.ascontiguousarray(y, dtype=complex)
 
     blocks = _position_combos(t)
-    if not reuse:
-        nus = [
-            support_metric(detected[combo], y, a, prior, noise_var)
-            for block in blocks
-            for combo in block
-        ]
-        nus = np.asarray(nus)
-    else:
-        nus = _lattice_nus(estimate, a, y, prior, noise_var, detected, blocks)
-
-    posteriors, _ = _normalize_log_posteriors(nus)
     positions = [combo for block in blocks for combo in block]
-    marginals = marginals_from_lattice(positions, posteriors, t)
+    if not reuse:
+        nus = np.asarray([
+            support_metric(detected[combo], y, a, prior, noise_var)
+            for combo in positions
+        ])
+        posteriors, _ = _normalize_log_posteriors(nus)
+        marginals = marginals_from_lattice(positions, posteriors, t)
+    else:
+        base, gain = _prior_terms(prior)
+        a_t = a[:, detected]
+        nus = _lattice_nus(
+            estimate.nus[None], (a_t.conj().T @ a_t)[None], (a_t.conj().T @ y)[None],
+            np.array([np.vdot(y, y).real]), np.array([base]), gain[detected][None],
+            np.array([noise_var]),
+        )
+        posteriors, _ = _normalize_log_posteriors(nus)
+        marginals = _lattice_sums(posteriors)[0]
+        posteriors = posteriors[0]
     return MarginalSet(
         detected_taps=detected,
         marginals=marginals,
@@ -157,39 +204,62 @@ def compute_marginals(
     )
 
 
-def _lattice_nus(estimate, a, y, prior, noise_var, detected, blocks):
-    base, gain = _prior_terms(prior)
-    a_t = a[:, detected]
-    gram = a_t.conj().T @ a_t
-    corr = a_t.conj().T @ y
-    y2 = float(np.vdot(y, y).real)
-    gains = gain[detected]
+def lattice_marginals(stack: ChainStack, gram: np.ndarray, corr: np.ndarray,
+                      y_norm2: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """``compute_marginals(...).marginals`` of every row of a stack, (B, T).
 
+    ``gram`` is the shared A^H A (L, L); ``corr``, ``y_norm2`` and
+    ``lambdas`` are the rows' A^H y, ||y||^2 and priors, as passed to
+    ``greedy_search_batch``.
+    """
+    chosen = stack.chosen
+    n, t = chosen.shape
+    _check_lattice_size(t)
+    base, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, gram.shape[0]))))
+    nus = _lattice_nus(
+        stack.nus, gram[chosen[:, :, None], chosen[:, None, :]],
+        np.take_along_axis(corr, chosen, axis=1), y_norm2, base,
+        np.take_along_axis(gain, chosen, axis=1), stack.noise_vars,
+    )
+    posteriors, _ = _normalize_log_posteriors(nus)
+    return _lattice_sums(posteriors)
+
+
+def _lattice_nus(chain_nus, gram, corr, y_norm2, base, gains, noise_vars):
+    """(B, 2^T - 1) lattice log posteriors from each row's detected-tap Gram
+    (B, T, T), correlations (B, T) and prior gains (B, T); the chain prefix
+    of each subset size reuses ``chain_nus``."""
+    two_nv = 2.0 * noise_vars[:, None]
     nus = []
-    for s, block in enumerate(blocks, start=1):
-        block_nus = np.empty(block.shape[0])
+    for s, block in enumerate(_position_combos(gram.shape[1]), start=1):
+        block_nus = np.empty((gram.shape[0], block.shape[0]))
         # chain prefix (row 0: positions 0..s-1) reuses the greedy-stage value
-        block_nus[0] = estimate.nus[s - 1]
+        block_nus[:, 0] = chain_nus[:, s - 1]
         if block.shape[0] > 1:
             rest = block[1:]
-            sub_gram = gram[rest[:, :, None], rest[:, None, :]]
-            sub_corr = corr[rest]
+            sub_gram = gram[:, rest[:, :, None], rest[:, None, :]]
+            sub_corr = corr[:, rest]
             try:
                 coef = np.linalg.solve(sub_gram, sub_corr[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                coef = np.stack(
-                    [
-                        np.linalg.lstsq(g, c, rcond=None)[0]
-                        for g, c in zip(sub_gram, sub_corr)
-                    ]
-                )
-            fit = np.einsum("ns,ns->n", sub_corr.conj(), coef).real
-            res2 = np.maximum(y2 - fit, 0.0)
-            block_nus[1:] = (
-                -res2 / (2.0 * noise_var) + base + gains[rest].sum(axis=1)
-            )
+                # matrix by matrix, so one singular Gram leaves the others'
+                # solutions exactly as the batched solve gives them
+                coef = np.stack([
+                    _solve_or_lstsq(g, c)
+                    for g, c in zip(sub_gram.reshape(-1, s, s), sub_corr.reshape(-1, s))
+                ]).reshape(sub_corr.shape)
+            fit = np.einsum("bns,bns->bn", sub_corr.conj(), coef).real
+            res2 = np.maximum(y_norm2[:, None] - fit, 0.0)
+            block_nus[:, 1:] = -res2 / two_nv + base[:, None] + gains[:, rest].sum(axis=2)
         nus.append(block_nus)
-    return np.concatenate(nus)
+    return np.concatenate(nus, axis=1)
+
+
+def _solve_or_lstsq(gram, corr):
+    try:
+        return np.linalg.solve(gram, corr)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(gram, corr, rcond=None)[0]
 
 
 def exhaustive_marginals(

@@ -21,14 +21,22 @@ import numpy as np
 
 from .channels import AntennaGrid
 from .errors import ConfigurationError, IllConditionedSupportError
-from .posterior import compute_marginals, error_covariance
+from .posterior import (
+    ErrorCovariance,
+    compute_marginals,
+    error_covariance,
+    error_covariances,
+    lattice_marginals,
+)
 from .solver import (
     NOISE_VAR_SCALE,
     PRIOR_EPS,
     BernoulliPrior,
+    ChainStack,
     SparseEstimate,
     dml_support_size,
     greedy_search,
+    greedy_search_batch,
 )
 
 DEFAULT_LAMBDA_SMALL = 1e-3
@@ -129,13 +137,18 @@ def assign_scores(estimate: SparseEstimate) -> np.ndarray:
     """Integer scores over all L taps: T_max for the largest detected
     amplitude down to 1 for the smallest, zero off the detected set.
     Equal amplitudes rank the lower tap index higher."""
-    length = estimate.channel_len
-    scores = np.zeros(length)
     taps = estimate.detected_taps
-    amplitudes = np.abs(estimate.h_ammse[taps])
-    order = np.lexsort((taps, -amplitudes))
-    t = taps.shape[0]
-    scores[taps[order]] = np.arange(t, 0, -1)
+    return _rank_scores(
+        taps[None], np.abs(estimate.h_ammse[taps])[None], estimate.channel_len
+    )[0]
+
+
+def _rank_scores(taps: np.ndarray, amplitudes: np.ndarray, length: int) -> np.ndarray:
+    """``assign_scores`` for a stack of detected-tap rows (B, T) -> (B, L)."""
+    order = np.lexsort((taps, -amplitudes), axis=-1)
+    rows = np.arange(taps.shape[0])[:, None]
+    scores = np.zeros((taps.shape[0], length))
+    scores[rows, taps[rows, order]] = np.arange(taps.shape[1], 0, -1)
     return scores
 
 
@@ -212,31 +225,128 @@ def _trace_rounds(path, states):
                         )
 
 
-def _final_pass(grid, observations, sensing_rows, priors, noise_vars, t_max,
-                with_covariance):
-    rows, cols = grid.rows, grid.cols
-    length = sensing_rows.shape[1]
-    taps = np.zeros((rows, cols, length), dtype=complex)
-    estimates = [[None] * cols for _ in range(rows)]
-    covariances = [[None] * cols for _ in range(rows)] if with_covariance else None
-    failed = np.zeros((rows, cols), dtype=bool)
-    for r, c in grid.antennas():
+@dataclass
+class _GridSearch:
+    """Greedy chains of every antenna (flattened row-major) on shared pilot rows.
+
+    ``stack`` holds the batched chains of the antennas listed in ``rows``;
+    every other antenna has its ``greedy_search`` estimate in ``singles``
+    (None where the solver failed).  The pilot products are kept for the
+    marginal lattice.
+    """
+
+    stack: ChainStack | None
+    rows: np.ndarray
+    singles: dict
+    gram: np.ndarray
+    corr: np.ndarray
+    y_norm2: np.ndarray
+
+
+def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max) -> _GridSearch:
+    """One batched chain search for the whole grid.
+
+    Two kinds of antenna go through ``greedy_search`` instead: all of them
+    when t_max fills the K pilot rows (every free candidate then ties at a
+    zero residual in the last stage, and greedy_search's own rounding
+    settles the pick), and those whose batched chain stopped early.
+    """
+    a = np.ascontiguousarray(sensing_rows, dtype=complex)
+    gram = a.conj().T @ a
+    corr = ys @ a.conj()
+    y_norm2 = np.einsum("bk,bk->b", ys.conj(), ys).real
+    stack, batched, rest = None, np.arange(0), np.arange(ys.shape[0])
+    if t_max < a.shape[0]:
+        stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
+        batched, rest = np.flatnonzero(~stack.failed), np.flatnonzero(stack.failed)
+        stack = stack.take(batched)
+    singles = {}
+    for i in rest:
         try:
-            est = greedy_search(
-                sensing_rows,
-                observations[r, c],
-                BernoulliPrior(priors[r, c]),
-                noise_vars[r, c],
-                t_max,
+            singles[i] = greedy_search(
+                a, ys[i], BernoulliPrior(lambdas[i]), noise_vars[i], t_max
             )
         except IllConditionedSupportError:
-            failed[r, c] = True
+            singles[i] = None
+    return _GridSearch(stack, batched, singles, gram, corr, y_norm2)
+
+
+def _first_pass(observations, sensing_rows, config, t_max, kind):
+    """Uniform-prior estimation at every antenna and its initial beliefs:
+    (values, detected, noise_vars, failed), the first two (M, G, L)."""
+    rows, cols, n_obs = observations.shape
+    length = sensing_rows.shape[1]
+    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
+    noise_vars = np.array([_estimate_noise(y, config.noise_var) for y in ys])
+    lambdas = np.full((ys.shape[0], length), config.lambda_init)
+    search = _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max)
+
+    values = np.zeros((ys.shape[0], length))
+    detected = np.zeros((ys.shape[0], length), dtype=bool)
+    failed = np.zeros(ys.shape[0], dtype=bool)
+    stack, batched = search.stack, search.rows[:, None]
+    if stack is not None:
+        if kind is BeliefKind.MARGINAL:
+            values[batched, stack.chosen] = lattice_marginals(
+                stack, search.gram, search.corr[search.rows],
+                search.y_norm2[search.rows], lambdas[search.rows],
+            )
+        else:
+            amplitudes = np.abs(np.take_along_axis(stack.taps, stack.chosen, axis=1))
+            values[search.rows] = _rank_scores(stack.chosen, amplitudes, length)
+        detected[batched, stack.chosen] = True
+    for i, est in search.singles.items():
+        if est is None:
+            failed[i] = True
             continue
-        estimates[r][c] = est
-        taps[r, c] = est.h_ammse
+        if kind is BeliefKind.MARGINAL:
+            ms = compute_marginals(est, sensing_rows, ys[i], BernoulliPrior(lambdas[i]))
+            values[i] = ms.marginal_vector(length)
+        else:
+            values[i] = assign_scores(est)
+        detected[i, est.detected_taps] = True
+    shape = (rows, cols)
+    return (values.reshape(*shape, length), detected.reshape(*shape, length),
+            noise_vars.reshape(shape), failed.reshape(shape))
+
+
+def _final_pass(observations, sensing_rows, priors, noise_vars, t_max,
+                with_covariance):
+    """Estimation with the shared beliefs as priors at every antenna:
+    (taps, estimates, covariances, failed) in grid layout."""
+    rows, cols, n_obs = observations.shape
+    length = sensing_rows.shape[1]
+    n = rows * cols
+    ys = np.ascontiguousarray(observations, dtype=complex).reshape(n, n_obs)
+    search = _search_grid(sensing_rows, ys, priors.reshape(n, length),
+                          noise_vars.reshape(n), t_max)
+    taps = np.zeros((n, length), dtype=complex)
+    estimates = [None] * n
+    covariances = [None] * n
+    failed = np.zeros(n, dtype=bool)
+    stack = search.stack
+    if stack is not None:
+        taps[search.rows] = stack.taps
+        blocks = error_covariances(stack) if with_covariance else None
+        for k, (i, est) in enumerate(zip(search.rows, stack.estimates())):
+            estimates[i] = est
+            if with_covariance:
+                covariances[i] = ErrorCovariance(taps=stack.chosen[k], matrix=blocks[k])
+    for i, est in search.singles.items():
+        if est is None:
+            failed[i] = True
+            continue
+        estimates[i] = est
+        taps[i] = est.h_ammse
         if with_covariance:
-            covariances[r][c] = error_covariance(est)
-    return taps, estimates, covariances, failed
+            covariances[i] = error_covariance(est)
+    return (
+        taps.reshape(rows, cols, length),
+        [estimates[r * cols:(r + 1) * cols] for r in range(rows)],
+        [covariances[r * cols:(r + 1) * cols] for r in range(rows)]
+        if with_covariance else None,
+        failed.reshape(rows, cols),
+    )
 
 
 def run_marginal_based(
@@ -255,27 +365,12 @@ def run_marginal_based(
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
-    rows, cols = grid.rows, grid.cols
     sensing_rows = np.asarray(sensing_rows)
     n_obs, length = sensing_rows.shape
     t_max = config.resolve_t_max(length, n_obs)
-    prior0 = BernoulliPrior.uniform(length, config.lambda_init)
-
-    values = np.zeros((rows, cols, length))
-    detected = np.zeros((rows, cols, length), dtype=bool)
-    noise_vars = np.zeros((rows, cols))
-    first_failed = np.zeros((rows, cols), dtype=bool)
-    for r, c in grid.antennas():
-        y = observations[r, c]
-        noise_vars[r, c] = _estimate_noise(y, config.noise_var)
-        try:
-            est = greedy_search(sensing_rows, y, prior0, noise_vars[r, c], t_max)
-            ms = compute_marginals(est, sensing_rows, y, prior0)
-        except IllConditionedSupportError:
-            first_failed[r, c] = True
-            continue
-        values[r, c] = ms.marginal_vector(length)
-        detected[r, c, ms.detected_taps] = True
+    values, detected, noise_vars, first_failed = _first_pass(
+        observations, sensing_rows, config, t_max, BeliefKind.MARGINAL
+    )
 
     state = BeliefState(BeliefKind.MARGINAL, values, detected)
     trace = [state] if config.trace_path else None
@@ -292,7 +387,7 @@ def run_marginal_based(
         held = state.values  # rounds already floor off-gate taps at lambda_small
     priors = np.clip(held, config.lambda_small, 1 - PRIOR_EPS)
     taps, estimates, covariances, failed = _final_pass(
-        grid, observations, sensing_rows, priors, noise_vars, t_max,
+        observations, sensing_rows, priors, noise_vars, t_max,
         config.compute_covariance,
     )
     return GridEstimate(
@@ -322,26 +417,12 @@ def run_integer_based(
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
-    rows, cols = grid.rows, grid.cols
     sensing_rows = np.asarray(sensing_rows)
     n_obs, length = sensing_rows.shape
     t_max = config.resolve_t_max(length, n_obs)
-    prior0 = BernoulliPrior.uniform(length, config.lambda_init)
-
-    values = np.zeros((rows, cols, length))
-    detected = np.zeros((rows, cols, length), dtype=bool)
-    noise_vars = np.zeros((rows, cols))
-    first_failed = np.zeros((rows, cols), dtype=bool)
-    for r, c in grid.antennas():
-        y = observations[r, c]
-        noise_vars[r, c] = _estimate_noise(y, config.noise_var)
-        try:
-            est = greedy_search(sensing_rows, y, prior0, noise_vars[r, c], t_max)
-        except IllConditionedSupportError:
-            first_failed[r, c] = True
-            continue
-        values[r, c] = assign_scores(est)
-        detected[r, c, est.detected_taps] = True
+    values, detected, noise_vars, first_failed = _first_pass(
+        observations, sensing_rows, config, t_max, BeliefKind.SCORE
+    )
 
     state = BeliefState(BeliefKind.SCORE, values, detected)
     trace = [state] if config.trace_path else None
@@ -355,7 +436,7 @@ def run_integer_based(
     # off-gate scores are zero and clamp to lambda_small
     priors = scores_to_beliefs(state.values, t_max, config.lambda_small)
     taps, estimates, covariances, failed = _final_pass(
-        grid, observations, sensing_rows, priors, noise_vars, t_max,
+        observations, sensing_rows, priors, noise_vars, t_max,
         config.compute_covariance,
     )
     return GridEstimate(

@@ -19,10 +19,12 @@ the nested dominant-support chain.
 The greedy chain is grown with an order-recursive QR factorization: each
 stage scores all single-index extensions of the previous support in
 O(K*L) by updating the orthogonalized column residuals, never re-solving
-from scratch.
+from scratch.  ``greedy_search`` runs that recursion on one observation
+vector; ``greedy_search_batch`` runs it for a stack of antennas at once in
+the Gram domain, where the row count K drops out after one product.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -159,9 +161,11 @@ def blue_estimate(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prior_terms(prior: BernoulliPrior):
+    """(base, per-index gain) of the log prior; a stack of priors (B, L)
+    gives a base per row."""
     lam = prior.lambdas
     log_off = np.log1p(-lam)
-    return log_off.sum(), np.log(lam) - log_off  # base, per-index gain
+    return log_off.sum(axis=-1), np.log(lam) - log_off
 
 
 def support_metric(support, y, sensing_rows, prior: BernoulliPrior,
@@ -262,6 +266,7 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
 
     nus = np.asarray(nus)
     posteriors, underflow = _normalize_log_posteriors(nus)
+    underflow = bool(underflow)
     estimate = SparseEstimate(
         supports=supports,
         posteriors=posteriors,
@@ -283,12 +288,15 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
 
 
 def _normalize_log_posteriors(nus: np.ndarray):
-    shifted = nus - nus.max()
-    weights = np.exp(shifted)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return np.full(nus.shape, 1.0 / nus.size), True
-    return weights / total, False
+    """Normalize log posteriors along the last axis.  Rows whose weights
+    do not sum to a positive finite total fall back to uniform and are
+    flagged in the returned underflow mask."""
+    weights = np.exp(nus - nus.max(axis=-1, keepdims=True))
+    total = weights.sum(axis=-1, keepdims=True)
+    underflow = ~np.isfinite(total) | (total <= 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        posteriors = np.where(underflow, 1.0 / nus.shape[-1], weights / total)
+    return posteriors, underflow[..., 0]
 
 
 def ammse_combine(estimate: SparseEstimate) -> np.ndarray:
@@ -300,6 +308,169 @@ def ammse_combine(estimate: SparseEstimate) -> np.ndarray:
         h[support] += weight * mean
     estimate.h_ammse = h
     return h
+
+
+@dataclass
+class ChainStack:
+    """Greedy chains of a stack of B observation vectors, one row each.
+
+    Every row holds a chain of t_max nested supports, the prefixes of
+    ``chosen[b]``.  Rows flagged ``failed`` ran out of usable candidates
+    before t_max stages; their other entries are finite filler.
+    ``r_factors`` is R of A_S = Q R on the full chain, so stage s uses its
+    leading s x s block and ``r_inverses`` the leading block of R^-1.
+    """
+
+    chosen: np.ndarray        # (B, T) tap indices, selection order
+    nus: np.ndarray           # (B, T) log posterior of each chain prefix
+    residuals: np.ndarray     # (B, T) ||P_S_perp y||^2 of each prefix
+    posteriors: np.ndarray    # (B, T) normalized over the chain
+    r_factors: np.ndarray     # (B, T, T) upper triangular
+    r_inverses: np.ndarray    # (B, T, T) upper triangular
+    qty: np.ndarray           # (B, T) Q^H y
+    taps: np.ndarray          # (B, L) posterior-weighted combined estimate
+    noise_vars: np.ndarray    # (B,)
+    failed: np.ndarray        # (B,) chain stopped before t_max stages
+    skipped: np.ndarray       # (B,) a collinear candidate was skipped
+    underflow: np.ndarray     # (B,) posteriors fell back to uniform
+
+    def take(self, rows) -> "ChainStack":
+        """The chains of the given rows, as a new stack."""
+        return ChainStack(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def tail_weights(self) -> np.ndarray:
+        """(B, T): posterior mass of the supports containing each chain
+        position, sum_{s >= m} p_s; position m belongs to every prefix
+        longer than m."""
+        return np.cumsum(self.posteriors[:, ::-1], axis=1)[:, ::-1]
+
+    def estimates(self) -> list:
+        """Every row as the SparseEstimate ``greedy_search`` would return."""
+        t = self.chosen.shape[1]
+        rinv = self.r_inverses
+        # prefix sums along a row of R^-1 (Q^H y): column s-1 is the stage-s
+        # mean R_s^-1 (Q^H y)_s, because R^-1 is upper triangular
+        means = np.cumsum(rinv * self.qty[:, None, :], axis=2)
+        # stage-s Gram inverse R_s^-1 R_s^-H = R^-1 D_s R^-H, D_s keeping the
+        # first s positions: (B, stage, T, T)
+        prefix = np.tri(t, dtype=bool)
+        gram_inv = (rinv[:, None] * prefix[None, :, None, :]) @ rinv.conj().transpose(0, 2, 1)[:, None]
+        stages = range(1, t + 1)
+        return [
+            SparseEstimate(
+                supports=[self.chosen[row, :s] for s in stages],
+                posteriors=self.posteriors[row],
+                cond_means=[means[row, :s, s - 1] for s in stages],
+                residuals=self.residuals[row],
+                nus=self.nus[row],
+                gram_inverses=[gram_inv[row, s - 1, :s, :s] for s in stages],
+                channel_len=self.taps.shape[1],
+                noise_var=float(self.noise_vars[row]),
+                t_max=t,
+                h_ammse=self.taps[row],
+                diagnostics={
+                    "skipped_candidates": bool(self.skipped[row]),
+                    "posterior_underflow": bool(self.underflow[row]),
+                    "t_max_requested": t,
+                },
+            )
+            for row in range(self.chosen.shape[0])
+        ]
+
+
+def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
+                        lambdas: np.ndarray, noise_vars: np.ndarray,
+                        t_max: int) -> ChainStack:
+    """``greedy_search`` for a stack of B observation vectors, in the Gram domain.
+
+    ``gram`` is A^H A, shared (L, L) or one per row (B, L, L); ``corr`` is
+    A^H y (B, L), ``y_norm2`` is ||y||^2 (B,), ``lambdas`` the activity
+    priors (B, L) and ``noise_vars`` (B,).  The stage state is W = A^H Q
+    (B, T, L) in place of the orthogonalized K x L columns:
+
+        ||P_S_perp a_j||^2 = G_jj - sum_s |W_sj|^2
+        a_j^H P_S_perp y   = (A^H y)_j - sum_s W_sj^* (Q^H y)_s
+
+    so after the products above the work no longer depends on K.  Rows
+    never interact: each row's result equals a one-row call's bit for bit.
+
+    Picks match ``greedy_search`` except on ties within rounding.  One such
+    tie is systematic: when t_max equals the row count and the prior is
+    uniform, every free candidate at the last stage leaves a zero
+    residual.  Callers send those systems to ``greedy_search``, and rows
+    flagged ``failed`` (chain stopped early) as well.
+    """
+    gram = np.asarray(gram, dtype=complex)
+    gram = gram if gram.ndim == 3 else gram[None]
+    corr = np.asarray(corr, dtype=complex)
+    n, length = corr.shape
+    noise_vars = np.asarray(noise_vars, dtype=float)
+    if np.any(noise_vars <= 0):
+        raise ConfigurationError("noise_var must be positive")
+    if t_max < 1 or t_max > length:
+        raise ConfigurationError(f"t_max={t_max} must lie in [1, L]")
+
+    prior_term, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, length))))
+    col_norm2 = np.einsum("...jj->...j", gram).real     # (1 or B, L)
+    rows = np.arange(n)
+    gram_rows = rows if gram.shape[0] > 1 else 0
+    two_nv = 2.0 * noise_vars
+
+    b2 = np.broadcast_to(col_norm2, (n, length)).copy()   # ||P_S_perp a_j||^2
+    bhr = corr.copy()                                     # a_j^H P_S_perp y
+    res2 = np.asarray(y_norm2, dtype=float).copy()
+    w = np.zeros((n, t_max, length), dtype=complex)
+    r_fact = np.zeros((n, t_max, t_max), dtype=complex)
+    qty = np.zeros((n, t_max), dtype=complex)
+    chosen = np.zeros((n, t_max), dtype=int)
+    nus = np.zeros((n, t_max))
+    residuals = np.zeros((n, t_max))
+    available = np.ones((n, length), dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+
+    for stage in range(t_max):
+        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
+        failed |= ~valid.any(axis=1)
+        skipped |= (available & ~valid).any(axis=1)
+        drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
+        nu_cand = np.where(
+            valid,
+            -(res2[:, None] - drop) / two_nv[:, None] + prior_term[:, None] + gain,
+            -np.inf,
+        )
+        j = np.argmax(nu_cand, axis=1)  # first max = smallest tap index on ties
+
+        norm = np.sqrt(np.where(failed, 1.0, b2[rows, j]))
+        q_a = w[rows, :stage, j].conj()                   # Q^H a_j, (B, stage)
+        g_col = gram[gram_rows, :, j]                     # A^H a_j, (B, L)
+        w_new = (g_col - (q_a[:, None, :] @ w[:, :stage])[:, 0]) / norm[:, None]
+        r_fact[:, :stage, stage] = q_a
+        r_fact[:, stage, stage] = norm
+        qty[:, stage] = bhr[rows, j] / norm
+        w[:, stage] = w_new
+
+        res2 = np.maximum(res2 - drop[rows, j], 0.0)
+        prior_term = prior_term + gain[rows, j]
+        nus[:, stage] = -res2 / two_nv + prior_term
+        residuals[:, stage] = res2
+        b2 -= np.abs(w_new) ** 2
+        bhr -= w_new * qty[:, stage, None]
+        available[rows, j] = False
+        chosen[:, stage] = j
+
+    posteriors, underflow = _normalize_log_posteriors(nus)
+    r_inv = np.linalg.inv(r_fact)
+    stack = ChainStack(
+        chosen=chosen, nus=nus, residuals=residuals, posteriors=posteriors,
+        r_factors=r_fact, r_inverses=r_inv, qty=qty,
+        taps=np.zeros((n, length), dtype=complex), noise_vars=noise_vars,
+        failed=failed, skipped=skipped, underflow=underflow,
+    )
+    # sum_s p_s (R_s^-1 Q_s^H y) zero-padded = R^-1 (tail weights * Q^H y)
+    coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]
+    stack.taps[rows[:, None], chosen] = np.where(failed[:, None], 0.0, coef)
+    return stack
 
 
 def exhaustive_estimate(sensing_rows: np.ndarray, y: np.ndarray,

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, one PASS line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy Monte-Carlo
+Run with ``pytest tests/test_acceptance.py -v -s``; every criterion carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` skips them.  The heavy Monte-Carlo
 criteria print their measured numbers so a failed bar is diagnosable from
 the log alone.
 """
@@ -65,6 +66,7 @@ def gain_run():
     return results
 
 
+@pytest.mark.acceptance
 class TestAcceptance:
     def test_criterion_1_pilot_sweep_success(self):
         """Experiment-1 replication at reduced grid: data-aided success rate

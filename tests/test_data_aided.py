@@ -57,9 +57,23 @@ class TestDistortionCovariance:
         rng = make_rng(2)
         a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        cov = ErrorCovariance(matrix=m @ m.conj().T)
+        cov = ErrorCovariance(taps=np.arange(4), matrix=m @ m.conj().T)
         ctx = distortion_covariance(a, cov, noise_var=0.1)
         assert np.all(ctx.per_carrier_var >= 0.1 - 1e-12)
+
+    def test_detected_taps_match_full_matrix(self):
+        """A T x T covariance on its taps gives the same carrier variances as
+        the L x L matrix it embeds into."""
+        rng = make_rng(4)
+        a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        taps = np.array([3, 1])
+        full = np.zeros((5, 5), complex)
+        full[np.ix_(taps, taps)] = m @ m.conj().T
+        on_taps = distortion_covariance(a, ErrorCovariance(taps, m @ m.conj().T), 0.1)
+        np.testing.assert_allclose(on_taps.per_carrier_var,
+                                   distortion_covariance(a, full, 0.1).per_carrier_var,
+                                   rtol=1e-12)
 
     def test_rank_one_expansion(self):
         """R = s^2 e_k e_k^H gives diag entries s^2 |A_ik|^2 + noise."""
@@ -70,15 +84,6 @@ class TestDistortionCovariance:
         ctx = distortion_covariance(a, r, noise_var=0.05)
         expected = 0.7 * np.abs(a[:, 2]) ** 2 + 0.05
         np.testing.assert_allclose(ctx.per_carrier_var, expected, atol=1e-12)
-
-    def test_full_matrix_on_request(self):
-        rng = make_rng(4)
-        a = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        r = np.eye(3) * 0.2
-        ctx = distortion_covariance(a, r, noise_var=0.1, keep_full=True)
-        assert ctx.full_matrix.shape == (6, 6)
-        np.testing.assert_allclose(np.diag(ctx.full_matrix).real,
-                                   ctx.per_carrier_var, atol=1e-12)
 
 
 class TestCarrierReliability:

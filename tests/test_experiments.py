@@ -59,6 +59,29 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_pilots", (513,)),
+        ("channel_len", 513),
+        ("sparsity", 65),
+        ("depth", (2, -1)),
+        ("qam_order", 8),
+        ("workers", 0),
+        ("lambda_small", 1.0),
+        ("drift", 1.5),
+        ("power_profile", "steep"),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value):
+        """One out-of-range value per field fails before any trial runs."""
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("experiment", range(1, 6))
+    def test_presets_pass_validation(self, experiment):
+        import dataclasses
+
+        for spec in experiment_presets(experiment):
+            assert ExperimentSpec.from_dict(dataclasses.asdict(spec)) == spec
+
     def test_presets_cover_all_experiments(self):
         for experiment in range(1, 6):
             specs = experiment_presets(experiment)

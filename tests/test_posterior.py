@@ -28,6 +28,17 @@ def solved_instance(seed=0, k=10, length=16, sparsity=3, noise_var=0.02, t_max=4
     return a, y, h, prior, est, noise_var
 
 
+def full_covariance_oracle(estimate):
+    """The L x L posterior-weighted covariance sum, support by support."""
+    length = estimate.channel_len
+    matrix = np.zeros((length, length), dtype=complex)
+    for weight, support, ginv in zip(
+        estimate.posteriors, estimate.supports, estimate.gram_inverses
+    ):
+        matrix[np.ix_(support, support)] += weight * ginv
+    return estimate.noise_var * matrix
+
+
 class TestErrorCovariance:
     def test_single_support_block(self):
         a, y, h, prior, est, nv = solved_instance(t_max=1)
@@ -35,10 +46,21 @@ class TestErrorCovariance:
         s = est.supports[0]
         a_s = a[:, s]
         expected = nv * np.linalg.inv(a_s.conj().T @ a_s)
-        np.testing.assert_allclose(cov.matrix[np.ix_(s, s)], expected, atol=1e-10)
-        mask = np.ones(16, bool)
-        mask[s] = False
-        assert np.all(cov.matrix[mask][:, mask] == 0)
+        np.testing.assert_array_equal(cov.taps, s)
+        np.testing.assert_allclose(cov.matrix, expected, atol=1e-10)
+
+    def test_detected_block_of_full_sum(self):
+        """The T x T matrix is the L x L sum restricted to the detected taps,
+        and the L x L sum vanishes everywhere else."""
+        for seed in range(5):
+            a, y, h, prior, est, nv = solved_instance(seed=seed)
+            cov = error_covariance(est)
+            full = full_covariance_oracle(est)
+            np.testing.assert_allclose(cov.matrix, full[np.ix_(cov.taps, cov.taps)],
+                                       rtol=0, atol=1e-15 * np.abs(full).max())
+            mask = np.ones(16, bool)
+            mask[cov.taps] = False
+            assert np.all(full[mask] == 0) and np.all(full[:, mask] == 0)
 
     def test_orthonormal_columns_give_scaled_identity(self):
         rng = make_rng(1)
@@ -49,9 +71,7 @@ class TestErrorCovariance:
         y = a @ h + 0.01 * (rng.normal(size=8) + 1j * rng.normal(size=8))
         est = greedy_search(a, y, BernoulliPrior.uniform(6, 0.2), 1e-4, t_max=1)
         cov = error_covariance(est)
-        s = est.supports[0]
-        np.testing.assert_allclose(cov.matrix[np.ix_(s, s)], 1e-4 * np.eye(1),
-                                   atol=1e-12)
+        np.testing.assert_allclose(cov.matrix, 1e-4 * np.eye(1), atol=1e-12)
 
     def test_hermitian_psd(self):
         for seed in range(5):
