@@ -6,18 +6,22 @@ decision region, given the combined distortion (channel estimation error
 plus noise).  Neighborhoods agree on carriers that every member ranks
 reliable *and* decodes identically; those carriers then act as extra
 pilots for one more estimation pass.
+
+Equalization, slicing and reliability run on ``GRAM_CHUNK`` antennas at a
+time; the consensus is stencil arithmetic on (M, G, N) carrier masks and
+symbol indices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AntennaGrid, neighbors
+from .channels import AntennaGrid
 from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
-from .ofdm import OfdmFrame, SensingMatrix, equalize_and_slice, freq_response
+from .ofdm import OfdmFrame, SensingMatrix, equalize, freq_response
 from .posterior import ErrorCovariance, error_covariance, error_covariances
 from .qam import QamAlphabet
-from .sharing import GridEstimate, GridSolverConfig
+from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
 from .solver import BernoulliPrior, greedy_search, greedy_search_batch
 
 #: reliability ratios are capped here instead of overflowing to inf
@@ -30,9 +34,11 @@ RHO_REFERENCE = 0.04
 #: minimum per-antenna carrier budget (keeps refinement strictly active)
 MIN_RELIABLE = 2
 
-#: antennas whose augmented Gram matrices (L x L each) are held at once
-#: during re-estimation; bounds memory, results do not depend on it
-GRAM_CHUNK = 32
+#: antennas processed at once wherever a stage works on a stack of them:
+#: augmented Gram matrices (L x L each) during re-estimation, and the
+#: (chunk, N, Q) slicing and reliability temporaries here and in BER
+#: scoring; bounds memory, results do not depend on it
+GRAM_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -51,65 +57,77 @@ class ReliableSet:
     own_top: np.ndarray
     consensus: np.ndarray
     agreed_symbols: np.ndarray
-    reliabilities: np.ndarray = field(default=None, repr=False)
 
 
 def distortion_covariance(
     sensing_full: SensingMatrix | np.ndarray,
-    err_cov: ErrorCovariance | np.ndarray,
-    noise_var: float,
+    err_cov: ErrorCovariance | list | np.ndarray,
+    noise_var: float | np.ndarray,
 ) -> ReliabilityContext:
     """Variance of the combined distortion per carrier: diag(A R A^H) + sigma_w^2.
 
     An ``ErrorCovariance`` lives on its detected taps, so only those
-    columns of A enter; a bare matrix is taken over all L columns.
+    columns of A enter; a bare matrix is taken over all L columns.  A list
+    of ``ErrorCovariance`` sharing one tap count T, with one noise variance
+    each, gives one row of variances per entry from a single (B, N, T)
+    product.
     """
     a = sensing_full.rows if isinstance(sensing_full, SensingMatrix) else np.asarray(sensing_full)
     if isinstance(err_cov, ErrorCovariance):
         a, r = a[:, err_cov.taps], err_cov.matrix
+    elif isinstance(err_cov, list):
+        a = np.moveaxis(a[:, np.stack([cov.taps for cov in err_cov])], 1, 0)
+        r = np.stack([cov.matrix for cov in err_cov])
+        noise_var = np.asarray(noise_var)[:, None]
     else:
         r = np.asarray(err_cov)
-    diag = np.einsum("ij,ij->i", a @ r, a.conj()).real + noise_var
+    diag = np.einsum("...ij,...ij->...i", a @ r, a.conj()).real + noise_var
     return ReliabilityContext(per_carrier_var=diag)
 
 
-def carrier_reliability(x_hat, variance, alphabet) -> np.ndarray:
+def carrier_reliability(x_hat, variance, alphabet, sliced=None) -> np.ndarray:
     """Reliability of equalized symbols under a per-carrier Gaussian model.
 
     Ratio of the distortion density at the displacement to the nearest
     constellation point over the summed densities at the displacements to
-    every other point.  Computed in the log domain; a symbol exactly on a
-    point with vanishing variance returns the RELIABILITY_CAP rather than
-    infinity.
+    every other point.  Computed in the log domain over the last axis, so
+    a (B, N) stack of antennas works as one; a symbol exactly on a point
+    with vanishing variance returns the RELIABILITY_CAP rather than
+    infinity.  ``sliced`` is the (squared distances, nearest indices) pair
+    of ``x_hat`` when the caller already holds it.
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=complex))
     variance = np.broadcast_to(np.asarray(variance, dtype=float), x_hat.shape)
     if np.any(variance <= 0):
         raise InvalidContextError("distortion variance must be positive")
+    if sliced is None:
+        d2 = alphabet.sq_distances(x_hat)
+        sliced = d2, alphabet.nearest_indices(x_hat, d2)
+    d2, nearest = sliced
 
-    d2 = np.abs(x_hat[:, None] - alphabet.points[None, :]) ** 2
-    loglik = -d2 / variance[:, None]
-    nearest = alphabet.nearest_indices(x_hat)
-    rows = np.arange(x_hat.shape[0])
-    log_num = loglik[rows, nearest]
-
-    others = loglik.copy()
-    others[rows, nearest] = -np.inf
-    peak = others.max(axis=1)
-    log_den = peak + np.log(np.exp(others - peak[:, None]).sum(axis=1))
-
-    out = np.exp(np.minimum(log_num - log_den, np.log(RELIABILITY_CAP)))
-    return out
+    loglik = np.negative(d2)
+    loglik /= variance[..., None]
+    nearest = np.expand_dims(nearest, -1)
+    log_num = np.take_along_axis(loglik, nearest, axis=-1)[..., 0]
+    np.put_along_axis(loglik, nearest, -np.inf, axis=-1)  # every other point
+    peak = loglik.max(axis=-1, keepdims=True)
+    loglik -= peak
+    log_den = peak[..., 0] + np.log(np.exp(loglik, out=loglik).sum(axis=-1))
+    return np.exp(np.minimum(log_num - log_den, np.log(RELIABILITY_CAP)))
 
 
-def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` most reliable eligible carriers (ties to the
-    lower carrier index), sorted ascending."""
-    idx = np.flatnonzero(eligible)
-    if idx.size <= count:
-        return np.sort(idx)
-    order = np.lexsort((idx, -reliability[idx]))
-    return np.sort(idx[order[:count]])
+def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.ndarray:
+    """Mask of the ``count`` most reliable eligible carriers along the last
+    axis, ties to the lower carrier index; ``count`` has one entry per row.
+
+    A stable sort ranks the eligible carriers by falling reliability; the
+    ones ranked below the budget are kept.
+    """
+    key = np.where(eligible, -reliability, np.inf)
+    order = np.argsort(key, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(key.shape[-1]), axis=-1)
+    return eligible & (rank < np.expand_dims(count, -1))
 
 
 def reliable_budget(base: GridEstimate, antenna, n_pilots: int, n_data: int,
@@ -138,39 +156,79 @@ def reliable_budget(base: GridEstimate, antenna, n_pilots: int, n_data: int,
 
 
 def select_and_agree(
-    grid: AntennaGrid,
-    top_sets: list,
-    hard_decisions: np.ndarray,
+    top: np.ndarray,
+    decisions: np.ndarray,
     pilot_indices: np.ndarray,
+    alphabet: QamAlphabet,
 ) -> list:
-    """Neighborhood consensus per central antenna.
+    """Neighborhood consensus for every central antenna at once.
 
-    ``top_sets[r][c]`` is each antenna's own top-U carrier index set.  The
-    consensus keeps the intersection over the neighborhood, pruned to
-    carriers where every member made the same hard decision.  An empty
-    consensus is valid.
+    ``top`` (M, G, N) marks each antenna's own top-U carriers and
+    ``decisions`` (M, G, N) holds its hard-decision symbol indices.  A
+    carrier joins an antenna's consensus when it is no pilot, every member
+    of the neighborhood ranks it top-U (a stencil AND) and every member
+    decoded it to the same symbol (stencil min equals stencil max).  An
+    empty consensus is valid.  Returns ``[row][col]`` ReliableSets.
     """
-    pilot_set = set(int(i) for i in pilot_indices)
-    out = [[None] * grid.cols for _ in range(grid.rows)]
-    for r, c in grid.antennas():
-        members = [(r, c)] + neighbors(grid, (r, c))
-        common = set(int(i) for i in top_sets[r][c])
-        for mr, mc in members[1:]:
-            common &= set(int(i) for i in top_sets[mr][mc])
-        common -= pilot_set
-        agreed = []
-        for i in sorted(common):
-            decisions = np.array([hard_decisions[mr, mc, i] for mr, mc in members])
-            if np.all(decisions == decisions[0]):
-                agreed.append(i)
-        consensus = np.array(agreed, dtype=int)
-        symbols = hard_decisions[r, c, consensus] if consensus.size else np.array([], complex)
-        out[r][c] = ReliableSet(
-            own_top=np.asarray(top_sets[r][c]),
-            consensus=consensus,
-            agreed_symbols=symbols,
-        )
+    agreed = stencil_reduce(top, np.logical_and)
+    agreed &= stencil_reduce(decisions, np.minimum) == stencil_reduce(decisions, np.maximum)
+    agreed[..., np.asarray(pilot_indices, dtype=int)] = False
+    out = []
+    for r in range(top.shape[0]):
+        row = []
+        for c in range(top.shape[1]):
+            consensus = np.flatnonzero(agreed[r, c])
+            row.append(ReliableSet(
+                own_top=np.flatnonzero(top[r, c]),
+                consensus=consensus,
+                agreed_symbols=alphabet.points[decisions[r, c, consensus]],
+            ))
+        out.append(row)
     return out
+
+
+def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets):
+    """Every antenna's top-U mask and hard-decision indices, (M, G, N) each.
+
+    Works through ``GRAM_CHUNK`` antennas at a time: one FFT and one
+    nearest-point pass per chunk, whose distances also feed the
+    reliabilities.  Antennas without a usable base estimate keep an empty
+    top set.
+    """
+    n_carriers, length = rows_mat.shape
+    grid_shape = base.taps.shape[:2]
+    n_ant = base.failed.size
+    taps = base.taps.reshape(n_ant, length)
+    observations = observations_full.reshape(n_ant, n_carriers)
+    covariances = [cov for row in base.covariances for cov in row]
+    noise_vars = base.noise_vars.reshape(n_ant)
+    budgets = budgets.reshape(n_ant)
+    usable = ~base.failed.reshape(n_ant) & np.array([cov is not None for cov in covariances])
+    top = np.zeros((n_ant, n_carriers), dtype=bool)
+    decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
+    for start in range(0, n_ant, GRAM_CHUNK):
+        chunk = slice(start, start + GRAM_CHUNK)
+        equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
+        d2 = alphabet.sq_distances(equalized)
+        decisions[chunk] = alphabet.nearest_indices(equalized, d2)
+        members = start + np.flatnonzero(usable[chunk])
+        if not members.size:
+            continue
+        local = members - start
+        # distortion variances are one batched product per detected-tap count
+        t_sizes = np.array([covariances[i].taps.size for i in members])
+        variance = np.empty((members.size, n_carriers))
+        for t in set(t_sizes.tolist()):
+            same = t_sizes == t
+            variance[same] = distortion_covariance(
+                rows_mat, [covariances[i] for i in members[same]], noise_vars[members[same]]
+            ).per_carrier_var
+        reliability = carrier_reliability(
+            equalized[local], variance, alphabet, (d2[local], decisions[members])
+        )
+        top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
+    shape = (*grid_shape, n_carriers)
+    return top.reshape(shape), decisions.reshape(shape)
 
 
 def run_data_aided(
@@ -217,31 +275,11 @@ def run_data_aided(
             else reliable_budget(base, (r, c), pilots.shape[0], n_data,
                                  expected_actives)
         )
-    agreed_budgets = budgets.copy()
-    for r, c in grid.antennas():
-        members = [(r, c)] + neighbors(grid, (r, c))
-        agreed_budgets[r, c] = max(budgets[mr, mc] for mr, mc in members)
-
-    hard = np.zeros((grid.rows, grid.cols, n_carriers), dtype=complex)
-    top_sets = [[None] * grid.cols for _ in range(grid.rows)]
-    for r, c in grid.antennas():
-        resp = freq_response(base.taps[r, c], n_carriers)
-        equalized, hard_rc, bad = equalize_and_slice(
-            observations_full[r, c], resp, alphabet
-        )
-        hard[r, c] = hard_rc
-        if base.failed[r, c] or base.covariances[r][c] is None:
-            top_sets[r][c] = np.array([], dtype=int)
-            continue
-        ctx = distortion_covariance(
-            rows_mat, base.covariances[r][c], base.noise_vars[r, c]
-        )
-        reliability = carrier_reliability(equalized, ctx.per_carrier_var, alphabet)
-        top_sets[r][c] = top_reliable(
-            reliability, data_mask & ~bad, int(agreed_budgets[r, c])
-        )
-
-    agreements = select_and_agree(grid, top_sets, hard, pilots)
+    top, decisions = _top_carriers(
+        base, observations_full, rows_mat, alphabet, data_mask,
+        stencil_reduce(budgets, np.maximum),
+    )
+    agreements = select_and_agree(top, decisions, pilots, alphabet)
 
     taps = base.taps.copy()
     estimates = [list(row) for row in base.estimates]

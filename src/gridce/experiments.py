@@ -34,14 +34,14 @@ from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
     OfdmConfig,
     build_sensing_matrix,
-    equalize_and_slice,
+    equalize,
     freq_response,
     make_rng,
     modulate_frame,
     place_pilots,
     synthesize_received,
 )
-from .data_aided import run_data_aided
+from .data_aided import GRAM_CHUNK, run_data_aided
 from .qam import build_qam_alphabet
 from .sharing import GridSolverConfig, run_integer_based, run_marginal_based
 from .solver import blue_estimate
@@ -307,16 +307,14 @@ def compute_metrics(true_channels, estimates, tx_bits=None, rx_bits=None) -> dic
     return out
 
 
-def count_bit_errors(alphabet, true_indices, hard_symbols, bad_mask) -> tuple:
-    """Bit errors against the true symbol indices; undecodable carriers
-    count every bit as wrong.  Returns (errors, total_bits)."""
+def count_bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> tuple:
+    """Bit errors of decided symbol indices against the true ones, looked up
+    in the alphabet's Hamming table; any shape, the true indices broadcast
+    against the decided ones.  Undecodable carriers count every bit as
+    wrong.  Returns (errors, total_bits)."""
     k = alphabet.bits_per_symbol
-    true_idx = np.ravel(true_indices)
-    hard_idx = np.ravel(alphabet.nearest_indices(hard_symbols))
-    bad = np.ravel(bad_mask)
-    diff_bits = alphabet.bits_from_indices(true_idx) != alphabet.bits_from_indices(hard_idx)
-    errors = int(diff_bits[~bad].sum()) + int(bad.sum()) * k
-    return errors, true_idx.size * k
+    wrong = np.where(bad_mask, k, alphabet.hamming[true_indices, decided_indices])
+    return int(wrong.sum()), wrong.size * k
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +330,7 @@ class TrialScene:
     observations: np.ndarray
     noise_var: float
     alphabet: object
+    true_indices: np.ndarray     # transmitted symbol index per data carrier
 
 
 def noise_var_for_snr(sparsity: int, n_carriers: int, snr_db: float) -> float:
@@ -361,10 +360,12 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
         sensing_full, channels.taps, noise_var,
         make_rng(spec.seed, point_index, trial, 3),
     )
+    alphabet = config.alphabet
     return TrialScene(
         grid=grid, channels=channels, frame=frame, sensing_full=sensing_full,
         sensing_pilot=sensing_pilot, observations=observations,
-        noise_var=noise_var, alphabet=config.alphabet,
+        noise_var=noise_var, alphabet=alphabet,
+        true_indices=alphabet.nearest_indices(frame.freq_symbols[frame.data_indices]),
     )
 
 
@@ -374,20 +375,23 @@ def _worst_case(scene, k_bits):
 
 
 def _score_algorithm(scene: TrialScene, taps: np.ndarray) -> tuple:
-    """(trial error ratio, data-carrier bit errors, total bits) for one estimate."""
+    """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
+
+    Detection runs ``GRAM_CHUNK`` antennas at a time: one FFT, one
+    zero-forcing division and one nearest-point pass per chunk.
+    """
     ratio = error_ratio(scene.channels.taps, taps)
+    n_carriers = scene.frame.n_carriers
     data_idx = scene.frame.data_indices
-    true_indices = scene.alphabet.nearest_indices(scene.frame.freq_symbols[data_idx])
-    errors = 0
-    total = 0
-    for r, c in scene.grid.antennas():
-        resp = freq_response(taps[r, c], scene.frame.n_carriers)
-        _, hard, bad = equalize_and_slice(
-            scene.observations[r, c], resp, scene.alphabet
-        )
-        e, t = count_bit_errors(
-            scene.alphabet, true_indices, hard[data_idx], bad[data_idx]
-        )
+    taps = taps.reshape(-1, taps.shape[-1])
+    observations = scene.observations.reshape(-1, n_carriers)
+    errors = total = 0
+    for start in range(0, taps.shape[0], GRAM_CHUNK):
+        chunk = slice(start, start + GRAM_CHUNK)
+        resp = freq_response(taps[chunk], n_carriers)[:, data_idx]
+        equalized, bad = equalize(observations[chunk, data_idx], resp)
+        e, t = count_bit_errors(scene.alphabet, scene.true_indices,
+                                scene.alphabet.nearest_indices(equalized), bad)
         errors += e
         total += t
     return ratio, errors, total

@@ -110,7 +110,8 @@ def truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
 
 
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
-    """Length-N channel frequency response F_L @ h of a length-L CIR."""
+    """Length-N channel frequency response F_L @ h of a length-L CIR; a
+    stack (..., L) of CIRs gives (..., N) in one FFT."""
     return np.fft.fft(h, n=n_carriers) / np.sqrt(n_carriers)
 
 
@@ -191,22 +192,29 @@ def synthesize_received(
     return clean + noise
 
 
-def equalize_and_slice(
-    received: np.ndarray, freq_resp: np.ndarray, alphabet: QamAlphabet
-):
-    """Zero-forcing detection: per-carrier division then nearest-point slicing.
+def equalize(received: np.ndarray, freq_resp: np.ndarray):
+    """Zero-forcing per-carrier division, for one antenna or a stack.
 
-    Returns (equalized, hard_decisions, undecodable_mask).  Carriers whose
-    estimated gain falls below ZF_MIN_GAIN are flagged rather than divided;
-    callers count their bits as errors.
+    Returns (equalized, undecodable_mask).  Carriers whose estimated gain
+    falls below ZF_MIN_GAIN are flagged rather than divided and equalize
+    to 0; callers count their bits as errors.
     """
     received = np.asarray(received)
     freq_resp = np.asarray(freq_resp)
     if received.shape != freq_resp.shape:
         raise ValueError("received and frequency response shapes differ")
     bad = np.abs(freq_resp) < ZF_MIN_GAIN
-    safe = np.where(bad, 1.0, freq_resp)
-    equalized = received / safe
+    equalized = received / np.where(bad, 1.0, freq_resp)
     equalized[bad] = 0.0
-    hard = alphabet.slice(equalized)
-    return equalized, hard, bad
+    return equalized, bad
+
+
+def equalize_and_slice(
+    received: np.ndarray, freq_resp: np.ndarray, alphabet: QamAlphabet
+):
+    """Zero-forcing detection: ``equalize`` then nearest-point slicing.
+
+    Returns (equalized, hard_decisions, undecodable_mask).
+    """
+    equalized, bad = equalize(received, freq_resp)
+    return equalized, alphabet.slice(equalized), bad

@@ -13,6 +13,7 @@ constellation has unit average symbol energy.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,22 +72,42 @@ class QamAlphabet:
         shifts = np.arange(k - 1, -1, -1)
         return ((idx[:, None] >> shifts) & 1).astype(np.int8)
 
-    def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
+    def sq_distances(self, symbols: np.ndarray) -> np.ndarray:
+        """|x - points[v]|^2 for every symbol x and index v, shape (..., Q)."""
+        x = np.asarray(symbols)
+        d2 = np.empty(x.shape + (self.order,))
+        for v, point in enumerate(self.points):  # temporaries stay symbol-sized
+            d2[..., v] = np.abs(x - point) ** 2
+        return d2
+
+    def nearest_indices(self, symbols: np.ndarray, sq_distances=None) -> np.ndarray:
         """Index of the nearest constellation point for each input symbol.
 
         Ties break toward the point with lexicographically smaller
-        (real, imag), so slicing is deterministic.
+        (real, imag), so slicing is deterministic.  A caller that already
+        holds ``self.sq_distances(symbols)`` passes it to skip recomputing.
         """
-        flat = np.asarray(symbols).reshape(-1)
-        pts = self.points[self._lex_order]
-        d2 = np.abs(flat[:, None] - pts[None, :]) ** 2
-        # argmin returns the first minimum, i.e. the lex-smallest point
-        sorted_idx = np.argmin(d2, axis=1)
-        return self._lex_order[sorted_idx].reshape(np.shape(symbols))
+        x = np.asarray(symbols)
+        nearest = np.full(x.shape, self._lex_order[0])
+        best = np.full(x.shape, np.inf)
+        # visiting points in lex order, a strict improvement keeps the
+        # lex-smallest of equally near points
+        for v in self._lex_order:
+            d2 = np.abs(x - self.points[v]) ** 2 if sq_distances is None else sq_distances[..., v]
+            closer = d2 < best
+            nearest[closer] = v
+            np.minimum(best, d2, out=best)
+        return nearest
 
     def slice(self, symbols: np.ndarray) -> np.ndarray:
         """Hard decisions: nearest constellation point per symbol."""
         return self.points[self.nearest_indices(symbols)]
+
+    @cached_property
+    def hamming(self) -> np.ndarray:
+        """(Q, Q) table: bits differing between the words of two indices."""
+        bits = self.bits_from_indices(np.arange(self.order))
+        return (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
 
     def max_magnitude_points(self) -> np.ndarray:
         """The constant-modulus corner points (used for pilot symbols)."""

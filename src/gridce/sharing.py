@@ -106,22 +106,23 @@ class GridEstimate:
 # ---------------------------------------------------------------------------
 # neighborhood stencils (self + in-grid 4-neighbors)
 
+def stencil_reduce(x: np.ndarray, op) -> np.ndarray:
+    """Fold each antenna's neighborhood with the binary ufunc ``op`` over
+    the grid axes (the first two); trailing axes are carried along."""
+    out = x.copy()
+    op(out[1:], x[:-1], out=out[1:])
+    op(out[:-1], x[1:], out=out[:-1])
+    op(out[:, 1:], x[:, :-1], out=out[:, 1:])
+    op(out[:, :-1], x[:, 1:], out=out[:, :-1])
+    return out
+
+
 def _stencil_sum(x: np.ndarray) -> np.ndarray:
-    s = x.astype(float).copy()
-    s[1:] += x[:-1]
-    s[:-1] += x[1:]
-    s[:, 1:] += x[:, :-1]
-    s[:, :-1] += x[:, 1:]
-    return s
+    return stencil_reduce(x.astype(float), np.add)
 
 
 def _stencil_any(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    out[1:] |= mask[:-1]
-    out[:-1] |= mask[1:]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
-    return out
+    return stencil_reduce(mask, np.logical_or)
 
 
 def _member_counts(rows: int, cols: int) -> np.ndarray:

@@ -1,9 +1,16 @@
-"""Reliable carriers: distortion model, reliability metric, consensus, refinement."""
+"""Reliable carriers: distortion model, reliability metric, consensus, refinement.
+
+The per-antenna, set-based consensus and the per-antenna top-U pick that
+the stencil and rank-mask versions replaced are kept here as oracles
+(``select_and_agree_oracle``, ``top_reliable_oracle``).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+from gridce.channels import AntennaGrid, ArrayKind, generate_channels, neighbors
 from gridce.data_aided import (
     carrier_reliability,
     distortion_covariance,
@@ -124,36 +131,79 @@ class TestCarrierReliability:
             carrier_reliability(np.array([0.1 + 0.1j]), np.array([0.0]), alph)
 
 
+def top_reliable_oracle(reliability, eligible, count):
+    """Indices of the ``count`` most reliable eligible carriers (ties to the
+    lower carrier index), sorted ascending: the per-antenna reference."""
+    idx = np.flatnonzero(eligible)
+    if idx.size <= count:
+        return np.sort(idx)
+    order = np.lexsort((idx, -reliability[idx]))
+    return np.sort(idx[order[:count]])
+
+
+def select_and_agree_oracle(grid, top_sets, hard_decisions, pilot_indices):
+    """Per-antenna consensus over Python sets: the intersection of the
+    neighborhood's top sets minus the pilots, pruned to carriers where every
+    member made the same hard decision.  Returns [row][col] (consensus,
+    agreed symbols)."""
+    pilot_set = set(int(i) for i in pilot_indices)
+    out = [[None] * grid.cols for _ in range(grid.rows)]
+    for r, c in grid.antennas():
+        members = [(r, c)] + neighbors(grid, (r, c))
+        common = set(int(i) for i in top_sets[r][c])
+        for mr, mc in members[1:]:
+            common &= set(int(i) for i in top_sets[mr][mc])
+        common -= pilot_set
+        agreed = []
+        for i in sorted(common):
+            decisions = np.array([hard_decisions[mr, mc, i] for mr, mc in members])
+            if np.all(decisions == decisions[0]):
+                agreed.append(i)
+        consensus = np.array(agreed, dtype=int)
+        out[r][c] = (consensus, hard_decisions[r, c, consensus])
+    return out
+
+
+def top_masks(shape, index_sets):
+    """(M, G, N) mask from [row][col] carrier index lists."""
+    mask = np.zeros(shape, dtype=bool)
+    for r, row in enumerate(index_sets):
+        for c, idx in enumerate(row):
+            mask[r, c, idx] = True
+    return mask
+
+
+QAM4 = build_qam_alphabet(4)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
 class TestSelectAndAgree:
     def test_unanimous_neighborhood_keeps_all(self):
-        grid = AntennaGrid(rows=3, cols=3)
-        tops = [[np.array([4, 9, 13]) for _ in range(3)] for _ in range(3)]
-        hard = np.tile((1 + 1j) / np.sqrt(2), (3, 3, 16)).astype(complex)
-        sets = select_and_agree(grid, tops, hard, pilot_indices=np.array([0, 1]))
+        top = top_masks((3, 3, 16), [[[4, 9, 13]] * 3] * 3)
+        decisions = np.full((3, 3, 16), 3)  # (1+1j)/sqrt(2) everywhere
+        sets = select_and_agree(top, decisions, np.array([0, 1]), QAM4)
         assert list(sets[1][1].consensus) == [4, 9, 13]
+        np.testing.assert_array_equal(sets[1][1].agreed_symbols, QAM4.points[[3, 3, 3]])
 
     def test_disjoint_sets_empty(self):
-        grid = AntennaGrid(rows=1, cols=2)
-        tops = [[np.array([3]), np.array([7])]]
-        hard = np.zeros((1, 2, 16), complex)
-        sets = select_and_agree(grid, tops, hard, pilot_indices=np.array([]))
+        top = top_masks((1, 2, 16), [[[3], [7]]])
+        decisions = np.zeros((1, 2, 16), dtype=int)
+        sets = select_and_agree(top, decisions, np.array([]), QAM4)
         assert sets[0][0].consensus.size == 0
 
     def test_disagreeing_decisions_pruned(self):
-        grid = AntennaGrid(rows=1, cols=2)
-        tops = [[np.array([3, 5]), np.array([3, 5])]]
-        hard = np.zeros((1, 2, 16), complex)
-        hard[0, 0, 3] = 1 + 1j
-        hard[0, 1, 3] = 1 - 1j  # disagree on 3
-        hard[0, 0, 5] = hard[0, 1, 5] = -1 - 1j
-        sets = select_and_agree(grid, tops, hard, pilot_indices=np.array([]))
+        top = top_masks((1, 2, 16), [[[3, 5], [3, 5]]])
+        decisions = np.zeros((1, 2, 16), dtype=int)
+        decisions[0, 0, 3] = 3
+        decisions[0, 1, 3] = 2  # disagree on 3
+        decisions[0, :, 5] = 0
+        sets = select_and_agree(top, decisions, np.array([]), QAM4)
         assert list(sets[0][0].consensus) == [5]
 
     def test_pilots_excluded(self):
-        grid = AntennaGrid(rows=1, cols=1)
-        tops = [[np.array([2, 3])]]
-        hard = np.ones((1, 1, 8), complex)
-        sets = select_and_agree(grid, tops, hard, pilot_indices=np.array([2]))
+        top = top_masks((1, 1, 8), [[[2, 3]]])
+        decisions = np.ones((1, 1, 8), dtype=int)
+        sets = select_and_agree(top, decisions, np.array([2]), QAM4)
         assert list(sets[0][0].consensus) == [3]
 
     def test_top_u_size_contract(self):
@@ -161,8 +211,62 @@ class TestSelectAndAgree:
         reliability = rng.random(32)
         eligible = np.ones(32, bool)
         eligible[:4] = False
-        assert top_reliable(reliability, eligible, 10).size == 10
-        assert top_reliable(reliability, eligible, 40).size == 28
+        assert top_reliable(reliability, eligible, 10).sum() == 10
+        assert top_reliable(reliability, eligible, 40).sum() == 28
+
+
+@st.composite
+def consensus_inputs(draw):
+    """A grid of any shape (1x1, 1xN, Nx1, non-square), random top sets,
+    decisions that mostly agree across antennas, pilots that may sit inside
+    the top sets."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 24))
+    order = draw(st.sampled_from([4, 16]))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    top = rng.random((rows, cols, n)) < draw(st.sampled_from([0.3, 0.7, 0.95, 1.0]))
+    decisions = np.broadcast_to(rng.integers(0, order, size=n), (rows, cols, n)).copy()
+    flips = rng.random((rows, cols, n)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    decisions[flips] = rng.integers(0, order, size=int(flips.sum()))
+    pilots = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5])))
+    return AntennaGrid(rows=rows, cols=cols), top, decisions, pilots, order
+
+
+class TestStencilConsensus:
+    """Stencil consensus and rank-mask top-U against the per-antenna oracles."""
+
+    @PROPERTY
+    @given(consensus_inputs())
+    def test_matches_set_based_consensus(self, case):
+        grid, top, decisions, pilots, order = case
+        alphabet = build_qam_alphabet(order)
+        sets = select_and_agree(top, decisions, pilots, alphabet)
+        top_sets = [[np.flatnonzero(top[r, c]) for c in range(grid.cols)]
+                    for r in range(grid.rows)]
+        want = select_and_agree_oracle(grid, top_sets, alphabet.points[decisions], pilots)
+        for r, c in grid.antennas():
+            consensus, symbols = want[r][c]
+            np.testing.assert_array_equal(sets[r][c].consensus, consensus)
+            np.testing.assert_array_equal(sets[r][c].agreed_symbols, symbols)
+            np.testing.assert_array_equal(sets[r][c].own_top, top_sets[r][c])
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([2, 5, 1000]))
+    def test_top_u_matches_per_antenna_pick(self, n_rows, n, seed, levels):
+        """Few reliability levels force ties; budgets run past the eligible
+        count; the cap and zero are among the values."""
+        rng = make_rng(seed)
+        values = np.array([0.0, 1e300, *rng.random(levels)])
+        reliability = values[rng.integers(0, values.size, size=(n_rows, n))]
+        eligible = rng.random((n_rows, n)) < 0.7
+        count = rng.integers(0, n + 4, size=n_rows)
+        mask = top_reliable(reliability, eligible, count)
+        for i in range(n_rows):
+            np.testing.assert_array_equal(
+                np.flatnonzero(mask[i]),
+                top_reliable_oracle(reliability[i], eligible[i], count[i]),
+            )
 
 
 class TestRunDataAided:
