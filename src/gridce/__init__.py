@@ -14,7 +14,6 @@ from .channels import (
     recommended_D,
 )
 from .data_aided import (
-    ReliabilityContext,
     ReliableSet,
     carrier_reliability,
     distortion_covariance,

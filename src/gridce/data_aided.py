@@ -19,9 +19,9 @@ import numpy as np
 from .channels import AntennaGrid
 from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
 from .ofdm import OfdmFrame, SensingMatrix, equalize, freq_response
-from .posterior import ErrorCovariance, error_covariance, error_covariances
+from .posterior import error_covariance, error_covariances
 from .qam import QamAlphabet
-from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
+from .sharing import GridEstimate, GridSolverConfig, stencil_reduce, store_covariance
 from .solver import BernoulliPrior, greedy_search, greedy_search_batch
 
 #: reliability ratios are capped here instead of overflowing to inf
@@ -41,14 +41,6 @@ MIN_RELIABLE = 2
 GRAM_CHUNK = 16
 
 
-@dataclass(frozen=True)
-class ReliabilityContext:
-    """Per-carrier variance of the combined distortion A h_err + w: the
-    diagonal of A R A^H + sigma_w^2 I, the only part ever consumed."""
-
-    per_carrier_var: np.ndarray
-
-
 @dataclass
 class ReliableSet:
     """One central antenna's view: its own top-U carriers, the carriers its
@@ -61,28 +53,24 @@ class ReliableSet:
 
 def distortion_covariance(
     sensing_full: SensingMatrix | np.ndarray,
-    err_cov: ErrorCovariance | list | np.ndarray,
+    err_cov: np.ndarray,
     noise_var: float | np.ndarray,
-) -> ReliabilityContext:
-    """Variance of the combined distortion per carrier: diag(A R A^H) + sigma_w^2.
+    taps: np.ndarray | None = None,
+) -> np.ndarray:
+    """Variance of the combined distortion A h_err + w per carrier:
+    diag(A R A^H) + sigma_w^2, the only part of its covariance ever consumed.
 
-    An ``ErrorCovariance`` lives on its detected taps, so only those
-    columns of A enter; a bare matrix is taken over all L columns.  A list
-    of ``ErrorCovariance`` sharing one tap count T, with one noise variance
-    each, gives one row of variances per entry from a single (B, N, T)
-    product.
+    Without ``taps``, R is an L x L matrix over all columns of A.  With
+    ``taps``, R lives on those columns (``ErrorCovariance.taps`` and
+    ``.matrix``, or the ``GridEstimate.support`` and ``.error_cov`` arrays,
+    whose zero padding adds nothing).  A stack of B covariances, (B, T)
+    taps and (B,) noise variances gives (B, N) variances from one product.
     """
     a = sensing_full.rows if isinstance(sensing_full, SensingMatrix) else np.asarray(sensing_full)
-    if isinstance(err_cov, ErrorCovariance):
-        a, r = a[:, err_cov.taps], err_cov.matrix
-    elif isinstance(err_cov, list):
-        a = np.moveaxis(a[:, np.stack([cov.taps for cov in err_cov])], 1, 0)
-        r = np.stack([cov.matrix for cov in err_cov])
-        noise_var = np.asarray(noise_var)[:, None]
-    else:
-        r = np.asarray(err_cov)
-    diag = np.einsum("...ij,...ij->...i", a @ r, a.conj()).real + noise_var
-    return ReliabilityContext(per_carrier_var=diag)
+    if taps is not None:
+        a = np.moveaxis(a[:, taps], 0, -2)
+    diag = np.einsum("...ij,...ij->...i", a @ err_cov, a.conj()).real
+    return diag + np.asarray(noise_var, dtype=float)[..., None]
 
 
 def carrier_reliability(x_hat, variance, alphabet, sliced=None) -> np.ndarray:
@@ -130,9 +118,9 @@ def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.nda
     return eligible & (rank < np.expand_dims(count, -1))
 
 
-def reliable_budget(base: GridEstimate, antenna, n_pilots: int, n_data: int,
-                    expected_actives: int) -> int:
-    """Carrier budget from the base estimate's own predicted relative error.
+def reliable_budget(base: GridEstimate, n_pilots: int, n_data: int,
+                    expected_actives: int) -> np.ndarray:
+    """(M, G) carrier budgets from the base estimate's own predicted error.
 
     In the pilot-starved regime (pilots <= 2 * (expected active taps + 1),
     at or barely above the noise-free identifiability point where recovery
@@ -141,18 +129,15 @@ def reliable_budget(base: GridEstimate, antenna, n_pilots: int, n_data: int,
     the error covariance trace over the estimate energy predicts how far
     the pilot-only estimate is from done, and carriers are requested in
     proportion: aggressive when pilots barely suffice, nearly inert when
-    the pilot-only estimate is already clean.
+    the pilot-only estimate is already clean.  An antenna whose final pass
+    failed has a zero trace and gets the minimum.
     """
     if n_pilots <= 2 * (expected_actives + 1):
-        return n_data
-    r, c = antenna
-    cov = base.covariances[r][c]
-    if cov is None:
-        return MIN_RELIABLE
-    energy = float(np.sum(np.abs(base.taps[r, c]) ** 2))
-    rho = cov.mmse_trace / max(energy, 1e-30)
-    budget = int(round(n_pilots * rho / RHO_REFERENCE))
-    return int(np.clip(budget, MIN_RELIABLE, n_data))
+        return np.full(base.failed.shape, n_data)
+    trace = np.trace(base.error_cov, axis1=-2, axis2=-1).real
+    energy = np.sum(np.abs(base.taps) ** 2, axis=-1)
+    budget = np.round(n_pilots * (trace / np.maximum(energy, 1e-30)) / RHO_REFERENCE)
+    return np.clip(budget, MIN_RELIABLE, n_data).astype(int)
 
 
 def select_and_agree(
@@ -190,20 +175,19 @@ def select_and_agree(
 def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets):
     """Every antenna's top-U mask and hard-decision indices, (M, G, N) each.
 
-    Works through ``GRAM_CHUNK`` antennas at a time: one FFT and one
-    nearest-point pass per chunk, whose distances also feed the
-    reliabilities.  Antennas without a usable base estimate keep an empty
-    top set.
+    Works through ``GRAM_CHUNK`` antennas at a time: one FFT, one
+    nearest-point pass and one distortion product per chunk; the distances
+    also feed the reliabilities.  Failed antennas keep an empty top set.
     """
     n_carriers, length = rows_mat.shape
-    grid_shape = base.taps.shape[:2]
     n_ant = base.failed.size
     taps = base.taps.reshape(n_ant, length)
     observations = observations_full.reshape(n_ant, n_carriers)
-    covariances = [cov for row in base.covariances for cov in row]
+    support = base.support.reshape(n_ant, -1)
+    error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
     noise_vars = base.noise_vars.reshape(n_ant)
     budgets = budgets.reshape(n_ant)
-    usable = ~base.failed.reshape(n_ant) & np.array([cov is not None for cov in covariances])
+    usable = ~base.failed.reshape(n_ant)
     top = np.zeros((n_ant, n_carriers), dtype=bool)
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
     for start in range(0, n_ant, GRAM_CHUNK):
@@ -215,19 +199,14 @@ def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets
         if not members.size:
             continue
         local = members - start
-        # distortion variances are one batched product per detected-tap count
-        t_sizes = np.array([covariances[i].taps.size for i in members])
-        variance = np.empty((members.size, n_carriers))
-        for t in set(t_sizes.tolist()):
-            same = t_sizes == t
-            variance[same] = distortion_covariance(
-                rows_mat, [covariances[i] for i in members[same]], noise_vars[members[same]]
-            ).per_carrier_var
+        variance = distortion_covariance(
+            rows_mat, error_cov[members], noise_vars[members], taps=support[members]
+        )
         reliability = carrier_reliability(
             equalized[local], variance, alphabet, (d2[local], decisions[members])
         )
         top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
-    shape = (*grid_shape, n_carriers)
+    shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape)
 
 
@@ -250,8 +229,6 @@ def run_data_aided(
     symbols.  Antennas with an empty consensus keep their base estimate
     (flagged in diagnostics).
     """
-    if base.covariances is None:
-        raise ConfigurationError("base estimate must carry error covariances")
     rows_mat = sensing_full.rows
     n_carriers, length = rows_mat.shape
     pilots = frame.pilot_indices
@@ -268,13 +245,10 @@ def run_data_aided(
     # budget in their neighborhood so one clean member cannot starve the
     # intersection of a struggling neighborhood (one extra shared integer)
     expected_actives = max(1, round(length * config.lambda_init))
-    budgets = np.zeros((grid.rows, grid.cols), dtype=int)
-    for r, c in grid.antennas():
-        budgets[r, c] = (
-            n_reliable if n_reliable is not None
-            else reliable_budget(base, (r, c), pilots.shape[0], n_data,
-                                 expected_actives)
-        )
+    budgets = (
+        np.full(base.failed.shape, n_reliable) if n_reliable is not None
+        else reliable_budget(base, pilots.shape[0], n_data, expected_actives)
+    )
     top, decisions = _top_carriers(
         base, observations_full, rows_mat, alphabet, data_mask,
         stencil_reduce(budgets, np.maximum),
@@ -282,9 +256,8 @@ def run_data_aided(
     agreements = select_and_agree(top, decisions, pilots, alphabet)
 
     taps = base.taps.copy()
-    estimates = [list(row) for row in base.estimates]
-    covariances = [list(row) for row in base.covariances]
-    failed = base.failed.copy()
+    support = base.support.copy()
+    error_cov = base.error_cov.copy()
     fallback = np.ones((grid.rows, grid.cols), dtype=bool)
     t_max = config.resolve_t_max(length, pilots.shape[0])
     dft_rows = rows_mat / frame.freq_symbols[:, None]  # bare F_L rows
@@ -322,30 +295,31 @@ def run_data_aided(
             gram, corr, y_norm2, base.priors[chunk_rows, chunk_cols],
             base.noise_vars[chunk_rows, chunk_cols], t_max,
         )
-        blocks = error_covariances(stack)
-        for k, ((r, c), est) in enumerate(zip(chunk, stack.estimates())):
-            if not stack.failed[k]:
-                cov = ErrorCovariance(taps=stack.chosen[k], matrix=blocks[k])
-            else:  # the chain stopped early: the per-antenna solver decides
-                a_aug, y_aug = augmented(r, c)
-                try:
-                    est = greedy_search(a_aug, y_aug, BernoulliPrior(base.priors[r, c]),
-                                        base.noise_vars[r, c], t_max)
-                except IllConditionedSupportError:
-                    continue  # keeps the base estimate, flagged as a fallback
-                cov = error_covariance(est)
+        done = ~stack.failed
+        at = chunk_rows[done], chunk_cols[done]
+        taps[at] = stack.taps[done]
+        support[at] = stack.chosen[done]
+        error_cov[at] = error_covariances(stack)[done]
+        fallback[at] = False
+        # a chain that stopped early: the per-antenna solver decides
+        for r, c in zip(chunk_rows[~done], chunk_cols[~done]):
+            a_aug, y_aug = augmented(r, c)
+            try:
+                est = greedy_search(a_aug, y_aug, BernoulliPrior(base.priors[r, c]),
+                                    base.noise_vars[r, c], t_max)
+            except IllConditionedSupportError:
+                continue  # keeps the base estimate, flagged as a fallback
             fallback[r, c] = False
-            estimates[r][c] = est
             taps[r, c] = est.h_ammse
-            covariances[r][c] = cov
+            store_covariance(support, error_cov, (r, c), error_covariance(est))
 
     return GridEstimate(
         taps=taps,
-        estimates=estimates,
-        covariances=covariances,
+        support=support,
+        error_cov=error_cov,
         priors=base.priors,
         noise_vars=base.noise_vars,
-        failed=failed,
+        failed=base.failed.copy(),
         diagnostics={
             **base.diagnostics,
             "data_aided": True,

@@ -419,7 +419,6 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
 
     wanted = set(spec.algorithms)
     results: dict = {}
-    bases: dict = {}
 
     def record(name, fn):
         start = time.perf_counter()
@@ -439,9 +438,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         start = time.perf_counter()
         estimate = runner(scene.grid, y_pilot, scene.sensing_pilot.rows,
                           solver_cfg, depth)
-        seconds = time.perf_counter() - start
-        bases[kind] = (estimate, seconds)
-        return estimate, seconds
+        return estimate, time.perf_counter() - start
 
     for kind in ("MB", "IB"):
         pilot_name, aided_name = f"{kind}-P", f"{kind}-R"

@@ -73,34 +73,48 @@ class GridSolverConfig:
     """Knobs shared by the grid estimation algorithms.
 
     ``lambda_init`` is the uniform tap-activity probability every antenna
-    starts from; keeping it grid-wide makes the search depth t_max
-    identical at every antenna.  ``noise_var`` of None estimates the noise
-    level per antenna from its own observations.
+    starts from; it sets the search depth t_max, identical at every
+    antenna.  ``noise_var`` of None estimates the noise level per antenna
+    from its own observations.
     """
 
     lambda_init: float
-    t_max: int | None = None
     noise_var: float | None = None
     lambda_small: float = DEFAULT_LAMBDA_SMALL
-    compute_covariance: bool = True
     trace_path: str | None = None
 
     def resolve_t_max(self, channel_len: int, n_obs: int) -> int:
-        t = self.t_max or dml_support_size(channel_len, self.lambda_init)
-        return max(1, min(t, n_obs))
+        return max(1, min(dml_support_size(channel_len, self.lambda_init), n_obs))
 
 
 @dataclass
 class GridEstimate:
-    """Final per-antenna estimates plus everything downstream passes need."""
+    """Final per-antenna estimates plus everything downstream passes need.
+
+    ``support`` holds each antenna's detected taps in selection order and
+    ``error_cov`` their T x T error covariance (``ErrorCovariance.matrix``).
+    A chain shorter than T is zero-padded, and an antenna whose final pass
+    failed is zero throughout.
+    """
 
     taps: np.ndarray                       # (M, G, L) combined estimates
-    estimates: list                        # [row][col] -> SparseEstimate | None
-    covariances: list | None               # [row][col] -> ErrorCovariance | None
+    support: np.ndarray                    # (M, G, T) int detected taps
+    error_cov: np.ndarray                  # (M, G, T, T)
     priors: np.ndarray                     # (M, G, L) priors used in the final pass
     noise_vars: np.ndarray                 # (M, G)
     failed: np.ndarray                     # (M, G) bool
     diagnostics: dict = field(default_factory=dict)
+
+
+def store_covariance(support: np.ndarray, error_cov: np.ndarray, index,
+                     cov: ErrorCovariance):
+    """Write one antenna's ``ErrorCovariance`` into the ``support`` and
+    ``error_cov`` arrays at ``index``, zero-padding a chain shorter than T."""
+    t = cov.taps.size
+    support[index] = 0
+    error_cov[index] = 0
+    support[index][:t] = cov.taps
+    error_cov[index][:t, :t] = cov.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +167,23 @@ def _rank_scores(taps: np.ndarray, amplitudes: np.ndarray, length: int) -> np.nd
     return scores
 
 
+def _neighborhood_mean(grid: AntennaGrid, state: BeliefState):
+    """(gate, mean over N+): members contribute their value only for taps
+    inside their own gate (a member that never saw a tap adds 0)."""
+    gate = state.gate()
+    total = _stencil_sum(np.where(gate, state.values, 0.0))
+    return gate, total / _member_counts(grid.rows, grid.cols)[:, :, None]
+
+
 def average_marginals_round(
     grid: AntennaGrid, state: BeliefState, lambda_small: float
 ) -> BeliefState:
-    """One simultaneous neighborhood-averaging round for marginal beliefs.
-
-    Members contribute their current value only for taps inside their own
-    gate (a member that never saw a tap adds 0, not lambda_small); taps
-    nobody in the neighborhood detected read lambda_small.
-    """
-    gate = state.gate()
-    contrib = np.where(gate, state.values, 0.0)
-    total = _stencil_sum(contrib)
-    counts = _member_counts(grid.rows, grid.cols)[:, :, None]
-    values = np.where(gate, total / counts, lambda_small)
+    """One simultaneous neighborhood-averaging round for marginal beliefs;
+    taps nobody in the neighborhood detected read lambda_small."""
+    gate, mean = _neighborhood_mean(grid, state)
     return BeliefState(
-        kind=BeliefKind.MARGINAL, values=values, detected=state.detected,
-        round=state.round + 1,
+        kind=BeliefKind.MARGINAL, values=np.where(gate, mean, lambda_small),
+        detected=state.detected, round=state.round + 1,
     )
 
 
@@ -179,17 +193,12 @@ def average_scores_round(
     """One simultaneous score-averaging round; the average is rounded up to
     keep scores integer except on the final round, where the raw average is
     kept (no further sharing follows, so nothing forces integrality)."""
-    gate = state.gate()
-    contrib = np.where(gate, state.values, 0.0)
-    total = _stencil_sum(contrib)
-    counts = _member_counts(grid.rows, grid.cols)[:, :, None]
-    avg = total / counts
+    gate, mean = _neighborhood_mean(grid, state)
     if not final:
-        avg = np.ceil(avg)
-    values = np.where(gate, avg, 0.0)
+        mean = np.ceil(mean)
     return BeliefState(
-        kind=BeliefKind.SCORE, values=values, detected=state.detected,
-        round=state.round + 1,
+        kind=BeliefKind.SCORE, values=np.where(gate, mean, 0.0),
+        detected=state.detected, round=state.round + 1,
     )
 
 
@@ -197,7 +206,8 @@ def scores_to_beliefs(
     scores: np.ndarray, t_max: int, lambda_small: float = DEFAULT_LAMBDA_SMALL
 ) -> np.ndarray:
     """b = score / T_max, clamped into [lambda_small, 1 - eps] so it can act
-    as a Bernoulli prior."""
+    as a Bernoulli prior.  Marginals are beliefs already: they pass a scale
+    of 1 for the clamp alone."""
     return np.clip(np.asarray(scores, dtype=float) / t_max, lambda_small, 1 - PRIOR_EPS)
 
 
@@ -311,10 +321,9 @@ def _first_pass(observations, sensing_rows, config, t_max, kind):
             noise_vars.reshape(shape), failed.reshape(shape))
 
 
-def _final_pass(observations, sensing_rows, priors, noise_vars, t_max,
-                with_covariance):
+def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
     """Estimation with the shared beliefs as priors at every antenna:
-    (taps, estimates, covariances, failed) in grid layout."""
+    (taps, support, error_cov, failed) in grid layout."""
     rows, cols, n_obs = observations.shape
     length = sensing_rows.shape[1]
     n = rows * cols
@@ -322,31 +331,55 @@ def _final_pass(observations, sensing_rows, priors, noise_vars, t_max,
     search = _search_grid(sensing_rows, ys, priors.reshape(n, length),
                           noise_vars.reshape(n), t_max)
     taps = np.zeros((n, length), dtype=complex)
-    estimates = [None] * n
-    covariances = [None] * n
+    support = np.zeros((n, t_max), dtype=int)
+    error_cov = np.zeros((n, t_max, t_max), dtype=complex)
     failed = np.zeros(n, dtype=bool)
     stack = search.stack
     if stack is not None:
         taps[search.rows] = stack.taps
-        blocks = error_covariances(stack) if with_covariance else None
-        for k, (i, est) in enumerate(zip(search.rows, stack.estimates())):
-            estimates[i] = est
-            if with_covariance:
-                covariances[i] = ErrorCovariance(taps=stack.chosen[k], matrix=blocks[k])
+        support[search.rows] = stack.chosen
+        error_cov[search.rows] = error_covariances(stack)
     for i, est in search.singles.items():
         if est is None:
             failed[i] = True
             continue
-        estimates[i] = est
         taps[i] = est.h_ammse
-        if with_covariance:
-            covariances[i] = error_covariance(est)
-    return (
-        taps.reshape(rows, cols, length),
-        [estimates[r * cols:(r + 1) * cols] for r in range(rows)],
-        [covariances[r * cols:(r + 1) * cols] for r in range(rows)]
-        if with_covariance else None,
-        failed.reshape(rows, cols),
+        store_covariance(support, error_cov, i, error_covariance(est))
+    return (taps.reshape(rows, cols, length), support.reshape(rows, cols, t_max),
+            error_cov.reshape(rows, cols, t_max, t_max), failed.reshape(rows, cols))
+
+
+def _run_grid(kind, grid, observations, sensing_rows, config, depth) -> GridEstimate:
+    """The grid pipeline for one belief currency: first pass, ``depth``
+    averaging rounds, beliefs to priors, final pass."""
+    if depth < 0:
+        raise ConfigurationError("depth must be nonnegative")
+    sensing_rows = np.asarray(sensing_rows)
+    n_obs, length = sensing_rows.shape
+    t_max = config.resolve_t_max(length, n_obs)
+    values, detected, noise_vars, first_failed = _first_pass(
+        observations, sensing_rows, config, t_max, kind
+    )
+
+    states = [BeliefState(kind, values, detected)]
+    for i in range(depth):
+        if kind is BeliefKind.MARGINAL:
+            states.append(average_marginals_round(grid, states[-1], config.lambda_small))
+        else:
+            states.append(average_scores_round(grid, states[-1], final=(i == depth - 1)))
+    if config.trace_path:
+        _trace_rounds(config.trace_path, states)
+
+    # off-gate values are zero (or lambda_small) and clamp to lambda_small
+    scale = t_max if kind is BeliefKind.SCORE else 1
+    priors = scores_to_beliefs(states[-1].values, scale, config.lambda_small)
+    taps, support, error_cov, failed = _final_pass(
+        observations, sensing_rows, priors, noise_vars, t_max
+    )
+    return GridEstimate(
+        taps=taps, support=support, error_cov=error_cov, priors=priors,
+        noise_vars=noise_vars, failed=failed | first_failed,
+        diagnostics={"depth": depth, "t_max": t_max, "kind": kind.value},
     )
 
 
@@ -364,42 +397,7 @@ def run_marginal_based(
     for ``depth`` rounds, and each antenna re-estimates with the averaged
     marginals as its Bernoulli prior.
     """
-    if depth < 0:
-        raise ConfigurationError("depth must be nonnegative")
-    sensing_rows = np.asarray(sensing_rows)
-    n_obs, length = sensing_rows.shape
-    t_max = config.resolve_t_max(length, n_obs)
-    values, detected, noise_vars, first_failed = _first_pass(
-        observations, sensing_rows, config, t_max, BeliefKind.MARGINAL
-    )
-
-    state = BeliefState(BeliefKind.MARGINAL, values, detected)
-    trace = [state] if config.trace_path else None
-    for _ in range(depth):
-        state = average_marginals_round(grid, state, config.lambda_small)
-        if trace is not None:
-            trace.append(state)
-    if trace is not None:
-        _trace_rounds(config.trace_path, trace)
-
-    if depth == 0:
-        held = np.where(state.detected, state.values, config.lambda_small)
-    else:
-        held = state.values  # rounds already floor off-gate taps at lambda_small
-    priors = np.clip(held, config.lambda_small, 1 - PRIOR_EPS)
-    taps, estimates, covariances, failed = _final_pass(
-        observations, sensing_rows, priors, noise_vars, t_max,
-        config.compute_covariance,
-    )
-    return GridEstimate(
-        taps=taps,
-        estimates=estimates,
-        covariances=covariances,
-        priors=priors,
-        noise_vars=noise_vars,
-        failed=failed | first_failed,
-        diagnostics={"depth": depth, "t_max": t_max, "kind": "marginal"},
-    )
+    return _run_grid(BeliefKind.MARGINAL, grid, observations, sensing_rows, config, depth)
 
 
 def run_integer_based(
@@ -416,36 +414,4 @@ def run_integer_based(
     raw average, and scores are rescaled into beliefs before the final
     estimation pass.
     """
-    if depth < 0:
-        raise ConfigurationError("depth must be nonnegative")
-    sensing_rows = np.asarray(sensing_rows)
-    n_obs, length = sensing_rows.shape
-    t_max = config.resolve_t_max(length, n_obs)
-    values, detected, noise_vars, first_failed = _first_pass(
-        observations, sensing_rows, config, t_max, BeliefKind.SCORE
-    )
-
-    state = BeliefState(BeliefKind.SCORE, values, detected)
-    trace = [state] if config.trace_path else None
-    for i in range(depth):
-        state = average_scores_round(grid, state, final=(i == depth - 1))
-        if trace is not None:
-            trace.append(state)
-    if trace is not None:
-        _trace_rounds(config.trace_path, trace)
-
-    # off-gate scores are zero and clamp to lambda_small
-    priors = scores_to_beliefs(state.values, t_max, config.lambda_small)
-    taps, estimates, covariances, failed = _final_pass(
-        observations, sensing_rows, priors, noise_vars, t_max,
-        config.compute_covariance,
-    )
-    return GridEstimate(
-        taps=taps,
-        estimates=estimates,
-        covariances=covariances,
-        priors=priors,
-        noise_vars=noise_vars,
-        failed=failed | first_failed,
-        diagnostics={"depth": depth, "t_max": t_max, "kind": "score"},
-    )
+    return _run_grid(BeliefKind.SCORE, grid, observations, sensing_rows, config, depth)

@@ -1,8 +1,9 @@
 """Reliable carriers: distortion model, reliability metric, consensus, refinement.
 
-The per-antenna, set-based consensus and the per-antenna top-U pick that
-the stencil and rank-mask versions replaced are kept here as oracles
-(``select_and_agree_oracle``, ``top_reliable_oracle``).
+The per-antenna, set-based consensus, the per-antenna top-U pick and the
+per-antenna carrier budget that the stencil, rank-mask and grid versions
+replaced are kept here as oracles (``select_and_agree_oracle``,
+``top_reliable_oracle``, ``reliable_budget_oracle``).
 """
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from gridce.channels import AntennaGrid, ArrayKind, generate_channels, neighbors
 from gridce.data_aided import (
+    MIN_RELIABLE,
+    RHO_REFERENCE,
     carrier_reliability,
     distortion_covariance,
+    reliable_budget,
     run_data_aided,
     select_and_agree,
     top_reliable,
@@ -28,9 +32,10 @@ from gridce.ofdm import (
     place_pilots,
     synthesize_received,
 )
-from gridce.posterior import ErrorCovariance
+from gridce.posterior import ErrorCovariance, error_covariance
 from gridce.qam import build_qam_alphabet
-from gridce.sharing import GridSolverConfig, run_marginal_based
+from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based, store_covariance
+from gridce.solver import BernoulliPrior, greedy_search
 
 
 def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
@@ -57,16 +62,15 @@ class TestDistortionCovariance:
     def test_zero_error_covariance(self):
         rng = make_rng(1)
         a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        ctx = distortion_covariance(a, np.zeros((4, 4)), noise_var=0.3)
-        np.testing.assert_allclose(ctx.per_carrier_var, 0.3, atol=1e-14)
+        var = distortion_covariance(a, np.zeros((4, 4)), noise_var=0.3)
+        np.testing.assert_allclose(var, 0.3, atol=1e-14)
 
     def test_diagonal_at_least_noise_floor(self):
         rng = make_rng(2)
         a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        cov = ErrorCovariance(taps=np.arange(4), matrix=m @ m.conj().T)
-        ctx = distortion_covariance(a, cov, noise_var=0.1)
-        assert np.all(ctx.per_carrier_var >= 0.1 - 1e-12)
+        var = distortion_covariance(a, m @ m.conj().T, noise_var=0.1, taps=np.arange(4))
+        assert np.all(var >= 0.1 - 1e-12)
 
     def test_detected_taps_match_full_matrix(self):
         """A T x T covariance on its taps gives the same carrier variances as
@@ -77,10 +81,8 @@ class TestDistortionCovariance:
         taps = np.array([3, 1])
         full = np.zeros((5, 5), complex)
         full[np.ix_(taps, taps)] = m @ m.conj().T
-        on_taps = distortion_covariance(a, ErrorCovariance(taps, m @ m.conj().T), 0.1)
-        np.testing.assert_allclose(on_taps.per_carrier_var,
-                                   distortion_covariance(a, full, 0.1).per_carrier_var,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(distortion_covariance(a, m @ m.conj().T, 0.1, taps),
+                                   distortion_covariance(a, full, 0.1), rtol=1e-12)
 
     def test_rank_one_expansion(self):
         """R = s^2 e_k e_k^H gives diag entries s^2 |A_ik|^2 + noise."""
@@ -88,9 +90,9 @@ class TestDistortionCovariance:
         a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         r = np.zeros((5, 5), complex)
         r[2, 2] = 0.7
-        ctx = distortion_covariance(a, r, noise_var=0.05)
+        var = distortion_covariance(a, r, noise_var=0.05)
         expected = 0.7 * np.abs(a[:, 2]) ** 2 + 0.05
-        np.testing.assert_allclose(ctx.per_carrier_var, expected, atol=1e-12)
+        np.testing.assert_allclose(var, expected, atol=1e-12)
 
 
 class TestCarrierReliability:
@@ -267,6 +269,124 @@ class TestStencilConsensus:
                 np.flatnonzero(mask[i]),
                 top_reliable_oracle(reliability[i], eligible[i], count[i]),
             )
+
+
+def reliable_budget_oracle(cov, taps, n_pilots, n_data, expected_actives):
+    """One antenna's carrier budget from its ``ErrorCovariance`` (None when
+    its final pass failed) and combined taps: the per-antenna reference."""
+    if n_pilots <= 2 * (expected_actives + 1):
+        return n_data
+    if cov is None:
+        return MIN_RELIABLE
+    energy = float(np.sum(np.abs(taps) ** 2))
+    rho = cov.mmse_trace / max(energy, 1e-30)
+    budget = int(round(n_pilots * rho / RHO_REFERENCE))
+    return int(np.clip(budget, MIN_RELIABLE, n_data))
+
+
+def grid_estimate(covariances, taps, t_max, failed):
+    """A GridEstimate holding [row][col] ErrorCovariances (None: failed
+    final pass), zero-padded by hand to T = t_max."""
+    rows, cols, length = taps.shape
+    support = np.zeros((rows, cols, t_max), dtype=int)
+    error_cov = np.zeros((rows, cols, t_max, t_max), dtype=complex)
+    for r in range(rows):
+        for c in range(cols):
+            cov = covariances[r][c]
+            if cov is not None:
+                t = cov.taps.size
+                support[r, c, :t] = cov.taps
+                error_cov[r, c, :t, :t] = cov.matrix
+    return GridEstimate(taps=taps, support=support, error_cov=error_cov,
+                        priors=np.full(taps.shape, 0.1), noise_vars=np.full((rows, cols), 0.1),
+                        failed=failed)
+
+
+@st.composite
+def budget_inputs(draw):
+    """Random grid estimates: full and short chains, failed antennas (zero
+    taps, no covariance), zero-energy estimates and error traces from far
+    below to far above the estimate energy; pilot counts on both sides of
+    the starved threshold."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    length = draw(st.integers(1, 24))
+    t_max = draw(st.integers(1, min(length, 9)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = (rng.normal(size=(rows, cols, length))
+            + 1j * rng.normal(size=(rows, cols, length))) * 10.0 ** rng.uniform(-3, 1)
+    covariances = [[None] * cols for _ in range(rows)]
+    failed = rng.random((rows, cols)) < 0.1  # first-pass failures keep a covariance
+    for r in range(rows):
+        for c in range(cols):
+            kind = rng.choice(["full", "short", "failed", "zero_energy"], p=[0.5, 0.2, 0.15, 0.15])
+            if kind == "failed":
+                taps[r, c] = 0.0
+                failed[r, c] = True
+                continue
+            if kind == "zero_energy":
+                taps[r, c] = 0.0
+            t = t_max if kind != "short" else int(rng.integers(1, t_max + 1))
+            m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
+            scale = 10.0 ** rng.uniform(-7, 1)
+            covariances[r][c] = ErrorCovariance(
+                taps=rng.permutation(length)[:t], matrix=scale * (m @ m.conj().T))
+    n_pilots = draw(st.integers(1, 64))
+    n_data = draw(st.integers(MIN_RELIABLE, 400))
+    expected_actives = draw(st.integers(1, 8))
+    return covariances, taps, t_max, failed, n_pilots, n_data, expected_actives
+
+
+class TestReliableBudget:
+    """The (M, G) budget grid against the per-antenna oracle."""
+
+    @PROPERTY
+    @given(budget_inputs())
+    def test_matches_per_antenna_budget(self, case):
+        covariances, taps, t_max, failed, n_pilots, n_data, expected_actives = case
+        base = grid_estimate(covariances, taps, t_max, failed)
+        got = reliable_budget(base, n_pilots, n_data, expected_actives)
+        assert got.shape == failed.shape and got.dtype.kind == "i"
+        want = [[reliable_budget_oracle(covariances[r][c], taps[r, c], n_pilots, n_data,
+                                        expected_actives)
+                 for c in range(taps.shape[1])] for r in range(taps.shape[0])]
+        np.testing.assert_array_equal(got, want)
+
+    def test_starved_regime_offers_every_carrier(self):
+        covariances = [[None, ErrorCovariance(np.array([1]), np.eye(1))]]
+        base = grid_estimate(covariances, np.ones((1, 2, 4), complex), 2,
+                             np.array([[True, False]]))
+        np.testing.assert_array_equal(reliable_budget(base, 8, 100, 3), [[100, 100]])
+
+    def test_short_chain_and_failed_antenna_distortion(self):
+        """A chain that stopped early and a failed antenna, zero-padded into
+        one stack, give the carrier variances of the per-antenna
+        ErrorCovariance path (noise alone for the failed antenna)."""
+        rng = make_rng(8)
+        a_short = np.zeros((5, 6), complex)  # two usable columns: chain of 2
+        a_short[:, 1] = [1, 2, 0, 1j, 0]
+        a_short[:, 4] = [0, 1, 1, 0, -1j]
+        short = greedy_search(a_short, a_short[:, 1] + a_short[:, 4],
+                              BernoulliPrior.uniform(6, 0.3), 0.1, 3)
+        a_full = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        full = greedy_search(a_full, a_full[:, 2] - 0.5 * a_full[:, 0],
+                             BernoulliPrior.uniform(6, 0.3), 0.1, 3)
+        covs = [error_covariance(short), error_covariance(full)]
+        assert [cov.taps.size for cov in covs] == [2, 3]
+
+        support = np.full((3, 3), 5)  # garbage the padding must clear
+        error_cov = np.ones((3, 3, 3), complex)
+        for i, cov in enumerate(covs):
+            store_covariance(support, error_cov, i, cov)
+        support[2], error_cov[2] = 0, 0  # failed antenna
+        noise_vars = np.array([0.1, 0.2, 0.3])
+        sensing = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
+        got = distortion_covariance(sensing, error_cov, noise_vars, taps=support)
+        assert got.shape == (3, 12)
+        for i, cov in enumerate(covs):
+            np.testing.assert_allclose(
+                got[i], distortion_covariance(sensing, cov.matrix, noise_vars[i], cov.taps),
+                rtol=1e-12)
+        np.testing.assert_array_equal(got[2], 0.3)
 
 
 class TestRunDataAided:

@@ -1,0 +1,48 @@
+"""The benchmark's span sites still resolve to traced entry points.
+
+``perfbench/spans.py`` installs its spans by rebinding names in gridce's
+modules; a renamed or no longer called entry point silently reads 0 in the
+per-layer metrics.  These tests import the span module by path (it is not
+part of the package) and fail instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from gridce import experiments
+from gridce.experiments import ExperimentSpec
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+#: sites whose entry point the package no longer calls: the data-aided path
+#: slices through ``equalize`` since it was batched, so this span reads 0
+#: until a benchmark change re-points it (ROADMAP item 3)
+KNOWN_MISSING = ["gridce.data_aided.equalize_and_slice"]
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_site_resolves():
+    assert load_spans().missing_sites() == KNOWN_MISSING
+
+
+def test_traced_trial_records_runner_round_and_consensus_spans():
+    spans = load_spans()
+    spec = ExperimentSpec(grid_rows=3, grid_cols=3, n_carriers=64, channel_len=16,
+                          sparsity=2, n_pilots=(10,), snr_db=(15.0,), depth=(2,),
+                          algorithms=experiments.ALGORITHMS, trials=1, seed=1)
+    original = experiments.run_point_trial
+    with spans.Tracer() as tracer:
+        result = experiments.run_point_trial(spec, 0, (10, 15.0, 2), 0)
+    assert experiments.run_point_trial is original  # uninstalled on exit
+    assert set(result) == set(experiments.ALGORITHMS)
+    for label in ("experiments.run_point_trial", "sharing.run_marginal_based",
+                  "sharing.run_integer_based", "sharing.average_round",
+                  "data_aided.run_data_aided", "data_aided.select_and_agree"):
+        assert tracer.spans[label].calls >= 1, label
+    assert tracer.counts["consensus_antennas"] == 2 * 9  # MB-R and IB-R grids

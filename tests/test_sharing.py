@@ -205,8 +205,7 @@ class TestGridAlgorithms:
         assert not out.failed.any()
         # priors at undetected taps sit at lambda_small
         for r, c in grid.antennas():
-            est = out.estimates[r][c]
-            low = np.setdiff1d(np.arange(16), est.detected_taps)
+            low = np.setdiff1d(np.arange(16), out.support[r, c])
             assert np.all(out.priors[r, c][low] <= 0.5)
 
     def test_depth_zero_integer(self):
@@ -240,8 +239,7 @@ class TestGridAlgorithms:
                 true = set(channels.support_set((r, c)))
                 first = greedy_search(sensing.rows, y[r, c], prior0, nv, t_max)
                 before_hits += len(true & set(int(t) for t in first.detected_taps))
-                est = out.estimates[r][c]
-                after_hits += len(true & set(int(t) for t in est.detected_taps))
+                after_hits += len(true & set(int(t) for t in out.support[r, c]))
                 total += len(true)
         assert after_hits >= before_hits
         assert after_hits / total > 0.9
@@ -325,20 +323,42 @@ class TestGridAlgorithms:
 
 
 class TestRuntimeOrdering:
-    def test_integer_based_not_slower_than_marginal_based(self):
+    def test_integer_based_not_slower_than_marginal_based(self, monkeypatch):
         """The integer variant skips the marginal lattice, so it cannot be
-        slower on the same seeds (asserted as an ordering over a workload)."""
+        slower on the same seeds: asserted as an ordering over a workload
+        (best of five alternating repeats of each runner's loop) and on the
+        lattice calls themselves, of which the integer runner makes none."""
         import time
 
+        import gridce.sharing as sharing
+
         scenes = [make_scene(seed=200 + s) for s in range(4)]
-        t0 = time.perf_counter()
-        for grid, channels, sensing, y, nv in scenes:
-            cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-            run_marginal_based(grid, y, sensing.rows, cfg, 3)
-        marginal_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for grid, channels, sensing, y, nv in scenes:
-            cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-            run_integer_based(grid, y, sensing.rows, cfg, 3)
-        integer_time = time.perf_counter() - t0
-        assert integer_time <= marginal_time
+
+        def run_all(runner):
+            for grid, channels, sensing, y, nv in scenes:
+                cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
+                runner(grid, y, sensing.rows, cfg, 3)
+
+        # the runners alternate, so both see the same machine load
+        best = {run_integer_based: float("inf"), run_marginal_based: float("inf")}
+        for _ in range(5):
+            for runner in best:
+                t0 = time.perf_counter()
+                run_all(runner)
+                best[runner] = min(best[runner], time.perf_counter() - t0)
+        assert best[run_integer_based] <= best[run_marginal_based]
+
+        calls = {"lattice_marginals": 0, "compute_marginals": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sharing, name, counted(name, getattr(sharing, name)))
+        run_all(run_integer_based)
+        assert calls == {"lattice_marginals": 0, "compute_marginals": 0}
+        run_all(run_marginal_based)
+        assert calls["lattice_marginals"] > 0  # the counters do see the MB lattice
