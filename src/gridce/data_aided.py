@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AntennaGrid
-from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
+from .errors import ConfigurationError, InvalidContextError
 from .ofdm import OfdmFrame, SensingMatrix, equalize, freq_response
-from .posterior import error_covariance, error_covariances
+from .posterior import error_covariances
 from .qam import QamAlphabet
-from .sharing import GridEstimate, GridSolverConfig, stencil_reduce, store_covariance
-from .solver import BernoulliPrior, greedy_search, greedy_search_batch
+from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
+from .solver import greedy_search_batch
 
 #: reliability ratios are capped here instead of overflowing to inf
 RELIABILITY_CAP = 1e300
@@ -262,22 +262,9 @@ def run_data_aided(
     t_max = config.resolve_t_max(length, pilots.shape[0])
     dft_rows = rows_mat / frame.freq_symbols[:, None]  # bare F_L rows
 
-    def augmented(r, c):
-        """Pilot rows plus the consensus carriers, with the agreed
-        decisions standing in as pilot symbols."""
-        reliable = agreements[r][c]
-        a_aug = np.vstack([
-            rows_mat[pilots],
-            reliable.agreed_symbols[:, None] * dft_rows[reliable.consensus],
-        ])
-        y_aug = np.concatenate([
-            observations_full[r, c, pilots],
-            observations_full[r, c, reliable.consensus],
-        ])
-        return a_aug, y_aug
-
     # every augmented system has at least K + 1 > t_max rows, so no chain
-    # fills its rows and all of them go through the batched search
+    # fills its rows and all of them go through the batched search; the
+    # agreed decisions stand in as pilot symbols on the consensus carriers
     aided = [(r, c) for r, c in grid.antennas()
              if not base.failed[r, c] and agreements[r][c].consensus.size]
     for start in range(0, len(aided), GRAM_CHUNK):
@@ -286,7 +273,12 @@ def run_data_aided(
         corr = np.empty((len(chunk), length), dtype=complex)
         y_norm2 = np.empty(len(chunk))
         for k, (r, c) in enumerate(chunk):
-            a_aug, y_aug = augmented(r, c)
+            reliable = agreements[r][c]
+            a_aug = np.vstack([
+                rows_mat[pilots],
+                reliable.agreed_symbols[:, None] * dft_rows[reliable.consensus],
+            ])
+            y_aug = observations_full[r, c, np.concatenate([pilots, reliable.consensus])]
             gram[k] = a_aug.conj().T @ a_aug
             corr[k] = a_aug.conj().T @ y_aug
             y_norm2[k] = np.vdot(y_aug, y_aug).real
@@ -295,23 +287,14 @@ def run_data_aided(
             gram, corr, y_norm2, base.priors[chunk_rows, chunk_cols],
             base.noise_vars[chunk_rows, chunk_cols], t_max,
         )
+        # an antenna without a usable column keeps its base estimate,
+        # flagged as a fallback
         done = ~stack.failed
         at = chunk_rows[done], chunk_cols[done]
         taps[at] = stack.taps[done]
         support[at] = stack.chosen[done]
         error_cov[at] = error_covariances(stack)[done]
         fallback[at] = False
-        # a chain that stopped early: the per-antenna solver decides
-        for r, c in zip(chunk_rows[~done], chunk_cols[~done]):
-            a_aug, y_aug = augmented(r, c)
-            try:
-                est = greedy_search(a_aug, y_aug, BernoulliPrior(base.priors[r, c]),
-                                    base.noise_vars[r, c], t_max)
-            except IllConditionedSupportError:
-                continue  # keeps the base estimate, flagged as a fallback
-            fallback[r, c] = False
-            taps[r, c] = est.h_ammse
-            store_covariance(support, error_cov, (r, c), error_covariance(est))
 
     return GridEstimate(
         taps=taps,

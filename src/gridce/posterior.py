@@ -44,10 +44,6 @@ class ErrorCovariance:
     taps: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def mmse_trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
 
 @dataclass(frozen=True)
 class MarginalSet:
@@ -206,23 +202,26 @@ def compute_marginals(
 
 def lattice_marginals(stack: ChainStack, gram: np.ndarray, corr: np.ndarray,
                       y_norm2: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """``compute_marginals(...).marginals`` of every row of a stack, (B, T).
+    """``compute_marginals(...).marginals`` of every row of a stack, (B, T),
+    zero past each row's chain length.
 
     ``gram`` is the shared A^H A (L, L); ``corr``, ``y_norm2`` and
     ``lambdas`` are the rows' A^H y, ||y||^2 and priors, as passed to
-    ``greedy_search_batch``.
+    ``greedy_search_batch``.  Rows of equal chain length share one lattice.
     """
-    chosen = stack.chosen
-    n, t = chosen.shape
-    _check_lattice_size(t)
-    base, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, gram.shape[0]))))
-    nus = _lattice_nus(
-        stack.nus, gram[chosen[:, :, None], chosen[:, None, :]],
-        np.take_along_axis(corr, chosen, axis=1), y_norm2, base,
-        np.take_along_axis(gain, chosen, axis=1), stack.noise_vars,
-    )
-    posteriors, _ = _normalize_log_posteriors(nus)
-    return _lattice_sums(posteriors)
+    base, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, corr.shape)))
+    out = np.zeros(stack.chosen.shape)
+    for t in set(stack.lengths.tolist()) - {0}:  # np.unique adds ~1.4 MB to peak RSS
+        _check_lattice_size(t)
+        rows = np.flatnonzero(stack.lengths == t)
+        chosen = stack.chosen[rows, :t]
+        nus = _lattice_nus(
+            stack.nus[rows, :t], gram[chosen[:, :, None], chosen[:, None, :]],
+            np.take_along_axis(corr[rows], chosen, axis=1), y_norm2[rows], base[rows],
+            np.take_along_axis(gain[rows], chosen, axis=1), stack.noise_vars[rows],
+        )
+        out[rows, :t] = _lattice_sums(_normalize_log_posteriors(nus)[0])
+    return out
 
 
 def _lattice_nus(chain_nus, gram, corr, y_norm2, base, gains, noise_vars):

@@ -21,15 +21,8 @@ import numpy as np
 
 from .channels import AntennaGrid
 from .errors import ConfigurationError, IllConditionedSupportError
-from .posterior import (
-    ErrorCovariance,
-    compute_marginals,
-    error_covariance,
-    error_covariances,
-    lattice_marginals,
-)
+from .posterior import error_covariances, lattice_marginals
 from .solver import (
-    NOISE_VAR_SCALE,
     PRIOR_EPS,
     BernoulliPrior,
     ChainStack,
@@ -74,12 +67,11 @@ class GridSolverConfig:
 
     ``lambda_init`` is the uniform tap-activity probability every antenna
     starts from; it sets the search depth t_max, identical at every
-    antenna.  ``noise_var`` of None estimates the noise level per antenna
-    from its own observations.
+    antenna.  ``noise_var`` is the noise level every antenna assumes.
     """
 
     lambda_init: float
-    noise_var: float | None = None
+    noise_var: float
     lambda_small: float = DEFAULT_LAMBDA_SMALL
     trace_path: str | None = None
 
@@ -104,17 +96,6 @@ class GridEstimate:
     noise_vars: np.ndarray                 # (M, G)
     failed: np.ndarray                     # (M, G) bool
     diagnostics: dict = field(default_factory=dict)
-
-
-def store_covariance(support: np.ndarray, error_cov: np.ndarray, index,
-                     cov: ErrorCovariance):
-    """Write one antenna's ``ErrorCovariance`` into the ``support`` and
-    ``error_cov`` arrays at ``index``, zero-padding a chain shorter than T."""
-    t = cov.taps.size
-    support[index] = 0
-    error_cov[index] = 0
-    support[index][:t] = cov.taps
-    error_cov[index][:t, :t] = cov.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +134,21 @@ def assign_scores(estimate: SparseEstimate) -> np.ndarray:
     amplitude down to 1 for the smallest, zero off the detected set.
     Equal amplitudes rank the lower tap index higher."""
     taps = estimate.detected_taps
-    return _rank_scores(
-        taps[None], np.abs(estimate.h_ammse[taps])[None], estimate.channel_len
-    )[0]
-
-
-def _rank_scores(taps: np.ndarray, amplitudes: np.ndarray, length: int) -> np.ndarray:
-    """``assign_scores`` for a stack of detected-tap rows (B, T) -> (B, L)."""
-    order = np.lexsort((taps, -amplitudes), axis=-1)
-    rows = np.arange(taps.shape[0])[:, None]
-    scores = np.zeros((taps.shape[0], length))
-    scores[rows, taps[rows, order]] = np.arange(taps.shape[1], 0, -1)
+    order = np.lexsort((taps, -np.abs(estimate.h_ammse[taps])))
+    scores = np.zeros(estimate.channel_len)
+    scores[taps[order]] = np.arange(taps.size, 0, -1)
     return scores
+
+
+def _rank_scores(stack: ChainStack) -> np.ndarray:
+    """``assign_scores`` of every row of a stack, (B, L); a chain of n taps
+    scores n down to 1."""
+    active = stack.active()
+    amplitudes = np.abs(np.take_along_axis(stack.taps, stack.chosen, axis=1))
+    order = np.lexsort((stack.chosen, np.where(active, -amplitudes, np.inf)), axis=-1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=1)
+    return stack.scatter((stack.lengths[:, None] - rank).astype(float))
 
 
 def _neighborhood_mean(grid: AntennaGrid, state: BeliefState):
@@ -214,13 +198,6 @@ def scores_to_beliefs(
 # ---------------------------------------------------------------------------
 # grid algorithms
 
-def _estimate_noise(y: np.ndarray, configured: float | None) -> float:
-    if configured is not None:
-        return configured
-    est = NOISE_VAR_SCALE * float(np.var(y))
-    return est if est > 0 else PRIOR_EPS
-
-
 def _trace_rounds(path, states):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -236,50 +213,30 @@ def _trace_rounds(path, states):
                         )
 
 
-@dataclass
-class _GridSearch:
-    """Greedy chains of every antenna (flattened row-major) on shared pilot rows.
-
-    ``stack`` holds the batched chains of the antennas listed in ``rows``;
-    every other antenna has its ``greedy_search`` estimate in ``singles``
-    (None where the solver failed).  The pilot products are kept for the
+def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max):
+    """One chain per antenna (flattened row-major) on shared pilot rows:
+    (ChainStack, A^H A, A^H y, ||y||^2), the products kept for the
     marginal lattice.
-    """
 
-    stack: ChainStack | None
-    rows: np.ndarray
-    singles: dict
-    gram: np.ndarray
-    corr: np.ndarray
-    y_norm2: np.ndarray
-
-
-def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max) -> _GridSearch:
-    """One batched chain search for the whole grid.
-
-    Two kinds of antenna go through ``greedy_search`` instead: all of them
-    when t_max fills the K pilot rows (every free candidate then ties at a
-    zero residual in the last stage, and greedy_search's own rounding
-    settles the pick), and those whose batched chain stopped early.
+    When t_max fills the K pilot rows, every free candidate ties at a zero
+    residual in the last stage and ``greedy_search``'s own rounding settles
+    the pick, so those chains come from it; all others are batched.
     """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     gram = a.conj().T @ a
     corr = ys @ a.conj()
     y_norm2 = np.einsum("bk,bk->b", ys.conj(), ys).real
-    stack, batched, rest = None, np.arange(0), np.arange(ys.shape[0])
     if t_max < a.shape[0]:
         stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
-        batched, rest = np.flatnonzero(~stack.failed), np.flatnonzero(stack.failed)
-        stack = stack.take(batched)
-    singles = {}
-    for i in rest:
-        try:
-            singles[i] = greedy_search(
-                a, ys[i], BernoulliPrior(lambdas[i]), noise_vars[i], t_max
-            )
-        except IllConditionedSupportError:
-            singles[i] = None
-    return _GridSearch(stack, batched, singles, gram, corr, y_norm2)
+    else:
+        estimates = []
+        for y, lam, noise_var in zip(ys, lambdas, noise_vars):
+            try:
+                estimates.append(greedy_search(a, y, BernoulliPrior(lam), noise_var, t_max))
+            except IllConditionedSupportError:
+                estimates.append(None)
+        stack = ChainStack.from_estimates(estimates, t_max, a.shape[1], noise_vars)
+    return stack, gram, corr, y_norm2
 
 
 def _first_pass(observations, sensing_rows, config, t_max, kind):
@@ -288,37 +245,17 @@ def _first_pass(observations, sensing_rows, config, t_max, kind):
     rows, cols, n_obs = observations.shape
     length = sensing_rows.shape[1]
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
-    noise_vars = np.array([_estimate_noise(y, config.noise_var) for y in ys])
+    noise_vars = np.full(ys.shape[0], config.noise_var)
     lambdas = np.full((ys.shape[0], length), config.lambda_init)
-    search = _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max)
-
-    values = np.zeros((ys.shape[0], length))
-    detected = np.zeros((ys.shape[0], length), dtype=bool)
-    failed = np.zeros(ys.shape[0], dtype=bool)
-    stack, batched = search.stack, search.rows[:, None]
-    if stack is not None:
-        if kind is BeliefKind.MARGINAL:
-            values[batched, stack.chosen] = lattice_marginals(
-                stack, search.gram, search.corr[search.rows],
-                search.y_norm2[search.rows], lambdas[search.rows],
-            )
-        else:
-            amplitudes = np.abs(np.take_along_axis(stack.taps, stack.chosen, axis=1))
-            values[search.rows] = _rank_scores(stack.chosen, amplitudes, length)
-        detected[batched, stack.chosen] = True
-    for i, est in search.singles.items():
-        if est is None:
-            failed[i] = True
-            continue
-        if kind is BeliefKind.MARGINAL:
-            ms = compute_marginals(est, sensing_rows, ys[i], BernoulliPrior(lambdas[i]))
-            values[i] = ms.marginal_vector(length)
-        else:
-            values[i] = assign_scores(est)
-        detected[i, est.detected_taps] = True
+    stack, gram, corr, y_norm2 = _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max)
+    if kind is BeliefKind.MARGINAL:
+        values = stack.scatter(lattice_marginals(stack, gram, corr, y_norm2, lambdas))
+    else:
+        values = _rank_scores(stack)
+    detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
     shape = (rows, cols)
     return (values.reshape(*shape, length), detected.reshape(*shape, length),
-            noise_vars.reshape(shape), failed.reshape(shape))
+            noise_vars.reshape(shape), stack.failed.reshape(shape))
 
 
 def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
@@ -328,25 +265,11 @@ def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
     length = sensing_rows.shape[1]
     n = rows * cols
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(n, n_obs)
-    search = _search_grid(sensing_rows, ys, priors.reshape(n, length),
-                          noise_vars.reshape(n), t_max)
-    taps = np.zeros((n, length), dtype=complex)
-    support = np.zeros((n, t_max), dtype=int)
-    error_cov = np.zeros((n, t_max, t_max), dtype=complex)
-    failed = np.zeros(n, dtype=bool)
-    stack = search.stack
-    if stack is not None:
-        taps[search.rows] = stack.taps
-        support[search.rows] = stack.chosen
-        error_cov[search.rows] = error_covariances(stack)
-    for i, est in search.singles.items():
-        if est is None:
-            failed[i] = True
-            continue
-        taps[i] = est.h_ammse
-        store_covariance(support, error_cov, i, error_covariance(est))
-    return (taps.reshape(rows, cols, length), support.reshape(rows, cols, t_max),
-            error_cov.reshape(rows, cols, t_max, t_max), failed.reshape(rows, cols))
+    stack, *_ = _search_grid(sensing_rows, ys, priors.reshape(n, length),
+                             noise_vars.reshape(n), t_max)
+    return (stack.taps.reshape(rows, cols, length), stack.chosen.reshape(rows, cols, t_max),
+            error_covariances(stack).reshape(rows, cols, t_max, t_max),
+            stack.failed.reshape(rows, cols))
 
 
 def _run_grid(kind, grid, observations, sensing_rows, config, depth) -> GridEstimate:

@@ -24,7 +24,7 @@ vector; ``greedy_search_batch`` runs it for a stack of antennas at once in
 the Gram domain, where the row count K drops out after one product.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class SparseEstimate:
     ``supports`` is the nested chain (selection order preserved inside each
     array); ``posteriors`` are normalized over the chain; ``cond_means``
     align with ``supports``.  ``gram_inverses`` holds (A_S^H A_S)^-1 per
-    support, reused later for the error covariance.
+    support, reused later for the error covariance.  ``r_factor`` and
+    ``qty`` are R of A_S = Q R and Q^H y on the largest support.
     """
 
     supports: list
@@ -83,6 +84,8 @@ class SparseEstimate:
     t_max: int
     h_ammse: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    r_factor: np.ndarray | None = None
+    qty: np.ndarray | None = None
 
     @property
     def detected_taps(self) -> np.ndarray:
@@ -264,6 +267,7 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
     if not supports:
         raise IllConditionedSupportError("no usable sensing column found")
 
+    n = len(supports)
     nus = np.asarray(nus)
     posteriors, underflow = _normalize_log_posteriors(nus)
     underflow = bool(underflow)
@@ -276,12 +280,14 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
         gram_inverses=gram_invs,
         channel_len=length,
         noise_var=noise_var,
-        t_max=len(supports),
+        t_max=n,
         diagnostics={
             "skipped_candidates": skipped_any,
             "posterior_underflow": underflow,
             "t_max_requested": t_max,
         },
+        r_factor=r_fact[:n, :n],
+        qty=qty[:n],
     )
     ammse_combine(estimate)
     return estimate
@@ -289,12 +295,12 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
 
 def _normalize_log_posteriors(nus: np.ndarray):
     """Normalize log posteriors along the last axis.  Rows whose weights
-    do not sum to a positive finite total fall back to uniform and are
-    flagged in the returned underflow mask."""
-    weights = np.exp(nus - nus.max(axis=-1, keepdims=True))
-    total = weights.sum(axis=-1, keepdims=True)
-    underflow = ~np.isfinite(total) | (total <= 0.0)
+    do not sum to a positive finite total (all -inf among them) fall back
+    to uniform and are flagged in the returned underflow mask."""
     with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.exp(nus - nus.max(axis=-1, keepdims=True))
+        total = weights.sum(axis=-1, keepdims=True)
+        underflow = ~np.isfinite(total) | (total <= 0.0)
         posteriors = np.where(underflow, 1.0 / nus.shape[-1], weights / total)
     return posteriors, underflow[..., 0]
 
@@ -314,11 +320,13 @@ def ammse_combine(estimate: SparseEstimate) -> np.ndarray:
 class ChainStack:
     """Greedy chains of a stack of B observation vectors, one row each.
 
-    Every row holds a chain of t_max nested supports, the prefixes of
-    ``chosen[b]``.  Rows flagged ``failed`` ran out of usable candidates
-    before t_max stages; their other entries are finite filler.
-    ``r_factors`` is R of A_S = Q R on the full chain, so stage s uses its
-    leading s x s block and ``r_inverses`` the leading block of R^-1.
+    Row b holds a chain of ``lengths[b]`` <= T nested supports, the
+    prefixes of ``chosen[b]``; a chain stops early when no usable candidate
+    is left.  Positions past a row's length are padding: tap 0 in
+    ``chosen``, log posterior -inf, posterior 0, an identity block in R and
+    zero Q^H y, so every stacked formula gives zeros there.  ``r_factors``
+    is R of A_S = Q R on the full chain, so stage s uses its leading s x s
+    block and ``r_inverses`` the leading block of R^-1.
     """
 
     chosen: np.ndarray        # (B, T) tap indices, selection order
@@ -330,13 +338,27 @@ class ChainStack:
     qty: np.ndarray           # (B, T) Q^H y
     taps: np.ndarray          # (B, L) posterior-weighted combined estimate
     noise_vars: np.ndarray    # (B,)
-    failed: np.ndarray        # (B,) chain stopped before t_max stages
+    lengths: np.ndarray       # (B,) chain length
     skipped: np.ndarray       # (B,) a collinear candidate was skipped
     underflow: np.ndarray     # (B,) posteriors fell back to uniform
 
-    def take(self, rows) -> "ChainStack":
-        """The chains of the given rows, as a new stack."""
-        return ChainStack(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+    @property
+    def failed(self) -> np.ndarray:
+        """(B,) rows without a single usable column."""
+        return self.lengths == 0
+
+    def active(self) -> np.ndarray:
+        """(B, T) mask of the chain positions inside each row's length."""
+        return np.arange(self.chosen.shape[1]) < self.lengths[:, None]
+
+    def scatter(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(B, T) values per chain position -> (B, L) per tap, zero off the
+        chain unless written into ``out``; padding positions are left out."""
+        rows, pos = np.nonzero(self.active())
+        if out is None:
+            out = np.zeros((self.chosen.shape[0], self.taps.shape[1]), dtype=values.dtype)
+        out[rows, self.chosen[rows, pos]] = values[rows, pos]
+        return out
 
     def tail_weights(self) -> np.ndarray:
         """(B, T): posterior mass of the supports containing each chain
@@ -344,38 +366,37 @@ class ChainStack:
         longer than m."""
         return np.cumsum(self.posteriors[:, ::-1], axis=1)[:, ::-1]
 
-    def estimates(self) -> list:
-        """Every row as the SparseEstimate ``greedy_search`` would return."""
-        t = self.chosen.shape[1]
-        rinv = self.r_inverses
-        # prefix sums along a row of R^-1 (Q^H y): column s-1 is the stage-s
-        # mean R_s^-1 (Q^H y)_s, because R^-1 is upper triangular
-        means = np.cumsum(rinv * self.qty[:, None, :], axis=2)
-        # stage-s Gram inverse R_s^-1 R_s^-H = R^-1 D_s R^-H, D_s keeping the
-        # first s positions: (B, stage, T, T)
-        prefix = np.tri(t, dtype=bool)
-        gram_inv = (rinv[:, None] * prefix[None, :, None, :]) @ rinv.conj().transpose(0, 2, 1)[:, None]
-        stages = range(1, t + 1)
-        return [
-            SparseEstimate(
-                supports=[self.chosen[row, :s] for s in stages],
-                posteriors=self.posteriors[row],
-                cond_means=[means[row, :s, s - 1] for s in stages],
-                residuals=self.residuals[row],
-                nus=self.nus[row],
-                gram_inverses=[gram_inv[row, s - 1, :s, :s] for s in stages],
-                channel_len=self.taps.shape[1],
-                noise_var=float(self.noise_vars[row]),
-                t_max=t,
-                h_ammse=self.taps[row],
-                diagnostics={
-                    "skipped_candidates": bool(self.skipped[row]),
-                    "posterior_underflow": bool(self.underflow[row]),
-                    "t_max_requested": t,
-                },
-            )
-            for row in range(self.chosen.shape[0])
-        ]
+    @classmethod
+    def from_estimates(cls, estimates: list, t_max: int, channel_len: int,
+                       noise_vars: np.ndarray) -> "ChainStack":
+        """``greedy_search`` results (None where it raised) as stack rows.
+        Each row keeps the estimate's own taps, R and Q^H y; a chain
+        shorter than ``t_max`` is padded as the batched search pads it."""
+        n = len(estimates)
+        stack = cls(
+            chosen=np.zeros((n, t_max), dtype=int), nus=np.full((n, t_max), -np.inf),
+            residuals=np.zeros((n, t_max)), posteriors=np.zeros((n, t_max)),
+            r_factors=np.tile(np.eye(t_max, dtype=complex), (n, 1, 1)), r_inverses=None,
+            qty=np.zeros((n, t_max), dtype=complex),
+            taps=np.zeros((n, channel_len), dtype=complex),
+            noise_vars=np.asarray(noise_vars, dtype=float), lengths=np.zeros(n, dtype=int),
+            skipped=np.zeros(n, dtype=bool), underflow=np.zeros(n, dtype=bool),
+        )
+        for row, est in enumerate(estimates):
+            if est is None:
+                continue
+            s = stack.lengths[row] = len(est.supports)
+            stack.chosen[row, :s] = est.detected_taps
+            stack.nus[row, :s] = est.nus
+            stack.residuals[row, :s] = est.residuals
+            stack.posteriors[row, :s] = est.posteriors
+            stack.r_factors[row, :s, :s] = est.r_factor
+            stack.qty[row, :s] = est.qty
+            stack.taps[row] = est.h_ammse
+            stack.skipped[row] = est.diagnostics["skipped_candidates"]
+            stack.underflow[row] = est.diagnostics["posterior_underflow"]
+        stack.r_inverses = np.linalg.inv(stack.r_factors)
+        return stack
 
 
 def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
@@ -393,19 +414,20 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
 
     so after the products above the work no longer depends on K.  Rows
     never interact: each row's result equals a one-row call's bit for bit.
+    A row whose candidates run out stops there, as ``greedy_search`` does,
+    and is padded (see ``ChainStack``).
 
     Picks match ``greedy_search`` except on ties within rounding.  One such
     tie is systematic: when t_max equals the row count and the prior is
     uniform, every free candidate at the last stage leaves a zero
-    residual.  Callers send those systems to ``greedy_search``, and rows
-    flagged ``failed`` (chain stopped early) as well.
+    residual.  Callers send those systems to ``greedy_search``.
     """
     gram = np.asarray(gram, dtype=complex)
     gram = gram if gram.ndim == 3 else gram[None]
     corr = np.asarray(corr, dtype=complex)
     n, length = corr.shape
     noise_vars = np.asarray(noise_vars, dtype=float)
-    if np.any(noise_vars <= 0):
+    if not np.all(noise_vars > 0):  # NaN (a None noise_var) included
         raise ConfigurationError("noise_var must be positive")
     if t_max < 1 or t_max > length:
         raise ConfigurationError(f"t_max={t_max} must lie in [1, L]")
@@ -426,13 +448,15 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     nus = np.zeros((n, t_max))
     residuals = np.zeros((n, t_max))
     available = np.ones((n, length), dtype=bool)
-    failed = np.zeros(n, dtype=bool)
+    lengths = np.zeros(n, dtype=int)
+    stopped = np.zeros(n, dtype=bool)
     skipped = np.zeros(n, dtype=bool)
 
     for stage in range(t_max):
         valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
-        failed |= ~valid.any(axis=1)
-        skipped |= (available & ~valid).any(axis=1)
+        stopped |= ~valid.any(axis=1)
+        lengths += ~stopped
+        skipped |= ~stopped & (available & ~valid).any(axis=1)
         drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
         nu_cand = np.where(
             valid,
@@ -441,7 +465,8 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
         )
         j = np.argmax(nu_cand, axis=1)  # first max = smallest tap index on ties
 
-        norm = np.sqrt(np.where(failed, 1.0, b2[rows, j]))
+        # a stopped row carries finite filler, replaced by padding below
+        norm = np.sqrt(np.where(stopped, 1.0, b2[rows, j]))
         q_a = w[rows, :stage, j].conj()                   # Q^H a_j, (B, stage)
         g_col = gram[gram_rows, :, j]                     # A^H a_j, (B, L)
         w_new = (g_col - (q_a[:, None, :] @ w[:, :stage])[:, 0]) / norm[:, None]
@@ -459,17 +484,22 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
         available[rows, j] = False
         chosen[:, stage] = j
 
+    pad = np.arange(t_max) >= lengths[:, None]
+    for array, fill in ((chosen, 0), (nus, -np.inf), (qty, 0.0)):
+        np.copyto(array, fill, where=pad)
+    np.copyto(r_fact, np.eye(t_max), where=pad[:, None, :])
     posteriors, underflow = _normalize_log_posteriors(nus)
+    np.copyto(posteriors, 0.0, where=pad)  # a failed row fell back to uniform
     r_inv = np.linalg.inv(r_fact)
     stack = ChainStack(
         chosen=chosen, nus=nus, residuals=residuals, posteriors=posteriors,
         r_factors=r_fact, r_inverses=r_inv, qty=qty,
         taps=np.zeros((n, length), dtype=complex), noise_vars=noise_vars,
-        failed=failed, skipped=skipped, underflow=underflow,
+        lengths=lengths, skipped=skipped, underflow=underflow & (lengths > 0),
     )
     # sum_s p_s (R_s^-1 Q_s^H y) zero-padded = R^-1 (tail weights * Q^H y)
     coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]
-    stack.taps[rows[:, None], chosen] = np.where(failed[:, None], 0.0, coef)
+    stack.scatter(coef, out=stack.taps)
     return stack
 
 

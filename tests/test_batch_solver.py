@@ -3,7 +3,9 @@
 ``greedy_search``, ``compute_marginals(reuse=False)`` and the L x L
 covariance sum are the oracles.  The Gram recursion sums in a different
 order than the orthogonalized-column recursion, so values are compared to
-a relative tolerance and chosen supports exactly.
+a relative tolerance and chosen supports exactly.  Chains that stop early
+(rank-deficient rows) are compared on their prefix; the padding past it
+must read as zeros.
 """
 
 import numpy as np
@@ -15,11 +17,12 @@ from gridce.errors import IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.posterior import (
     compute_marginals,
+    error_covariance,
     error_covariances,
     lattice_marginals,
 )
 from gridce.sharing import _search_grid
-from gridce.solver import BernoulliPrior, greedy_search, greedy_search_batch
+from gridce.solver import BernoulliPrior, ChainStack, greedy_search, greedy_search_batch
 
 from test_posterior import full_covariance_oracle
 
@@ -34,8 +37,13 @@ def assert_rel(got, want):
     assert float(np.abs(np.asarray(got) - want).max(initial=0.0)) <= REL * scale
 
 
-def random_rows(rng, k, length, duplicates):
+def random_rows(rng, k, length, duplicates, rank=None):
+    """Random K x L rows; with ``rank`` their columns span only that many
+    dimensions, so every chain stops after ``rank`` stages."""
     a = (rng.normal(size=(k, length)) + 1j * rng.normal(size=(k, length))) / np.sqrt(k)
+    if rank is not None:
+        mix = rng.normal(size=(rank, length)) + 1j * rng.normal(size=(rank, length))
+        a = a[:, :rank] @ mix / np.sqrt(rank)
     for _ in range(duplicates):
         src, dst = rng.choice(length, size=2, replace=length == 1)
         a[:, dst] = a[:, src]
@@ -45,7 +53,8 @@ def random_rows(rng, k, length, duplicates):
 @st.composite
 def antenna_systems(draw, max_t=64):
     """A few antennas, each with its own rows (ragged K), observation,
-    prior and noise level, plus a t_max valid for every one of them."""
+    prior and noise level, plus a t_max valid for every one of them.  Rows
+    of rank below t_max make every chain stop early."""
     seed = draw(st.integers(0, 2**32 - 1))
     length = draw(st.integers(1, 64))
     ragged = draw(st.booleans())
@@ -56,20 +65,23 @@ def antenna_systems(draw, max_t=64):
     t_max = draw(st.sampled_from(sorted({1, t_cap, draw(st.integers(1, t_cap))})))
     duplicates = draw(st.integers(0, 3))
     zero_y = draw(st.booleans())
+    rank = draw(st.none() | st.integers(1, t_max - 1)) if t_max > 1 else None
     rng = make_rng(seed)
-    shared = None if ragged else random_rows(rng, ks[0], length, duplicates)
+    shared = None if ragged else random_rows(rng, ks[0], length, duplicates, rank)
     systems = []
     for k in ks:
-        a = shared if shared is not None else random_rows(rng, k, length, duplicates)
+        a = shared if shared is not None else random_rows(rng, k, length, duplicates, rank)
         h = np.zeros(length, complex)
         taps = rng.choice(length, size=min(3, length), replace=False)
         h[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
         noise_var = float(10 ** rng.uniform(-4, 0))
         y = np.zeros(k, complex) if zero_y else (
             a @ h + np.sqrt(noise_var / 2) * (rng.normal(size=k) + 1j * rng.normal(size=k)))
-        # t_max == K ties every last-stage candidate at a zero residual under a
-        # uniform prior; distinct priors keep that pick well defined
-        lambdas = (rng.uniform(0.01, 0.5, size=length) if t_max == k or rng.random() < 0.5
+        # t_max == K (or == rank) ties every last-stage candidate at a zero
+        # residual under a uniform prior; distinct priors keep that pick
+        # well defined
+        lambdas = (rng.uniform(0.01, 0.5, size=length)
+                   if t_max == k or rank is not None or rng.random() < 0.5
                    else np.full(length, 3 / length if length > 3 else 0.5))
         systems.append((a, y, lambdas, noise_var))
     return systems, t_max
@@ -103,12 +115,29 @@ def stack_inputs(systems):
 
 
 def reference(a, y, lambdas, noise_var, t_max):
-    """greedy_search, or None where its chain is shorter than t_max."""
+    """greedy_search, or None where it raises (no usable column)."""
     try:
-        est = greedy_search(a, y, BernoulliPrior(lambdas), noise_var, t_max)
+        return greedy_search(a, y, BernoulliPrior(lambdas), noise_var, t_max)
     except IllConditionedSupportError:
         return None
-    return est if len(est.supports) == t_max else None
+
+
+def stage_means(stack):
+    """(B, T, T): column s-1 holds the stage-s mean R_s^-1 (Q^H y)_s in its
+    first s entries, as prefix sums along the rows of R^-1 (Q^H y), since
+    R^-1 is upper triangular."""
+    return np.cumsum(stack.r_inverses * stack.qty[:, None, :], axis=2)
+
+
+def assert_padding(stack):
+    """Past each chain's length: tap 0, posterior 0, identity R, zero Q^H y."""
+    pad = ~stack.active()
+    assert np.all(stack.chosen[pad] == 0) and np.all(stack.posteriors[pad] == 0)
+    assert np.all(stack.qty[pad] == 0) and np.all(np.isneginf(stack.nus[pad]))
+    columns = np.broadcast_to(pad[:, None, :], stack.r_factors.shape)
+    eye = np.broadcast_to(np.eye(pad.shape[1]), columns.shape)
+    for factor in (stack.r_factors, stack.r_inverses):
+        np.testing.assert_array_equal(factor[columns], eye[columns])
 
 
 @PROPERTY
@@ -117,22 +146,27 @@ def test_batch_matches_greedy_search(case):
     systems, t_max = case
     stack = greedy_search_batch(*stack_inputs(systems), t_max)
     covariances = error_covariances(stack)
-    estimates = stack.estimates()
+    means = stage_means(stack)
+    assert_padding(stack)
     for row, (a, y, lambdas, noise_var) in enumerate(systems):
         want = reference(a, y, lambdas, noise_var, t_max)
         assert bool(stack.failed[row]) == (want is None)
         if want is None:
+            assert not stack.taps[row].any() and not covariances[row].any()
             continue
-        got = estimates[row]
+        n = len(want.supports)
+        assert stack.lengths[row] == n
         classes = column_classes(a)
-        np.testing.assert_array_equal(classes[stack.chosen[row]],
+        np.testing.assert_array_equal(classes[stack.chosen[row, :n]],
                                       classes[want.detected_taps])
-        assert_rel(got.nus, want.nus)
-        for mean_got, mean_want in zip(got.cond_means, want.cond_means):
-            assert_rel(mean_got, mean_want)
-        assert_rel(folded(got.h_ammse, classes), folded(want.h_ammse, classes))
+        assert_rel(stack.nus[row, :n], want.nus)
+        assert_rel(stack.posteriors[row, :n], want.posteriors)
+        for s, mean_want in enumerate(want.cond_means, start=1):
+            assert_rel(means[row, :s, s - 1], mean_want)
+        assert_rel(folded(stack.taps[row], classes), folded(want.h_ammse, classes))
         taps = want.detected_taps
-        assert_rel(covariances[row], full_covariance_oracle(want)[np.ix_(taps, taps)])
+        assert_rel(covariances[row, :n, :n], full_covariance_oracle(want)[np.ix_(taps, taps)])
+        assert not covariances[row, n:].any() and not covariances[row, :, n:].any()
 
 
 @PROPERTY
@@ -143,14 +177,15 @@ def test_lattice_matches_from_scratch(case):
     same_rows = [s for s in systems if s[0] is a]
     gram, corr, y_norm2, lambdas, noise_vars = stack_inputs(same_rows)
     stack = greedy_search_batch(gram[0], corr, y_norm2, lambdas, noise_vars, t_max)
-    keep = np.flatnonzero(~stack.failed)
-    stack = stack.take(keep)
-    marginals = lattice_marginals(stack, gram[0], corr[keep], y_norm2[keep], lambdas[keep])
-    for row, i in enumerate(keep):
-        _, y, lam, noise_var = same_rows[i]
+    marginals = lattice_marginals(stack, gram[0], corr, y_norm2, lambdas)
+    for row, (_, y, lam, noise_var) in enumerate(same_rows):
+        n = stack.lengths[row]
+        assert not marginals[row, n:].any()
+        if n == 0:
+            continue
         est = greedy_search(a, y, BernoulliPrior(lam), noise_var, t_max)
         want = compute_marginals(est, a, y, BernoulliPrior(lam), reuse=False)
-        np.testing.assert_allclose(marginals[row], want.marginals, rtol=0, atol=REL)
+        np.testing.assert_allclose(marginals[row, :n], want.marginals, rtol=0, atol=REL)
 
 
 @PROPERTY
@@ -174,21 +209,19 @@ def test_rows_do_not_interact(case, target):
     alone = greedy_search_batch(gram[0] if shared else gram[one], corr[one], y_norm2[one],
                                 lambdas[one], noise_vars[one], t_max)
     others = np.arange(len(systems)) != target
-    names = ("chosen", "nus", "r_factors", "qty", "taps", "failed")
+    names = ("chosen", "nus", "r_factors", "qty", "taps", "lengths")
     for name in names:
         np.testing.assert_array_equal(getattr(before, name)[others],
                                       getattr(after, name)[others])
         np.testing.assert_array_equal(getattr(alone, name)[0],
                                       getattr(after, name)[target])
-    marginal_rows = np.flatnonzero(~after.failed) if shared else []
-    if len(marginal_rows) and t_max <= 6:
-        rows = after.take(marginal_rows)
-        batch = lattice_marginals(rows, gram[0], corr[marginal_rows],
-                                  y_norm2[marginal_rows], lambdas[marginal_rows])
-        for k, i in enumerate(marginal_rows):
-            single = lattice_marginals(after.take([i]), gram[0], corr[[i]],
-                                       y_norm2[[i]], lambdas[[i]])
-            np.testing.assert_array_equal(batch[k], single[0])
+    if shared and t_max <= 6:  # rows of every chain length share the call
+        batch = lattice_marginals(after, gram[0], corr, y_norm2, lambdas)
+        for i in range(len(systems)):
+            row = slice(i, i + 1)
+            inputs = gram[0], corr[row], y_norm2[row], lambdas[row]
+            single = greedy_search_batch(*inputs, noise_vars[row], t_max)
+            np.testing.assert_array_equal(batch[i], lattice_marginals(single, *inputs)[0])
 
 
 def ragged(systems):
@@ -207,36 +240,63 @@ def test_duplicate_column_skipped_and_flagged():
     assert stack.skipped[0] and not stack.failed[0]
 
 
-def test_short_chain_fails():
+def short_chain_system():
     """Two usable columns cannot carry a chain of three."""
     a = np.zeros((5, 6), complex)
     a[:, 1] = [1, 2, 0, 1j, 0]
     a[:, 4] = [0, 1, 1, 0, -1j]
-    y = a[:, 1] + a[:, 4]
-    stack = greedy_search_batch(a.conj().T @ a, (a.conj().T @ y)[None],
-                                np.array([np.vdot(y, y).real]), np.full(6, 0.3),
-                                np.array([0.1]), 3)
-    assert stack.failed[0]
+    return a, a[:, 1] + a[:, 4]
+
+
+def test_short_chain_matches_greedy_search():
+    """A chain that stops after two of three stages is a stack row of
+    length 2 equal to greedy_search's estimate, and the converter turns
+    that estimate into the same row; an all-zero system fails."""
+    a, y = short_chain_system()
+    zero = np.zeros_like(a)
+    gram = np.stack([a.conj().T @ a, zero.conj().T @ zero])
+    corr = np.stack([a.conj().T @ y, np.zeros(6, complex)])
+    stack = greedy_search_batch(gram, corr, np.array([np.vdot(y, y).real, 0.0]),
+                                np.full((2, 6), 0.3), np.array([0.1, 0.1]), 3)
+    np.testing.assert_array_equal(stack.lengths, [2, 0])
+    np.testing.assert_array_equal(stack.failed, [False, True])
+    assert_padding(stack)
     est = greedy_search(a, y, BernoulliPrior.uniform(6, 0.3), 0.1, 3)
     assert len(est.supports) == 2
+    np.testing.assert_array_equal(stack.chosen[0, :2], est.detected_taps)
+    assert_rel(stack.taps[0], est.h_ammse)
+    assert_rel(stack.posteriors[0, :2], est.posteriors)
+    covariances = error_covariances(stack)
+    assert_rel(covariances[0, :2, :2], error_covariance(est).matrix)
+    assert not covariances[0, 2].any() and not covariances[1].any()
+    assert not stack.taps[1].any()
+
+    converted = ChainStack.from_estimates([est, None], 3, 6, np.array([0.1, 0.1]))
+    assert_padding(converted)
+    np.testing.assert_array_equal(converted.lengths, stack.lengths)
+    np.testing.assert_array_equal(converted.chosen, stack.chosen)
+    np.testing.assert_array_equal(converted.taps[0], est.h_ammse)  # kept, not recombined
+    assert_rel(converted.r_factors, stack.r_factors)
+    assert_rel(converted.qty, stack.qty)
+    assert_rel(error_covariances(converted), covariances)
 
 
 @pytest.mark.parametrize("k, t_max", [(6, 6), (6, 3)])
 def test_grid_search_routing(k, t_max):
-    """Chains that fill every pilot row go through greedy_search; shorter
-    ones are batched.  Either way the estimates match greedy_search."""
+    """Chains that fill every pilot row come from greedy_search, through
+    the converter with their taps kept bit for bit; shorter ones are
+    batched.  Either way one stack holds every antenna."""
     rng = make_rng(7)
     a = random_rows(rng, k, 16, 0)
     ys = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
     lambdas = np.full((5, 16), 3 / 16)
     noise_vars = np.full(5, 0.05)
-    search = _search_grid(a, ys, lambdas, noise_vars, t_max)
-    assert len(search.singles) == (5 if t_max == k else 0)
+    stack, *_ = _search_grid(a, ys, lambdas, noise_vars, t_max)
+    np.testing.assert_array_equal(stack.lengths, np.full(5, t_max))
     for i in range(5):
         want = greedy_search(a, ys[i], BernoulliPrior(lambdas[i]), 0.05, t_max)
-        if i in search.singles:
-            got = search.singles[i]
+        np.testing.assert_array_equal(stack.chosen[i], want.detected_taps)
+        if t_max == k:
+            np.testing.assert_array_equal(stack.taps[i], want.h_ammse)
         else:
-            got = search.stack.estimates()[int(np.flatnonzero(search.rows == i)[0])]
-        np.testing.assert_array_equal(got.detected_taps, want.detected_taps)
-        assert_rel(got.h_ammse, want.h_ammse)
+            assert_rel(stack.taps[i], want.h_ammse)

@@ -34,7 +34,7 @@ from gridce.ofdm import (
 )
 from gridce.posterior import ErrorCovariance, error_covariance
 from gridce.qam import build_qam_alphabet
-from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based, store_covariance
+from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
 from gridce.solver import BernoulliPrior, greedy_search
 
 
@@ -279,7 +279,7 @@ def reliable_budget_oracle(cov, taps, n_pilots, n_data, expected_actives):
     if cov is None:
         return MIN_RELIABLE
     energy = float(np.sum(np.abs(taps) ** 2))
-    rho = cov.mmse_trace / max(energy, 1e-30)
+    rho = np.trace(cov.matrix).real / max(energy, 1e-30)
     budget = int(round(n_pilots * rho / RHO_REFERENCE))
     return int(np.clip(budget, MIN_RELIABLE, n_data))
 
@@ -376,7 +376,9 @@ class TestReliableBudget:
         support = np.full((3, 3), 5)  # garbage the padding must clear
         error_cov = np.ones((3, 3, 3), complex)
         for i, cov in enumerate(covs):
-            store_covariance(support, error_cov, i, cov)
+            t = cov.taps.size
+            support[i], error_cov[i] = 0, 0
+            support[i, :t], error_cov[i, :t, :t] = cov.taps, cov.matrix
         support[2], error_cov[2] = 0, 0  # failed antenna
         noise_vars = np.array([0.1, 0.2, 0.3])
         sensing = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))

@@ -14,10 +14,19 @@ from gridce.experiments import ExperimentSpec
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-#: sites whose entry point the package no longer calls: the data-aided path
-#: slices through ``equalize`` since it was batched, so this span reads 0
-#: until a benchmark change re-points it (ROADMAP item 3)
-KNOWN_MISSING = ["gridce.data_aided.equalize_and_slice"]
+#: sites whose entry point the package no longer calls, so their spans read 0
+#: until a benchmark change re-points them (ROADMAP items 2 and 3), by reason:
+KNOWN_MISSING = [
+    # every pass takes its lattice from ``lattice_marginals`` on the stack
+    "gridce.sharing.compute_marginals",
+    # every pass takes its covariances from ``error_covariances`` on the stack
+    "gridce.sharing.error_covariance",
+    # re-estimation keeps short chains as padded ``greedy_search_batch`` rows
+    "gridce.data_aided.greedy_search",
+    "gridce.data_aided.error_covariance",
+    # the data-aided path slices through ``equalize`` since it was batched
+    "gridce.data_aided.equalize_and_slice",
+]
 
 
 def load_spans():

@@ -81,11 +81,6 @@ class TestErrorCovariance:
             eigs = np.linalg.eigvalsh(cov.matrix)
             assert eigs.min() >= -1e-9
 
-    def test_trace_is_diagonal_sum(self):
-        a, y, h, prior, est, nv = solved_instance(seed=2)
-        cov = error_covariance(est)
-        assert abs(cov.mmse_trace - np.sum(np.diag(cov.matrix)).real) < 1e-12
-
     def test_monte_carlo_blue_covariance(self):
         """Fixed support, 1e4 noise draws: the empirical covariance of the
         BLUE error matches sigma^2 (A_S^H A_S)^-1 within 5% Frobenius."""
