@@ -7,14 +7,25 @@ plus noise).  Neighborhoods agree on carriers that every member ranks
 reliable *and* decodes identically; those carriers then act as extra
 pilots for one more estimation pass.
 
-Equalization, slicing and reliability run on ``GRAM_CHUNK`` antennas at a
-time; the consensus is stencil arithmetic on (M, G, N) carrier masks and
-symbol indices.
+Every system here has the form A = diag(s) F_L, a diagonal of carrier
+symbols times the first L columns of the unitary DFT, so its products have
+closed forms over the carriers.  With w_n = |s_n|^2 on the used carriers
+and 0 elsewhere:
+
+    (A^H A)_jl       = ifft(w)[(j - l) mod N]            Hermitian Toeplitz
+    A^H y            = sqrt(N) ifft(conj(s) y)[:L]       y zero off the used carriers
+    diag(A R A^H)_n  = |s_n|^2 / N fft(c)[n]             c_m = sum of R_jk at
+                                                         lag (t_j - t_k) mod N = m
+
+Equalization, slicing, reliability and the re-estimation FFTs run on
+``ANTENNA_CHUNK`` antennas at a time; the consensus is stencil arithmetic
+on (M, G, N) carrier masks and symbol indices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import AntennaGrid
 from .errors import ConfigurationError, InvalidContextError
@@ -34,11 +45,11 @@ RHO_REFERENCE = 0.04
 #: minimum per-antenna carrier budget (keeps refinement strictly active)
 MIN_RELIABLE = 2
 
-#: antennas processed at once wherever a stage works on a stack of them:
-#: augmented Gram matrices (L x L each) during re-estimation, and the
-#: (chunk, N, Q) slicing and reliability temporaries here and in BER
-#: scoring; bounds memory, results do not depend on it
-GRAM_CHUNK = 16
+#: antennas processed at once wherever a stage works on their length-N
+#: carrier rows: the (chunk, N) FFTs and the (chunk, N, Q) slicing and
+#: reliability temporaries here and in BER scoring; bounds memory, results
+#: do not depend on it
+ANTENNA_CHUNK = 16
 
 
 @dataclass
@@ -52,24 +63,36 @@ class ReliableSet:
 
 
 def distortion_covariance(
-    sensing_full: SensingMatrix | np.ndarray,
+    symbols: np.ndarray,
     err_cov: np.ndarray,
     noise_var: float | np.ndarray,
     taps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Variance of the combined distortion A h_err + w per carrier:
-    diag(A R A^H) + sigma_w^2, the only part of its covariance ever consumed.
+    diag(A R A^H) + sigma_w^2, the only part of its covariance ever consumed,
+    for A = diag(symbols) F_L over all N = len(symbols) carriers.
 
-    Without ``taps``, R is an L x L matrix over all columns of A.  With
-    ``taps``, R lives on those columns (``ErrorCovariance.taps`` and
-    ``.matrix``, or the ``GridEstimate.support`` and ``.error_cov`` arrays,
-    whose zero padding adds nothing).  A stack of B covariances, (B, T)
-    taps and (B,) noise variances gives (B, N) variances from one product.
+    Without ``taps``, R is an L x L matrix over taps 0..L-1.  With ``taps``,
+    R lives on those taps (``ErrorCovariance.taps`` and ``.matrix``, or the
+    ``GridEstimate.support`` and ``.error_cov`` arrays, whose zero padding
+    adds nothing).  R_jk enters only through its lag t_j - t_k: scattered
+    into c at lag (t_j - t_k) mod N, diag(A R A^H)_n = |s_n|^2 / N fft(c)[n].
+    A stack of B covariances, (B, T) taps and (B,) noise variances gives
+    (B, N) variances from one FFT.
     """
-    a = sensing_full.rows if isinstance(sensing_full, SensingMatrix) else np.asarray(sensing_full)
-    if taps is not None:
-        a = np.moveaxis(a[:, taps], 0, -2)
-    diag = np.einsum("...ij,...ij->...i", a @ err_cov, a.conj()).real
+    symbols = np.asarray(symbols)
+    err_cov = np.asarray(err_cov)
+    n_carriers, size = symbols.shape[-1], err_cov.shape[-1]
+    taps = np.arange(size) if taps is None else np.asarray(taps)
+    batch = err_cov.shape[:-2]
+    n_rows = int(np.prod(batch))
+    # bin (row, lag) of every R_jk, row-major over the flattened stack
+    lag = (taps[..., :, None] - taps[..., None, :]) % n_carriers
+    bins = (lag.reshape(-1, size * size) + n_carriers * np.arange(n_rows)[:, None]).ravel()
+    lagged = (np.bincount(bins, err_cov.real.ravel(), n_rows * n_carriers)
+              + 1j * np.bincount(bins, err_cov.imag.ravel(), n_rows * n_carriers))
+    spectrum = np.fft.fft(lagged.reshape(*batch, n_carriers), axis=-1).real
+    diag = spectrum * (np.abs(symbols) ** 2 / n_carriers)
     return diag + np.asarray(noise_var, dtype=float)[..., None]
 
 
@@ -93,15 +116,31 @@ def carrier_reliability(x_hat, variance, alphabet, sliced=None) -> np.ndarray:
         sliced = d2, alphabet.nearest_indices(x_hat, d2)
     d2, nearest = sliced
 
+    # the nearest point's distance and, as the peak over every other point,
+    # the second-nearest point's
+    nearest_d2, second_d2 = _two_smallest(d2)
+    log_num = np.negative(nearest_d2) / variance
+    peak = np.negative(second_d2) / variance
     loglik = np.negative(d2)
     loglik /= variance[..., None]
-    nearest = np.expand_dims(nearest, -1)
-    log_num = np.take_along_axis(loglik, nearest, axis=-1)[..., 0]
-    np.put_along_axis(loglik, nearest, -np.inf, axis=-1)  # every other point
-    peak = loglik.max(axis=-1, keepdims=True)
-    loglik -= peak
-    log_den = peak[..., 0] + np.log(np.exp(loglik, out=loglik).sum(axis=-1))
+    np.put_along_axis(loglik, np.expand_dims(nearest, -1), -np.inf, axis=-1)  # every other point
+    loglik -= peak[..., None]
+    log_den = peak + np.log(np.exp(loglik, out=loglik).sum(axis=-1))
     return np.exp(np.minimum(log_num - log_den, np.log(RELIABILITY_CAP)))
+
+
+def _two_smallest(d2: np.ndarray):
+    """Smallest and second-smallest entries along the last axis (the
+    smallest twice when it occurs twice), as running minima over the
+    columns: elementwise passes avoid numpy's per-row cost of reducing a
+    length-Q axis."""
+    first = d2[..., 0].copy()
+    second = np.full_like(first, np.inf)
+    for v in range(1, d2.shape[-1]):
+        column = d2[..., v]
+        np.minimum(second, np.maximum(first, column), out=second)
+        np.minimum(first, column, out=first)
+    return first, second
 
 
 def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.ndarray:
@@ -145,6 +184,7 @@ def select_and_agree(
     decisions: np.ndarray,
     pilot_indices: np.ndarray,
     alphabet: QamAlphabet,
+    out: np.ndarray | None = None,
 ) -> list:
     """Neighborhood consensus for every central antenna at once.
 
@@ -153,12 +193,15 @@ def select_and_agree(
     carrier joins an antenna's consensus when it is no pilot, every member
     of the neighborhood ranks it top-U (a stencil AND) and every member
     decoded it to the same symbol (stencil min equals stencil max).  An
-    empty consensus is valid.  Returns ``[row][col]`` ReliableSets.
+    empty consensus is valid.  Returns ``[row][col]`` ReliableSets; ``out``,
+    when given, receives the (M, G, N) consensus mask.
     """
     agreed = stencil_reduce(top, np.logical_and)
     agreed &= stencil_reduce(decisions, np.minimum) == stencil_reduce(decisions, np.maximum)
     agreed[..., np.asarray(pilot_indices, dtype=int)] = False
-    out = []
+    if out is not None:
+        out[...] = agreed
+    sets = []
     for r in range(top.shape[0]):
         row = []
         for c in range(top.shape[1]):
@@ -168,18 +211,18 @@ def select_and_agree(
                 consensus=consensus,
                 agreed_symbols=alphabet.points[decisions[r, c, consensus]],
             ))
-        out.append(row)
-    return out
+        sets.append(row)
+    return sets
 
 
-def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets):
+def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets):
     """Every antenna's top-U mask and hard-decision indices, (M, G, N) each.
 
-    Works through ``GRAM_CHUNK`` antennas at a time: one FFT, one
-    nearest-point pass and one distortion product per chunk; the distances
+    Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
+    nearest-point pass and one distortion FFT per chunk; the distances
     also feed the reliabilities.  Failed antennas keep an empty top set.
     """
-    n_carriers, length = rows_mat.shape
+    n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
     taps = base.taps.reshape(n_ant, length)
     observations = observations_full.reshape(n_ant, n_carriers)
@@ -190,8 +233,8 @@ def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets
     usable = ~base.failed.reshape(n_ant)
     top = np.zeros((n_ant, n_carriers), dtype=bool)
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
-    for start in range(0, n_ant, GRAM_CHUNK):
-        chunk = slice(start, start + GRAM_CHUNK)
+    for start in range(0, n_ant, ANTENNA_CHUNK):
+        chunk = slice(start, start + ANTENNA_CHUNK)
         equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
         d2 = alphabet.sq_distances(equalized)
         decisions[chunk] = alphabet.nearest_indices(equalized, d2)
@@ -200,7 +243,7 @@ def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets
             continue
         local = members - start
         variance = distortion_covariance(
-            rows_mat, error_cov[members], noise_vars[members], taps=support[members]
+            symbols, error_cov[members], noise_vars[members], taps=support[members]
         )
         reliability = carrier_reliability(
             equalized[local], variance, alphabet, (d2[local], decisions[members])
@@ -208,6 +251,45 @@ def _top_carriers(base, observations_full, rows_mat, alphabet, eligible, budgets
         top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
     shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape)
+
+
+def toeplitz_grams(lags: np.ndarray) -> np.ndarray:
+    """(..., L, L) Toeplitz matrices G_jl = lags[..., j - l + L - 1] as a
+    zero-copy view of (..., 2L - 1) lags (lag -(L - 1) first)."""
+    length = (lags.shape[-1] + 1) // 2
+    return sliding_window_view(lags, length, axis=-1)[..., ::-1]
+
+
+def reestimation_inputs(symbols, pilot_indices, observations, consensus, decisions,
+                        alphabet, length):
+    """Gram lags (B, 2L - 1), A^H y (B, L) and ||y||^2 (B,) of B augmented
+    systems A = diag(s) F_L on the pilots plus each antenna's consensus.
+
+    s holds the frame's pilot symbols and the agreed symbols
+    ``alphabet.points[decisions]`` on the ``consensus`` (B, N) carriers, y
+    the ``observations`` (B, N) there; both are zero on the other carriers.
+    Then the Gram is ifft(|s|^2) at lags j - l mod N and A^H y is
+    sqrt(N) ifft(conj(s) y)[:L]: one FFT pair per ``ANTENNA_CHUNK``
+    antennas, with no augmented row matrix.
+    """
+    n_ant, n_carriers = observations.shape
+    on_pilot = np.zeros(n_carriers, dtype=bool)
+    on_pilot[pilot_indices] = True
+    pilot_symbols = np.where(on_pilot, symbols, 0.0)
+    lags = np.empty((n_ant, 2 * length - 1), dtype=complex)
+    corr = np.empty((n_ant, length), dtype=complex)
+    y_norm2 = np.empty(n_ant)
+    for start in range(0, n_ant, ANTENNA_CHUNK):
+        chunk = slice(start, start + ANTENNA_CHUNK)
+        used = consensus[chunk] | on_pilot
+        s = np.where(consensus[chunk], alphabet.points[decisions[chunk]], pilot_symbols)
+        y = np.where(used, observations[chunk], 0.0)
+        gram_row, s_hy = np.fft.ifft(np.stack([np.abs(s) ** 2, s.conj() * y]), axis=-1)
+        lags[chunk, :length - 1] = gram_row[:, n_carriers - length + 1:]
+        lags[chunk, length - 1:] = gram_row[:, :length]
+        corr[chunk] = np.sqrt(n_carriers) * s_hy[:, :length]
+        y_norm2[chunk] = np.einsum("ij,ij->i", y.conj(), y).real
+    return lags, corr, y_norm2
 
 
 def run_data_aided(
@@ -227,10 +309,12 @@ def run_data_aided(
     the neighborhood, then re-run the solver on the pilot rows plus the
     consensus carriers with the agreed decisions standing in as pilot
     symbols.  Antennas with an empty consensus keep their base estimate
-    (flagged in diagnostics).
+    (flagged in diagnostics).  ``sensing_full`` is diag(frame symbols) F_L
+    (``build_sensing_matrix``); its products are taken in closed form from
+    the frame symbols, so only its shape is read.
     """
-    rows_mat = sensing_full.rows
-    n_carriers, length = rows_mat.shape
+    n_carriers, length = sensing_full.shape
+    symbols = frame.freq_symbols
     pilots = frame.pilot_indices
     n_data = n_carriers - pilots.shape[0]
     if n_reliable is not None and n_reliable > n_data:
@@ -250,47 +334,33 @@ def run_data_aided(
         else reliable_budget(base, pilots.shape[0], n_data, expected_actives)
     )
     top, decisions = _top_carriers(
-        base, observations_full, rows_mat, alphabet, data_mask,
+        base, observations_full, symbols, alphabet, data_mask,
         stencil_reduce(budgets, np.maximum),
     )
-    agreements = select_and_agree(top, decisions, pilots, alphabet)
+    consensus = np.empty_like(top)
+    agreements = select_and_agree(top, decisions, pilots, alphabet, out=consensus)
 
     taps = base.taps.copy()
     support = base.support.copy()
     error_cov = base.error_cov.copy()
     fallback = np.ones((grid.rows, grid.cols), dtype=bool)
-    t_max = config.resolve_t_max(length, pilots.shape[0])
-    dft_rows = rows_mat / frame.freq_symbols[:, None]  # bare F_L rows
-
-    # every augmented system has at least K + 1 > t_max rows, so no chain
-    # fills its rows and all of them go through the batched search; the
-    # agreed decisions stand in as pilot symbols on the consensus carriers
-    aided = [(r, c) for r, c in grid.antennas()
-             if not base.failed[r, c] and agreements[r][c].consensus.size]
-    for start in range(0, len(aided), GRAM_CHUNK):
-        chunk = aided[start:start + GRAM_CHUNK]
-        gram = np.empty((len(chunk), length, length), dtype=complex)
-        corr = np.empty((len(chunk), length), dtype=complex)
-        y_norm2 = np.empty(len(chunk))
-        for k, (r, c) in enumerate(chunk):
-            reliable = agreements[r][c]
-            a_aug = np.vstack([
-                rows_mat[pilots],
-                reliable.agreed_symbols[:, None] * dft_rows[reliable.consensus],
-            ])
-            y_aug = observations_full[r, c, np.concatenate([pilots, reliable.consensus])]
-            gram[k] = a_aug.conj().T @ a_aug
-            corr[k] = a_aug.conj().T @ y_aug
-            y_norm2[k] = np.vdot(y_aug, y_aug).real
-        chunk_rows, chunk_cols = np.array(chunk).T
+    aided = np.nonzero(~base.failed & consensus.any(axis=-1))
+    if aided[0].size:
+        # every augmented system has at least K + 1 > t_max rows, so no chain
+        # fills its rows and all of them go through one batched search; the
+        # agreed decisions stand in as pilot symbols on the consensus carriers
+        lags, corr, y_norm2 = reestimation_inputs(
+            symbols, pilots, observations_full[aided], consensus[aided],
+            decisions[aided], alphabet, length,
+        )
         stack = greedy_search_batch(
-            gram, corr, y_norm2, base.priors[chunk_rows, chunk_cols],
-            base.noise_vars[chunk_rows, chunk_cols], t_max,
+            toeplitz_grams(lags), corr, y_norm2, base.priors[aided],
+            base.noise_vars[aided], config.resolve_t_max(length, pilots.shape[0]),
         )
         # an antenna without a usable column keeps its base estimate,
         # flagged as a fallback
         done = ~stack.failed
-        at = chunk_rows[done], chunk_cols[done]
+        at = tuple(index[done] for index in aided)
         taps[at] = stack.taps[done]
         support[at] = stack.chosen[done]
         error_cov[at] = error_covariances(stack)[done]

@@ -41,7 +41,7 @@ from .ofdm import (
     place_pilots,
     synthesize_received,
 )
-from .data_aided import GRAM_CHUNK, run_data_aided
+from .data_aided import ANTENNA_CHUNK, run_data_aided
 from .qam import build_qam_alphabet
 from .sharing import GridSolverConfig, run_integer_based, run_marginal_based
 from .solver import blue_estimate
@@ -102,6 +102,10 @@ class ExperimentSpec:
         if not 1 <= self.sparsity <= self.channel_len:
             raise ConfigurationError(
                 f"sparsity={self.sparsity} must lie in [1, {self.channel_len}]")
+        if "oracle-LS" in self.algorithms and min(self.n_pilots) < self.sparsity:
+            raise ConfigurationError(
+                f"oracle-LS needs n_pilots >= sparsity={self.sparsity} to solve on the "
+                f"true support, got n_pilots {self.n_pilots}")
         if any(d < 0 for d in self.depth):
             raise ConfigurationError(f"depth {self.depth} must be nonnegative")
         build_qam_alphabet(self.qam_order)
@@ -377,7 +381,7 @@ def _worst_case(scene, k_bits):
 def _score_algorithm(scene: TrialScene, taps: np.ndarray) -> tuple:
     """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
 
-    Detection runs ``GRAM_CHUNK`` antennas at a time: one FFT, one
+    Detection runs ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
     zero-forcing division and one nearest-point pass per chunk.
     """
     ratio = error_ratio(scene.channels.taps, taps)
@@ -386,8 +390,8 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray) -> tuple:
     taps = taps.reshape(-1, taps.shape[-1])
     observations = scene.observations.reshape(-1, n_carriers)
     errors = total = 0
-    for start in range(0, taps.shape[0], GRAM_CHUNK):
-        chunk = slice(start, start + GRAM_CHUNK)
+    for start in range(0, taps.shape[0], ANTENNA_CHUNK):
+        chunk = slice(start, start + ANTENNA_CHUNK)
         resp = freq_response(taps[chunk], n_carriers)[:, data_idx]
         equalized, bad = equalize(observations[chunk, data_idx], resp)
         e, t = count_bit_errors(scene.alphabet, scene.true_indices,

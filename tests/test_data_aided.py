@@ -3,7 +3,12 @@
 The per-antenna, set-based consensus, the per-antenna top-U pick and the
 per-antenna carrier budget that the stencil, rank-mask and grid versions
 replaced are kept here as oracles (``select_and_agree_oracle``,
-``top_reliable_oracle``, ``reliable_budget_oracle``).
+``top_reliable_oracle``, ``reliable_budget_oracle``).  So are the
+generic-matrix products the DFT closed forms replaced: the distortion
+variances diag(A R A^H) of any A (``distortion_covariance_oracle``), the
+explicit augmented rows (``augmented_products_oracle``), the per-antenna
+re-estimation loop (``reestimate_oracle``) and the put/max reliability
+peak (``carrier_reliability_oracle``).
 """
 
 import numpy as np
@@ -14,12 +19,15 @@ from hypothesis import strategies as st
 from gridce.channels import AntennaGrid, ArrayKind, generate_channels, neighbors
 from gridce.data_aided import (
     MIN_RELIABLE,
+    RELIABILITY_CAP,
     RHO_REFERENCE,
     carrier_reliability,
     distortion_covariance,
+    reestimation_inputs,
     reliable_budget,
     run_data_aided,
     select_and_agree,
+    toeplitz_grams,
     top_reliable,
 )
 from gridce.errors import InvalidContextError
@@ -31,18 +39,22 @@ from gridce.ofdm import (
     modulate_frame,
     place_pilots,
     synthesize_received,
+    truncated_dft,
 )
-from gridce.posterior import ErrorCovariance, error_covariance
+from gridce.posterior import ErrorCovariance, error_covariance, error_covariances
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
-from gridce.solver import BernoulliPrior, greedy_search
+from gridce.solver import BernoulliPrior, greedy_search, greedy_search_batch
+
+QAM4 = build_qam_alphabet(4)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
-               seed=0):
+               seed=0, qam=4):
     grid = AntennaGrid(rows=rows, cols=cols)
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
-    config = OfdmConfig(n, k, 4, length, noise_var)
+    config = OfdmConfig(n, k, qam, length, noise_var)
     channels = generate_channels(grid, length, sparsity, ArrayKind.SIA, 0.0,
                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
@@ -58,41 +70,146 @@ def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
     return grid, channels, config, frame, sensing_full, observations, base, solver_cfg
 
 
+def distortion_covariance_oracle(a, err_cov, noise_var, taps=None):
+    """diag(A R A^H) + sigma_w^2 for any A (N, L): R on all L columns, or on
+    ``taps`` columns, or a stack of (B, T, T) covariances on (B, T) taps, by
+    gathering the (B, N, T) rows; the generic form the DFT one replaced."""
+    if taps is not None:
+        a = np.moveaxis(a[:, taps], 0, -2)
+    diag = np.einsum("...ij,...ij->...i", a @ err_cov, a.conj()).real
+    return diag + np.asarray(noise_var, dtype=float)[..., None]
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Agreement within ``rtol`` of the largest entry of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+
+def random_symbols(rng, n, order=4):
+    return build_qam_alphabet(order).points[rng.integers(0, order, size=n)]
+
+
 class TestDistortionCovariance:
     def test_zero_error_covariance(self):
-        rng = make_rng(1)
-        a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        var = distortion_covariance(a, np.zeros((4, 4)), noise_var=0.3)
+        symbols = random_symbols(make_rng(1), 8)
+        var = distortion_covariance(symbols, np.zeros((4, 4)), noise_var=0.3)
         np.testing.assert_allclose(var, 0.3, atol=1e-14)
 
     def test_diagonal_at_least_noise_floor(self):
         rng = make_rng(2)
-        a = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        var = distortion_covariance(a, m @ m.conj().T, noise_var=0.1, taps=np.arange(4))
+        var = distortion_covariance(random_symbols(rng, 8, 16), m @ m.conj().T,
+                                    noise_var=0.1, taps=np.arange(4))
         assert np.all(var >= 0.1 - 1e-12)
 
     def test_detected_taps_match_full_matrix(self):
         """A T x T covariance on its taps gives the same carrier variances as
         the L x L matrix it embeds into."""
         rng = make_rng(4)
-        a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        symbols = random_symbols(rng, 6, 16)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         taps = np.array([3, 1])
         full = np.zeros((5, 5), complex)
         full[np.ix_(taps, taps)] = m @ m.conj().T
-        np.testing.assert_allclose(distortion_covariance(a, m @ m.conj().T, 0.1, taps),
-                                   distortion_covariance(a, full, 0.1), rtol=1e-12)
+        np.testing.assert_allclose(distortion_covariance(symbols, m @ m.conj().T, 0.1, taps),
+                                   distortion_covariance(symbols, full, 0.1), rtol=1e-12)
 
     def test_rank_one_expansion(self):
-        """R = s^2 e_k e_k^H gives diag entries s^2 |A_ik|^2 + noise."""
-        rng = make_rng(3)
-        a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        """R = s^2 e_k e_k^H gives diag entries s^2 |A_ik|^2 + noise, and
+        |A_ik|^2 = |x_i|^2 / N for A = diag(x) F_L."""
+        symbols = random_symbols(make_rng(3), 6, 16)
         r = np.zeros((5, 5), complex)
         r[2, 2] = 0.7
-        var = distortion_covariance(a, r, noise_var=0.05)
-        expected = 0.7 * np.abs(a[:, 2]) ** 2 + 0.05
+        var = distortion_covariance(symbols, r, noise_var=0.05)
+        expected = 0.7 * np.abs(symbols) ** 2 / 6 + 0.05
         np.testing.assert_allclose(var, expected, atol=1e-12)
+
+
+@st.composite
+def dft_systems(draw):
+    """Systems A = diag(s) F_L: N carriers with L <= N (L = 1 and L = N
+    included), 4- or 16-QAM frame symbols, pilots (possibly none) and B
+    antennas whose consensus covers none, some or every data carrier."""
+    n = draw(st.integers(1, 40))
+    length = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    order = draw(st.sampled_from([4, 16]))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = build_qam_alphabet(order)
+    symbols = alphabet.points[rng.integers(0, order, size=n)]
+    pilots = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])))
+    n_ant = draw(st.integers(1, 5))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    consensus = rng.random((n_ant, n)) < share
+    consensus[:, pilots] = False
+    decisions = rng.integers(0, order, size=(n_ant, n))
+    observations = (rng.normal(size=(n_ant, n)) + 1j * rng.normal(size=(n_ant, n)))
+    return symbols, pilots, observations, consensus, decisions, alphabet, length, rng
+
+
+def augmented_products_oracle(symbols, pilots, observations, consensus, decisions,
+                              alphabet, length):
+    """Gram, A^H y and ||y||^2 per antenna from the explicit augmented rows:
+    the pilot rows of diag(s) F_L stacked over the consensus rows of F_L
+    scaled by the agreed symbols (the per-antenna build the closed forms
+    replaced)."""
+    dft = truncated_dft(symbols.size, length)
+    grams, corrs, norms = [], [], []
+    for y, agreed, picks in zip(observations, consensus, decisions):
+        idx = np.flatnonzero(agreed)
+        a_aug = np.vstack([symbols[pilots, None] * dft[pilots],
+                           alphabet.points[picks[idx], None] * dft[idx]])
+        y_aug = y[np.concatenate([pilots, idx])]
+        grams.append(a_aug.conj().T @ a_aug)
+        corrs.append(a_aug.conj().T @ y_aug)
+        norms.append(np.vdot(y_aug, y_aug).real)
+    return np.array(grams), np.array(corrs), np.array(norms)
+
+
+class TestClosedForms:
+    """The DFT closed forms against the generic-matrix products."""
+
+    @PROPERTY
+    @given(dft_systems())
+    def test_reestimation_inputs_match_augmented_rows(self, case):
+        *system, _ = case
+        length = system[-1]
+        lags, corr, y_norm2 = reestimation_inputs(*system)
+        grams = toeplitz_grams(lags)
+        assert grams.shape == (lags.shape[0], length, length)
+        assert np.shares_memory(grams, lags)  # a view, no copy
+        want_gram, want_corr, want_norm = augmented_products_oracle(*system)
+        for b in range(lags.shape[0]):
+            assert_close(grams[b], want_gram[b])
+            assert_close(corr[b], want_corr[b])
+            assert_close(y_norm2[b], want_norm[b])
+
+    @PROPERTY
+    @given(dft_systems(), st.integers(1, 6))
+    def test_distortion_matches_generic_product(self, case, t_max):
+        """Full L x L covariances, and (B, T, T) stacks on their taps with
+        short chains zero-padded and failed antennas zero throughout."""
+        symbols, _, observations, _, _, _, length, rng = case
+        n_ant = observations.shape[0]
+        a = symbols[:, None] * truncated_dft(symbols.size, length)
+        m = rng.normal(size=(n_ant, length, length)) + 1j * rng.normal(size=(n_ant, length, length))
+        full = m @ m.conj().transpose(0, 2, 1)
+        assert_close(distortion_covariance(symbols, full, 0.0),
+                     distortion_covariance_oracle(a, full, 0.0))
+
+        t_max = min(t_max, length)
+        support = np.zeros((n_ant, t_max), dtype=int)
+        error_cov = np.zeros((n_ant, t_max, t_max), dtype=complex)
+        for b in range(n_ant):
+            t = int(rng.integers(0, t_max + 1))  # 0: failed, < t_max: padded
+            support[b, :t] = rng.permutation(length)[:t]
+            error_cov[b, :t, :t] = full[b, :t, :t]
+        noise_vars = rng.random(n_ant)
+        got = distortion_covariance(symbols, error_cov, noise_vars, taps=support)
+        want = distortion_covariance_oracle(a, error_cov, noise_vars, taps=support)
+        for b in range(n_ant):
+            assert_close(got[b] - noise_vars[b], want[b] - noise_vars[b])
 
 
 class TestCarrierReliability:
@@ -131,6 +248,44 @@ class TestCarrierReliability:
         alph = build_qam_alphabet(4)
         with pytest.raises(InvalidContextError):
             carrier_reliability(np.array([0.1 + 0.1j]), np.array([0.0]), alph)
+
+    @PROPERTY
+    @given(st.sampled_from([4, 16]), st.integers(0, 2**32 - 1))
+    def test_peak_matches_put_max_form(self, order, seed):
+        """The second-nearest peak gives the put/max form's values bit for
+        bit: random symbols, symbols on the axes (exact ties between two or
+        four points), on points with vanishing variance (the cap) and far
+        outside the constellation."""
+        alphabet = build_qam_alphabet(order)
+        rng = make_rng(seed)
+        points = alphabet.points[rng.integers(0, order, size=12)]
+        x = np.concatenate([
+            points,
+            rng.normal(size=12) + 1j * rng.normal(size=12),
+            points.real, 1j * points.imag, np.zeros(2),
+            10.0 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
+        ])
+        variance = 10.0 ** rng.uniform(-3, 1, size=x.size)
+        variance[:12] = 1e-12  # on a point: capped
+        got = carrier_reliability(x, variance, alphabet)
+        np.testing.assert_array_equal(got, carrier_reliability_oracle(x, variance, alphabet))
+        np.testing.assert_array_equal(got[:12], np.exp(np.log(RELIABILITY_CAP)))
+
+
+def carrier_reliability_oracle(x_hat, variance, alphabet):
+    """Reliabilities with the "every other point" peak taken as the max of
+    a length-Q axis in which the nearest point is put to -inf: the form the
+    second-nearest running minimum replaced."""
+    d2 = alphabet.sq_distances(x_hat)
+    nearest = np.expand_dims(alphabet.nearest_indices(x_hat, d2), -1)
+    loglik = np.negative(d2)
+    loglik /= variance[..., None]
+    log_num = np.take_along_axis(loglik, nearest, axis=-1)[..., 0]
+    np.put_along_axis(loglik, nearest, -np.inf, axis=-1)
+    peak = loglik.max(axis=-1, keepdims=True)
+    loglik -= peak
+    log_den = peak[..., 0] + np.log(np.exp(loglik, out=loglik).sum(axis=-1))
+    return np.exp(np.minimum(log_num - log_den, np.log(RELIABILITY_CAP)))
 
 
 def top_reliable_oracle(reliability, eligible, count):
@@ -173,10 +328,6 @@ def top_masks(shape, index_sets):
         for c, idx in enumerate(row):
             mask[r, c, idx] = True
     return mask
-
-
-QAM4 = build_qam_alphabet(4)
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class TestSelectAndAgree:
@@ -381,17 +532,67 @@ class TestReliableBudget:
             support[i, :t], error_cov[i, :t, :t] = cov.taps, cov.matrix
         support[2], error_cov[2] = 0, 0  # failed antenna
         noise_vars = np.array([0.1, 0.2, 0.3])
-        sensing = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
-        got = distortion_covariance(sensing, error_cov, noise_vars, taps=support)
+        symbols = random_symbols(rng, 12, 16)
+        got = distortion_covariance(symbols, error_cov, noise_vars, taps=support)
         assert got.shape == (3, 12)
         for i, cov in enumerate(covs):
             np.testing.assert_allclose(
-                got[i], distortion_covariance(sensing, cov.matrix, noise_vars[i], cov.taps),
+                got[i], distortion_covariance(symbols, cov.matrix, noise_vars[i], cov.taps),
                 rtol=1e-12)
         np.testing.assert_array_equal(got[2], 0.3)
 
 
+def reestimate_oracle(frame, sensing_full, observations, base, config, agreements):
+    """The per-antenna re-estimation loop the closed forms replaced:
+    explicit augmented rows and one search per aided antenna.  Returns
+    (taps, support, error_cov, fallback) on the grid."""
+    length = sensing_full.shape[1]
+    pilots = frame.pilot_indices
+    dft = truncated_dft(frame.n_carriers, length)
+    t_max = config.resolve_t_max(length, pilots.size)
+    taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
+    fallback = np.ones(base.failed.shape, dtype=bool)
+    for (r, c), failed in np.ndenumerate(base.failed):
+        reliable = agreements[r][c]
+        if failed or not reliable.consensus.size:
+            continue
+        a_aug = np.vstack([sensing_full.rows[pilots],
+                           reliable.agreed_symbols[:, None] * dft[reliable.consensus]])
+        y_aug = observations[r, c, np.concatenate([pilots, reliable.consensus])]
+        stack = greedy_search_batch(
+            a_aug.conj().T @ a_aug, (a_aug.conj().T @ y_aug)[None],
+            [np.vdot(y_aug, y_aug).real], base.priors[r, c][None],
+            base.noise_vars[r, c][None], t_max,
+        )
+        if stack.failed[0]:
+            continue
+        taps[r, c], support[r, c] = stack.taps[0], stack.chosen[0]
+        error_cov[r, c] = error_covariances(stack)[0]
+        fallback[r, c] = False
+    return taps, support, error_cov, fallback
+
+
 class TestRunDataAided:
+    @pytest.mark.parametrize("rows, cols, qam, n_reliable, seed", [
+        (1, 1, 4, None, 0), (1, 5, 16, None, 1), (5, 1, 4, 8, 2),
+        (2, 3, 16, 8, 3), (3, 4, 4, None, 4), (4, 4, 4, 2, 5),
+    ])
+    def test_matches_per_antenna_reestimation(self, rows, cols, qam, n_reliable, seed):
+        """One batched solve on the closed-form inputs against the
+        per-antenna loop on explicit augmented rows: equal supports and
+        fallbacks, taps and error covariances within 1e-12 relative."""
+        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+            rows=rows, cols=cols, qam=qam, snr_db=12.0, seed=seed)
+        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
+                                 config.alphabet, n_reliable=n_reliable)
+        taps, support, error_cov, fallback = reestimate_oracle(
+            frame, sensing_full, obs, base, cfg, refined.diagnostics["agreements"])
+        np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"], fallback)
+        np.testing.assert_array_equal(refined.support, support)
+        assert_close(refined.taps, taps)
+        assert_close(refined.error_cov, error_cov)
+        assert not fallback.all()
+
     def test_refinement_improves_or_matches_base(self):
         grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene()
         refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,

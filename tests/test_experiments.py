@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gridce.channels import AntennaGrid, ArrayKind, generate_channels
-from gridce.data_aided import GRAM_CHUNK
+from gridce.data_aided import ANTENNA_CHUNK
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
     CSV_HEADER,
@@ -80,6 +80,13 @@ class TestSpec:
         """One out-of-range value per field fails before any trial runs."""
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{field: value})
+
+    def test_oracle_ls_with_fewer_pilots_than_taps_rejected(self):
+        """oracle-LS solves on the true support, so every K must reach the
+        sparsity; the same sweep without oracle-LS stays valid."""
+        with pytest.raises(ConfigurationError, match="oracle-LS"):
+            small_spec(n_pilots=(2, 10), sparsity=3)
+        small_spec(n_pilots=(2, 10), sparsity=3, algorithms=("MB-P", "IB-P"))
 
     @pytest.mark.parametrize("experiment", range(1, 6))
     def test_presets_pass_validation(self, experiment):
@@ -195,8 +202,8 @@ class TestBatchedScoring:
     def test_matches_per_antenna_loop(self, rows, cols, qam):
         spec = small_spec(grid_rows=rows, grid_cols=cols, qam_order=qam, snr_db=(5.0,))
         scene = synthesize_scene(spec, 10, 5.0, 0, 0)
-        if rows * cols > GRAM_CHUNK:
-            assert (rows * cols) % GRAM_CHUNK  # a ragged last chunk is covered
+        if rows * cols > ANTENNA_CHUNK:
+            assert (rows * cols) % ANTENNA_CHUNK  # a ragged last chunk is covered
         for name, taps in self.estimates(scene, rows * cols).items():
             assert _score_algorithm(scene, taps) == score_oracle(scene, taps), name
 
@@ -437,6 +444,14 @@ class TestCli:
         csv = (tmp_path / "experiment5.csv").read_text().splitlines()
         assert csv[0] == CSV_HEADER
         assert len(csv) == 3  # 2 depths x 1 algorithm
+
+    def test_oracle_ls_short_pilots_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n_pilots=[2], sparsity=3,
+                                            algorithms=["oracle-LS"])))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "oracle-LS" in out.stderr
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
