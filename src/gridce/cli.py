@@ -3,7 +3,7 @@
 Subcommands:
   experiment <id>    run one of the five preset experiments, write CSVs
   estimate           run a single synthesized trial and print the metrics
-  generate-channels  write one channel realization to CSV for replay
+  generate-channels  write the channels of sweep point 0, trial 0 to CSV
 
 A JSON file mirroring the ExperimentSpec fields can be passed with
 --config; individual flags override it.  Exit code is 0 on success and 2
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import channels_to_csv, generate_channels
+from .channels import channels_to_csv
 from .errors import ConfigurationError
 from .experiments import (
     ExperimentSpec,
@@ -26,8 +26,8 @@ from .experiments import (
     experiment_presets,
     run_experiment,
     run_point_trial,
+    scene_channels,
 )
-from .ofdm import make_rng
 
 
 def _build_parser():
@@ -116,10 +116,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_generate_channels(args) -> int:
     spec = _load_spec(args)
-    realization = generate_channels(
-        spec.grid(), spec.channel_len, spec.sparsity, spec.kind, spec.drift,
-        make_rng(spec.seed, 0),
-    )
+    realization = scene_channels(spec, 0, 0)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "channels.csv"
     channels_to_csv(realization, path)

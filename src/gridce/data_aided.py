@@ -17,6 +17,25 @@ and 0 elsewhere:
     diag(A R A^H)_n  = |s_n|^2 / N fft(c)[n]             c_m = sum of R_jk at
                                                          lag (t_j - t_k) mod N = m
 
+The reliability of an equalized symbol x under distortion variance s2 is
+the density at its nearest point over the summed densities at every other
+point, r = exp(-d2_n / s2) / sum_{v != n} exp(-d2_v / s2).  Square QAM is
+the product of two PAM axes with levels a_0 < ... < a_{m-1}, m = sqrt(Q),
+and d2_v = (x_I - a_i)^2 + (x_Q - a_q)^2 for the point v = (i, q), so each
+density ratio factorizes: with n = (n_I, n_Q) the nearest levels and
+
+    O_I = sum_{k != n_I} exp(-((x_I - a_k)^2 - (x_I - a_{n_I})^2) / s2)
+
+(O_Q the same on the Q axis), the sum over all Q points of the ratio to
+the nearest one is (1 + O_I)(1 + O_Q), so the sum over the others is that
+minus the nearest point's own 1:
+
+    r = 1 / ((1 + O_I)(1 + O_Q) - 1) = 1 / (O_I + O_Q + O_I O_Q)
+
+written without the cancelling subtraction.  That takes 2(m - 1)
+exponentials of non-positive arguments per symbol, no logarithm and no
+length-Q axis; r overflows only where it exceeds RELIABILITY_CAP anyway.
+
 Equalization, slicing, reliability and the re-estimation FFTs run on
 ``ANTENNA_CHUNK`` antennas at a time; the consensus is stencil arithmetic
 on (M, G, N) carrier masks and symbol indices.
@@ -31,12 +50,20 @@ from .channels import AntennaGrid
 from .errors import ConfigurationError, InvalidContextError
 from .ofdm import OfdmFrame, SensingMatrix, equalize, freq_response
 from .posterior import error_covariances
-from .qam import QamAlphabet
+from .qam import QamAlphabet, as_axes
 from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
 from .solver import greedy_search_batch
 
 #: reliability ratios are capped here instead of overflowing to inf
 RELIABILITY_CAP = 1e300
+
+#: the value a capped ratio takes (the cap as the log-domain form rounded it)
+_CAPPED = np.exp(np.log(RELIABILITY_CAP))
+
+#: numpy's vectorized exp is fast only where its result is a normal float
+#: (arguments above about -708); its result is exactly zero below _EXP_ZERO
+_EXP_NORMAL = -700.0
+_EXP_ZERO = -750.0
 
 #: predicted relative error at which one pilot budget of reliable carriers is
 #: requested; the default carrier budget scales linearly with the prediction
@@ -46,9 +73,9 @@ RHO_REFERENCE = 0.04
 MIN_RELIABLE = 2
 
 #: antennas processed at once wherever a stage works on their length-N
-#: carrier rows: the (chunk, N) FFTs and the (chunk, N, Q) slicing and
-#: reliability temporaries here and in BER scoring; bounds memory, results
-#: do not depend on it
+#: carrier rows: the (chunk, N) FFTs and the (chunk, N, 2) per-axis slicing
+#: and reliability temporaries here and in BER scoring; bounds memory,
+#: results do not depend on it
 ANTENNA_CHUNK = 16
 
 
@@ -96,51 +123,57 @@ def distortion_covariance(
     return diag + np.asarray(noise_var, dtype=float)[..., None]
 
 
-def carrier_reliability(x_hat, variance, alphabet, sliced=None) -> np.ndarray:
+def carrier_reliability(x_hat, variance, alphabet, nearest_levels=None) -> np.ndarray:
     """Reliability of equalized symbols under a per-carrier Gaussian model.
 
     Ratio of the distortion density at the displacement to the nearest
     constellation point over the summed densities at the displacements to
-    every other point.  Computed in the log domain over the last axis, so
-    a (B, N) stack of antennas works as one; a symbol exactly on a point
-    with vanishing variance returns the RELIABILITY_CAP rather than
-    infinity.  ``sliced`` is the (squared distances, nearest indices) pair
-    of ``x_hat`` when the caller already holds it.
+    every other point, in the per-axis closed form of the module docstring;
+    works elementwise, so a (B, N) stack of antennas works as one.  Where
+    the ratio exceeds RELIABILITY_CAP (a symbol on a point with vanishing
+    variance) the capped value is returned instead of infinity.
+    ``nearest_levels`` is ``alphabet.nearest_levels(x_hat)`` when the caller
+    already holds it.
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=complex))
     variance = np.broadcast_to(np.asarray(variance, dtype=float), x_hat.shape)
     if np.any(variance <= 0):
         raise InvalidContextError("distortion variance must be positive")
-    if sliced is None:
-        d2 = alphabet.sq_distances(x_hat)
-        sliced = d2, alphabet.nearest_indices(x_hat, d2)
-    d2, nearest = sliced
+    if nearest_levels is None:
+        nearest_levels = alphabet.nearest_levels(x_hat)
+    levels = alphabet.levels
+    axes = as_axes(x_hat)
+    nearest_gap = axes - levels.take(nearest_levels)
+    nearest_gap *= nearest_gap
+    scale = -1.0 / variance[..., None]
+    # O_I and O_Q: every other level of an axis, visited as the cyclic
+    # offsets j = 1..m-1 from the nearest one (m is a power of two, so the
+    # mask also undoes any wrap of the small unsigned level indices)
+    other = np.zeros_like(axes)
+    for offset in range(1, levels.size):
+        gap = axes - levels.take((nearest_levels + offset) & (levels.size - 1))
+        gap *= gap
+        gap -= nearest_gap
+        gap *= scale
+        other += _exp(gap)
+    other_i, other_q = other[..., 0], other[..., 1]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = 1.0 / (other_i + other_q + other_i * other_q)
+    return np.minimum(ratio, _CAPPED, out=ratio)
 
-    # the nearest point's distance and, as the peak over every other point,
-    # the second-nearest point's
-    nearest_d2, second_d2 = _two_smallest(d2)
-    log_num = np.negative(nearest_d2) / variance
-    peak = np.negative(second_d2) / variance
-    loglik = np.negative(d2)
-    loglik /= variance[..., None]
-    np.put_along_axis(loglik, np.expand_dims(nearest, -1), -np.inf, axis=-1)  # every other point
-    loglik -= peak[..., None]
-    log_den = peak + np.log(np.exp(loglik, out=loglik).sum(axis=-1))
-    return np.exp(np.minimum(log_num - log_den, np.log(RELIABILITY_CAP)))
 
-
-def _two_smallest(d2: np.ndarray):
-    """Smallest and second-smallest entries along the last axis (the
-    smallest twice when it occurs twice), as running minima over the
-    columns: elementwise passes avoid numpy's per-row cost of reducing a
-    length-Q axis."""
-    first = d2[..., 0].copy()
-    second = np.full_like(first, np.inf)
-    for v in range(1, d2.shape[-1]):
-        column = d2[..., v]
-        np.minimum(second, np.maximum(first, column), out=second)
-        np.minimum(first, column, out=first)
-    return first, second
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, with the arguments whose result underflows
+    kept off numpy's slow path: with a small distortion variance nearly
+    every other-level term is exactly zero, and only the rare arguments
+    between _EXP_ZERO and _EXP_NORMAL go through np.exp itself."""
+    out = np.maximum(x, _EXP_NORMAL)
+    np.exp(out, out=out)
+    out *= x >= _EXP_NORMAL
+    subnormal = (x < _EXP_NORMAL) & (x >= _EXP_ZERO)
+    if subnormal.any():
+        out[subnormal] = np.exp(x[subnormal])
+    return out
 
 
 def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.ndarray:
@@ -219,8 +252,9 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
     """Every antenna's top-U mask and hard-decision indices, (M, G, N) each.
 
     Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
-    nearest-point pass and one distortion FFT per chunk; the distances
-    also feed the reliabilities.  Failed antennas keep an empty top set.
+    per-axis slicing pass and one distortion FFT per chunk; the nearest
+    levels give both the decisions and the reliabilities.  Failed antennas
+    keep an empty top set.
     """
     n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
@@ -236,8 +270,8 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
     for start in range(0, n_ant, ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
         equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
-        d2 = alphabet.sq_distances(equalized)
-        decisions[chunk] = alphabet.nearest_indices(equalized, d2)
+        nearest = alphabet.nearest_levels(equalized)
+        decisions[chunk] = alphabet.indices_from_levels(nearest)
         members = start + np.flatnonzero(usable[chunk])
         if not members.size:
             continue
@@ -246,7 +280,7 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
             symbols, error_cov[members], noise_vars[members], taps=support[members]
         )
         reliability = carrier_reliability(
-            equalized[local], variance, alphabet, (d2[local], decisions[members])
+            equalized[local], variance, alphabet, nearest[local]
         )
         top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
     shape = (*base.failed.shape, n_carriers)

@@ -106,6 +106,12 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"oracle-LS needs n_pilots >= sparsity={self.sparsity} to solve on the "
                 f"true support, got n_pilots {self.n_pilots}")
+        n_data = n - max(self.n_pilots)
+        aided = [a for a in self.algorithms if a.endswith("-R")]
+        if aided and self.n_reliable is not None and not 1 <= self.n_reliable <= n_data:
+            raise ConfigurationError(
+                f"n_reliable={self.n_reliable} must lie in [1, {n_data}] (the data "
+                f"carriers left by the largest n_pilots) for {aided}")
         if any(d < 0 for d in self.depth):
             raise ConfigurationError(f"depth {self.depth} must be nonnegative")
         build_qam_alphabet(self.qam_order)
@@ -341,6 +347,16 @@ def noise_var_for_snr(sparsity: int, n_carriers: int, snr_db: float) -> float:
     return sparsity / (n_carriers * 10.0 ** (snr_db / 10.0))
 
 
+def scene_channels(spec: ExperimentSpec, point_index: int, trial: int):
+    """The channel realization that trial ``trial`` of sweep point
+    ``point_index`` draws (stream 0 of its key)."""
+    return generate_channels(
+        spec.grid(), spec.channel_len, spec.sparsity, spec.kind, spec.drift,
+        make_rng(spec.seed, point_index, trial, 0),
+        power_profile=spec.power_profile,
+    )
+
+
 def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
                      point_index: int, trial: int) -> TrialScene:
     grid = spec.grid()
@@ -349,11 +365,7 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
         n_carriers=spec.n_carriers, n_pilots=n_pilots, qam_order=spec.qam_order,
         channel_len=spec.channel_len, noise_var=noise_var, seed=spec.seed,
     )
-    channels = generate_channels(
-        grid, spec.channel_len, spec.sparsity, spec.kind, spec.drift,
-        make_rng(spec.seed, point_index, trial, 0),
-        power_profile=spec.power_profile,
-    )
+    channels = scene_channels(spec, point_index, trial)
     pilots = place_pilots(
         spec.n_carriers, n_pilots, (spec.seed, point_index, trial, 1)
     )

@@ -10,6 +10,15 @@ constellation has unit average symbol energy.
 4-QAM bit-to-symbol table (scale 1/sqrt(2)):
 
     00 -> -1-1j    01 -> -1+1j    10 -> +1-1j    11 -> +1+1j
+
+Slicing is per axis.  |x - (a + jb)|^2 = (x_I - a)^2 + (x_Q - b)^2, so the
+nearest point pairs the nearest I level with the nearest Q level, and a
+lookup table maps the pair to the point index.  Each axis is a running
+minimum of |u - a_k| over the m levels in ascending order that only a
+strict improvement replaces: an exact tie keeps the lower level, which is
+the lexicographic (real, imag) tie rule over the whole constellation.
+Near a decision boundary both differences u - a_k are exact (Sterbenz), so
+a float midpoint that is not an exact tie goes to the strictly nearer level.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +46,14 @@ def _gray_decode(v: np.ndarray) -> np.ndarray:
     return t
 
 
+def as_axes(symbols) -> np.ndarray:
+    """(..., 2) float view of complex symbols: real parts at [..., 0] and
+    imaginary parts at [..., 1] (a copy only for non-complex128 or
+    non-contiguous input)."""
+    x = np.ascontiguousarray(symbols, dtype=complex)
+    return x.view(float).reshape(*x.shape, 2)
+
+
 @dataclass(frozen=True)
 class QamAlphabet:
     """Square Gray-mapped QAM constellation with unit average energy.
@@ -48,12 +65,21 @@ class QamAlphabet:
     order: int
     points: np.ndarray
     bits_per_symbol: int = field(init=False)
-    _lex_order: np.ndarray = field(init=False, repr=False)
+    #: the m = sqrt(Q) PAM amplitudes of either axis, ascending
+    levels: np.ndarray = field(init=False, repr=False)
+    #: (m, m) point index of (I level, Q level)
+    level_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bits_per_symbol", int(np.log2(self.order)))
-        lex = np.lexsort((self.points.imag, self.points.real))
-        object.__setattr__(self, "_lex_order", lex)
+        # the real parts of the bottom row are the m levels (np.unique
+        # would import numpy.ma)
+        levels = np.sort(self.points.real[self.points.imag == self.points.imag.min()])
+        table = np.empty((levels.size, levels.size), dtype=np.intp)
+        table[np.searchsorted(levels, self.points.real),
+              np.searchsorted(levels, self.points.imag)] = np.arange(self.order)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "level_table", table)
 
     def symbols_from_indices(self, idx: np.ndarray) -> np.ndarray:
         return self.points[np.asarray(idx)]
@@ -72,32 +98,41 @@ class QamAlphabet:
         shifts = np.arange(k - 1, -1, -1)
         return ((idx[:, None] >> shifts) & 1).astype(np.int8)
 
-    def sq_distances(self, symbols: np.ndarray) -> np.ndarray:
-        """|x - points[v]|^2 for every symbol x and index v, shape (..., Q)."""
-        x = np.asarray(symbols)
-        d2 = np.empty(x.shape + (self.order,))
-        for v, point in enumerate(self.points):  # temporaries stay symbol-sized
-            d2[..., v] = np.abs(x - point) ** 2
-        return d2
+    def nearest_levels(self, symbols: np.ndarray) -> np.ndarray:
+        """(..., 2) indices into ``levels`` of each symbol's nearest I and Q
+        levels.
 
-    def nearest_indices(self, symbols: np.ndarray, sq_distances=None) -> np.ndarray:
+        Both axes slice at once on the interleaved (real, imag) view of
+        the symbols: a running minimum of |u - levels[k]| over the m levels
+        in ascending order, where only a strict improvement replaces the
+        pick, so an exact tie keeps the lower level.
+        """
+        axes = as_axes(symbols)
+        dtype = np.min_scalar_type(self.levels.size - 1)
+        nearest = np.zeros(axes.shape, dtype=dtype)
+        best = np.abs(axes - self.levels[0])
+        for k in range(1, self.levels.size):
+            dist = np.abs(axes - self.levels[k])
+            # the pick is the last level that improved: a branch-free max
+            np.maximum(nearest, np.multiply(dist < best, k, dtype=dtype), out=nearest)
+            np.minimum(best, dist, out=best)
+        return nearest
+
+    def indices_from_levels(self, nearest_levels: np.ndarray) -> np.ndarray:
+        """Point indices of (..., 2) (I level, Q level) index pairs."""
+        flat = np.multiply(nearest_levels[..., 0], self.levels.size, dtype=np.intp)
+        flat += nearest_levels[..., 1]
+        return self.level_table.take(flat)
+
+    def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
         """Index of the nearest constellation point for each input symbol.
 
-        Ties break toward the point with lexicographically smaller
-        (real, imag), so slicing is deterministic.  A caller that already
-        holds ``self.sq_distances(symbols)`` passes it to skip recomputing.
+        The squared distance splits into an I and a Q term, so the nearest
+        point pairs the nearest I level with the nearest Q level.  Ties
+        break toward the lower level on each axis: the point with
+        lexicographically smaller (real, imag), so slicing is deterministic.
         """
-        x = np.asarray(symbols)
-        nearest = np.full(x.shape, self._lex_order[0])
-        best = np.full(x.shape, np.inf)
-        # visiting points in lex order, a strict improvement keeps the
-        # lex-smallest of equally near points
-        for v in self._lex_order:
-            d2 = np.abs(x - self.points[v]) ** 2 if sq_distances is None else sq_distances[..., v]
-            closer = d2 < best
-            nearest[closer] = v
-            np.minimum(best, d2, out=best)
-        return nearest
+        return self.indices_from_levels(self.nearest_levels(symbols))
 
     def slice(self, symbols: np.ndarray) -> np.ndarray:
         """Hard decisions: nearest constellation point per symbol."""

@@ -7,8 +7,8 @@ replaced are kept here as oracles (``select_and_agree_oracle``,
 generic-matrix products the DFT closed forms replaced: the distortion
 variances diag(A R A^H) of any A (``distortion_covariance_oracle``), the
 explicit augmented rows (``augmented_products_oracle``), the per-antenna
-re-estimation loop (``reestimate_oracle``) and the put/max reliability
-peak (``carrier_reliability_oracle``).
+re-estimation loop (``reestimate_oracle``) and the log-domain reliability
+over a length-Q axis with its put/max peak (``carrier_reliability_oracle``).
 """
 
 import numpy as np
@@ -21,6 +21,9 @@ from gridce.data_aided import (
     MIN_RELIABLE,
     RELIABILITY_CAP,
     RHO_REFERENCE,
+    _EXP_NORMAL,
+    _EXP_ZERO,
+    _exp,
     carrier_reliability,
     distortion_covariance,
     reestimation_inputs,
@@ -45,6 +48,7 @@ from gridce.posterior import ErrorCovariance, error_covariance, error_covariance
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
 from gridce.solver import BernoulliPrior, greedy_search, greedy_search_batch
+from oracles import nearest_indices_oracle, sq_distances_oracle
 
 QAM4 = build_qam_alphabet(4)
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -225,6 +229,33 @@ class TestCarrierReliability:
         assert np.isfinite(m[0])
         assert m[0] >= 1e290
 
+    def test_cap_without_warnings(self):
+        """A zero or subnormal other-point sum, where 1/sum divides by zero or
+        overflows, returns the capped value exactly and warns of nothing."""
+        alph = build_qam_alphabet(4)
+        point = alph.points[:1]
+        # 4-QAM on a point: every other level lies 2 s away, so each axis
+        # sum is exp(-4 s^2 / variance) = exp(-2 / variance)
+        variance = np.array([1e-12, 2 / 713.0, 2 / 600.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            m = carrier_reliability(np.repeat(point, 3), variance, alph)
+        capped = np.exp(np.log(RELIABILITY_CAP))
+        np.testing.assert_array_equal(m[:2], capped)
+        assert m[2] < capped
+
+    def test_exp_matches_numpy(self):
+        """The underflow-aware exponential equals np.exp bit for bit: fast
+        normal results, the subnormal band, exact zeros and specials."""
+        rng = make_rng(7)
+        x = np.concatenate([
+            -rng.uniform(0, 800, 20000), np.arange(-690.0, -760.0, -0.003),
+            -np.abs(rng.normal(size=100)) * 1e5,
+            [0.0, -0.0, -np.inf, np.nan, _EXP_NORMAL, _EXP_ZERO,
+             np.nextafter(_EXP_NORMAL, 0), np.nextafter(_EXP_ZERO, -np.inf)],
+        ])
+        rng.shuffle(x)
+        np.testing.assert_array_equal(_exp(x), np.exp(x))
+
     def test_monotone_toward_point(self):
         """Reliability strictly increases moving from the decision boundary
         toward the constellation point along the real axis."""
@@ -252,10 +283,11 @@ class TestCarrierReliability:
     @PROPERTY
     @given(st.sampled_from([4, 16]), st.integers(0, 2**32 - 1))
     def test_peak_matches_put_max_form(self, order, seed):
-        """The second-nearest peak gives the put/max form's values bit for
-        bit: random symbols, symbols on the axes (exact ties between two or
-        four points), on points with vanishing variance (the cap) and far
-        outside the constellation."""
+        """The per-axis closed form gives the put/max form's values within
+        that form's own log-domain rounding, 16 eps (1 + max_v d2_v /
+        variance) on log r: random symbols, symbols on the axes (exact ties
+        between two or four points), on points with vanishing variance (the
+        cap, exactly equal) and far outside the constellation."""
         alphabet = build_qam_alphabet(order)
         rng = make_rng(seed)
         points = alphabet.points[rng.integers(0, order, size=12)]
@@ -268,16 +300,20 @@ class TestCarrierReliability:
         variance = 10.0 ** rng.uniform(-3, 1, size=x.size)
         variance[:12] = 1e-12  # on a point: capped
         got = carrier_reliability(x, variance, alphabet)
-        np.testing.assert_array_equal(got, carrier_reliability_oracle(x, variance, alphabet))
+        want = carrier_reliability_oracle(x, variance, alphabet)
+        bound = 16 * np.finfo(float).eps * (
+            1 + sq_distances_oracle(alphabet, x).max(axis=-1) / variance)
+        assert np.all(np.abs(np.log(got) - np.log(want)) <= bound)
         np.testing.assert_array_equal(got[:12], np.exp(np.log(RELIABILITY_CAP)))
+        np.testing.assert_array_equal(want[:12], got[:12])
 
 
 def carrier_reliability_oracle(x_hat, variance, alphabet):
     """Reliabilities with the "every other point" peak taken as the max of
     a length-Q axis in which the nearest point is put to -inf: the form the
     second-nearest running minimum replaced."""
-    d2 = alphabet.sq_distances(x_hat)
-    nearest = np.expand_dims(alphabet.nearest_indices(x_hat, d2), -1)
+    d2 = sq_distances_oracle(alphabet, x_hat)
+    nearest = np.expand_dims(nearest_indices_oracle(alphabet, x_hat, d2), -1)
     loglik = np.negative(d2)
     loglik /= variance[..., None]
     log_num = np.take_along_axis(loglik, nearest, axis=-1)[..., 0]

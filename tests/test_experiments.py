@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+from gridce.channels import AntennaGrid, ArrayKind, channels_from_csv, generate_channels
 from gridce.data_aided import ANTENNA_CHUNK
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
@@ -87,6 +87,19 @@ class TestSpec:
         with pytest.raises(ConfigurationError, match="oracle-LS"):
             small_spec(n_pilots=(2, 10), sparsity=3)
         small_spec(n_pilots=(2, 10), sparsity=3, algorithms=("MB-P", "IB-P"))
+
+    @pytest.mark.parametrize("n_reliable", [0, -1, 55, 60])
+    def test_n_reliable_outside_data_carriers_rejected(self, n_reliable):
+        """A fixed carrier budget must fit the data carriers left by the
+        largest K (64 - 10 = 54 here) when a data-aided algorithm runs;
+        without one the budget is never read."""
+        with pytest.raises(ConfigurationError, match="n_reliable"):
+            small_spec(n_pilots=(6, 10), algorithms=("MB-R",), n_reliable=n_reliable)
+        small_spec(n_pilots=(6, 10), n_reliable=n_reliable)
+
+    def test_n_reliable_at_the_bounds_accepted(self):
+        for n_reliable in (1, 54):
+            small_spec(n_pilots=(6, 10), algorithms=("IB-R",), n_reliable=n_reliable)
 
     @pytest.mark.parametrize("experiment", range(1, 6))
     def test_presets_pass_validation(self, experiment):
@@ -273,6 +286,16 @@ class TestRunExperiment:
         parallel = run_experiment(dataclasses.replace(spec, workers=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 4)])
+    def test_worker_count_invariance_line_and_non_square(self, rows, cols):
+        """Rows are identical across worker counts on a 1xN line and a
+        non-square grid too, data-aided algorithms included."""
+        import dataclasses
+
+        spec = small_spec(grid_rows=rows, grid_cols=cols, trials=3,
+                          algorithms=("MB-P", "IB-R", "oracle-LS"))
+        assert run_experiment(spec) == run_experiment(dataclasses.replace(spec, workers=2))
+
     def test_metrics_in_range(self):
         rows = run_experiment(small_spec())
         for row in rows:
@@ -430,6 +453,23 @@ class TestCli:
         assert lines[0] == "antenna_row,antenna_col,tap_index,re,im"
         assert len(lines) == 1 + 2 * 2 * 2  # n nonzero taps per antenna
 
+    def test_generate_channels_writes_the_first_trials_channels(self, tmp_path):
+        """The CSV holds exactly the channels that point 0, trial 0 draws,
+        geometric tap powers included; repr round-trips every tap."""
+        config = dict(grid_rows=2, grid_cols=3, n_carriers=64, channel_len=16,
+                      sparsity=3, n_pilots=[10], power_profile="geometric",
+                      mode="SVA", trials=1, seed=5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = self.run_cli("generate-channels", "--config", str(cfg_path),
+                           "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        written = channels_from_csv(tmp_path / "channels.csv", 2, 3, 16)
+        spec = ExperimentSpec.from_file(cfg_path)
+        scene = synthesize_scene(spec, 10, spec.snr_db[0], 0, 0)
+        np.testing.assert_array_equal(written.taps, scene.channels.taps)
+        np.testing.assert_array_equal(written.support, scene.channels.support)
+
     def test_experiment_with_config(self, tmp_path):
         config = dict(
             experiment=5, grid_rows=3, grid_cols=3, n_carriers=64,
@@ -452,6 +492,14 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "oracle-LS" in out.stderr
+
+    def test_n_reliable_beyond_data_carriers_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n_carriers=64, n_pilots=[10],
+                                            algorithms=["MB-R"], n_reliable=60)))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "n_reliable" in out.stderr
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

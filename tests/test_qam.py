@@ -1,10 +1,17 @@
-"""Alphabet construction, Gray mapping and hard slicing."""
+"""Alphabet construction, Gray mapping and hard slicing.
+
+The per-axis slicer is checked against the constellation-wide Q-pass
+slicer it replaced (``nearest_indices_oracle``).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridce.errors import ConfigurationError
 from gridce.qam import build_qam_alphabet
+from oracles import nearest_indices_oracle
 
 
 class TestAlphabetConstruction:
@@ -98,3 +105,57 @@ class TestSlicing:
         alph = build_qam_alphabet(4)
         sliced = alph.slice(np.array([0.0 + 0.0j]))[0]
         assert sliced == min(alph.points, key=lambda z: (z.real, z.imag))
+
+
+def exact_midpoints(levels):
+    """Midpoints between adjacent levels that are exact float ties."""
+    mids = (levels[1:] + levels[:-1]) / 2
+    return mids[mids - levels[:-1] == levels[1:] - mids]
+
+
+class TestSeparableSlicing:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 16, 64]), st.integers(0, 2**32 - 1))
+    def test_matches_q_pass_oracle(self, order, seed):
+        """Per-axis decisions equal the Q-pass slicer's bit for bit on random
+        symbols, points, points on the axes, exact decision-boundary
+        midpoints (ties on one or both axes), +-0.0 and symbols 10x outside
+        the constellation."""
+        alph = build_qam_alphabet(order)
+        rng = np.random.default_rng(seed)
+        mids = exact_midpoints(alph.levels)
+        axis_values = np.concatenate([alph.levels, mids, [0.0, -0.0],
+                                      10 * alph.levels, rng.normal(size=8)])
+        points = alph.points[rng.integers(0, order, size=16)]
+        x = np.concatenate([
+            rng.normal(size=64) + 1j * rng.normal(size=64),
+            points, points.real, 1j * points.imag,
+            rng.choice(axis_values, 64) + 1j * rng.choice(axis_values, 64),
+            np.array([0.0, -0.0]) + 1j * np.array([-0.0, 0.0]),
+            10.0 * (rng.normal(size=16) + 1j * rng.normal(size=16)),
+        ])
+        np.testing.assert_array_equal(alph.nearest_indices(x),
+                                      nearest_indices_oracle(alph, x))
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_inexact_midpoint_goes_to_nearer_level(self, order):
+        """Where the float midpoint of two levels is not an exact tie, the
+        slicer picks the strictly nearer level on that axis (the Q-pass
+        slicer's rounded 2-D distances can call such a point a tie)."""
+        alph = build_qam_alphabet(order)
+        levels = alph.levels
+        mids = (levels[1:] + levels[:-1]) / 2
+        inexact = np.flatnonzero(mids - levels[:-1] != levels[1:] - mids)
+        assert inexact.size  # these orders have some
+        for k in inexact:
+            nearer = k if mids[k] - levels[k] < levels[k + 1] - mids[k] else k + 1
+            got = alph.nearest_levels(np.array([mids[k] + 1j * mids[k]]))
+            np.testing.assert_array_equal(got[0], [nearer, nearer])
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_level_table_round_trip(self, order):
+        """The (I level, Q level) table points back at every point."""
+        alph = build_qam_alphabet(order)
+        i, q = alph.nearest_levels(alph.points).T
+        np.testing.assert_array_equal(alph.levels[i] + 1j * alph.levels[q], alph.points)
+        np.testing.assert_array_equal(alph.level_table[i, q], np.arange(order))
