@@ -63,6 +63,7 @@ from .solver import (
     blue_estimate,
     greedy_search,
     greedy_search_batch,
+    greedy_search_stack,
     init_params,
     support_metric,
 )

@@ -89,6 +89,9 @@ class ExperimentSpec:
             raise ConfigurationError("sweep axes must be nonempty")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(f"seed={seed!r} must be a non-negative integer")
         if self.mode not in ("SIA", "SVA"):
             raise ConfigurationError(f"mode must be SIA or SVA, got {self.mode!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)

@@ -20,16 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import AntennaGrid
-from .errors import ConfigurationError, IllConditionedSupportError
+from .errors import ConfigurationError
 from .posterior import error_covariances, lattice_marginals
 from .solver import (
     PRIOR_EPS,
-    BernoulliPrior,
     ChainStack,
     SparseEstimate,
     dml_support_size,
-    greedy_search,
     greedy_search_batch,
+    greedy_search_stack,
 )
 
 DEFAULT_LAMBDA_SMALL = 1e-3
@@ -219,8 +218,9 @@ def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max):
     marginal lattice.
 
     When t_max fills the K pilot rows, every free candidate ties at a zero
-    residual in the last stage and ``greedy_search``'s own rounding settles
-    the pick, so those chains come from it; all others are batched.
+    residual in the last stage and rounding settles the pick, so those
+    chains run ``greedy_search``'s own recursion (``greedy_search_stack``);
+    all others run in the Gram domain.
     """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     gram = a.conj().T @ a
@@ -229,13 +229,7 @@ def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max):
     if t_max < a.shape[0]:
         stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
     else:
-        estimates = []
-        for y, lam, noise_var in zip(ys, lambdas, noise_vars):
-            try:
-                estimates.append(greedy_search(a, y, BernoulliPrior(lam), noise_var, t_max))
-            except IllConditionedSupportError:
-                estimates.append(None)
-        stack = ChainStack.from_estimates(estimates, t_max, a.shape[1], noise_vars)
+        stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
     return stack, gram, corr, y_norm2
 
 

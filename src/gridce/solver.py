@@ -20,8 +20,10 @@ The greedy chain is grown with an order-recursive QR factorization: each
 stage scores all single-index extensions of the previous support in
 O(K*L) by updating the orthogonalized column residuals, never re-solving
 from scratch.  ``greedy_search`` runs that recursion on one observation
-vector; ``greedy_search_batch`` runs it for a stack of antennas at once in
-the Gram domain, where the row count K drops out after one product.
+vector, and ``greedy_search_stack`` runs it for a stack of observation
+vectors on shared rows with the same rounding.  ``greedy_search_batch``
+runs the chain for a stack of antennas in the Gram domain, where the row
+count K drops out after one product.
 """
 
 from dataclasses import dataclass, field
@@ -69,8 +71,7 @@ class SparseEstimate:
     ``supports`` is the nested chain (selection order preserved inside each
     array); ``posteriors`` are normalized over the chain; ``cond_means``
     align with ``supports``.  ``gram_inverses`` holds (A_S^H A_S)^-1 per
-    support, reused later for the error covariance.  ``r_factor`` and
-    ``qty`` are R of A_S = Q R and Q^H y on the largest support.
+    support, reused later for the error covariance.
     """
 
     supports: list
@@ -84,8 +85,6 @@ class SparseEstimate:
     t_max: int
     h_ammse: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-    r_factor: np.ndarray | None = None
-    qty: np.ndarray | None = None
 
     @property
     def detected_taps(self) -> np.ndarray:
@@ -195,9 +194,13 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
     """Grow the nested dominant-support chain of sizes 1..t_max.
 
     At each stage every single-index extension of the current support is
-    scored; the best extension (ties to the smallest tap index) is kept.
-    Candidates that would make the support Gram matrix numerically
-    singular are skipped for that stage.
+    scored and the best extension is kept; of equal computed scores the
+    smallest tap index wins.  Exact ties in the model are still decided by
+    rounding, because their computed scores differ in the last bits: when
+    t_max equals the row count K, every free candidate leaves a zero
+    residual at the last stage, and identical columns are scored through
+    different BLAS roundings.  Candidates that would make the support Gram
+    matrix numerically singular are skipped for that stage.
     """
     # contiguous copies pin the BLAS kernels: results are then bit-identical
     # for equal values regardless of the caller's array layout
@@ -286,8 +289,6 @@ def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior
             "posterior_underflow": underflow,
             "t_max_requested": t_max,
         },
-        r_factor=r_fact[:n, :n],
-        qty=qty[:n],
     )
     ammse_combine(estimate)
     return estimate
@@ -366,38 +367,6 @@ class ChainStack:
         longer than m."""
         return np.cumsum(self.posteriors[:, ::-1], axis=1)[:, ::-1]
 
-    @classmethod
-    def from_estimates(cls, estimates: list, t_max: int, channel_len: int,
-                       noise_vars: np.ndarray) -> "ChainStack":
-        """``greedy_search`` results (None where it raised) as stack rows.
-        Each row keeps the estimate's own taps, R and Q^H y; a chain
-        shorter than ``t_max`` is padded as the batched search pads it."""
-        n = len(estimates)
-        stack = cls(
-            chosen=np.zeros((n, t_max), dtype=int), nus=np.full((n, t_max), -np.inf),
-            residuals=np.zeros((n, t_max)), posteriors=np.zeros((n, t_max)),
-            r_factors=np.tile(np.eye(t_max, dtype=complex), (n, 1, 1)), r_inverses=None,
-            qty=np.zeros((n, t_max), dtype=complex),
-            taps=np.zeros((n, channel_len), dtype=complex),
-            noise_vars=np.asarray(noise_vars, dtype=float), lengths=np.zeros(n, dtype=int),
-            skipped=np.zeros(n, dtype=bool), underflow=np.zeros(n, dtype=bool),
-        )
-        for row, est in enumerate(estimates):
-            if est is None:
-                continue
-            s = stack.lengths[row] = len(est.supports)
-            stack.chosen[row, :s] = est.detected_taps
-            stack.nus[row, :s] = est.nus
-            stack.residuals[row, :s] = est.residuals
-            stack.posteriors[row, :s] = est.posteriors
-            stack.r_factors[row, :s, :s] = est.r_factor
-            stack.qty[row, :s] = est.qty
-            stack.taps[row] = est.h_ammse
-            stack.skipped[row] = est.diagnostics["skipped_candidates"]
-            stack.underflow[row] = est.diagnostics["posterior_underflow"]
-        stack.r_inverses = np.linalg.inv(stack.r_factors)
-        return stack
-
 
 def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
                         lambdas: np.ndarray, noise_vars: np.ndarray,
@@ -417,10 +386,11 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     A row whose candidates run out stops there, as ``greedy_search`` does,
     and is padded (see ``ChainStack``).
 
-    Picks match ``greedy_search`` except on ties within rounding.  One such
-    tie is systematic: when t_max equals the row count and the prior is
-    uniform, every free candidate at the last stage leaves a zero
-    residual.  Callers send those systems to ``greedy_search``.
+    Picks match ``greedy_search`` except on ties within rounding, which
+    the two recursions round apart.  One such tie is systematic: when t_max
+    equals the row count and the prior is uniform, every free candidate at
+    the last stage leaves a zero residual.  ``greedy_search_stack`` solves
+    those systems with ``greedy_search``'s picks.
     """
     gram = np.asarray(gram, dtype=complex)
     gram = gram if gram.ndim == 3 else gram[None]
@@ -484,18 +454,125 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
         available[rows, j] = False
         chosen[:, stage] = j
 
+    return _finish_chains(chosen, nus, residuals, r_fact, qty, noise_vars, lengths,
+                          skipped, length)
+
+
+def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
+                        noise_vars: np.ndarray, t_max: int) -> ChainStack:
+    """``greedy_search`` for a stack of B observation vectors ``ys`` (B, K)
+    on shared rows A (K, L), with its picks bit for bit.
+
+    The stage loop is ``greedy_search``'s K-domain recursion run for every
+    row at once: each row keeps its own orthogonalized columns (B, K, L)
+    and residual (B, K), and every expression keeps the form
+    ``greedy_search`` uses (numpy hands each row of a stacked product to
+    the kernel the 2-D call uses), so each row rounds as a one-vector call
+    does.  The rank-filling tie (t_max == K) is therefore settled exactly as
+    ``greedy_search`` settles it.  ``lambdas`` is (B, L) and ``noise_vars``
+    (B,); a row whose candidates run out stops and is padded (see
+    ``ChainStack``), a row without a usable column has length 0.
+    """
+    a = np.ascontiguousarray(sensing_rows, dtype=complex)
+    ys = np.ascontiguousarray(ys, dtype=complex)
+    k, length = a.shape
+    n = ys.shape[0]
+    noise_vars = np.asarray(noise_vars, dtype=float)
+    if not np.all(noise_vars > 0):
+        raise ConfigurationError("noise_var must be positive")
+    if t_max < 1 or t_max > min(k, length):
+        raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
+
+    prior_term, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, length))))
+    col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
+    rows = np.arange(n)
+    two_nv = 2.0 * noise_vars
+
+    b = np.broadcast_to(a, (n, k, length)).copy()     # columns orthogonalized per row
+    r = ys.copy()                                       # residuals P_S_perp y
+    res2 = _stacked_vdot(ys, ys).real
+    q_basis = np.zeros((n, k, t_max), dtype=complex)
+    # the picked column a_j as a strided vector, as greedy_search's a[:, j]
+    # is: BLAS takes another gemv path for unit stride, which rounds R apart
+    a_col = np.zeros((n, k, 2), dtype=complex)
+    r_fact = np.zeros((n, t_max, t_max), dtype=complex)
+    qty = np.zeros((n, t_max), dtype=complex)
+    chosen = np.zeros((n, t_max), dtype=int)
+    nus = np.zeros((n, t_max))
+    residuals = np.zeros((n, t_max))
+    available = np.ones((n, length), dtype=bool)
+    lengths = np.zeros(n, dtype=int)
+    stopped = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+
+    for stage in range(t_max):
+        b2 = np.einsum("bij,bij->bj", b.conj(), b).real
+        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
+        stopped |= ~valid.any(axis=1)
+        lengths += ~stopped
+        skipped |= ~stopped & (available & ~valid).any(axis=1)
+        bhr = (b.conj().transpose(0, 2, 1) @ r[..., None])[..., 0]
+        drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
+        nu_cand = np.where(
+            valid,
+            -(res2[:, None] - drop) / two_nv[:, None] + prior_term[:, None] + gain,
+            -np.inf,
+        )
+        j = np.argmax(nu_cand, axis=1)  # first max = smallest tap index on ties
+
+        # a stopped row carries finite filler, replaced by padding at the end
+        norm = np.sqrt(np.where(stopped, 1.0, b2[rows, j]))
+        q = b[rows, :, j] / norm[:, None]
+        a_col[:, :, 0] = a.T[j]
+        r_fact[:, :stage, stage] = (
+            q_basis[:, :, :stage].conj().transpose(0, 2, 1) @ a_col[:, :, :1]
+        )[..., 0]
+        r_fact[:, stage, stage] = norm
+        q_basis[:, :, stage] = q
+        qty[:, stage] = _stacked_vdot(q, r)
+
+        r = r - q * qty[:, stage, None]
+        res2 = np.maximum(res2 - drop[rows, j], 0.0)
+        prior_term = prior_term + gain[rows, j]
+        nus[:, stage] = -res2 / two_nv + prior_term
+        residuals[:, stage] = res2
+        b = b - q[:, :, None] * (q.conj()[:, None, :] @ b)
+        available[rows, j] = False
+        chosen[:, stage] = j
+
+    return _finish_chains(chosen, nus, residuals, r_fact, qty, noise_vars, lengths,
+                          skipped, length)
+
+
+def _stacked_vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each row pair of two (B, K) stacks, as (B,) 1 x 1
+    products, which round as ``np.vdot`` does."""
+    return (x.conj()[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _finish_chains(chosen, nus, residuals, r_fact, qty, noise_vars, lengths, skipped,
+                   length) -> ChainStack:
+    """The stage loops' common tail: pad each row past its length (see
+    ``ChainStack``), normalize its posteriors over its own chain, invert R
+    and combine the taps."""
+    n, t_max = chosen.shape
     pad = np.arange(t_max) >= lengths[:, None]
     for array, fill in ((chosen, 0), (nus, -np.inf), (qty, 0.0)):
         np.copyto(array, fill, where=pad)
     np.copyto(r_fact, np.eye(t_max), where=pad[:, None, :])
-    posteriors, underflow = _normalize_log_posteriors(nus)
-    np.copyto(posteriors, 0.0, where=pad)  # a failed row fell back to uniform
+    # per chain length, so each row sums exactly the terms a one-vector call
+    # sums (trailing zeros would regroup numpy's pairwise sum from 8 terms)
+    posteriors = np.zeros((n, t_max))
+    underflow = np.zeros(n, dtype=bool)
+    for s in set(lengths.tolist()) - {0}:
+        group = lengths == s
+        posteriors[group, :s], underflow[group] = _normalize_log_posteriors(nus[group, :s])
     r_inv = np.linalg.inv(r_fact)
     stack = ChainStack(
         chosen=chosen, nus=nus, residuals=residuals, posteriors=posteriors,
         r_factors=r_fact, r_inverses=r_inv, qty=qty,
         taps=np.zeros((n, length), dtype=complex), noise_vars=noise_vars,
-        lengths=lengths, skipped=skipped, underflow=underflow & (lengths > 0),
+        lengths=lengths, skipped=skipped, underflow=underflow,
     )
     # sum_s p_s (R_s^-1 Q_s^H y) zero-padded = R^-1 (tail weights * Q^H y)
     coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]

@@ -1,9 +1,12 @@
-"""Batched Gram-domain solver against the per-antenna reference paths.
+"""Stacked solvers against the per-antenna reference paths.
 
 ``greedy_search``, ``compute_marginals(reuse=False)`` and the L x L
-covariance sum are the oracles.  The Gram recursion sums in a different
-order than the orthogonalized-column recursion, so values are compared to
-a relative tolerance and chosen supports exactly.  Chains that stop early
+covariance sum are the oracles.  The Gram recursion of
+``greedy_search_batch`` sums in a different order than the
+orthogonalized-column recursion, so its values are compared to a relative
+tolerance and chosen supports exactly.  ``greedy_search_stack`` runs the
+orthogonalized-column recursion itself and must equal ``greedy_search`` bit
+for bit in everything but the combined taps.  Chains that stop early
 (rank-deficient rows) are compared on their prefix; the padding past it
 must read as zeros.
 """
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridce.errors import IllConditionedSupportError
+from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.posterior import (
     compute_marginals,
@@ -22,7 +25,12 @@ from gridce.posterior import (
     lattice_marginals,
 )
 from gridce.sharing import _search_grid
-from gridce.solver import BernoulliPrior, ChainStack, greedy_search, greedy_search_batch
+from gridce.solver import (
+    BernoulliPrior,
+    greedy_search,
+    greedy_search_batch,
+    greedy_search_stack,
+)
 
 from test_posterior import full_covariance_oracle
 
@@ -140,6 +148,109 @@ def assert_padding(stack):
         np.testing.assert_array_equal(factor[columns], eye[columns])
 
 
+def assert_chain_factors_equal(stack, row, want):
+    """R and Q^H y of a stack row bit for bit, through what greedy_search
+    computes from its own: each stage's conditional mean
+    solve(R_s, (Q^H y)_s) and (A_S^H A_S)^-1 = R_s^-1 R_s^-H."""
+    stages = zip(want.cond_means, want.gram_inverses)
+    for s, (mean, gram_inverse) in enumerate(stages, start=1):
+        rr = stack.r_factors[row, :s, :s]
+        np.testing.assert_array_equal(np.linalg.solve(rr, stack.qty[row, :s]), mean)
+        rinv = np.linalg.inv(rr)
+        np.testing.assert_array_equal(rinv @ rinv.conj().T, gram_inverse)
+
+
+def assert_row_equals_greedy_search(stack, row, want):
+    """A ``greedy_search_stack`` row against greedy_search's estimate (None
+    where it raised): bit for bit, and the combined taps, which the stack
+    combines through R^-1, within ``REL``."""
+    if want is None:
+        assert stack.lengths[row] == 0 and not stack.taps[row].any()
+        return
+    n = len(want.supports)
+    assert stack.lengths[row] == n
+    np.testing.assert_array_equal(stack.chosen[row, :n], want.detected_taps)
+    for name in ("nus", "residuals", "posteriors"):
+        np.testing.assert_array_equal(getattr(stack, name)[row, :n], getattr(want, name))
+    assert stack.skipped[row] == want.diagnostics["skipped_candidates"]
+    assert stack.underflow[row] == want.diagnostics["posterior_underflow"]
+    assert_chain_factors_equal(stack, row, want)
+    assert_rel(stack.taps[row], want.h_ammse)
+
+
+@st.composite
+def shared_row_systems(draw):
+    """B observation vectors on one K x L system: duplicated and zero
+    columns, rows of rank below K (chains stop early), a zero observation
+    (no usable column), uniform or per-tap priors, and t_max == K (the
+    rank-filling tie) half the time."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 16))
+    length = draw(st.integers(k, 128))
+    n = draw(st.sampled_from([1, 7, 64]))
+    t_max = draw(st.sampled_from([k, draw(st.integers(1, k))]))
+    duplicates = draw(st.integers(0, 3))
+    zero_columns = draw(st.integers(0, 3))
+    rank = draw(st.none() | st.integers(1, k - 1)) if k > 1 else None
+    zero_y = draw(st.booleans())
+    uniform = draw(st.booleans())
+    rng = make_rng(seed)
+    a = random_rows(rng, k, length, duplicates, rank)
+    a[:, rng.choice(length, size=min(zero_columns, length), replace=False)] = 0
+    h = np.zeros((length, n), complex)
+    for col in range(n):
+        taps = rng.choice(length, size=min(3, length), replace=False)
+        h[taps, col] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
+    noise_vars = 10 ** rng.uniform(-4, 0, size=n)
+    noise = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    ys = (a @ h).T + np.sqrt(noise_vars / 2)[:, None] * noise
+    if zero_y:
+        ys[0] = 0
+    lambdas = (np.full((n, length), min(3 / length, 0.5)) if uniform
+               else rng.uniform(0.01, 0.5, size=(n, length)))
+    return a, ys, lambdas, noise_vars, t_max
+
+
+@PROPERTY
+@given(shared_row_systems())
+def test_stack_matches_greedy_search(case):
+    a, ys, lambdas, noise_vars, t_max = case
+    stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
+    assert_padding(stack)
+    for row in range(ys.shape[0]):
+        want = reference(a, ys[row], lambdas[row], noise_vars[row], t_max)
+        assert_row_equals_greedy_search(stack, row, want)
+
+
+def test_stack_settles_rank_filling_tie_as_greedy_search():
+    """200 pilot systems with t_max == K = 6 and a uniform prior (L = 64,
+    seeds 0-199): every last-stage candidate leaves a zero residual, so
+    rounding picks, and some picks are not the smallest free index.  Each
+    stack row still equals greedy_search."""
+    off_index = 0
+    for seed in range(200):
+        rng = make_rng(seed)
+        a = random_rows(rng, 6, 64, 0)
+        y = rng.normal(size=6) + 1j * rng.normal(size=6)
+        lambdas = np.full(64, 3 / 64)
+        stack = greedy_search_stack(a, y[None], lambdas[None], np.array([0.05]), 6)
+        want = greedy_search(a, y, BernoulliPrior(lambdas), 0.05, 6)
+        assert_row_equals_greedy_search(stack, 0, want)
+        free = np.setdiff1d(np.arange(64), want.detected_taps[:5])
+        off_index += want.detected_taps[5] != free[0]
+    assert off_index > 0
+
+
+@pytest.mark.parametrize("noise_var, t_max", [(0.0, 2), (np.nan, 2), (0.1, 0), (0.1, 5)])
+def test_stack_rejects_bad_noise_or_depth(noise_var, t_max):
+    """A nonpositive or NaN noise variance on any row, or t_max outside
+    [1, min(K, L)] (K = 4 rows here), as ``greedy_search_batch`` rejects."""
+    a = random_rows(make_rng(3), 4, 8, 0)
+    with pytest.raises(ConfigurationError):
+        greedy_search_stack(a, np.ones((2, 4), complex), np.full((2, 8), 0.2),
+                            np.array([0.1, noise_var]), t_max)
+
+
 @PROPERTY
 @given(antenna_systems())
 def test_batch_matches_greedy_search(case):
@@ -250,8 +361,7 @@ def short_chain_system():
 
 def test_short_chain_matches_greedy_search():
     """A chain that stops after two of three stages is a stack row of
-    length 2 equal to greedy_search's estimate, and the converter turns
-    that estimate into the same row; an all-zero system fails."""
+    length 2 equal to greedy_search's estimate; an all-zero system fails."""
     a, y = short_chain_system()
     zero = np.zeros_like(a)
     gram = np.stack([a.conj().T @ a, zero.conj().T @ zero])
@@ -271,21 +381,12 @@ def test_short_chain_matches_greedy_search():
     assert not covariances[0, 2].any() and not covariances[1].any()
     assert not stack.taps[1].any()
 
-    converted = ChainStack.from_estimates([est, None], 3, 6, np.array([0.1, 0.1]))
-    assert_padding(converted)
-    np.testing.assert_array_equal(converted.lengths, stack.lengths)
-    np.testing.assert_array_equal(converted.chosen, stack.chosen)
-    np.testing.assert_array_equal(converted.taps[0], est.h_ammse)  # kept, not recombined
-    assert_rel(converted.r_factors, stack.r_factors)
-    assert_rel(converted.qty, stack.qty)
-    assert_rel(error_covariances(converted), covariances)
-
 
 @pytest.mark.parametrize("k, t_max", [(6, 6), (6, 3)])
 def test_grid_search_routing(k, t_max):
-    """Chains that fill every pilot row come from greedy_search, through
-    the converter with their taps kept bit for bit; shorter ones are
-    batched.  Either way one stack holds every antenna."""
+    """Chains that fill every pilot row run greedy_search's recursion and
+    equal it bit for bit up to the combined taps; shorter ones are batched.
+    Either way one stack holds every antenna."""
     rng = make_rng(7)
     a = random_rows(rng, k, 16, 0)
     ys = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
@@ -295,8 +396,8 @@ def test_grid_search_routing(k, t_max):
     np.testing.assert_array_equal(stack.lengths, np.full(5, t_max))
     for i in range(5):
         want = greedy_search(a, ys[i], BernoulliPrior(lambdas[i]), 0.05, t_max)
-        np.testing.assert_array_equal(stack.chosen[i], want.detected_taps)
         if t_max == k:
-            np.testing.assert_array_equal(stack.taps[i], want.h_ammse)
+            assert_row_equals_greedy_search(stack, i, want)
         else:
+            np.testing.assert_array_equal(stack.chosen[i], want.detected_taps)
             assert_rel(stack.taps[i], want.h_ammse)

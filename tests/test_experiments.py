@@ -81,6 +81,13 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        """Random streams are seeded from (seed, point, trial, stream), which
+        numpy accepts only as non-negative integers."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            small_spec(seed=seed)
+
     def test_oracle_ls_with_fewer_pilots_than_taps_rejected(self):
         """oracle-LS solves on the true support, so every K must reach the
         sparsity; the same sweep without oracle-LS stays valid."""
@@ -500,6 +507,11 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "n_reliable" in out.stderr
+
+    def test_negative_seed_exit_code(self):
+        out = self.run_cli("estimate", "--seed", "-1")
+        assert out.returncode == 2
+        assert "seed" in out.stderr and "Traceback" not in out.stderr
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -17,6 +17,9 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 #: sites whose entry point the package no longer calls, so their spans read 0
 #: until a benchmark change re-points them (ROADMAP items 2 and 3), by reason:
 KNOWN_MISSING = [
+    # chains that fill every pilot row run in ``greedy_search_stack``, so
+    # the grid runners no longer call ``greedy_search``
+    "gridce.sharing.greedy_search",
     # every pass takes its lattice from ``lattice_marginals`` on the stack
     "gridce.sharing.compute_marginals",
     # every pass takes its covariances from ``error_covariances`` on the stack
