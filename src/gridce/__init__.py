@@ -10,7 +10,6 @@ from .channels import (
     classify_array,
     generate_channels,
     lower_bound_D,
-    neighbors,
     recommended_D,
 )
 from .data_aided import (

@@ -86,23 +86,6 @@ class ChannelRealization:
         return np.flatnonzero(self.support[r, c])
 
 
-def neighbors(grid: AntennaGrid, antenna) -> list:
-    """In-grid 4-neighborhood (up, down, left, right) of an antenna."""
-    r, c = antenna
-    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-        raise IndexError(f"antenna {antenna} outside {grid.rows}x{grid.cols} grid")
-    out = []
-    if r > 0:
-        out.append((r - 1, c))
-    if r < grid.rows - 1:
-        out.append((r + 1, c))
-    if c > 0:
-        out.append((r, c - 1))
-    if c < grid.cols - 1:
-        out.append((r, c + 1))
-    return out
-
-
 def classify_array(grid: AntennaGrid) -> ArrayClass:
     """SIA when the farthest antennas cannot resolve distinct delays.
 

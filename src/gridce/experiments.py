@@ -14,6 +14,7 @@ sigma_w^2 = n / (N * snr_linear) analytically.
 import dataclasses
 import json
 import logging
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,6 @@ from .channels import (
     AntennaGrid,
     ArrayKind,
     generate_channels,
-    neighbors,
 )
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
@@ -43,8 +43,13 @@ from .ofdm import (
 )
 from .data_aided import ANTENNA_CHUNK, run_data_aided
 from .qam import build_qam_alphabet
-from .sharing import GridSolverConfig, run_integer_based, run_marginal_based
-from .solver import blue_estimate
+from .sharing import (
+    GridSolverConfig,
+    run_integer_based,
+    run_marginal_based,
+    stencil_gather,
+)
+from .solver import check_conditioning
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +62,11 @@ SUCCESS_RATIO = 0.1
 NMSE_FLOOR = 1e-30
 
 SNR_DEFINITION = "SNR = E||A h||^2 / (N sigma_w^2); sigma_w^2 = n / (N * snr_linear)"
+
+
+def _is_number(value, kind=numbers.Integral) -> bool:
+    """Whether ``value`` is a ``kind`` (numpy scalars included); bools are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,11 +97,25 @@ class ExperimentSpec:
         """Reject configurations that would otherwise fail inside a trial."""
         if not self.n_pilots or not self.snr_db or not self.depth:
             raise ConfigurationError("sweep axes must be nonempty")
+        for name in ("grid_rows", "grid_cols", "n_carriers", "channel_len", "sparsity",
+                     "qam_order", "trials", "workers", "seed"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigurationError(f"{name}={value!r} must be an integer")
+        if self.n_reliable is not None and not _is_number(self.n_reliable):
+            raise ConfigurationError(f"n_reliable={self.n_reliable!r} must be an integer")
+        for name in ("n_pilots", "depth"):
+            if not all(_is_number(v) for v in getattr(self, name)):
+                raise ConfigurationError(f"{name} {getattr(self, name)} must hold integers")
+        if not all(_is_number(v, numbers.Real) and np.isfinite(v) for v in self.snr_db):
+            raise ConfigurationError(f"snr_db {self.snr_db} must hold finite numbers")
+        for name in ("grid_rows", "grid_cols"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigurationError(f"seed={seed!r} must be a non-negative integer")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed={self.seed!r} must be a non-negative integer")
         if self.mode not in ("SIA", "SVA"):
             raise ConfigurationError(f"mode must be SIA or SVA, got {self.mode!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -231,20 +255,36 @@ def experiment_presets(experiment: int, **overrides) -> list:
 # ---------------------------------------------------------------------------
 # benchmarks
 
-def oracle_ls_estimate(sensing_rows: np.ndarray, y: np.ndarray,
-                       true_support: np.ndarray) -> np.ndarray:
-    """Least squares on the known true support, zero elsewhere."""
-    sensing_rows = np.asarray(sensing_rows)
-    support = np.asarray(true_support, dtype=int)
-    h = np.zeros(sensing_rows.shape[1], dtype=complex)
-    h[support] = blue_estimate(sensing_rows[:, support], y)
-    return h
+def oracle_ls_estimate(sensing_rows: np.ndarray, observations: np.ndarray,
+                       supports: np.ndarray) -> np.ndarray:
+    """Least squares on known supports, zero elsewhere, for a stack of antennas.
+
+    (..., K) observations and (..., S) support slots give (..., L) taps.
+    Every antenna's S x S normal equations are gathered from the shared
+    Gram A^H A and solved as one batch.  Raises IllConditionedSupportError
+    when S > K or when any antenna's A_S is numerically collinear (one
+    batched SVD).
+    """
+    a = np.asarray(sensing_rows)
+    n_obs, length = a.shape
+    slots = np.asarray(supports, dtype=int)
+    lead = slots.shape[:-1]
+    slots = slots.reshape(-1, slots.shape[-1])
+    check_conditioning(np.moveaxis(a[:, slots], 0, 1))
+    gram = a.conj().T @ a
+    corr = np.asarray(observations).reshape(-1, n_obs) @ a.conj()
+    coef = np.linalg.solve(gram[slots[:, :, None], slots[:, None, :]],
+                           np.take_along_axis(corr, slots, axis=1)[..., None])
+    taps = np.zeros((slots.shape[0], length), dtype=complex)
+    np.put_along_axis(taps, slots, coef[..., 0], axis=1)
+    return taps.reshape(lead + (length,))
 
 
 def somp_baseline(grid: AntennaGrid, observations: np.ndarray,
                   sensing_rows: np.ndarray, n_taps: int,
                   mode: ArrayKind = ArrayKind.SIA) -> np.ndarray:
-    """Simultaneous OMP over each antenna's neighborhood observations.
+    """Simultaneous OMP (Tropp, Gilbert & Strauss 2006) over each antenna's
+    neighborhood observations, for the whole grid at once.
 
     Assumes a common support inside the neighborhood (SIA); every member's
     pilot observations vote on the next tap, and the center's coefficients
@@ -253,26 +293,49 @@ def somp_baseline(grid: AntennaGrid, observations: np.ndarray,
     if mode == ArrayKind.SVA:
         warnings.warn("SOMP assumes a shared support; SVA violates that",
                       stacklevel=2)
+    support, coef = somp_stack(observations, sensing_rows, n_taps)
+    taps = np.zeros((grid.rows, grid.cols, np.shape(sensing_rows)[1]), dtype=complex)
+    np.put_along_axis(taps, support, coef, axis=2)
+    return taps
+
+
+def somp_stack(observations: np.ndarray, sensing_rows: np.ndarray,
+               n_taps: int) -> tuple:
+    """SOMP picks and center coefficients of every antenna of an (M, G, K)
+    grid: (M, G, s) taps in pick order and their (M, G, s) coefficients,
+    s = min(n_taps, K).
+
+    Runs in the Gram domain: with C = A^H y per member and G = A^H A, a
+    stage scores tap j by sqrt(sum_members |C - G[:, S] coef|^2) / ||a_j||.
+    The members are the stencil offsets (``stencil_gather``); a member
+    outside the grid is a zero row, which adds nothing.  Picked taps score
+    -1, and ``argmax`` takes the first maximum, so a tie goes to the
+    smallest tap index.  coef then solves G_SS coef = C_S for every center
+    and member in one batch.
+    """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     n_obs, length = a.shape
     col_norm = np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
-    taps = np.zeros((grid.rows, grid.cols, length), dtype=complex)
-    for r, c in grid.antennas():
-        members = [(r, c)] + neighbors(grid, (r, c))
-        ys = np.ascontiguousarray(
-            np.stack([observations[mr, mc] for mr, mc in members], axis=1)
+    gram = a.conj().T @ a
+    members = stencil_gather(np.asarray(observations) @ a.conj())
+    grid_shape = members.shape[:2]
+    members = members.reshape(-1, members.shape[2], length)   # (B, 5, L)
+    centers = np.arange(members.shape[0])[:, None]
+    support = np.empty((members.shape[0], 0), dtype=int)
+    coef = np.empty((members.shape[0], 0, members.shape[1]), dtype=complex)
+    corr = members
+    for _ in range(min(n_taps, n_obs)):
+        score = np.sqrt((np.abs(corr) ** 2).sum(axis=1)) / col_norm
+        score[centers, support] = -1.0
+        support = np.concatenate([support, score.argmax(axis=1)[:, None]], axis=1)
+        coef = np.linalg.solve(
+            gram[support[:, :, None], support[:, None, :]],
+            np.take_along_axis(members, support[:, None, :], axis=2).transpose(0, 2, 1),
         )
-        residual = ys.copy()
-        selected: list[int] = []
-        for _ in range(min(n_taps, n_obs)):
-            corr = a.conj().T @ residual
-            score = np.sqrt((np.abs(corr) ** 2).sum(axis=1)) / col_norm
-            score[selected] = -1.0
-            selected.append(int(np.argmax(score)))
-            coef, *_ = np.linalg.lstsq(a[:, selected], ys, rcond=None)
-            residual = ys - a[:, selected] @ coef
-        taps[r, c, selected] = coef[:, 0]
-    return taps
+        corr = members - coef.transpose(0, 2, 1) @ gram[support].conj()
+    size = support.shape[1]
+    return (support.reshape(grid_shape + (size,)),
+            coef[:, :, 0].reshape(grid_shape + (size,)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +555,12 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
                 results[aided_name] = (ratio, errors, total, 0.0)
 
     if "oracle-LS" in wanted:
-        def oracle():
-            taps = np.zeros_like(scene.channels.taps)
-            a = scene.sensing_pilot.rows
-            for r, c in scene.grid.antennas():
-                taps[r, c] = oracle_ls_estimate(
-                    a, y_pilot[r, c], scene.channels.support_set((r, c))
-                )
-            return taps, None
-        record("oracle-LS", oracle)
+        support = scene.channels.support
+        slots = np.nonzero(support)[-1].reshape(
+            support.shape[:-1] + (scene.channels.sparsity,))
+        record("oracle-LS", lambda: (
+            oracle_ls_estimate(scene.sensing_pilot.rows, y_pilot, slots), None,
+        ))
 
     if "SOMP" in wanted:
         record("SOMP", lambda: (

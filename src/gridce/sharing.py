@@ -100,14 +100,34 @@ class GridEstimate:
 # ---------------------------------------------------------------------------
 # neighborhood stencils (self + in-grid 4-neighbors)
 
+#: (receiving antennas, their neighbor) slices of the grid axes, one pair per
+#: stencil offset in the order up, down, left, right
+_NEIGHBOR_SLICES = (
+    (np.s_[1:], np.s_[:-1]),
+    (np.s_[:-1], np.s_[1:]),
+    (np.s_[:, 1:], np.s_[:, :-1]),
+    (np.s_[:, :-1], np.s_[:, 1:]),
+)
+
+
 def stencil_reduce(x: np.ndarray, op) -> np.ndarray:
     """Fold each antenna's neighborhood with the binary ufunc ``op`` over
     the grid axes (the first two); trailing axes are carried along."""
     out = x.copy()
-    op(out[1:], x[:-1], out=out[1:])
-    op(out[:-1], x[1:], out=out[:-1])
-    op(out[:, 1:], x[:, :-1], out=out[:, 1:])
-    op(out[:, :-1], x[:, 1:], out=out[:, :-1])
+    for dst, src in _NEIGHBOR_SLICES:
+        op(out[dst], x[src], out=out[dst])
+    return out
+
+
+def stencil_gather(x: np.ndarray) -> np.ndarray:
+    """Each antenna's neighborhood members stacked on a new third axis in
+    the order self, up, down, left, right: (M, G, ...) -> (M, G, 5, ...).
+    A member outside the grid is a zero row."""
+    out = np.zeros(x.shape[:2] + (1 + len(_NEIGHBOR_SLICES),) + x.shape[2:],
+                   dtype=x.dtype)
+    out[:, :, 0] = x
+    for member, (dst, src) in enumerate(_NEIGHBOR_SLICES, start=1):
+        out[dst][:, :, member] = x[src]
     return out
 
 

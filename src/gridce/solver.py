@@ -144,20 +144,26 @@ def init_params(sensing_rows: np.ndarray, y: np.ndarray,
     )
 
 
-def _check_conditioning(a_s: np.ndarray):
-    if a_s.shape[1] > a_s.shape[0]:
+def check_conditioning(a_s: np.ndarray):
+    """Raise IllConditionedSupportError unless every (K, S) matrix of the
+    stack ``a_s`` (..., K, S) has S <= K well-conditioned columns."""
+    n_obs, size = a_s.shape[-2:]
+    if size > n_obs:
         raise IllConditionedSupportError(
-            f"support size {a_s.shape[1]} exceeds observation count {a_s.shape[0]}"
+            f"support size {size} exceeds observation count {n_obs}"
         )
     sv = np.linalg.svd(a_s, compute_uv=False)
-    if sv[-1] == 0.0 or (sv[0] / sv[-1]) ** 2 > 1.0 / COLLINEARITY_TOL**2:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (sv[..., -1] == 0.0) | (
+            (sv[..., 0] / sv[..., -1]) ** 2 > 1.0 / COLLINEARITY_TOL**2)
+    if bad.any():
         raise IllConditionedSupportError("sensing columns numerically rank deficient")
 
 
 def blue_estimate(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least squares on a fixed support: (A_S^H A_S)^-1 A_S^H y."""
     a_s = np.atleast_2d(np.asarray(a_s))
-    _check_conditioning(a_s)
+    check_conditioning(a_s)
     coef, *_ = np.linalg.lstsq(a_s, np.asarray(y), rcond=None)
     return coef
 
@@ -182,7 +188,7 @@ def support_metric(support, y, sensing_rows, prior: BernoulliPrior,
         residual2 = float(np.vdot(y, y).real)
     else:
         a_s = np.asarray(sensing_rows)[:, support]
-        _check_conditioning(a_s)
+        check_conditioning(a_s)
         q, _ = np.linalg.qr(a_s)
         proj = q @ (q.conj().T @ y)
         residual2 = float(np.vdot(y - proj, y - proj).real)

@@ -11,12 +11,12 @@ from gridce.channels import (
     classify_array,
     generate_channels,
     lower_bound_D,
-    neighbors,
     recommended_D,
     tier_population,
 )
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
+from oracles import neighbors
 
 
 class TestNeighbors:

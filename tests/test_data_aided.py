@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels, neighbors
+from gridce.channels import AntennaGrid, ArrayKind, generate_channels
 from gridce.data_aided import (
     MIN_RELIABLE,
     RELIABILITY_CAP,
@@ -48,7 +48,7 @@ from gridce.posterior import ErrorCovariance, error_covariance, error_covariance
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
 from gridce.solver import BernoulliPrior, greedy_search, greedy_search_batch
-from oracles import nearest_indices_oracle, sq_distances_oracle
+from oracles import nearest_indices_oracle, neighbors, sq_distances_oracle
 
 QAM4 = build_qam_alphabet(4)
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridce.channels import AntennaGrid, ArrayKind, channels_from_csv, generate_channels
 from gridce.data_aided import ANTENNA_CHUNK
@@ -27,10 +29,12 @@ from gridce.experiments import (
     oracle_ls_estimate,
     run_experiment,
     somp_baseline,
+    somp_stack,
     synthesize_scene,
 )
-from gridce.ofdm import equalize_and_slice, freq_response, make_rng
+from gridce.ofdm import equalize_and_slice, freq_response, make_rng, truncated_dft
 from gridce.solver import IllConditionedSupportError
+from oracles import neighbors, oracle_ls_loop_oracle, somp_loop_oracle
 
 
 def small_spec(**kw):
@@ -80,6 +84,39 @@ class TestSpec:
         """One out-of-range value per field fails before any trial runs."""
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_rows", 0),
+        ("grid_cols", -2),
+        ("grid_rows", 2.5),
+        ("grid_cols", True),
+        ("n_carriers", 64.0),
+        ("channel_len", 16.5),
+        ("sparsity", 2.0),
+        ("qam_order", 4.0),
+        ("trials", 1.5),
+        ("workers", 1.0),
+        ("n_reliable", 20.5),
+        ("n_pilots", (16.5,)),
+        ("n_pilots", (10, True)),
+        ("depth", (1.5,)),
+        ("snr_db", (float("nan"),)),
+        ("snr_db", (10.0, float("inf"))),
+        ("snr_db", ("10",)),
+    ])
+    def test_malformed_value_rejected_at_construction(self, field, value):
+        """Sizes, counts and sweep entries must be integers (numpy integers
+        allowed, bools not), the grid at least 1x1, and every SNR finite;
+        otherwise the spec fails before a trial or a ``range(trials)``
+        would."""
+        with pytest.raises(ConfigurationError, match=field):
+            small_spec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = small_spec(grid_rows=np.int64(2), trials=np.int32(2),
+                          n_pilots=(np.int64(10),), depth=(np.int16(1),),
+                          snr_db=(np.float32(15.0), 20))
+        assert spec.grid().n_antennas == 2 * 3
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):
@@ -139,6 +176,8 @@ class TestOracle:
         np.testing.assert_allclose(h, scene.channels.taps[0, 0], atol=1e-5)
 
     def test_equals_blue_on_true_support(self):
+        """The Gram-domain solve equals the SVD-based ``blue_estimate`` to
+        rounding (normal equations, so not bit for bit)."""
         from gridce.solver import blue_estimate
 
         spec = small_spec()
@@ -146,9 +185,24 @@ class TestOracle:
         y = scene.observations[1, 1, scene.frame.pilot_indices]
         support = scene.channels.support_set((1, 1))
         h = oracle_ls_estimate(scene.sensing_pilot.rows, y, support)
-        np.testing.assert_array_equal(
-            h[support], blue_estimate(scene.sensing_pilot.rows[:, support], y)
+        np.testing.assert_allclose(
+            h[support], blue_estimate(scene.sensing_pilot.rows[:, support], y),
+            rtol=1e-12, atol=0,
         )
+
+    def test_grid_stack_equals_loop_oracle(self):
+        """(M, G, K) observations with (M, G, S) supports: one batch equals
+        the per-antenna loop."""
+        spec = small_spec(mode="SVA", drift=0.8)
+        scene = synthesize_scene(spec, 10, 15.0, 0, 0)
+        y = scene.observations[..., scene.frame.pilot_indices]
+        slots = np.stack([[scene.channels.support_set((r, c)) for c in range(3)]
+                          for r in range(3)])
+        assert len({tuple(s) for s in slots.reshape(-1, 2)}) > 1  # supports drift
+        got = oracle_ls_estimate(scene.sensing_pilot.rows, y, slots)
+        ref = oracle_ls_loop_oracle(scene.sensing_pilot.rows, y, slots)
+        assert got.shape == (3, 3, 16)
+        assert_taps_close(got, ref, scene.sensing_pilot.rows, slots)
 
     def test_oversized_support_rejected(self):
         rng = make_rng(0)
@@ -270,6 +324,165 @@ class TestSomp:
         y = np.zeros((2, 2, 6), complex)
         with pytest.warns(UserWarning):
             somp_baseline(grid, y, a, 2, mode=ArrayKind.SVA)
+
+
+def assert_taps_close(got, ref, sensing_rows, supports):
+    """Per antenna ||got - ref|| <= tol ||ref||: tol = 1e-12 while A_S is
+    well conditioned.  The Gram-domain solve loses accuracy as cond(A_S)^2,
+    so past cond(A_S) = 10 the bound grows as 1e-14 cond(A_S)^2."""
+    a = np.asarray(sensing_rows)
+    got = got.reshape(-1, got.shape[-1])
+    ref = ref.reshape(got.shape)
+    supports = np.asarray(supports).reshape(got.shape[0], -1)
+    for g, r, support in zip(got, ref, supports):
+        tol = 1e-12 * max(1.0, (np.linalg.cond(a[:, support]) / 10.0) ** 2)
+        assert np.linalg.norm(g - r) <= tol * np.linalg.norm(r)
+
+
+def member_observations(grid, observations, antenna):
+    """(K, members) observations of an antenna and its in-grid neighbors."""
+    members = [antenna] + neighbors(grid, antenna)
+    return np.stack([observations[m] for m in members], axis=1)
+
+
+def somp_scores(sensing_rows, ys, selected):
+    """The loop's stage score of every tap after the picks ``selected``."""
+    a = sensing_rows
+    residual = ys
+    if selected:
+        coef, *_ = np.linalg.lstsq(a[:, selected], ys, rcond=None)
+        residual = ys - a[:, selected] @ coef
+    corr = a.conj().T @ residual
+    return np.sqrt((np.abs(corr) ** 2).sum(axis=1)) / np.linalg.norm(a, axis=0)
+
+
+BASELINES = settings(max_examples=150, deadline=None, derandomize=True)
+
+#: 1x1, 1xN, Nx1 and non-square grids (and one square)
+GRID_SHAPES = [(1, 1), (1, 6), (6, 1), (3, 5), (4, 4)]
+
+
+@st.composite
+def baseline_cases(draw):
+    """(grid, sensing rows A, (M, G, K) observations, n_taps, pilot_rows).
+    A is random Gaussian or pilot rows diag(s) F_L; observations are
+    Gaussian or all zero; n_taps runs up to K + 2."""
+    rows, cols = draw(st.sampled_from(GRID_SHAPES))
+    n_obs = draw(st.integers(1, 10))
+    length = draw(st.integers(n_obs, 24))
+    rng = make_rng(draw(st.integers(0, 2**31)))
+    pilot_rows = draw(st.booleans())
+    if pilot_rows:
+        n_carriers = 4 * length
+        pilots = np.sort(rng.choice(n_carriers, size=n_obs, replace=False))
+        symbols = np.exp(0.5j * np.pi * rng.integers(4, size=n_obs))
+        a = symbols[:, None] * truncated_dft(n_carriers, length)[pilots]
+    else:
+        a = (rng.normal(size=(n_obs, length))
+             + 1j * rng.normal(size=(n_obs, length))) / np.sqrt(2)
+    y = rng.normal(size=(rows, cols, n_obs)) + 1j * rng.normal(size=(rows, cols, n_obs))
+    if draw(st.booleans()):
+        y[:] = 0
+    n_taps = draw(st.integers(1, n_obs + 2))
+    return AntennaGrid(rows=rows, cols=cols), a, y, n_taps, pilot_rows
+
+
+DESK10 = dict(grid_rows=10, grid_cols=10, n_carriers=512, channel_len=64, sparsity=3,
+              qam_order=4, n_pilots=(16,), snr_db=(10.0,), depth=(3,), trials=1,
+              algorithms=("oracle-LS", "SOMP"))
+
+
+class TestBatchedBaselines:
+    """The grid-batched SOMP and oracle-LS against their per-antenna loops
+    (``somp_loop_oracle``, ``oracle_ls_loop_oracle``).  SOMP pick lists are
+    compared in pick order, since zero observations give zero taps."""
+
+    @BASELINES
+    @given(case=baseline_cases())
+    def test_somp_equals_loop_oracle(self, case):
+        """Equal pick lists and taps.  The one allowed difference is an exact
+        tie, which rounding decides: partial-DFT rows can hold collinear
+        (aliased) columns, and once the picks fill all K pilot rows,
+        mirror-image taps correlate equally with the 1-D residual space.
+        There the first differing picks must score equal in the loop, and
+        both estimates must give the same fit A h."""
+        grid, a, y, n_taps, pilot_rows = case
+        ref, picks = somp_loop_oracle(grid, y, a, n_taps)
+        support, coef = somp_stack(y, a, n_taps)
+        got = somp_baseline(grid, y, a, n_taps)
+        assert support.shape == coef.shape == (grid.rows, grid.cols, min(n_taps, a.shape[0]))
+        for r, c in grid.antennas():
+            batch, loop = support[r, c].tolist(), picks[r][c]
+            if batch == loop:
+                assert_taps_close(got[r, c], ref[r, c], a, loop)
+                continue
+            assert pilot_rows
+            stage = next(i for i, (p, q) in enumerate(zip(batch, loop)) if p != q)
+            scores = somp_scores(a, member_observations(grid, y, (r, c)), loop[:stage])
+            assert scores[batch[stage]] == pytest.approx(scores[loop[stage]], rel=1e-12)
+            np.testing.assert_allclose(a @ got[r, c], a @ ref[r, c],
+                                       atol=1e-9 * np.linalg.norm(y[r, c]))
+
+    @BASELINES
+    @given(case=baseline_cases(), size=st.integers(1, 10), seed=st.integers(0, 2**31))
+    def test_oracle_ls_equals_loop_oracle(self, case, size, seed):
+        """Random per-antenna supports of one size S <= K: the one batch
+        raises where the loop raises, and agrees with it elsewhere."""
+        grid, a, y, _, _ = case
+        n_obs, length = a.shape
+        size = min(size, n_obs)
+        order = make_rng(seed).permuted(
+            np.broadcast_to(np.arange(length), (grid.rows, grid.cols, length)), axis=-1)
+        slots = np.sort(order[..., :size], axis=-1)
+        try:
+            ref = oracle_ls_loop_oracle(a, y, slots)
+        except IllConditionedSupportError:
+            with pytest.raises(IllConditionedSupportError):
+                oracle_ls_estimate(a, y, slots)
+            return
+        assert_taps_close(oracle_ls_estimate(a, y, slots), ref, a, slots)
+
+    def test_somp_tie_goes_to_the_smallest_tap(self):
+        """Duplicated columns score bit for bit the same, and argmax keeps
+        the first maximum, so every center picks the smaller index."""
+        rng = make_rng(6)
+        a = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+        a[:, 7] = a[:, 2]
+        y = np.broadcast_to(a[:, 2], (2, 3, 6)) * (1.0 + np.arange(6).reshape(2, 3, 1))
+        support, _ = somp_stack(y, a, 1)
+        assert support.ravel().tolist() == [2] * 6
+
+    def test_oracle_ls_collinear_support_rejected(self):
+        """One collinear support in the stack fails the whole batch."""
+        rng = make_rng(7)
+        a = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+        a[:, 4] = 2.0 * a[:, 1]
+        slots = np.array([[[0, 1], [2, 3]], [[5, 6], [1, 4]]])
+        with pytest.raises(IllConditionedSupportError, match="rank deficient"):
+            oracle_ls_estimate(a, np.ones((2, 2, 6), complex), slots)
+        slots[1, 1] = [1, 5]
+        oracle_ls_estimate(a, np.ones((2, 2, 6), complex), slots)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_desk10_scenes_equal_loop_oracles(self, seed):
+        """Ten desk-scale trials per seed, with the inputs ``run_point_trial``
+        passes: SOMP picks equal, taps within 1e-12 relative."""
+        spec = ExperimentSpec(seed=seed, **DESK10)
+        for trial in range(10):
+            scene = synthesize_scene(spec, 16, 10.0, 0, trial)
+            a = scene.sensing_pilot.rows
+            y = scene.observations[..., scene.frame.pilot_indices]
+            ref, picks = somp_loop_oracle(scene.grid, y, a, spec.sparsity)
+            support, _ = somp_stack(y, a, spec.sparsity)
+            assert support.tolist() == picks
+            got = somp_baseline(scene.grid, y, a, spec.sparsity)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+            slots = np.stack([[scene.channels.support_set((r, c)) for c in range(10)]
+                              for r in range(10)])
+            got = oracle_ls_estimate(a, y, slots)
+            ref = oracle_ls_loop_oracle(a, y, slots)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestRunExperiment:
@@ -512,6 +725,19 @@ class TestCli:
         out = self.run_cli("estimate", "--seed", "-1")
         assert out.returncode == 2
         assert "seed" in out.stderr and "Traceback" not in out.stderr
+
+    def test_float_grid_side_in_config_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(grid_rows=2.5, trials=1)))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "grid_rows" in out.stderr and "Traceback" not in out.stderr
+
+    def test_empty_grid_flag_exit_code(self, tmp_path):
+        out = self.run_cli("experiment", "3", "--grid", "0", "--out", str(tmp_path))
+        assert out.returncode == 2
+        assert "grid_rows" in out.stderr and "Traceback" not in out.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

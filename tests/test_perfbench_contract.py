@@ -58,3 +58,7 @@ def test_traced_trial_records_runner_round_and_consensus_spans():
                   "data_aided.run_data_aided", "data_aided.select_and_agree"):
         assert tracer.spans[label].calls >= 1, label
     assert tracer.counts["consensus_antennas"] == 2 * 9  # MB-R and IB-R grids
+    # the baselines run as one grid-wide call each, entered through the
+    # names the tracer rebinds
+    assert tracer.spans["experiments.somp_baseline"].calls == 1
+    assert tracer.spans["experiments.oracle_ls_estimate"].calls == 1

@@ -25,8 +25,11 @@ from gridce.sharing import (
     run_integer_based,
     run_marginal_based,
     scores_to_beliefs,
+    stencil_gather,
+    stencil_reduce,
 )
 from gridce.solver import BernoulliPrior, SparseEstimate, greedy_search
+from oracles import neighbors
 
 
 def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
@@ -61,6 +64,30 @@ def fake_estimate(length, taps, amplitudes):
         t_max=len(taps),
         h_ammse=h,
     )
+
+
+class TestStencils:
+    """The array stencils against the set-based ``neighbors`` oracle."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (3, 4)])
+    def test_gather_stacks_members_with_zero_rows_outside(self, rows, cols):
+        grid = AntennaGrid(rows=rows, cols=cols)
+        x = make_rng(rows, cols).normal(size=(rows, cols, 2)) + 1.0
+        members = stencil_gather(x)
+        assert members.shape == (rows, cols, 5, 2)
+        for r, c in grid.antennas():
+            inside = [(r, c)] + neighbors(grid, (r, c))
+            for m, (dr, dc) in enumerate([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]):
+                if (r + dr, c + dc) in inside:
+                    np.testing.assert_array_equal(members[r, c, m], x[r + dr, c + dc])
+                else:
+                    assert not members[r, c, m].any()
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (3, 4)])
+    def test_reduce_folds_the_gathered_members(self, rows, cols):
+        x = make_rng(rows * cols).normal(size=(rows, cols, 3))
+        np.testing.assert_allclose(stencil_reduce(x, np.add),
+                                   stencil_gather(x).sum(axis=2), rtol=1e-15)
 
 
 class TestAssignScores:
