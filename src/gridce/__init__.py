@@ -25,29 +25,19 @@ from .ofdm import (
     OfdmFrame,
     SensingMatrix,
     build_sensing_matrix,
-    equalize_and_slice,
     freq_response,
     make_rng,
     modulate_frame,
     place_pilots,
     synthesize_received,
 )
-from .posterior import (
-    ErrorCovariance,
-    MarginalSet,
-    compute_marginals,
-    enumerate_marginal_supports,
-    error_covariance,
-    error_covariances,
-    lattice_marginals,
-)
+from .posterior import error_covariances, lattice_marginals
 from .qam import QamAlphabet, build_qam_alphabet
 from .sharing import (
     BeliefKind,
     BeliefState,
     GridEstimate,
     GridSolverConfig,
-    assign_scores,
     average_marginals_round,
     average_scores_round,
     run_integer_based,
@@ -57,19 +47,14 @@ from .sharing import (
 from .solver import (
     BernoulliPrior,
     ChainStack,
-    SparseEstimate,
-    ammse_combine,
-    blue_estimate,
-    greedy_search,
     greedy_search_batch,
     greedy_search_stack,
     init_params,
-    support_metric,
+    search_rows,
 )
 from .experiments import (
     ExperimentSpec,
     ResultRow,
-    compute_metrics,
     emit_results,
     experiment_presets,
     oracle_ls_estimate,

@@ -100,9 +100,8 @@ def distortion_covariance(
     for A = diag(symbols) F_L over all N = len(symbols) carriers.
 
     Without ``taps``, R is an L x L matrix over taps 0..L-1.  With ``taps``,
-    R lives on those taps (``ErrorCovariance.taps`` and ``.matrix``, or the
-    ``GridEstimate.support`` and ``.error_cov`` arrays, whose zero padding
-    adds nothing).  R_jk enters only through its lag t_j - t_k: scattered
+    R lives on those taps (as the ``GridEstimate.support`` and
+    ``.error_cov`` arrays, whose zero padding adds nothing).  R_jk enters only through its lag t_j - t_k: scattered
     into c at lag (t_j - t_k) mod N, diag(A R A^H)_n = |s_n|^2 / N fft(c)[n].
     A stack of B covariances, (B, T) taps and (B,) noise variances gives
     (B, N) variances from one FFT.

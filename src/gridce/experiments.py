@@ -49,7 +49,8 @@ from .sharing import (
     run_marginal_based,
     stencil_gather,
 )
-from .solver import check_conditioning
+from .posterior import MAX_LATTICE_TAPS
+from .solver import check_conditioning, dml_support_size
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +134,14 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"oracle-LS needs n_pilots >= sparsity={self.sparsity} to solve on the "
                 f"true support, got n_pilots {self.n_pilots}")
+        marginal = [a for a in self.algorithms if a.startswith("MB-")]
+        lam = self.sparsity / self.channel_len
+        t_max = min(dml_support_size(self.channel_len, lam), max(self.n_pilots))
+        if marginal and t_max > MAX_LATTICE_TAPS:
+            raise ConfigurationError(
+                f"{marginal} search {t_max} taps at n_pilots={max(self.n_pilots)}, past "
+                f"the marginal lattice's guard of {MAX_LATTICE_TAPS}; lower sparsity or "
+                f"n_pilots, or run IB only")
         n_data = n - max(self.n_pilots)
         aided = [a for a in self.algorithms if a.endswith("-R")]
         if aided and self.n_reliable is not None and not 1 <= self.n_reliable <= n_data:
@@ -165,6 +174,7 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
+        data = dict(data)
         for key in ("n_pilots", "snr_db", "depth", "algorithms"):
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])
@@ -363,24 +373,6 @@ def error_ratio(true_taps: np.ndarray, estimated: np.ndarray) -> float:
     if not good.all():
         logger.warning("excluding %d all-zero channels from NMSE", (~good).sum())
     return float(num[good].sum() / den[good].sum())
-
-
-def compute_metrics(true_channels, estimates, tx_bits=None, rx_bits=None) -> dict:
-    """Aggregate trial lists into the ResultRow metric fields.
-
-    ``true_channels`` and ``estimates`` are same-length lists of per-trial
-    tap arrays; optional bit streams yield the BER.
-    """
-    ratios = [error_ratio(t, e) for t, e in zip(true_channels, estimates)]
-    out = {
-        "nmse_db": nmse_db_from_ratios(ratios),
-        "success_rate": float(np.mean([r < SUCCESS_RATIO for r in ratios])),
-    }
-    if tx_bits is not None and rx_bits is not None:
-        tx = np.concatenate([np.ravel(b) for b in tx_bits])
-        rx = np.concatenate([np.ravel(b) for b in rx_bits])
-        out["ber"] = float(np.count_nonzero(tx != rx) / tx.size)
-    return out
 
 
 def count_bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> tuple:

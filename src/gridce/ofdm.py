@@ -207,14 +207,3 @@ def equalize(received: np.ndarray, freq_resp: np.ndarray):
     equalized = received / np.where(bad, 1.0, freq_resp)
     equalized[bad] = 0.0
     return equalized, bad
-
-
-def equalize_and_slice(
-    received: np.ndarray, freq_resp: np.ndarray, alphabet: QamAlphabet
-):
-    """Zero-forcing detection: ``equalize`` then nearest-point slicing.
-
-    Returns (equalized, hard_decisions, undecodable_mask).
-    """
-    equalized, bad = equalize(received, freq_resp)
-    return equalized, alphabet.slice(equalized), bad

@@ -22,14 +22,7 @@ import numpy as np
 from .channels import AntennaGrid
 from .errors import ConfigurationError
 from .posterior import error_covariances, lattice_marginals
-from .solver import (
-    PRIOR_EPS,
-    ChainStack,
-    SparseEstimate,
-    dml_support_size,
-    greedy_search_batch,
-    greedy_search_stack,
-)
+from .solver import PRIOR_EPS, ChainStack, dml_support_size, search_rows
 
 DEFAULT_LAMBDA_SMALL = 1e-3
 
@@ -83,7 +76,7 @@ class GridEstimate:
     """Final per-antenna estimates plus everything downstream passes need.
 
     ``support`` holds each antenna's detected taps in selection order and
-    ``error_cov`` their T x T error covariance (``ErrorCovariance.matrix``).
+    ``error_cov`` their T x T error covariance (``error_covariances``).
     A chain shorter than T is zero-padded, and an antenna whose final pass
     failed is zero throughout.
     """
@@ -148,20 +141,11 @@ def _member_counts(rows: int, cols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # belief currencies
 
-def assign_scores(estimate: SparseEstimate) -> np.ndarray:
-    """Integer scores over all L taps: T_max for the largest detected
-    amplitude down to 1 for the smallest, zero off the detected set.
-    Equal amplitudes rank the lower tap index higher."""
-    taps = estimate.detected_taps
-    order = np.lexsort((taps, -np.abs(estimate.h_ammse[taps])))
-    scores = np.zeros(estimate.channel_len)
-    scores[taps[order]] = np.arange(taps.size, 0, -1)
-    return scores
-
-
 def _rank_scores(stack: ChainStack) -> np.ndarray:
-    """``assign_scores`` of every row of a stack, (B, L); a chain of n taps
-    scores n down to 1."""
+    """Integer scores of every row of a stack over all L taps, (B, L): a
+    chain of n taps scores n for its largest combined amplitude down to 1
+    for its smallest, zero off the chain.  Equal amplitudes rank the lower
+    tap index higher."""
     active = stack.active()
     amplitudes = np.abs(np.take_along_axis(stack.taps, stack.chosen, axis=1))
     order = np.lexsort((stack.chosen, np.where(active, -amplitudes, np.inf)), axis=-1)
@@ -232,27 +216,6 @@ def _trace_rounds(path, states):
                         )
 
 
-def _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max):
-    """One chain per antenna (flattened row-major) on shared pilot rows:
-    (ChainStack, A^H A, A^H y, ||y||^2), the products kept for the
-    marginal lattice.
-
-    When t_max fills the K pilot rows, every free candidate ties at a zero
-    residual in the last stage and rounding settles the pick, so those
-    chains run ``greedy_search``'s own recursion (``greedy_search_stack``);
-    all others run in the Gram domain.
-    """
-    a = np.ascontiguousarray(sensing_rows, dtype=complex)
-    gram = a.conj().T @ a
-    corr = ys @ a.conj()
-    y_norm2 = np.einsum("bk,bk->b", ys.conj(), ys).real
-    if t_max < a.shape[0]:
-        stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
-    else:
-        stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
-    return stack, gram, corr, y_norm2
-
-
 def _first_pass(observations, sensing_rows, config, t_max, kind):
     """Uniform-prior estimation at every antenna and its initial beliefs:
     (values, detected, noise_vars, failed), the first two (M, G, L)."""
@@ -261,7 +224,7 @@ def _first_pass(observations, sensing_rows, config, t_max, kind):
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
     noise_vars = np.full(ys.shape[0], config.noise_var)
     lambdas = np.full((ys.shape[0], length), config.lambda_init)
-    stack, gram, corr, y_norm2 = _search_grid(sensing_rows, ys, lambdas, noise_vars, t_max)
+    stack, gram, corr, y_norm2 = search_rows(sensing_rows, ys, lambdas, noise_vars, t_max)
     if kind is BeliefKind.MARGINAL:
         values = stack.scatter(lattice_marginals(stack, gram, corr, y_norm2, lambdas))
     else:
@@ -279,8 +242,8 @@ def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
     length = sensing_rows.shape[1]
     n = rows * cols
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(n, n_obs)
-    stack, *_ = _search_grid(sensing_rows, ys, priors.reshape(n, length),
-                             noise_vars.reshape(n), t_max)
+    stack, *_ = search_rows(sensing_rows, ys, priors.reshape(n, length),
+                            noise_vars.reshape(n), t_max)
     return (stack.taps.reshape(rows, cols, length), stack.chosen.reshape(rows, cols, t_max),
             error_covariances(stack).reshape(rows, cols, t_max, t_max),
             stack.failed.reshape(rows, cols))

@@ -16,17 +16,19 @@ best linear unbiased estimate (A_S^H A_S)^-1 A_S^H y, and the final
 estimate is the posterior-weighted average of the zero-padded means over
 the nested dominant-support chain.
 
-The greedy chain is grown with an order-recursive QR factorization: each
-stage scores all single-index extensions of the previous support in
-O(K*L) by updating the orthogonalized column residuals, never re-solving
-from scratch.  ``greedy_search`` runs that recursion on one observation
-vector, and ``greedy_search_stack`` runs it for a stack of observation
-vectors on shared rows with the same rounding.  ``greedy_search_batch``
-runs the chain for a stack of antennas in the Gram domain, where the row
-count K drops out after one product.
+Every solve is stacked: one ``ChainStack`` holds the chains of a stack
+of observation vectors.  ``greedy_search_batch`` grows them in the Gram
+domain, where the row count K drops out after one product.
+``greedy_search_stack`` grows them with an order-recursive QR
+factorization on shared rows: each stage scores all single-index
+extensions of the previous support in O(K*L) by updating the
+orthogonalized column residuals, never re-solving from scratch.
+``search_rows`` is the entry point on shared rows and picks between the
+two.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,34 +66,6 @@ class BernoulliPrior:
         return self.lambdas.shape[0]
 
 
-@dataclass
-class SparseEstimate:
-    """Output of the greedy search over one observation vector.
-
-    ``supports`` is the nested chain (selection order preserved inside each
-    array); ``posteriors`` are normalized over the chain; ``cond_means``
-    align with ``supports``.  ``gram_inverses`` holds (A_S^H A_S)^-1 per
-    support, reused later for the error covariance.
-    """
-
-    supports: list
-    posteriors: np.ndarray
-    cond_means: list
-    residuals: np.ndarray
-    nus: np.ndarray
-    gram_inverses: list
-    channel_len: int
-    noise_var: float
-    t_max: int
-    h_ammse: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def detected_taps(self) -> np.ndarray:
-        """Detected tap locations: the largest support, in selection order."""
-        return self.supports[-1]
-
-
 @dataclass(frozen=True)
 class InitParams:
     prior: BernoulliPrior
@@ -102,10 +76,16 @@ class InitParams:
 
 def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
     """Support-search depth slightly above the expected active count:
-    ceil(L*lam + z*sqrt(L*lam*(1-lam))), capped at L."""
+    ceil(L*lam + z*sqrt(L*lam*(1-lam))), capped at L.
+
+    Scalar ``math``, not numpy: ``ExperimentSpec`` calls this at
+    construction, before a sweep's first trial, and a numpy scalar call
+    there raised a serial IB sweep's peak RSS by 0.7 MB (Python 3.11,
+    numpy 2.4).  Both round alike: sqrt and ceil are exact IEEE operations.
+    """
     expected = length * lam
-    slack = z * np.sqrt(length * lam * (1.0 - lam))
-    return min(length, int(np.ceil(expected + slack)))
+    slack = z * math.sqrt(length * lam * (1.0 - lam))
+    return min(length, math.ceil(expected + slack))
 
 
 def init_params(sensing_rows: np.ndarray, y: np.ndarray,
@@ -133,7 +113,7 @@ def init_params(sensing_rows: np.ndarray, y: np.ndarray,
         )
     lam = np.count_nonzero(corr >= 0.5 * peak) / length
     lam = float(np.clip(lam, PRIOR_EPS, 1 - PRIOR_EPS))
-    noise_var = float(noise_scale * np.var(y))
+    noise_var = float(noise_scale * np.var(y)) or PRIOR_EPS
     t_max = dml_support_size(length, lam, z)
     capped = t_max > k
     return InitParams(
@@ -160,144 +140,12 @@ def check_conditioning(a_s: np.ndarray):
         raise IllConditionedSupportError("sensing columns numerically rank deficient")
 
 
-def blue_estimate(a_s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares on a fixed support: (A_S^H A_S)^-1 A_S^H y."""
-    a_s = np.atleast_2d(np.asarray(a_s))
-    check_conditioning(a_s)
-    coef, *_ = np.linalg.lstsq(a_s, np.asarray(y), rcond=None)
-    return coef
-
-
 def _prior_terms(prior: BernoulliPrior):
     """(base, per-index gain) of the log prior; a stack of priors (B, L)
     gives a base per row."""
     lam = prior.lambdas
     log_off = np.log1p(-lam)
     return log_off.sum(axis=-1), np.log(lam) - log_off
-
-
-def support_metric(support, y, sensing_rows, prior: BernoulliPrior,
-                   noise_var: float) -> float:
-    """nu(S) for one explicit support set (empty set allowed)."""
-    if noise_var <= 0:
-        raise ConfigurationError("noise_var must be positive")
-    y = np.asarray(y)
-    support = np.asarray(support, dtype=int)
-    base, gain = _prior_terms(prior)
-    if support.size == 0:
-        residual2 = float(np.vdot(y, y).real)
-    else:
-        a_s = np.asarray(sensing_rows)[:, support]
-        check_conditioning(a_s)
-        q, _ = np.linalg.qr(a_s)
-        proj = q @ (q.conj().T @ y)
-        residual2 = float(np.vdot(y - proj, y - proj).real)
-    return -residual2 / (2.0 * noise_var) + base + float(gain[support].sum())
-
-
-def greedy_search(sensing_rows: np.ndarray, y: np.ndarray, prior: BernoulliPrior,
-                  noise_var: float, t_max: int) -> SparseEstimate:
-    """Grow the nested dominant-support chain of sizes 1..t_max.
-
-    At each stage every single-index extension of the current support is
-    scored and the best extension is kept; of equal computed scores the
-    smallest tap index wins.  Exact ties in the model are still decided by
-    rounding, because their computed scores differ in the last bits: when
-    t_max equals the row count K, every free candidate leaves a zero
-    residual at the last stage, and identical columns are scored through
-    different BLAS roundings.  Candidates that would make the support Gram
-    matrix numerically singular are skipped for that stage.
-    """
-    # contiguous copies pin the BLAS kernels: results are then bit-identical
-    # for equal values regardless of the caller's array layout
-    a = np.ascontiguousarray(sensing_rows, dtype=complex)
-    y = np.ascontiguousarray(y, dtype=complex)
-    k, length = a.shape
-    if noise_var <= 0:
-        raise ConfigurationError("noise_var must be positive")
-    if t_max < 1 or t_max > min(k, length):
-        raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
-
-    base, gain = _prior_terms(prior)
-    col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
-
-    b = a.copy()                      # columns orthogonalized against the chain
-    r = y.copy()                      # current residual P_S_perp y
-    res2 = float(np.vdot(y, y).real)
-    prior_term = base
-    q_basis = np.zeros((k, t_max), dtype=complex)     # orthonormal basis of A_S
-    qty = np.zeros(t_max, dtype=complex)              # Q^H y
-    r_fact = np.zeros((t_max, t_max), dtype=complex)  # A_S = Q R
-    available = np.ones(length, dtype=bool)
-
-    chosen: list[int] = []
-    supports, nus, residuals, means, gram_invs = [], [], [], [], []
-    skipped_any = False
-
-    for stage in range(t_max):
-        b2 = np.einsum("ij,ij->j", b.conj(), b).real
-        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
-        if not valid.any():
-            break
-        if (available & ~valid).any():
-            skipped_any = True
-
-        bhr = b.conj().T @ r
-        drop = np.zeros(length)
-        drop[valid] = np.abs(bhr[valid]) ** 2 / b2[valid]
-        nu_cand = np.where(
-            valid, -(res2 - drop) / (2.0 * noise_var) + prior_term + gain, -np.inf
-        )
-        j = int(np.argmax(nu_cand))  # first max = smallest tap index on ties
-
-        q = b[:, j] / np.sqrt(b2[j])
-        r_fact[:stage, stage] = q_basis[:, :stage].conj().T @ a[:, j]
-        r_fact[stage, stage] = np.sqrt(b2[j])
-        q_basis[:, stage] = q
-        qty[stage] = np.vdot(q, r)
-
-        r = r - q * qty[stage]
-        res2 = max(res2 - drop[j], 0.0)
-        prior_term += gain[j]
-        b = b - np.outer(q, q.conj() @ b)
-        available[j] = False
-        chosen.append(j)
-
-        supports.append(np.array(chosen))
-        nus.append(-res2 / (2.0 * noise_var) + prior_term)
-        residuals.append(res2)
-
-        rr = r_fact[: stage + 1, : stage + 1]
-        coef = np.linalg.solve(rr, qty[: stage + 1])
-        means.append(coef)
-        rinv = np.linalg.inv(rr)
-        gram_invs.append(rinv @ rinv.conj().T)
-
-    if not supports:
-        raise IllConditionedSupportError("no usable sensing column found")
-
-    n = len(supports)
-    nus = np.asarray(nus)
-    posteriors, underflow = _normalize_log_posteriors(nus)
-    underflow = bool(underflow)
-    estimate = SparseEstimate(
-        supports=supports,
-        posteriors=posteriors,
-        cond_means=means,
-        residuals=np.asarray(residuals),
-        nus=nus,
-        gram_inverses=gram_invs,
-        channel_len=length,
-        noise_var=noise_var,
-        t_max=n,
-        diagnostics={
-            "skipped_candidates": skipped_any,
-            "posterior_underflow": underflow,
-            "t_max_requested": t_max,
-        },
-    )
-    ammse_combine(estimate)
-    return estimate
 
 
 def _normalize_log_posteriors(nus: np.ndarray):
@@ -310,17 +158,6 @@ def _normalize_log_posteriors(nus: np.ndarray):
         underflow = ~np.isfinite(total) | (total <= 0.0)
         posteriors = np.where(underflow, 1.0 / nus.shape[-1], weights / total)
     return posteriors, underflow[..., 0]
-
-
-def ammse_combine(estimate: SparseEstimate) -> np.ndarray:
-    """Posterior-weighted average of the zero-padded conditional means."""
-    h = np.zeros(estimate.channel_len, dtype=complex)
-    for weight, support, mean in zip(
-        estimate.posteriors, estimate.supports, estimate.cond_means
-    ):
-        h[support] += weight * mean
-    estimate.h_ammse = h
-    return h
 
 
 @dataclass
@@ -377,7 +214,13 @@ class ChainStack:
 def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
                         lambdas: np.ndarray, noise_vars: np.ndarray,
                         t_max: int) -> ChainStack:
-    """``greedy_search`` for a stack of B observation vectors, in the Gram domain.
+    """The nested dominant-support chains of sizes 1..t_max for a stack of
+    B observation vectors, in the Gram domain.
+
+    At each stage every single-index extension of a row's support is
+    scored and the best is kept; of equal computed scores the smallest tap
+    index wins.  Candidates that would make the support Gram matrix
+    numerically singular are skipped for that stage.
 
     ``gram`` is A^H A, shared (L, L) or one per row (B, L, L); ``corr`` is
     A^H y (B, L), ``y_norm2`` is ||y||^2 (B,), ``lambdas`` the activity
@@ -389,14 +232,14 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
 
     so after the products above the work no longer depends on K.  Rows
     never interact: each row's result equals a one-row call's bit for bit.
-    A row whose candidates run out stops there, as ``greedy_search`` does,
-    and is padded (see ``ChainStack``).
+    A row whose candidates run out stops there and is padded (see
+    ``ChainStack``).
 
-    Picks match ``greedy_search`` except on ties within rounding, which
-    the two recursions round apart.  One such tie is systematic: when t_max
-    equals the row count and the prior is uniform, every free candidate at
-    the last stage leaves a zero residual.  ``greedy_search_stack`` solves
-    those systems with ``greedy_search``'s picks.
+    Exact ties in the model are still decided by rounding, because their
+    computed scores differ in the last bits.  One such tie is systematic:
+    when t_max equals the row count and the prior is uniform, every free
+    candidate at the last stage leaves a zero residual.
+    ``greedy_search_stack`` settles those systems (see ``search_rows``).
     """
     gram = np.asarray(gram, dtype=complex)
     gram = gram if gram.ndim == 3 else gram[None]
@@ -466,18 +309,19 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
 
 def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
                         noise_vars: np.ndarray, t_max: int) -> ChainStack:
-    """``greedy_search`` for a stack of B observation vectors ``ys`` (B, K)
-    on shared rows A (K, L), with its picks bit for bit.
+    """The chains of ``greedy_search_batch`` for a stack of B observation
+    vectors ``ys`` (B, K) on shared rows A (K, L), grown in the K domain.
 
-    The stage loop is ``greedy_search``'s K-domain recursion run for every
-    row at once: each row keeps its own orthogonalized columns (B, K, L)
-    and residual (B, K), and every expression keeps the form
-    ``greedy_search`` uses (numpy hands each row of a stacked product to
-    the kernel the 2-D call uses), so each row rounds as a one-vector call
-    does.  The rank-filling tie (t_max == K) is therefore settled exactly as
-    ``greedy_search`` settles it.  ``lambdas`` is (B, L) and ``noise_vars``
-    (B,); a row whose candidates run out stops and is padded (see
-    ``ChainStack``), a row without a usable column has length 0.
+    Each row keeps its own orthogonalized columns (B, K, L) and residual
+    (B, K), and every expression keeps the form of the one-vector
+    recursion (``greedy_search`` in ``tests/oracles.py``; numpy hands each
+    row of a stacked product to the kernel the 2-D call uses), so each row
+    rounds as a one-vector call does and equals it bit for bit up to the
+    combined taps.  The rank-filling tie (t_max == K) is therefore settled
+    as that recursion settles it.  ``lambdas`` is
+    (B, L) and ``noise_vars`` (B,); a row whose candidates run out stops
+    and is padded (see ``ChainStack``), a row without a usable column has
+    length 0.
     """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     ys = np.ascontiguousarray(ys, dtype=complex)
@@ -498,8 +342,9 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     r = ys.copy()                                       # residuals P_S_perp y
     res2 = _stacked_vdot(ys, ys).real
     q_basis = np.zeros((n, k, t_max), dtype=complex)
-    # the picked column a_j as a strided vector, as greedy_search's a[:, j]
-    # is: BLAS takes another gemv path for unit stride, which rounds R apart
+    # the picked column a_j as a strided vector, as a[:, j] of the 2-D
+    # rows is: BLAS takes another gemv path for unit stride, which rounds R
+    # apart
     a_col = np.zeros((n, k, 2), dtype=complex)
     r_fact = np.zeros((n, t_max, t_max), dtype=complex)
     qty = np.zeros((n, t_max), dtype=complex)
@@ -586,36 +431,23 @@ def _finish_chains(chosen, nus, residuals, r_fact, qty, noise_vars, lengths, ski
     return stack
 
 
-def exhaustive_estimate(sensing_rows: np.ndarray, y: np.ndarray,
-                        prior: BernoulliPrior, noise_var: float,
-                        max_size: int):
-    """Debug oracle: score every support of size 1..max_size.
+def search_rows(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
+                noise_vars: np.ndarray, t_max: int):
+    """One chain per observation vector ``ys`` (B, K) on shared rows A (K, L):
+    (ChainStack, A^H A, A^H y, ||y||^2), the products kept for the marginal
+    lattice.
 
-    Only feasible for small L; guarded at L <= 12.  Returns
-    (supports, posteriors, means, h_ammse) with posteriors normalized over
-    the full enumeration.
+    When t_max fills the K rows, every free candidate ties at a zero
+    residual in the last stage and rounding settles the pick, so those
+    chains run the K-domain recursion (``greedy_search_stack``); all others
+    run in the Gram domain.
     """
-    from itertools import combinations
-
-    a = np.asarray(sensing_rows)
-    length = a.shape[1]
-    if length > 12:
-        raise ConfigurationError("exhaustive enumeration is limited to L <= 12")
-    supports, nus, means = [], [], []
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(length), size):
-            s = np.array(combo)
-            try:
-                nu = support_metric(s, y, a, prior, noise_var)
-                mean = blue_estimate(a[:, s], y)
-            except IllConditionedSupportError:
-                continue
-            supports.append(s)
-            nus.append(nu)
-            means.append(mean)
-    nus = np.asarray(nus)
-    posteriors, _ = _normalize_log_posteriors(nus)
-    h = np.zeros(length, dtype=complex)
-    for weight, s, mean in zip(posteriors, supports, means):
-        h[s] += weight * mean
-    return supports, posteriors, means, h
+    a = np.ascontiguousarray(sensing_rows, dtype=complex)
+    gram = a.conj().T @ a
+    corr = ys @ a.conj()
+    y_norm2 = np.einsum("bk,bk->b", ys.conj(), ys).real
+    if t_max < a.shape[0]:
+        stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
+    else:
+        stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
+    return stack, gram, corr, y_norm2

@@ -1,5 +1,18 @@
 """Reference forms that production code replaced, kept for the tests.
 
+``greedy_search`` is the per-antenna chain search on one observation
+vector, in the orthogonalized-column recursion that
+``solver.greedy_search_stack`` runs for a stack; its ``SparseEstimate``
+keeps every chain support, conditional mean and Gram inverse.
+``support_metric``, ``blue_estimate``, ``exhaustive_estimate`` and
+``exhaustive_marginals`` score explicit supports one by one.
+``lattice_oracle`` evaluates the detected-tap lattice from scratch, with
+no chain value reused, and ``error_covariance``, ``full_covariance_oracle``
+and ``assign_scores`` are the per-antenna forms of
+``posterior.error_covariances`` and the integer scores of the grid runners.
+``equalize_and_slice`` is zero-forcing detection of one antenna, the
+reference for the chunked BER scoring.
+
 ``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
 constellation-wide slicer: a (..., Q) array of squared distances and Q
 masked passes in lexicographic (real, imag) point order, where only a
@@ -15,9 +28,253 @@ replaced with one Gram-domain batch: SOMP refits every stage with
 ``blue_estimate`` per antenna.
 """
 
+from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 
-from gridce.solver import blue_estimate
+from gridce.errors import ConfigurationError, IllConditionedSupportError
+from gridce.ofdm import equalize
+from gridce.solver import (
+    COLLINEARITY_TOL,
+    BernoulliPrior,
+    _normalize_log_posteriors,
+    _prior_terms,
+    check_conditioning,
+)
+
+
+@dataclass
+class SparseEstimate:
+    """One chain of ``greedy_search``: nested supports (selection order
+    kept inside each), posteriors normalized over the chain, and per
+    support its log posterior, residual energy, conditional mean and
+    (A_S^H A_S)^-1; ``h_ammse`` is the posterior-weighted combination."""
+
+    supports: list
+    posteriors: np.ndarray
+    cond_means: list
+    residuals: np.ndarray
+    nus: np.ndarray
+    gram_inverses: list
+    noise_var: float
+    h_ammse: np.ndarray
+    skipped: bool        # a collinear candidate was skipped at some stage
+    underflow: bool      # the posteriors fell back to uniform
+
+    @property
+    def detected_taps(self) -> np.ndarray:
+        """The largest support, in selection order."""
+        return self.supports[-1]
+
+
+def support_metric(support, y, sensing_rows, prior: BernoulliPrior,
+                   noise_var: float) -> float:
+    """nu(S) for one explicit support set (empty set allowed)."""
+    if noise_var <= 0:
+        raise ConfigurationError("noise_var must be positive")
+    y = np.asarray(y)
+    support = np.asarray(support, dtype=int)
+    base, gain = _prior_terms(prior)
+    if support.size == 0:
+        residual2 = float(np.vdot(y, y).real)
+    else:
+        a_s = np.asarray(sensing_rows)[:, support]
+        check_conditioning(a_s)
+        q, _ = np.linalg.qr(a_s)
+        proj = q @ (q.conj().T @ y)
+        residual2 = float(np.vdot(y - proj, y - proj).real)
+    return -residual2 / (2.0 * noise_var) + base + float(gain[support].sum())
+
+
+def blue_estimate(a_s, y):
+    """Least squares on a fixed support: (A_S^H A_S)^-1 A_S^H y."""
+    a_s = np.atleast_2d(np.asarray(a_s))
+    check_conditioning(a_s)
+    coef, *_ = np.linalg.lstsq(a_s, np.asarray(y), rcond=None)
+    return coef
+
+
+def greedy_search(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+                  t_max: int) -> SparseEstimate:
+    """Grow the nested dominant-support chain of sizes 1..t_max on one
+    observation vector, scoring every single-index extension per stage
+    (the first of equal scores wins) and skipping candidates that would
+    make the support Gram matrix numerically singular."""
+    # contiguous copies pin the BLAS kernels: results are then bit-identical
+    # for equal values regardless of the caller's array layout
+    a = np.ascontiguousarray(sensing_rows, dtype=complex)
+    y = np.ascontiguousarray(y, dtype=complex)
+    k, length = a.shape
+    if noise_var <= 0:
+        raise ConfigurationError("noise_var must be positive")
+    if t_max < 1 or t_max > min(k, length):
+        raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
+
+    base, gain = _prior_terms(prior)
+    col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
+
+    b = a.copy()                      # columns orthogonalized against the chain
+    r = y.copy()                      # current residual P_S_perp y
+    res2 = float(np.vdot(y, y).real)
+    prior_term = base
+    q_basis = np.zeros((k, t_max), dtype=complex)     # orthonormal basis of A_S
+    qty = np.zeros(t_max, dtype=complex)              # Q^H y
+    r_fact = np.zeros((t_max, t_max), dtype=complex)  # A_S = Q R
+    available = np.ones(length, dtype=bool)
+
+    chosen: list[int] = []
+    supports, nus, residuals, means, gram_invs = [], [], [], [], []
+    skipped = False
+
+    for stage in range(t_max):
+        b2 = np.einsum("ij,ij->j", b.conj(), b).real
+        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
+        if not valid.any():
+            break
+        skipped |= bool((available & ~valid).any())
+
+        bhr = b.conj().T @ r
+        drop = np.zeros(length)
+        drop[valid] = np.abs(bhr[valid]) ** 2 / b2[valid]
+        nu_cand = np.where(
+            valid, -(res2 - drop) / (2.0 * noise_var) + prior_term + gain, -np.inf
+        )
+        j = int(np.argmax(nu_cand))
+
+        q = b[:, j] / np.sqrt(b2[j])
+        r_fact[:stage, stage] = q_basis[:, :stage].conj().T @ a[:, j]
+        r_fact[stage, stage] = np.sqrt(b2[j])
+        q_basis[:, stage] = q
+        qty[stage] = np.vdot(q, r)
+
+        r = r - q * qty[stage]
+        res2 = max(res2 - drop[j], 0.0)
+        prior_term += gain[j]
+        b = b - np.outer(q, q.conj() @ b)
+        available[j] = False
+        chosen.append(j)
+
+        supports.append(np.array(chosen))
+        nus.append(-res2 / (2.0 * noise_var) + prior_term)
+        residuals.append(res2)
+
+        rr = r_fact[: stage + 1, : stage + 1]
+        means.append(np.linalg.solve(rr, qty[: stage + 1]))
+        rinv = np.linalg.inv(rr)
+        gram_invs.append(rinv @ rinv.conj().T)
+
+    if not supports:
+        raise IllConditionedSupportError("no usable sensing column found")
+
+    nus = np.asarray(nus)
+    posteriors, underflow = _normalize_log_posteriors(nus)
+    h = np.zeros(length, dtype=complex)
+    for weight, support, mean in zip(posteriors, supports, means):
+        h[support] += weight * mean
+    return SparseEstimate(
+        supports=supports, posteriors=posteriors, cond_means=means,
+        residuals=np.asarray(residuals), nus=nus, gram_inverses=gram_invs,
+        noise_var=noise_var, h_ammse=h, skipped=skipped, underflow=bool(underflow),
+    )
+
+
+def exhaustive_estimate(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+                        max_size: int):
+    """Score every support of size 1..max_size (L <= 12 only).  Returns
+    (supports, posteriors, means, h_ammse) with posteriors normalized over
+    the full enumeration."""
+    a = np.asarray(sensing_rows)
+    length = a.shape[1]
+    if length > 12:
+        raise ConfigurationError("exhaustive enumeration is limited to L <= 12")
+    supports, nus, means = [], [], []
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(length), size):
+            s = np.array(combo)
+            try:
+                nu = support_metric(s, y, a, prior, noise_var)
+                mean = blue_estimate(a[:, s], y)
+            except IllConditionedSupportError:
+                continue
+            supports.append(s)
+            nus.append(nu)
+            means.append(mean)
+    posteriors, _ = _normalize_log_posteriors(np.asarray(nus))
+    h = np.zeros(length, dtype=complex)
+    for weight, s, mean in zip(posteriors, supports, means):
+        h[s] += weight * mean
+    return supports, posteriors, means, h
+
+
+def exhaustive_marginals(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+                         max_size: int) -> np.ndarray:
+    """Length-L marginals over *all* supports of size 1..max_size, not just
+    subsets of the detected taps (L <= 12 only)."""
+    supports, posteriors, _, _ = exhaustive_estimate(sensing_rows, y, prior, noise_var,
+                                                     max_size)
+    marginals = np.zeros(np.asarray(sensing_rows).shape[1])
+    for s, weight in zip(supports, posteriors):
+        marginals[s] += weight
+    return marginals
+
+
+def lattice_oracle(detected, sensing_rows, y, prior: BernoulliPrior, noise_var: float):
+    """The detected-tap lattice evaluated from scratch: every nonempty
+    subset (by size, then lexicographic in detection order) scored by
+    ``support_metric``.  Returns (subsets, posteriors, marginals), the
+    marginals aligned with ``detected``."""
+    detected = np.asarray(detected)
+    positions = [combo for size in range(1, detected.size + 1)
+                 for combo in combinations(range(detected.size), size)]
+    subsets = [detected[list(combo)] for combo in positions]
+    nus = np.array([support_metric(s, y, sensing_rows, prior, noise_var) for s in subsets])
+    posteriors, _ = _normalize_log_posteriors(nus)
+    marginals = np.zeros(detected.size)
+    for combo, weight in zip(positions, posteriors):
+        marginals[list(combo)] += weight
+    return subsets, posteriors, marginals
+
+
+def error_covariance(estimate: SparseEstimate) -> np.ndarray:
+    """sigma_w^2 sum_S p(S|y) (A_S^H A_S)^-1 as the T x T block on the
+    detected taps, in selection order."""
+    size = estimate.detected_taps.size
+    matrix = np.zeros((size, size), dtype=complex)
+    for weight, support, ginv in zip(
+        estimate.posteriors, estimate.supports, estimate.gram_inverses
+    ):
+        matrix[: support.size, : support.size] += weight * ginv
+    return estimate.noise_var * matrix
+
+
+def full_covariance_oracle(estimate: SparseEstimate) -> np.ndarray:
+    """The L x L posterior-weighted covariance sum, support by support."""
+    length = estimate.h_ammse.size
+    matrix = np.zeros((length, length), dtype=complex)
+    for weight, support, ginv in zip(
+        estimate.posteriors, estimate.supports, estimate.gram_inverses
+    ):
+        matrix[np.ix_(support, support)] += weight * ginv
+    return estimate.noise_var * matrix
+
+
+def assign_scores(estimate: SparseEstimate) -> np.ndarray:
+    """Integer scores over all L taps: T for the largest detected amplitude
+    down to 1 for the smallest, zero off the detected set; equal amplitudes
+    rank the lower tap index higher."""
+    taps = estimate.detected_taps
+    order = np.lexsort((taps, -np.abs(estimate.h_ammse[taps])))
+    scores = np.zeros(estimate.h_ammse.size)
+    scores[taps[order]] = np.arange(taps.size, 0, -1)
+    return scores
+
+
+def equalize_and_slice(received, freq_resp, alphabet):
+    """Zero-forcing detection: ``equalize`` then nearest-point slicing.
+    Returns (equalized, hard_decisions, undecodable_mask)."""
+    equalized, bad = equalize(received, freq_resp)
+    return equalized, alphabet.slice(equalized), bad
 
 
 def sq_distances_oracle(alphabet, symbols):

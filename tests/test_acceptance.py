@@ -21,9 +21,10 @@ from gridce.experiments import (
     synthesize_scene,
 )
 from gridce.ofdm import make_rng
-from gridce.posterior import compute_marginals, enumerate_marginal_supports
+from gridce.posterior import _position_combos, lattice_marginals
 from gridce.sharing import GridSolverConfig, run_marginal_based
-from gridce.solver import BernoulliPrior, exhaustive_estimate, greedy_search
+from gridce.solver import BernoulliPrior, init_params, search_rows
+from oracles import exhaustive_estimate, lattice_oracle
 
 
 def report(criterion, passed, detail):
@@ -100,12 +101,11 @@ class TestAcceptance:
         """L=8, K=6, n=2, SNR 20 dB, 200 seeds: greedy combined estimate
         within 1 dB of the exhaustive size-<=3 enumeration on >=90% of seeds.
 
+        The greedy estimate is production's, a one-row ``search_rows`` call.
         The greedy chain depth equals the known sparsity (T_max is defined as
         the number of nonzeros of h); both sides share the lambda = n/L prior
         and the solver's standard scaled-variance noise initialization.
         """
-        from gridce.solver import init_params
-
         start = time.time()
         within = 0
         seeds = 200
@@ -123,12 +123,13 @@ class TestAcceptance:
             y = clean + noise
             prior = BernoulliPrior.uniform(8, 2 / 8)
             solver_noise = init_params(a, y).noise_var
-            greedy = greedy_search(a, y, prior, solver_noise, t_max=2)
+            greedy, *_ = search_rows(a, y[None], prior.lambdas[None],
+                                     np.array([solver_noise]), 2)
             _, _, _, h_exh = exhaustive_estimate(a, y, prior, solver_noise,
                                                  max_size=3)
             energy = float(np.vdot(h, h).real)
             db_greedy = 10 * np.log10(
-                max(float(np.sum(np.abs(greedy.h_ammse - h) ** 2)) / energy, 1e-30)
+                max(float(np.sum(np.abs(greedy.taps[0] - h) ** 2)) / energy, 1e-30)
             )
             db_exh = 10 * np.log10(
                 max(float(np.sum(np.abs(h_exh - h) ** 2)) / energy, 1e-30)
@@ -168,8 +169,9 @@ class TestAcceptance:
         )
 
     def test_criterion_4_marginal_lattice_correctness(self):
-        """Lattice marginals equal from-scratch enumeration within 1e-12 for
-        T_max <= 4, and the T_max=3 lattice is exactly the seven subsets."""
+        """Lattice marginals (production's ``lattice_marginals``) equal
+        from-scratch enumeration within 1e-12 for T_max <= 4, and the
+        T_max=3 lattice is exactly the seven subsets."""
         worst = 0.0
         for t_max in (1, 2, 3, 4):
             for seed in range(5):
@@ -181,14 +183,15 @@ class TestAcceptance:
                 h[sup] = rng.normal(size=3) + 1j * rng.normal(size=3)
                 y = a @ h + 0.1 * (rng.normal(size=10) + 1j * rng.normal(size=10))
                 prior = BernoulliPrior.uniform(16, 3 / 16)
-                est = greedy_search(a, y, prior, 0.01, t_max=t_max)
-                fast = compute_marginals(est, a, y, prior, reuse=True)
-                slow = compute_marginals(est, a, y, prior, reuse=False)
-                worst = max(
-                    worst, float(np.abs(fast.marginals - slow.marginals).max())
-                )
+                stack, gram, corr, y_norm2 = search_rows(
+                    a, y[None], prior.lambdas[None], np.array([0.01]), t_max)
+                n = stack.lengths[0]
+                fast = lattice_marginals(stack, gram, corr, y_norm2,
+                                         prior.lambdas[None])[0, :n]
+                _, _, slow = lattice_oracle(stack.chosen[0, :n], a, y, prior, 0.01)
+                worst = max(worst, float(np.abs(fast - slow).max()))
         detected = np.array([11, 3, 7])
-        subsets = [tuple(s) for s in enumerate_marginal_supports(detected)]
+        subsets = [tuple(detected[c]) for block in _position_combos(3) for c in block]
         structure_ok = subsets == [
             (11,), (3,), (7,), (11, 3), (11, 7), (3, 7), (11, 3, 7),
         ]

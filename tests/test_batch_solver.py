@@ -1,7 +1,7 @@
 """Stacked solvers against the per-antenna reference paths.
 
-``greedy_search``, ``compute_marginals(reuse=False)`` and the L x L
-covariance sum are the oracles.  The Gram recursion of
+``greedy_search``, the from-scratch ``lattice_oracle`` and the L x L
+covariance sum (all in ``tests/oracles.py``) are the oracles.  The Gram recursion of
 ``greedy_search_batch`` sums in a different order than the
 orthogonalized-column recursion, so its values are compared to a relative
 tolerance and chosen supports exactly.  ``greedy_search_stack`` runs the
@@ -18,21 +18,14 @@ from hypothesis import strategies as st
 
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
-from gridce.posterior import (
-    compute_marginals,
-    error_covariance,
-    error_covariances,
-    lattice_marginals,
-)
-from gridce.sharing import _search_grid
+from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
     BernoulliPrior,
-    greedy_search,
     greedy_search_batch,
     greedy_search_stack,
+    search_rows,
 )
-
-from test_posterior import full_covariance_oracle
+from oracles import error_covariance, full_covariance_oracle, greedy_search, lattice_oracle
 
 #: relative agreement of nus, conditional means, combined taps, covariances
 REL = 1e-9
@@ -172,8 +165,8 @@ def assert_row_equals_greedy_search(stack, row, want):
     np.testing.assert_array_equal(stack.chosen[row, :n], want.detected_taps)
     for name in ("nus", "residuals", "posteriors"):
         np.testing.assert_array_equal(getattr(stack, name)[row, :n], getattr(want, name))
-    assert stack.skipped[row] == want.diagnostics["skipped_candidates"]
-    assert stack.underflow[row] == want.diagnostics["posterior_underflow"]
+    assert stack.skipped[row] == want.skipped
+    assert stack.underflow[row] == want.underflow
     assert_chain_factors_equal(stack, row, want)
     assert_rel(stack.taps[row], want.h_ammse)
 
@@ -294,9 +287,9 @@ def test_lattice_matches_from_scratch(case):
         assert not marginals[row, n:].any()
         if n == 0:
             continue
-        est = greedy_search(a, y, BernoulliPrior(lam), noise_var, t_max)
-        want = compute_marginals(est, a, y, BernoulliPrior(lam), reuse=False)
-        np.testing.assert_allclose(marginals[row, :n], want.marginals, rtol=0, atol=REL)
+        _, _, want = lattice_oracle(stack.chosen[row, :n], a, y, BernoulliPrior(lam),
+                                    noise_var)
+        np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=REL)
 
 
 @PROPERTY
@@ -377,7 +370,7 @@ def test_short_chain_matches_greedy_search():
     assert_rel(stack.taps[0], est.h_ammse)
     assert_rel(stack.posteriors[0, :2], est.posteriors)
     covariances = error_covariances(stack)
-    assert_rel(covariances[0, :2, :2], error_covariance(est).matrix)
+    assert_rel(covariances[0, :2, :2], error_covariance(est))
     assert not covariances[0, 2].any() and not covariances[1].any()
     assert not stack.taps[1].any()
 
@@ -392,7 +385,7 @@ def test_grid_search_routing(k, t_max):
     ys = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
     lambdas = np.full((5, 16), 3 / 16)
     noise_vars = np.full(5, 0.05)
-    stack, *_ = _search_grid(a, ys, lambdas, noise_vars, t_max)
+    stack, *_ = search_rows(a, ys, lambdas, noise_vars, t_max)
     np.testing.assert_array_equal(stack.lengths, np.full(5, t_max))
     for i in range(5):
         want = greedy_search(a, ys[i], BernoulliPrior(lambdas[i]), 0.05, t_max)

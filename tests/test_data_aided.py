@@ -44,11 +44,17 @@ from gridce.ofdm import (
     synthesize_received,
     truncated_dft,
 )
-from gridce.posterior import ErrorCovariance, error_covariance, error_covariances
+from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
-from gridce.solver import BernoulliPrior, greedy_search, greedy_search_batch
-from oracles import nearest_indices_oracle, neighbors, sq_distances_oracle
+from gridce.solver import BernoulliPrior, greedy_search_batch
+from oracles import (
+    error_covariance,
+    greedy_search,
+    nearest_indices_oracle,
+    neighbors,
+    sq_distances_oracle,
+)
 
 QAM4 = build_qam_alphabet(4)
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -459,31 +465,33 @@ class TestStencilConsensus:
 
 
 def reliable_budget_oracle(cov, taps, n_pilots, n_data, expected_actives):
-    """One antenna's carrier budget from its ``ErrorCovariance`` (None when
-    its final pass failed) and combined taps: the per-antenna reference."""
+    """One antenna's carrier budget from its (taps, T x T error covariance)
+    pair (None when its final pass failed) and combined taps: the
+    per-antenna reference."""
     if n_pilots <= 2 * (expected_actives + 1):
         return n_data
     if cov is None:
         return MIN_RELIABLE
+    _, matrix = cov
     energy = float(np.sum(np.abs(taps) ** 2))
-    rho = np.trace(cov.matrix).real / max(energy, 1e-30)
+    rho = np.trace(matrix).real / max(energy, 1e-30)
     budget = int(round(n_pilots * rho / RHO_REFERENCE))
     return int(np.clip(budget, MIN_RELIABLE, n_data))
 
 
 def grid_estimate(covariances, taps, t_max, failed):
-    """A GridEstimate holding [row][col] ErrorCovariances (None: failed
-    final pass), zero-padded by hand to T = t_max."""
+    """A GridEstimate holding [row][col] (taps, error covariance) pairs
+    (None: failed final pass), zero-padded by hand to T = t_max."""
     rows, cols, length = taps.shape
     support = np.zeros((rows, cols, t_max), dtype=int)
     error_cov = np.zeros((rows, cols, t_max, t_max), dtype=complex)
     for r in range(rows):
         for c in range(cols):
-            cov = covariances[r][c]
-            if cov is not None:
-                t = cov.taps.size
-                support[r, c, :t] = cov.taps
-                error_cov[r, c, :t, :t] = cov.matrix
+            if covariances[r][c] is not None:
+                cov_taps, matrix = covariances[r][c]
+                t = cov_taps.size
+                support[r, c, :t] = cov_taps
+                error_cov[r, c, :t, :t] = matrix
     return GridEstimate(taps=taps, support=support, error_cov=error_cov,
                         priors=np.full(taps.shape, 0.1), noise_vars=np.full((rows, cols), 0.1),
                         failed=failed)
@@ -515,8 +523,7 @@ def budget_inputs(draw):
             t = t_max if kind != "short" else int(rng.integers(1, t_max + 1))
             m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
             scale = 10.0 ** rng.uniform(-7, 1)
-            covariances[r][c] = ErrorCovariance(
-                taps=rng.permutation(length)[:t], matrix=scale * (m @ m.conj().T))
+            covariances[r][c] = (rng.permutation(length)[:t], scale * (m @ m.conj().T))
     n_pilots = draw(st.integers(1, 64))
     n_data = draw(st.integers(MIN_RELIABLE, 400))
     expected_actives = draw(st.integers(1, 8))
@@ -539,7 +546,7 @@ class TestReliableBudget:
         np.testing.assert_array_equal(got, want)
 
     def test_starved_regime_offers_every_carrier(self):
-        covariances = [[None, ErrorCovariance(np.array([1]), np.eye(1))]]
+        covariances = [[None, (np.array([1]), np.eye(1))]]
         base = grid_estimate(covariances, np.ones((1, 2, 4), complex), 2,
                              np.array([[True, False]]))
         np.testing.assert_array_equal(reliable_budget(base, 8, 100, 3), [[100, 100]])
@@ -547,7 +554,7 @@ class TestReliableBudget:
     def test_short_chain_and_failed_antenna_distortion(self):
         """A chain that stopped early and a failed antenna, zero-padded into
         one stack, give the carrier variances of the per-antenna
-        ErrorCovariance path (noise alone for the failed antenna)."""
+        per-antenna covariance path (noise alone for the failed antenna)."""
         rng = make_rng(8)
         a_short = np.zeros((5, 6), complex)  # two usable columns: chain of 2
         a_short[:, 1] = [1, 2, 0, 1j, 0]
@@ -557,23 +564,23 @@ class TestReliableBudget:
         a_full = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
         full = greedy_search(a_full, a_full[:, 2] - 0.5 * a_full[:, 0],
                              BernoulliPrior.uniform(6, 0.3), 0.1, 3)
-        covs = [error_covariance(short), error_covariance(full)]
-        assert [cov.taps.size for cov in covs] == [2, 3]
+        covs = [(est.detected_taps, error_covariance(est)) for est in (short, full)]
+        assert [cov_taps.size for cov_taps, _ in covs] == [2, 3]
 
         support = np.full((3, 3), 5)  # garbage the padding must clear
         error_cov = np.ones((3, 3, 3), complex)
-        for i, cov in enumerate(covs):
-            t = cov.taps.size
+        for i, (cov_taps, matrix) in enumerate(covs):
+            t = cov_taps.size
             support[i], error_cov[i] = 0, 0
-            support[i, :t], error_cov[i, :t, :t] = cov.taps, cov.matrix
+            support[i, :t], error_cov[i, :t, :t] = cov_taps, matrix
         support[2], error_cov[2] = 0, 0  # failed antenna
         noise_vars = np.array([0.1, 0.2, 0.3])
         symbols = random_symbols(rng, 12, 16)
         got = distortion_covariance(symbols, error_cov, noise_vars, taps=support)
         assert got.shape == (3, 12)
-        for i, cov in enumerate(covs):
+        for i, (cov_taps, matrix) in enumerate(covs):
             np.testing.assert_allclose(
-                got[i], distortion_covariance(symbols, cov.matrix, noise_vars[i], cov.taps),
+                got[i], distortion_covariance(symbols, matrix, noise_vars[i], cov_taps),
                 rtol=1e-12)
         np.testing.assert_array_equal(got[2], 0.3)
 
@@ -677,8 +684,6 @@ class TestRunDataAided:
         solve treating those carriers as pilots (rows from the true frame
         symbols) reproduces the refined estimates, so the paired NMSE
         distributions coincide (KS distance < 0.1)."""
-        from gridce.solver import BernoulliPrior, greedy_search
-
         ratios_aided, ratios_pilot = [], []
         for seed in range(10):
             grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(

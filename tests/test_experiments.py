@@ -7,6 +7,7 @@
 import json
 import subprocess
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from gridce.data_aided import ANTENNA_CHUNK
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
     CSV_HEADER,
+    SUCCESS_RATIO,
     ExperimentSpec,
     ResultRow,
     _score_algorithm,
-    compute_metrics,
+    count_bit_errors,
     emit_results,
     error_ratio,
     experiment_presets,
@@ -32,9 +34,16 @@ from gridce.experiments import (
     somp_stack,
     synthesize_scene,
 )
-from gridce.ofdm import equalize_and_slice, freq_response, make_rng, truncated_dft
+from gridce.ofdm import freq_response, make_rng, truncated_dft
+from gridce.qam import build_qam_alphabet
 from gridce.solver import IllConditionedSupportError
-from oracles import neighbors, oracle_ls_loop_oracle, somp_loop_oracle
+from oracles import (
+    blue_estimate,
+    equalize_and_slice,
+    neighbors,
+    oracle_ls_loop_oracle,
+    somp_loop_oracle,
+)
 
 
 def small_spec(**kw):
@@ -64,6 +73,14 @@ class TestSpec:
             json.loads(json.dumps(dataclasses.asdict(spec)))
         )
         assert clone == spec
+
+    def test_from_dict_leaves_the_input_unchanged(self):
+        data = {"grid_rows": 2, "n_pilots": [10, 12], "snr_db": [15.0], "depth": [1],
+                "algorithms": ["IB-P"]}
+        before = json.loads(json.dumps(data))
+        spec = ExperimentSpec.from_dict(data)
+        assert spec.n_pilots == (10, 12)
+        assert data == before and isinstance(data["n_pilots"], list)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -132,6 +149,20 @@ class TestSpec:
             small_spec(n_pilots=(2, 10), sparsity=3)
         small_spec(n_pilots=(2, 10), sparsity=3, algorithms=("MB-P", "IB-P"))
 
+    @pytest.mark.parametrize("sparsity, algorithms, rejected", [
+        (14, ("MB-P",), True),     # t_max 21
+        (14, ("IB-P", "MB-R"), True),
+        (13, ("MB-P",), False),    # t_max 20
+        (16, ("IB-P",), False),    # IB builds no lattice
+    ])
+    def test_marginal_lattice_past_guard_rejected(self, sparsity, algorithms, rejected):
+        """MB searches t_max = min(dml_support_size(L, n/L), K) taps and
+        enumerates their 2^t_max - 1 subsets; a spec whose largest K gives
+        more than MAX_LATTICE_TAPS fails at construction, not in a trial."""
+        with pytest.raises(ConfigurationError, match="lattice") if rejected else nullcontext():
+            ExperimentSpec(grid_rows=2, grid_cols=2, channel_len=64, sparsity=sparsity,
+                           n_pilots=(16, 32), algorithms=algorithms)
+
     @pytest.mark.parametrize("n_reliable", [0, -1, 55, 60])
     def test_n_reliable_outside_data_carriers_rejected(self, n_reliable):
         """A fixed carrier budget must fit the data carriers left by the
@@ -178,8 +209,6 @@ class TestOracle:
     def test_equals_blue_on_true_support(self):
         """The Gram-domain solve equals the SVD-based ``blue_estimate`` to
         rounding (normal equations, so not bit for bit)."""
-        from gridce.solver import blue_estimate
-
         spec = small_spec()
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[1, 1, scene.frame.pilot_indices]
@@ -214,20 +243,20 @@ class TestOracle:
 class TestMetrics:
     def test_perfect_estimate_hits_floor(self):
         h = np.ones((2, 2, 4), complex)
-        out = compute_metrics([h], [h.copy()])
-        assert out["nmse_db"] == -300.0
-        assert out["success_rate"] == 1.0
+        ratio = error_ratio(h, h.copy())
+        assert nmse_db_from_ratios([ratio]) == -300.0
+        assert ratio < SUCCESS_RATIO
 
     def test_zero_estimate_is_zero_db(self):
         h = np.ones((2, 2, 4), complex)
-        out = compute_metrics([h], [np.zeros_like(h)])
-        assert abs(out["nmse_db"]) < 1e-9
+        assert abs(nmse_db_from_ratios([error_ratio(h, np.zeros_like(h))])) < 1e-9
 
     def test_identical_bits_zero_ber(self):
-        h = np.ones((1, 1, 4), complex)
-        bits = np.array([0, 1, 1, 0])
-        out = compute_metrics([h], [h], [bits], [bits.copy()])
-        assert out["ber"] == 0.0
+        alphabet = build_qam_alphabet(4)
+        indices = np.array([0, 1, 3, 2])
+        errors, total = count_bit_errors(alphabet, indices, indices.copy(),
+                                         np.zeros(4, bool))
+        assert errors == 0 and total == 8
 
     def test_pooled_ratio(self):
         true = np.zeros((1, 2, 2), complex)
@@ -738,6 +767,15 @@ class TestCli:
         assert out.returncode == 2
         assert "grid_rows" in out.stderr and "Traceback" not in out.stderr
         assert not list(tmp_path.iterdir())
+
+    def test_marginal_lattice_past_guard_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(grid_rows=2, grid_cols=2, channel_len=64,
+                                            sparsity=16, n_pilots=[32],
+                                            algorithms=["MB-P"])))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "MB-P" in out.stderr and "lattice" in out.stderr  # the spec's message
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -13,13 +13,13 @@ from gridce.ofdm import (
     place_pilots,
     synthesize_received,
 )
-from gridce.posterior import compute_marginals, error_covariance
 from gridce.sharing import (
     BeliefKind,
     BeliefState,
     GridSolverConfig,
+    _first_pass,
+    _rank_scores,
     _run_grid,
-    assign_scores,
     average_marginals_round,
     average_scores_round,
     run_integer_based,
@@ -28,8 +28,8 @@ from gridce.sharing import (
     stencil_gather,
     stencil_reduce,
 )
-from gridce.solver import BernoulliPrior, SparseEstimate, greedy_search
-from oracles import neighbors
+from gridce.solver import BernoulliPrior, ChainStack
+from oracles import assign_scores, error_covariance, greedy_search, lattice_oracle, neighbors
 
 
 def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
@@ -49,20 +49,18 @@ def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
     return grid, channels, sensing, y, noise_var
 
 
-def fake_estimate(length, taps, amplitudes):
-    h = np.zeros(length, complex)
-    h[taps] = amplitudes
-    return SparseEstimate(
-        supports=[np.array(taps[: i + 1]) for i in range(len(taps))],
-        posteriors=np.full(len(taps), 1 / len(taps)),
-        cond_means=[h[np.array(taps[: i + 1])] for i in range(len(taps))],
-        residuals=np.zeros(len(taps)),
-        nus=np.zeros(len(taps)),
-        gram_inverses=[None] * len(taps),
-        channel_len=length,
-        noise_var=0.01,
-        t_max=len(taps),
-        h_ammse=h,
+def fake_stack(length, taps, amplitudes):
+    """A one-row ChainStack detecting ``taps`` with combined ``amplitudes``;
+    the fields ``_rank_scores`` does not read are zeros."""
+    t = len(taps)
+    h = np.zeros((1, length), complex)
+    h[0, taps] = amplitudes
+    zeros = np.zeros((1, t))
+    return ChainStack(
+        chosen=np.array([taps]), nus=zeros, residuals=zeros, posteriors=zeros,
+        r_factors=np.eye(t)[None], r_inverses=np.eye(t)[None], qty=zeros.astype(complex),
+        taps=h, noise_vars=np.array([0.01]), lengths=np.array([t]),
+        skipped=np.zeros(1, bool), underflow=np.zeros(1, bool),
     )
 
 
@@ -91,20 +89,19 @@ class TestStencils:
 
 
 class TestAssignScores:
+    """The grid runners' integer scores, ``_rank_scores``, on one chain."""
+
     def test_rank_by_amplitude(self):
-        est = fake_estimate(16, [2, 7, 11], [0.9, 0.1, 0.5])
-        scores = assign_scores(est)
+        scores = _rank_scores(fake_stack(16, [2, 7, 11], [0.9, 0.1, 0.5]))[0]
         assert scores[2] == 3 and scores[11] == 2 and scores[7] == 1
 
     def test_undetected_zero(self):
-        est = fake_estimate(16, [2, 7, 11], [0.9, 0.1, 0.5])
-        scores = assign_scores(est)
+        scores = _rank_scores(fake_stack(16, [2, 7, 11], [0.9, 0.1, 0.5]))[0]
         others = np.setdiff1d(np.arange(16), [2, 7, 11])
         assert np.all(scores[others] == 0)
 
     def test_ties_rank_lower_tap_higher(self):
-        est = fake_estimate(16, [9, 4], [0.5, 0.5])
-        scores = assign_scores(est)
+        scores = _rank_scores(fake_stack(16, [9, 4], [0.5, 0.5]))[0]
         assert scores[4] == 2 and scores[9] == 1
 
 
@@ -253,8 +250,6 @@ class TestGridAlgorithms:
         """Noiseless-ish SIA with K >= 2n+2: support detection rate of the
         final estimates is at least the first-pass rate, over paired seeds."""
         before_hits = after_hits = total = 0
-        from gridce.solver import BernoulliPrior, greedy_search
-
         for seed in range(25):
             grid, channels, sensing, y, nv = make_scene(
                 rows=5, cols=5, k=6, length=16, sparsity=2, snr_db=40.0,
@@ -262,12 +257,12 @@ class TestGridAlgorithms:
             )
             cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
             out = run_marginal_based(grid, y, sensing.rows, cfg, depth=2)
-            prior0 = BernoulliPrior.uniform(16, 2 / 16)
             t_max = cfg.resolve_t_max(16, 6)
+            _, first_detected, _, _ = _first_pass(y, sensing.rows, cfg, t_max,
+                                                  BeliefKind.MARGINAL)
             for r, c in grid.antennas():
                 true = set(channels.support_set((r, c)))
-                first = greedy_search(sensing.rows, y[r, c], prior0, nv, t_max)
-                before_hits += len(true & set(int(t) for t in first.detected_taps))
+                before_hits += len(true & set(np.flatnonzero(first_detected[r, c])))
                 after_hits += len(true & set(int(t) for t in out.support[r, c]))
                 total += len(true)
         assert after_hits >= before_hits
@@ -312,18 +307,10 @@ class TestGridAlgorithms:
     def test_integer_rounds_exchange_integers(self):
         """Belief buffers hold integers after every non-final round."""
         grid, channels, sensing, y, nv = make_scene(seed=6)
-        from gridce.sharing import BeliefState, BeliefKind, assign_scores
-        from gridce.solver import BernoulliPrior, greedy_search
-
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         t_max = cfg.resolve_t_max(16, 12)
-        values = np.zeros((5, 5, 16))
-        detected = np.zeros((5, 5, 16), dtype=bool)
-        prior0 = BernoulliPrior.uniform(16, 2 / 16)
-        for r, c in grid.antennas():
-            est = greedy_search(sensing.rows, y[r, c], prior0, nv, t_max)
-            values[r, c] = assign_scores(est)
-            detected[r, c, est.detected_taps] = True
+        values, detected, _, _ = _first_pass(y, sensing.rows, cfg, t_max, BeliefKind.SCORE)
+        assert np.all(values == np.round(values)) and values.max() == t_max
         state = BeliefState(BeliefKind.SCORE, values, detected)
         for i in range(3):
             state = average_scores_round(grid, state, final=(i == 2))
@@ -353,10 +340,10 @@ class TestGridAlgorithms:
 
 def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     """The per-antenna composition the one-stack passes replaced, kept as
-    the oracle: greedy_search at every antenna, then compute_marginals or
-    assign_scores for the first-pass beliefs, and error_covariance after
-    the final pass, zero-padded to T.  Returns the GridEstimate fields and
-    the final chain lengths."""
+    the oracle: greedy_search at every antenna, then the from-scratch
+    lattice or assign_scores for the first-pass beliefs, and
+    error_covariance after the final pass, zero-padded to T.  Returns the
+    GridEstimate fields and the final chain lengths."""
     rows, cols, _ = observations.shape
     k, length = sensing_rows.shape
     t_max = config.resolve_t_max(length, k)
@@ -377,10 +364,12 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
         if est is None:
             failed[r, c] = True
             continue
-        values[r, c] = (
-            compute_marginals(est, sensing_rows, observations[r, c], BernoulliPrior(prior))
-            .marginal_vector(length) if kind is BeliefKind.MARGINAL else assign_scores(est)
-        )
+        if kind is BeliefKind.MARGINAL:
+            values[r, c, est.detected_taps] = lattice_oracle(
+                est.detected_taps, sensing_rows, observations[r, c], BernoulliPrior(prior),
+                config.noise_var)[2]
+        else:
+            values[r, c] = assign_scores(est)
         detected[r, c, est.detected_taps] = True
     state = BeliefState(kind, values, detected)
     for i in range(depth):
@@ -399,9 +388,9 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
         if est is None:
             failed[r, c] = True
             continue
-        cov = error_covariance(est)
-        t = lengths[r, c] = cov.taps.size
-        taps[r, c], support[r, c, :t], error_cov[r, c, :t, :t] = est.h_ammse, cov.taps, cov.matrix
+        t = lengths[r, c] = est.detected_taps.size
+        taps[r, c], support[r, c, :t] = est.h_ammse, est.detected_taps
+        error_cov[r, c, :t, :t] = error_covariance(est)
     return taps, support, error_cov, priors, failed, lengths
 
 

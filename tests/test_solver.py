@@ -1,20 +1,17 @@
-"""Greedy matching-pursuit solver: metric, BLUE, chain search, combination."""
+"""Greedy matching-pursuit solver: metric, BLUE, chain search, combination.
+
+The chain tests run the production entry point ``search_rows`` on one
+observation vector; the support metric, BLUE and exhaustive enumeration
+they are checked against are the oracles in ``tests/oracles.py``.
+"""
 
 import numpy as np
 import pytest
 
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
-from gridce.solver import (
-    BernoulliPrior,
-    ammse_combine,
-    blue_estimate,
-    dml_support_size,
-    exhaustive_estimate,
-    greedy_search,
-    init_params,
-    support_metric,
-)
+from gridce.solver import BernoulliPrior, dml_support_size, init_params, search_rows
+from oracles import blue_estimate, exhaustive_estimate, support_metric
 
 
 def random_system(k, length, sparsity, noise_var, seed, complex_taps=True):
@@ -26,6 +23,18 @@ def random_system(k, length, sparsity, noise_var, seed, complex_taps=True):
                                               if complex_taps else 0)
     noise = np.sqrt(noise_var / 2) * (rng.normal(size=k) + 1j * rng.normal(size=k))
     return a, h, support, a @ h + noise
+
+
+def solve(a, y, prior, noise_var, t_max):
+    """The production chain of one observation vector: a one-row stack."""
+    stack, *_ = search_rows(a, np.asarray(y)[None], prior.lambdas[None],
+                            np.array([noise_var]), t_max)
+    return stack
+
+
+def chain(stack):
+    """Row 0's detected taps in selection order."""
+    return stack.chosen[0, :stack.lengths[0]]
 
 
 class TestInitParams:
@@ -55,6 +64,17 @@ class TestInitParams:
         assert params.t_max == 1
         assert abs(params.prior.lambdas[0] - 1e-6) < 1e-12
         assert params.noise_var > 0
+
+    def test_one_row_noise_floor(self):
+        """var(y) is 0 for one observation row; the noise estimate is
+        floored, so the solver accepts it."""
+        rng = make_rng(4)
+        a = rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))
+        y = np.array([1.0 - 0.5j])
+        params = init_params(a, y)
+        assert params.noise_var > 0 and params.t_max == 1
+        stack = solve(a, y, params.prior, params.noise_var, params.t_max)
+        assert stack.lengths[0] == 1 and np.isfinite(stack.taps).all()
 
     def test_t_max_capped_at_observation_count(self):
         a = np.ones((2, 64), complex) + 0.1 * make_rng(0).normal(size=(2, 64))
@@ -150,34 +170,33 @@ class TestGreedySearch:
         for seed in range(20):
             a, h, support, y = random_system(6, 10, 2, 0.05, seed=seed)
             prior = BernoulliPrior.uniform(10, 0.2)
-            est = greedy_search(a, y, prior, 0.05, t_max=1)
+            stack = solve(a, y, prior, 0.05, t_max=1)
             nus = [support_metric([j], y, a, prior, 0.05) for j in range(10)]
-            assert est.supports[0][0] == int(np.argmax(nus))
+            assert stack.chosen[0, 0] == int(np.argmax(nus))
 
     def test_nested_chain_structure(self):
+        """Every stage adds one tap not chosen before."""
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=8)
-        est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=5)
-        for i in range(1, len(est.supports)):
-            prev, cur = est.supports[i - 1], est.supports[i]
-            assert cur.size == prev.size + 1
-            assert set(prev).issubset(set(cur))
+        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=5)
+        taps = chain(stack)
+        assert taps.size == 5 and np.unique(taps).size == 5
 
     def test_noiseless_recovery_rate(self):
         """L=8, K=6, n=2, noiseless: the true support must be a prefix of the
         chain in at least 95% of 500 seeded trials (verified brute-force over
         all C(8,2) supports that the metric's argmax is the true support)."""
+        from itertools import combinations
+
         hits = 0
         oracle_agrees = 0
         trials = 500
         for seed in range(trials):
             a, h, support, y = random_system(6, 8, 2, 1e-8, seed=1000 + seed)
             prior = BernoulliPrior.uniform(8, 2 / 8)
-            est = greedy_search(a, y, prior, 1e-6, t_max=2)
-            if set(est.supports[1]) == set(support):
+            stack = solve(a, y, prior, 1e-6, t_max=2)
+            if set(chain(stack)) == set(support):
                 hits += 1
             # brute-force oracle over all size-2 supports
-            from itertools import combinations
-
             best = max(
                 combinations(range(8), 2),
                 key=lambda s: support_metric(list(s), y, a, prior, 1e-6),
@@ -189,23 +208,22 @@ class TestGreedySearch:
 
     def test_posteriors_normalized(self):
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=9)
-        est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
-        assert abs(est.posteriors.sum() - 1.0) < 1e-9
+        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        assert abs(stack.posteriors[0].sum() - 1.0) < 1e-9
 
     def test_residual_monotone_along_chain(self):
         a, h, support, y = random_system(10, 24, 3, 0.1, seed=10)
-        est = greedy_search(a, y, BernoulliPrior.uniform(24, 0.1), 0.1, t_max=6)
-        assert np.all(np.diff(est.residuals) <= 1e-10)
+        stack = solve(a, y, BernoulliPrior.uniform(24, 0.1), 0.1, t_max=6)
+        assert np.all(np.diff(stack.residuals[0, :stack.lengths[0]]) <= 1e-10)
 
     def test_scale_equivariance(self):
         """Scaling y and sigma_w together leaves the chain unchanged."""
         a, h, support, y = random_system(8, 16, 2, 0.05, seed=11)
         prior = BernoulliPrior.uniform(16, 0.1)
-        est1 = greedy_search(a, y, prior, 0.05, t_max=4)
-        est2 = greedy_search(a, 10 * y, prior, 100 * 0.05, t_max=4)
-        for s1, s2 in zip(est1.supports, est2.supports):
-            np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_allclose(est1.posteriors, est2.posteriors, atol=1e-9)
+        one = solve(a, y, prior, 0.05, t_max=4)
+        scaled = solve(a, 10 * y, prior, 100 * 0.05, t_max=4)
+        np.testing.assert_array_equal(chain(one), chain(scaled))
+        np.testing.assert_allclose(one.posteriors, scaled.posteriors, atol=1e-9)
 
     def test_collinear_candidate_skipped(self):
         """A duplicated column cannot enter the same support twice."""
@@ -215,17 +233,16 @@ class TestGreedySearch:
         h = np.zeros(8, complex)
         h[2] = 2.0
         y = a @ h
-        est = greedy_search(a, y, BernoulliPrior.uniform(8, 0.2), 0.01, t_max=3)
-        final = set(est.supports[-1])
-        assert not {2, 5}.issubset(final)
-        assert est.diagnostics["skipped_candidates"]
+        stack = solve(a, y, BernoulliPrior.uniform(8, 0.2), 0.01, t_max=3)
+        assert not {2, 5}.issubset(set(chain(stack)))
+        assert stack.skipped[0]
 
     def test_no_nan_or_inf(self):
         for seed in range(10):
             a, h, support, y = random_system(8, 16, 3, 1e-6, seed=100 + seed)
-            est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.1), 1e-6, t_max=6)
-            assert np.all(np.isfinite(est.posteriors))
-            assert np.all(np.isfinite(est.h_ammse))
+            stack = solve(a, y, BernoulliPrior.uniform(16, 0.1), 1e-6, t_max=6)
+            assert np.all(np.isfinite(stack.posteriors))
+            assert np.all(np.isfinite(stack.taps))
 
     def test_finds_support_with_nongaussian_taps(self):
         """The solver never uses the tap distribution: constant-magnitude taps
@@ -238,40 +255,46 @@ class TestGreedySearch:
             h = np.zeros(16, complex)
             h[support] = np.exp(2j * np.pi * rng.random(2))  # unit magnitude
             y = a @ h
-            est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.12), 1e-6, t_max=3)
-            hits += set(support).issubset(set(est.supports[-1]))
+            stack = solve(a, y, BernoulliPrior.uniform(16, 0.12), 1e-6, t_max=3)
+            hits += set(support).issubset(set(chain(stack)))
         assert hits >= 45
 
 
 class TestAmmseCombine:
     def test_single_support_is_padded_blue(self):
         a, h, support, y = random_system(8, 16, 2, 0.05, seed=13)
-        est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.1), 0.05, t_max=1)
+        stack = solve(a, y, BernoulliPrior.uniform(16, 0.1), 0.05, t_max=1)
         expected = np.zeros(16, complex)
-        expected[est.supports[0]] = blue_estimate(a[:, est.supports[0]], y)
-        np.testing.assert_allclose(est.h_ammse, expected, atol=1e-10)
+        expected[chain(stack)] = blue_estimate(a[:, chain(stack)], y)
+        np.testing.assert_allclose(stack.taps[0], expected, atol=1e-10)
 
     def test_support_contained_in_largest(self):
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=14)
-        est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
-        nz = np.flatnonzero(est.h_ammse)
-        assert set(nz).issubset(set(est.supports[-1]))
+        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        nz = np.flatnonzero(stack.taps[0])
+        assert set(nz).issubset(set(chain(stack)))
 
     def test_posteriors_sum_to_one_after_combine(self):
+        """The combined taps are the posterior-weighted sum of the zero-padded
+        BLUE of every chain prefix, with weights summing to one."""
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=15)
-        est = greedy_search(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
-        ammse_combine(est)
-        assert abs(est.posteriors.sum() - 1.0) < 1e-9
+        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        assert abs(stack.posteriors[0].sum() - 1.0) < 1e-9
+        expected = np.zeros(16, complex)
+        taps = chain(stack)
+        for s, weight in enumerate(stack.posteriors[0], start=1):
+            expected[taps[:s]] += weight * blue_estimate(a[:, taps[:s]], y)
+        np.testing.assert_allclose(stack.taps[0], expected, atol=1e-10)
 
 
 class TestExhaustiveOracle:
     def test_matches_greedy_on_easy_instance(self):
         a, h, support, y = random_system(6, 8, 2, 1e-6, seed=16)
         prior = BernoulliPrior.uniform(8, 0.25)
-        est = greedy_search(a, y, prior, 1e-6, t_max=2)
+        stack = solve(a, y, prior, 1e-6, t_max=2)
         supports, posteriors, _, h_ex = exhaustive_estimate(a, y, prior, 1e-6, 2)
         top = supports[int(np.argmax(posteriors))]
-        assert set(top) == set(est.supports[-1])
+        assert set(top) == set(chain(stack))
         # both estimates land on the true channel
         np.testing.assert_allclose(h_ex, h, atol=1e-3)
 
