@@ -21,9 +21,7 @@ from .data_aided import (
 )
 from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
 from .ofdm import (
-    OfdmConfig,
     OfdmFrame,
-    SensingMatrix,
     build_sensing_matrix,
     freq_response,
     make_rng,

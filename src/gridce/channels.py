@@ -3,10 +3,9 @@
 Supports two spatial regimes.  In a space-invariant array (SIA) every
 antenna shares one support set; tap values still fade independently.  In
 a space-variant array (SVA) the support drifts slowly across the grid:
-the default generator evolves it as a random walk indexed by the grid
+the generator evolves it as a random walk indexed by the grid
 diagonal (row + col), so every antenna and each of its 4-neighbors differ
-by at most one migrated delay bin.  A geometric point-scatterer variant
-is available for physically-derived SVA supports.
+by at most one migrated delay bin.
 
 No assumption is made about the distribution of the nonzero taps; the
 sampler is pluggable and defaults to unit-variance complex Gaussian
@@ -43,7 +42,6 @@ class AntennaGrid:
     cols: int
     spacing_m: float = 0.058
     bandwidth_hz: float = 20e6
-    center_freq_hz: float = 2.6e9
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -174,16 +172,13 @@ def _walk_slots(grid, channel_len, sparsity, drift, rng):
     """
     n_diagonals = grid.rows + grid.cols - 1
     current = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
-    per_diagonal = [current.copy()]
+    per_diagonal = [current]
     for _ in range(1, n_diagonals):
         if drift > 0 and rng.random() < drift:
             current = _migrate_one(current, channel_len, rng)
-        per_diagonal.append(current.copy())
-
-    slots = np.zeros((grid.rows, grid.cols, sparsity), dtype=int)
-    for r, c in grid.antennas():
-        slots[r, c] = per_diagonal[r + c]
-    return slots
+        per_diagonal.append(current)
+    diagonal = np.add.outer(np.arange(grid.rows), np.arange(grid.cols))
+    return np.array(per_diagonal)[diagonal]
 
 
 def _migrate_one(support, channel_len, rng):
@@ -199,42 +194,6 @@ def _migrate_one(support, channel_len, rng):
                 support[pos] = dest
                 return support
     return support  # fully blocked; keep as-is
-
-
-def _scatterer_slots(grid, channel_len, sparsity, rng):
-    """Geometric variant: n point scatterers at random positions, per-antenna
-    delays quantized to bins of width 1/BW.  Returns (slots, gains) where
-    gains carry the free-space two-hop path loss per scatterer."""
-    span = 50.0 * grid.spacing_m * max(grid.rows, grid.cols)
-    tx = rng.uniform(-span, span, size=2)
-    scatterers = rng.uniform(-span, span, size=(sparsity, 2))
-    bin_width = 1.0 / grid.bandwidth_hz
-
-    positions = np.zeros((grid.rows, grid.cols, 2))
-    positions[..., 0] = np.arange(grid.rows)[:, None] * grid.spacing_m
-    positions[..., 1] = np.arange(grid.cols)[None, :] * grid.spacing_m
-
-    d_tx = np.maximum(np.linalg.norm(scatterers - tx, axis=1), grid.spacing_m)
-    diff = positions[:, :, None, :] - scatterers[None, None, :, :]
-    d_rx = np.maximum(np.linalg.norm(diff, axis=-1), grid.spacing_m)
-    delays = (d_tx[None, None, :] + d_rx) / SPEED_OF_LIGHT
-    bins = np.round((delays - delays.min()) / bin_width).astype(int)
-    bins = np.clip(bins, 0, channel_len - 1)
-
-    slots = np.zeros((grid.rows, grid.cols, sparsity), dtype=int)
-    for r, c in grid.antennas():
-        taken: list[int] = []
-        for b in bins[r, c]:
-            step = 1 if b < channel_len - 1 else -1
-            while b in taken:
-                if not 0 <= b + step < channel_len:
-                    step = -step
-                b += step
-            taken.append(int(b))
-        slots[r, c] = taken
-
-    gains = 1.0 / (d_tx * d_rx.mean(axis=(0, 1)))
-    return slots, gains
 
 
 def geometric_gains(sparsity: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,15 +214,14 @@ def generate_channels(
     drift: float = 0.05,
     rng: np.random.Generator | None = None,
     tap_dist="rayleigh",
-    sva_model: str = "walk",
     power_profile="flat",
 ) -> ChannelRealization:
     """Draw one sparse channel realization over the whole grid.
 
     SIA: a single size-n support shared by all antennas.  SVA: the support
-    drifts across the grid (``sva_model`` selects the random-walk default
-    or the geometric scatterer variant).  Tap values are drawn per antenna
-    from ``tap_dist`` (a TAP_SAMPLERS key or a callable ``f(rng, size)``).
+    drifts across the grid as a random walk along its diagonals.  Tap values
+    are drawn per antenna from ``tap_dist`` (a TAP_SAMPLERS key or a
+    callable ``f(rng, size)``).
 
     ``power_profile`` scales the per-scatterer amplitudes: "flat" keeps
     them equal, "geometric" draws two-hop path-loss gains (physical delay
@@ -279,26 +237,18 @@ def generate_channels(
         rng = np.random.default_rng()
     sampler = TAP_SAMPLERS[tap_dist] if isinstance(tap_dist, str) else tap_dist
 
-    gains = None
+    shape = (grid.rows, grid.cols)
     if kind == ArrayKind.SIA or drift == 0.0:
         base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
-        slots = np.broadcast_to(
-            base, (grid.rows, grid.cols, sparsity)
-        ).copy()
-    elif sva_model == "walk":
-        slots = _walk_slots(grid, channel_len, sparsity, drift, rng)
-    elif sva_model == "scatterers":
-        slots, gains = _scatterer_slots(grid, channel_len, sparsity, rng)
-        gains = gains * np.sqrt(sparsity / np.sum(gains**2))
+        slots = np.broadcast_to(base, shape + (sparsity,))
     else:
-        raise ConfigurationError(f"unknown sva_model {sva_model!r}")
+        slots = _walk_slots(grid, channel_len, sparsity, drift, rng)
 
     if isinstance(power_profile, str):
         if power_profile == "flat":
             gains = np.ones(sparsity)
         elif power_profile == "geometric":
-            if gains is None:
-                gains = geometric_gains(sparsity, rng)
+            gains = geometric_gains(sparsity, rng)
         else:
             raise ConfigurationError(f"unknown power_profile {power_profile!r}")
     else:
@@ -306,14 +256,13 @@ def generate_channels(
         if gains.shape != (sparsity,):
             raise ConfigurationError("explicit power profile must have length n")
 
-    taps = np.zeros((grid.rows, grid.cols, channel_len), dtype=complex)
-    support = np.zeros((grid.rows, grid.cols, channel_len), dtype=bool)
-    draws = _draw_taps(rng, grid.rows * grid.cols * sparsity, sampler).reshape(
-        grid.rows, grid.cols, sparsity
+    draws = _draw_taps(rng, grid.n_antennas * sparsity, sampler).reshape(
+        shape + (sparsity,)
     )
-    for r, c in grid.antennas():
-        taps[r, c, slots[r, c]] = gains * draws[r, c]
-        support[r, c, slots[r, c]] = True
+    taps = np.zeros(shape + (channel_len,), dtype=complex)
+    support = np.zeros(shape + (channel_len,), dtype=bool)
+    np.put_along_axis(taps, slots, gains * draws, axis=2)
+    np.put_along_axis(support, slots, True, axis=2)
     return ChannelRealization(
         taps=taps, support=support, sparsity=sparsity, kind=kind, drift=drift
     )

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import AntennaGrid
 from .errors import ConfigurationError, InvalidContextError
-from .ofdm import OfdmFrame, SensingMatrix, equalize, freq_response
+from .ofdm import OfdmFrame, equalize, freq_response
 from .posterior import error_covariances
 from .qam import QamAlphabet, as_axes
 from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
@@ -326,9 +325,7 @@ def reestimation_inputs(symbols, pilot_indices, observations, consensus, decisio
 
 
 def run_data_aided(
-    grid: AntennaGrid,
     frame: OfdmFrame,
-    sensing_full: SensingMatrix,
     observations_full: np.ndarray,
     base: GridEstimate,
     config: GridSolverConfig,
@@ -342,11 +339,10 @@ def run_data_aided(
     the neighborhood, then re-run the solver on the pilot rows plus the
     consensus carriers with the agreed decisions standing in as pilot
     symbols.  Antennas with an empty consensus keep their base estimate
-    (flagged in diagnostics).  ``sensing_full`` is diag(frame symbols) F_L
-    (``build_sensing_matrix``); its products are taken in closed form from
-    the frame symbols, so only its shape is read.
+    (flagged in diagnostics).  The products of the augmented systems
+    diag(s) F_L are taken in closed form from the frame symbols.
     """
-    n_carriers, length = sensing_full.shape
+    n_carriers, length = frame.n_carriers, base.taps.shape[-1]
     symbols = frame.freq_symbols
     pilots = frame.pilot_indices
     n_data = n_carriers - pilots.shape[0]
@@ -376,7 +372,7 @@ def run_data_aided(
     taps = base.taps.copy()
     support = base.support.copy()
     error_cov = base.error_cov.copy()
-    fallback = np.ones((grid.rows, grid.cols), dtype=bool)
+    fallback = np.ones(base.failed.shape, dtype=bool)
     aided = np.nonzero(~base.failed & consensus.any(axis=-1))
     if aided[0].size:
         # every augmented system has at least K + 1 > t_max rows, so no chain

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import logging
 import numbers
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,6 @@ from .channels import (
 )
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
-    OfdmConfig,
     build_sensing_matrix,
     equalize,
     freq_response,
@@ -96,8 +96,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         """Reject configurations that would otherwise fail inside a trial."""
+        for name in ("n_pilots", "snr_db", "depth", "algorithms"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigurationError(
+                    f"{name}={getattr(self, name)!r} must be a list of values")
         if not self.n_pilots or not self.snr_db or not self.depth:
             raise ConfigurationError("sweep axes must be nonempty")
+        for name in ("drift", "lambda_small"):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise ConfigurationError(f"{name}={getattr(self, name)!r} must be a number")
         for name in ("grid_rows", "grid_cols", "n_carriers", "channel_len", "sparsity",
                      "qam_order", "trials", "workers", "seed"):
             value = getattr(self, name)
@@ -290,21 +297,21 @@ def oracle_ls_estimate(sensing_rows: np.ndarray, observations: np.ndarray,
     return taps.reshape(lead + (length,))
 
 
-def somp_baseline(grid: AntennaGrid, observations: np.ndarray,
-                  sensing_rows: np.ndarray, n_taps: int,
+def somp_baseline(observations: np.ndarray, sensing_rows: np.ndarray, n_taps: int,
                   mode: ArrayKind = ArrayKind.SIA) -> np.ndarray:
     """Simultaneous OMP (Tropp, Gilbert & Strauss 2006) over each antenna's
     neighborhood observations, for the whole grid at once.
 
     Assumes a common support inside the neighborhood (SIA); every member's
     pilot observations vote on the next tap, and the center's coefficients
-    come from an LS debias on the selected support.  Returns (M, G, L) taps.
+    come from an LS debias on the selected support.  (M, G, K) observations
+    give (M, G, L) taps.
     """
     if mode == ArrayKind.SVA:
         warnings.warn("SOMP assumes a shared support; SVA violates that",
                       stacklevel=2)
     support, coef = somp_stack(observations, sensing_rows, n_taps)
-    taps = np.zeros((grid.rows, grid.cols, np.shape(sensing_rows)[1]), dtype=complex)
+    taps = np.zeros(support.shape[:2] + (np.shape(sensing_rows)[1],), dtype=complex)
     np.put_along_axis(taps, support, coef, axis=2)
     return taps
 
@@ -390,12 +397,10 @@ def count_bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> tuple
 
 @dataclass
 class TrialScene:
-    grid: AntennaGrid
     channels: object
     frame: object
-    sensing_full: object
-    sensing_pilot: object
-    observations: np.ndarray
+    pilot_rows: np.ndarray       # K x L rows diag(x_freq) @ F_L on the pilots
+    observations: np.ndarray     # (M, G, N) received carriers
     noise_var: float
     alphabet: object
     true_indices: np.ndarray     # transmitted symbol index per data carrier
@@ -417,34 +422,27 @@ def scene_channels(spec: ExperimentSpec, point_index: int, trial: int):
 
 def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
                      point_index: int, trial: int) -> TrialScene:
-    grid = spec.grid()
     noise_var = noise_var_for_snr(spec.sparsity, spec.n_carriers, snr_db)
-    config = OfdmConfig(
-        n_carriers=spec.n_carriers, n_pilots=n_pilots, qam_order=spec.qam_order,
-        channel_len=spec.channel_len, noise_var=noise_var, seed=spec.seed,
-    )
+    alphabet = build_qam_alphabet(spec.qam_order)
     channels = scene_channels(spec, point_index, trial)
     pilots = place_pilots(
         spec.n_carriers, n_pilots, (spec.seed, point_index, trial, 1)
     )
-    frame = modulate_frame(config, pilots, make_rng(spec.seed, point_index, trial, 2))
-    sensing_full = build_sensing_matrix(frame, spec.channel_len)
-    sensing_pilot = build_sensing_matrix(frame, spec.channel_len, restrict_to=pilots)
+    frame = modulate_frame(alphabet, spec.n_carriers, pilots,
+                           make_rng(spec.seed, point_index, trial, 2))
+    full = build_sensing_matrix(frame, spec.channel_len)
     observations = synthesize_received(
-        sensing_full, channels.taps, noise_var,
-        make_rng(spec.seed, point_index, trial, 3),
+        full, channels.taps, noise_var, make_rng(spec.seed, point_index, trial, 3),
     )
-    alphabet = config.alphabet
     return TrialScene(
-        grid=grid, channels=channels, frame=frame, sensing_full=sensing_full,
-        sensing_pilot=sensing_pilot, observations=observations,
-        noise_var=noise_var, alphabet=alphabet,
+        channels=channels, frame=frame, pilot_rows=full[pilots],
+        observations=observations, noise_var=noise_var, alphabet=alphabet,
         true_indices=alphabet.nearest_indices(frame.freq_symbols[frame.data_indices]),
     )
 
 
 def _worst_case(scene, k_bits):
-    n_data = scene.frame.data_indices.size * scene.grid.n_antennas
+    n_data = scene.frame.data_indices.size * scene.observations[..., 0].size
     return 1.0, n_data * k_bits, n_data * k_bits
 
 
@@ -510,8 +508,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     def base_chain(kind):
         runner = run_marginal_based if kind == "MB" else run_integer_based
         start = time.perf_counter()
-        estimate = runner(scene.grid, y_pilot, scene.sensing_pilot.rows,
-                          solver_cfg, depth)
+        estimate = runner(y_pilot, scene.pilot_rows, solver_cfg, depth)
         return estimate, time.perf_counter() - start
 
     for kind in ("MB", "IB"):
@@ -533,9 +530,8 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
             start = time.perf_counter()
             try:
                 refined = run_data_aided(
-                    scene.grid, scene.frame, scene.sensing_full,
-                    scene.observations, estimate, solver_cfg, scene.alphabet,
-                    n_reliable=spec.n_reliable,
+                    scene.frame, scene.observations, estimate, solver_cfg,
+                    scene.alphabet, n_reliable=spec.n_reliable,
                 )
                 aided_seconds = seconds + time.perf_counter() - start
                 results[aided_name] = (
@@ -551,13 +547,13 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         slots = np.nonzero(support)[-1].reshape(
             support.shape[:-1] + (scene.channels.sparsity,))
         record("oracle-LS", lambda: (
-            oracle_ls_estimate(scene.sensing_pilot.rows, y_pilot, slots), None,
+            oracle_ls_estimate(scene.pilot_rows, y_pilot, slots), None,
         ))
 
     if "SOMP" in wanted:
         record("SOMP", lambda: (
-            somp_baseline(scene.grid, y_pilot, scene.sensing_pilot.rows,
-                          spec.sparsity, scene.channels.kind),
+            somp_baseline(y_pilot, scene.pilot_rows, spec.sparsity,
+                          scene.channels.kind),
             None,
         ))
 
@@ -646,7 +642,7 @@ def emit_results(rows: list, path, fmt: str = "csv",
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        sidecar = path.rsplit(".", 1)[0] + ".meta.json"
+        sidecar = os.path.splitext(path)[0] + ".meta.json"
         metadata = {
             "snr_definition": SNR_DEFINITION,
             "rng": "numpy PCG64 seeded via SeedSequence((seed, point, trial, stream))",

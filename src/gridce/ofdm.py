@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .qam import QamAlphabet, build_qam_alphabet
+from .qam import QamAlphabet
 
 #: carriers with |H| below this are flagged undecodable instead of divided
 ZF_MIN_GAIN = 1e-12
@@ -33,37 +33,6 @@ def make_rng(*key) -> np.random.Generator:
     state.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-
-
-@dataclass(frozen=True)
-class OfdmConfig:
-    """System dimensions shared by every operation in a run."""
-
-    n_carriers: int
-    n_pilots: int
-    qam_order: int
-    channel_len: int
-    noise_var: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_carriers < 1:
-            raise ConfigurationError("n_carriers must be positive")
-        if not 1 <= self.n_pilots <= self.n_carriers:
-            raise ConfigurationError(
-                f"n_pilots={self.n_pilots} must lie in [1, n_carriers={self.n_carriers}]"
-            )
-        if self.channel_len < 1 or self.channel_len > self.n_carriers:
-            raise ConfigurationError(
-                f"channel_len={self.channel_len} must lie in [1, n_carriers]"
-            )
-        if self.noise_var < 0:
-            raise ConfigurationError("noise_var must be nonnegative")
-        build_qam_alphabet(self.qam_order)  # validates the order
-
-    @property
-    def alphabet(self) -> QamAlphabet:
-        return build_qam_alphabet(self.qam_order)
 
 
 @dataclass(frozen=True)
@@ -83,18 +52,6 @@ class OfdmFrame:
         mask = np.ones(self.n_carriers, dtype=bool)
         mask[self.pilot_indices] = False
         return np.flatnonzero(mask)
-
-
-@dataclass(frozen=True)
-class SensingMatrix:
-    """rows = diag(x_freq) @ F_L, either full (N x L) or row-restricted."""
-
-    rows: np.ndarray
-    restriction: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.rows.shape
 
 
 @lru_cache(maxsize=8)
@@ -127,7 +84,8 @@ def place_pilots(n_carriers: int, n_pilots: int, rng_seed: int) -> np.ndarray:
 
 
 def modulate_frame(
-    config: OfdmConfig, pilots: np.ndarray, rng: np.random.Generator
+    alphabet: QamAlphabet, n_carriers: int, pilots: np.ndarray,
+    rng: np.random.Generator,
 ) -> OfdmFrame:
     """Random data symbols off the pilot set, fixed pilot symbols on it.
 
@@ -135,15 +93,12 @@ def modulate_frame(
     constant-modulus corner points of the alphabet; at Q=4 these are the
     unit-magnitude points.  One frame is shared by the whole antenna grid.
     """
-    alphabet = config.alphabet
     pilots = np.asarray(pilots)
-    n = config.n_carriers
-
-    symbols = np.empty(n, dtype=complex)
+    symbols = np.empty(n_carriers, dtype=complex)
     corners = alphabet.max_magnitude_points()
     symbols[pilots] = corners[rng.integers(0, corners.size, size=pilots.size)]
 
-    data_mask = np.ones(n, dtype=bool)
+    data_mask = np.ones(n_carriers, dtype=bool)
     data_mask[pilots] = False
     n_data = int(data_mask.sum())
     if n_data:
@@ -153,30 +108,22 @@ def modulate_frame(
     return OfdmFrame(freq_symbols=symbols, pilot_indices=pilots)
 
 
-def build_sensing_matrix(
-    frame: OfdmFrame, channel_len: int, restrict_to: np.ndarray | None = None
-) -> SensingMatrix:
-    """diag(x_freq) @ F_L, optionally restricted to a row subset."""
+def build_sensing_matrix(frame: OfdmFrame, channel_len: int) -> np.ndarray:
+    """The N x L rows diag(x_freq) @ F_L of a frame."""
     n = frame.n_carriers
     if channel_len > n:
         raise ConfigurationError("channel_len exceeds carrier count")
-    full = frame.freq_symbols[:, None] * _truncated_dft(n, channel_len)
-    if restrict_to is None:
-        return SensingMatrix(rows=full)
-    restrict_to = np.asarray(restrict_to)
-    if restrict_to.size and (restrict_to.min() < 0 or restrict_to.max() >= n):
-        raise IndexError("restriction index out of range")
-    return SensingMatrix(rows=full[restrict_to], restriction=restrict_to)
+    return frame.freq_symbols[:, None] * _truncated_dft(n, channel_len)
 
 
 def synthesize_received(
-    sensing: SensingMatrix,
+    sensing_rows: np.ndarray,
     h: np.ndarray,
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """y = A h + w with circular complex Gaussian noise of variance noise_var."""
-    a = sensing.rows
+    a = np.asarray(sensing_rows)
     h = np.asarray(h)
     if h.shape[-1] != a.shape[1]:
         raise ValueError(

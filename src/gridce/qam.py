@@ -81,9 +81,6 @@ class QamAlphabet:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "level_table", table)
 
-    def symbols_from_indices(self, idx: np.ndarray) -> np.ndarray:
-        return self.points[np.asarray(idx)]
-
     def indices_from_bits(self, bits: np.ndarray) -> np.ndarray:
         """Pack bits (..., k) MSB-first into symbol indices."""
         k = self.bits_per_symbol

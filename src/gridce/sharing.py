@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import AntennaGrid
 from .errors import ConfigurationError
 from .posterior import error_covariances, lattice_marginals
 from .solver import PRIOR_EPS, ChainStack, dml_support_size, search_rows
@@ -154,33 +153,29 @@ def _rank_scores(stack: ChainStack) -> np.ndarray:
     return stack.scatter((stack.lengths[:, None] - rank).astype(float))
 
 
-def _neighborhood_mean(grid: AntennaGrid, state: BeliefState):
+def _neighborhood_mean(state: BeliefState):
     """(gate, mean over N+): members contribute their value only for taps
     inside their own gate (a member that never saw a tap adds 0)."""
     gate = state.gate()
     total = _stencil_sum(np.where(gate, state.values, 0.0))
-    return gate, total / _member_counts(grid.rows, grid.cols)[:, :, None]
+    return gate, total / _member_counts(*gate.shape[:2])[:, :, None]
 
 
-def average_marginals_round(
-    grid: AntennaGrid, state: BeliefState, lambda_small: float
-) -> BeliefState:
+def average_marginals_round(state: BeliefState, lambda_small: float) -> BeliefState:
     """One simultaneous neighborhood-averaging round for marginal beliefs;
     taps nobody in the neighborhood detected read lambda_small."""
-    gate, mean = _neighborhood_mean(grid, state)
+    gate, mean = _neighborhood_mean(state)
     return BeliefState(
         kind=BeliefKind.MARGINAL, values=np.where(gate, mean, lambda_small),
         detected=state.detected, round=state.round + 1,
     )
 
 
-def average_scores_round(
-    grid: AntennaGrid, state: BeliefState, final: bool = False
-) -> BeliefState:
+def average_scores_round(state: BeliefState, final: bool = False) -> BeliefState:
     """One simultaneous score-averaging round; the average is rounded up to
     keep scores integer except on the final round, where the raw average is
     kept (no further sharing follows, so nothing forces integrality)."""
-    gate, mean = _neighborhood_mean(grid, state)
+    gate, mean = _neighborhood_mean(state)
     if not final:
         mean = np.ceil(mean)
     return BeliefState(
@@ -249,7 +244,7 @@ def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
             stack.failed.reshape(rows, cols))
 
 
-def _run_grid(kind, grid, observations, sensing_rows, config, depth) -> GridEstimate:
+def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
     """The grid pipeline for one belief currency: first pass, ``depth``
     averaging rounds, beliefs to priors, final pass."""
     if depth < 0:
@@ -264,9 +259,9 @@ def _run_grid(kind, grid, observations, sensing_rows, config, depth) -> GridEsti
     states = [BeliefState(kind, values, detected)]
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
-            states.append(average_marginals_round(grid, states[-1], config.lambda_small))
+            states.append(average_marginals_round(states[-1], config.lambda_small))
         else:
-            states.append(average_scores_round(grid, states[-1], final=(i == depth - 1)))
+            states.append(average_scores_round(states[-1], final=(i == depth - 1)))
     if config.trace_path:
         _trace_rounds(config.trace_path, states)
 
@@ -284,7 +279,6 @@ def _run_grid(kind, grid, observations, sensing_rows, config, depth) -> GridEsti
 
 
 def run_marginal_based(
-    grid: AntennaGrid,
     observations: np.ndarray,
     sensing_rows: np.ndarray,
     config: GridSolverConfig,
@@ -297,11 +291,10 @@ def run_marginal_based(
     for ``depth`` rounds, and each antenna re-estimates with the averaged
     marginals as its Bernoulli prior.
     """
-    return _run_grid(BeliefKind.MARGINAL, grid, observations, sensing_rows, config, depth)
+    return _run_grid(BeliefKind.MARGINAL, observations, sensing_rows, config, depth)
 
 
 def run_integer_based(
-    grid: AntennaGrid,
     observations: np.ndarray,
     sensing_rows: np.ndarray,
     config: GridSolverConfig,
@@ -314,4 +307,4 @@ def run_integer_based(
     raw average, and scores are rescaled into beliefs before the final
     estimation pass.
     """
-    return _run_grid(BeliefKind.SCORE, grid, observations, sensing_rows, config, depth)
+    return _run_grid(BeliefKind.SCORE, observations, sensing_rows, config, depth)

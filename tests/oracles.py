@@ -26,6 +26,11 @@ baselines that ``experiments.somp_baseline`` and ``oracle_ls_estimate``
 replaced with one Gram-domain batch: SOMP refits every stage with
 ``lstsq`` on the member observations, and oracle-LS calls
 ``blue_estimate`` per antenna.
+
+``generate_channels_loop_oracle`` is the per-antenna fill that
+``channels.generate_channels`` and its SVA walk replaced with one diagonal
+index and ``np.put_along_axis``; it draws the same RNG values in the same
+order, so the two agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -33,6 +38,13 @@ from itertools import combinations
 
 import numpy as np
 
+from gridce.channels import (
+    TAP_SAMPLERS,
+    ArrayKind,
+    _draw_taps,
+    _migrate_one,
+    geometric_gains,
+)
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import equalize
 from gridce.solver import (
@@ -359,3 +371,33 @@ def oracle_ls_loop_oracle(sensing_rows, observations, supports):
     for b, support in enumerate(slots):
         taps[b, support] = blue_estimate(a[:, support], y[b])
     return taps.reshape(supports.shape[:-1] + (a.shape[1],))
+
+
+def generate_channels_loop_oracle(grid, channel_len, sparsity, kind, drift, rng,
+                                  tap_dist="rayleigh", power_profile="flat"):
+    """(taps, support) of ``generate_channels``, filled antenna by antenna
+    from a per-diagonal list of SVA walk slots."""
+    if kind == ArrayKind.SIA or drift == 0.0:
+        base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
+        slots = np.broadcast_to(base, (grid.rows, grid.cols, sparsity)).copy()
+    else:
+        current = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
+        per_diagonal = [current.copy()]
+        for _ in range(1, grid.rows + grid.cols - 1):
+            if drift > 0 and rng.random() < drift:
+                current = _migrate_one(current, channel_len, rng)
+            per_diagonal.append(current.copy())
+        slots = np.zeros((grid.rows, grid.cols, sparsity), dtype=int)
+        for r, c in grid.antennas():
+            slots[r, c] = per_diagonal[r + c]
+    gains = np.ones(sparsity) if power_profile == "flat" else geometric_gains(sparsity, rng)
+
+    taps = np.zeros((grid.rows, grid.cols, channel_len), dtype=complex)
+    support = np.zeros((grid.rows, grid.cols, channel_len), dtype=bool)
+    draws = _draw_taps(rng, grid.rows * grid.cols * sparsity, TAP_SAMPLERS[tap_dist]).reshape(
+        grid.rows, grid.cols, sparsity
+    )
+    for r, c in grid.antennas():
+        taps[r, c, slots[r, c]] = gains * draws[r, c]
+        support[r, c, slots[r, c]] = True
+    return taps, support

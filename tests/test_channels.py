@@ -16,7 +16,7 @@ from gridce.channels import (
 )
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
-from oracles import neighbors
+from oracles import generate_channels_loop_oracle, neighbors
 
 
 class TestNeighbors:
@@ -154,12 +154,6 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             generate_channels(grid, 4, 5, ArrayKind.SIA, rng=make_rng(0))
 
-    def test_scatterer_variant(self):
-        grid = AntennaGrid(rows=4, cols=4, spacing_m=0.5, bandwidth_hz=20e6)
-        real = generate_channels(grid, 64, 3, ArrayKind.SVA, drift=0.2,
-                                 rng=make_rng(5), sva_model="scatterers")
-        np.testing.assert_array_equal(real.support.sum(axis=2), 3)
-
     @pytest.mark.parametrize("dist", ["rayleigh", "constant", "student_t"])
     def test_tap_distributions(self, dist):
         grid = AntennaGrid(rows=2, cols=2)
@@ -172,6 +166,27 @@ class TestGeneration:
         a = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
         b = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
         np.testing.assert_array_equal(a.taps, b.taps)
+
+
+class TestArrayFill:
+    """The array form of ``generate_channels`` against the per-antenna fill
+    it replaced (``generate_channels_loop_oracle``), bit for bit."""
+
+    @pytest.mark.parametrize("rows, cols", [(4, 5), (1, 7), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("kind, drift", [
+        (ArrayKind.SIA, 0.05), (ArrayKind.SVA, 0.0), (ArrayKind.SVA, 0.4),
+        (ArrayKind.SVA, 1.0),
+    ])
+    @pytest.mark.parametrize("power_profile", ["flat", "geometric"])
+    def test_equals_per_antenna_fill(self, rows, cols, kind, drift, power_profile):
+        grid = AntennaGrid(rows=rows, cols=cols)
+        for seed in range(3):
+            real = generate_channels(grid, 32, 4, kind, drift, make_rng(seed),
+                                     power_profile=power_profile)
+            taps, support = generate_channels_loop_oracle(
+                grid, 32, 4, kind, drift, make_rng(seed), power_profile=power_profile)
+            assert np.array_equal(real.taps, taps)
+            assert np.array_equal(real.support, support)
 
 
 class TestSerialization:

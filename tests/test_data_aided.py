@@ -36,7 +36,6 @@ from gridce.data_aided import (
 from gridce.errors import InvalidContextError
 from gridce.experiments import error_ratio
 from gridce.ofdm import (
-    OfdmConfig,
     build_sensing_matrix,
     make_rng,
     modulate_frame,
@@ -64,20 +63,19 @@ def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
                seed=0, qam=4):
     grid = AntennaGrid(rows=rows, cols=cols)
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
-    config = OfdmConfig(n, k, qam, length, noise_var)
+    alphabet = build_qam_alphabet(qam)
     channels = generate_channels(grid, length, sparsity, ArrayKind.SIA, 0.0,
                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
-    frame = modulate_frame(config, pilots, make_rng(seed, 2))
-    sensing_full = build_sensing_matrix(frame, length)
-    sensing_pilot = build_sensing_matrix(frame, length, restrict_to=pilots)
-    observations = synthesize_received(sensing_full, channels.taps, noise_var,
+    frame = modulate_frame(alphabet, n, pilots, make_rng(seed, 2))
+    full_rows = build_sensing_matrix(frame, length)
+    observations = synthesize_received(full_rows, channels.taps, noise_var,
                                        make_rng(seed, 3))
     solver_cfg = GridSolverConfig(lambda_init=sparsity / length,
                                   noise_var=noise_var)
-    base = run_marginal_based(grid, observations[..., pilots],
-                              sensing_pilot.rows, solver_cfg, 2)
-    return grid, channels, config, frame, sensing_full, observations, base, solver_cfg
+    base = run_marginal_based(observations[..., pilots], full_rows[pilots],
+                              solver_cfg, 2)
+    return grid, channels, alphabet, frame, full_rows, observations, base, solver_cfg
 
 
 def distortion_covariance_oracle(a, err_cov, noise_var, taps=None):
@@ -585,11 +583,11 @@ class TestReliableBudget:
         np.testing.assert_array_equal(got[2], 0.3)
 
 
-def reestimate_oracle(frame, sensing_full, observations, base, config, agreements):
+def reestimate_oracle(frame, full_rows, observations, base, config, agreements):
     """The per-antenna re-estimation loop the closed forms replaced:
     explicit augmented rows and one search per aided antenna.  Returns
     (taps, support, error_cov, fallback) on the grid."""
-    length = sensing_full.shape[1]
+    length = full_rows.shape[1]
     pilots = frame.pilot_indices
     dft = truncated_dft(frame.n_carriers, length)
     t_max = config.resolve_t_max(length, pilots.size)
@@ -599,7 +597,7 @@ def reestimate_oracle(frame, sensing_full, observations, base, config, agreement
         reliable = agreements[r][c]
         if failed or not reliable.consensus.size:
             continue
-        a_aug = np.vstack([sensing_full.rows[pilots],
+        a_aug = np.vstack([full_rows[pilots],
                            reliable.agreed_symbols[:, None] * dft[reliable.consensus]])
         y_aug = observations[r, c, np.concatenate([pilots, reliable.consensus])]
         stack = greedy_search_batch(
@@ -624,12 +622,11 @@ class TestRunDataAided:
         """One batched solve on the closed-form inputs against the
         per-antenna loop on explicit augmented rows: equal supports and
         fallbacks, taps and error covariances within 1e-12 relative."""
-        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             rows=rows, cols=cols, qam=qam, snr_db=12.0, seed=seed)
-        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                 config.alphabet, n_reliable=n_reliable)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=n_reliable)
         taps, support, error_cov, fallback = reestimate_oracle(
-            frame, sensing_full, obs, base, cfg, refined.diagnostics["agreements"])
+            frame, full_rows, obs, base, cfg, refined.diagnostics["agreements"])
         np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"], fallback)
         np.testing.assert_array_equal(refined.support, support)
         assert_close(refined.taps, taps)
@@ -637,19 +634,17 @@ class TestRunDataAided:
         assert not fallback.all()
 
     def test_refinement_improves_or_matches_base(self):
-        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene()
-        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                 config.alphabet)
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene()
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
         base_ratio = error_ratio(channels.taps, base.taps)
         refined_ratio = error_ratio(channels.taps, refined.taps)
         assert refined_ratio <= base_ratio * 1.05
 
     def test_consensus_symbols_are_true_symbols_at_high_snr(self):
-        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             snr_db=25.0, seed=2
         )
-        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                 config.alphabet, n_reliable=8)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=8)
         fallback = refined.diagnostics["fallback_no_consensus"]
         assert not fallback.all()  # some antennas did refine
 
@@ -657,23 +652,21 @@ class TestRunDataAided:
         """Noiseless with an exact base estimate: all decisions are correct,
         the augmented rows equal the true ones and the refined NMSE does not
         exceed the base NMSE."""
-        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             snr_db=90.0, seed=3
         )
         base_ratio = error_ratio(channels.taps, base.taps)
-        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                 config.alphabet)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
         refined_ratio = error_ratio(channels.taps, refined.taps)
         assert refined_ratio <= base_ratio + 1e-12
 
     def test_empty_consensus_returns_base(self):
         """With n_reliable=2 and decorrelated rankings some antennas fall
         back; their outputs must equal the base estimates exactly."""
-        grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             seed=4, snr_db=10.0
         )
-        refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                 config.alphabet, n_reliable=2)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=2)
         fallback = refined.diagnostics["fallback_no_consensus"]
         for r, c in grid.antennas():
             if fallback[r, c]:
@@ -686,11 +679,10 @@ class TestRunDataAided:
         distributions coincide (KS distance < 0.1)."""
         ratios_aided, ratios_pilot = [], []
         for seed in range(10):
-            grid, channels, config, frame, sensing_full, obs, base, cfg = full_scene(
+            grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
                 rows=3, cols=3, snr_db=20.0, seed=50 + seed
             )
-            refined = run_data_aided(grid, frame, sensing_full, obs, base, cfg,
-                                     config.alphabet, n_reliable=12)
+            refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=12)
             agreements = refined.diagnostics["agreements"]
             pilots = frame.pilot_indices
             t_max = cfg.resolve_t_max(32, pilots.size)
@@ -705,7 +697,7 @@ class TestRunDataAided:
                 if not correct:
                     continue
                 idx = np.concatenate([pilots, reliable.consensus])
-                a_pilot_run = sensing_full.rows[idx]  # rows from true symbols
+                a_pilot_run = full_rows[idx]  # rows from true symbols
                 est = greedy_search(
                     a_pilot_run, obs[r, c, idx],
                     BernoulliPrior(base.priors[r, c]),

@@ -96,6 +96,7 @@ class TestSpec:
         ("lambda_small", 1.0),
         ("drift", 1.5),
         ("power_profile", "steep"),
+        ("n_carriers", 0),
     ])
     def test_bad_field_rejected_at_construction(self, field, value):
         """One out-of-range value per field fails before any trial runs."""
@@ -120,10 +121,19 @@ class TestSpec:
         ("snr_db", (float("nan"),)),
         ("snr_db", (10.0, float("inf"))),
         ("snr_db", ("10",)),
+        ("n_pilots", 16),
+        ("snr_db", 10.0),
+        ("depth", 3),
+        ("algorithms", None),
+        ("drift", None),
+        ("drift", "0.1"),
+        ("lambda_small", None),
+        ("lambda_small", "0.1"),
     ])
     def test_malformed_value_rejected_at_construction(self, field, value):
         """Sizes, counts and sweep entries must be integers (numpy integers
-        allowed, bools not), the grid at least 1x1, and every SNR finite;
+        allowed, bools not), the grid at least 1x1, every SNR finite, the
+        sweep axes lists and ``drift`` and ``lambda_small`` numbers;
         otherwise the spec fails before a trial or a ``range(trials)``
         would."""
         with pytest.raises(ConfigurationError, match=field):
@@ -202,7 +212,7 @@ class TestOracle:
         scene = synthesize_scene(spec, 10, 120.0, 0, 0)
         y = scene.observations[0, 0, scene.frame.pilot_indices]
         h = oracle_ls_estimate(
-            scene.sensing_pilot.rows, y, scene.channels.support_set((0, 0))
+            scene.pilot_rows, y, scene.channels.support_set((0, 0))
         )
         np.testing.assert_allclose(h, scene.channels.taps[0, 0], atol=1e-5)
 
@@ -213,9 +223,9 @@ class TestOracle:
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[1, 1, scene.frame.pilot_indices]
         support = scene.channels.support_set((1, 1))
-        h = oracle_ls_estimate(scene.sensing_pilot.rows, y, support)
+        h = oracle_ls_estimate(scene.pilot_rows, y, support)
         np.testing.assert_allclose(
-            h[support], blue_estimate(scene.sensing_pilot.rows[:, support], y),
+            h[support], blue_estimate(scene.pilot_rows[:, support], y),
             rtol=1e-12, atol=0,
         )
 
@@ -228,10 +238,10 @@ class TestOracle:
         slots = np.stack([[scene.channels.support_set((r, c)) for c in range(3)]
                           for r in range(3)])
         assert len({tuple(s) for s in slots.reshape(-1, 2)}) > 1  # supports drift
-        got = oracle_ls_estimate(scene.sensing_pilot.rows, y, slots)
-        ref = oracle_ls_loop_oracle(scene.sensing_pilot.rows, y, slots)
+        got = oracle_ls_estimate(scene.pilot_rows, y, slots)
+        ref = oracle_ls_loop_oracle(scene.pilot_rows, y, slots)
         assert got.shape == (3, 3, 16)
-        assert_taps_close(got, ref, scene.sensing_pilot.rows, slots)
+        assert_taps_close(got, ref, scene.pilot_rows, slots)
 
     def test_oversized_support_rejected(self):
         rng = make_rng(0)
@@ -277,7 +287,7 @@ def score_oracle(scene, taps):
     true_bits = alphabet.bits_from_indices(
         alphabet.nearest_indices(scene.frame.freq_symbols[data_idx]))
     errors = total = 0
-    for r, c in scene.grid.antennas():
+    for r, c in np.ndindex(taps.shape[:2]):
         resp = freq_response(taps[r, c], scene.frame.n_carriers)
         _, hard, bad = equalize_and_slice(scene.observations[r, c], resp, alphabet)
         hard_bits = alphabet.bits_from_indices(alphabet.nearest_indices(hard[data_idx]))
@@ -324,7 +334,7 @@ class TestSomp:
         rng = make_rng(4)
         a = (rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))) / np.sqrt(8)
         y = channels.taps @ a.T
-        taps = somp_baseline(grid, y, a, 1)
+        taps = somp_baseline(y, a, 1)
         assert np.flatnonzero(taps[0, 0]).tolist() == \
             np.flatnonzero(channels.taps[0, 0]).tolist()
 
@@ -341,18 +351,17 @@ class TestSomp:
             a = (rng.normal(size=(10, 32)) + 1j * rng.normal(size=(10, 32)))
             a /= np.sqrt(10)
             y = channels.taps @ a.T
-            taps = somp_baseline(grid, y, a, 3)
+            taps = somp_baseline(y, a, 3)
             found = set(np.flatnonzero(taps[1, 1]).tolist())
             hits += found == set(channels.support_set((1, 1)).tolist())
         assert hits / trials >= 0.95
 
     def test_sva_warns(self):
-        grid = AntennaGrid(rows=2, cols=2)
         rng = make_rng(5)
         a = rng.normal(size=(6, 16)) + 0j
         y = np.zeros((2, 2, 6), complex)
         with pytest.warns(UserWarning):
-            somp_baseline(grid, y, a, 2, mode=ArrayKind.SVA)
+            somp_baseline(y, a, 2, mode=ArrayKind.SVA)
 
 
 def assert_taps_close(got, ref, sensing_rows, supports):
@@ -438,7 +447,7 @@ class TestBatchedBaselines:
         grid, a, y, n_taps, pilot_rows = case
         ref, picks = somp_loop_oracle(grid, y, a, n_taps)
         support, coef = somp_stack(y, a, n_taps)
-        got = somp_baseline(grid, y, a, n_taps)
+        got = somp_baseline(y, a, n_taps)
         assert support.shape == coef.shape == (grid.rows, grid.cols, min(n_taps, a.shape[0]))
         for r, c in grid.antennas():
             batch, loop = support[r, c].tolist(), picks[r][c]
@@ -499,12 +508,12 @@ class TestBatchedBaselines:
         spec = ExperimentSpec(seed=seed, **DESK10)
         for trial in range(10):
             scene = synthesize_scene(spec, 16, 10.0, 0, trial)
-            a = scene.sensing_pilot.rows
+            a = scene.pilot_rows
             y = scene.observations[..., scene.frame.pilot_indices]
-            ref, picks = somp_loop_oracle(scene.grid, y, a, spec.sparsity)
+            ref, picks = somp_loop_oracle(spec.grid(), y, a, spec.sparsity)
             support, _ = somp_stack(y, a, spec.sparsity)
             assert support.tolist() == picks
-            got = somp_baseline(scene.grid, y, a, spec.sparsity)
+            got = somp_baseline(y, a, spec.sparsity)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
             slots = np.stack([[scene.channels.support_set((r, c)) for c in range(10)]
@@ -654,6 +663,17 @@ class TestEmitResults:
         emit_results(norm2, p2, spec=spec)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_sidecar_stays_in_a_dotted_directory(self, tmp_path):
+        """Only the file name's suffix is replaced: an extensionless path
+        inside a dotted directory keeps its sidecar next to it."""
+        (tmp_path / "run.v2").mkdir()
+        written = emit_results(self.rows(), tmp_path / "run.v2" / "results")
+        assert written[1] == str(tmp_path / "run.v2" / "results.meta.json")
+        assert written[0] == str(tmp_path / "run.v2" / "results")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2"]
+        csv = emit_results(self.rows(), tmp_path / "experiment3_1.csv")
+        assert csv[1] == str(tmp_path / "experiment3_1.meta.json")
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             emit_results(self.rows(), tmp_path / "missing" / "out.csv")
@@ -776,6 +796,13 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "MB-P" in out.stderr and "lattice" in out.stderr  # the spec's message
+
+    def test_scalar_sweep_axis_in_config_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n_pilots=16, trials=1)))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "n_pilots" in out.stderr and "Traceback" not in out.stderr
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -48,10 +48,8 @@ def test_perturbation_stays_within_reach(rows, cols, depth, kind, n_reliable, se
     perturbed[antenna] += 0.3 * (rng.normal(size=64) + 1j * rng.normal(size=64))
 
     def estimates(observations):
-        base = RUNNERS[kind](scene.grid, observations[..., pilots],
-                             scene.sensing_pilot.rows, config, depth)
-        aided = run_data_aided(scene.grid, scene.frame, scene.sensing_full,
-                               observations, base, config, scene.alphabet,
+        base = RUNNERS[kind](observations[..., pilots], scene.pilot_rows, config, depth)
+        aided = run_data_aided(scene.frame, observations, base, config, scene.alphabet,
                                n_reliable=n_reliable)
         return base.taps, aided.taps
 

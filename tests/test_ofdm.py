@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gridce.errors import ConfigurationError
+from gridce.experiments import ExperimentSpec, synthesize_scene
 from gridce.ofdm import (
-    OfdmConfig,
     OfdmFrame,
     build_sensing_matrix,
     equalize,
@@ -16,28 +16,32 @@ from gridce.ofdm import (
     synthesize_received,
     truncated_dft,
 )
+from gridce.qam import build_qam_alphabet
+
+QAM4 = build_qam_alphabet(4)
 
 
-def small_config(**kw):
-    defaults = dict(n_carriers=64, n_pilots=12, qam_order=4, channel_len=16,
-                    noise_var=0.01, seed=0)
+def small_spec(**kw):
+    defaults = dict(grid_rows=2, grid_cols=2, n_carriers=64, channel_len=16,
+                    sparsity=2, n_pilots=(12,), qam_order=4, trials=1)
     defaults.update(kw)
-    return OfdmConfig(**defaults)
+    return ExperimentSpec(**defaults)
 
 
 class TestConfig:
+    """The OFDM dimensions are validated where they are declared: on the spec."""
+
     def test_rejects_more_pilots_than_carriers(self):
         with pytest.raises(ConfigurationError):
-            OfdmConfig(n_carriers=4, n_pilots=5, qam_order=4, channel_len=2,
-                       noise_var=0.0)
+            ExperimentSpec(n_carriers=4, n_pilots=(5,), channel_len=2, sparsity=1)
 
     def test_rejects_long_channel(self):
         with pytest.raises(ConfigurationError):
-            small_config(channel_len=65)
+            small_spec(channel_len=65)
 
     def test_rejects_bad_qam(self):
         with pytest.raises(ConfigurationError):
-            small_config(qam_order=8)
+            small_spec(qam_order=8)
 
 
 class TestPilotPlacement:
@@ -71,27 +75,23 @@ class TestPilotPlacement:
 
 class TestFrame:
     def test_shape_and_alphabet_membership(self):
-        cfg = small_config()
         pilots = place_pilots(64, 12, 0)
-        frame = modulate_frame(cfg, pilots, make_rng(0, 2))
+        frame = modulate_frame(QAM4, 64, pilots, make_rng(0, 2))
         assert frame.freq_symbols.shape == (64,)
-        alph = cfg.alphabet
-        d = np.abs(frame.freq_symbols[:, None] - alph.points[None, :]).min(axis=1)
+        d = np.abs(frame.freq_symbols[:, None] - QAM4.points[None, :]).min(axis=1)
         assert d.max() < 1e-12
 
     def test_all_pilot_frame(self):
-        cfg = small_config(n_pilots=64)
         pilots = np.arange(64)
-        frame = modulate_frame(cfg, pilots, make_rng(1))
+        frame = modulate_frame(QAM4, 64, pilots, make_rng(1))
         assert frame.data_indices.size == 0
         # every carrier carries a constant-modulus pilot point
         assert np.allclose(np.abs(frame.freq_symbols), np.abs(frame.freq_symbols[0]))
 
     def test_same_seed_same_frame(self):
-        cfg = small_config()
         pilots = place_pilots(64, 12, 0)
-        f1 = modulate_frame(cfg, pilots, make_rng(7))
-        f2 = modulate_frame(cfg, pilots, make_rng(7))
+        f1 = modulate_frame(QAM4, 64, pilots, make_rng(7))
+        f2 = modulate_frame(QAM4, 64, pilots, make_rng(7))
         np.testing.assert_array_equal(f1.freq_symbols, f2.freq_symbols)
 
 
@@ -100,37 +100,32 @@ class TestSensingMatrix:
         frame = OfdmFrame(freq_symbols=np.ones(32, complex),
                           pilot_indices=np.arange(4))
         sensing = build_sensing_matrix(frame, 8)
-        np.testing.assert_allclose(sensing.rows, truncated_dft(32, 8), atol=1e-14)
+        np.testing.assert_allclose(sensing, truncated_dft(32, 8), atol=1e-14)
 
     def test_restricted_shape(self):
-        cfg = small_config()
-        pilots = place_pilots(64, 12, 0)
-        frame = modulate_frame(cfg, pilots, make_rng(0))
-        sensing = build_sensing_matrix(frame, 16, restrict_to=pilots)
-        assert sensing.shape == (12, 16)
+        scene = synthesize_scene(small_spec(), 12, 10.0, 0, 0)
+        assert scene.pilot_rows.shape == (12, 16)
 
     def test_rows_are_scaled_dft_rows(self):
-        cfg = small_config()
         pilots = place_pilots(64, 12, 0)
-        frame = modulate_frame(cfg, pilots, make_rng(0))
+        frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         sensing = build_sensing_matrix(frame, 16)
         f = truncated_dft(64, 16)
         np.testing.assert_allclose(
-            sensing.rows, frame.freq_symbols[:, None] * f, atol=1e-14
+            sensing, frame.freq_symbols[:, None] * f, atol=1e-14
         )
 
-    def test_restriction_is_exact_row_selection(self):
-        cfg = small_config()
-        pilots = place_pilots(64, 12, 5)
-        frame = modulate_frame(cfg, pilots, make_rng(0))
-        full = build_sensing_matrix(frame, 16)
-        restricted = build_sensing_matrix(frame, 16, restrict_to=pilots)
-        assert np.array_equal(full.rows[pilots], restricted.rows)  # bit exact
-
-    def test_out_of_range_restriction(self):
+    def test_rejects_channel_longer_than_frame(self):
         frame = OfdmFrame(freq_symbols=np.ones(8, complex), pilot_indices=np.arange(2))
-        with pytest.raises(IndexError):
-            build_sensing_matrix(frame, 4, restrict_to=np.array([9]))
+        with pytest.raises(ConfigurationError):
+            build_sensing_matrix(frame, 9)
+
+    def test_restriction_is_exact_row_selection(self):
+        """A scene's K x L pilot rows are bit for bit the pilot rows of the
+        matrix its observations were synthesized with."""
+        scene = synthesize_scene(small_spec(), 12, 10.0, 0, 0)
+        full = build_sensing_matrix(scene.frame, 16)
+        assert np.array_equal(full[scene.frame.pilot_indices], scene.pilot_rows)
 
 
 class TestDftProperties:
@@ -153,14 +148,13 @@ class TestDftProperties:
 
 class TestSynthesizeReceived:
     def test_noiseless_is_exact(self):
-        cfg = small_config(noise_var=0.0)
         pilots = place_pilots(64, 12, 0)
-        frame = modulate_frame(cfg, pilots, make_rng(0))
+        frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         sensing = build_sensing_matrix(frame, 16)
         rng = np.random.default_rng(0)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         y = synthesize_received(sensing, h, 0.0, make_rng(1))
-        np.testing.assert_allclose(y, sensing.rows @ h, atol=1e-14)
+        np.testing.assert_allclose(y, sensing @ h, atol=1e-14)
 
     def test_noise_variance_monte_carlo(self):
         """h = 0: the empirical per-entry variance over 1e5 draws must land
@@ -178,7 +172,7 @@ class TestSynthesizeReceived:
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2000, 8)) + 0j
         y = synthesize_received(sensing, h, 0.5, make_rng(5))
-        clean = h @ sensing.rows.T
+        clean = h @ sensing.T
         per_vector = np.sum(np.abs(y - clean) ** 2, axis=1)
         assert abs(np.mean(per_vector) - 64 * 0.5) / (64 * 0.5) < 0.05
 
@@ -191,16 +185,15 @@ class TestSynthesizeReceived:
 
 class TestEqualizeAndSlice:
     def test_perfect_equalization(self):
-        cfg = small_config(noise_var=0.0)
         pilots = place_pilots(64, 12, 0)
-        frame = modulate_frame(cfg, pilots, make_rng(0))
+        frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         sensing = build_sensing_matrix(frame, 16)
         rng = np.random.default_rng(3)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         y = synthesize_received(sensing, h, 0.0, make_rng(0))
         resp = freq_response(h, 64)
         equalized, bad = equalize(y, resp)
-        hard = cfg.alphabet.slice(equalized)
+        hard = QAM4.slice(equalized)
         assert not bad.any()
         np.testing.assert_allclose(hard, frame.freq_symbols, atol=1e-9)
 

@@ -6,13 +6,13 @@ import pytest
 from gridce.channels import AntennaGrid, ArrayKind, generate_channels
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import (
-    OfdmConfig,
     build_sensing_matrix,
     make_rng,
     modulate_frame,
     place_pilots,
     synthesize_received,
 )
+from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
     BeliefState,
@@ -36,17 +36,13 @@ def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
                seed=0, kind=ArrayKind.SIA, drift=0.0):
     grid = AntennaGrid(rows=rows, cols=cols)
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
-    config = OfdmConfig(n, k, 4, length, noise_var)
     channels = generate_channels(grid, length, sparsity, kind, drift,
                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
-    frame = modulate_frame(config, pilots, make_rng(seed, 2))
-    sensing = build_sensing_matrix(frame, length, restrict_to=pilots)
-    y = synthesize_received(
-        build_sensing_matrix(frame, length), channels.taps, noise_var,
-        make_rng(seed, 3),
-    )[..., pilots]
-    return grid, channels, sensing, y, noise_var
+    frame = modulate_frame(build_qam_alphabet(4), n, pilots, make_rng(seed, 2))
+    full = build_sensing_matrix(frame, length)
+    y = synthesize_received(full, channels.taps, noise_var, make_rng(seed, 3))
+    return grid, channels, full[pilots], y[..., pilots], noise_var
 
 
 def fake_stack(length, taps, amplitudes):
@@ -113,51 +109,46 @@ def marginal_state(rows, cols, length):
 
 class TestMarginalRound:
     def test_average_of_equals(self):
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 8)
         values[..., 2] = 0.8
         detected[..., 2] = True
         state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(grid, state, 1e-3)
+        out = average_marginals_round(state, 1e-3)
         assert np.allclose(out.values[..., 2], 0.8)
 
     def test_single_detector_center(self):
         """Center holds 1.0, 4 neighbors undetected, |N+|=5 -> 0.2."""
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
         state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(grid, state, 1e-3)
+        out = average_marginals_round(state, 1e-3)
         assert abs(out.values[1, 1, 5] - 0.2) < 1e-12
 
     def test_nobody_detected_gets_lambda_small(self):
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
         state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(grid, state, 1e-3)
+        out = average_marginals_round(state, 1e-3)
         assert out.values[0, 0, 3] == 1e-3  # tap 3 in nobody's gate
 
     def test_range_preserved(self):
-        grid = AntennaGrid(rows=4, cols=4)
         rng = make_rng(5)
         values = rng.random((4, 4, 8))
         detected = rng.random((4, 4, 8)) < 0.4
         state = BeliefState(BeliefKind.MARGINAL, values * detected, detected)
         for _ in range(4):
-            state = average_marginals_round(grid, state, 1e-3)
+            state = average_marginals_round(state, 1e-3)
             assert state.values.min() >= 0 and state.values.max() <= 1
 
     def test_sia_fixed_point(self):
         """Identical marginal vectors and gates are unchanged by a round."""
-        grid = AntennaGrid(rows=4, cols=4)
         values, detected = marginal_state(4, 4, 8)
         values[..., [1, 6]] = [0.7, 0.3]
         detected[..., [1, 6]] = True
         state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(grid, state, 1e-3)
+        out = average_marginals_round(state, 1e-3)
         inside = detected
         np.testing.assert_allclose(out.values[inside], values[inside], atol=1e-12)
 
@@ -165,7 +156,6 @@ class TestMarginalRound:
 class TestScoreRound:
     def test_ceiling_arithmetic(self):
         """Scores {3,0,2,1,3} over a 5-member neighborhood -> ceil(1.8) = 2."""
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 4)
         # center and 4 neighbors of (1,1)
         members = [(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)]
@@ -173,39 +163,36 @@ class TestScoreRound:
             values[r, c, 0] = s
             detected[r, c, 0] = s > 0
         state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(grid, state, final=False)
+        out = average_scores_round(state, final=False)
         assert out.values[1, 1, 0] == 2
 
     def test_final_round_keeps_raw_average(self):
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 4)
         members = [(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)]
         for (r, c), s in zip(members, [3, 0, 2, 1, 3]):
             values[r, c, 0] = s
             detected[r, c, 0] = s > 0
         state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(grid, state, final=True)
+        out = average_scores_round(state, final=True)
         assert abs(out.values[1, 1, 0] - 1.8) < 1e-12
 
     def test_absent_tap_zero(self):
-        grid = AntennaGrid(rows=3, cols=3)
         values, detected = marginal_state(3, 3, 4)
         values[1, 1, 0] = 2.0
         detected[1, 1, 0] = True
         state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(grid, state, final=False)
+        out = average_scores_round(state, final=False)
         assert out.values[0, 0, 2] == 0.0
 
     def test_integrality_until_final(self):
-        grid = AntennaGrid(rows=4, cols=4)
         rng = make_rng(7)
         values = np.floor(rng.random((4, 4, 6)) * 4)
         detected = values > 0
         state = BeliefState(BeliefKind.SCORE, values, detected)
         for _ in range(3):
-            state = average_scores_round(grid, state, final=False)
+            state = average_scores_round(state, final=False)
             assert np.all(state.values == np.round(state.values))
-        final = average_scores_round(grid, state, final=True)
+        final = average_scores_round(state, final=True)
         assert not np.all(final.values == np.round(final.values))
 
 
@@ -227,7 +214,7 @@ class TestGridAlgorithms:
     def test_depth_zero_marginal_is_self_reestimation(self):
         grid, channels, sensing, y, nv = make_scene()
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_marginal_based(grid, y, sensing.rows, cfg, depth=0)
+        out = run_marginal_based(y, sensing, cfg, depth=0)
         assert not out.failed.any()
         # priors at undetected taps sit at lambda_small
         for r, c in grid.antennas():
@@ -237,14 +224,14 @@ class TestGridAlgorithms:
     def test_depth_zero_integer(self):
         grid, channels, sensing, y, nv = make_scene(seed=1)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_integer_based(grid, y, sensing.rows, cfg, depth=0)
+        out = run_integer_based(y, sensing, cfg, depth=0)
         assert not out.failed.any()
 
     def test_negative_depth_rejected(self):
         grid, channels, sensing, y, nv = make_scene(seed=2)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         with pytest.raises(ConfigurationError):
-            run_marginal_based(grid, y, sensing.rows, cfg, depth=-1)
+            run_marginal_based(y, sensing, cfg, depth=-1)
 
     def test_sharing_does_not_hurt_detection_sia(self):
         """Noiseless-ish SIA with K >= 2n+2: support detection rate of the
@@ -256,9 +243,9 @@ class TestGridAlgorithms:
                 seed=100 + seed,
             )
             cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-            out = run_marginal_based(grid, y, sensing.rows, cfg, depth=2)
+            out = run_marginal_based(y, sensing, cfg, depth=2)
             t_max = cfg.resolve_t_max(16, 6)
-            _, first_detected, _, _ = _first_pass(y, sensing.rows, cfg, t_max,
+            _, first_detected, _, _ = _first_pass(y, sensing, cfg, t_max,
                                                   BeliefKind.MARGINAL)
             for r, c in grid.antennas():
                 true = set(channels.support_set((r, c)))
@@ -274,10 +261,10 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=3)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 2
-        out1 = run_marginal_based(grid, y, sensing.rows, cfg, depth)
+        out1 = run_marginal_based(y, sensing, cfg, depth)
         y2 = y.copy()
         y2[0, 0] += 0.5 * np.exp(1j)  # perturb corner antenna only
-        out2 = run_marginal_based(grid, y2, sensing.rows, cfg, depth)
+        out2 = run_marginal_based(y2, sensing, cfg, depth)
         for r, c in grid.antennas():
             if abs(r - 0) + abs(c - 0) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
@@ -288,10 +275,10 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=4)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 1
-        out1 = run_integer_based(grid, y, sensing.rows, cfg, depth)
+        out1 = run_integer_based(y, sensing, cfg, depth)
         y2 = y.copy()
         y2[5, 5] *= 1.3
-        out2 = run_integer_based(grid, y2, sensing.rows, cfg, depth)
+        out2 = run_integer_based(y2, sensing, cfg, depth)
         for r, c in grid.antennas():
             if abs(r - 5) + abs(c - 5) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
@@ -299,8 +286,8 @@ class TestGridAlgorithms:
     def test_deterministic_rerun(self):
         grid, channels, sensing, y, nv = make_scene(seed=5)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        a = run_marginal_based(grid, y, sensing.rows, cfg, 2)
-        b = run_marginal_based(grid, y, sensing.rows, cfg, 2)
+        a = run_marginal_based(y, sensing, cfg, 2)
+        b = run_marginal_based(y, sensing, cfg, 2)
         np.testing.assert_array_equal(a.taps, b.taps)
         np.testing.assert_array_equal(a.priors, b.priors)
 
@@ -309,11 +296,11 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(seed=6)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         t_max = cfg.resolve_t_max(16, 12)
-        values, detected, _, _ = _first_pass(y, sensing.rows, cfg, t_max, BeliefKind.SCORE)
+        values, detected, _, _ = _first_pass(y, sensing, cfg, t_max, BeliefKind.SCORE)
         assert np.all(values == np.round(values)) and values.max() == t_max
         state = BeliefState(BeliefKind.SCORE, values, detected)
         for i in range(3):
-            state = average_scores_round(grid, state, final=(i == 2))
+            state = average_scores_round(state, final=(i == 2))
             if i < 2:
                 assert np.all(state.values == np.round(state.values))
 
@@ -322,7 +309,7 @@ class TestGridAlgorithms:
         path = tmp_path / "trace.csv"
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv,
                                trace_path=str(path))
-        run_marginal_based(grid, y, sensing.rows, cfg, 2)
+        run_marginal_based(y, sensing, cfg, 2)
         lines = path.read_text().splitlines()
         assert lines[0] == "round,antenna_row,antenna_col,tap,value"
         assert len(lines) > 1
@@ -333,7 +320,7 @@ class TestGridAlgorithms:
         """D=3 on a 20x20 grid completes end to end."""
         grid, channels, sensing, y, nv = make_scene(rows=20, cols=20, seed=8)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_marginal_based(grid, y, sensing.rows, cfg, 3)
+        out = run_marginal_based(y, sensing, cfg, 3)
         assert out.taps.shape == (20, 20, 16)
         assert not out.failed.any()
 
@@ -373,9 +360,9 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
         detected[r, c, est.detected_taps] = True
     state = BeliefState(kind, values, detected)
     for i in range(depth):
-        state = (average_marginals_round(grid, state, config.lambda_small)
+        state = (average_marginals_round(state, config.lambda_small)
                  if kind is BeliefKind.MARGINAL
-                 else average_scores_round(grid, state, final=(i == depth - 1)))
+                 else average_scores_round(state, final=(i == depth - 1)))
     scale = t_max if kind is BeliefKind.SCORE else 1
     priors = scores_to_beliefs(state.values, scale, config.lambda_small)
 
@@ -417,13 +404,13 @@ class TestOneStackPasses:
     def test_matches_per_antenna_composition(self, kind, case):
         if case == "t_max_fills_pilots":
             grid, _, sensing, y, nv = make_scene(rows=4, cols=4, k=5, seed=9)
-            a, n_stages = sensing.rows, 5
+            a, n_stages = sensing, 5
         else:
             grid, a, y, nv = rank_four_scene()
             n_stages = 4
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         assert cfg.resolve_t_max(16, a.shape[0]) == 5
-        got = _run_grid(kind, grid, y, a, cfg, 2)
+        got = _run_grid(kind, y, a, cfg, 2)
         taps, support, error_cov, priors, failed, lengths = per_antenna_grid(
             kind, grid, y, a, cfg, 2)
         assert np.all(lengths == n_stages) and not failed.any()
@@ -454,7 +441,7 @@ class TestRuntimeOrdering:
             for grid, channels, sensing, y, nv in scenes:
                 cfg = GridSolverConfig(lambda_init=3 / 64, noise_var=nv)
                 assert cfg.resolve_t_max(64, 16) == 7
-                runner(grid, y, sensing.rows, cfg, 3)
+                runner(y, sensing, cfg, 3)
 
         # the runners alternate, so both see the same machine load
         best = {run_integer_based: float("inf"), run_marginal_based: float("inf")}
