@@ -53,11 +53,6 @@ class AntennaGrid:
     def n_antennas(self) -> int:
         return self.rows * self.cols
 
-    def antennas(self):
-        for r in range(self.rows):
-            for c in range(self.cols):
-                yield (r, c)
-
 
 @dataclass(frozen=True)
 class ArrayClass:
@@ -78,10 +73,6 @@ class ChannelRealization:
     sparsity: int
     kind: ArrayKind
     drift: float = 0.0
-
-    def support_set(self, antenna) -> np.ndarray:
-        r, c = antenna
-        return np.flatnonzero(self.support[r, c])
 
 
 def classify_array(grid: AntennaGrid) -> ArrayClass:

@@ -247,7 +247,8 @@ def select_and_agree(
 
 
 def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets):
-    """Every antenna's top-U mask and hard-decision indices, (M, G, N) each.
+    """Every antenna's top-U mask, hard-decision indices and undecodable
+    mask, (M, G, N) each.
 
     Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
     per-axis slicing pass and one distortion FFT per chunk; the nearest
@@ -265,11 +266,13 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
     usable = ~base.failed.reshape(n_ant)
     top = np.zeros((n_ant, n_carriers), dtype=bool)
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
+    undecodable = np.empty((n_ant, n_carriers), dtype=bool)
     for start in range(0, n_ant, ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
         equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
         nearest = alphabet.nearest_levels(equalized)
         decisions[chunk] = alphabet.indices_from_levels(nearest)
+        undecodable[chunk] = bad
         members = start + np.flatnonzero(usable[chunk])
         if not members.size:
             continue
@@ -282,7 +285,7 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
         )
         top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
     shape = (*base.failed.shape, n_carriers)
-    return top.reshape(shape), decisions.reshape(shape)
+    return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
 
 
 def toeplitz_grams(lags: np.ndarray) -> np.ndarray:
@@ -362,7 +365,7 @@ def run_data_aided(
         np.full(base.failed.shape, n_reliable) if n_reliable is not None
         else reliable_budget(base, pilots.shape[0], n_data, expected_actives)
     )
-    top, decisions = _top_carriers(
+    top, decisions, undecodable = _top_carriers(
         base, observations_full, symbols, alphabet, data_mask,
         stencil_reduce(budgets, np.maximum),
     )
@@ -408,5 +411,7 @@ def run_data_aided(
             "fallback_no_consensus": fallback,
             "n_reliable": n_reliable if n_reliable is not None else "adaptive",
             "agreements": agreements,
+            "base_decisions": decisions,
+            "base_undecodable": undecodable,
         },
     )

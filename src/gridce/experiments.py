@@ -105,8 +105,8 @@ class ExperimentSpec:
         for name in ("drift", "lambda_small"):
             if not _is_number(getattr(self, name), numbers.Real):
                 raise ConfigurationError(f"{name}={getattr(self, name)!r} must be a number")
-        for name in ("grid_rows", "grid_cols", "n_carriers", "channel_len", "sparsity",
-                     "qam_order", "trials", "workers", "seed"):
+        for name in ("experiment", "grid_rows", "grid_cols", "n_carriers", "channel_len",
+                     "sparsity", "qam_order", "trials", "workers", "seed"):
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigurationError(f"{name}={value!r} must be an integer")
@@ -122,8 +122,10 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed={self.seed!r} must be a non-negative integer")
+        for name in ("experiment", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name}={getattr(self, name)!r} must be a non-negative integer")
         if self.mode not in ("SIA", "SVA"):
             raise ConfigurationError(f"mode must be SIA or SVA, got {self.mode!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -446,24 +448,33 @@ def _worst_case(scene, k_bits):
     return 1.0, n_data * k_bits, n_data * k_bits
 
 
-def _score_algorithm(scene: TrialScene, taps: np.ndarray) -> tuple:
+def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tuple:
     """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
 
     Detection runs ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
-    zero-forcing division and one nearest-point pass per chunk.
+    zero-forcing division and one nearest-point pass per chunk.  With
+    ``detected``, the (decisions, undecodable) pair (M, G, N) that
+    ``run_data_aided`` made for these taps on every carrier, the bits are
+    counted on its data carriers instead: the same FFT, division and
+    slicing, so the same decisions.
     """
     ratio = error_ratio(scene.channels.taps, taps)
     n_carriers = scene.frame.n_carriers
     data_idx = scene.frame.data_indices
     taps = taps.reshape(-1, taps.shape[-1])
     observations = scene.observations.reshape(-1, n_carriers)
+    if detected is not None:
+        decisions, undecodable = (d.reshape(-1, n_carriers) for d in detected)
     errors = total = 0
     for start in range(0, taps.shape[0], ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
-        resp = freq_response(taps[chunk], n_carriers)[:, data_idx]
-        equalized, bad = equalize(observations[chunk, data_idx], resp)
-        e, t = count_bit_errors(scene.alphabet, scene.true_indices,
-                                scene.alphabet.nearest_indices(equalized), bad)
+        if detected is None:
+            resp = freq_response(taps[chunk], n_carriers)[:, data_idx]
+            equalized, bad = equalize(observations[chunk, data_idx], resp)
+            decided = scene.alphabet.nearest_indices(equalized)
+        else:
+            decided, bad = decisions[chunk, data_idx], undecodable[chunk, data_idx]
+        e, t = count_bit_errors(scene.alphabet, scene.true_indices, decided, bad)
         errors += e
         total += t
     return ratio, errors, total
@@ -475,7 +486,8 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
 
     Returns {algorithm: (ratio, bit_errors, bit_total, seconds)}.  A data-
     aided algorithm reuses its pilot-only base estimate; the base solve time
-    is included in both entries.
+    is included in both entries.  When both run, the pilot-only entry is
+    scored from the detection the data-aided stage made on the base.
     """
     n_pilots, snr_db, depth = point
     scene = synthesize_scene(spec, n_pilots, snr_db, point_index, trial)
@@ -525,7 +537,8 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
                     results[name] = (ratio, errors, total, 0.0)
             continue
         if pilot_name in wanted:
-            results[pilot_name] = (*_score_algorithm(scene, estimate.taps), seconds)
+            results[pilot_name] = None  # scored below, after the -R stage
+        detected = None
         if aided_name in wanted:
             start = time.perf_counter()
             try:
@@ -537,10 +550,16 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
                 results[aided_name] = (
                     *_score_algorithm(scene, refined.taps), aided_seconds,
                 )
+                detected = (refined.diagnostics["base_decisions"],
+                            refined.diagnostics["base_undecodable"])
             except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
                 logger.warning("trial %d %s failed: %s", trial, aided_name, exc)
                 ratio, errors, total = _worst_case(scene, k_bits)
                 results[aided_name] = (ratio, errors, total, 0.0)
+        if pilot_name in wanted:
+            # the -R stage already detected the base estimate on every carrier
+            results[pilot_name] = (*_score_algorithm(scene, estimate.taps, detected),
+                                   seconds)
 
     if "oracle-LS" in wanted:
         support = scene.channels.support

@@ -4,7 +4,8 @@ The greedy chain only exposes the nested supports {a1}, {a1,a2}, ...; the
 belief that an individual detected tap is active needs posteriors over the
 full lattice of 2^T - 1 nonempty subsets of the detected taps.  Subsets
 that are chain prefixes reuse the values already computed during the
-search; the remaining subsets are solved fresh (batched per subset size).
+search; the remaining subsets are fitted fresh, per subset size, by a
+Cholesky elimination written elementwise over all subsets and antennas.
 Posteriors are normalized over the lattice only -- supports involving
 undetected taps carry negligible mass and are excluded by construction.
 
@@ -19,7 +20,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigurationError
-from .solver import BernoulliPrior, ChainStack, _normalize_log_posteriors, _prior_terms
+from .solver import (
+    COLLINEARITY_TOL,
+    BernoulliPrior,
+    ChainStack,
+    _normalize_log_posteriors,
+    _prior_terms,
+)
 
 #: lattice enumeration guard: 2^T - 1 subsets
 MAX_LATTICE_TAPS = 20
@@ -92,46 +99,113 @@ def lattice_marginals(stack: ChainStack, gram: np.ndarray, corr: np.ndarray,
         rows = np.flatnonzero(stack.lengths == t)
         chosen = stack.chosen[rows, :t]
         nus = _lattice_nus(
-            stack.nus[rows, :t], gram[chosen[:, :, None], chosen[:, None, :]],
-            np.take_along_axis(corr[rows], chosen, axis=1), y_norm2[rows], base[rows],
-            np.take_along_axis(gain[rows], chosen, axis=1), stack.noise_vars[rows],
+            stack.nus[rows, :t], _lattice_source(gram, corr[rows], chosen),
+            COLLINEARITY_TOL**2 * gram.diagonal().real[chosen.T], y_norm2[rows],
+            base[rows], np.take_along_axis(gain[rows], chosen, axis=1),
+            stack.noise_vars[rows],
         )
         out[rows, :t] = _lattice_sums(_normalize_log_posteriors(nus)[0])
     return out
 
 
-def _lattice_nus(chain_nus, gram, corr, y_norm2, base, gains, noise_vars):
-    """(B, 2^T - 1) lattice log posteriors from each row's detected-tap Gram
-    (B, T, T), correlations (B, T) and prior gains (B, T); the chain prefix
-    of each subset size reuses ``chain_nus``."""
+def _lattice_source(gram, corr, chosen):
+    """The entries of the bordered Grams [[G, c], [c^H, 0]] of B rows'
+    detected taps ``chosen`` (B, T), one row per entry and a column per
+    row: G_jk at j * T + k, conj(c_j) at T^2 + j and a zero last.  ``gram``
+    is the shared (L, L) A^H A and ``corr`` the rows' A^H y (B, L)."""
+    n_rows, t = chosen.shape
+    source = np.empty((t * t + t + 1, n_rows), dtype=complex)
+    source[:t * t] = gram[chosen.T[:, None], chosen.T[None, :]].reshape(t * t, n_rows)
+    np.conjugate(np.take_along_axis(corr, chosen, axis=1).T, out=source[t * t:-1])
+    source[-1] = 0.0
+    return source
+
+
+def _lattice_nus(chain_nus, source, bounds, y_norm2, base, gains, noise_vars):
+    """(B, 2^T - 1) lattice log posteriors of B rows with T detected taps
+    each, from their ``_lattice_source``, pivot ``bounds`` (T, B) and
+    prior gains (B, T); the chain prefix of each subset size reuses
+    ``chain_nus``."""
+    n_detected = bounds.shape[0]
     two_nv = 2.0 * noise_vars[:, None]
-    nus = []
-    for s, block in enumerate(_position_combos(gram.shape[1]), start=1):
-        block_nus = np.empty((gram.shape[0], block.shape[0]))
+    nus = np.empty((bounds.shape[1], 2 ** n_detected - 1))
+    first = 0
+    for size, block in enumerate(_position_combos(n_detected), start=1):
         # chain prefix (row 0: positions 0..s-1) reuses the greedy-stage value
-        block_nus[:, 0] = chain_nus[:, s - 1]
+        nus[:, first] = chain_nus[:, size - 1]
         if block.shape[0] > 1:
             rest = block[1:]
-            sub_gram = gram[:, rest[:, :, None], rest[:, None, :]]
-            sub_corr = corr[:, rest]
-            try:
-                coef = np.linalg.solve(sub_gram, sub_corr[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # matrix by matrix, so one singular Gram leaves the others'
-                # solutions exactly as the batched solve gives them
-                coef = np.stack([
-                    _solve_or_lstsq(g, c)
-                    for g, c in zip(sub_gram.reshape(-1, s, s), sub_corr.reshape(-1, s))
-                ]).reshape(sub_corr.shape)
-            fit = np.einsum("bns,bns->bn", sub_corr.conj(), coef).real
-            res2 = np.maximum(y_norm2[:, None] - fit, 0.0)
-            block_nus[:, 1:] = -res2 / two_nv + base[:, None] + gains[:, rest].sum(axis=2)
-        nus.append(block_nus)
-    return np.concatenate(nus, axis=1)
+            fit = _subset_fits(source, bounds, size)
+            res2 = np.maximum(y_norm2[:, None] - fit.T, 0.0)
+            nus[:, first + 1:first + block.shape[0]] = (
+                -res2 / two_nv + base[:, None] + gains[:, rest].sum(axis=2))
+        first += block.shape[0]
+    return nus
 
 
-def _solve_or_lstsq(gram, corr):
-    try:
-        return np.linalg.solve(gram, corr)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(gram, corr, rcond=None)[0]
+@lru_cache(maxsize=64)
+def _bordered_entries(n_detected: int, size: int) -> np.ndarray:
+    """(E, C) ``source`` rows of the bordered Gram [[G_S, c_S], [c_S^H, 0]]
+    of every non-prefix subset S of ``size`` positions: its lower triangle
+    packed column by column, E = (s + 1)(s + 2) / 2."""
+    t = n_detected
+    rest = _position_combos(t)[size - 1][1:]
+    entries = []
+    for j in range(size + 1):
+        for i in range(j, size + 1):
+            if i < size:
+                entries.append(rest[:, i] * t + rest[:, j])
+            elif j < size:
+                entries.append(t * t + rest[:, j])
+            else:
+                entries.append(np.full(rest.shape[0], t * t + t))
+    return np.stack(entries)
+
+
+def _subset_fits(source, bounds, size):
+    """(C, B) fits c_S^H G_S^-1 c_S of the C non-prefix subsets S of
+    ``size`` positions of every row, from the rows' ``_lattice_source`` and
+    pivot ``bounds`` (T, B), by a Cholesky factorization of each bordered
+    Gram written elementwise over the (subset, row) axes.
+
+    Eliminating the first s columns of [[G, c], [c^H, 0]] leaves
+    -c^H G^-1 c = -||L^-1 c||^2 in the corner.  Every subset Gram is a
+    principal submatrix of its chain's Gram, which is positive definite
+    (every chain tap passed the ``COLLINEARITY_TOL`` test), so each pivot
+    is positive; a pivot at or below its bound, ``COLLINEARITY_TOL**2 *
+    G_jj`` for detected tap j, counts as a column dependent on the ones
+    before it, which adds nothing to the fit (the projection ``lstsq``
+    gives).
+
+    Every intermediate lives in one work buffer: separate medium-sized
+    temporaries let glibc's adaptive mmap threshold fragment the heap and
+    raise peak RSS.  ``np.take`` writes into it with ``mode="clip"`` (every
+    index is in range), since the default mode buffers the whole output.
+    """
+    rest = _position_combos(bounds.shape[0])[size - 1][1:]
+    entries = _bordered_entries(bounds.shape[0], size)
+    n_entries, n_subsets = entries.shape
+    work = np.empty((n_entries + size + 2, n_subsets, source.shape[1]), dtype=complex)
+    packed = np.take(source, entries, axis=0, out=work[:n_entries], mode="clip")
+    product = work[n_entries:n_entries + size]
+    conj = work[-2]
+    bound, pivot = work[-1].view(float).reshape(2, n_subsets, -1)
+    start = 0
+    for j in range(size):
+        column = packed[start:start + size + 1 - j]       # rows j..s of column j
+        np.take(bounds, rest[:, j], axis=0, out=bound, mode="clip")
+        np.copyto(pivot, column[0].real)
+        pivot[pivot <= bound] = np.inf                   # entries divide to zero
+        np.sqrt(pivot, out=pivot)
+        below = column[1:].view(float).reshape(*column[1:].shape, 2)
+        np.divide(below, pivot[..., None], out=below)
+        start += column.shape[0]
+        target = start
+        for k in range(j + 1, size + 1):                 # trailing columns
+            count = size + 1 - k
+            np.conjugate(column[k - j], out=conj)
+            np.multiply(column[k - j:], conj, out=product[:count])
+            trailing = packed[target:target + count]
+            np.subtract(trailing, product[:count], out=trailing)
+            target += count
+    return -packed[-1].real

@@ -81,13 +81,6 @@ class QamAlphabet:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "level_table", table)
 
-    def indices_from_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Pack bits (..., k) MSB-first into symbol indices."""
-        k = self.bits_per_symbol
-        b = np.asarray(bits).reshape(-1, k)
-        weights = 1 << np.arange(k - 1, -1, -1)
-        return b @ weights
-
     def bits_from_indices(self, idx: np.ndarray) -> np.ndarray:
         """Unpack symbol indices into bits (..., k) MSB-first."""
         k = self.bits_per_symbol
@@ -130,10 +123,6 @@ class QamAlphabet:
         lexicographically smaller (real, imag), so slicing is deterministic.
         """
         return self.indices_from_levels(self.nearest_levels(symbols))
-
-    def slice(self, symbols: np.ndarray) -> np.ndarray:
-        """Hard decisions: nearest constellation point per symbol."""
-        return self.points[self.nearest_indices(symbols)]
 
     @cached_property
     def hamming(self) -> np.ndarray:

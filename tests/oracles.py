@@ -11,7 +11,8 @@ no chain value reused, and ``error_covariance``, ``full_covariance_oracle``
 and ``assign_scores`` are the per-antenna forms of
 ``posterior.error_covariances`` and the integer scores of the grid runners.
 ``equalize_and_slice`` is zero-forcing detection of one antenna, the
-reference for the chunked BER scoring.
+reference for the chunked BER scoring; ``qam_slice`` and
+``indices_from_bits`` are the alphabet helpers only the tests use.
 
 ``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
 constellation-wide slicer: a (..., Q) array of squared distances and Q
@@ -286,7 +287,20 @@ def equalize_and_slice(received, freq_resp, alphabet):
     """Zero-forcing detection: ``equalize`` then nearest-point slicing.
     Returns (equalized, hard_decisions, undecodable_mask)."""
     equalized, bad = equalize(received, freq_resp)
-    return equalized, alphabet.slice(equalized), bad
+    return equalized, qam_slice(alphabet, equalized), bad
+
+
+def qam_slice(alphabet, symbols):
+    """Hard decisions: the nearest constellation point of each symbol."""
+    return alphabet.points[alphabet.nearest_indices(symbols)]
+
+
+def indices_from_bits(alphabet, bits):
+    """Pack bits (..., k) MSB-first into symbol indices, the inverse of
+    ``QamAlphabet.bits_from_indices``."""
+    k = alphabet.bits_per_symbol
+    weights = 1 << np.arange(k - 1, -1, -1)
+    return np.asarray(bits).reshape(-1, k) @ weights
 
 
 def sq_distances_oracle(alphabet, symbols):
@@ -341,7 +355,7 @@ def somp_loop_oracle(grid, observations, sensing_rows, n_taps):
     col_norm = np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
     taps = np.zeros((grid.rows, grid.cols, length), dtype=complex)
     picks = [[[] for _ in range(grid.cols)] for _ in range(grid.rows)]
-    for r, c in grid.antennas():
+    for r, c in np.ndindex(grid.rows, grid.cols):
         members = [(r, c)] + neighbors(grid, (r, c))
         ys = np.ascontiguousarray(
             np.stack([observations[mr, mc] for mr, mc in members], axis=1)
@@ -388,7 +402,7 @@ def generate_channels_loop_oracle(grid, channel_len, sparsity, kind, drift, rng,
                 current = _migrate_one(current, channel_len, rng)
             per_diagonal.append(current.copy())
         slots = np.zeros((grid.rows, grid.cols, sparsity), dtype=int)
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             slots[r, c] = per_diagonal[r + c]
     gains = np.ones(sparsity) if power_profile == "flat" else geometric_gains(sparsity, rng)
 
@@ -397,7 +411,7 @@ def generate_channels_loop_oracle(grid, channel_len, sparsity, kind, drift, rng,
     draws = _draw_taps(rng, grid.rows * grid.cols * sparsity, TAP_SAMPLERS[tap_dist]).reshape(
         grid.rows, grid.cols, sparsity
     )
-    for r, c in grid.antennas():
+    for r, c in np.ndindex(grid.rows, grid.cols):
         taps[r, c, slots[r, c]] = gains * draws[r, c]
         support[r, c, slots[r, c]] = True
     return taps, support

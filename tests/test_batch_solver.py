@@ -11,6 +11,8 @@ for bit in everything but the combined taps.  Chains that stop early
 must read as zeros.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
+    COLLINEARITY_TOL,
     BernoulliPrior,
     greedy_search_batch,
     greedy_search_stack,
@@ -290,6 +293,68 @@ def test_lattice_matches_from_scratch(case):
         _, _, want = lattice_oracle(stack.chosen[row, :n], a, y, BernoulliPrior(lam),
                                     noise_var)
         np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=REL)
+
+
+@st.composite
+def lattice_systems(draw):
+    """A few observations on shared rows, searched to chains of up to
+    T = 7 taps (production's t_max at L = 64), and whether one column sits
+    just above the skip tolerance.
+
+    That column repeats another plus a step along the last row, which no
+    other column and no noise touches; its squared orthogonalized norm is
+    then about ``margin`` * COLLINEARITY_TOL**2 of the largest squared
+    column norm (so the oracle's conditioning check still passes), and a
+    high prior pulls it into the chains.  Every subset fit stays well
+    determined, because an observation's last entry comes from that
+    column's own tap alone."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    t_max = draw(st.integers(1, 7))
+    k = draw(st.integers(t_max + 1, 16))
+    length = draw(st.integers(max(t_max, 2), 24))
+    near = draw(st.booleans())
+    margin = draw(st.floats(256.0, 1024.0))
+    n_obs = draw(st.integers(1, 3))
+    rng = make_rng(seed)
+    a = random_rows(rng, k, length, 0)
+    lambdas = np.tile(rng.uniform(0.01, 0.5, size=length), (n_obs, 1))
+    noise = rng.normal(size=(n_obs, k)) + 1j * rng.normal(size=(n_obs, k))
+    if near:
+        src, dst = rng.choice(length, size=2, replace=False)
+        a[-1] = 0.0
+        a[:, dst] = a[:, src]
+        a[-1, dst] = np.sqrt(margin) * COLLINEARITY_TOL * np.linalg.norm(a, axis=0).max()
+        lambdas[:, dst] = 0.9
+        noise[:, -1] = 0.0
+    h = np.zeros((n_obs, length), complex)
+    for row in h:
+        taps = rng.choice(length, size=min(3, length), replace=False)
+        row[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
+    noise_vars = 10 ** rng.uniform(-3, 0, size=n_obs)
+    ys = h @ a.T + np.sqrt(noise_vars[:, None] / 2) * noise
+    return a, ys, lambdas, noise_vars, t_max
+
+
+@PROPERTY
+@given(lattice_systems())
+def test_lattice_matches_oracle_up_to_seven_taps(case):
+    """Marginals equal the from-scratch lattice within criterion 4's 1e-12,
+    and every lattice subset's Gram has Cholesky pivots above the guard of
+    ``_subset_fits``: no chain subset counts a column as dependent."""
+    a, ys, lambdas, noise_vars, t_max = case
+    stack, gram, corr, y_norm2 = search_rows(a, ys, lambdas, noise_vars, t_max)
+    marginals = lattice_marginals(stack, gram, corr, y_norm2, lambdas)
+    for row, y in enumerate(ys):
+        n = stack.lengths[row]
+        taps = stack.chosen[row, :n]
+        _, _, want = lattice_oracle(taps, a, y, BernoulliPrior(lambdas[row]),
+                                    noise_vars[row])
+        np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=1e-12)
+        for size in range(1, n + 1):
+            for subset in combinations(taps, size):
+                sub = gram[np.ix_(subset, subset)]
+                pivots = np.abs(np.diagonal(np.linalg.cholesky(sub))) ** 2
+                assert np.all(pivots > COLLINEARITY_TOL**2 * np.diagonal(sub).real)
 
 
 @PROPERTY

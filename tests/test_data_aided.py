@@ -345,7 +345,7 @@ def select_and_agree_oracle(grid, top_sets, hard_decisions, pilot_indices):
     agreed symbols)."""
     pilot_set = set(int(i) for i in pilot_indices)
     out = [[None] * grid.cols for _ in range(grid.rows)]
-    for r, c in grid.antennas():
+    for r, c in np.ndindex(grid.rows, grid.cols):
         members = [(r, c)] + neighbors(grid, (r, c))
         common = set(int(i) for i in top_sets[r][c])
         for mr, mc in members[1:]:
@@ -437,7 +437,7 @@ class TestStencilConsensus:
         top_sets = [[np.flatnonzero(top[r, c]) for c in range(grid.cols)]
                     for r in range(grid.rows)]
         want = select_and_agree_oracle(grid, top_sets, alphabet.points[decisions], pilots)
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             consensus, symbols = want[r][c]
             np.testing.assert_array_equal(sets[r][c].consensus, consensus)
             np.testing.assert_array_equal(sets[r][c].agreed_symbols, symbols)
@@ -668,7 +668,7 @@ class TestRunDataAided:
         )
         refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=2)
         fallback = refined.diagnostics["fallback_no_consensus"]
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             if fallback[r, c]:
                 np.testing.assert_array_equal(refined.taps[r, c], base.taps[r, c])
 
@@ -686,7 +686,7 @@ class TestRunDataAided:
             agreements = refined.diagnostics["agreements"]
             pilots = frame.pilot_indices
             t_max = cfg.resolve_t_max(32, pilots.size)
-            for r, c in grid.antennas():
+            for r, c in np.ndindex(grid.rows, grid.cols):
                 reliable = agreements[r][c]
                 if reliable.consensus.size == 0:
                     continue

@@ -4,6 +4,7 @@
 ``_score_algorithm`` replaced, kept as its reference.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridce import experiments
 from gridce.channels import AntennaGrid, ArrayKind, channels_from_csv, generate_channels
-from gridce.data_aided import ANTENNA_CHUNK
+from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
+    ALGORITHMS,
     CSV_HEADER,
     SUCCESS_RATIO,
     ExperimentSpec,
@@ -30,12 +33,14 @@ from gridce.experiments import (
     nmse_db_from_ratios,
     oracle_ls_estimate,
     run_experiment,
+    run_point_trial,
     somp_baseline,
     somp_stack,
     synthesize_scene,
 )
 from gridce.ofdm import freq_response, make_rng, truncated_dft
 from gridce.qam import build_qam_alphabet
+from gridce.sharing import GridSolverConfig, run_integer_based, run_marginal_based
 from gridce.solver import IllConditionedSupportError
 from oracles import (
     blue_estimate,
@@ -67,8 +72,6 @@ class TestSpec:
 
     def test_round_trip_via_dict(self):
         spec = small_spec()
-        import dataclasses
-
         clone = ExperimentSpec.from_dict(
             json.loads(json.dumps(dataclasses.asdict(spec)))
         )
@@ -97,6 +100,10 @@ class TestSpec:
         ("drift", 1.5),
         ("power_profile", "steep"),
         ("n_carriers", 0),
+        ("experiment", None),
+        ("experiment", -3),
+        ("experiment", "x"),
+        ("experiment", 2.5),
     ])
     def test_bad_field_rejected_at_construction(self, field, value):
         """One out-of-range value per field fails before any trial runs."""
@@ -188,8 +195,6 @@ class TestSpec:
 
     @pytest.mark.parametrize("experiment", range(1, 6))
     def test_presets_pass_validation(self, experiment):
-        import dataclasses
-
         for spec in experiment_presets(experiment):
             assert ExperimentSpec.from_dict(dataclasses.asdict(spec)) == spec
 
@@ -212,7 +217,7 @@ class TestOracle:
         scene = synthesize_scene(spec, 10, 120.0, 0, 0)
         y = scene.observations[0, 0, scene.frame.pilot_indices]
         h = oracle_ls_estimate(
-            scene.pilot_rows, y, scene.channels.support_set((0, 0))
+            scene.pilot_rows, y, np.flatnonzero(scene.channels.support[0, 0])
         )
         np.testing.assert_allclose(h, scene.channels.taps[0, 0], atol=1e-5)
 
@@ -222,7 +227,7 @@ class TestOracle:
         spec = small_spec()
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[1, 1, scene.frame.pilot_indices]
-        support = scene.channels.support_set((1, 1))
+        support = np.flatnonzero(scene.channels.support[1, 1])
         h = oracle_ls_estimate(scene.pilot_rows, y, support)
         np.testing.assert_allclose(
             h[support], blue_estimate(scene.pilot_rows[:, support], y),
@@ -235,7 +240,7 @@ class TestOracle:
         spec = small_spec(mode="SVA", drift=0.8)
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[..., scene.frame.pilot_indices]
-        slots = np.stack([[scene.channels.support_set((r, c)) for c in range(3)]
+        slots = np.stack([[np.flatnonzero(scene.channels.support[r, c]) for c in range(3)]
                           for r in range(3)])
         assert len({tuple(s) for s in slots.reshape(-1, 2)}) > 1  # supports drift
         got = oracle_ls_estimate(scene.pilot_rows, y, slots)
@@ -327,6 +332,59 @@ class TestBatchedScoring:
         assert errors == total == 9 * (64 - 10) * 4
 
 
+class TestPilotScoringFromAidedStage:
+    """When both run, the -P variant is scored from the detection that
+    ``run_data_aided`` made on its base estimate, and must read exactly as
+    ``_score_algorithm`` detecting the base taps itself."""
+
+    SPEC = dict(grid_rows=4, grid_cols=4, n_carriers=512, channel_len=64, sparsity=3,
+                n_pilots=(16,), snr_db=(10.0,), depth=(3,), trials=1, seed=3)
+
+    def test_decisions_equal_a_fresh_scoring_pass(self):
+        spec = ExperimentSpec(**self.SPEC)
+        scene = synthesize_scene(spec, 16, 10.0, 0, 0)
+        config = GridSolverConfig(lambda_init=3 / 64, noise_var=scene.noise_var)
+        y_pilot = scene.observations[..., scene.frame.pilot_indices]
+        for runner in (run_marginal_based, run_integer_based):
+            base = runner(y_pilot, scene.pilot_rows, config, 3)
+            # one antenna forced to fail: zero taps leave every carrier undecodable
+            base.taps[1, 2] = 0.0
+            base.failed[1, 2] = True
+            refined = run_data_aided(scene.frame, scene.observations, base, config,
+                                     scene.alphabet)
+            detected = (refined.diagnostics["base_decisions"],
+                        refined.diagnostics["base_undecodable"])
+            assert detected[1][1, 2].all()
+            assert not detected[1][0, 0].any()
+            assert (_score_algorithm(scene, base.taps, detected)
+                    == _score_algorithm(scene, base.taps))
+
+    def test_trial_entries_equal_pilot_only_runs(self):
+        spec = ExperimentSpec(**self.SPEC, algorithms=ALGORITHMS[:4])
+        point = (16, 10.0, 3)
+        both = run_point_trial(spec, 0, point, 0)
+        assert list(both) == ["MB-P", "MB-R", "IB-P", "IB-R"]
+        alone = run_point_trial(dataclasses.replace(spec, algorithms=("MB-P", "IB-P")),
+                                0, point, 0)
+        for name in ("MB-P", "IB-P"):
+            assert both[name][:3] == alone[name][:3]
+
+    def test_raising_aided_stage_scores_pilot_from_its_taps(self, monkeypatch):
+        spec = ExperimentSpec(**self.SPEC, algorithms=("MB-P", "MB-R"))
+        point = (16, 10.0, 3)
+        alone = run_point_trial(dataclasses.replace(spec, algorithms=("MB-P",)), 0, point, 0)
+
+        def fail(*args, **kwargs):
+            raise IllConditionedSupportError("forced")
+
+        monkeypatch.setattr(experiments, "run_data_aided", fail)
+        got = run_point_trial(spec, 0, point, 0)
+        assert list(got) == ["MB-P", "MB-R"]
+        assert got["MB-P"][:3] == alone["MB-P"][:3]
+        ratio, errors, total, seconds = got["MB-R"]
+        assert (ratio, seconds) == (1.0, 0.0) and errors == total
+
+
 class TestSomp:
     def test_single_antenna_single_tap_noiseless(self):
         grid = AntennaGrid(rows=1, cols=1)
@@ -353,7 +411,7 @@ class TestSomp:
             y = channels.taps @ a.T
             taps = somp_baseline(y, a, 3)
             found = set(np.flatnonzero(taps[1, 1]).tolist())
-            hits += found == set(channels.support_set((1, 1)).tolist())
+            hits += found == set(np.flatnonzero(channels.support[1, 1]).tolist())
         assert hits / trials >= 0.95
 
     def test_sva_warns(self):
@@ -449,7 +507,7 @@ class TestBatchedBaselines:
         support, coef = somp_stack(y, a, n_taps)
         got = somp_baseline(y, a, n_taps)
         assert support.shape == coef.shape == (grid.rows, grid.cols, min(n_taps, a.shape[0]))
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             batch, loop = support[r, c].tolist(), picks[r][c]
             if batch == loop:
                 assert_taps_close(got[r, c], ref[r, c], a, loop)
@@ -516,7 +574,8 @@ class TestBatchedBaselines:
             got = somp_baseline(y, a, spec.sparsity)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-            slots = np.stack([[scene.channels.support_set((r, c)) for c in range(10)]
+            support = scene.channels.support
+            slots = np.stack([[np.flatnonzero(support[r, c]) for c in range(10)]
                               for r in range(10)])
             got = oracle_ls_estimate(a, y, slots)
             ref = oracle_ls_loop_oracle(a, y, slots)
@@ -539,8 +598,6 @@ class TestRunExperiment:
     def test_worker_count_invariance(self):
         spec = small_spec(trials=4)
         serial = run_experiment(spec)
-        import dataclasses
-
         parallel = run_experiment(dataclasses.replace(spec, workers=2))
         assert serial == parallel
 
@@ -548,8 +605,6 @@ class TestRunExperiment:
     def test_worker_count_invariance_line_and_non_square(self, rows, cols):
         """Rows are identical across worker counts on a 1xN line and a
         non-square grid too, data-aided algorithms included."""
-        import dataclasses
-
         spec = small_spec(grid_rows=rows, grid_cols=cols, trials=3,
                           algorithms=("MB-P", "IB-R", "oracle-LS"))
         assert run_experiment(spec) == run_experiment(dataclasses.replace(spec, workers=2))
@@ -653,8 +708,6 @@ class TestEmitResults:
         spec = small_spec(trials=2)
         rows1 = run_experiment(spec)
         rows2 = run_experiment(spec)
-        import dataclasses
-
         # normalize the informational wall time before byte comparison
         norm1 = [dataclasses.replace(r, wall_time_s=0.0) for r in rows1]
         norm2 = [dataclasses.replace(r, wall_time_s=0.0) for r in rows2]

@@ -12,12 +12,14 @@ import pytest
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
 from gridce.posterior import (
+    _lattice_source,
     _lattice_sums,
     _position_combos,
+    _subset_fits,
     error_covariances,
     lattice_marginals,
 )
-from gridce.solver import BernoulliPrior, search_rows
+from gridce.solver import COLLINEARITY_TOL, BernoulliPrior, search_rows
 from oracles import (
     error_covariance,
     exhaustive_marginals,
@@ -144,6 +146,29 @@ class TestLatticeEnumeration:
         assert stack.lengths[0] == 21
         with pytest.raises(ConfigurationError):
             lattice_marginals(stack, gram, corr, y_norm2, lambdas)
+
+
+class TestSubsetFits:
+    """``_subset_fits``, the Cholesky elimination behind the lattice."""
+
+    def test_dependent_column_adds_nothing(self):
+        """Positions 1 and 3 hold the same column, so a subset holding both
+        meets a pivot at or below the guard; that column adds nothing, and
+        every fit is the projection ``lstsq`` gives on the subset's span."""
+        rng = make_rng(31)
+        a = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        a[:, 3] = a[:, 1]
+        y = rng.normal(size=8) + 1j * rng.normal(size=8)
+        chosen = np.array([[0, 1, 2, 3, 4]])
+        gram = a.conj().T @ a
+        source = _lattice_source(gram, (a.conj().T @ y)[None], chosen)
+        bounds = COLLINEARITY_TOL**2 * gram.diagonal().real[chosen.T]
+        for size, block in enumerate(_position_combos(5)[:-1], start=1):
+            fits = _subset_fits(source, bounds, size)[:, 0]
+            for subset, fit in zip(block[1:], fits):
+                cols = a[:, chosen[0, subset]]
+                proj = cols @ np.linalg.lstsq(cols, y, rcond=None)[0]
+                assert fit == pytest.approx(np.vdot(proj, proj).real, rel=1e-12)
 
 
 class TestMarginals:

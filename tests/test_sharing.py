@@ -69,7 +69,7 @@ class TestStencils:
         x = make_rng(rows, cols).normal(size=(rows, cols, 2)) + 1.0
         members = stencil_gather(x)
         assert members.shape == (rows, cols, 5, 2)
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             inside = [(r, c)] + neighbors(grid, (r, c))
             for m, (dr, dc) in enumerate([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]):
                 if (r + dr, c + dc) in inside:
@@ -217,7 +217,7 @@ class TestGridAlgorithms:
         out = run_marginal_based(y, sensing, cfg, depth=0)
         assert not out.failed.any()
         # priors at undetected taps sit at lambda_small
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             low = np.setdiff1d(np.arange(16), out.support[r, c])
             assert np.all(out.priors[r, c][low] <= 0.5)
 
@@ -247,8 +247,8 @@ class TestGridAlgorithms:
             t_max = cfg.resolve_t_max(16, 6)
             _, first_detected, _, _ = _first_pass(y, sensing, cfg, t_max,
                                                   BeliefKind.MARGINAL)
-            for r, c in grid.antennas():
-                true = set(channels.support_set((r, c)))
+            for r, c in np.ndindex(grid.rows, grid.cols):
+                true = set(np.flatnonzero(channels.support[r, c]))
                 before_hits += len(true & set(np.flatnonzero(first_detected[r, c])))
                 after_hits += len(true & set(int(t) for t in out.support[r, c]))
                 total += len(true)
@@ -265,7 +265,7 @@ class TestGridAlgorithms:
         y2 = y.copy()
         y2[0, 0] += 0.5 * np.exp(1j)  # perturb corner antenna only
         out2 = run_marginal_based(y2, sensing, cfg, depth)
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             if abs(r - 0) + abs(c - 0) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
         # sanity: the perturbed antenna itself changed
@@ -279,7 +279,7 @@ class TestGridAlgorithms:
         y2 = y.copy()
         y2[5, 5] *= 1.3
         out2 = run_integer_based(y2, sensing, cfg, depth)
-        for r, c in grid.antennas():
+        for r, c in np.ndindex(grid.rows, grid.cols):
             if abs(r - 5) + abs(c - 5) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
 
@@ -345,7 +345,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     values = np.zeros((rows, cols, length))
     detected = np.zeros((rows, cols, length), dtype=bool)
     failed = np.zeros((rows, cols), dtype=bool)
-    for r, c in grid.antennas():
+    for r, c in np.ndindex(grid.rows, grid.cols):
         prior = np.full(length, config.lambda_init)
         est = solve(r, c, prior)
         if est is None:
@@ -370,7 +370,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     support = np.zeros((rows, cols, t_max), dtype=int)
     error_cov = np.zeros((rows, cols, t_max, t_max), dtype=complex)
     lengths = np.zeros((rows, cols), dtype=int)
-    for r, c in grid.antennas():
+    for r, c in np.ndindex(grid.rows, grid.cols):
         est = solve(r, c, priors[r, c])
         if est is None:
             failed[r, c] = True
