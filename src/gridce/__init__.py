@@ -33,7 +33,6 @@ from .posterior import error_covariances, lattice_marginals
 from .qam import QamAlphabet, build_qam_alphabet
 from .sharing import (
     BeliefKind,
-    BeliefState,
     GridEstimate,
     GridSolverConfig,
     average_marginals_round,
@@ -43,11 +42,10 @@ from .sharing import (
     scores_to_beliefs,
 )
 from .solver import (
-    BernoulliPrior,
     ChainStack,
+    gram_products,
     greedy_search_batch,
     greedy_search_stack,
-    init_params,
     search_rows,
 )
 from .experiments import (

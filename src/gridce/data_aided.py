@@ -246,9 +246,10 @@ def select_and_agree(
     return sets
 
 
-def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets):
+def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
+                  noise_var):
     """Every antenna's top-U mask, hard-decision indices and undecodable
-    mask, (M, G, N) each.
+    mask, (M, G, N) each, under the receiver noise level ``noise_var``.
 
     Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
     per-axis slicing pass and one distortion FFT per chunk; the nearest
@@ -261,7 +262,6 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
     observations = observations_full.reshape(n_ant, n_carriers)
     support = base.support.reshape(n_ant, -1)
     error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
-    noise_vars = base.noise_vars.reshape(n_ant)
     budgets = budgets.reshape(n_ant)
     usable = ~base.failed.reshape(n_ant)
     top = np.zeros((n_ant, n_carriers), dtype=bool)
@@ -278,7 +278,7 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets)
             continue
         local = members - start
         variance = distortion_covariance(
-            symbols, error_cov[members], noise_vars[members], taps=support[members]
+            symbols, error_cov[members], noise_var, taps=support[members]
         )
         reliability = carrier_reliability(
             equalized[local], variance, alphabet, nearest[local]
@@ -367,7 +367,7 @@ def run_data_aided(
     )
     top, decisions, undecodable = _top_carriers(
         base, observations_full, symbols, alphabet, data_mask,
-        stencil_reduce(budgets, np.maximum),
+        stencil_reduce(budgets, np.maximum), config.noise_var,
     )
     consensus = np.empty_like(top)
     agreements = select_and_agree(top, decisions, pilots, alphabet, out=consensus)
@@ -387,7 +387,8 @@ def run_data_aided(
         )
         stack = greedy_search_batch(
             toeplitz_grams(lags), corr, y_norm2, base.priors[aided],
-            base.noise_vars[aided], config.resolve_t_max(length, pilots.shape[0]),
+            np.full(aided[0].size, config.noise_var),
+            config.resolve_t_max(length, pilots.shape[0]),
         )
         # an antenna without a usable column keeps its base estimate,
         # flagged as a fallback
@@ -403,7 +404,6 @@ def run_data_aided(
         support=support,
         error_cov=error_cov,
         priors=base.priors,
-        noise_vars=base.noise_vars,
         failed=base.failed.copy(),
         diagnostics={
             **base.diagnostics,

@@ -131,6 +131,10 @@ class ExperimentSpec:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigurationError(f"unknown algorithms: {sorted(unknown)}")
+        for name in ("n_pilots", "snr_db", "depth", "algorithms"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # each would write its own row
+                raise ConfigurationError(f"{name} {values} repeats an entry")
         n = self.n_carriers
         if not all(1 <= k <= n for k in self.n_pilots):
             raise ConfigurationError(f"n_pilots {self.n_pilots} must lie in [1, {n}]")

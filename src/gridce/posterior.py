@@ -22,10 +22,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .solver import (
     COLLINEARITY_TOL,
-    BernoulliPrior,
     ChainStack,
     _normalize_log_posteriors,
     _prior_terms,
+    gram_products,
 )
 
 #: lattice enumeration guard: 2^T - 1 subsets
@@ -82,17 +82,19 @@ def _check_lattice_size(t: int):
         )
 
 
-def lattice_marginals(stack: ChainStack, gram: np.ndarray, corr: np.ndarray,
-                      y_norm2: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def lattice_marginals(stack: ChainStack, sensing_rows: np.ndarray, ys: np.ndarray,
+                      lambdas: np.ndarray) -> np.ndarray:
     """Per-tap marginals of every row of a stack, (B, T): the lattice
     posteriors summed over the subsets containing each detected tap, zero
     past each row's chain length.
 
-    ``gram`` is the shared A^H A (L, L); ``corr``, ``y_norm2`` and
-    ``lambdas`` are the rows' A^H y, ||y||^2 and priors, as ``search_rows``
-    returns and takes them.  Rows of equal chain length share one lattice.
+    ``sensing_rows``, ``ys`` and ``lambdas`` are the shared rows A (K, L),
+    observations (B, K) and priors the stack was searched with (as
+    ``search_rows`` takes them); the subset fits read their
+    ``gram_products``.  Rows of equal chain length share one lattice.
     """
-    base, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, corr.shape)))
+    gram, corr, y_norm2 = gram_products(sensing_rows, ys)
+    base, gain = _prior_terms(np.broadcast_to(lambdas, corr.shape))
     out = np.zeros(stack.chosen.shape)
     for t in set(stack.lengths.tolist()) - {0}:  # np.unique adds ~1.4 MB to peak RSS
         _check_lattice_size(t)

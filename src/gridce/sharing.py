@@ -16,6 +16,7 @@ distance D.
 import csv
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -29,27 +30,6 @@ DEFAULT_LAMBDA_SMALL = 1e-3
 class BeliefKind(enum.Enum):
     MARGINAL = "marginal"
     SCORE = "score"
-
-
-@dataclass
-class BeliefState:
-    """Grid-wide belief buffers: values and detected masks are (M, G, L).
-
-    ``detected`` marks each antenna's originally detected taps and stays
-    fixed across rounds; an antenna only tracks values for taps somebody in
-    its neighborhood detected (its gate).  Taps outside the gate read
-    ``lambda_small`` for marginals and zero for scores, and contribute
-    nothing to neighbors' averages.
-    """
-
-    kind: BeliefKind
-    values: np.ndarray
-    detected: np.ndarray
-    round: int = 0
-
-    def gate(self) -> np.ndarray:
-        """Taps each antenna tracks: union of detections over its N+."""
-        return _stencil_any(self.detected)
 
 
 @dataclass
@@ -84,7 +64,6 @@ class GridEstimate:
     support: np.ndarray                    # (M, G, T) int detected taps
     error_cov: np.ndarray                  # (M, G, T, T)
     priors: np.ndarray                     # (M, G, L) priors used in the final pass
-    noise_vars: np.ndarray                 # (M, G)
     failed: np.ndarray                     # (M, G) bool
     diagnostics: dict = field(default_factory=dict)
 
@@ -153,35 +132,31 @@ def _rank_scores(stack: ChainStack) -> np.ndarray:
     return stack.scatter((stack.lengths[:, None] - rank).astype(float))
 
 
-def _neighborhood_mean(state: BeliefState):
-    """(gate, mean over N+): members contribute their value only for taps
-    inside their own gate (a member that never saw a tap adds 0)."""
-    gate = state.gate()
-    total = _stencil_sum(np.where(gate, state.values, 0.0))
-    return gate, total / _member_counts(*gate.shape[:2])[:, :, None]
+def _neighborhood_mean(values: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """Mean over N+ of (M, G, L) ``values``.  The (M, G, L) ``gate`` marks
+    the taps each antenna tracks, the union of the first-pass detections
+    over its N+; members contribute their value only for taps inside their
+    own gate (a member that never saw a tap adds 0)."""
+    total = _stencil_sum(np.where(gate, values, 0.0))
+    return total / _member_counts(*gate.shape[:2])[:, :, None]
 
 
-def average_marginals_round(state: BeliefState, lambda_small: float) -> BeliefState:
+def average_marginals_round(values: np.ndarray, gate: np.ndarray,
+                            lambda_small: float) -> np.ndarray:
     """One simultaneous neighborhood-averaging round for marginal beliefs;
     taps nobody in the neighborhood detected read lambda_small."""
-    gate, mean = _neighborhood_mean(state)
-    return BeliefState(
-        kind=BeliefKind.MARGINAL, values=np.where(gate, mean, lambda_small),
-        detected=state.detected, round=state.round + 1,
-    )
+    return np.where(gate, _neighborhood_mean(values, gate), lambda_small)
 
 
-def average_scores_round(state: BeliefState, final: bool = False) -> BeliefState:
+def average_scores_round(values: np.ndarray, gate: np.ndarray,
+                         final: bool = False) -> np.ndarray:
     """One simultaneous score-averaging round; the average is rounded up to
     keep scores integer except on the final round, where the raw average is
     kept (no further sharing follows, so nothing forces integrality)."""
-    gate, mean = _neighborhood_mean(state)
+    mean = _neighborhood_mean(values, gate)
     if not final:
         mean = np.ceil(mean)
-    return BeliefState(
-        kind=BeliefKind.SCORE, values=np.where(gate, mean, 0.0),
-        detected=state.detected, round=state.round + 1,
-    )
+    return np.where(gate, mean, 0.0)
 
 
 def scores_to_beliefs(
@@ -196,84 +171,69 @@ def scores_to_beliefs(
 # ---------------------------------------------------------------------------
 # grid algorithms
 
-def _trace_rounds(path, states):
+def _trace_rounds(path, rounds, detected):
+    """One CSV line per round, antenna and detected tap: the belief values
+    of every round, round 0 being the first pass."""
+    r, c, tap = (index.tolist() for index in np.nonzero(detected))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "antenna_row", "antenna_col", "tap", "value"])
-        for state in states:
-            rows, cols, _ = state.values.shape
-            for r in range(rows):
-                for c in range(cols):
-                    for tap in np.flatnonzero(state.detected[r, c]):
-                        writer.writerow(
-                            [state.round, r, c, int(tap),
-                             repr(float(state.values[r, c, tap]))]
-                        )
+        for i, values in enumerate(rounds):
+            writer.writerows(zip(repeat(i), r, c, tap, map(repr, values[r, c, tap].tolist())))
 
 
-def _first_pass(observations, sensing_rows, config, t_max, kind):
-    """Uniform-prior estimation at every antenna and its initial beliefs:
-    (values, detected, noise_vars, failed), the first two (M, G, L)."""
-    rows, cols, n_obs = observations.shape
-    length = sensing_rows.shape[1]
-    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
-    noise_vars = np.full(ys.shape[0], config.noise_var)
-    lambdas = np.full((ys.shape[0], length), config.lambda_init)
-    stack, gram, corr, y_norm2 = search_rows(sensing_rows, ys, lambdas, noise_vars, t_max)
-    if kind is BeliefKind.MARGINAL:
-        values = stack.scatter(lattice_marginals(stack, gram, corr, y_norm2, lambdas))
-    else:
-        values = _rank_scores(stack)
-    detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
-    shape = (rows, cols)
-    return (values.reshape(*shape, length), detected.reshape(*shape, length),
-            noise_vars.reshape(shape), stack.failed.reshape(shape))
-
-
-def _final_pass(observations, sensing_rows, priors, noise_vars, t_max):
-    """Estimation with the shared beliefs as priors at every antenna:
-    (taps, support, error_cov, failed) in grid layout."""
-    rows, cols, n_obs = observations.shape
-    length = sensing_rows.shape[1]
-    n = rows * cols
-    ys = np.ascontiguousarray(observations, dtype=complex).reshape(n, n_obs)
-    stack, *_ = search_rows(sensing_rows, ys, priors.reshape(n, length),
-                            noise_vars.reshape(n), t_max)
-    return (stack.taps.reshape(rows, cols, length), stack.chosen.reshape(rows, cols, t_max),
-            error_covariances(stack).reshape(rows, cols, t_max, t_max),
-            stack.failed.reshape(rows, cols))
+def _search_grid(ys, sensing_rows, lambdas, config, t_max) -> ChainStack:
+    """One chain per antenna of the (M*G, K) observations ``ys`` under the
+    (M*G, L) priors ``lambdas`` and the noise level ``config`` assumes."""
+    return search_rows(sensing_rows, ys, lambdas, np.full(ys.shape[0], config.noise_var),
+                       t_max)
 
 
 def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
     """The grid pipeline for one belief currency: first pass, ``depth``
-    averaging rounds, beliefs to priors, final pass."""
+    averaging rounds, beliefs to priors, final pass.
+
+    An antenna tracks beliefs only for the taps its neighborhood detected
+    in the first pass (its gate, fixed across rounds).  Every antenna
+    searches the same pilot rows, and a chain fails exactly when none of
+    their columns is nonzero, whatever the observation and priors; so the
+    final pass fails where the first did.
+    """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
     sensing_rows = np.asarray(sensing_rows)
     n_obs, length = sensing_rows.shape
+    grid = observations.shape[:2]
     t_max = config.resolve_t_max(length, n_obs)
-    values, detected, noise_vars, first_failed = _first_pass(
-        observations, sensing_rows, config, t_max, kind
-    )
+    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
 
-    states = [BeliefState(kind, values, detected)]
+    lambdas = np.full((ys.shape[0], length), config.lambda_init)
+    first = _search_grid(ys, sensing_rows, lambdas, config, t_max)
+    if kind is BeliefKind.MARGINAL:
+        values = first.scatter(lattice_marginals(first, sensing_rows, ys, lambdas))
+    else:
+        values = _rank_scores(first)
+    detected = first.scatter(np.ones(first.chosen.shape, dtype=bool)).reshape(*grid, length)
+    del first, lambdas  # only the beliefs outlive the first pass
+
+    gate = _stencil_any(detected)
+    rounds = [values.reshape(*grid, length)]
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
-            states.append(average_marginals_round(states[-1], config.lambda_small))
+            rounds.append(average_marginals_round(rounds[-1], gate, config.lambda_small))
         else:
-            states.append(average_scores_round(states[-1], final=(i == depth - 1)))
+            rounds.append(average_scores_round(rounds[-1], gate, final=(i == depth - 1)))
     if config.trace_path:
-        _trace_rounds(config.trace_path, states)
+        _trace_rounds(config.trace_path, rounds, detected)
 
     # off-gate values are zero (or lambda_small) and clamp to lambda_small
     scale = t_max if kind is BeliefKind.SCORE else 1
-    priors = scores_to_beliefs(states[-1].values, scale, config.lambda_small)
-    taps, support, error_cov, failed = _final_pass(
-        observations, sensing_rows, priors, noise_vars, t_max
-    )
+    priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
+    final = _search_grid(ys, sensing_rows, priors.reshape(-1, length), config, t_max)
     return GridEstimate(
-        taps=taps, support=support, error_cov=error_cov, priors=priors,
-        noise_vars=noise_vars, failed=failed | first_failed,
+        taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
+        error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
+        failed=final.failed.reshape(grid),
         diagnostics={"depth": depth, "t_max": t_max, "kind": kind.value},
     )
 

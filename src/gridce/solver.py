@@ -24,7 +24,7 @@ factorization on shared rows: each stage scores all single-index
 extensions of the previous support in O(K*L) by updating the
 orthogonalized column residuals, never re-solving from scratch.
 ``search_rows`` is the entry point on shared rows and picks between the
-two.
+two; ``gram_products`` forms the Gram-domain inputs from the rows.
 """
 
 import math
@@ -44,35 +44,6 @@ COLLINEARITY_TOL = 1e-6
 #: de Moivre-Laplace percentile constant for sizing the support search
 DML_Z = 2.0
 
-#: default scale on var(y) for the initial noise-variance estimate
-NOISE_VAR_SCALE = 0.1
-
-
-@dataclass(frozen=True)
-class BernoulliPrior:
-    """Per-tap activity probabilities, clamped away from {0, 1}."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.clip(np.asarray(self.lambdas, dtype=float), PRIOR_EPS, 1 - PRIOR_EPS)
-        object.__setattr__(self, "lambdas", lam)
-
-    @classmethod
-    def uniform(cls, length: int, value: float) -> "BernoulliPrior":
-        return cls(np.full(length, value))
-
-    def __len__(self):
-        return self.lambdas.shape[0]
-
-
-@dataclass(frozen=True)
-class InitParams:
-    prior: BernoulliPrior
-    noise_var: float
-    t_max: int
-    t_max_capped: bool = False
-
 
 def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
     """Support-search depth slightly above the expected active count:
@@ -86,42 +57,6 @@ def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
     expected = length * lam
     slack = z * math.sqrt(length * lam * (1.0 - lam))
     return min(length, math.ceil(expected + slack))
-
-
-def init_params(sensing_rows: np.ndarray, y: np.ndarray,
-                noise_scale: float = NOISE_VAR_SCALE, z: float = DML_Z) -> InitParams:
-    """Data-driven initialization of (prior, noise variance, search depth).
-
-    The uniform activity probability counts columns whose correlation with
-    y reaches half the peak correlation; the noise variance starts as a
-    scaled version of var(y).  Both only seed the search; the solver is
-    robust to their exact values.
-    """
-    a = np.asarray(sensing_rows)
-    y = np.asarray(y)
-    k, length = a.shape
-    if k < 1:
-        raise ConfigurationError("need at least one observation row")
-
-    corr = np.abs(a.conj().T @ y)
-    peak = corr.max() if corr.size else 0.0
-    if peak == 0.0:
-        return InitParams(
-            prior=BernoulliPrior.uniform(length, PRIOR_EPS),
-            noise_var=float(noise_scale * np.var(y)) or PRIOR_EPS,
-            t_max=1,
-        )
-    lam = np.count_nonzero(corr >= 0.5 * peak) / length
-    lam = float(np.clip(lam, PRIOR_EPS, 1 - PRIOR_EPS))
-    noise_var = float(noise_scale * np.var(y)) or PRIOR_EPS
-    t_max = dml_support_size(length, lam, z)
-    capped = t_max > k
-    return InitParams(
-        prior=BernoulliPrior.uniform(length, lam),
-        noise_var=noise_var,
-        t_max=min(t_max, k),
-        t_max_capped=capped,
-    )
 
 
 def check_conditioning(a_s: np.ndarray):
@@ -140,10 +75,11 @@ def check_conditioning(a_s: np.ndarray):
         raise IllConditionedSupportError("sensing columns numerically rank deficient")
 
 
-def _prior_terms(prior: BernoulliPrior):
-    """(base, per-index gain) of the log prior; a stack of priors (B, L)
-    gives a base per row."""
-    lam = prior.lambdas
+def _prior_terms(lambdas: np.ndarray):
+    """(base, per-index gain) of the log prior of the activity
+    probabilities ``lambdas``, clamped to [PRIOR_EPS, 1 - PRIOR_EPS]; a
+    stack of priors (B, L) gives a base per row."""
+    lam = np.clip(np.asarray(lambdas, dtype=float), PRIOR_EPS, 1 - PRIOR_EPS)
     log_off = np.log1p(-lam)
     return log_off.sum(axis=-1), np.log(lam) - log_off
 
@@ -251,7 +187,7 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     if t_max < 1 or t_max > length:
         raise ConfigurationError(f"t_max={t_max} must lie in [1, L]")
 
-    prior_term, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, length))))
+    prior_term, gain = _prior_terms(np.broadcast_to(lambdas, (n, length)))
     col_norm2 = np.einsum("...jj->...j", gram).real     # (1 or B, L)
     rows = np.arange(n)
     gram_rows = rows if gram.shape[0] > 1 else 0
@@ -333,7 +269,7 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     if t_max < 1 or t_max > min(k, length):
         raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
 
-    prior_term, gain = _prior_terms(BernoulliPrior(np.broadcast_to(lambdas, (n, length))))
+    prior_term, gain = _prior_terms(np.broadcast_to(lambdas, (n, length)))
     col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
     rows = np.arange(n)
     two_nv = 2.0 * noise_vars
@@ -431,23 +367,23 @@ def _finish_chains(chosen, nus, residuals, r_fact, qty, noise_vars, lengths, ski
     return stack
 
 
+def gram_products(sensing_rows: np.ndarray, ys: np.ndarray):
+    """(A^H A, A^H y, ||y||^2) of observation vectors ``ys`` (B, K) on
+    shared rows A (K, L): (L, L), (B, L) and (B,)."""
+    a = np.ascontiguousarray(sensing_rows, dtype=complex)
+    return a.conj().T @ a, ys @ a.conj(), np.einsum("bk,bk->b", ys.conj(), ys).real
+
+
 def search_rows(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
-                noise_vars: np.ndarray, t_max: int):
-    """One chain per observation vector ``ys`` (B, K) on shared rows A (K, L):
-    (ChainStack, A^H A, A^H y, ||y||^2), the products kept for the marginal
-    lattice.
+                noise_vars: np.ndarray, t_max: int) -> ChainStack:
+    """One chain per observation vector ``ys`` (B, K) on shared rows A (K, L).
 
     When t_max fills the K rows, every free candidate ties at a zero
     residual in the last stage and rounding settles the pick, so those
     chains run the K-domain recursion (``greedy_search_stack``); all others
-    run in the Gram domain.
+    run in the Gram domain on ``gram_products``.
     """
-    a = np.ascontiguousarray(sensing_rows, dtype=complex)
-    gram = a.conj().T @ a
-    corr = ys @ a.conj()
-    y_norm2 = np.einsum("bk,bk->b", ys.conj(), ys).real
-    if t_max < a.shape[0]:
-        stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
-    else:
-        stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
-    return stack, gram, corr, y_norm2
+    if t_max < np.shape(sensing_rows)[0]:
+        return greedy_search_batch(*gram_products(sensing_rows, ys), lambdas, noise_vars,
+                                   t_max)
+    return greedy_search_stack(sensing_rows, ys, lambdas, noise_vars, t_max)

@@ -5,7 +5,8 @@ vector, in the orthogonalized-column recursion that
 ``solver.greedy_search_stack`` runs for a stack; its ``SparseEstimate``
 keeps every chain support, conditional mean and Gram inverse.
 ``support_metric``, ``blue_estimate``, ``exhaustive_estimate`` and
-``exhaustive_marginals`` score explicit supports one by one.
+``exhaustive_marginals`` score explicit supports one by one.  Priors are
+plain (L,) activity arrays, clamped as the solver clamps them.
 ``lattice_oracle`` evaluates the detected-tap lattice from scratch, with
 no chain value reused, and ``error_covariance``, ``full_covariance_oracle``
 and ``assign_scores`` are the per-antenna forms of
@@ -50,7 +51,6 @@ from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import equalize
 from gridce.solver import (
     COLLINEARITY_TOL,
-    BernoulliPrior,
     _normalize_log_posteriors,
     _prior_terms,
     check_conditioning,
@@ -81,14 +81,14 @@ class SparseEstimate:
         return self.supports[-1]
 
 
-def support_metric(support, y, sensing_rows, prior: BernoulliPrior,
+def support_metric(support, y, sensing_rows, lambdas: np.ndarray,
                    noise_var: float) -> float:
     """nu(S) for one explicit support set (empty set allowed)."""
     if noise_var <= 0:
         raise ConfigurationError("noise_var must be positive")
     y = np.asarray(y)
     support = np.asarray(support, dtype=int)
-    base, gain = _prior_terms(prior)
+    base, gain = _prior_terms(lambdas)
     if support.size == 0:
         residual2 = float(np.vdot(y, y).real)
     else:
@@ -108,7 +108,7 @@ def blue_estimate(a_s, y):
     return coef
 
 
-def greedy_search(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+def greedy_search(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
                   t_max: int) -> SparseEstimate:
     """Grow the nested dominant-support chain of sizes 1..t_max on one
     observation vector, scoring every single-index extension per stage
@@ -124,7 +124,7 @@ def greedy_search(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
     if t_max < 1 or t_max > min(k, length):
         raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
 
-    base, gain = _prior_terms(prior)
+    base, gain = _prior_terms(lambdas)
     col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
 
     b = a.copy()                      # columns orthogonalized against the chain
@@ -192,7 +192,7 @@ def greedy_search(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
     )
 
 
-def exhaustive_estimate(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+def exhaustive_estimate(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
                         max_size: int):
     """Score every support of size 1..max_size (L <= 12 only).  Returns
     (supports, posteriors, means, h_ammse) with posteriors normalized over
@@ -206,7 +206,7 @@ def exhaustive_estimate(sensing_rows, y, prior: BernoulliPrior, noise_var: float
         for combo in combinations(range(length), size):
             s = np.array(combo)
             try:
-                nu = support_metric(s, y, a, prior, noise_var)
+                nu = support_metric(s, y, a, lambdas, noise_var)
                 mean = blue_estimate(a[:, s], y)
             except IllConditionedSupportError:
                 continue
@@ -220,11 +220,11 @@ def exhaustive_estimate(sensing_rows, y, prior: BernoulliPrior, noise_var: float
     return supports, posteriors, means, h
 
 
-def exhaustive_marginals(sensing_rows, y, prior: BernoulliPrior, noise_var: float,
+def exhaustive_marginals(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
                          max_size: int) -> np.ndarray:
     """Length-L marginals over *all* supports of size 1..max_size, not just
     subsets of the detected taps (L <= 12 only)."""
-    supports, posteriors, _, _ = exhaustive_estimate(sensing_rows, y, prior, noise_var,
+    supports, posteriors, _, _ = exhaustive_estimate(sensing_rows, y, lambdas, noise_var,
                                                      max_size)
     marginals = np.zeros(np.asarray(sensing_rows).shape[1])
     for s, weight in zip(supports, posteriors):
@@ -232,7 +232,7 @@ def exhaustive_marginals(sensing_rows, y, prior: BernoulliPrior, noise_var: floa
     return marginals
 
 
-def lattice_oracle(detected, sensing_rows, y, prior: BernoulliPrior, noise_var: float):
+def lattice_oracle(detected, sensing_rows, y, lambdas: np.ndarray, noise_var: float):
     """The detected-tap lattice evaluated from scratch: every nonempty
     subset (by size, then lexicographic in detection order) scored by
     ``support_metric``.  Returns (subsets, posteriors, marginals), the
@@ -241,7 +241,7 @@ def lattice_oracle(detected, sensing_rows, y, prior: BernoulliPrior, noise_var: 
     positions = [combo for size in range(1, detected.size + 1)
                  for combo in combinations(range(detected.size), size)]
     subsets = [detected[list(combo)] for combo in positions]
-    nus = np.array([support_metric(s, y, sensing_rows, prior, noise_var) for s in subsets])
+    nus = np.array([support_metric(s, y, sensing_rows, lambdas, noise_var) for s in subsets])
     posteriors, _ = _normalize_log_posteriors(nus)
     marginals = np.zeros(detected.size)
     for combo, weight in zip(positions, posteriors):

@@ -23,7 +23,7 @@ from gridce.experiments import (
 from gridce.ofdm import make_rng
 from gridce.posterior import _position_combos, lattice_marginals
 from gridce.sharing import GridSolverConfig, run_marginal_based
-from gridce.solver import BernoulliPrior, init_params, search_rows
+from gridce.solver import search_rows
 from oracles import exhaustive_estimate, lattice_oracle
 
 
@@ -104,7 +104,7 @@ class TestAcceptance:
         The greedy estimate is production's, a one-row ``search_rows`` call.
         The greedy chain depth equals the known sparsity (T_max is defined as
         the number of nonzeros of h); both sides share the lambda = n/L prior
-        and the solver's standard scaled-variance noise initialization.
+        and a scaled-variance noise level, 0.1 var(y).
         """
         start = time.time()
         within = 0
@@ -121,10 +121,9 @@ class TestAcceptance:
                 rng.normal(size=6) + 1j * rng.normal(size=6)
             )
             y = clean + noise
-            prior = BernoulliPrior.uniform(8, 2 / 8)
-            solver_noise = init_params(a, y).noise_var
-            greedy, *_ = search_rows(a, y[None], prior.lambdas[None],
-                                     np.array([solver_noise]), 2)
+            prior = np.full(8, 2 / 8)
+            solver_noise = float(0.1 * np.var(y))
+            greedy = search_rows(a, y[None], prior[None], np.array([solver_noise]), 2)
             _, _, _, h_exh = exhaustive_estimate(a, y, prior, solver_noise,
                                                  max_size=3)
             energy = float(np.vdot(h, h).real)
@@ -182,12 +181,10 @@ class TestAcceptance:
                 sup = rng.choice(16, size=3, replace=False)
                 h[sup] = rng.normal(size=3) + 1j * rng.normal(size=3)
                 y = a @ h + 0.1 * (rng.normal(size=10) + 1j * rng.normal(size=10))
-                prior = BernoulliPrior.uniform(16, 3 / 16)
-                stack, gram, corr, y_norm2 = search_rows(
-                    a, y[None], prior.lambdas[None], np.array([0.01]), t_max)
+                prior = np.full(16, 3 / 16)
+                stack = search_rows(a, y[None], prior[None], np.array([0.01]), t_max)
                 n = stack.lengths[0]
-                fast = lattice_marginals(stack, gram, corr, y_norm2,
-                                         prior.lambdas[None])[0, :n]
+                fast = lattice_marginals(stack, a, y[None], prior[None])[0, :n]
                 _, _, slow = lattice_oracle(stack.chosen[0, :n], a, y, prior, 0.01)
                 worst = max(worst, float(np.abs(fast - slow).max()))
         detected = np.array([11, 3, 7])

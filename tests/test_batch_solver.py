@@ -23,7 +23,8 @@ from gridce.ofdm import make_rng
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
     COLLINEARITY_TOL,
-    BernoulliPrior,
+    PRIOR_EPS,
+    gram_products,
     greedy_search_batch,
     greedy_search_stack,
     search_rows,
@@ -121,7 +122,7 @@ def stack_inputs(systems):
 def reference(a, y, lambdas, noise_var, t_max):
     """greedy_search, or None where it raises (no usable column)."""
     try:
-        return greedy_search(a, y, BernoulliPrior(lambdas), noise_var, t_max)
+        return greedy_search(a, y, lambdas, noise_var, t_max)
     except IllConditionedSupportError:
         return None
 
@@ -230,7 +231,7 @@ def test_stack_settles_rank_filling_tie_as_greedy_search():
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
         lambdas = np.full(64, 3 / 64)
         stack = greedy_search_stack(a, y[None], lambdas[None], np.array([0.05]), 6)
-        want = greedy_search(a, y, BernoulliPrior(lambdas), 0.05, 6)
+        want = greedy_search(a, y, lambdas, 0.05, 6)
         assert_row_equals_greedy_search(stack, 0, want)
         free = np.setdiff1d(np.arange(64), want.detected_taps[:5])
         off_index += want.detected_taps[5] != free[0]
@@ -284,14 +285,14 @@ def test_lattice_matches_from_scratch(case):
     same_rows = [s for s in systems if s[0] is a]
     gram, corr, y_norm2, lambdas, noise_vars = stack_inputs(same_rows)
     stack = greedy_search_batch(gram[0], corr, y_norm2, lambdas, noise_vars, t_max)
-    marginals = lattice_marginals(stack, gram[0], corr, y_norm2, lambdas)
+    ys = np.stack([y for _, y, *_ in same_rows])
+    marginals = lattice_marginals(stack, a, ys, lambdas)
     for row, (_, y, lam, noise_var) in enumerate(same_rows):
         n = stack.lengths[row]
         assert not marginals[row, n:].any()
         if n == 0:
             continue
-        _, _, want = lattice_oracle(stack.chosen[row, :n], a, y, BernoulliPrior(lam),
-                                    noise_var)
+        _, _, want = lattice_oracle(stack.chosen[row, :n], a, y, lam, noise_var)
         np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=REL)
 
 
@@ -342,13 +343,13 @@ def test_lattice_matches_oracle_up_to_seven_taps(case):
     and every lattice subset's Gram has Cholesky pivots above the guard of
     ``_subset_fits``: no chain subset counts a column as dependent."""
     a, ys, lambdas, noise_vars, t_max = case
-    stack, gram, corr, y_norm2 = search_rows(a, ys, lambdas, noise_vars, t_max)
-    marginals = lattice_marginals(stack, gram, corr, y_norm2, lambdas)
+    stack = search_rows(a, ys, lambdas, noise_vars, t_max)
+    marginals = lattice_marginals(stack, a, ys, lambdas)
+    gram = gram_products(a, ys)[0]
     for row, y in enumerate(ys):
         n = stack.lengths[row]
         taps = stack.chosen[row, :n]
-        _, _, want = lattice_oracle(taps, a, y, BernoulliPrior(lambdas[row]),
-                                    noise_vars[row])
+        _, _, want = lattice_oracle(taps, a, y, lambdas[row], noise_vars[row])
         np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=1e-12)
         for size in range(1, n + 1):
             for subset in combinations(taps, size):
@@ -361,7 +362,8 @@ def test_lattice_matches_oracle_up_to_seven_taps(case):
 @given(antenna_systems(), st.integers(0, 3))
 def test_rows_do_not_interact(case, target):
     """Perturbing one antenna's observation leaves every other row
-    bit-identical, and each row equals a one-row call on it."""
+    bit-identical, in the chains and in the lattice marginals, and each
+    chain equals a one-row call on it."""
     systems, t_max = case
     target %= len(systems)
     gram, corr, y_norm2, lambdas, noise_vars = stack_inputs(systems)
@@ -384,13 +386,15 @@ def test_rows_do_not_interact(case, target):
                                       getattr(after, name)[others])
         np.testing.assert_array_equal(getattr(alone, name)[0],
                                       getattr(after, name)[target])
-    if shared and t_max <= 6:  # rows of every chain length share the call
-        batch = lattice_marginals(after, gram[0], corr, y_norm2, lambdas)
-        for i in range(len(systems)):
-            row = slice(i, i + 1)
-            inputs = gram[0], corr[row], y_norm2[row], lambdas[row]
-            single = greedy_search_batch(*inputs, noise_vars[row], t_max)
-            np.testing.assert_array_equal(batch[i], lattice_marginals(single, *inputs)[0])
+    if shared and t_max <= 6:  # rows of every chain length share the lattice call
+        a = systems[0][0]
+        ys = np.stack([y for _, y, *_ in systems])
+        moved = ys.copy()
+        moved[target] += 0.25 - 0.5j
+        unmoved, perturbed = (
+            lattice_marginals(search_rows(a, obs, lambdas, noise_vars, t_max), a, obs, lambdas)
+            for obs in (ys, moved))
+        np.testing.assert_array_equal(unmoved[others], perturbed[others])
 
 
 def ragged(systems):
@@ -429,7 +433,7 @@ def test_short_chain_matches_greedy_search():
     np.testing.assert_array_equal(stack.lengths, [2, 0])
     np.testing.assert_array_equal(stack.failed, [False, True])
     assert_padding(stack)
-    est = greedy_search(a, y, BernoulliPrior.uniform(6, 0.3), 0.1, 3)
+    est = greedy_search(a, y, np.full(6, 0.3), 0.1, 3)
     assert len(est.supports) == 2
     np.testing.assert_array_equal(stack.chosen[0, :2], est.detected_taps)
     assert_rel(stack.taps[0], est.h_ammse)
@@ -450,12 +454,71 @@ def test_grid_search_routing(k, t_max):
     ys = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
     lambdas = np.full((5, 16), 3 / 16)
     noise_vars = np.full(5, 0.05)
-    stack, *_ = search_rows(a, ys, lambdas, noise_vars, t_max)
+    stack = search_rows(a, ys, lambdas, noise_vars, t_max)
     np.testing.assert_array_equal(stack.lengths, np.full(5, t_max))
     for i in range(5):
-        want = greedy_search(a, ys[i], BernoulliPrior(lambdas[i]), 0.05, t_max)
+        want = greedy_search(a, ys[i], lambdas[i], 0.05, t_max)
         if t_max == k:
             assert_row_equals_greedy_search(stack, i, want)
         else:
             np.testing.assert_array_equal(stack.chosen[i], want.detected_taps)
             assert_rel(stack.taps[i], want.h_ammse)
+
+
+@st.composite
+def zero_column_systems(draw):
+    """Shared rows with some all-zero columns, or none nonzero at all, and
+    two independent draws of observations (zero or random), priors (exact 0
+    and 1 included) and noise levels on them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 12))
+    length = draw(st.integers(k, 32))
+    t_max = draw(st.sampled_from([k, draw(st.integers(1, k))]))
+    rng = make_rng(seed)
+    a = random_rows(rng, k, length, 0)
+    n_zero = length if draw(st.booleans()) else draw(st.integers(0, length - 1))
+    a[:, rng.choice(length, size=n_zero, replace=False)] = 0
+    draws = []
+    for _ in range(2):
+        n = draw(st.integers(1, 5))
+        ys = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        if draw(st.booleans()):
+            ys[0] = 0
+        lambdas = rng.choice([0.0, 1.0, 0.05, 0.3], size=(n, length))
+        draws.append((ys, lambdas, 10 ** rng.uniform(-4, 0, size=n)))
+    return a, t_max, draws
+
+
+@PROPERTY
+@given(zero_column_systems())
+def test_chain_failure_depends_only_on_rows(case):
+    """At the first stage a candidate is usable exactly when its column of
+    the shared rows is nonzero, so every chain fails when no column is,
+    and none fails otherwise, whatever the observations and priors: a
+    grid's final pass fails exactly where its first pass did."""
+    a, t_max, draws = case
+    for ys, lambdas, noise_vars in draws:
+        stack = search_rows(a, ys, lambdas, noise_vars, t_max)
+        np.testing.assert_array_equal(stack.failed, np.full(ys.shape[0], not a.any()))
+
+
+@pytest.mark.parametrize("k, t_max", [(6, 6), (6, 3)])
+def test_priors_at_zero_and_one_clamp(k, t_max):
+    """Activity priors of exactly 0 and 1 search and score as priors at
+    PRIOR_EPS and 1 - PRIOR_EPS, with finite log posteriors and marginals,
+    in both solver forms and in the lattice."""
+    rng = make_rng(21)
+    a = random_rows(rng, k, 16, 0)
+    ys = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+    lambdas = rng.uniform(0.01, 0.5, size=(4, 16))
+    lambdas[:, [2, 9]] = 0.0
+    lambdas[:, 4] = 1.0
+    clamped = np.clip(lambdas, PRIOR_EPS, 1 - PRIOR_EPS)
+    noise_vars = np.full(4, 0.05)
+    exact, eps = (search_rows(a, ys, lam, noise_vars, t_max) for lam in (lambdas, clamped))
+    for name in ("chosen", "lengths", "nus", "posteriors", "taps"):
+        np.testing.assert_array_equal(getattr(exact, name), getattr(eps, name))
+    assert np.isfinite(exact.nus).all()
+    marginals = lattice_marginals(exact, a, ys, lambdas)
+    np.testing.assert_array_equal(marginals, lattice_marginals(eps, a, ys, clamped))
+    assert np.isfinite(marginals).all()

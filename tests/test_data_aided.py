@@ -46,7 +46,7 @@ from gridce.ofdm import (
 from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
-from gridce.solver import BernoulliPrior, greedy_search_batch
+from gridce.solver import greedy_search_batch
 from oracles import (
     error_covariance,
     greedy_search,
@@ -491,8 +491,7 @@ def grid_estimate(covariances, taps, t_max, failed):
                 support[r, c, :t] = cov_taps
                 error_cov[r, c, :t, :t] = matrix
     return GridEstimate(taps=taps, support=support, error_cov=error_cov,
-                        priors=np.full(taps.shape, 0.1), noise_vars=np.full((rows, cols), 0.1),
-                        failed=failed)
+                        priors=np.full(taps.shape, 0.1), failed=failed)
 
 
 @st.composite
@@ -558,10 +557,10 @@ class TestReliableBudget:
         a_short[:, 1] = [1, 2, 0, 1j, 0]
         a_short[:, 4] = [0, 1, 1, 0, -1j]
         short = greedy_search(a_short, a_short[:, 1] + a_short[:, 4],
-                              BernoulliPrior.uniform(6, 0.3), 0.1, 3)
+                              np.full(6, 0.3), 0.1, 3)
         a_full = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
         full = greedy_search(a_full, a_full[:, 2] - 0.5 * a_full[:, 0],
-                             BernoulliPrior.uniform(6, 0.3), 0.1, 3)
+                             np.full(6, 0.3), 0.1, 3)
         covs = [(est.detected_taps, error_covariance(est)) for est in (short, full)]
         assert [cov_taps.size for cov_taps, _ in covs] == [2, 3]
 
@@ -603,7 +602,7 @@ def reestimate_oracle(frame, full_rows, observations, base, config, agreements):
         stack = greedy_search_batch(
             a_aug.conj().T @ a_aug, (a_aug.conj().T @ y_aug)[None],
             [np.vdot(y_aug, y_aug).real], base.priors[r, c][None],
-            base.noise_vars[r, c][None], t_max,
+            np.array([config.noise_var]), t_max,
         )
         if stack.failed[0]:
             continue
@@ -700,8 +699,7 @@ class TestRunDataAided:
                 a_pilot_run = full_rows[idx]  # rows from true symbols
                 est = greedy_search(
                     a_pilot_run, obs[r, c, idx],
-                    BernoulliPrior(base.priors[r, c]),
-                    base.noise_vars[r, c], t_max,
+                    base.priors[r, c], cfg.noise_var, t_max,
                 )
                 h_true = channels.taps[r, c]
                 energy = float(np.sum(np.abs(h_true) ** 2))

@@ -104,9 +104,14 @@ class TestSpec:
         ("experiment", -3),
         ("experiment", "x"),
         ("experiment", 2.5),
+        ("n_pilots", (16, 16)),
+        ("snr_db", (10.0, 10)),
+        ("depth", (1, 1)),
+        ("algorithms", ("IB-P", "IB-P")),
     ])
     def test_bad_field_rejected_at_construction(self, field, value):
-        """One out-of-range value per field fails before any trial runs."""
+        """One out-of-range value per field fails before any trial runs; a
+        repeated sweep entry or algorithm would write duplicate rows."""
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{field: value})
 

@@ -19,7 +19,7 @@ from gridce.posterior import (
     error_covariances,
     lattice_marginals,
 )
-from gridce.solver import COLLINEARITY_TOL, BernoulliPrior, search_rows
+from gridce.solver import COLLINEARITY_TOL, search_rows
 from oracles import (
     error_covariance,
     exhaustive_marginals,
@@ -39,10 +39,9 @@ def solved_instance(seed=0, k=10, length=16, sparsity=3, noise_var=0.02, t_max=4
     h[support] = rng.normal(size=sparsity) + 1j * rng.normal(size=sparsity)
     noise = np.sqrt(noise_var / 2) * (rng.normal(size=k) + 1j * rng.normal(size=k))
     y = a @ h + noise
-    prior = BernoulliPrior.uniform(length, sparsity / length)
-    stack, gram, corr, y_norm2 = search_rows(a, y[None], prior.lambdas[None],
-                                             np.array([noise_var]), t_max)
-    marginals = lattice_marginals(stack, gram, corr, y_norm2, prior.lambdas[None])
+    prior = np.full(length, sparsity / length)
+    stack = search_rows(a, y[None], prior[None], np.array([noise_var]), t_max)
+    marginals = lattice_marginals(stack, a, y[None], prior[None])
     return a, y, h, prior, stack, noise_var, marginals[0, :stack.lengths[0]]
 
 
@@ -83,7 +82,7 @@ class TestErrorCovariance:
         h = np.zeros(6, complex)
         h[2] = 3.0
         y = a @ h + 0.01 * (rng.normal(size=8) + 1j * rng.normal(size=8))
-        stack, *_ = search_rows(a, y[None], np.full((1, 6), 0.2), np.array([1e-4]), 1)
+        stack = search_rows(a, y[None], np.full((1, 6), 0.2), np.array([1e-4]), 1)
         np.testing.assert_allclose(error_covariances(stack)[0], 1e-4 * np.eye(1), atol=1e-12)
 
     def test_hermitian_psd(self):
@@ -142,10 +141,10 @@ class TestLatticeEnumeration:
         a = rng.normal(size=(24, 32)) + 1j * rng.normal(size=(24, 32))
         y = rng.normal(size=(1, 24)) + 1j * rng.normal(size=(1, 24))
         lambdas = np.full((1, 32), 0.5)
-        stack, gram, corr, y_norm2 = search_rows(a, y, lambdas, np.array([0.1]), 21)
+        stack = search_rows(a, y, lambdas, np.array([0.1]), 21)
         assert stack.lengths[0] == 21
         with pytest.raises(ConfigurationError):
-            lattice_marginals(stack, gram, corr, y_norm2, lambdas)
+            lattice_marginals(stack, a, y, lambdas)
 
 
 class TestSubsetFits:

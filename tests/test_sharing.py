@@ -15,9 +15,7 @@ from gridce.ofdm import (
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
-    BeliefState,
     GridSolverConfig,
-    _first_pass,
     _rank_scores,
     _run_grid,
     average_marginals_round,
@@ -28,7 +26,7 @@ from gridce.sharing import (
     stencil_gather,
     stencil_reduce,
 )
-from gridce.solver import BernoulliPrior, ChainStack
+from gridce.solver import ChainStack, search_rows
 from oracles import assign_scores, error_covariance, greedy_search, lattice_oracle, neighbors
 
 
@@ -43,6 +41,23 @@ def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
     full = build_sensing_matrix(frame, length)
     y = synthesize_received(full, channels.taps, noise_var, make_rng(seed, 3))
     return grid, channels, full[pilots], y[..., pilots], noise_var
+
+
+def first_pass(observations, sensing_rows, config):
+    """Production's uniform-prior chains of every antenna, one stack, and
+    each antenna's detected taps (M, G, L)."""
+    k, length = sensing_rows.shape
+    ys = observations.reshape(-1, k)
+    stack = search_rows(sensing_rows, ys, np.full((ys.shape[0], length), config.lambda_init),
+                        np.full(ys.shape[0], config.noise_var),
+                        config.resolve_t_max(length, k))
+    detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
+    return stack, detected.reshape(*observations.shape[:2], length)
+
+
+def gate_of(detected):
+    """The taps each antenna tracks: the union of detections over its N+."""
+    return stencil_reduce(detected, np.logical_or)
 
 
 def fake_stack(length, taps, amplitudes):
@@ -112,45 +127,41 @@ class TestMarginalRound:
         values, detected = marginal_state(3, 3, 8)
         values[..., 2] = 0.8
         detected[..., 2] = True
-        state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(state, 1e-3)
-        assert np.allclose(out.values[..., 2], 0.8)
+        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        assert np.allclose(out[..., 2], 0.8)
 
     def test_single_detector_center(self):
         """Center holds 1.0, 4 neighbors undetected, |N+|=5 -> 0.2."""
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
-        state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(state, 1e-3)
-        assert abs(out.values[1, 1, 5] - 0.2) < 1e-12
+        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        assert abs(out[1, 1, 5] - 0.2) < 1e-12
 
     def test_nobody_detected_gets_lambda_small(self):
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
-        state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(state, 1e-3)
-        assert out.values[0, 0, 3] == 1e-3  # tap 3 in nobody's gate
+        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        assert out[0, 0, 3] == 1e-3  # tap 3 in nobody's gate
 
     def test_range_preserved(self):
         rng = make_rng(5)
         values = rng.random((4, 4, 8))
         detected = rng.random((4, 4, 8)) < 0.4
-        state = BeliefState(BeliefKind.MARGINAL, values * detected, detected)
+        values = values * detected
         for _ in range(4):
-            state = average_marginals_round(state, 1e-3)
-            assert state.values.min() >= 0 and state.values.max() <= 1
+            values = average_marginals_round(values, gate_of(detected), 1e-3)
+            assert values.min() >= 0 and values.max() <= 1
 
     def test_sia_fixed_point(self):
         """Identical marginal vectors and gates are unchanged by a round."""
         values, detected = marginal_state(4, 4, 8)
         values[..., [1, 6]] = [0.7, 0.3]
         detected[..., [1, 6]] = True
-        state = BeliefState(BeliefKind.MARGINAL, values, detected)
-        out = average_marginals_round(state, 1e-3)
+        out = average_marginals_round(values, gate_of(detected), 1e-3)
         inside = detected
-        np.testing.assert_allclose(out.values[inside], values[inside], atol=1e-12)
+        np.testing.assert_allclose(out[inside], values[inside], atol=1e-12)
 
 
 class TestScoreRound:
@@ -162,9 +173,8 @@ class TestScoreRound:
         for (r, c), s in zip(members, [3, 0, 2, 1, 3]):
             values[r, c, 0] = s
             detected[r, c, 0] = s > 0
-        state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(state, final=False)
-        assert out.values[1, 1, 0] == 2
+        out = average_scores_round(values, gate_of(detected), final=False)
+        assert out[1, 1, 0] == 2
 
     def test_final_round_keeps_raw_average(self):
         values, detected = marginal_state(3, 3, 4)
@@ -172,28 +182,26 @@ class TestScoreRound:
         for (r, c), s in zip(members, [3, 0, 2, 1, 3]):
             values[r, c, 0] = s
             detected[r, c, 0] = s > 0
-        state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(state, final=True)
-        assert abs(out.values[1, 1, 0] - 1.8) < 1e-12
+        out = average_scores_round(values, gate_of(detected), final=True)
+        assert abs(out[1, 1, 0] - 1.8) < 1e-12
 
     def test_absent_tap_zero(self):
         values, detected = marginal_state(3, 3, 4)
         values[1, 1, 0] = 2.0
         detected[1, 1, 0] = True
-        state = BeliefState(BeliefKind.SCORE, values, detected)
-        out = average_scores_round(state, final=False)
-        assert out.values[0, 0, 2] == 0.0
+        out = average_scores_round(values, gate_of(detected), final=False)
+        assert out[0, 0, 2] == 0.0
 
     def test_integrality_until_final(self):
         rng = make_rng(7)
         values = np.floor(rng.random((4, 4, 6)) * 4)
         detected = values > 0
-        state = BeliefState(BeliefKind.SCORE, values, detected)
+        gate = gate_of(detected)
         for _ in range(3):
-            state = average_scores_round(state, final=False)
-            assert np.all(state.values == np.round(state.values))
-        final = average_scores_round(state, final=True)
-        assert not np.all(final.values == np.round(final.values))
+            values = average_scores_round(values, gate, final=False)
+            assert np.all(values == np.round(values))
+        final = average_scores_round(values, gate, final=True)
+        assert not np.all(final == np.round(final))
 
 
 class TestScoresToBeliefs:
@@ -244,9 +252,7 @@ class TestGridAlgorithms:
             )
             cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
             out = run_marginal_based(y, sensing, cfg, depth=2)
-            t_max = cfg.resolve_t_max(16, 6)
-            _, first_detected, _, _ = _first_pass(y, sensing, cfg, t_max,
-                                                  BeliefKind.MARGINAL)
+            _, first_detected = first_pass(y, sensing, cfg)
             for r, c in np.ndindex(grid.rows, grid.cols):
                 true = set(np.flatnonzero(channels.support[r, c]))
                 before_hits += len(true & set(np.flatnonzero(first_detected[r, c])))
@@ -296,25 +302,37 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(seed=6)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         t_max = cfg.resolve_t_max(16, 12)
-        values, detected, _, _ = _first_pass(y, sensing, cfg, t_max, BeliefKind.SCORE)
+        stack, detected = first_pass(y, sensing, cfg)
+        values = _rank_scores(stack).reshape(detected.shape)
         assert np.all(values == np.round(values)) and values.max() == t_max
-        state = BeliefState(BeliefKind.SCORE, values, detected)
         for i in range(3):
-            state = average_scores_round(state, final=(i == 2))
+            values = average_scores_round(values, gate_of(detected), final=(i == 2))
             if i < 2:
-                assert np.all(state.values == np.round(state.values))
+                assert np.all(values == np.round(values))
 
     def test_trace_dump(self, tmp_path):
+        """The trace holds each round's beliefs (round 0: the first pass)
+        at every antenna's detected taps, equal to the per-antenna
+        composition's beliefs after that round."""
         grid, channels, sensing, y, nv = make_scene(rows=3, cols=3, seed=7)
         path = tmp_path / "trace.csv"
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv,
                                trace_path=str(path))
-        run_marginal_based(y, sensing, cfg, 2)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "round,antenna_row,antenna_col,tap,value"
-        assert len(lines) > 1
-        rounds = {int(line.split(",")[0]) for line in lines[1:]}
-        assert rounds == {0, 1, 2}
+        for kind, runner in ((BeliefKind.MARGINAL, run_marginal_based),
+                             (BeliefKind.SCORE, run_integer_based)):
+            runner(y, sensing, cfg, 2)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "round,antenna_row,antenna_col,tap,value"
+            assert len(lines) > 1
+            traced = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            assert set(traced[:, 0]) == {0, 1, 2}
+            *_, rounds, detected = per_antenna_grid(kind, grid, y, sensing, cfg, 2)
+            at = np.nonzero(detected)
+            want_index = np.vstack([np.column_stack((np.full(at[0].size, i),) + at)
+                                    for i in range(len(rounds))])
+            np.testing.assert_array_equal(traced[:, :4], want_index)
+            np.testing.assert_allclose(traced[:, 4], np.concatenate([v[at] for v in rounds]),
+                                       rtol=0, atol=1e-12)
 
     def test_paper_scale_runs(self):
         """D=3 on a 20x20 grid completes end to end."""
@@ -330,14 +348,15 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     the oracle: greedy_search at every antenna, then the from-scratch
     lattice or assign_scores for the first-pass beliefs, and
     error_covariance after the final pass, zero-padded to T.  Returns the
-    GridEstimate fields and the final chain lengths."""
+    GridEstimate fields, the final chain lengths, the beliefs (M, G, L)
+    after every round (the first pass's first) and the detected taps."""
     rows, cols, _ = observations.shape
     k, length = sensing_rows.shape
     t_max = config.resolve_t_max(length, k)
 
     def solve(r, c, lambdas):
         try:
-            return greedy_search(sensing_rows, observations[r, c], BernoulliPrior(lambdas),
+            return greedy_search(sensing_rows, observations[r, c], lambdas,
                                  config.noise_var, t_max)
         except IllConditionedSupportError:
             return None
@@ -353,18 +372,19 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
             continue
         if kind is BeliefKind.MARGINAL:
             values[r, c, est.detected_taps] = lattice_oracle(
-                est.detected_taps, sensing_rows, observations[r, c], BernoulliPrior(prior),
+                est.detected_taps, sensing_rows, observations[r, c], prior,
                 config.noise_var)[2]
         else:
             values[r, c] = assign_scores(est)
         detected[r, c, est.detected_taps] = True
-    state = BeliefState(kind, values, detected)
+    gate = gate_of(detected)
+    rounds = [values]
     for i in range(depth):
-        state = (average_marginals_round(state, config.lambda_small)
-                 if kind is BeliefKind.MARGINAL
-                 else average_scores_round(state, final=(i == depth - 1)))
+        rounds.append(average_marginals_round(rounds[-1], gate, config.lambda_small)
+                      if kind is BeliefKind.MARGINAL
+                      else average_scores_round(rounds[-1], gate, final=(i == depth - 1)))
     scale = t_max if kind is BeliefKind.SCORE else 1
-    priors = scores_to_beliefs(state.values, scale, config.lambda_small)
+    priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
 
     taps = np.zeros((rows, cols, length), dtype=complex)
     support = np.zeros((rows, cols, t_max), dtype=int)
@@ -378,7 +398,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
         t = lengths[r, c] = est.detected_taps.size
         taps[r, c], support[r, c, :t] = est.h_ammse, est.detected_taps
         error_cov[r, c, :t, :t] = error_covariance(est)
-    return taps, support, error_cov, priors, failed, lengths
+    return taps, support, error_cov, priors, failed, lengths, rounds, detected
 
 
 def rank_four_scene(seed=0, rows=4, cols=4, k=12, length=16):
@@ -411,7 +431,7 @@ class TestOneStackPasses:
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         assert cfg.resolve_t_max(16, a.shape[0]) == 5
         got = _run_grid(kind, y, a, cfg, 2)
-        taps, support, error_cov, priors, failed, lengths = per_antenna_grid(
+        taps, support, error_cov, priors, failed, lengths, *_ = per_antenna_grid(
             kind, grid, y, a, cfg, 2)
         assert np.all(lengths == n_stages) and not failed.any()
         np.testing.assert_array_equal(got.failed, failed)

@@ -10,7 +10,8 @@ import pytest
 
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
-from gridce.solver import BernoulliPrior, dml_support_size, init_params, search_rows
+from gridce.sharing import GridSolverConfig
+from gridce.solver import dml_support_size, search_rows
 from oracles import blue_estimate, exhaustive_estimate, support_metric
 
 
@@ -25,11 +26,9 @@ def random_system(k, length, sparsity, noise_var, seed, complex_taps=True):
     return a, h, support, a @ h + noise
 
 
-def solve(a, y, prior, noise_var, t_max):
+def solve(a, y, lambdas, noise_var, t_max):
     """The production chain of one observation vector: a one-row stack."""
-    stack, *_ = search_rows(a, np.asarray(y)[None], prior.lambdas[None],
-                            np.array([noise_var]), t_max)
-    return stack
+    return search_rows(a, np.asarray(y)[None], lambdas[None], np.array([noise_var]), t_max)
 
 
 def chain(stack):
@@ -38,64 +37,31 @@ def chain(stack):
 
 
 class TestInitParams:
-    def test_singleton_count(self):
-        """One dominant column above the half-max threshold -> lambda = 1/L."""
-        a = np.zeros((4, 8), complex)
-        a[:, 3] = 1.0
-        a[:, 5] = 0.2
-        y = np.ones(4, complex)
-        params = init_params(a, y)
-        assert abs(params.prior.lambdas[0] - 1 / 8) < 1e-12
-
-    def test_all_columns_above_threshold_clamps(self):
-        a = np.ones((4, 8), complex)
-        y = np.ones(4, complex)
-        params = init_params(a, y)
-        assert params.prior.lambdas[0] <= 1 - 1e-6
-        assert abs(params.prior.lambdas[0] - (1 - 1e-6)) < 1e-9
+    """The search depth every antenna starts from."""
 
     def test_dml_size_example(self):
         # L=64, lambda=3/64, z=2: ceil(3 + 2*sqrt(3*61/64)) = 7
         assert dml_support_size(64, 3 / 64, z=2.0) == 7
 
-    def test_zero_observation(self):
-        a = np.ones((4, 8), complex)
-        params = init_params(a, np.zeros(4, complex))
-        assert params.t_max == 1
-        assert abs(params.prior.lambdas[0] - 1e-6) < 1e-12
-        assert params.noise_var > 0
-
-    def test_one_row_noise_floor(self):
-        """var(y) is 0 for one observation row; the noise estimate is
-        floored, so the solver accepts it."""
-        rng = make_rng(4)
-        a = rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))
-        y = np.array([1.0 - 0.5j])
-        params = init_params(a, y)
-        assert params.noise_var > 0 and params.t_max == 1
-        stack = solve(a, y, params.prior, params.noise_var, params.t_max)
-        assert stack.lengths[0] == 1 and np.isfinite(stack.taps).all()
-
     def test_t_max_capped_at_observation_count(self):
-        a = np.ones((2, 64), complex) + 0.1 * make_rng(0).normal(size=(2, 64))
-        y = np.ones(2, complex)
-        params = init_params(a, y)
-        assert params.t_max <= 2
+        config = GridSolverConfig(lambda_init=0.5, noise_var=0.1)
+        assert dml_support_size(64, 0.5) > 2
+        assert config.resolve_t_max(64, 2) == 2
 
 
 class TestSupportMetric:
     def test_empty_support(self):
         a, h, support, y = random_system(8, 16, 2, 0.1, seed=0)
-        prior = BernoulliPrior.uniform(16, 0.1)
+        prior = np.full(16, 0.1)
         nu = support_metric([], y, a, prior, 0.1)
-        expected = -np.vdot(y, y).real / 0.2 + 16 * np.log1p(-prior.lambdas[0])
+        expected = -np.vdot(y, y).real / 0.2 + 16 * np.log1p(-prior[0])
         assert abs(nu - expected) < 1e-9
 
     def test_equal_prior_identity(self):
         """With lambda_i = lambda the prior part is |S| ln(l/(1-l)) + L ln(1-l)."""
         a, h, support, y = random_system(8, 16, 2, 0.1, seed=1)
         lam = 0.2
-        prior = BernoulliPrior.uniform(16, lam)
+        prior = np.full(16, lam)
         nu = support_metric(support, y, a, prior, 0.1)
         q, _ = np.linalg.qr(a[:, support])
         res = y - q @ (q.conj().T @ y)
@@ -108,7 +74,7 @@ class TestSupportMetric:
 
     def test_projection_residual_monotone_in_support(self):
         a, h, support, y = random_system(8, 16, 2, 0.5, seed=2)
-        prior = BernoulliPrior.uniform(16, 0.1)
+        prior = np.full(16, 0.1)
 
         def residual(s):
             if not len(s):
@@ -137,14 +103,14 @@ class TestSupportMetric:
         a = np.ones((4, 3), complex)
         a[:, 1] = a[:, 0]  # duplicate column
         y = np.ones(4, complex)
-        prior = BernoulliPrior.uniform(3, 0.2)
+        prior = np.full(3, 0.2)
         with pytest.raises(IllConditionedSupportError):
             support_metric([0, 1], y, a, prior, 0.1)
 
     def test_zero_noise_rejected(self):
         a, h, support, y = random_system(8, 16, 2, 0.1, seed=4)
         with pytest.raises(ConfigurationError):
-            support_metric(support, y, a, BernoulliPrior.uniform(16, 0.1), 0.0)
+            support_metric(support, y, a, np.full(16, 0.1), 0.0)
 
 
 class TestBlueEstimate:
@@ -169,7 +135,7 @@ class TestGreedySearch:
         """Stage-1 pick equals the global size-1 argmax of the metric."""
         for seed in range(20):
             a, h, support, y = random_system(6, 10, 2, 0.05, seed=seed)
-            prior = BernoulliPrior.uniform(10, 0.2)
+            prior = np.full(10, 0.2)
             stack = solve(a, y, prior, 0.05, t_max=1)
             nus = [support_metric([j], y, a, prior, 0.05) for j in range(10)]
             assert stack.chosen[0, 0] == int(np.argmax(nus))
@@ -177,7 +143,7 @@ class TestGreedySearch:
     def test_nested_chain_structure(self):
         """Every stage adds one tap not chosen before."""
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=8)
-        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=5)
+        stack = solve(a, y, np.full(16, 0.15), 0.05, t_max=5)
         taps = chain(stack)
         assert taps.size == 5 and np.unique(taps).size == 5
 
@@ -192,7 +158,7 @@ class TestGreedySearch:
         trials = 500
         for seed in range(trials):
             a, h, support, y = random_system(6, 8, 2, 1e-8, seed=1000 + seed)
-            prior = BernoulliPrior.uniform(8, 2 / 8)
+            prior = np.full(8, 2 / 8)
             stack = solve(a, y, prior, 1e-6, t_max=2)
             if set(chain(stack)) == set(support):
                 hits += 1
@@ -208,18 +174,18 @@ class TestGreedySearch:
 
     def test_posteriors_normalized(self):
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=9)
-        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        stack = solve(a, y, np.full(16, 0.15), 0.05, t_max=4)
         assert abs(stack.posteriors[0].sum() - 1.0) < 1e-9
 
     def test_residual_monotone_along_chain(self):
         a, h, support, y = random_system(10, 24, 3, 0.1, seed=10)
-        stack = solve(a, y, BernoulliPrior.uniform(24, 0.1), 0.1, t_max=6)
+        stack = solve(a, y, np.full(24, 0.1), 0.1, t_max=6)
         assert np.all(np.diff(stack.residuals[0, :stack.lengths[0]]) <= 1e-10)
 
     def test_scale_equivariance(self):
         """Scaling y and sigma_w together leaves the chain unchanged."""
         a, h, support, y = random_system(8, 16, 2, 0.05, seed=11)
-        prior = BernoulliPrior.uniform(16, 0.1)
+        prior = np.full(16, 0.1)
         one = solve(a, y, prior, 0.05, t_max=4)
         scaled = solve(a, 10 * y, prior, 100 * 0.05, t_max=4)
         np.testing.assert_array_equal(chain(one), chain(scaled))
@@ -233,14 +199,14 @@ class TestGreedySearch:
         h = np.zeros(8, complex)
         h[2] = 2.0
         y = a @ h
-        stack = solve(a, y, BernoulliPrior.uniform(8, 0.2), 0.01, t_max=3)
+        stack = solve(a, y, np.full(8, 0.2), 0.01, t_max=3)
         assert not {2, 5}.issubset(set(chain(stack)))
         assert stack.skipped[0]
 
     def test_no_nan_or_inf(self):
         for seed in range(10):
             a, h, support, y = random_system(8, 16, 3, 1e-6, seed=100 + seed)
-            stack = solve(a, y, BernoulliPrior.uniform(16, 0.1), 1e-6, t_max=6)
+            stack = solve(a, y, np.full(16, 0.1), 1e-6, t_max=6)
             assert np.all(np.isfinite(stack.posteriors))
             assert np.all(np.isfinite(stack.taps))
 
@@ -255,7 +221,7 @@ class TestGreedySearch:
             h = np.zeros(16, complex)
             h[support] = np.exp(2j * np.pi * rng.random(2))  # unit magnitude
             y = a @ h
-            stack = solve(a, y, BernoulliPrior.uniform(16, 0.12), 1e-6, t_max=3)
+            stack = solve(a, y, np.full(16, 0.12), 1e-6, t_max=3)
             hits += set(support).issubset(set(chain(stack)))
         assert hits >= 45
 
@@ -263,14 +229,14 @@ class TestGreedySearch:
 class TestAmmseCombine:
     def test_single_support_is_padded_blue(self):
         a, h, support, y = random_system(8, 16, 2, 0.05, seed=13)
-        stack = solve(a, y, BernoulliPrior.uniform(16, 0.1), 0.05, t_max=1)
+        stack = solve(a, y, np.full(16, 0.1), 0.05, t_max=1)
         expected = np.zeros(16, complex)
         expected[chain(stack)] = blue_estimate(a[:, chain(stack)], y)
         np.testing.assert_allclose(stack.taps[0], expected, atol=1e-10)
 
     def test_support_contained_in_largest(self):
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=14)
-        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        stack = solve(a, y, np.full(16, 0.15), 0.05, t_max=4)
         nz = np.flatnonzero(stack.taps[0])
         assert set(nz).issubset(set(chain(stack)))
 
@@ -278,7 +244,7 @@ class TestAmmseCombine:
         """The combined taps are the posterior-weighted sum of the zero-padded
         BLUE of every chain prefix, with weights summing to one."""
         a, h, support, y = random_system(8, 16, 3, 0.05, seed=15)
-        stack = solve(a, y, BernoulliPrior.uniform(16, 0.15), 0.05, t_max=4)
+        stack = solve(a, y, np.full(16, 0.15), 0.05, t_max=4)
         assert abs(stack.posteriors[0].sum() - 1.0) < 1e-9
         expected = np.zeros(16, complex)
         taps = chain(stack)
@@ -290,7 +256,7 @@ class TestAmmseCombine:
 class TestExhaustiveOracle:
     def test_matches_greedy_on_easy_instance(self):
         a, h, support, y = random_system(6, 8, 2, 1e-6, seed=16)
-        prior = BernoulliPrior.uniform(8, 0.25)
+        prior = np.full(8, 0.25)
         stack = solve(a, y, prior, 1e-6, t_max=2)
         supports, posteriors, _, h_ex = exhaustive_estimate(a, y, prior, 1e-6, 2)
         top = supports[int(np.argmax(posteriors))]
@@ -301,5 +267,5 @@ class TestExhaustiveOracle:
     def test_guard(self):
         a = np.ones((4, 16), complex)
         with pytest.raises(ConfigurationError):
-            exhaustive_estimate(a, np.ones(4, complex), BernoulliPrior.uniform(16, 0.1),
+            exhaustive_estimate(a, np.ones(4, complex), np.full(16, 0.1),
                                 0.1, 2)
