@@ -6,7 +6,8 @@ Subcommands:
   generate-channels  write the channels of sweep point 0, trial 0 to CSV
 
 A JSON file mirroring the ExperimentSpec fields can be passed with
---config; individual flags override it.  Exit code is 0 on success and 2
+--config; individual flags override it.  The two subcommands that write
+files take --out, the output directory.  Exit code is 0 on success and 2
 on configuration or I/O errors.
 """
 
@@ -51,6 +52,8 @@ def _build_parser():
     gen = sub.add_parser("generate-channels", help="write a channel realization CSV")
     _common_flags(gen)
 
+    for writer in (exp, gen):
+        writer.add_argument("--out", type=Path, default=Path("."), help="output directory")
     return parser
 
 
@@ -58,8 +61,6 @@ def _common_flags(sub):
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON file mirroring ExperimentSpec fields")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=Path, default=Path("."))
-    sub.add_argument("--format", default="csv", choices=["csv"])
 
 
 def _load_spec(args, defaults: ExperimentSpec | None = None) -> ExperimentSpec:
@@ -72,32 +73,22 @@ def _load_spec(args, defaults: ExperimentSpec | None = None) -> ExperimentSpec:
             grid_rows=5, grid_cols=5, trials=1,
             algorithms=("MB-P", "IB-P", "MB-R", "IB-R", "oracle-LS"),
         )
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "grid", None) is not None:
-        overrides["grid_rows"] = args.grid
-        overrides["grid_cols"] = args.grid
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    grid = getattr(args, "grid", None)
+    overrides = dict(seed=args.seed, trials=getattr(args, "trials", None),
+                     workers=getattr(args, "workers", None), grid_rows=grid, grid_cols=grid)
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    return dataclasses.replace(spec, **overrides) if overrides else spec
 
 
 def _cmd_experiment(args) -> int:
-    specs = experiment_presets(args.id)
-    if args.config is not None:
-        specs = [_load_spec(args)]
+    presets = [None] if args.config is not None else experiment_presets(args.id)
+    # every spec is built, and so checked, before the output directory exists
+    specs = [_load_spec(args, defaults=preset) for preset in presets]
     args.out.mkdir(parents=True, exist_ok=True)
-    for index, preset in enumerate(specs):
-        spec = _load_spec(args, defaults=preset)
+    for index, spec in enumerate(specs):
         rows = run_experiment(spec)
         suffix = f"_{index}" if len(specs) > 1 else ""
-        path = args.out / f"experiment{args.id}{suffix}.csv"
-        written = emit_results(rows, path, fmt=args.format, spec=spec)
+        written = emit_results(rows, args.out / f"experiment{args.id}{suffix}.csv", spec=spec)
         print(f"wrote {written[0]} ({len(rows)} rows)")
     return 0
 

@@ -388,7 +388,7 @@ def run_data_aided(
         stack = greedy_search_batch(
             toeplitz_grams(lags), corr, y_norm2, base.priors[aided],
             np.full(aided[0].size, config.noise_var),
-            config.resolve_t_max(length, pilots.shape[0]),
+            base.support.shape[-1],
         )
         # an antenna without a usable column keeps its base estimate,
         # flagged as a fallback

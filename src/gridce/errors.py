@@ -10,4 +10,4 @@ class IllConditionedSupportError(ArithmeticError):
 
 
 class InvalidContextError(ValueError):
-    """A reliability context with non-positive distortion variance."""
+    """A non-positive distortion variance passed to ``carrier_reliability``."""

@@ -50,11 +50,12 @@ from .sharing import (
     stencil_gather,
 )
 from .posterior import MAX_LATTICE_TAPS
-from .solver import check_conditioning, dml_support_size
+from .solver import check_conditioning, search_depth
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = ("MB-P", "IB-P", "MB-R", "IB-R", "oracle-LS", "SOMP")
+#: every algorithm, in the order a trial runs and reports them
+ALGORITHMS = ("MB-P", "MB-R", "IB-P", "IB-R", "oracle-LS", "SOMP")
 
 #: per-trial NMSE ratios below this count as a successful recovery (-10 dB)
 SUCCESS_RATIO = 0.1
@@ -100,8 +101,8 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise ConfigurationError(
                     f"{name}={getattr(self, name)!r} must be a list of values")
-        if not self.n_pilots or not self.snr_db or not self.depth:
-            raise ConfigurationError("sweep axes must be nonempty")
+        if not self.n_pilots or not self.snr_db or not self.depth or not self.algorithms:
+            raise ConfigurationError("sweep axes and algorithms must be nonempty")
         for name in ("drift", "lambda_small"):
             if not _is_number(getattr(self, name), numbers.Real):
                 raise ConfigurationError(f"{name}={getattr(self, name)!r} must be a number")
@@ -147,9 +148,19 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"oracle-LS needs n_pilots >= sparsity={self.sparsity} to solve on the "
                 f"true support, got n_pilots {self.n_pilots}")
+        for snr in self.snr_db:
+            try:
+                noise_var = noise_var_for_snr(self.sparsity, n, snr)
+            except (OverflowError, ZeroDivisionError):  # 10 ** (snr / 10) out of range
+                noise_var = 0.0
+            # a trial sums the noise energy of M x G frames of N carriers
+            if not 0.0 < noise_var * self.grid_rows * self.grid_cols * n < np.inf:
+                raise ConfigurationError(
+                    f"snr_db {snr} gives noise variance {noise_var:g}, past the "
+                    f"float range of a {self.grid_rows}x{self.grid_cols} grid's trial")
         marginal = [a for a in self.algorithms if a.startswith("MB-")]
-        lam = self.sparsity / self.channel_len
-        t_max = min(dml_support_size(self.channel_len, lam), max(self.n_pilots))
+        t_max = search_depth(self.channel_len, self.sparsity / self.channel_len,
+                             max(self.n_pilots))
         if marginal and t_max > MAX_LATTICE_TAPS:
             raise ConfigurationError(
                 f"{marginal} search {t_max} taps at n_pilots={max(self.n_pilots)}, past "
@@ -447,9 +458,11 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     )
 
 
-def _worst_case(scene, k_bits):
-    n_data = scene.frame.data_indices.size * scene.observations[..., 0].size
-    return 1.0, n_data * k_bits, n_data * k_bits
+def _worst_case(scene) -> tuple:
+    """(ratio, bit errors, bits) of a failed estimate: every data bit wrong."""
+    bits = (scene.frame.data_indices.size * scene.observations[..., 0].size
+            * scene.alphabet.bits_per_symbol)
+    return 1.0, bits, bits
 
 
 def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tuple:
@@ -488,10 +501,12 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
                     trial: int) -> dict:
     """Run every requested algorithm on one synthesized trial.
 
-    Returns {algorithm: (ratio, bit_errors, bit_total, seconds)}.  A data-
-    aided algorithm reuses its pilot-only base estimate; the base solve time
-    is included in both entries.  When both run, the pilot-only entry is
-    scored from the detection the data-aided stage made on the base.
+    Returns {algorithm: (ratio, bit_errors, bit_total, seconds)} in
+    ``ALGORITHMS`` order.  A data-aided algorithm reuses its pilot-only base
+    estimate; the base solve time is included in both entries.  When both
+    run, the pilot-only entry is scored from the detection the data-aided
+    stage made on the base.  A stage whose solver fails scores each of its
+    algorithms as the worst case in 0 s, and the trial goes on.
     """
     n_pilots, snr_db, depth = point
     scene = synthesize_scene(spec, n_pilots, snr_db, point_index, trial)
@@ -503,89 +518,59 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         noise_var=scene.noise_var,
         lambda_small=spec.lambda_small,
     )
-    k_bits = scene.alphabet.bits_per_symbol
-
-    wanted = set(spec.algorithms)
     results: dict = {}
 
-    def record(name, fn):
+    def attempt(names, fn, *args):
+        """(fn(*args), seconds), or None after scoring ``names`` as failed."""
         start = time.perf_counter()
         try:
-            taps, extra = fn()
+            out = fn(*args)
         except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
-            logger.warning("trial %d %s failed: %s", trial, name, exc)
-            ratio, errors, total = _worst_case(scene, k_bits)
-            results[name] = (ratio, errors, total, time.perf_counter() - start)
+            logger.warning("trial %d %s failed: %s", trial, "/".join(names), exc)
+            results.update(dict.fromkeys(names, (*_worst_case(scene), 0.0)))
             return None
-        seconds = time.perf_counter() - start
-        results[name] = (*_score_algorithm(scene, taps), seconds)
-        return extra
+        return out, time.perf_counter() - start
 
-    def base_chain(kind):
-        runner = run_marginal_based if kind == "MB" else run_integer_based
-        start = time.perf_counter()
-        estimate = runner(y_pilot, scene.pilot_rows, solver_cfg, depth)
-        return estimate, time.perf_counter() - start
-
-    for kind in ("MB", "IB"):
-        pilot_name, aided_name = f"{kind}-P", f"{kind}-R"
-        if pilot_name not in wanted and aided_name not in wanted:
+    for pilot_name, aided_name, runner in (("MB-P", "MB-R", run_marginal_based),
+                                           ("IB-P", "IB-R", run_integer_based)):
+        names = [name for name in (pilot_name, aided_name) if name in spec.algorithms]
+        base = names and attempt(names, runner, y_pilot, scene.pilot_rows, solver_cfg, depth)
+        if not base:
             continue
-        try:
-            estimate, seconds = base_chain(kind)
-        except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
-            logger.warning("trial %d %s failed: %s", trial, kind, exc)
-            ratio, errors, total = _worst_case(scene, k_bits)
-            for name in (pilot_name, aided_name):
-                if name in wanted:
-                    results[name] = (ratio, errors, total, 0.0)
-            continue
-        if pilot_name in wanted:
-            results[pilot_name] = None  # scored below, after the -R stage
+        estimate, seconds = base
+        aided = aided_name in spec.algorithms and attempt(
+            [aided_name], run_data_aided, scene.frame, scene.observations, estimate,
+            solver_cfg, scene.alphabet, spec.n_reliable)
         detected = None
-        if aided_name in wanted:
-            start = time.perf_counter()
-            try:
-                refined = run_data_aided(
-                    scene.frame, scene.observations, estimate, solver_cfg,
-                    scene.alphabet, n_reliable=spec.n_reliable,
-                )
-                aided_seconds = seconds + time.perf_counter() - start
-                results[aided_name] = (
-                    *_score_algorithm(scene, refined.taps), aided_seconds,
-                )
-                detected = (refined.diagnostics["base_decisions"],
-                            refined.diagnostics["base_undecodable"])
-            except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
-                logger.warning("trial %d %s failed: %s", trial, aided_name, exc)
-                ratio, errors, total = _worst_case(scene, k_bits)
-                results[aided_name] = (ratio, errors, total, 0.0)
-        if pilot_name in wanted:
+        if aided:
+            refined, aided_seconds = aided
+            results[aided_name] = (*_score_algorithm(scene, refined.taps),
+                                   seconds + aided_seconds)
             # the -R stage already detected the base estimate on every carrier
+            detected = (refined.diagnostics["base_decisions"],
+                        refined.diagnostics["base_undecodable"])
+        if pilot_name in spec.algorithms:
             results[pilot_name] = (*_score_algorithm(scene, estimate.taps, detected),
                                    seconds)
 
-    if "oracle-LS" in wanted:
-        support = scene.channels.support
-        slots = np.nonzero(support)[-1].reshape(
-            support.shape[:-1] + (scene.channels.sparsity,))
-        record("oracle-LS", lambda: (
-            oracle_ls_estimate(scene.pilot_rows, y_pilot, slots), None,
-        ))
+    baselines = []
+    if "oracle-LS" in spec.algorithms:  # the (M, G, n) true support slots
+        slots = np.nonzero(scene.channels.support)[-1].reshape(y_pilot.shape[:2] + (-1,))
+        baselines.append(("oracle-LS", oracle_ls_estimate, scene.pilot_rows, y_pilot, slots))
+    if "SOMP" in spec.algorithms:
+        baselines.append(("SOMP", somp_baseline, y_pilot, scene.pilot_rows, spec.sparsity,
+                          scene.channels.kind))
+    for name, fn, *args in baselines:
+        outcome = attempt([name], fn, *args)
+        if outcome:
+            results[name] = (*_score_algorithm(scene, outcome[0]), outcome[1])
 
-    if "SOMP" in wanted:
-        record("SOMP", lambda: (
-            somp_baseline(y_pilot, scene.pilot_rows, spec.sparsity,
-                          scene.channels.kind),
-            None,
-        ))
-
-    return results
+    return {name: results[name] for name in ALGORITHMS if name in results}
 
 
 def _trial_worker(args):
     spec, point_index, point, trial = args
-    return trial, run_point_trial(spec, point_index, point, trial)
+    return run_point_trial(spec, point_index, point, trial)
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -606,39 +591,24 @@ def run_experiment(spec: ExperimentSpec) -> list:
     with ProcessPoolExecutor(max_workers=spec.workers) if parallel else nullcontext() as pool:
         for point_index, point in enumerate(points):
             jobs = [(spec, point_index, point, t) for t in range(spec.trials)]
-            outcomes = dict((pool.map if parallel else map)(_trial_worker, jobs))
+            outcomes = list((pool.map if parallel else map)(_trial_worker, jobs))
             rows.extend(_point_rows(spec, point, outcomes))
     return rows
 
 
-def _point_rows(spec: ExperimentSpec, point: tuple, outcomes: dict) -> list:
-    """One ResultRow per algorithm from a sweep point's {trial: outcome}."""
-    rows = []
-    per_algorithm = {name: [] for name in spec.algorithms}
-    for trial in range(spec.trials):  # fixed order: reduction is stable
-        for name in spec.algorithms:
-            per_algorithm[name].append(outcomes[trial][name])
-
+def _point_rows(spec: ExperimentSpec, point: tuple, outcomes: list) -> list:
+    """One ResultRow per algorithm from a sweep point's outcomes in trial
+    order (a fixed order, so every sum reduces alike)."""
     n_pilots, snr_db, depth = point
+    rows = []
     for name in spec.algorithms:
-        ratios = [entry[0] for entry in per_algorithm[name]]
-        errors = sum(entry[1] for entry in per_algorithm[name])
-        total = sum(entry[2] for entry in per_algorithm[name])
-        seconds = sum(entry[3] for entry in per_algorithm[name])
-        rows.append(
-            ResultRow(
-                algorithm=name,
-                n_pilots=n_pilots,
-                snr_db=snr_db,
-                depth=depth,
-                mode=spec.mode,
-                nmse_db=nmse_db_from_ratios(ratios),
-                ber=errors / total if total else 0.0,
-                success_rate=float(np.mean([r < SUCCESS_RATIO for r in ratios])),
-                wall_time_s=seconds,
-                trials=spec.trials,
-            )
-        )
+        ratios, errors, totals, seconds = zip(*(outcome[name] for outcome in outcomes))
+        total = sum(totals)
+        rows.append(ResultRow(
+            algorithm=name, n_pilots=n_pilots, snr_db=snr_db, depth=depth, mode=spec.mode,
+            nmse_db=nmse_db_from_ratios(ratios), ber=sum(errors) / total if total else 0.0,
+            success_rate=float(np.mean([r < SUCCESS_RATIO for r in ratios])),
+            wall_time_s=sum(seconds), trials=spec.trials))
     return rows
 
 
@@ -648,12 +618,9 @@ def _point_rows(spec: ExperimentSpec, point: tuple, outcomes: dict) -> list:
 CSV_HEADER = "algorithm,K,snr_db,D,mode,nmse_db,ber,success_rate,wall_time_s,trials"
 
 
-def emit_results(rows: list, path, fmt: str = "csv",
-                 spec: ExperimentSpec | None = None) -> list:
+def emit_results(rows: list, path, spec: ExperimentSpec | None = None) -> list:
     """Write the result CSV plus a JSON metadata sidecar; byte-stable for
     fixed inputs.  Returns the written paths."""
-    if fmt != "csv":
-        raise ConfigurationError(f"unsupported format {fmt!r}")
     path = str(path)
     lines = [CSV_HEADER]
     for row in rows:

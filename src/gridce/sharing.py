@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .posterior import error_covariances, lattice_marginals
-from .solver import PRIOR_EPS, ChainStack, dml_support_size, search_rows
+from .solver import PRIOR_EPS, ChainStack, search_depth, search_rows
 
 DEFAULT_LAMBDA_SMALL = 1e-3
 
@@ -37,17 +37,18 @@ class GridSolverConfig:
     """Knobs shared by the grid estimation algorithms.
 
     ``lambda_init`` is the uniform tap-activity probability every antenna
-    starts from; it sets the search depth t_max, identical at every
-    antenna.  ``noise_var`` is the noise level every antenna assumes.
+    starts from; with the pilot count it sets the search depth t_max
+    (``solver.search_depth``), identical at every antenna.  ``noise_var``
+    is the noise level every antenna assumes.  ``lambda_small`` is the
+    lowest prior the final pass gives a tap, and the belief of a tap that
+    no neighbor detected.  With ``trace_path`` set, every averaging round's
+    beliefs are written to that CSV.
     """
 
     lambda_init: float
     noise_var: float
     lambda_small: float = DEFAULT_LAMBDA_SMALL
     trace_path: str | None = None
-
-    def resolve_t_max(self, channel_len: int, n_obs: int) -> int:
-        return max(1, min(dml_support_size(channel_len, self.lambda_init), n_obs))
 
 
 @dataclass
@@ -204,7 +205,7 @@ def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
     sensing_rows = np.asarray(sensing_rows)
     n_obs, length = sensing_rows.shape
     grid = observations.shape[:2]
-    t_max = config.resolve_t_max(length, n_obs)
+    t_max = search_depth(length, config.lambda_init, n_obs)
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
 
     lambdas = np.full((ys.shape[0], length), config.lambda_init)

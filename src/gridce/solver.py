@@ -59,6 +59,12 @@ def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
     return min(length, math.ceil(expected + slack))
 
 
+def search_depth(length: int, lam: float, n_obs: int) -> int:
+    """The search depth t_max of every antenna: ``dml_support_size`` capped
+    at the observation count, and at least 1."""
+    return max(1, min(dml_support_size(length, lam), n_obs))
+
+
 def check_conditioning(a_s: np.ndarray):
     """Raise IllConditionedSupportError unless every (K, S) matrix of the
     stack ``a_s`` (..., K, S) has S <= K well-conditioned columns."""

@@ -46,7 +46,7 @@ from gridce.ofdm import (
 from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
-from gridce.solver import greedy_search_batch
+from gridce.solver import greedy_search_batch, search_depth
 from oracles import (
     error_covariance,
     greedy_search,
@@ -589,7 +589,7 @@ def reestimate_oracle(frame, full_rows, observations, base, config, agreements):
     length = full_rows.shape[1]
     pilots = frame.pilot_indices
     dft = truncated_dft(frame.n_carriers, length)
-    t_max = config.resolve_t_max(length, pilots.size)
+    t_max = search_depth(length, config.lambda_init, pilots.size)
     taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
     fallback = np.ones(base.failed.shape, dtype=bool)
     for (r, c), failed in np.ndenumerate(base.failed):
@@ -684,7 +684,7 @@ class TestRunDataAided:
             refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=12)
             agreements = refined.diagnostics["agreements"]
             pilots = frame.pilot_indices
-            t_max = cfg.resolve_t_max(32, pilots.size)
+            t_max = search_depth(32, cfg.lambda_init, pilots.size)
             for r, c in np.ndindex(grid.rows, grid.cols):
                 reliable = agreements[r][c]
                 if reliable.consensus.size == 0:

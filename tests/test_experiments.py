@@ -108,10 +108,15 @@ class TestSpec:
         ("snr_db", (10.0, 10)),
         ("depth", (1, 1)),
         ("algorithms", ("IB-P", "IB-P")),
+        ("algorithms", ()),
+        ("snr_db", (3100.0,)),
+        ("snr_db", (10.0, -3100.0)),
     ])
     def test_bad_field_rejected_at_construction(self, field, value):
         """One out-of-range value per field fails before any trial runs; a
-        repeated sweep entry or algorithm would write duplicate rows."""
+        repeated sweep entry or algorithm would write duplicate rows, no
+        algorithm a header-only CSV, and an SNR whose noise variance leaves
+        the float range NaN or an overflow."""
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{field: value})
 
@@ -635,6 +640,36 @@ class TestRunExperiment:
         assert rows[0].success_rate == 0.0
         assert abs(rows[0].nmse_db) < 1e-9  # ratio 1.0
 
+    @pytest.mark.parametrize("error", [IllConditionedSupportError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("stage, failed", [
+        ("run_marginal_based", ("MB-P", "MB-R")),
+        ("run_integer_based", ("IB-P", "IB-R")),
+        ("run_data_aided", ("MB-R", "IB-R")),
+        ("oracle_ls_estimate", ("oracle-LS",)),
+        ("somp_baseline", ("SOMP",)),
+    ])
+    def test_failed_stage_scores_its_algorithms_worst_case(self, monkeypatch, stage,
+                                                           failed, error):
+        """A stage whose solver raises scores each of its algorithms as ratio
+        1 with every data bit wrong, in 0 s; every other entry reads as in
+        the unpatched trial, and the keys keep stage order."""
+        spec = small_spec(algorithms=ALGORITHMS)
+        point = (10, 15.0, 2)
+        clean = run_point_trial(spec, 0, point, 0)
+
+        def fail(*args, **kwargs):
+            raise error("forced failure")
+
+        monkeypatch.setattr(experiments, stage, fail)
+        got = run_point_trial(spec, 0, point, 0)
+        assert list(got) == ["MB-P", "MB-R", "IB-P", "IB-R", "oracle-LS", "SOMP"]
+        bits = 3 * 3 * (64 - 10) * 2  # antennas x data carriers x bits per symbol
+        for name, entry in got.items():
+            if name in failed:
+                assert entry == (1.0, bits, bits, 0.0)
+            else:
+                assert entry[:3] == clean[name][:3]
+
     def test_tiny_pilot_budget_runs(self):
         """K=2 with n=3 (the sweep's low end) completes without error."""
         rows = run_experiment(small_spec(
@@ -854,6 +889,23 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "MB-P" in out.stderr and "lattice" in out.stderr  # the spec's message
+
+    def test_out_of_range_snr_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(snr_db=[3100.0])))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "snr_db" in out.stderr and "Traceback" not in out.stderr
+
+    def test_flags_that_would_do_nothing_rejected(self, tmp_path):
+        """``estimate`` writes nothing, so it takes no --out; CSV is the only
+        output format, so there is no --format."""
+        for args in (("estimate", "--out", str(tmp_path)),
+                     ("experiment", "1", "--format", "csv")):
+            out = self.run_cli(*args)
+            assert out.returncode == 2
+            assert "unrecognized arguments" in out.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_scalar_sweep_axis_in_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

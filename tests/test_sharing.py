@@ -26,7 +26,7 @@ from gridce.sharing import (
     stencil_gather,
     stencil_reduce,
 )
-from gridce.solver import ChainStack, search_rows
+from gridce.solver import ChainStack, search_depth, search_rows
 from oracles import assign_scores, error_covariance, greedy_search, lattice_oracle, neighbors
 
 
@@ -50,7 +50,7 @@ def first_pass(observations, sensing_rows, config):
     ys = observations.reshape(-1, k)
     stack = search_rows(sensing_rows, ys, np.full((ys.shape[0], length), config.lambda_init),
                         np.full(ys.shape[0], config.noise_var),
-                        config.resolve_t_max(length, k))
+                        search_depth(length, config.lambda_init, k))
     detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
     return stack, detected.reshape(*observations.shape[:2], length)
 
@@ -301,7 +301,7 @@ class TestGridAlgorithms:
         """Belief buffers hold integers after every non-final round."""
         grid, channels, sensing, y, nv = make_scene(seed=6)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        t_max = cfg.resolve_t_max(16, 12)
+        t_max = search_depth(16, cfg.lambda_init, 12)
         stack, detected = first_pass(y, sensing, cfg)
         values = _rank_scores(stack).reshape(detected.shape)
         assert np.all(values == np.round(values)) and values.max() == t_max
@@ -352,7 +352,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     after every round (the first pass's first) and the detected taps."""
     rows, cols, _ = observations.shape
     k, length = sensing_rows.shape
-    t_max = config.resolve_t_max(length, k)
+    t_max = search_depth(length, config.lambda_init, k)
 
     def solve(r, c, lambdas):
         try:
@@ -429,7 +429,7 @@ class TestOneStackPasses:
             grid, a, y, nv = rank_four_scene()
             n_stages = 4
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        assert cfg.resolve_t_max(16, a.shape[0]) == 5
+        assert search_depth(16, cfg.lambda_init, a.shape[0]) == 5
         got = _run_grid(kind, y, a, cfg, 2)
         taps, support, error_cov, priors, failed, lengths, *_ = per_antenna_grid(
             kind, grid, y, a, cfg, 2)
@@ -460,7 +460,7 @@ class TestRuntimeOrdering:
         def run_all(runner):
             for grid, channels, sensing, y, nv in scenes:
                 cfg = GridSolverConfig(lambda_init=3 / 64, noise_var=nv)
-                assert cfg.resolve_t_max(64, 16) == 7
+                assert search_depth(64, cfg.lambda_init, 16) == 7
                 runner(y, sensing, cfg, 3)
 
         # the runners alternate, so both see the same machine load

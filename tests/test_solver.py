@@ -11,7 +11,7 @@ import pytest
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.sharing import GridSolverConfig
-from gridce.solver import dml_support_size, search_rows
+from gridce.solver import dml_support_size, search_depth, search_rows
 from oracles import blue_estimate, exhaustive_estimate, support_metric
 
 
@@ -46,7 +46,7 @@ class TestInitParams:
     def test_t_max_capped_at_observation_count(self):
         config = GridSolverConfig(lambda_init=0.5, noise_var=0.1)
         assert dml_support_size(64, 0.5) > 2
-        assert config.resolve_t_max(64, 2) == 2
+        assert search_depth(64, config.lambda_init, 2) == 2
 
 
 class TestSupportMetric:
