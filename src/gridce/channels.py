@@ -8,8 +8,8 @@ diagonal (row + col), so every antenna and each of its 4-neighbors differ
 by at most one migrated delay bin.
 
 No assumption is made about the distribution of the nonzero taps; the
-sampler is pluggable and defaults to unit-variance complex Gaussian
-(Rayleigh magnitude).
+sampler is one of ``TAP_SAMPLERS`` and defaults to unit-variance complex
+Gaussian (Rayleigh magnitude).
 """
 
 import csv
@@ -65,14 +65,11 @@ class ChannelRealization:
     """Per-antenna sparse impulse responses over the grid.
 
     ``taps`` has shape (rows, cols, L); ``support`` is the matching boolean
-    mask with exactly ``sparsity`` True entries per antenna.
+    mask with the same number of True entries, the sparsity, per antenna.
     """
 
     taps: np.ndarray
     support: np.ndarray
-    sparsity: int
-    kind: ArrayKind
-    drift: float = 0.0
 
 
 def classify_array(grid: AntennaGrid) -> ArrayClass:
@@ -201,32 +198,29 @@ def generate_channels(
     grid: AntennaGrid,
     channel_len: int,
     sparsity: int,
-    kind: ArrayKind = ArrayKind.SIA,
-    drift: float = 0.05,
-    rng: np.random.Generator | None = None,
-    tap_dist="rayleigh",
-    power_profile="flat",
+    kind: ArrayKind,
+    drift: float,
+    rng: np.random.Generator,
+    tap_dist: str = "rayleigh",
+    power_profile: str = "flat",
 ) -> ChannelRealization:
     """Draw one sparse channel realization over the whole grid.
 
     SIA: a single size-n support shared by all antennas.  SVA: the support
     drifts across the grid as a random walk along its diagonals.  Tap values
-    are drawn per antenna from ``tap_dist`` (a TAP_SAMPLERS key or a
-    callable ``f(rng, size)``).
+    are drawn per antenna from the ``TAP_SAMPLERS`` entry ``tap_dist``.
 
-    ``power_profile`` scales the per-scatterer amplitudes: "flat" keeps
-    them equal, "geometric" draws two-hop path-loss gains (physical delay
-    profiles concentrate most energy in the nearest scatterers), or pass an
-    explicit length-n array.  Profiles are normalized so the expected total
-    tap power stays equal to the sparsity.
+    ``power_profile`` (one of ``POWER_PROFILES``) scales the per-scatterer
+    amplitudes: "flat" keeps them equal, "geometric" draws two-hop
+    path-loss gains (physical delay profiles concentrate most energy in the
+    nearest scatterers).  Profiles are normalized so the expected total tap
+    power stays equal to the sparsity.
     """
     if sparsity > channel_len:
         raise ConfigurationError(
             f"sparsity {sparsity} exceeds channel length {channel_len}"
         )
-    if rng is None:
-        rng = np.random.default_rng()
-    sampler = TAP_SAMPLERS[tap_dist] if isinstance(tap_dist, str) else tap_dist
+    sampler = TAP_SAMPLERS[tap_dist]
 
     shape = (grid.rows, grid.cols)
     if kind == ArrayKind.SIA or drift == 0.0:
@@ -235,17 +229,12 @@ def generate_channels(
     else:
         slots = _walk_slots(grid, channel_len, sparsity, drift, rng)
 
-    if isinstance(power_profile, str):
-        if power_profile == "flat":
-            gains = np.ones(sparsity)
-        elif power_profile == "geometric":
-            gains = geometric_gains(sparsity, rng)
-        else:
-            raise ConfigurationError(f"unknown power_profile {power_profile!r}")
+    if power_profile == "flat":
+        gains = np.ones(sparsity)
+    elif power_profile == "geometric":
+        gains = geometric_gains(sparsity, rng)
     else:
-        gains = np.asarray(power_profile, dtype=float)
-        if gains.shape != (sparsity,):
-            raise ConfigurationError("explicit power profile must have length n")
+        raise ConfigurationError(f"unknown power_profile {power_profile!r}")
 
     draws = _draw_taps(rng, grid.n_antennas * sparsity, sampler).reshape(
         shape + (sparsity,)
@@ -254,9 +243,7 @@ def generate_channels(
     support = np.zeros(shape + (channel_len,), dtype=bool)
     np.put_along_axis(taps, slots, gains * draws, axis=2)
     np.put_along_axis(support, slots, True, axis=2)
-    return ChannelRealization(
-        taps=taps, support=support, sparsity=sparsity, kind=kind, drift=drift
-    )
+    return ChannelRealization(taps=taps, support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +263,3 @@ def channels_to_csv(realization: ChannelRealization, path) -> None:
                         [r, c, int(tap), repr(float(value.real)), repr(float(value.imag))]
                     )
 
-
-def channels_from_csv(path, rows: int, cols: int, channel_len: int) -> ChannelRealization:
-    taps = np.zeros((rows, cols, channel_len), dtype=complex)
-    support = np.zeros((rows, cols, channel_len), dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            r, c, t = int(row["antenna_row"]), int(row["antenna_col"]), int(row["tap_index"])
-            taps[r, c, t] = float(row["re"]) + 1j * float(row["im"])
-            support[r, c, t] = True
-    counts = support.sum(axis=2)
-    sparsity = int(counts.max())
-    if counts.min() != sparsity:
-        raise ConfigurationError("CSV does not describe a uniform-sparsity grid")
-    same = bool(np.all(support == support[0, 0]))
-    kind = ArrayKind.SIA if same else ArrayKind.SVA
-    return ChannelRealization(
-        taps=taps, support=support, sparsity=sparsity, kind=kind
-    )

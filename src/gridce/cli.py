@@ -17,14 +17,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .channels import channels_to_csv
 from .errors import ConfigurationError
 from .experiments import (
     ExperimentSpec,
     emit_results,
     experiment_presets,
+    nmse_db_from_ratios,
     run_experiment,
     run_point_trial,
     scene_channels,
@@ -99,7 +98,7 @@ def _cmd_estimate(args) -> int:
     results = run_point_trial(spec, 0, point, trial=0)
     print(f"K={point[0]} snr={point[1]} dB D={point[2]} mode={spec.mode}")
     for name, (ratio, errors, total, seconds) in results.items():
-        nmse = 10 * np.log10(max(ratio, 1e-30))
+        nmse = nmse_db_from_ratios([ratio])
         ber = errors / total if total else 0.0
         print(f"  {name:10s} nmse={nmse:8.2f} dB  ber={ber:.4f}  ({seconds:.2f}s)")
     return 0

@@ -253,8 +253,8 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
 
     Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
     per-axis slicing pass and one distortion FFT per chunk; the nearest
-    levels give both the decisions and the reliabilities.  Failed antennas
-    keep an empty top set.
+    levels give both the decisions and the reliabilities.  An antenna
+    without taps decodes no carrier, so its top set is empty.
     """
     n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
@@ -263,8 +263,7 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     support = base.support.reshape(n_ant, -1)
     error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
     budgets = budgets.reshape(n_ant)
-    usable = ~base.failed.reshape(n_ant)
-    top = np.zeros((n_ant, n_carriers), dtype=bool)
+    top = np.empty((n_ant, n_carriers), dtype=bool)
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
     undecodable = np.empty((n_ant, n_carriers), dtype=bool)
     for start in range(0, n_ant, ANTENNA_CHUNK):
@@ -273,17 +272,10 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
         nearest = alphabet.nearest_levels(equalized)
         decisions[chunk] = alphabet.indices_from_levels(nearest)
         undecodable[chunk] = bad
-        members = start + np.flatnonzero(usable[chunk])
-        if not members.size:
-            continue
-        local = members - start
-        variance = distortion_covariance(
-            symbols, error_cov[members], noise_var, taps=support[members]
-        )
-        reliability = carrier_reliability(
-            equalized[local], variance, alphabet, nearest[local]
-        )
-        top[members] = top_reliable(reliability, eligible & ~bad[local], budgets[members])
+        variance = distortion_covariance(symbols, error_cov[chunk], noise_var,
+                                         taps=support[chunk])
+        reliability = carrier_reliability(equalized, variance, alphabet, nearest)
+        top[chunk] = top_reliable(reliability, eligible & ~bad, budgets[chunk])
     shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
 
@@ -376,11 +368,14 @@ def run_data_aided(
     support = base.support.copy()
     error_cov = base.error_cov.copy()
     fallback = np.ones(base.failed.shape, dtype=bool)
-    aided = np.nonzero(~base.failed & consensus.any(axis=-1))
+    aided = np.nonzero(consensus.any(axis=-1))
     if aided[0].size:
         # every augmented system has at least K + 1 > t_max rows, so no chain
         # fills its rows and all of them go through one batched search; the
-        # agreed decisions stand in as pilot symbols on the consensus carriers
+        # agreed decisions stand in as pilot symbols on the consensus carriers.
+        # An antenna whose base pass failed has no taps, so it decodes no
+        # carrier and joins no consensus; an aided antenna's Gram holds the
+        # pilots' energy on its diagonal, so its chain cannot fail either
         lags, corr, y_norm2 = reestimation_inputs(
             symbols, pilots, observations_full[aided], consensus[aided],
             decisions[aided], alphabet, length,
@@ -390,14 +385,10 @@ def run_data_aided(
             np.full(aided[0].size, config.noise_var),
             base.support.shape[-1],
         )
-        # an antenna without a usable column keeps its base estimate,
-        # flagged as a fallback
-        done = ~stack.failed
-        at = tuple(index[done] for index in aided)
-        taps[at] = stack.taps[done]
-        support[at] = stack.chosen[done]
-        error_cov[at] = error_covariances(stack)[done]
-        fallback[at] = False
+        taps[aided] = stack.taps
+        support[aided] = stack.chosen
+        error_cov[aided] = error_covariances(stack)
+        fallback[aided] = False
 
     return GridEstimate(
         taps=taps,
@@ -407,9 +398,7 @@ def run_data_aided(
         failed=base.failed.copy(),
         diagnostics={
             **base.diagnostics,
-            "data_aided": True,
             "fallback_no_consensus": fallback,
-            "n_reliable": n_reliable if n_reliable is not None else "adaptive",
             "agreements": agreements,
             "base_decisions": decisions,
             "base_undecodable": undecodable,

@@ -71,6 +71,11 @@ def _is_number(value, kind=numbers.Integral) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _plain(value):
+    """A numpy scalar as the Python value it holds; anything else as given."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a sweep over (pilots, SNR, depth) at fixed dimensions."""
@@ -118,6 +123,11 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{name} {getattr(self, name)} must hold integers")
         if not all(_is_number(v, numbers.Real) and np.isfinite(v) for v in self.snr_db):
             raise ConfigurationError(f"snr_db {self.snr_db} must hold finite numbers")
+        # a numpy scalar would set the noise level in its own precision, write
+        # its numpy repr into the CSV and fail the JSON sidecar
+        for name, value in list(vars(self).items()):
+            plain = tuple(map(_plain, value)) if isinstance(value, (tuple, list)) else _plain(value)
+            object.__setattr__(self, name, plain)
         for name in ("grid_rows", "grid_cols"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1")
@@ -198,10 +208,6 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        data = dict(data)
-        for key in ("n_pilots", "snr_db", "depth", "algorithms"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
         return cls(**data)
 
     @classmethod
@@ -230,10 +236,9 @@ class ResultRow:
     trials: int = 100
 
 
-def experiment_presets(experiment: int, **overrides) -> list:
+def experiment_presets(experiment: int) -> list:
     """Full-scale specs for experiments 1-5 (lists: 4 and 5 need several runs)."""
     base = dict(experiment=experiment, seed=0, trials=100)
-    base.update(overrides)
     if experiment == 1:
         # geometric tap powers: the pilot-count sweep replicates a setup whose
         # channels came from a physical scatterer geometry
@@ -526,7 +531,8 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         try:
             out = fn(*args)
         except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
-            logger.warning("trial %d %s failed: %s", trial, "/".join(names), exc)
+            logger.warning("seed %d point %d trial %d %s failed: %s", spec.seed, point_index,
+                           trial, "/".join(names), exc)
             results.update(dict.fromkeys(names, (*_worst_case(scene), 0.0)))
             return None
         return out, time.perf_counter() - start
@@ -559,7 +565,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         baselines.append(("oracle-LS", oracle_ls_estimate, scene.pilot_rows, y_pilot, slots))
     if "SOMP" in spec.algorithms:
         baselines.append(("SOMP", somp_baseline, y_pilot, scene.pilot_rows, spec.sparsity,
-                          scene.channels.kind))
+                          spec.kind))
     for name, fn, *args in baselines:
         outcome = attempt([name], fn, *args)
         if outcome:

@@ -129,14 +129,11 @@ def synthesize_received(
         raise ValueError(
             f"channel length {h.shape[-1]} does not match sensing columns {a.shape[1]}"
         )
-    clean = h @ a.T
-    if noise_var == 0.0:
-        return clean
+    received = np.asarray(h @ a.T, dtype=complex)
     sigma = np.sqrt(noise_var / 2.0)
-    noise = rng.normal(0.0, sigma, size=clean.shape) + 1j * rng.normal(
-        0.0, sigma, size=clean.shape
-    )
-    return clean + noise
+    received.real += rng.normal(0.0, sigma, size=received.shape)
+    received.imag += rng.normal(0.0, sigma, size=received.shape)
+    return received
 
 
 def equalize(received: np.ndarray, freq_resp: np.ndarray):

@@ -235,7 +235,7 @@ def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
         taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
         failed=final.failed.reshape(grid),
-        diagnostics={"depth": depth, "t_max": t_max, "kind": kind.value},
+        diagnostics={"t_max": t_max},
     )
 
 

@@ -32,9 +32,11 @@ replaced with one Gram-domain batch: SOMP refits every stage with
 ``generate_channels_loop_oracle`` is the per-antenna fill that
 ``channels.generate_channels`` and its SVA walk replaced with one diagonal
 index and ``np.put_along_axis``; it draws the same RNG values in the same
-order, so the two agree bit for bit.
+order, so the two agree bit for bit.  ``read_channels_csv`` reads back
+what ``channels.channels_to_csv`` writes.
 """
 
+import csv
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -414,4 +416,16 @@ def generate_channels_loop_oracle(grid, channel_len, sparsity, kind, drift, rng,
     for r, c in np.ndindex(grid.rows, grid.cols):
         taps[r, c, slots[r, c]] = gains * draws[r, c]
         support[r, c, slots[r, c]] = True
+    return taps, support
+
+
+def read_channels_csv(path, rows, cols, channel_len):
+    """(taps, support), (rows, cols, L) each, of a ``channels_to_csv`` file."""
+    taps = np.zeros((rows, cols, channel_len), dtype=complex)
+    support = np.zeros((rows, cols, channel_len), dtype=bool)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            at = int(row["antenna_row"]), int(row["antenna_col"]), int(row["tap_index"])
+            taps[at] = float(row["re"]) + 1j * float(row["im"])
+            support[at] = True
     return taps, support

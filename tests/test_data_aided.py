@@ -11,6 +11,8 @@ re-estimation loop (``reestimate_oracle``) and the log-domain reliability
 over a length-Q axis with its put/max peak (``carrier_reliability_oracle``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -670,6 +672,30 @@ class TestRunDataAided:
         for r, c in np.ndindex(grid.rows, grid.cols):
             if fallback[r, c]:
                 np.testing.assert_array_equal(refined.taps[r, c], base.taps[r, c])
+
+    def test_failed_flag_is_not_read(self):
+        """A failed base pass leaves an antenna without taps, so it decodes
+        no carrier, joins no consensus and falls back, flagged failed or
+        not; the stage reads the same either way."""
+        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(seed=6)
+        taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
+        for zeroed in (taps, support, error_cov):
+            zeroed[1, 2] = 0
+        runs = []
+        for flagged in (False, True):
+            failed = np.zeros(base.failed.shape, dtype=bool)
+            failed[1, 2] = flagged
+            runs.append(run_data_aided(frame, obs, dataclasses.replace(
+                base, taps=taps, support=support, error_cov=error_cov, failed=failed,
+            ), cfg, alphabet))
+        clean, flagged = runs
+        for name in ("taps", "support", "error_cov"):
+            np.testing.assert_array_equal(getattr(flagged, name), getattr(clean, name))
+        for key in ("fallback_no_consensus", "base_decisions", "base_undecodable"):
+            np.testing.assert_array_equal(flagged.diagnostics[key], clean.diagnostics[key])
+        assert flagged.diagnostics["fallback_no_consensus"][1, 2]
+        assert flagged.diagnostics["base_undecodable"][1, 2].all()
+        assert not flagged.diagnostics["fallback_no_consensus"].all()
 
     def test_equivalent_to_genuine_pilots_when_decisions_correct(self):
         """Correctly decided consensus carriers are genuine pilots: a fresh

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridce import experiments
-from gridce.channels import AntennaGrid, ArrayKind, channels_from_csv, generate_channels
+from gridce.channels import AntennaGrid, ArrayKind, generate_channels
 from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
@@ -47,6 +47,7 @@ from oracles import (
     equalize_and_slice,
     neighbors,
     oracle_ls_loop_oracle,
+    read_channels_csv,
     somp_loop_oracle,
 )
 
@@ -156,11 +157,24 @@ class TestSpec:
         with pytest.raises(ConfigurationError, match=field):
             small_spec(**{field: value})
 
-    def test_numpy_integers_accepted(self):
+    def test_numpy_integers_accepted(self, tmp_path):
+        """numpy scalars are stored as the Python values they hold: the noise
+        level is computed in double precision, and the CSV row and the JSON
+        sidecar read as for the plain values."""
         spec = small_spec(grid_rows=np.int64(2), trials=np.int32(2),
-                          n_pilots=(np.int64(10),), depth=(np.int16(1),),
-                          snr_db=(np.float32(15.0), 20))
+                          n_pilots=[np.int64(10)], depth=(np.int16(1),),
+                          snr_db=(np.float32(15.0), 20), drift=np.float64(0.1))
         assert spec.grid().n_antennas == 2 * 3
+        assert spec.n_pilots == (10,) and type(spec.n_pilots[0]) is int
+        assert spec.snr_db == (15.0, 20) and type(spec.snr_db[0]) is float
+        assert type(spec.grid_rows) is int and type(spec.drift) is float
+        scene = synthesize_scene(spec, spec.n_pilots[0], spec.snr_db[0], 0, 0)
+        assert scene.noise_var == experiments.noise_var_for_snr(2, 64, 15.0)
+        rows = run_experiment(dataclasses.replace(spec, snr_db=spec.snr_db[:1]))
+        emit_results(rows, tmp_path / "out.csv", spec=spec)
+        assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith(
+            "MB-P,10,15.0,1,SIA,")
+        assert json.loads((tmp_path / "out.meta.json").read_text())["spec"]["snr_db"] == [15.0, 20]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):
@@ -648,20 +662,26 @@ class TestRunExperiment:
         ("oracle_ls_estimate", ("oracle-LS",)),
         ("somp_baseline", ("SOMP",)),
     ])
-    def test_failed_stage_scores_its_algorithms_worst_case(self, monkeypatch, stage,
-                                                           failed, error):
+    def test_failed_stage_scores_its_algorithms_worst_case(self, monkeypatch, caplog,
+                                                           stage, failed, error):
         """A stage whose solver raises scores each of its algorithms as ratio
         1 with every data bit wrong, in 0 s; every other entry reads as in
-        the unpatched trial, and the keys keep stage order."""
+        the unpatched trial, and the keys keep stage order.  The warning
+        names the seed, sweep point, trial and failed algorithms."""
         spec = small_spec(algorithms=ALGORITHMS)
         point = (10, 15.0, 2)
-        clean = run_point_trial(spec, 0, point, 0)
+        clean = run_point_trial(spec, 4, point, 0)
 
         def fail(*args, **kwargs):
             raise error("forced failure")
 
         monkeypatch.setattr(experiments, stage, fail)
-        got = run_point_trial(spec, 0, point, 0)
+        with caplog.at_level("WARNING", logger=experiments.__name__):
+            got = run_point_trial(spec, 4, point, 0)
+        # the data-aided stage runs once per currency, every other stage once
+        calls = [[name] for name in failed] if stage == "run_data_aided" else [failed]
+        assert [record.getMessage() for record in caplog.records] == [
+            f"seed 1 point 4 trial 0 {'/'.join(names)} failed: forced failure" for names in calls]
         assert list(got) == ["MB-P", "MB-R", "IB-P", "IB-R", "oracle-LS", "SOMP"]
         bits = 3 * 3 * (64 - 10) * 2  # antennas x data carriers x bits per symbol
         for name, entry in got.items():
@@ -826,11 +846,11 @@ class TestCli:
         out = self.run_cli("generate-channels", "--config", str(cfg_path),
                            "--out", str(tmp_path))
         assert out.returncode == 0, out.stderr
-        written = channels_from_csv(tmp_path / "channels.csv", 2, 3, 16)
+        taps, support = read_channels_csv(tmp_path / "channels.csv", 2, 3, 16)
         spec = ExperimentSpec.from_file(cfg_path)
         scene = synthesize_scene(spec, 10, spec.snr_db[0], 0, 0)
-        np.testing.assert_array_equal(written.taps, scene.channels.taps)
-        np.testing.assert_array_equal(written.support, scene.channels.support)
+        np.testing.assert_array_equal(taps, scene.channels.taps)
+        np.testing.assert_array_equal(support, scene.channels.support)
 
     def test_experiment_with_config(self, tmp_path):
         config = dict(

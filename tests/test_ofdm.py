@@ -177,6 +177,24 @@ class TestSynthesizeReceived:
         per_vector = np.sum(np.abs(y - clean) ** 2, axis=1)
         assert abs(np.mean(per_vector) - 64 * 0.5) / (64 * 0.5) < 0.05
 
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    def test_noise_added_in_place_matches_the_sum(self, noise_var):
+        """The in-place noise is h A^T + (re + 1j im), drawn real part first,
+        bit for bit."""
+        frame = modulate_frame(QAM4, 32, place_pilots(32, 6, 2), make_rng(2))
+        sensing = build_sensing_matrix(frame, 8)
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(3, 5, 8)) + 1j * rng.normal(size=(3, 5, 8))
+        y = synthesize_received(sensing, h, noise_var, make_rng(7))
+        g, sigma, shape = make_rng(7), np.sqrt(noise_var / 2.0), (3, 5, 32)
+        want = h @ sensing.T + (g.normal(0.0, sigma, shape) + 1j * g.normal(0.0, sigma, shape))
+        np.testing.assert_array_equal(y.view(np.uint64), want.view(np.uint64))
+
+    def test_real_inputs_give_complex_observations(self):
+        sensing = np.arange(12.0).reshape(4, 3)
+        y = synthesize_received(sensing, np.ones((2, 3)), 0.1, make_rng(0))
+        assert np.iscomplexobj(y) and y.shape == (2, 4)
+
     def test_dimension_mismatch(self):
         frame = OfdmFrame(freq_symbols=np.ones(8, complex), pilot_indices=np.arange(2))
         sensing = build_sensing_matrix(frame, 4)
