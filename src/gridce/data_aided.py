@@ -47,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, InvalidContextError
-from .ofdm import OfdmFrame, equalize, freq_response
+from .ofdm import OfdmFrame, detect
 from .posterior import error_covariances
 from .qam import QamAlphabet, as_axes
 from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
@@ -81,34 +81,48 @@ ANTENNA_CHUNK = 16
 @dataclass
 class ReliableSet:
     """One central antenna's view: its own top-U carriers, the carriers its
-    whole neighborhood agrees on, and the agreed symbols there."""
+    whole neighborhood agrees on, and the agreed symbols there, each read
+    on demand from the antenna's length-N rows of the grid arrays."""
 
-    own_top: np.ndarray
-    consensus: np.ndarray
-    agreed_symbols: np.ndarray
+    top_row: np.ndarray
+    consensus_row: np.ndarray
+    decisions_row: np.ndarray
+    points: np.ndarray
+
+    @property
+    def own_top(self) -> np.ndarray:
+        return np.flatnonzero(self.top_row)
+
+    @property
+    def consensus(self) -> np.ndarray:
+        return np.flatnonzero(self.consensus_row)
+
+    @property
+    def agreed_symbols(self) -> np.ndarray:
+        return self.points[self.decisions_row[self.consensus_row]]
 
 
 def distortion_covariance(
     symbols: np.ndarray,
     err_cov: np.ndarray,
     noise_var: float | np.ndarray,
-    taps: np.ndarray | None = None,
+    taps: np.ndarray,
 ) -> np.ndarray:
     """Variance of the combined distortion A h_err + w per carrier:
     diag(A R A^H) + sigma_w^2, the only part of its covariance ever consumed,
     for A = diag(symbols) F_L over all N = len(symbols) carriers.
 
-    Without ``taps``, R is an L x L matrix over taps 0..L-1.  With ``taps``,
-    R lives on those taps (as the ``GridEstimate.support`` and
-    ``.error_cov`` arrays, whose zero padding adds nothing).  R_jk enters only through its lag t_j - t_k: scattered
+    R lives on ``taps`` (as the ``GridEstimate.support`` and ``.error_cov``
+    arrays, whose zero padding adds nothing; ``np.arange(L)`` for a full
+    L x L matrix).  R_jk enters only through its lag t_j - t_k: scattered
     into c at lag (t_j - t_k) mod N, diag(A R A^H)_n = |s_n|^2 / N fft(c)[n].
     A stack of B covariances, (B, T) taps and (B,) noise variances gives
     (B, N) variances from one FFT.
     """
     symbols = np.asarray(symbols)
     err_cov = np.asarray(err_cov)
+    taps = np.asarray(taps)
     n_carriers, size = symbols.shape[-1], err_cov.shape[-1]
-    taps = np.arange(size) if taps is None else np.asarray(taps)
     batch = err_cov.shape[:-2]
     n_rows = int(np.prod(batch))
     # bin (row, lag) of every R_jk, row-major over the flattened stack
@@ -179,7 +193,9 @@ def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.nda
     axis, ties to the lower carrier index; ``count`` has one entry per row.
 
     A stable sort ranks the eligible carriers by falling reliability; the
-    ones ranked below the budget are kept.
+    ones ranked below the budget are kept.  So a row whose budget covers
+    all its eligible carriers keeps them all, whatever the reliabilities:
+    ``_top_carriers`` then does not compute them.
     """
     key = np.where(eligible, -reliability, np.inf)
     order = np.argsort(key, axis=-1, kind="stable")
@@ -224,26 +240,17 @@ def select_and_agree(
     carrier joins an antenna's consensus when it is no pilot, every member
     of the neighborhood ranks it top-U (a stencil AND) and every member
     decoded it to the same symbol (stencil min equals stencil max).  An
-    empty consensus is valid.  Returns ``[row][col]`` ReliableSets; ``out``,
-    when given, receives the (M, G, N) consensus mask.
+    empty consensus is valid.  Returns ``[row][col]`` ReliableSets over row
+    views of ``top``, the consensus mask and ``decisions``; ``out``, when
+    given, receives the (M, G, N) consensus mask.
     """
     agreed = stencil_reduce(top, np.logical_and)
     agreed &= stencil_reduce(decisions, np.minimum) == stencil_reduce(decisions, np.maximum)
     agreed[..., np.asarray(pilot_indices, dtype=int)] = False
     if out is not None:
         out[...] = agreed
-    sets = []
-    for r in range(top.shape[0]):
-        row = []
-        for c in range(top.shape[1]):
-            consensus = np.flatnonzero(agreed[r, c])
-            row.append(ReliableSet(
-                own_top=np.flatnonzero(top[r, c]),
-                consensus=consensus,
-                agreed_symbols=alphabet.points[decisions[r, c, consensus]],
-            ))
-        sets.append(row)
-    return sets
+    return [[ReliableSet(*views, alphabet.points) for views in zip(*rows)]
+            for rows in zip(top, agreed, decisions)]
 
 
 def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
@@ -251,10 +258,14 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     """Every antenna's top-U mask, hard-decision indices and undecodable
     mask, (M, G, N) each, under the receiver noise level ``noise_var``.
 
-    Works through ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
-    per-axis slicing pass and one distortion FFT per chunk; the nearest
-    levels give both the decisions and the reliabilities.  An antenna
-    without taps decodes no carrier, so its top set is empty.
+    Works through ``ANTENNA_CHUNK`` antennas at a time: one detection (FFT,
+    division, per-axis slicing) and one distortion FFT per chunk; the
+    nearest levels give both the decisions and the reliabilities.  A
+    carrier is offered when it is eligible and decodable.  A budget that
+    covers every offered carrier keeps them all, so where every budget of
+    a chunk does (always in the pilot-starved regime), the chunk's top
+    sets are its offered carriers and no reliability is computed.  An
+    antenna without taps decodes no carrier, so its top set is empty.
     """
     n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
@@ -268,14 +279,17 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     undecodable = np.empty((n_ant, n_carriers), dtype=bool)
     for start in range(0, n_ant, ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
-        equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
-        nearest = alphabet.nearest_levels(equalized)
+        equalized, nearest, bad = detect(observations[chunk], taps[chunk], alphabet)
         decisions[chunk] = alphabet.indices_from_levels(nearest)
         undecodable[chunk] = bad
+        offered = eligible & ~bad
+        if np.all(budgets[chunk] >= offered.sum(axis=-1)):
+            top[chunk] = offered
+            continue
         variance = distortion_covariance(symbols, error_cov[chunk], noise_var,
                                          taps=support[chunk])
         reliability = carrier_reliability(equalized, variance, alphabet, nearest)
-        top[chunk] = top_reliable(reliability, eligible & ~bad, budgets[chunk])
+        top[chunk] = top_reliable(reliability, offered, budgets[chunk])
     shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
 

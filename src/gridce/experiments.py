@@ -34,8 +34,7 @@ from .channels import (
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
     build_sensing_matrix,
-    equalize,
-    freq_response,
+    detect,
     make_rng,
     modulate_frame,
     place_pilots,
@@ -473,16 +472,16 @@ def _worst_case(scene) -> tuple:
 def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tuple:
     """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
 
-    Detection runs ``ANTENNA_CHUNK`` antennas at a time: one FFT, one
-    zero-forcing division and one nearest-point pass per chunk.  With
-    ``detected``, the (decisions, undecodable) pair (M, G, N) that
-    ``run_data_aided`` made for these taps on every carrier, the bits are
-    counted on its data carriers instead: the same FFT, division and
-    slicing, so the same decisions.
+    Detection (``ofdm.detect``) runs on every carrier, ``ANTENNA_CHUNK``
+    antennas at a time, and the bits are counted on the data carriers.
+    With ``detected``, the (decisions, undecodable) pair (M, G, N) that
+    ``run_data_aided`` made for these taps with the same detection, the
+    bits are counted from it instead.
     """
     ratio = error_ratio(scene.channels.taps, taps)
     n_carriers = scene.frame.n_carriers
     data_idx = scene.frame.data_indices
+    alphabet = scene.alphabet
     taps = taps.reshape(-1, taps.shape[-1])
     observations = scene.observations.reshape(-1, n_carriers)
     if detected is not None:
@@ -491,12 +490,12 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tupl
     for start in range(0, taps.shape[0], ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
         if detected is None:
-            resp = freq_response(taps[chunk], n_carriers)[:, data_idx]
-            equalized, bad = equalize(observations[chunk, data_idx], resp)
-            decided = scene.alphabet.nearest_indices(equalized)
+            _, nearest, bad = detect(observations[chunk], taps[chunk], alphabet)
+            decided = alphabet.indices_from_levels(nearest)
         else:
-            decided, bad = decisions[chunk, data_idx], undecodable[chunk, data_idx]
-        e, t = count_bit_errors(scene.alphabet, scene.true_indices, decided, bad)
+            decided, bad = decisions[chunk], undecodable[chunk]
+        e, t = count_bit_errors(alphabet, scene.true_indices, decided[:, data_idx],
+                                bad[:, data_idx])
         errors += e
         total += t
     return ratio, errors, total

@@ -151,3 +151,15 @@ def equalize(received: np.ndarray, freq_resp: np.ndarray):
     equalized = received / np.where(bad, 1.0, freq_resp)
     equalized[bad] = 0.0
     return equalized, bad
+
+
+def detect(received: np.ndarray, taps: np.ndarray, alphabet: QamAlphabet):
+    """Zero-forcing detection of a (B, N) stack of antennas on every carrier
+    with their (B, L) estimated CIRs: one FFT, one division and one
+    per-axis slicing pass.
+
+    Returns (equalized, nearest (I, Q) level indices, undecodable mask).
+    Every step is per carrier, so any subset of carriers detects alike.
+    """
+    equalized, bad = equalize(received, freq_response(taps, received.shape[-1]))
+    return equalized, alphabet.nearest_levels(equalized), bad

@@ -15,6 +15,11 @@ and ``assign_scores`` are the per-antenna forms of
 reference for the chunked BER scoring; ``qam_slice`` and
 ``indices_from_bits`` are the alphabet helpers only the tests use.
 
+``top_carriers_oracle`` is the data-aided stage's top-U pick that scores
+every chunk's reliabilities, whether or not the budgets leave a choice;
+``eager_reliable_sets`` builds the ``[row][col]`` consensus views with
+their index arrays computed up front, antenna by antenna.
+
 ``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
 constellation-wide slicer: a (..., Q) array of squared distances and Q
 masked passes in lexicographic (real, imag) point order, where only a
@@ -50,7 +55,13 @@ from gridce.channels import (
     geometric_gains,
 )
 from gridce.errors import ConfigurationError, IllConditionedSupportError
-from gridce.ofdm import equalize
+from gridce.data_aided import (
+    ANTENNA_CHUNK,
+    carrier_reliability,
+    distortion_covariance,
+    top_reliable,
+)
+from gridce.ofdm import equalize, freq_response
 from gridce.solver import (
     COLLINEARITY_TOL,
     _normalize_log_posteriors,
@@ -290,6 +301,58 @@ def equalize_and_slice(received, freq_resp, alphabet):
     Returns (equalized, hard_decisions, undecodable_mask)."""
     equalized, bad = equalize(received, freq_resp)
     return equalized, qam_slice(alphabet, equalized), bad
+
+
+def top_carriers_oracle(base, observations_full, symbols, alphabet, eligible, budgets,
+                        noise_var):
+    """``data_aided._top_carriers`` with the reliabilities and the stable
+    sort run on every chunk: (top, decisions, undecodable), (M, G, N) each."""
+    n_carriers, length = symbols.shape[0], base.taps.shape[-1]
+    n_ant = base.failed.size
+    taps = base.taps.reshape(n_ant, length)
+    observations = observations_full.reshape(n_ant, n_carriers)
+    support = base.support.reshape(n_ant, -1)
+    error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
+    budgets = budgets.reshape(n_ant)
+    top = np.empty((n_ant, n_carriers), dtype=bool)
+    decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
+    undecodable = np.empty((n_ant, n_carriers), dtype=bool)
+    for start in range(0, n_ant, ANTENNA_CHUNK):
+        chunk = slice(start, start + ANTENNA_CHUNK)
+        equalized, bad = equalize(observations[chunk], freq_response(taps[chunk], n_carriers))
+        nearest = alphabet.nearest_levels(equalized)
+        decisions[chunk] = alphabet.indices_from_levels(nearest)
+        undecodable[chunk] = bad
+        variance = distortion_covariance(symbols, error_cov[chunk], noise_var,
+                                         taps=support[chunk])
+        reliability = carrier_reliability(equalized, variance, alphabet, nearest)
+        top[chunk] = top_reliable(reliability, eligible & ~bad, budgets[chunk])
+    shape = (*base.failed.shape, n_carriers)
+    return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
+
+
+@dataclass
+class EagerReliableSet:
+    own_top: np.ndarray
+    consensus: np.ndarray
+    agreed_symbols: np.ndarray
+
+
+def eager_reliable_sets(top, consensus, decisions, alphabet) -> list:
+    """``[row][col]`` views of (M, G, N) top, consensus and decision arrays
+    with every field computed as the set is built."""
+    sets = []
+    for r in range(top.shape[0]):
+        row = []
+        for c in range(top.shape[1]):
+            agreed = np.flatnonzero(consensus[r, c])
+            row.append(EagerReliableSet(
+                own_top=np.flatnonzero(top[r, c]),
+                consensus=agreed,
+                agreed_symbols=alphabet.points[decisions[r, c, agreed]],
+            ))
+        sets.append(row)
+    return sets
 
 
 def qam_slice(alphabet, symbols):

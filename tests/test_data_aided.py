@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+import gridce.data_aided
+from gridce import experiments
 from gridce.data_aided import (
     MIN_RELIABLE,
     RELIABILITY_CAP,
@@ -26,6 +28,7 @@ from gridce.data_aided import (
     _EXP_NORMAL,
     _EXP_ZERO,
     _exp,
+    _top_carriers,
     carrier_reliability,
     distortion_covariance,
     reestimation_inputs,
@@ -36,9 +39,11 @@ from gridce.data_aided import (
     top_reliable,
 )
 from gridce.errors import InvalidContextError
-from gridce.experiments import error_ratio
+from gridce.experiments import ExperimentSpec, error_ratio
 from gridce.ofdm import (
+    ZF_MIN_GAIN,
     build_sensing_matrix,
+    freq_response,
     make_rng,
     modulate_frame,
     place_pilots,
@@ -50,11 +55,13 @@ from gridce.qam import build_qam_alphabet
 from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
 from gridce.solver import greedy_search_batch, search_depth
 from oracles import (
+    eager_reliable_sets,
     error_covariance,
     greedy_search,
     nearest_indices_oracle,
     neighbors,
     sq_distances_oracle,
+    top_carriers_oracle,
 )
 
 QAM4 = build_qam_alphabet(4)
@@ -104,7 +111,7 @@ def random_symbols(rng, n, order=4):
 class TestDistortionCovariance:
     def test_zero_error_covariance(self):
         symbols = random_symbols(make_rng(1), 8)
-        var = distortion_covariance(symbols, np.zeros((4, 4)), noise_var=0.3)
+        var = distortion_covariance(symbols, np.zeros((4, 4)), 0.3, np.arange(4))
         np.testing.assert_allclose(var, 0.3, atol=1e-14)
 
     def test_diagonal_at_least_noise_floor(self):
@@ -124,7 +131,8 @@ class TestDistortionCovariance:
         full = np.zeros((5, 5), complex)
         full[np.ix_(taps, taps)] = m @ m.conj().T
         np.testing.assert_allclose(distortion_covariance(symbols, m @ m.conj().T, 0.1, taps),
-                                   distortion_covariance(symbols, full, 0.1), rtol=1e-12)
+                                   distortion_covariance(symbols, full, 0.1, np.arange(5)),
+                                   rtol=1e-12)
 
     def test_rank_one_expansion(self):
         """R = s^2 e_k e_k^H gives diag entries s^2 |A_ik|^2 + noise, and
@@ -132,7 +140,7 @@ class TestDistortionCovariance:
         symbols = random_symbols(make_rng(3), 6, 16)
         r = np.zeros((5, 5), complex)
         r[2, 2] = 0.7
-        var = distortion_covariance(symbols, r, noise_var=0.05)
+        var = distortion_covariance(symbols, r, 0.05, np.arange(5))
         expected = 0.7 * np.abs(symbols) ** 2 / 6 + 0.05
         np.testing.assert_allclose(var, expected, atol=1e-12)
 
@@ -205,7 +213,7 @@ class TestClosedForms:
         a = symbols[:, None] * truncated_dft(symbols.size, length)
         m = rng.normal(size=(n_ant, length, length)) + 1j * rng.normal(size=(n_ant, length, length))
         full = m @ m.conj().transpose(0, 2, 1)
-        assert_close(distortion_covariance(symbols, full, 0.0),
+        assert_close(distortion_covariance(symbols, full, 0.0, np.arange(length)),
                      distortion_covariance_oracle(a, full, 0.0))
 
         t_max = min(t_max, length)
@@ -425,6 +433,59 @@ def consensus_inputs(draw):
     decisions[flips] = rng.integers(0, order, size=int(flips.sum()))
     pilots = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5])))
     return AntennaGrid(rows=rows, cols=cols), top, decisions, pilots, order
+
+
+class TestLazyReliableSets:
+    """The ``[row][col]`` sets read their fields from row views of the grid
+    arrays; they equal the sets built with every field computed up front."""
+
+    @staticmethod
+    def assert_equal_sets(top, decisions, pilots, alphabet):
+        consensus = np.empty_like(top)
+        sets = select_and_agree(top, decisions, pilots, alphabet, out=consensus)
+        want = eager_reliable_sets(top, consensus, decisions, alphabet)
+        assert len(sets) == len(want) == top.shape[0]
+        for got_row, want_row in zip(sets, want):
+            assert len(got_row) == len(want_row) == top.shape[1]
+            for got, expected in zip(got_row, want_row):
+                for name in ("own_top", "consensus", "agreed_symbols"):
+                    value, reference = getattr(got, name), getattr(expected, name)
+                    assert value.dtype == reference.dtype, name
+                    np.testing.assert_array_equal(value, reference)
+        return consensus
+
+    @PROPERTY
+    @given(consensus_inputs(), st.booleans())
+    def test_match_eager_sets(self, case, empty):
+        """Any grid shape; with ``empty`` no antenna ranks any carrier, so
+        every consensus is empty."""
+        _, top, decisions, pilots, order = case
+        if empty:
+            top[...] = False
+        consensus = self.assert_equal_sets(top, decisions, pilots, build_qam_alphabet(order))
+        assert not (empty and consensus.any())
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1)])
+    def test_thin_grids_and_empty_consensus(self, rows, cols):
+        rng = make_rng(rows, cols)
+        top = rng.random((rows, cols, 12)) < 0.8
+        decisions = rng.integers(0, 4, size=(rows, cols, 12))
+        decisions[..., :6] = 2  # unanimous on the first half
+        self.assert_equal_sets(top, decisions, np.array([0, 7]), QAM4)
+        top[0, 0] = False  # an antenna that offers nothing agrees on nothing
+        consensus = self.assert_equal_sets(top, decisions, np.array([0, 7]), QAM4)
+        assert not consensus[0, 0].any()
+
+    def test_sets_are_views(self):
+        """A set holds row views of the grid arrays, no copies."""
+        top = np.ones((2, 3, 8), dtype=bool)
+        decisions = np.zeros((2, 3, 8), dtype=np.uint8)
+        consensus = np.empty_like(top)
+        sets = select_and_agree(top, decisions, np.array([1]), QAM4, out=consensus)
+        assert np.shares_memory(sets[1][2].top_row, top)
+        assert np.shares_memory(sets[1][2].decisions_row, decisions)
+        np.testing.assert_array_equal(sets[1][2].consensus_row, consensus[1, 2])
+        assert list(sets[1][2].consensus) == [0, 2, 3, 4, 5, 6, 7]
 
 
 class TestStencilConsensus:
@@ -747,3 +808,127 @@ class TestRunDataAided:
             - np.searchsorted(b, grid_pts, side="right") / b.size
         ))
         assert ks < 0.1
+
+
+def top_carrier_case(rng, rows, cols, n, length, t_max, order, pilot_share=0.2):
+    """Inputs of ``_top_carriers`` on a random grid: (base, observations,
+    symbols, alphabet, eligible, noise_var) and the (M, G) count of offered
+    (eligible and decodable) carriers.  About a fifth of the antennas hold
+    the taps [1, -1], whose response is exactly zero on carrier 0, and a
+    fifth hold no taps, so they decode no carrier."""
+    alphabet = build_qam_alphabet(order)
+    symbols = alphabet.points[rng.integers(0, order, size=n)]
+    eligible = rng.random(n) >= pilot_share
+    taps = rng.normal(size=(rows, cols, length)) + 1j * rng.normal(size=(rows, cols, length))
+    kind = rng.choice(3, size=(rows, cols), p=[0.6, 0.2, 0.2])
+    taps[kind > 0] = 0.0
+    taps[kind == 1, :2] = [1.0, -1.0]
+    support = np.zeros((rows, cols, t_max), dtype=int)
+    error_cov = np.zeros((rows, cols, t_max, t_max), dtype=complex)
+    for r, c in np.ndindex(rows, cols):
+        if kind[r, c] == 2:
+            continue  # a failed pass: zero throughout
+        t = int(rng.integers(1, t_max + 1))
+        m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
+        support[r, c, :t] = rng.permutation(length)[:t]
+        error_cov[r, c, :t, :t] = 10.0 ** rng.uniform(-4, 0) * (m @ m.conj().T)
+    base = GridEstimate(taps=taps, support=support, error_cov=error_cov,
+                        priors=np.full(taps.shape, 0.1), failed=kind == 2)
+    observations = rng.normal(size=(rows, cols, n)) + 1j * rng.normal(size=(rows, cols, n))
+    noise_var = 10.0 ** rng.uniform(-3, 0)
+    bad = np.abs(freq_response(taps, n)) < ZF_MIN_GAIN
+    offered = (eligible & ~bad).sum(axis=-1)
+    return (base, observations, symbols, alphabet, eligible, noise_var), offered
+
+
+@st.composite
+def top_carrier_inputs(draw):
+    """Grids of one to three ``ANTENNA_CHUNK``s whose budgets cover every
+    offered carrier, fall one or more short on some rows, or both."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    n = draw(st.integers(2, 40))
+    length = draw(st.integers(2, min(n, 8)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    case, offered = top_carrier_case(rng, rows, cols, n, length,
+                                     draw(st.integers(1, length)),
+                                     draw(st.sampled_from([4, 16])))
+    slack = {"cover": [0, 0, 1, 30], "short": [-1, -3], "mixed": [-1, 0, 0, 2]}
+    delta = rng.choice(slack[draw(st.sampled_from(sorted(slack)))], size=offered.shape)
+    return case, np.maximum(offered + delta, 0)
+
+
+class CallCounter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def reliability_calls(monkeypatch):
+    """Counts the calls ``_top_carriers`` makes to ``carrier_reliability``
+    and ``distortion_covariance``, through the module names it calls."""
+    counters = {}
+    for name in ("carrier_reliability", "distortion_covariance"):
+        counters[name] = CallCounter(getattr(gridce.data_aided, name))
+        monkeypatch.setattr(gridce.data_aided, name, counters[name])
+    return counters
+
+
+def assert_top_carriers_match(case, budgets):
+    got = _top_carriers(*case[:5], budgets, case[5])
+    want = top_carriers_oracle(*case[:5], budgets, case[5])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+class TestTopCarrierSkip:
+    """A chunk whose budgets cover every offered carrier keeps them all and
+    computes no reliability; the masks equal the path that scores them."""
+
+    @PROPERTY
+    @given(top_carrier_inputs())
+    def test_matches_full_path(self, inputs):
+        assert_top_carriers_match(*inputs)
+
+    def test_budgets_equal_to_offered_count_skip(self, reliability_calls):
+        case, offered = top_carrier_case(make_rng(21), 4, 4, 48, 6, 3, 16)
+        bad = np.abs(freq_response(case[0].taps, 48)) < ZF_MIN_GAIN
+        assert bad.any() and not bad.all()  # undecodable carriers on some rows
+        top, _, undecodable = assert_top_carriers_match(case, offered)
+        np.testing.assert_array_equal(undecodable, bad)
+        np.testing.assert_array_equal(top, case[4] & ~bad)
+        # the oracle's own calls go to the unwrapped functions
+        assert reliability_calls["carrier_reliability"].calls == 0
+        assert reliability_calls["distortion_covariance"].calls == 0
+
+    def test_one_row_one_short_runs_full_path(self, reliability_calls):
+        """16 antennas are one chunk, so one row one carrier short sends the
+        whole chunk through the reliabilities; that row keeps all but one
+        of its offered carriers."""
+        case, offered = top_carrier_case(make_rng(22), 4, 4, 48, 6, 3, 4)
+        budgets = offered.copy()
+        row = np.unravel_index(np.argmax(offered), offered.shape)
+        budgets[row] -= 1
+        top, _, _ = assert_top_carriers_match(case, budgets)
+        np.testing.assert_array_equal(top.sum(axis=-1), budgets)
+        assert reliability_calls["carrier_reliability"].calls == 1
+        assert reliability_calls["distortion_covariance"].calls == 1
+
+    @pytest.mark.parametrize("n_pilots, skips", [(6, True), (10, False)])
+    def test_reliability_only_where_budgets_leave_a_choice(self, reliability_calls,
+                                                          n_pilots, skips):
+        """K = 6 with two expected taps is the pilot-starved regime, where
+        every data carrier is offered; K = 10 ranks by reliability."""
+        spec = ExperimentSpec(grid_rows=3, grid_cols=3, n_carriers=64, channel_len=16,
+                              sparsity=2, n_pilots=(n_pilots,), snr_db=(15.0,),
+                              depth=(2,), algorithms=("MB-R", "IB-R"), trials=1, seed=1)
+        experiments.run_point_trial(spec, 0, (n_pilots, 15.0, 2), 0)
+        for counter in reliability_calls.values():
+            assert (counter.calls == 0) == skips

@@ -8,6 +8,7 @@ from gridce.experiments import ExperimentSpec, synthesize_scene
 from gridce.ofdm import (
     OfdmFrame,
     build_sensing_matrix,
+    detect,
     equalize,
     freq_response,
     make_rng,
@@ -17,7 +18,7 @@ from gridce.ofdm import (
     truncated_dft,
 )
 from gridce.qam import build_qam_alphabet
-from oracles import qam_slice
+from oracles import equalize_and_slice, qam_slice
 
 QAM4 = build_qam_alphabet(4)
 
@@ -222,3 +223,29 @@ class TestEqualizeAndSlice:
         equalized, bad = equalize(y, resp)
         np.testing.assert_array_equal(bad, [False, True, False, True])
         assert equalized[1] == 0.0
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_detect_matches_per_antenna_and_carrier_subsets(self, order):
+        """A stack detects as each antenna alone, and detecting a subset of
+        carriers gives that subset's bits of detecting all of them."""
+        alphabet = build_qam_alphabet(order)
+        rng = make_rng(order)
+        taps = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        taps[3] = 0.0                # decodes no carrier
+        taps[4] = 0.0
+        taps[4, :2] = [1.0, -1.0]    # a zero of the response on carrier 0
+        received = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
+        equalized, nearest, bad = detect(received, taps, alphabet)
+        assert bad[3].all() and bad[4, 0] and not bad[4, 1:].any()
+        subset = np.flatnonzero(rng.random(32) < 0.6)
+        resp = freq_response(taps, 32)
+        for b in range(5):
+            want_eq, want_hard, want_bad = equalize_and_slice(received[b], resp[b], alphabet)
+            np.testing.assert_array_equal(equalized[b], want_eq)
+            np.testing.assert_array_equal(
+                alphabet.points[alphabet.indices_from_levels(nearest[b])], want_hard)
+            np.testing.assert_array_equal(bad[b], want_bad)
+        sub_eq, sub_bad = equalize(received[:, subset], resp[:, subset])
+        np.testing.assert_array_equal(sub_eq, equalized[:, subset])
+        np.testing.assert_array_equal(alphabet.nearest_levels(sub_eq), nearest[:, subset])
+        np.testing.assert_array_equal(sub_bad, bad[:, subset])

@@ -44,21 +44,29 @@ def test_every_span_site_resolves():
 
 
 def test_traced_trial_records_runner_round_and_consensus_spans():
+    """K = 10 ranks carriers by reliability; K = 6 with two expected taps is
+    the pilot-starved regime, where every offered carrier is kept and no
+    reliability is computed."""
     spans = load_spans()
-    spec = ExperimentSpec(grid_rows=3, grid_cols=3, n_carriers=64, channel_len=16,
-                          sparsity=2, n_pilots=(10,), snr_db=(15.0,), depth=(2,),
-                          algorithms=experiments.ALGORITHMS, trials=1, seed=1)
-    original = experiments.run_point_trial
-    with spans.Tracer() as tracer:
-        result = experiments.run_point_trial(spec, 0, (10, 15.0, 2), 0)
-    assert experiments.run_point_trial is original  # uninstalled on exit
-    assert set(result) == set(experiments.ALGORITHMS)
-    for label in ("experiments.run_point_trial", "sharing.run_marginal_based",
-                  "sharing.run_integer_based", "sharing.average_round",
-                  "data_aided.run_data_aided", "data_aided.select_and_agree"):
-        assert tracer.spans[label].calls >= 1, label
-    assert tracer.counts["consensus_antennas"] == 2 * 9  # MB-R and IB-R grids
-    # the baselines run as one grid-wide call each, entered through the
-    # names the tracer rebinds
-    assert tracer.spans["experiments.somp_baseline"].calls == 1
-    assert tracer.spans["experiments.oracle_ls_estimate"].calls == 1
+    for n_pilots, starved in ((10, False), (6, True)):
+        spec = ExperimentSpec(grid_rows=3, grid_cols=3, n_carriers=64, channel_len=16,
+                              sparsity=2, n_pilots=(n_pilots,), snr_db=(15.0,), depth=(2,),
+                              algorithms=experiments.ALGORITHMS, trials=1, seed=1)
+        original = experiments.run_point_trial
+        with spans.Tracer() as tracer:
+            result = experiments.run_point_trial(spec, 0, (n_pilots, 15.0, 2), 0)
+        assert experiments.run_point_trial is original  # uninstalled on exit
+        assert set(result) == set(experiments.ALGORITHMS)
+        for label in ("experiments.run_point_trial", "sharing.run_marginal_based",
+                      "sharing.run_integer_based", "sharing.average_round",
+                      "data_aided.run_data_aided", "data_aided.select_and_agree"):
+            assert tracer.spans[label].calls >= 1, label
+        for label in ("data_aided.distortion_covariance", "data_aided.carrier_reliability"):
+            assert (label not in tracer.spans) == starved, (n_pilots, label)
+        assert tracer.counts["consensus_antennas"] == 2 * 9  # MB-R and IB-R grids
+        assert 0 < tracer.counts["consensus_carriers"] <= tracer.counts["own_top_carriers"]
+        assert tracer.counts["aided_antennas"] == 2 * 9
+        # the baselines run as one grid-wide call each, entered through the
+        # names the tracer rebinds
+        assert tracer.spans["experiments.somp_baseline"].calls == 1
+        assert tracer.spans["experiments.oracle_ls_estimate"].calls == 1
