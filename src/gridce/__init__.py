@@ -33,10 +33,12 @@ from .posterior import error_covariances, lattice_marginals
 from .qam import QamAlphabet, build_qam_alphabet
 from .sharing import (
     BeliefKind,
+    FirstPass,
     GridEstimate,
     GridSolverConfig,
     average_marginals_round,
     average_scores_round,
+    first_pass,
     run_integer_based,
     run_marginal_based,
     scores_to_beliefs,

@@ -43,7 +43,9 @@ from .ofdm import (
 from .data_aided import ANTENNA_CHUNK, run_data_aided
 from .qam import build_qam_alphabet
 from .sharing import (
+    BeliefKind,
     GridSolverConfig,
+    first_pass,
     run_integer_based,
     run_marginal_based,
     stencil_gather,
@@ -506,11 +508,15 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     """Run every requested algorithm on one synthesized trial.
 
     Returns {algorithm: (ratio, bit_errors, bit_total, seconds)} in
-    ``ALGORITHMS`` order.  A data-aided algorithm reuses its pilot-only base
+    ``ALGORITHMS`` order.  The MB and IB algorithms share one pilot-only
+    first pass (``sharing.first_pass``), which computes the beliefs of
+    each requested currency; every grid entry's seconds include that
+    shared pass.  A data-aided algorithm reuses its pilot-only base
     estimate; the base solve time is included in both entries.  When both
     run, the pilot-only entry is scored from the detection the data-aided
     stage made on the base.  A stage whose solver fails scores each of its
-    algorithms as the worst case in 0 s, and the trial goes on.
+    algorithms as the worst case in 0 s, and the trial goes on; a failed
+    first pass fails every requested grid algorithm.
     """
     n_pilots, snr_db, depth = point
     scene = synthesize_scene(spec, n_pilots, snr_db, point_index, trial)
@@ -536,13 +542,20 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
             return None
         return out, time.perf_counter() - start
 
-    for pilot_name, aided_name, runner in (("MB-P", "MB-R", run_marginal_based),
-                                           ("IB-P", "IB-R", run_integer_based)):
+    # MB and IB start from one pilot-only pass under the uniform prior
+    pipelines = [stage for stage in (("MB-P", "MB-R", BeliefKind.MARGINAL, run_marginal_based),
+                                     ("IB-P", "IB-R", BeliefKind.SCORE, run_integer_based))
+                 if set(stage[:2]) & set(spec.algorithms)]
+    grid_names = [name for stage in pipelines for name in stage[:2] if name in spec.algorithms]
+    first = pipelines and attempt(grid_names, first_pass, y_pilot, scene.pilot_rows,
+                                  solver_cfg, [kind for _, _, kind, _ in pipelines])
+    for pilot_name, aided_name, _, runner in pipelines if first else ():
         names = [name for name in (pilot_name, aided_name) if name in spec.algorithms]
-        base = names and attempt(names, runner, y_pilot, scene.pilot_rows, solver_cfg, depth)
+        base = attempt(names, runner, first[0], solver_cfg, depth)
         if not base:
             continue
         estimate, seconds = base
+        seconds += first[1]
         aided = aided_name in spec.algorithms and attempt(
             [aided_name], run_data_aided, scene.frame, scene.observations, estimate,
             solver_cfg, scene.alphabet, spec.n_reliable)

@@ -1,11 +1,14 @@
 """Distributed belief sharing across the antenna grid.
 
-Each antenna first estimates its channel on its own, then exchanges per-tap
-beliefs with its 4-neighbors over ``depth`` bulk-synchronous rounds.  Two
-belief currencies are supported: real-valued activity marginals, and
-integer scores that rank the detected taps by amplitude (cheaper to
-communicate, no marginal lattice needed).  After sharing, the averaged
-beliefs become Bernoulli priors for a final estimation pass.
+Each antenna first estimates its channel on its own, from its pilots under
+the uniform prior (``first_pass``), then exchanges per-tap beliefs with its
+4-neighbors over ``depth`` bulk-synchronous rounds.  Two belief currencies
+are supported: real-valued activity marginals, and integer scores that rank
+the detected taps by amplitude (cheaper to communicate, no marginal lattice
+needed).  Both start from the same first pass, so one ``FirstPass`` record
+serves both runners, ``run_marginal_based`` and ``run_integer_based``.
+After sharing, the averaged beliefs become Bernoulli priors for a final
+estimation pass.
 
 Rounds are double-buffered: round t+1 is computed entirely from round-t
 values, so results do not depend on antenna evaluation order and after D
@@ -190,9 +193,57 @@ def _search_grid(ys, sensing_rows, lambdas, config, t_max) -> ChainStack:
                        t_max)
 
 
-def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
-    """The grid pipeline for one belief currency: first pass, ``depth``
-    averaging rounds, beliefs to priors, final pass.
+@dataclass(frozen=True)
+class FirstPass:
+    """What the grid runners read of the pilot-only first pass, arrays only.
+
+    ``values`` holds each requested currency's first-pass beliefs: lattice
+    marginals under ``BeliefKind.MARGINAL``, rank scores under
+    ``BeliefKind.SCORE``, zero off the detected taps.  The chains
+    themselves are not kept.
+    """
+
+    ys: np.ndarray            # (M, G, K) pilot observations
+    pilot_rows: np.ndarray    # (K, L)
+    t_max: int
+    detected: np.ndarray      # (M, G, L) bool, every antenna's detected taps
+    values: dict              # {BeliefKind: (M, G, L) first-pass beliefs}
+
+
+def first_pass(observations, sensing_rows, config: GridSolverConfig, kinds) -> FirstPass:
+    """Every antenna's own estimate from its pilots under the uniform prior
+    ``config.lambda_init``, the step both belief currencies start from,
+    with the first-pass beliefs of each currency in ``kinds``.
+
+    One chain per antenna of the (M, G, K) ``observations`` on the shared
+    (K, L) ``sensing_rows``, at the search depth t_max of every antenna.
+    The rank scores are taken before the marginal lattice runs, and the
+    chains are dropped on return.
+    """
+    sensing_rows = np.asarray(sensing_rows)
+    n_obs, length = sensing_rows.shape
+    grid = observations.shape[:2]
+    t_max = search_depth(length, config.lambda_init, n_obs)
+    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
+    lambdas = np.full((ys.shape[0], length), config.lambda_init)
+    stack = _search_grid(ys, sensing_rows, lambdas, config, t_max)
+    values = {}
+    if BeliefKind.SCORE in kinds:
+        values[BeliefKind.SCORE] = _rank_scores(stack)
+    if BeliefKind.MARGINAL in kinds:
+        values[BeliefKind.MARGINAL] = stack.scatter(
+            lattice_marginals(stack, sensing_rows, ys, lambdas))
+    detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
+    return FirstPass(
+        ys=ys.reshape(*grid, n_obs), pilot_rows=sensing_rows, t_max=t_max,
+        detected=detected.reshape(*grid, length),
+        values={kind: v.reshape(*grid, length) for kind, v in values.items()},
+    )
+
+
+def _run_grid(kind, first: FirstPass, config, depth) -> GridEstimate:
+    """The grid pipeline for one belief currency after the first pass:
+    ``depth`` averaging rounds, beliefs to priors, final pass.
 
     An antenna tracks beliefs only for the taps its neighborhood detected
     in the first pass (its gate, fixed across rounds).  Every antenna
@@ -202,35 +253,24 @@ def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
     """
     if depth < 0:
         raise ConfigurationError("depth must be nonnegative")
-    sensing_rows = np.asarray(sensing_rows)
-    n_obs, length = sensing_rows.shape
-    grid = observations.shape[:2]
-    t_max = search_depth(length, config.lambda_init, n_obs)
-    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
-
-    lambdas = np.full((ys.shape[0], length), config.lambda_init)
-    first = _search_grid(ys, sensing_rows, lambdas, config, t_max)
-    if kind is BeliefKind.MARGINAL:
-        values = first.scatter(lattice_marginals(first, sensing_rows, ys, lambdas))
-    else:
-        values = _rank_scores(first)
-    detected = first.scatter(np.ones(first.chosen.shape, dtype=bool)).reshape(*grid, length)
-    del first, lambdas  # only the beliefs outlive the first pass
-
-    gate = _stencil_any(detected)
-    rounds = [values.reshape(*grid, length)]
+    grid = first.detected.shape[:2]
+    n_obs, length = first.pilot_rows.shape
+    t_max = first.t_max
+    gate = _stencil_any(first.detected)
+    rounds = [first.values[kind]]
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
             rounds.append(average_marginals_round(rounds[-1], gate, config.lambda_small))
         else:
             rounds.append(average_scores_round(rounds[-1], gate, final=(i == depth - 1)))
     if config.trace_path:
-        _trace_rounds(config.trace_path, rounds, detected)
+        _trace_rounds(config.trace_path, rounds, first.detected)
 
     # off-gate values are zero (or lambda_small) and clamp to lambda_small
     scale = t_max if kind is BeliefKind.SCORE else 1
     priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
-    final = _search_grid(ys, sensing_rows, priors.reshape(-1, length), config, t_max)
+    final = _search_grid(first.ys.reshape(-1, n_obs), first.pilot_rows,
+                         priors.reshape(-1, length), config, t_max)
     return GridEstimate(
         taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
@@ -239,33 +279,26 @@ def _run_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
     )
 
 
-def run_marginal_based(
-    observations: np.ndarray,
-    sensing_rows: np.ndarray,
-    config: GridSolverConfig,
-    depth: int,
-) -> GridEstimate:
-    """Marginal-based grid estimation.
+def run_marginal_based(first: FirstPass, config: GridSolverConfig,
+                       depth: int) -> GridEstimate:
+    """Marginal-based grid estimation from a first pass that holds the
+    marginals (``first_pass`` with ``BeliefKind.MARGINAL``).
 
-    Every antenna runs the solver with the uniform prior and computes its
-    per-tap marginals; the grid then averages marginals over neighborhoods
-    for ``depth`` rounds, and each antenna re-estimates with the averaged
-    marginals as its Bernoulli prior.
+    The grid averages every antenna's per-tap marginals over
+    neighborhoods for ``depth`` rounds, and each antenna re-estimates with
+    the averaged marginals as its Bernoulli prior.
     """
-    return _run_grid(BeliefKind.MARGINAL, observations, sensing_rows, config, depth)
+    return _run_grid(BeliefKind.MARGINAL, first, config, depth)
 
 
-def run_integer_based(
-    observations: np.ndarray,
-    sensing_rows: np.ndarray,
-    config: GridSolverConfig,
-    depth: int,
-) -> GridEstimate:
-    """Integer-based grid estimation.
+def run_integer_based(first: FirstPass, config: GridSolverConfig,
+                      depth: int) -> GridEstimate:
+    """Integer-based grid estimation from a first pass that holds the rank
+    scores (``first_pass`` with ``BeliefKind.SCORE``).
 
     Like the marginal variant but antennas exchange integer tap scores
     (no marginal lattice is computed), the last averaging round keeps the
     raw average, and scores are rescaled into beliefs before the final
     estimation pass.
     """
-    return _run_grid(BeliefKind.SCORE, observations, sensing_rows, config, depth)
+    return _run_grid(BeliefKind.SCORE, first, config, depth)

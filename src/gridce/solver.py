@@ -281,6 +281,7 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     two_nv = 2.0 * noise_vars
 
     b = np.broadcast_to(a, (n, k, length)).copy()     # columns orthogonalized per row
+    b_conj = np.empty_like(b)
     r = ys.copy()                                       # residuals P_S_perp y
     res2 = _stacked_vdot(ys, ys).real
     q_basis = np.zeros((n, k, t_max), dtype=complex)
@@ -299,12 +300,13 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     skipped = np.zeros(n, dtype=bool)
 
     for stage in range(t_max):
-        b2 = np.einsum("bij,bij->bj", b.conj(), b).real
+        np.conjugate(b, out=b_conj)
+        b2 = np.einsum("bij,bij->bj", b_conj, b).real
         valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
         stopped |= ~valid.any(axis=1)
         lengths += ~stopped
         skipped |= ~stopped & (available & ~valid).any(axis=1)
-        bhr = (b.conj().transpose(0, 2, 1) @ r[..., None])[..., 0]
+        bhr = (b_conj.transpose(0, 2, 1) @ r[..., None])[..., 0]
         drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
         nu_cand = np.where(
             valid,
@@ -324,12 +326,12 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
         q_basis[:, :, stage] = q
         qty[:, stage] = _stacked_vdot(q, r)
 
-        r = r - q * qty[:, stage, None]
+        r -= q * qty[:, stage, None]
         res2 = np.maximum(res2 - drop[rows, j], 0.0)
         prior_term = prior_term + gain[rows, j]
         nus[:, stage] = -res2 / two_nv + prior_term
         residuals[:, stage] = res2
-        b = b - q[:, :, None] * (q.conj()[:, None, :] @ b)
+        b -= q[:, :, None] * (q.conj()[:, None, :] @ b)
         available[rows, j] = False
         chosen[:, stage] = j
 

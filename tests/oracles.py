@@ -34,6 +34,10 @@ replaced with one Gram-domain batch: SOMP refits every stage with
 ``lstsq`` on the member observations, and oracle-LS calls
 ``blue_estimate`` per antenna.
 
+``per_currency_grid`` is the grid pipeline of one belief currency with
+its own first pass, as a trial ran each currency before
+``sharing.first_pass`` served MB and IB from one search.
+
 ``generate_channels_loop_oracle`` is the per-antenna fill that
 ``channels.generate_channels`` and its SVA walk replaced with one diagonal
 index and ``np.put_along_axis``; it draws the same RNG values in the same
@@ -62,11 +66,23 @@ from gridce.data_aided import (
     top_reliable,
 )
 from gridce.ofdm import equalize, freq_response
+from gridce.posterior import error_covariances, lattice_marginals
+from gridce.sharing import (
+    BeliefKind,
+    GridEstimate,
+    _rank_scores,
+    _stencil_any,
+    average_marginals_round,
+    average_scores_round,
+    scores_to_beliefs,
+)
 from gridce.solver import (
     COLLINEARITY_TOL,
     _normalize_log_posteriors,
     _prior_terms,
     check_conditioning,
+    search_depth,
+    search_rows,
 )
 
 
@@ -294,6 +310,39 @@ def assign_scores(estimate: SparseEstimate) -> np.ndarray:
     scores = np.zeros(estimate.h_ammse.size)
     scores[taps[order]] = np.arange(taps.size, 0, -1)
     return scores
+
+
+def per_currency_grid(kind, observations, sensing_rows, config, depth) -> GridEstimate:
+    """One currency's grid pipeline from the (M, G, K) observations: its own
+    uniform-prior first pass, ``depth`` averaging rounds, beliefs to priors
+    and the final pass, with the production solver, lattice and rounds."""
+    n_obs, length = sensing_rows.shape
+    grid = observations.shape[:2]
+    t_max = search_depth(length, config.lambda_init, n_obs)
+    ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
+    noise_vars = np.full(ys.shape[0], config.noise_var)
+    lambdas = np.full((ys.shape[0], length), config.lambda_init)
+    first = search_rows(sensing_rows, ys, lambdas, noise_vars, t_max)
+    if kind is BeliefKind.MARGINAL:
+        values = first.scatter(lattice_marginals(first, sensing_rows, ys, lambdas))
+    else:
+        values = _rank_scores(first)
+    detected = first.scatter(np.ones(first.chosen.shape, dtype=bool)).reshape(*grid, length)
+    gate = _stencil_any(detected)
+    values = values.reshape(*grid, length)
+    for i in range(depth):
+        if kind is BeliefKind.MARGINAL:
+            values = average_marginals_round(values, gate, config.lambda_small)
+        else:
+            values = average_scores_round(values, gate, final=(i == depth - 1))
+    scale = t_max if kind is BeliefKind.SCORE else 1
+    priors = scores_to_beliefs(values, scale, config.lambda_small)
+    final = search_rows(sensing_rows, ys, priors.reshape(-1, length), noise_vars, t_max)
+    return GridEstimate(
+        taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
+        error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
+        failed=final.failed.reshape(grid), diagnostics={"t_max": t_max},
+    )
 
 
 def equalize_and_slice(received, freq_resp, alphabet):

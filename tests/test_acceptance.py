@@ -22,7 +22,7 @@ from gridce.experiments import (
 )
 from gridce.ofdm import make_rng
 from gridce.posterior import _position_combos, lattice_marginals
-from gridce.sharing import GridSolverConfig, run_marginal_based
+from gridce.sharing import BeliefKind, GridSolverConfig, first_pass, run_marginal_based
 from gridce.solver import search_rows
 from oracles import exhaustive_estimate, lattice_oracle
 
@@ -276,8 +276,10 @@ class TestAcceptance:
         y1 = scene.observations[..., pilots]
         y2 = y1.copy()
         y2[0, 0] += 0.3 - 0.2j  # perturb one corner antenna's noise
-        out1 = run_marginal_based(y1, scene.pilot_rows, cfg, depth)
-        out2 = run_marginal_based(y2, scene.pilot_rows, cfg, depth)
+        out1 = run_marginal_based(
+            first_pass(y1, scene.pilot_rows, cfg, [BeliefKind.MARGINAL]), cfg, depth)
+        out2 = run_marginal_based(
+            first_pass(y2, scene.pilot_rows, cfg, [BeliefKind.MARGINAL]), cfg, depth)
         locality_ok = True
         for r, c in np.ndindex(y1.shape[:2]):
             if r + c > depth:  # Manhattan distance from (0, 0)

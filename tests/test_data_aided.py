@@ -52,7 +52,13 @@ from gridce.ofdm import (
 )
 from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
-from gridce.sharing import GridEstimate, GridSolverConfig, run_marginal_based
+from gridce.sharing import (
+    BeliefKind,
+    GridEstimate,
+    GridSolverConfig,
+    first_pass,
+    run_marginal_based,
+)
 from gridce.solver import greedy_search_batch, search_depth
 from oracles import (
     eager_reliable_sets,
@@ -82,8 +88,9 @@ def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
                                        make_rng(seed, 3))
     solver_cfg = GridSolverConfig(lambda_init=sparsity / length,
                                   noise_var=noise_var)
-    base = run_marginal_based(observations[..., pilots], full_rows[pilots],
-                              solver_cfg, 2)
+    first = first_pass(observations[..., pilots], full_rows[pilots], solver_cfg,
+                       [BeliefKind.MARGINAL])
+    base = run_marginal_based(first, solver_cfg, 2)
     return grid, channels, alphabet, frame, full_rows, observations, base, solver_cfg
 
 

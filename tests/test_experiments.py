@@ -8,6 +8,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import types
 from contextlib import nullcontext
 
 import numpy as np
@@ -40,13 +41,20 @@ from gridce.experiments import (
 )
 from gridce.ofdm import freq_response, make_rng, truncated_dft
 from gridce.qam import build_qam_alphabet
-from gridce.sharing import GridSolverConfig, run_integer_based, run_marginal_based
+from gridce.sharing import (
+    BeliefKind,
+    GridSolverConfig,
+    first_pass,
+    run_integer_based,
+    run_marginal_based,
+)
 from gridce.solver import IllConditionedSupportError
 from oracles import (
     blue_estimate,
     equalize_and_slice,
     neighbors,
     oracle_ls_loop_oracle,
+    per_currency_grid,
     read_channels_csv,
     somp_loop_oracle,
 )
@@ -369,8 +377,9 @@ class TestPilotScoringFromAidedStage:
         scene = synthesize_scene(spec, 16, 10.0, 0, 0)
         config = GridSolverConfig(lambda_init=3 / 64, noise_var=scene.noise_var)
         y_pilot = scene.observations[..., scene.frame.pilot_indices]
-        for runner in (run_marginal_based, run_integer_based):
-            base = runner(y_pilot, scene.pilot_rows, config, 3)
+        for runner, kind in ((run_marginal_based, BeliefKind.MARGINAL),
+                             (run_integer_based, BeliefKind.SCORE)):
+            base = runner(first_pass(y_pilot, scene.pilot_rows, config, [kind]), config, 3)
             # one antenna forced to fail: zero taps leave every carrier undecodable
             base.taps[1, 2] = 0.0
             base.failed[1, 2] = True
@@ -407,6 +416,51 @@ class TestPilotScoringFromAidedStage:
         assert got["MB-P"][:3] == alone["MB-P"][:3]
         ratio, errors, total, seconds = got["MB-R"]
         assert (ratio, seconds) == (1.0, 0.0) and errors == total
+
+
+class TestSharedFirstPass:
+    """MB and IB run from one first pass per trial (``sharing.first_pass``)."""
+
+    @pytest.mark.parametrize("algorithms, searches, lattices", [
+        (ALGORITHMS, 3, 1),                   # one first pass, one final pass each
+        (("MB-P", "MB-R"), 2, 1),
+        (("IB-P", "IB-R", "SOMP"), 2, 0),     # IB alone computes no lattice
+    ])
+    def test_one_first_pass_per_trial(self, monkeypatch, algorithms, searches, lattices):
+        """Calls of the grid pipelines' search and lattice in one trial."""
+        import gridce.sharing as sharing
+
+        calls = dict.fromkeys(("search_rows", "lattice_marginals"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(sharing, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(sharing, name, counted)
+        run_point_trial(small_spec(algorithms=algorithms), 0, (10, 15.0, 2), 0)
+        assert (calls["search_rows"], calls["lattice_marginals"]) == (searches, lattices)
+
+    @pytest.mark.parametrize("n_pilots", [10, 5])  # t_max = 5 < K, and t_max = K
+    def test_matches_per_currency_composition(self, monkeypatch, n_pilots):
+        """Every entry reads bit for bit as in a trial whose MB and IB
+        pipelines each run their own first pass (``per_currency_grid``)."""
+        spec = small_spec(algorithms=ALGORITHMS, n_pilots=(n_pilots,))
+        point = (n_pilots, 15.0, 2)
+        shared = [run_point_trial(spec, 0, point, t) for t in range(2)]
+
+        def pilots_only(observations, sensing_rows, config, kinds):
+            return types.SimpleNamespace(ys=observations, pilot_rows=sensing_rows)
+
+        monkeypatch.setattr(experiments, "first_pass", pilots_only)
+        for name, kind in (("run_marginal_based", BeliefKind.MARGINAL),
+                           ("run_integer_based", BeliefKind.SCORE)):
+            monkeypatch.setattr(experiments, name, lambda first, config, depth, kind=kind:
+                                per_currency_grid(kind, first.ys, first.pilot_rows, config,
+                                                  depth))
+        per_currency = [run_point_trial(spec, 0, point, t) for t in range(2)]
+        for got, want in zip(shared, per_currency):
+            assert list(got) == list(ALGORITHMS)
+            assert {name: entry[:3] for name, entry in got.items()} == {
+                name: entry[:3] for name, entry in want.items()}
 
 
 class TestSomp:
@@ -656,6 +710,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("error", [IllConditionedSupportError, np.linalg.LinAlgError])
     @pytest.mark.parametrize("stage, failed", [
+        ("first_pass", ("MB-P", "MB-R", "IB-P", "IB-R")),
         ("run_marginal_based", ("MB-P", "MB-R")),
         ("run_integer_based", ("IB-P", "IB-R")),
         ("run_data_aided", ("MB-R", "IB-R")),

@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 from gridce.data_aided import run_data_aided
 from gridce.experiments import ExperimentSpec, synthesize_scene
 from gridce.ofdm import make_rng
-from gridce.sharing import GridSolverConfig, run_integer_based, run_marginal_based
+from gridce.sharing import (
+    BeliefKind,
+    GridSolverConfig,
+    first_pass,
+    run_integer_based,
+    run_marginal_based,
+)
 
-RUNNERS = {"MB": run_marginal_based, "IB": run_integer_based}
+RUNNERS = {"MB": (run_marginal_based, BeliefKind.MARGINAL),
+           "IB": (run_integer_based, BeliefKind.SCORE)}
 
 
 def hops_from(rows, cols, antenna):
@@ -48,7 +55,9 @@ def test_perturbation_stays_within_reach(rows, cols, depth, kind, n_reliable, se
     perturbed[antenna] += 0.3 * (rng.normal(size=64) + 1j * rng.normal(size=64))
 
     def estimates(observations):
-        base = RUNNERS[kind](observations[..., pilots], scene.pilot_rows, config, depth)
+        runner, currency = RUNNERS[kind]
+        first = first_pass(observations[..., pilots], scene.pilot_rows, config, [currency])
+        base = runner(first, config, depth)
         aided = run_data_aided(scene.frame, observations, base, config, scene.alphabet,
                                n_reliable=n_reliable)
         return base.taps, aided.taps

@@ -1,5 +1,7 @@
 """Belief sharing: scores, averaging rounds, grid algorithms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from gridce.sharing import (
     _run_grid,
     average_marginals_round,
     average_scores_round,
+    first_pass,
     run_integer_based,
     run_marginal_based,
     scores_to_beliefs,
@@ -43,7 +46,7 @@ def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
     return grid, channels, full[pilots], y[..., pilots], noise_var
 
 
-def first_pass(observations, sensing_rows, config):
+def uniform_chains(observations, sensing_rows, config):
     """Production's uniform-prior chains of every antenna, one stack, and
     each antenna's detected taps (M, G, L)."""
     k, length = sensing_rows.shape
@@ -222,7 +225,8 @@ class TestGridAlgorithms:
     def test_depth_zero_marginal_is_self_reestimation(self):
         grid, channels, sensing, y, nv = make_scene()
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_marginal_based(y, sensing, cfg, depth=0)
+        out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg,
+                                 depth=0)
         assert not out.failed.any()
         # priors at undetected taps sit at lambda_small
         for r, c in np.ndindex(grid.rows, grid.cols):
@@ -232,14 +236,15 @@ class TestGridAlgorithms:
     def test_depth_zero_integer(self):
         grid, channels, sensing, y, nv = make_scene(seed=1)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_integer_based(y, sensing, cfg, depth=0)
+        out = run_integer_based(first_pass(y, sensing, cfg, [BeliefKind.SCORE]), cfg, depth=0)
         assert not out.failed.any()
 
     def test_negative_depth_rejected(self):
         grid, channels, sensing, y, nv = make_scene(seed=2)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
+        first = first_pass(y, sensing, cfg, [BeliefKind.MARGINAL])
         with pytest.raises(ConfigurationError):
-            run_marginal_based(y, sensing, cfg, depth=-1)
+            run_marginal_based(first, cfg, depth=-1)
 
     def test_sharing_does_not_hurt_detection_sia(self):
         """Noiseless-ish SIA with K >= 2n+2: support detection rate of the
@@ -251,8 +256,9 @@ class TestGridAlgorithms:
                 seed=100 + seed,
             )
             cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-            out = run_marginal_based(y, sensing, cfg, depth=2)
-            _, first_detected = first_pass(y, sensing, cfg)
+            out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg,
+                                     depth=2)
+            _, first_detected = uniform_chains(y, sensing, cfg)
             for r, c in np.ndindex(grid.rows, grid.cols):
                 true = set(np.flatnonzero(channels.support[r, c]))
                 before_hits += len(true & set(np.flatnonzero(first_detected[r, c])))
@@ -267,10 +273,10 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=3)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 2
-        out1 = run_marginal_based(y, sensing, cfg, depth)
+        out1 = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, depth)
         y2 = y.copy()
         y2[0, 0] += 0.5 * np.exp(1j)  # perturb corner antenna only
-        out2 = run_marginal_based(y2, sensing, cfg, depth)
+        out2 = run_marginal_based(first_pass(y2, sensing, cfg, [BeliefKind.MARGINAL]), cfg, depth)
         for r, c in np.ndindex(grid.rows, grid.cols):
             if abs(r - 0) + abs(c - 0) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
@@ -281,10 +287,10 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=4)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 1
-        out1 = run_integer_based(y, sensing, cfg, depth)
+        out1 = run_integer_based(first_pass(y, sensing, cfg, [BeliefKind.SCORE]), cfg, depth)
         y2 = y.copy()
         y2[5, 5] *= 1.3
-        out2 = run_integer_based(y2, sensing, cfg, depth)
+        out2 = run_integer_based(first_pass(y2, sensing, cfg, [BeliefKind.SCORE]), cfg, depth)
         for r, c in np.ndindex(grid.rows, grid.cols):
             if abs(r - 5) + abs(c - 5) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
@@ -292,8 +298,8 @@ class TestGridAlgorithms:
     def test_deterministic_rerun(self):
         grid, channels, sensing, y, nv = make_scene(seed=5)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        a = run_marginal_based(y, sensing, cfg, 2)
-        b = run_marginal_based(y, sensing, cfg, 2)
+        a = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 2)
+        b = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 2)
         np.testing.assert_array_equal(a.taps, b.taps)
         np.testing.assert_array_equal(a.priors, b.priors)
 
@@ -302,7 +308,7 @@ class TestGridAlgorithms:
         grid, channels, sensing, y, nv = make_scene(seed=6)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         t_max = search_depth(16, cfg.lambda_init, 12)
-        stack, detected = first_pass(y, sensing, cfg)
+        stack, detected = uniform_chains(y, sensing, cfg)
         values = _rank_scores(stack).reshape(detected.shape)
         assert np.all(values == np.round(values)) and values.max() == t_max
         for i in range(3):
@@ -320,7 +326,7 @@ class TestGridAlgorithms:
                                trace_path=str(path))
         for kind, runner in ((BeliefKind.MARGINAL, run_marginal_based),
                              (BeliefKind.SCORE, run_integer_based)):
-            runner(y, sensing, cfg, 2)
+            runner(first_pass(y, sensing, cfg, [kind]), cfg, 2)
             lines = path.read_text().splitlines()
             assert lines[0] == "round,antenna_row,antenna_col,tap,value"
             assert len(lines) > 1
@@ -338,7 +344,7 @@ class TestGridAlgorithms:
         """D=3 on a 20x20 grid completes end to end."""
         grid, channels, sensing, y, nv = make_scene(rows=20, cols=20, seed=8)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
-        out = run_marginal_based(y, sensing, cfg, 3)
+        out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 3)
         assert out.taps.shape == (20, 20, 16)
         assert not out.failed.any()
 
@@ -417,7 +423,8 @@ def rank_four_scene(seed=0, rows=4, cols=4, k=12, length=16):
 
 
 class TestOneStackPasses:
-    """``_run_grid`` against the per-antenna composition it replaced."""
+    """``first_pass`` and ``_run_grid`` against the per-antenna composition
+    they replaced."""
 
     @pytest.mark.parametrize("kind", list(BeliefKind))
     @pytest.mark.parametrize("case", ["t_max_fills_pilots", "rank_deficient"])
@@ -430,7 +437,7 @@ class TestOneStackPasses:
             n_stages = 4
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         assert search_depth(16, cfg.lambda_init, a.shape[0]) == 5
-        got = _run_grid(kind, y, a, cfg, 2)
+        got = _run_grid(kind, first_pass(y, a, cfg, [kind]), cfg, 2)
         taps, support, error_cov, priors, failed, lengths, *_ = per_antenna_grid(
             kind, grid, y, a, cfg, 2)
         assert np.all(lengths == n_stages) and not failed.any()
@@ -440,6 +447,29 @@ class TestOneStackPasses:
         for name, want in (("taps", taps), ("error_cov", error_cov)):
             scale = np.abs(want).max()
             np.testing.assert_allclose(getattr(got, name), want, rtol=0, atol=1e-12 * scale)
+
+
+class TestFirstPassRecord:
+    def test_holds_grid_arrays_and_no_chain(self):
+        """The record keeps (M, G, .) arrays, the (K, L) pilot rows and
+        t_max: the chains are gone, and only the requested currencies'
+        beliefs are there."""
+        grid, _, sensing, y, nv = make_scene(rows=3, cols=4, seed=10)
+        cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
+        for kinds in ([BeliefKind.SCORE], [BeliefKind.MARGINAL], list(BeliefKind)):
+            first = first_pass(y, sensing, cfg, kinds)
+            assert first.t_max == search_depth(16, cfg.lambda_init, 12)
+            np.testing.assert_array_equal(first.pilot_rows, sensing)
+            assert set(first.values) == set(kinds)
+            fields = {f.name: getattr(first, f.name) for f in dataclasses.fields(first)}
+            grid_arrays = [fields.pop("ys"), fields.pop("detected"),
+                           *fields.pop("values").values()]
+            assert set(fields) == {"pilot_rows", "t_max"}
+            for array in grid_arrays:
+                assert isinstance(array, np.ndarray) and array.shape[:2] == (3, 4)
+            np.testing.assert_array_equal(first.detected, uniform_chains(y, sensing, cfg)[1])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                first.t_max = 1
 
 
 class TestRuntimeOrdering:
@@ -457,11 +487,13 @@ class TestRuntimeOrdering:
         scenes = [make_scene(n=128, k=16, length=64, sparsity=3, seed=200 + s)
                   for s in range(4)]
 
+        kinds = {run_integer_based: BeliefKind.SCORE, run_marginal_based: BeliefKind.MARGINAL}
+
         def run_all(runner):
             for grid, channels, sensing, y, nv in scenes:
                 cfg = GridSolverConfig(lambda_init=3 / 64, noise_var=nv)
                 assert search_depth(64, cfg.lambda_init, 16) == 7
-                runner(y, sensing, cfg, 3)
+                runner(first_pass(y, sensing, cfg, [kinds[runner]]), cfg, 3)
 
         # the runners alternate, so both see the same machine load
         best = {run_integer_based: float("inf"), run_marginal_based: float("inf")}
