@@ -320,12 +320,18 @@ def reestimation_inputs(symbols, pilot_indices, observations, consensus, decisio
     lags = np.empty((n_ant, 2 * length - 1), dtype=complex)
     corr = np.empty((n_ant, length), dtype=complex)
     y_norm2 = np.empty(n_ant)
+    # |s|^2 and conj(s) y of a chunk, transformed together
+    spectra = np.zeros((2, min(n_ant, ANTENNA_CHUNK), n_carriers), dtype=complex)
     for start in range(0, n_ant, ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
         used = consensus[chunk] | on_pilot
         s = np.where(consensus[chunk], alphabet.points[decisions[chunk]], pilot_symbols)
         y = np.where(used, observations[chunk], 0.0)
-        gram_row, s_hy = np.fft.ifft(np.stack([np.abs(s) ** 2, s.conj() * y]), axis=-1)
+        chunk_spectra = spectra[:, :s.shape[0]]
+        energy, s_y = chunk_spectra
+        np.square(np.abs(s, out=energy.real), out=energy.real)
+        np.multiply(s.conj(), y, out=s_y)
+        gram_row, s_hy = np.fft.ifft(chunk_spectra, axis=-1)
         lags[chunk, :length - 1] = gram_row[:, n_carriers - length + 1:]
         lags[chunk, length - 1:] = gram_row[:, :length]
         corr[chunk] = np.sqrt(n_carriers) * s_hy[:, :length]

@@ -596,21 +596,23 @@ def run_experiment(spec: ExperimentSpec) -> list:
 
     Rows are ordered by sweep point then by the spec's algorithm order and
     are reproducible for a fixed seed regardless of worker count.  With
-    several workers one process pool serves every sweep point.
+    several workers one process pool takes every (point, trial) job of the
+    sweep in one map, so no point waits for the previous one to finish.
     """
-    rows: list[ResultRow] = []
     points = [
         (k, snr, d)
         for k in spec.n_pilots
         for snr in spec.snr_db
         for d in spec.depth
     ]
+    jobs = [(spec, point_index, point, t)
+            for point_index, point in enumerate(points) for t in range(spec.trials)]
     parallel = spec.workers > 1
     with ProcessPoolExecutor(max_workers=spec.workers) if parallel else nullcontext() as pool:
-        for point_index, point in enumerate(points):
-            jobs = [(spec, point_index, point, t) for t in range(spec.trials)]
-            outcomes = list((pool.map if parallel else map)(_trial_worker, jobs))
-            rows.extend(_point_rows(spec, point, outcomes))
+        outcomes = list((pool.map if parallel else map)(_trial_worker, jobs))
+    rows: list[ResultRow] = []
+    for start, point in zip(range(0, len(jobs), spec.trials), points):
+        rows.extend(_point_rows(spec, point, outcomes[start:start + spec.trials]))
     return rows
 
 

@@ -68,8 +68,13 @@ def truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
 
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
     """Length-N channel frequency response F_L @ h of a length-L CIR; a
-    stack (..., L) of CIRs gives (..., N) in one FFT."""
-    return np.fft.fft(h, n=n_carriers) / np.sqrt(n_carriers)
+    stack (..., L) of CIRs gives (..., N) in one FFT.  The unitary scale
+    multiplies the float view by 1/sqrt(N), which is what dividing the
+    complex values by sqrt(N) computes."""
+    response = np.fft.fft(h, n=n_carriers)
+    parts = response.view(float)
+    np.multiply(parts, 1.0 / np.sqrt(n_carriers), out=parts)
+    return response
 
 
 def place_pilots(n_carriers: int, n_pilots: int, rng_seed: int) -> np.ndarray:
@@ -122,7 +127,11 @@ def synthesize_received(
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """y = A h + w with circular complex Gaussian noise of variance noise_var."""
+    """y = A h + w with circular complex Gaussian noise of variance noise_var.
+
+    The noise is drawn into one standard-normal buffer and scaled by
+    sigma = sqrt(noise_var / 2), for the real parts and then the imaginary
+    parts: the values two ``rng.normal(0, sigma)`` calls draw."""
     a = np.asarray(sensing_rows)
     h = np.asarray(h)
     if h.shape[-1] != a.shape[1]:
@@ -131,8 +140,11 @@ def synthesize_received(
         )
     received = np.asarray(h @ a.T, dtype=complex)
     sigma = np.sqrt(noise_var / 2.0)
-    received.real += rng.normal(0.0, sigma, size=received.shape)
-    received.imag += rng.normal(0.0, sigma, size=received.shape)
+    noise = np.empty(received.shape)
+    for part in (received.real, received.imag):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        part += noise
     return received
 
 
@@ -148,8 +160,8 @@ def equalize(received: np.ndarray, freq_resp: np.ndarray):
     if received.shape != freq_resp.shape:
         raise ValueError("received and frequency response shapes differ")
     bad = np.abs(freq_resp) < ZF_MIN_GAIN
-    equalized = received / np.where(bad, 1.0, freq_resp)
-    equalized[bad] = 0.0
+    equalized = np.zeros(received.shape, dtype=np.result_type(received, freq_resp))
+    np.divide(received, freq_resp, out=equalized, where=~bad)
     return equalized, bad
 
 

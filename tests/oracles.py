@@ -4,6 +4,10 @@
 vector, in the orthogonalized-column recursion that
 ``solver.greedy_search_stack`` runs for a stack; its ``SparseEstimate``
 keeps every chain support, conditional mean and Gram inverse.
+``gram_search_oracle`` is the Gram-domain stage loop that
+``solver.greedy_search_batch`` replaced: it ranks candidates by their full
+log posterior, forms |z|^2 through ``np.abs`` and inverts every R with
+LAPACK at the end.
 ``support_metric``, ``blue_estimate``, ``exhaustive_estimate`` and
 ``exhaustive_marginals`` score explicit supports one by one.  Priors are
 plain (L,) activity arrays, clamped as the solver clamps them.
@@ -12,7 +16,12 @@ no chain value reused, and ``error_covariance``, ``full_covariance_oracle``
 and ``assign_scores`` are the per-antenna forms of
 ``posterior.error_covariances`` and the integer scores of the grid runners.
 ``equalize_and_slice`` is zero-forcing detection of one antenna, the
-reference for the chunked BER scoring; ``qam_slice`` and
+reference for the chunked BER scoring.  ``freq_response_oracle``,
+``equalize_oracle``, ``synthesize_received_oracle`` and
+``reestimation_inputs_oracle`` are the carrier-domain forms that divide
+complex values by reals, store through masks, draw the noise as two
+``rng.normal`` calls and stack the two spectra; the production forms
+must equal them bit for bit.  ``qam_slice`` and
 ``indices_from_bits`` are the alphabet helpers only the tests use.
 
 ``top_carriers_oracle`` is the data-aided stage's top-U pick that scores
@@ -65,7 +74,7 @@ from gridce.data_aided import (
     distortion_covariance,
     top_reliable,
 )
-from gridce.ofdm import equalize, freq_response
+from gridce.ofdm import ZF_MIN_GAIN, equalize, freq_response
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.sharing import (
     BeliefKind,
@@ -78,6 +87,7 @@ from gridce.sharing import (
 )
 from gridce.solver import (
     COLLINEARITY_TOL,
+    ChainStack,
     _normalize_log_posteriors,
     _prior_terms,
     check_conditioning,
@@ -221,6 +231,86 @@ def greedy_search(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
     )
 
 
+def gram_search_oracle(gram, corr, y_norm2, lambdas, noise_vars, t_max) -> ChainStack:
+    """``greedy_search_batch``'s chains with the full log posterior of every
+    candidate as the stage key and R^-1 from ``np.linalg.inv``."""
+    gram = np.asarray(gram, dtype=complex)
+    gram = gram if gram.ndim == 3 else gram[None]
+    corr = np.asarray(corr, dtype=complex)
+    n, length = corr.shape
+    noise_vars = np.asarray(noise_vars, dtype=float)
+    prior_term, gain = _prior_terms(np.broadcast_to(lambdas, (n, length)))
+    col_norm2 = np.einsum("...jj->...j", gram).real
+    rows = np.arange(n)
+    gram_rows = rows if gram.shape[0] > 1 else 0
+    two_nv = 2.0 * noise_vars
+
+    b2 = np.broadcast_to(col_norm2, (n, length)).copy()
+    bhr = corr.copy()
+    res2 = np.asarray(y_norm2, dtype=float).copy()
+    w = np.zeros((n, t_max, length), dtype=complex)
+    r_fact = np.zeros((n, t_max, t_max), dtype=complex)
+    qty = np.zeros((n, t_max), dtype=complex)
+    chosen = np.zeros((n, t_max), dtype=int)
+    nus = np.zeros((n, t_max))
+    residuals = np.zeros((n, t_max))
+    available = np.ones((n, length), dtype=bool)
+    lengths = np.zeros(n, dtype=int)
+    stopped = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+
+    for stage in range(t_max):
+        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
+        stopped |= ~valid.any(axis=1)
+        lengths += ~stopped
+        skipped |= ~stopped & (available & ~valid).any(axis=1)
+        drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
+        nu_cand = np.where(
+            valid,
+            -(res2[:, None] - drop) / two_nv[:, None] + prior_term[:, None] + gain,
+            -np.inf,
+        )
+        j = np.argmax(nu_cand, axis=1)
+
+        norm = np.sqrt(np.where(stopped, 1.0, b2[rows, j]))
+        q_a = w[rows, :stage, j].conj()
+        g_col = gram[gram_rows, :, j]
+        w_new = (g_col - (q_a[:, None, :] @ w[:, :stage])[:, 0]) / norm[:, None]
+        r_fact[:, :stage, stage] = q_a
+        r_fact[:, stage, stage] = norm
+        qty[:, stage] = bhr[rows, j] / norm
+        w[:, stage] = w_new
+
+        res2 = np.maximum(res2 - drop[rows, j], 0.0)
+        prior_term = prior_term + gain[rows, j]
+        nus[:, stage] = -res2 / two_nv + prior_term
+        residuals[:, stage] = res2
+        b2 -= np.abs(w_new) ** 2
+        bhr -= w_new * qty[:, stage, None]
+        available[rows, j] = False
+        chosen[:, stage] = j
+
+    pad = np.arange(t_max) >= lengths[:, None]
+    for array, fill in ((chosen, 0), (nus, -np.inf), (qty, 0.0)):
+        np.copyto(array, fill, where=pad)
+    np.copyto(r_fact, np.eye(t_max), where=pad[:, None, :])
+    posteriors = np.zeros((n, t_max))
+    underflow = np.zeros(n, dtype=bool)
+    for s in set(lengths.tolist()) - {0}:
+        group = lengths == s
+        posteriors[group, :s], underflow[group] = _normalize_log_posteriors(nus[group, :s])
+    r_inv = np.linalg.inv(r_fact)
+    stack = ChainStack(
+        chosen=chosen, nus=nus, residuals=residuals, posteriors=posteriors,
+        r_factors=r_fact, r_inverses=r_inv, qty=qty,
+        taps=np.zeros((n, length), dtype=complex), noise_vars=noise_vars,
+        lengths=lengths, skipped=skipped, underflow=underflow,
+    )
+    coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]
+    stack.scatter(coef, out=stack.taps)
+    return stack
+
+
 def exhaustive_estimate(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
                         max_size: int):
     """Score every support of size 1..max_size (L <= 12 only).  Returns
@@ -343,6 +433,47 @@ def per_currency_grid(kind, observations, sensing_rows, config, depth) -> GridEs
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
         failed=final.failed.reshape(grid), diagnostics={"t_max": t_max},
     )
+
+
+def freq_response_oracle(h, n_carriers):
+    return np.fft.fft(h, n=n_carriers) / np.sqrt(n_carriers)
+
+
+def equalize_oracle(received, freq_resp):
+    bad = np.abs(freq_resp) < ZF_MIN_GAIN
+    equalized = received / np.where(bad, 1.0, freq_resp)
+    equalized[bad] = 0.0
+    return equalized, bad
+
+
+def synthesize_received_oracle(sensing_rows, h, noise_var, rng):
+    received = np.asarray(h @ np.asarray(sensing_rows).T, dtype=complex)
+    sigma = np.sqrt(noise_var / 2.0)
+    received.real += rng.normal(0.0, sigma, size=received.shape)
+    received.imag += rng.normal(0.0, sigma, size=received.shape)
+    return received
+
+
+def reestimation_inputs_oracle(symbols, pilot_indices, observations, consensus, decisions,
+                               alphabet, length):
+    n_ant, n_carriers = observations.shape
+    on_pilot = np.zeros(n_carriers, dtype=bool)
+    on_pilot[pilot_indices] = True
+    pilot_symbols = np.where(on_pilot, symbols, 0.0)
+    lags = np.empty((n_ant, 2 * length - 1), dtype=complex)
+    corr = np.empty((n_ant, length), dtype=complex)
+    y_norm2 = np.empty(n_ant)
+    for start in range(0, n_ant, ANTENNA_CHUNK):
+        chunk = slice(start, start + ANTENNA_CHUNK)
+        used = consensus[chunk] | on_pilot
+        s = np.where(consensus[chunk], alphabet.points[decisions[chunk]], pilot_symbols)
+        y = np.where(used, observations[chunk], 0.0)
+        gram_row, s_hy = np.fft.ifft(np.stack([np.abs(s) ** 2, s.conj() * y]), axis=-1)
+        lags[chunk, :length - 1] = gram_row[:, n_carriers - length + 1:]
+        lags[chunk, length - 1:] = gram_row[:, :length]
+        corr[chunk] = np.sqrt(n_carriers) * s_hy[:, :length]
+        y_norm2[chunk] = np.einsum("ij,ij->i", y.conj(), y).real
+    return lags, corr, y_norm2
 
 
 def equalize_and_slice(received, freq_resp, alphabet):

@@ -4,11 +4,15 @@
 covariance sum (all in ``tests/oracles.py``) are the oracles.  The Gram recursion of
 ``greedy_search_batch`` sums in a different order than the
 orthogonalized-column recursion, so its values are compared to a relative
-tolerance and chosen supports exactly.  ``greedy_search_stack`` runs the
+tolerance and chosen supports exactly.  ``gram_search_oracle`` is the Gram
+stage loop it replaced (full log posterior as the key, |z|^2 through
+``np.abs``, R^-1 from LAPACK): picks and flags must equal it, values agree
+within the same tolerance.  ``greedy_search_stack`` runs the
 orthogonalized-column recursion itself and must equal ``greedy_search`` bit
-for bit in everything but the combined taps.  Chains that stop early
-(rank-deficient rows) are compared on their prefix; the padding past it
-must read as zeros.
+for bit in everything but the combined taps and R^-1.  Chains that stop
+early (rank-deficient rows) are compared on their prefix; the padding past
+it must read as zeros.  Both stage loops grow R^-1 next to R, so every
+stack checks R^-1 R = I.
 """
 
 from itertools import combinations
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridce.data_aided import reestimation_inputs, toeplitz_grams
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.posterior import error_covariances, lattice_marginals
@@ -29,16 +34,27 @@ from gridce.solver import (
     greedy_search_stack,
     search_rows,
 )
-from oracles import error_covariance, full_covariance_oracle, greedy_search, lattice_oracle
+from gridce.qam import build_qam_alphabet
+from oracles import (
+    error_covariance,
+    full_covariance_oracle,
+    gram_search_oracle,
+    greedy_search,
+    lattice_oracle,
+)
 
-#: relative agreement of nus, conditional means, combined taps, covariances
+#: relative agreement of nus, conditional means, combined taps, covariances,
+#: R^-1 and R^-1 R = I
 REL = 1e-9
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def assert_rel(got, want):
-    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+def assert_rel(got, want, scale=None):
+    """Within ``REL`` of ``scale``, by default the largest magnitude of
+    ``want``."""
+    if scale is None:
+        scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
     assert float(np.abs(np.asarray(got) - want).max(initial=0.0)) <= REL * scale
 
 
@@ -145,6 +161,14 @@ def assert_padding(stack):
         np.testing.assert_array_equal(factor[columns], eye[columns])
 
 
+def assert_inverse(stack):
+    """Per row, R^-1 R = I within ``REL`` of max|R^-1| max|R|."""
+    eye = np.eye(stack.r_factors.shape[1])
+    for rinv, r in zip(stack.r_inverses, stack.r_factors):
+        error = float(np.abs(rinv @ r - eye).max())
+        assert error <= REL * float(np.abs(rinv).max()) * float(np.abs(r).max())
+
+
 def assert_chain_factors_equal(stack, row, want):
     """R and Q^H y of a stack row bit for bit, through what greedy_search
     computes from its own: each stage's conditional mean
@@ -214,6 +238,7 @@ def test_stack_matches_greedy_search(case):
     a, ys, lambdas, noise_vars, t_max = case
     stack = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
     assert_padding(stack)
+    assert_inverse(stack)
     for row in range(ys.shape[0]):
         want = reference(a, ys[row], lambdas[row], noise_vars[row], t_max)
         assert_row_equals_greedy_search(stack, row, want)
@@ -256,6 +281,7 @@ def test_batch_matches_greedy_search(case):
     covariances = error_covariances(stack)
     means = stage_means(stack)
     assert_padding(stack)
+    assert_inverse(stack)
     for row, (a, y, lambdas, noise_var) in enumerate(systems):
         want = reference(a, y, lambdas, noise_var, t_max)
         assert bool(stack.failed[row]) == (want is None)
@@ -275,6 +301,77 @@ def test_batch_matches_greedy_search(case):
         taps = want.detected_taps
         assert_rel(covariances[row, :n, :n], full_covariance_oracle(want)[np.ix_(taps, taps)])
         assert not covariances[row, n:].any() and not covariances[row, :, n:].any()
+
+
+@st.composite
+def gram_systems(draw):
+    """Gram-domain inputs of a few observation vectors and a t_max: one
+    shared Gram of random rows (with zero columns, and rows or rank below
+    t_max, so chains stop early), or one Toeplitz-view Gram per row as
+    ``reestimation_inputs`` forms them (4-QAM partial-DFT rows on random
+    carrier sets, some with fewer carriers than t_max, some with none).
+    One observation may be zero.  No column is duplicated where the prior
+    is uniform: priors are per tap wherever the model ties exactly (a
+    filled rank, aliased DFT columns)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    toeplitz = draw(st.booleans())
+    n = draw(st.sampled_from([1, 6, 40]))
+    length = draw(st.integers(1, 48))
+    t_max = draw(st.integers(1, min(length, 7)))
+    zero_y = draw(st.booleans())
+    rng = make_rng(seed)
+    noise_vars = 10 ** rng.uniform(-4, 0, size=n)
+    lambdas = rng.uniform(0.01, 0.5, size=(n, length))
+    if toeplitz:
+        n_carriers = draw(st.integers(length, 2 * length))
+        alphabet = build_qam_alphabet(4)
+        symbols = alphabet.points[rng.integers(0, 4, size=n_carriers)]
+        pilots = np.flatnonzero(rng.random(n_carriers) < draw(st.sampled_from([0.0, 0.1, 0.3])))
+        consensus = rng.random((n, n_carriers)) < rng.uniform(0, 1, size=(n, 1))
+        consensus[:, pilots] = False
+        decisions = rng.integers(0, 4, size=(n, n_carriers))
+        observations = rng.normal(size=(n, n_carriers)) + 1j * rng.normal(size=(n, n_carriers))
+        observations[0] *= not zero_y
+        lags, corr, y_norm2 = reestimation_inputs(symbols, pilots, observations, consensus,
+                                                  decisions, alphabet, length)
+        return toeplitz_grams(lags), corr, y_norm2, lambdas, noise_vars, t_max
+    k = draw(st.integers(1, 24))
+    rank = draw(st.none() | st.integers(1, t_max))
+    a = random_rows(rng, k, length, 0, rank if rank is not None and rank < k else None)
+    a[:, rng.choice(length, size=draw(st.integers(0, min(3, length))), replace=False)] = 0
+    h = np.zeros((n, length), complex)
+    for row in h:
+        taps = rng.choice(length, size=min(3, length), replace=False)
+        row[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
+    noise = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    ys = h @ a.T + np.sqrt(noise_vars / 2)[:, None] * noise
+    ys[0] *= not zero_y
+    if rank is None and t_max < k and draw(st.booleans()):
+        lambdas = np.full((n, length), min(3 / length, 0.5))
+    return (*gram_products(a, ys), lambdas, noise_vars, t_max)
+
+
+@PROPERTY
+@given(gram_systems())
+def test_batch_matches_gram_oracle(case):
+    """The stage loop against the one it replaced: equal picks, chain
+    lengths and flags; log posteriors, posteriors, taps and R^-1 of every
+    row within ``REL``, and residuals within ``REL`` of ||y||^2, the value
+    they are subtracted from; R^-1 R = I and exact identity padding."""
+    stack = greedy_search_batch(*case)
+    want = gram_search_oracle(*case)
+    for name in ("chosen", "lengths", "skipped", "underflow"):
+        np.testing.assert_array_equal(getattr(stack, name), getattr(want, name))
+    assert_padding(stack)
+    assert_inverse(stack)
+    y_norm2 = case[2]
+    for row in range(stack.chosen.shape[0]):
+        n = stack.lengths[row]
+        assert_rel(stack.residuals[row, :n], want.residuals[row, :n], y_norm2[row])
+        for name in ("nus", "posteriors"):
+            assert_rel(getattr(stack, name)[row, :n], getattr(want, name)[row, :n])
+        for name in ("taps", "r_inverses"):
+            assert_rel(getattr(stack, name)[row], getattr(want, name)[row])
 
 
 @PROPERTY

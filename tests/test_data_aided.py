@@ -66,6 +66,7 @@ from oracles import (
     greedy_search,
     nearest_indices_oracle,
     neighbors,
+    reestimation_inputs_oracle,
     sq_distances_oracle,
     top_carriers_oracle,
 )
@@ -209,6 +210,28 @@ class TestClosedForms:
             assert_close(grams[b], want_gram[b])
             assert_close(corr[b], want_corr[b])
             assert_close(y_norm2[b], want_norm[b])
+
+    @PROPERTY
+    @given(dft_systems())
+    def test_reestimation_inputs_match_stacked_spectra(self, case):
+        """The preallocated spectra buffer gives the products of the
+        ``np.stack`` form bit for bit."""
+        *system, _ = case
+        for got, want in zip(reestimation_inputs(*system), reestimation_inputs_oracle(*system)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_reestimation_inputs_match_stacked_spectra_over_chunks(self):
+        """37 antennas: two full chunks and a short one share the buffer."""
+        rng = make_rng(37)
+        symbols = QAM4.points[rng.integers(0, 4, size=128)]
+        pilots = np.sort(rng.choice(128, size=16, replace=False))
+        consensus = rng.random((37, 128)) < 0.4
+        consensus[:, pilots] = False
+        decisions = rng.integers(0, 4, size=(37, 128))
+        observations = rng.normal(size=(37, 128)) + 1j * rng.normal(size=(37, 128))
+        system = (symbols, pilots, observations, consensus, decisions, QAM4, 32)
+        for got, want in zip(reestimation_inputs(*system), reestimation_inputs_oracle(*system)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @PROPERTY
     @given(dft_systems(), st.integers(1, 6))

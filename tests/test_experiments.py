@@ -679,6 +679,16 @@ class TestRunExperiment:
         parallel = run_experiment(dataclasses.replace(spec, workers=2))
         assert serial == parallel
 
+    def test_worker_count_invariance_over_three_points(self):
+        """Every (point, trial) job of a 3-point sweep goes to the pool in
+        one map; the rows still come out point by point in the spec's
+        algorithm order, identical on 1 and 2 workers."""
+        spec = small_spec(depth=(1, 2, 3), trials=2)
+        serial = run_experiment(spec)
+        assert serial == run_experiment(dataclasses.replace(spec, workers=2))
+        assert [(r.depth, r.algorithm) for r in serial] == [
+            (d, a) for d in (1, 2, 3) for a in spec.algorithms]
+
     @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 4)])
     def test_worker_count_invariance_line_and_non_square(self, rows, cols):
         """Rows are identical across worker counts on a 1xN line and a

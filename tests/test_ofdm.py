@@ -18,7 +18,13 @@ from gridce.ofdm import (
     truncated_dft,
 )
 from gridce.qam import build_qam_alphabet
-from oracles import equalize_and_slice, qam_slice
+from oracles import (
+    equalize_and_slice,
+    equalize_oracle,
+    freq_response_oracle,
+    qam_slice,
+    synthesize_received_oracle,
+)
 
 QAM4 = build_qam_alphabet(4)
 
@@ -148,6 +154,18 @@ class TestDftProperties:
         )
 
 
+    @pytest.mark.parametrize("n_carriers", [1, 16, 64, 512])
+    def test_freq_response_matches_division_bit_for_bit(self, n_carriers):
+        """Scaling the float view by 1/sqrt(N) is the complex division by
+        sqrt(N), on one CIR and on a stack."""
+        rng = make_rng(n_carriers)
+        for shape in ((1,), (16,), (3, 5, 16)):
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            np.testing.assert_array_equal(
+                freq_response(h, n_carriers).view(np.uint64),
+                freq_response_oracle(h, n_carriers).view(np.uint64))
+
+
 class TestSynthesizeReceived:
     def test_noiseless_is_exact(self):
         pilots = place_pilots(64, 12, 0)
@@ -191,6 +209,18 @@ class TestSynthesizeReceived:
         want = h @ sensing.T + (g.normal(0.0, sigma, shape) + 1j * g.normal(0.0, sigma, shape))
         np.testing.assert_array_equal(y.view(np.uint64), want.view(np.uint64))
 
+    def test_noise_matches_two_normal_draws_bit_for_bit(self):
+        """One standard-normal block scaled by sigma is what two
+        ``rng.normal(0, sigma)`` calls draw, real part first: 20 seeds on a
+        20 x 20 grid of 512 carriers."""
+        frame = modulate_frame(QAM4, 512, place_pilots(512, 16, 0), make_rng(0))
+        sensing = build_sensing_matrix(frame, 64)
+        h = make_rng(1).normal(size=(20, 20, 64)) + 0j
+        for seed in range(20):
+            got = synthesize_received(sensing, h, 0.01 * (seed + 1), make_rng(seed, 3))
+            want = synthesize_received_oracle(sensing, h, 0.01 * (seed + 1), make_rng(seed, 3))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_real_inputs_give_complex_observations(self):
         sensing = np.arange(12.0).reshape(4, 3)
         y = synthesize_received(sensing, np.ones((2, 3)), 0.1, make_rng(0))
@@ -223,6 +253,19 @@ class TestEqualizeAndSlice:
         equalized, bad = equalize(y, resp)
         np.testing.assert_array_equal(bad, [False, True, False, True])
         assert equalized[1] == 0.0
+
+    def test_equalize_matches_masked_store_bit_for_bit(self):
+        """The masked division into zeros equals dividing by 1 on the
+        undecodable carriers and storing zeros there."""
+        rng = make_rng(11)
+        received = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
+        resp = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
+        resp[rng.random((16, 64)) < 0.1] = 0.0
+        resp[3, :5] = 1e-13
+        got, got_bad = equalize(received, resp)
+        want, want_bad = equalize_oracle(received, resp)
+        np.testing.assert_array_equal(got_bad, want_bad)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_detect_matches_per_antenna_and_carrier_subsets(self, order):
