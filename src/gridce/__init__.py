@@ -45,7 +45,6 @@ from .sharing import (
 )
 from .solver import (
     ChainStack,
-    gram_products,
     greedy_search_batch,
     greedy_search_stack,
     search_rows,

@@ -401,8 +401,7 @@ def run_data_aided(
             decisions[aided], alphabet, length,
         )
         stack = greedy_search_batch(
-            toeplitz_grams(lags), corr, y_norm2, base.priors[aided],
-            np.full(aided[0].size, config.noise_var),
+            toeplitz_grams(lags), corr, y_norm2, base.priors[aided], config.noise_var,
             base.support.shape[-1],
         )
         taps[aided] = stack.taps

@@ -109,6 +109,8 @@ class ExperimentSpec:
                     f"{name}={getattr(self, name)!r} must be a list of values")
         if not self.n_pilots or not self.snr_db or not self.depth or not self.algorithms:
             raise ConfigurationError("sweep axes and algorithms must be nonempty")
+        if not all(isinstance(a, str) for a in self.algorithms):
+            raise ConfigurationError(f"algorithms {self.algorithms} must hold names")
         for name in ("drift", "lambda_small"):
             if not _is_number(getattr(self, name), numbers.Real):
                 raise ConfigurationError(f"{name}={getattr(self, name)!r} must be a number")
@@ -205,6 +207,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config must be a JSON object of fields, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -24,8 +24,7 @@ from .solver import (
     COLLINEARITY_TOL,
     ChainStack,
     _normalize_log_posteriors,
-    _prior_terms,
-    gram_products,
+    _stack_prior_terms,
 )
 
 #: lattice enumeration guard: 2^T - 1 subsets
@@ -82,63 +81,52 @@ def _check_lattice_size(t: int):
         )
 
 
-def lattice_marginals(stack: ChainStack, sensing_rows: np.ndarray, ys: np.ndarray,
-                      lambdas: np.ndarray) -> np.ndarray:
+def lattice_marginals(stack: ChainStack, lambdas: np.ndarray) -> np.ndarray:
     """Per-tap marginals of every row of a stack, (B, T): the lattice
     posteriors summed over the subsets containing each detected tap, zero
     past each row's chain length.
 
-    ``sensing_rows``, ``ys`` and ``lambdas`` are the shared rows A (K, L),
-    observations (B, K) and priors the stack was searched with (as
-    ``search_rows`` takes them); the subset fits read their
-    ``gram_products``.  Rows of equal chain length share one lattice.
+    ``lambdas`` are the priors the stack was searched with, one (L,) row
+    for every chain or one row per chain (B, L).  The subset fits read only
+    the chain: its last residual ``residuals[:, T-1]`` and the Gram of
+    [R | Q^H y] (see the module docstring).  Rows of equal chain length
+    share one lattice.
     """
-    gram, corr, y_norm2 = gram_products(sensing_rows, ys)
-    base, gain = _prior_terms(np.broadcast_to(lambdas, corr.shape))
+    base, gain = _stack_prior_terms(lambdas, *stack.taps.shape)
     out = np.zeros(stack.chosen.shape)
     for t in set(stack.lengths.tolist()) - {0}:  # np.unique adds ~1.4 MB to peak RSS
         _check_lattice_size(t)
         rows = np.flatnonzero(stack.lengths == t)
-        chosen = stack.chosen[rows, :t]
+        border = np.concatenate((stack.r_factors[rows, :t, :t], stack.qty[rows, :t, None]),
+                                axis=2)
+        gram = (border.conj().transpose(0, 2, 1) @ border).reshape(rows.size, -1)
         nus = _lattice_nus(
-            stack.nus[rows, :t], _lattice_source(gram, corr[rows], chosen),
-            COLLINEARITY_TOL**2 * gram.diagonal().real[chosen.T], y_norm2[rows],
-            base[rows], np.take_along_axis(gain[rows], chosen, axis=1),
-            stack.noise_vars[rows],
+            stack.nus[rows, :t], np.ascontiguousarray(gram.T), stack.residuals[rows, t - 1],
+            base[rows], gain[rows[:, None], stack.chosen[rows, :t]], stack.noise_vars[rows],
         )
         out[rows, :t] = _lattice_sums(_normalize_log_posteriors(nus)[0])
     return out
 
 
-def _lattice_source(gram, corr, chosen):
-    """The entries of the bordered Grams [[G, c], [c^H, 0]] of B rows'
-    detected taps ``chosen`` (B, T), one row per entry and a column per
-    row: G_jk at j * T + k, conj(c_j) at T^2 + j and a zero last.  ``gram``
-    is the shared (L, L) A^H A and ``corr`` the rows' A^H y (B, L)."""
-    n_rows, t = chosen.shape
-    source = np.empty((t * t + t + 1, n_rows), dtype=complex)
-    source[:t * t] = gram[chosen.T[:, None], chosen.T[None, :]].reshape(t * t, n_rows)
-    np.conjugate(np.take_along_axis(corr, chosen, axis=1).T, out=source[t * t:-1])
-    source[-1] = 0.0
-    return source
-
-
-def _lattice_nus(chain_nus, source, bounds, y_norm2, base, gains, noise_vars):
+def _lattice_nus(chain_nus, source, chain_res2, base, gains, noise_vars):
     """(B, 2^T - 1) lattice log posteriors of B rows with T detected taps
-    each, from their ``_lattice_source``, pivot ``bounds`` (T, B) and
-    prior gains (B, T); the chain prefix of each subset size reuses
-    ``chain_nus``."""
-    n_detected = bounds.shape[0]
+    each, from the (T + 1)^2 entries of each row's Gram of [R | Q^H y]
+    (``source``, a column per row, entry (i, j) at i * (T + 1) + j), the
+    full chain's residual (B,) and the prior gains (B, T); the chain prefix
+    of each subset size reuses ``chain_nus``.  A pivot's bound is
+    ``COLLINEARITY_TOL**2`` times its tap's squared column norm, the
+    Gram's diagonal."""
+    n_detected = chain_nus.shape[1]
+    bounds = COLLINEARITY_TOL**2 * source[:-1:n_detected + 2].real
     two_nv = 2.0 * noise_vars[:, None]
-    nus = np.empty((bounds.shape[1], 2 ** n_detected - 1))
+    nus = np.empty((source.shape[1], 2 ** n_detected - 1))
     first = 0
     for size, block in enumerate(_position_combos(n_detected), start=1):
         # chain prefix (row 0: positions 0..s-1) reuses the greedy-stage value
         nus[:, first] = chain_nus[:, size - 1]
         if block.shape[0] > 1:
             rest = block[1:]
-            fit = _subset_fits(source, bounds, size)
-            res2 = np.maximum(y_norm2[:, None] - fit.T, 0.0)
+            res2 = np.maximum(chain_res2[:, None] + _subset_fits(source, bounds, size).T, 0.0)
             nus[:, first + 1:first + block.shape[0]] = (
                 -res2 / two_nv + base[:, None] + gains[:, rest].sum(axis=2))
         first += block.shape[0]
@@ -147,34 +135,30 @@ def _lattice_nus(chain_nus, source, bounds, y_norm2, base, gains, noise_vars):
 
 @lru_cache(maxsize=64)
 def _bordered_entries(n_detected: int, size: int) -> np.ndarray:
-    """(E, C) ``source`` rows of the bordered Gram [[G_S, c_S], [c_S^H, 0]]
-    of every non-prefix subset S of ``size`` positions: its lower triangle
-    packed column by column, E = (s + 1)(s + 2) / 2."""
+    """(E, C) ``source`` rows of the bordered Gram [[G_S, c_S], [c_S^H,
+    ||Q^H y||^2]] of every non-prefix subset S of ``size`` positions: the
+    Gram of [R | Q^H y] on S's columns and the border, column T, with its
+    lower triangle packed column by column, E = (s + 1)(s + 2) / 2."""
     t = n_detected
     rest = _position_combos(t)[size - 1][1:]
-    entries = []
-    for j in range(size + 1):
-        for i in range(j, size + 1):
-            if i < size:
-                entries.append(rest[:, i] * t + rest[:, j])
-            elif j < size:
-                entries.append(t * t + rest[:, j])
-            else:
-                entries.append(np.full(rest.shape[0], t * t + t))
-    return np.stack(entries)
+    columns = np.hstack((rest, np.full((rest.shape[0], 1), t)))
+    return np.stack([columns[:, i] * (t + 1) + columns[:, j]
+                     for j in range(size + 1) for i in range(j, size + 1)])
 
 
 def _subset_fits(source, bounds, size):
-    """(C, B) fits c_S^H G_S^-1 c_S of the C non-prefix subsets S of
-    ``size`` positions of every row, from the rows' ``_lattice_source`` and
-    pivot ``bounds`` (T, B), by a Cholesky factorization of each bordered
-    Gram written elementwise over the (subset, row) axes.
+    """(C, B) T-space residuals ||Q^H y||^2 - c_S^H G_S^-1 c_S of the C
+    non-prefix subsets S of ``size`` positions of every row, from the rows'
+    Grams of [R | Q^H y] (``source``, see ``_lattice_nus``) and pivot
+    ``bounds`` (T, B), by a Cholesky factorization of each bordered Gram
+    written elementwise over the (subset, row) axes.
 
-    Eliminating the first s columns of [[G, c], [c^H, 0]] leaves
-    -c^H G^-1 c = -||L^-1 c||^2 in the corner.  Every subset Gram is a
-    principal submatrix of its chain's Gram, which is positive definite
-    (every chain tap passed the ``COLLINEARITY_TOL`` test), so each pivot
-    is positive; a pivot at or below its bound, ``COLLINEARITY_TOL**2 *
+    Eliminating the first s columns of [[G, c], [c^H, ||Q^H y||^2]] leaves
+    ||Q^H y||^2 - ||L^-1 c||^2 in the corner: the energy of the part of y
+    in the chain's span that S leaves unfitted.  Every subset Gram is a principal
+    submatrix of its chain's Gram R^H R, which is positive definite (every
+    chain tap passed the ``COLLINEARITY_TOL`` test), so each pivot is
+    positive; a pivot at or below its bound, ``COLLINEARITY_TOL**2 *
     G_jj`` for detected tap j, counts as a column dependent on the ones
     before it, which adds nothing to the fit (the projection ``lstsq``
     gives).
@@ -210,4 +194,4 @@ def _subset_fits(source, bounds, size):
             trailing = packed[target:target + count]
             np.subtract(trailing, product[:count], out=trailing)
             target += count
-    return -packed[-1].real
+    return packed[-1].real.copy()  # a view would keep the work buffer alive

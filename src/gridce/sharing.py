@@ -186,13 +186,6 @@ def _trace_rounds(path, rounds, detected):
             writer.writerows(zip(repeat(i), r, c, tap, map(repr, values[r, c, tap].tolist())))
 
 
-def _search_grid(ys, sensing_rows, lambdas, config, t_max) -> ChainStack:
-    """One chain per antenna of the (M*G, K) observations ``ys`` under the
-    (M*G, L) priors ``lambdas`` and the noise level ``config`` assumes."""
-    return search_rows(sensing_rows, ys, lambdas, np.full(ys.shape[0], config.noise_var),
-                       t_max)
-
-
 @dataclass(frozen=True)
 class FirstPass:
     """What the grid runners read of the pilot-only first pass, arrays only.
@@ -225,14 +218,14 @@ def first_pass(observations, sensing_rows, config: GridSolverConfig, kinds) -> F
     grid = observations.shape[:2]
     t_max = search_depth(length, config.lambda_init, n_obs)
     ys = np.ascontiguousarray(observations, dtype=complex).reshape(-1, n_obs)
-    lambdas = np.full((ys.shape[0], length), config.lambda_init)
-    stack = _search_grid(ys, sensing_rows, lambdas, config, t_max)
+    lambdas = np.full(length, config.lambda_init)
+    stack = search_rows(sensing_rows, ys, lambdas, config.noise_var, t_max)
     values = {}
     if BeliefKind.SCORE in kinds:
         values[BeliefKind.SCORE] = _rank_scores(stack)
     if BeliefKind.MARGINAL in kinds:
         values[BeliefKind.MARGINAL] = stack.scatter(
-            lattice_marginals(stack, sensing_rows, ys, lambdas))
+            lattice_marginals(stack, lambdas))
     detected = stack.scatter(np.ones(stack.chosen.shape, dtype=bool))
     return FirstPass(
         ys=ys.reshape(*grid, n_obs), pilot_rows=sensing_rows, t_max=t_max,
@@ -269,8 +262,8 @@ def _run_grid(kind, first: FirstPass, config, depth) -> GridEstimate:
     # off-gate values are zero (or lambda_small) and clamp to lambda_small
     scale = t_max if kind is BeliefKind.SCORE else 1
     priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
-    final = _search_grid(first.ys.reshape(-1, n_obs), first.pilot_rows,
-                         priors.reshape(-1, length), config, t_max)
+    final = search_rows(first.pilot_rows, first.ys.reshape(-1, n_obs),
+                        priors.reshape(-1, length), config.noise_var, t_max)
     return GridEstimate(
         taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,

@@ -28,7 +28,7 @@ factorization on shared rows: each stage scores all single-index
 extensions of the previous support in O(K*L) by updating the
 orthogonalized column residuals, never re-solving from scratch.
 ``search_rows`` is the entry point on shared rows and picks between the
-two; ``gram_products`` forms the Gram-domain inputs from the rows.
+two.
 
 A stage extends support S by the candidate j with the largest
 
@@ -110,6 +110,13 @@ def _prior_terms(lambdas: np.ndarray):
     return log_off.sum(axis=-1), np.log(lam) - log_off
 
 
+def _stack_prior_terms(lambdas: np.ndarray, n: int, length: int):
+    """``_prior_terms`` of one prior row (L,) or of one per row (B, L),
+    taken before broadcasting: base (B,) and gain (B, L), read-only."""
+    base, gain = _prior_terms(lambdas)
+    return np.broadcast_to(base, (n,)), np.broadcast_to(gain, (n, length))
+
+
 def _normalize_log_posteriors(nus: np.ndarray):
     """Normalize log posteriors along the last axis.  Rows whose weights
     do not sum to a positive finite total (all -inf among them) fall back
@@ -186,7 +193,8 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
 
     ``gram`` is A^H A, shared (L, L) or one per row (B, L, L); ``corr`` is
     A^H y (B, L), ``y_norm2`` is ||y||^2 (B,), ``lambdas`` the activity
-    priors (B, L) and ``noise_vars`` (B,).  The stage state is W = A^H Q
+    priors, one row (L,) for every vector or one per row (B, L), and
+    ``noise_vars`` a scalar or (B,).  The stage state is W = A^H Q
     (B, T, L) in place of the orthogonalized K x L columns:
 
         ||P_S_perp a_j||^2 = G_jj - sum_s |W_sj|^2
@@ -212,13 +220,13 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     gram_t = gram.transpose(0, 2, 1) if per_row else np.ascontiguousarray(gram.T)
     corr = np.asarray(corr, dtype=complex)
     n, length = corr.shape
-    noise_vars = np.asarray(noise_vars, dtype=float)
+    noise_vars = np.full(n, noise_vars, dtype=float)
     if not np.all(noise_vars > 0):  # NaN (a None noise_var) included
         raise ConfigurationError("noise_var must be positive")
     if t_max < 1 or t_max > length:
         raise ConfigurationError(f"t_max={t_max} must lie in [1, L]")
 
-    prior_term, gain = _prior_terms(np.broadcast_to(lambdas, (n, length)))
+    prior_term, gain = _stack_prior_terms(lambdas, n, length)
     col_norm2 = np.einsum("...jj->...j", gram).real     # (L,) or (B, L)
     threshold = COLLINEARITY_TOL**2 * col_norm2
     rows = np.arange(n)
@@ -323,23 +331,23 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     recursion (``greedy_search`` in ``tests/oracles.py``; numpy hands each
     row of a stacked product to the kernel the 2-D call uses), so each row
     rounds as a one-vector call does and equals it bit for bit up to R^-1
-    and the combined taps.  The rank-filling tie (t_max == K) is therefore settled
-    as that recursion settles it.  ``lambdas`` is
-    (B, L) and ``noise_vars`` (B,); a row whose candidates run out stops
-    and is padded (see ``ChainStack``), a row without a usable column has
-    length 0.
+    and the combined taps.  The rank-filling tie (t_max == K) is therefore
+    settled as that recursion settles it.  ``lambdas`` and ``noise_vars``
+    are taken as ``greedy_search_batch`` takes them; a row whose candidates
+    run out stops and is padded (see ``ChainStack``), a row without a
+    usable column has length 0.
     """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     ys = np.ascontiguousarray(ys, dtype=complex)
     k, length = a.shape
     n = ys.shape[0]
-    noise_vars = np.asarray(noise_vars, dtype=float)
+    noise_vars = np.full(n, noise_vars, dtype=float)
     if not np.all(noise_vars > 0):
         raise ConfigurationError("noise_var must be positive")
     if t_max < 1 or t_max > min(k, length):
         raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
 
-    prior_term, gain = _prior_terms(np.broadcast_to(lambdas, (n, length)))
+    prior_term, gain = _stack_prior_terms(lambdas, n, length)
     col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
     rows = np.arange(n)
     two_nv = 2.0 * noise_vars
@@ -442,13 +450,6 @@ def _finish_chains(chosen, nus, residuals, r_fact, r_inv, qty, noise_vars, lengt
     return stack
 
 
-def gram_products(sensing_rows: np.ndarray, ys: np.ndarray):
-    """(A^H A, A^H y, ||y||^2) of observation vectors ``ys`` (B, K) on
-    shared rows A (K, L): (L, L), (B, L) and (B,)."""
-    a = np.ascontiguousarray(sensing_rows, dtype=complex)
-    return a.conj().T @ a, ys @ a.conj(), np.einsum("bk,bk->b", ys.conj(), ys).real
-
-
 def search_rows(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
                 noise_vars: np.ndarray, t_max: int) -> ChainStack:
     """One chain per observation vector ``ys`` (B, K) on shared rows A (K, L).
@@ -456,9 +457,11 @@ def search_rows(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,
     When t_max fills the K rows, every free candidate ties at a zero
     residual in the last stage and rounding settles the pick, so those
     chains run the K-domain recursion (``greedy_search_stack``); all others
-    run in the Gram domain on ``gram_products``.
+    run in the Gram domain on A^H A, A^H y and ||y||^2.
     """
     if t_max < np.shape(sensing_rows)[0]:
-        return greedy_search_batch(*gram_products(sensing_rows, ys), lambdas, noise_vars,
-                                   t_max)
+        a = np.ascontiguousarray(sensing_rows, dtype=complex)
+        return greedy_search_batch(a.conj().T @ a, ys @ a.conj(),
+                                   np.einsum("bk,bk->b", ys.conj(), ys).real,
+                                   lambdas, noise_vars, t_max)
     return greedy_search_stack(sensing_rows, ys, lambdas, noise_vars, t_max)

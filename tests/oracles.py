@@ -414,7 +414,7 @@ def per_currency_grid(kind, observations, sensing_rows, config, depth) -> GridEs
     lambdas = np.full((ys.shape[0], length), config.lambda_init)
     first = search_rows(sensing_rows, ys, lambdas, noise_vars, t_max)
     if kind is BeliefKind.MARGINAL:
-        values = first.scatter(lattice_marginals(first, sensing_rows, ys, lambdas))
+        values = first.scatter(lattice_marginals(first, lambdas))
     else:
         values = _rank_scores(first)
     detected = first.scatter(np.ones(first.chosen.shape, dtype=bool)).reshape(*grid, length)

@@ -184,7 +184,7 @@ class TestAcceptance:
                 prior = np.full(16, 3 / 16)
                 stack = search_rows(a, y[None], prior[None], np.array([0.01]), t_max)
                 n = stack.lengths[0]
-                fast = lattice_marginals(stack, a, y[None], prior[None])[0, :n]
+                fast = lattice_marginals(stack, prior)[0, :n]
                 _, _, slow = lattice_oracle(stack.chosen[0, :n], a, y, prior, 0.01)
                 worst = max(worst, float(np.abs(fast - slow).max()))
         detected = np.array([11, 3, 7])

@@ -24,12 +24,11 @@ from hypothesis import strategies as st
 
 from gridce.data_aided import reestimation_inputs, toeplitz_grams
 from gridce.errors import ConfigurationError, IllConditionedSupportError
-from gridce.ofdm import make_rng
+from gridce.ofdm import make_rng, truncated_dft
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
     COLLINEARITY_TOL,
     PRIOR_EPS,
-    gram_products,
     greedy_search_batch,
     greedy_search_stack,
     search_rows,
@@ -348,7 +347,8 @@ def gram_systems(draw):
     ys[0] *= not zero_y
     if rank is None and t_max < k and draw(st.booleans()):
         lambdas = np.full((n, length), min(3 / length, 0.5))
-    return (*gram_products(a, ys), lambdas, noise_vars, t_max)
+    return (a.conj().T @ a, ys @ a.conj(), np.einsum("bk,bk->b", ys.conj(), ys).real,
+            lambdas, noise_vars, t_max)
 
 
 @PROPERTY
@@ -377,14 +377,13 @@ def test_batch_matches_gram_oracle(case):
 @PROPERTY
 @given(antenna_systems(max_t=6))
 def test_lattice_matches_from_scratch(case):
+    """Each antenna's lattice, on its own rows (ragged K included), equals
+    the from-scratch lattice on those rows."""
     systems, t_max = case
-    a = systems[0][0]
-    same_rows = [s for s in systems if s[0] is a]
-    gram, corr, y_norm2, lambdas, noise_vars = stack_inputs(same_rows)
-    stack = greedy_search_batch(gram[0], corr, y_norm2, lambdas, noise_vars, t_max)
-    ys = np.stack([y for _, y, *_ in same_rows])
-    marginals = lattice_marginals(stack, a, ys, lambdas)
-    for row, (_, y, lam, noise_var) in enumerate(same_rows):
+    gram, corr, y_norm2, lambdas, noise_vars = stack_inputs(systems)
+    stack = greedy_search_batch(gram, corr, y_norm2, lambdas, noise_vars, t_max)
+    marginals = lattice_marginals(stack, lambdas)
+    for row, (a, y, lam, noise_var) in enumerate(systems):
         n = stack.lengths[row]
         assert not marginals[row, n:].any()
         if n == 0:
@@ -395,25 +394,57 @@ def test_lattice_matches_from_scratch(case):
 
 @st.composite
 def lattice_systems(draw):
-    """A few observations on shared rows, searched to chains of up to
-    T = 7 taps (production's t_max at L = 64), and whether one column sits
-    just above the skip tolerance.
+    """Chains of up to T = 7 taps (production's t_max at L = 64) of a few
+    observations from each producer of chains, with every row's explicit
+    rows for the oracle: ``search_rows`` on shared rows at t_max < K (the
+    Gram domain) and at t_max == K (the rank-filling stack), and
+    ``greedy_search_batch`` on one Toeplitz-view Gram per row from
+    ``reestimation_inputs``, whose rows are diag(s) F_L on the pilots and
+    that antenna's consensus carriers.
 
-    That column repeats another plus a step along the last row, which no
-    other column and no noise touches; its squared orthogonalized norm is
-    then about ``margin`` * COLLINEARITY_TOL**2 of the largest squared
-    column norm (so the oracle's conditioning check still passes), and a
-    high prior pulls it into the chains.  Every subset fit stays well
-    determined, because an observation's last entry comes from that
-    column's own tap alone."""
+    On shared rows one column may sit just above the skip tolerance.  It
+    repeats another plus a step along the last row, which no other column
+    and no noise touches; its squared orthogonalized norm is then about
+    ``margin`` * COLLINEARITY_TOL**2 of the largest squared column norm
+    (so the oracle's conditioning check still passes), and a high prior
+    pulls it into the chains.  Every subset fit stays well determined,
+    because an observation's last entry comes from that column's own tap
+    alone."""
     seed = draw(st.integers(0, 2**32 - 1))
+    producer = draw(st.sampled_from(["gram", "rank-filling", "toeplitz"]))
     t_max = draw(st.integers(1, 7))
-    k = draw(st.integers(t_max + 1, 16))
     length = draw(st.integers(max(t_max, 2), 24))
-    near = draw(st.booleans())
-    margin = draw(st.floats(256.0, 1024.0))
     n_obs = draw(st.integers(1, 3))
     rng = make_rng(seed)
+    noise_vars = 10 ** rng.uniform(-3, 0, size=n_obs)
+    h = np.zeros((n_obs, length), complex)
+    for row in h:
+        taps = rng.choice(length, size=min(3, length), replace=False)
+        row[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
+    if producer == "toeplitz":
+        n_carriers = draw(st.integers(length, 2 * length))
+        alphabet = build_qam_alphabet(4)
+        symbols = alphabet.points[rng.integers(0, 4, size=n_carriers)]
+        pilots = np.flatnonzero(rng.random(n_carriers) < 0.3)
+        consensus = rng.random((n_obs, n_carriers)) < rng.uniform(0, 1, size=(n_obs, 1))
+        consensus[:, pilots] = False
+        decisions = rng.integers(0, 4, size=(n_obs, n_carriers))
+        lambdas = rng.uniform(0.01, 0.5, size=(n_obs, length))
+        pilot_symbols = np.zeros(n_carriers, complex)
+        pilot_symbols[pilots] = symbols[pilots]
+        s = np.where(consensus, alphabet.points[decisions], pilot_symbols)
+        rows = s[:, :, None] * truncated_dft(n_carriers, length)
+        noise = rng.normal(size=(n_obs, n_carriers)) + 1j * rng.normal(size=(n_obs, n_carriers))
+        ys = (rows @ h[:, :, None])[..., 0] + np.sqrt(noise_vars[:, None] / 2) * noise
+        ys[s == 0] = 0.0  # reestimation_inputs reads the used carriers only
+        lags, corr, y_norm2 = reestimation_inputs(symbols, pilots, ys, consensus, decisions,
+                                                  alphabet, length)
+        stack = greedy_search_batch(toeplitz_grams(lags), corr, y_norm2, lambdas,
+                                    noise_vars, t_max)
+        return stack, rows, ys, lambdas, noise_vars
+    k = t_max if producer == "rank-filling" else draw(st.integers(t_max + 1, 16))
+    near = draw(st.booleans()) and k > 1  # the step takes a row of its own
+    margin = draw(st.floats(256.0, 1024.0))
     a = random_rows(rng, k, length, 0)
     lambdas = np.tile(rng.uniform(0.01, 0.5, size=length), (n_obs, 1))
     noise = rng.normal(size=(n_obs, k)) + 1j * rng.normal(size=(n_obs, k))
@@ -424,30 +455,29 @@ def lattice_systems(draw):
         a[-1, dst] = np.sqrt(margin) * COLLINEARITY_TOL * np.linalg.norm(a, axis=0).max()
         lambdas[:, dst] = 0.9
         noise[:, -1] = 0.0
-    h = np.zeros((n_obs, length), complex)
-    for row in h:
-        taps = rng.choice(length, size=min(3, length), replace=False)
-        row[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
-    noise_vars = 10 ** rng.uniform(-3, 0, size=n_obs)
     ys = h @ a.T + np.sqrt(noise_vars[:, None] / 2) * noise
-    return a, ys, lambdas, noise_vars, t_max
+    stack = search_rows(a, ys, lambdas, noise_vars, t_max)
+    return stack, np.broadcast_to(a, (n_obs, k, length)), ys, lambdas, noise_vars
 
 
 @PROPERTY
 @given(lattice_systems())
 def test_lattice_matches_oracle_up_to_seven_taps(case):
-    """Marginals equal the from-scratch lattice within criterion 4's 1e-12,
-    and every lattice subset's Gram has Cholesky pivots above the guard of
-    ``_subset_fits``: no chain subset counts a column as dependent."""
-    a, ys, lambdas, noise_vars, t_max = case
-    stack = search_rows(a, ys, lambdas, noise_vars, t_max)
-    marginals = lattice_marginals(stack, a, ys, lambdas)
-    gram = gram_products(a, ys)[0]
-    for row, y in enumerate(ys):
+    """Marginals equal the from-scratch lattice on each row's explicit rows
+    within criterion 4's 1e-12, zero past each chain, and every lattice
+    subset's Gram has Cholesky pivots above the guard of ``_subset_fits``:
+    no chain subset counts a column as dependent."""
+    stack, rows, ys, lambdas, noise_vars = case
+    marginals = lattice_marginals(stack, lambdas)
+    for row, (a, y) in enumerate(zip(rows, ys)):
         n = stack.lengths[row]
+        assert not marginals[row, n:].any()
+        if n == 0:
+            continue
         taps = stack.chosen[row, :n]
         _, _, want = lattice_oracle(taps, a, y, lambdas[row], noise_vars[row])
         np.testing.assert_allclose(marginals[row, :n], want, rtol=0, atol=1e-12)
+        gram = a.conj().T @ a
         for size in range(1, n + 1):
             for subset in combinations(taps, size):
                 sub = gram[np.ix_(subset, subset)]
@@ -489,7 +519,7 @@ def test_rows_do_not_interact(case, target):
         moved = ys.copy()
         moved[target] += 0.25 - 0.5j
         unmoved, perturbed = (
-            lattice_marginals(search_rows(a, obs, lambdas, noise_vars, t_max), a, obs, lambdas)
+            lattice_marginals(search_rows(a, obs, lambdas, noise_vars, t_max), lambdas)
             for obs in (ys, moved))
         np.testing.assert_array_equal(unmoved[others], perturbed[others])
 
@@ -616,6 +646,6 @@ def test_priors_at_zero_and_one_clamp(k, t_max):
     for name in ("chosen", "lengths", "nus", "posteriors", "taps"):
         np.testing.assert_array_equal(getattr(exact, name), getattr(eps, name))
     assert np.isfinite(exact.nus).all()
-    marginals = lattice_marginals(exact, a, ys, lambdas)
-    np.testing.assert_array_equal(marginals, lattice_marginals(eps, a, ys, clamped))
+    marginals = lattice_marginals(exact, lambdas)
+    np.testing.assert_array_equal(marginals, lattice_marginals(eps, clamped))
     assert np.isfinite(marginals).all()

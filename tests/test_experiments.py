@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("data", [5, None, [1, 2], "MB-P"])
+    def test_non_object_config_rejected(self, data):
+        """A config file must hold one JSON object of fields."""
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("algorithms", [[["MB-P"]], ["MB-P", 3], [None]])
+    def test_non_string_algorithm_rejected(self, algorithms):
+        """Algorithms are names; a nested list is not one (and is unhashable)."""
+        with pytest.raises(ConfigurationError, match="algorithms"):
+            ExperimentSpec.from_dict({"algorithms": algorithms})
 
     @pytest.mark.parametrize("field, value", [
         ("n_pilots", (513,)),
@@ -816,7 +829,7 @@ class TestEmitResults:
         spec = small_spec()
         path = tmp_path / "out.csv"
         written = emit_results(self.rows(), path, spec=spec)
-        meta = json.loads(open(written[1]).read())
+        meta = json.loads(Path(written[1]).read_text())
         assert meta["spec"]["n_carriers"] == 64
         assert meta["seed"] == spec.seed
         assert "snr_definition" in meta
@@ -1005,3 +1018,13 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "error" in out.stderr
+
+    @pytest.mark.parametrize("config", [5, None, [1, 2], {"algorithms": [["MB-P"]]}])
+    def test_malformed_config_exit_code(self, tmp_path, config):
+        """A config that is no object of fields, or names an algorithm by a
+        list, is a configuration error (exit 2), not a traceback."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "error" in out.stderr and "Traceback" not in out.stderr

@@ -12,7 +12,6 @@ import pytest
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
 from gridce.posterior import (
-    _lattice_source,
     _lattice_sums,
     _position_combos,
     _subset_fits,
@@ -41,7 +40,7 @@ def solved_instance(seed=0, k=10, length=16, sparsity=3, noise_var=0.02, t_max=4
     y = a @ h + noise
     prior = np.full(length, sparsity / length)
     stack = search_rows(a, y[None], prior[None], np.array([noise_var]), t_max)
-    marginals = lattice_marginals(stack, a, y[None], prior[None])
+    marginals = lattice_marginals(stack, prior)
     return a, y, h, prior, stack, noise_var, marginals[0, :stack.lengths[0]]
 
 
@@ -144,7 +143,7 @@ class TestLatticeEnumeration:
         stack = search_rows(a, y, lambdas, np.array([0.1]), 21)
         assert stack.lengths[0] == 21
         with pytest.raises(ConfigurationError):
-            lattice_marginals(stack, a, y, lambdas)
+            lattice_marginals(stack, lambdas)
 
 
 class TestSubsetFits:
@@ -152,22 +151,24 @@ class TestSubsetFits:
 
     def test_dependent_column_adds_nothing(self):
         """Positions 1 and 3 hold the same column, so a subset holding both
-        meets a pivot at or below the guard; that column adds nothing, and
-        every fit is the projection ``lstsq`` gives on the subset's span."""
+        meets a pivot at or below the guard; that column adds nothing.  On
+        the Gram of [A | y] the corner of every subset's elimination is its
+        residual, the squared distance from y to the projection ``lstsq``
+        gives on the subset's span."""
         rng = make_rng(31)
         a = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
         a[:, 3] = a[:, 1]
         y = rng.normal(size=8) + 1j * rng.normal(size=8)
-        chosen = np.array([[0, 1, 2, 3, 4]])
-        gram = a.conj().T @ a
-        source = _lattice_source(gram, (a.conj().T @ y)[None], chosen)
-        bounds = COLLINEARITY_TOL**2 * gram.diagonal().real[chosen.T]
+        bordered = np.column_stack((a, y))
+        gram = bordered.conj().T @ bordered
+        source = gram.reshape(-1, 1)
+        bounds = COLLINEARITY_TOL**2 * gram.diagonal().real[:5, None]
         for size, block in enumerate(_position_combos(5)[:-1], start=1):
-            fits = _subset_fits(source, bounds, size)[:, 0]
-            for subset, fit in zip(block[1:], fits):
-                cols = a[:, chosen[0, subset]]
-                proj = cols @ np.linalg.lstsq(cols, y, rcond=None)[0]
-                assert fit == pytest.approx(np.vdot(proj, proj).real, rel=1e-12)
+            residuals = _subset_fits(source, bounds, size)[:, 0]
+            for subset, residual in zip(block[1:], residuals):
+                cols = a[:, subset]
+                left = y - cols @ np.linalg.lstsq(cols, y, rcond=None)[0]
+                assert residual == pytest.approx(np.vdot(left, left).real, rel=1e-12)
 
 
 class TestMarginals:
