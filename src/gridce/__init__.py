@@ -2,16 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channels import (
-    AntennaGrid,
-    ArrayClass,
-    ArrayKind,
-    ChannelRealization,
-    classify_array,
-    generate_channels,
-    lower_bound_D,
-    recommended_D,
-)
+from .channels import ArrayKind, generate_channels
 from .data_aided import (
     ReliableSet,
     carrier_reliability,

@@ -1,5 +1,9 @@
 """Sparse multipath channels over a 2-D antenna grid.
 
+A draw is one (rows, cols, L) complex tap array for the whole grid.  Its
+support is ``taps != 0``, exactly: the samplers' near-zero draws are
+redrawn, so every antenna holds exactly ``sparsity`` nonzero taps.
+
 Supports two spatial regimes.  In a space-invariant array (SIA) every
 antenna shares one support set; tap values still fade independently.  In
 a space-variant array (SVA) the support drifts slowly across the grid:
@@ -14,13 +18,10 @@ Gaussian (Rayleigh magnitude).
 
 import csv
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-SPEED_OF_LIGHT = 2.998e8  # m/s
 
 #: tap draws with magnitude below this are rejected to keep supports exact
 MIN_TAP_MAGNITUDE = 1e-9
@@ -32,84 +33,6 @@ POWER_PROFILES = ("flat", "geometric")
 class ArrayKind(enum.Enum):
     SIA = "SIA"
     SVA = "SVA"
-
-
-@dataclass(frozen=True)
-class AntennaGrid:
-    """Rectangular M x G antenna layout with physical spacing and bandwidth."""
-
-    rows: int
-    cols: int
-    spacing_m: float = 0.058
-    bandwidth_hz: float = 20e6
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigurationError("grid must have at least one row and column")
-        if self.spacing_m <= 0 or self.bandwidth_hz <= 0:
-            raise ConfigurationError("spacing and bandwidth must be positive")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class ArrayClass:
-    kind: ArrayKind
-    d_max_m: float
-
-
-@dataclass
-class ChannelRealization:
-    """Per-antenna sparse impulse responses over the grid.
-
-    ``taps`` has shape (rows, cols, L); ``support`` is the matching boolean
-    mask with the same number of True entries, the sparsity, per antenna.
-    """
-
-    taps: np.ndarray
-    support: np.ndarray
-
-
-def classify_array(grid: AntennaGrid) -> ArrayClass:
-    """SIA when the farthest antennas cannot resolve distinct delays.
-
-    Two taps are resolvable when their arrival-time difference exceeds
-    1/(10*BW); the largest arrival-time difference across the array is
-    d_max/C with d_max = (max(M, G) - 1) * d.
-    """
-    d_max = (max(grid.rows, grid.cols) - 1) * grid.spacing_m
-    threshold = SPEED_OF_LIGHT / (10.0 * grid.bandwidth_hz)
-    kind = ArrayKind.SIA if d_max <= threshold else ArrayKind.SVA
-    return ArrayClass(kind=kind, d_max_m=d_max)
-
-
-def recommended_D(spacing_m: float, bandwidth_hz: float) -> int:
-    """Largest sharing depth whose whole neighborhood stays support-invariant:
-    floor(C / (20 * d * BW))."""
-    if spacing_m <= 0 or bandwidth_hz <= 0:
-        raise ConfigurationError("spacing and bandwidth must be positive")
-    return int(np.floor(SPEED_OF_LIGHT / (20.0 * spacing_m * bandwidth_hz)))
-
-
-def lower_bound_D(sparsity: int, n_pilots: int) -> int:
-    """Smallest integer depth D with D > sqrt(n - K/2 - 1/4) - 1/2.
-
-    Guarantees the noise-free neighborhood observation count 2D(D+1)+1
-    exceeds 2n - K; returns 0 when the radicand is nonpositive (bound
-    vacuous).
-    """
-    radicand = sparsity - n_pilots / 2.0 - 0.25
-    if radicand <= 0:
-        return 0
-    bound = np.sqrt(radicand) - 0.5
-    return max(0, int(np.floor(bound)) + 1)
-
-
-def tier_population(depth: int) -> int:
-    """Antennas reached after ``depth`` sharing rounds, center included."""
-    return 2 * depth * (depth + 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +73,7 @@ def _draw_taps(rng, count, sampler):
 # ---------------------------------------------------------------------------
 # support generation
 
-def _walk_slots(grid, channel_len, sparsity, drift, rng):
+def _walk_slots(shape, channel_len, sparsity, drift, rng):
     """Per-antenna ordered tap slots; one migration per diagonal w.p. drift.
 
     Indexing by the diagonal t = row + col makes every 4-neighbor pair
@@ -158,14 +81,15 @@ def _walk_slots(grid, channel_len, sparsity, drift, rng):
     delay bin.  Slot order is preserved across migrations so each slot
     keeps the identity (and power) of one scatterer.
     """
-    n_diagonals = grid.rows + grid.cols - 1
+    rows, cols = shape
+    n_diagonals = rows + cols - 1
     current = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
     per_diagonal = [current]
     for _ in range(1, n_diagonals):
         if drift > 0 and rng.random() < drift:
             current = _migrate_one(current, channel_len, rng)
         per_diagonal.append(current)
-    diagonal = np.add.outer(np.arange(grid.rows), np.arange(grid.cols))
+    diagonal = np.add.outer(np.arange(rows), np.arange(cols))
     return np.array(per_diagonal)[diagonal]
 
 
@@ -195,7 +119,7 @@ def geometric_gains(sparsity: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_channels(
-    grid: AntennaGrid,
+    shape: tuple,
     channel_len: int,
     sparsity: int,
     kind: ArrayKind,
@@ -203,8 +127,9 @@ def generate_channels(
     rng: np.random.Generator,
     tap_dist: str = "rayleigh",
     power_profile: str = "flat",
-) -> ChannelRealization:
-    """Draw one sparse channel realization over the whole grid.
+) -> np.ndarray:
+    """Draw one sparse channel realization over a (rows, cols) grid: the
+    (rows, cols, L) taps, ``sparsity`` of them nonzero per antenna.
 
     SIA: a single size-n support shared by all antennas.  SVA: the support
     drifts across the grid as a random walk along its diagonals.  Tap values
@@ -220,46 +145,42 @@ def generate_channels(
         raise ConfigurationError(
             f"sparsity {sparsity} exceeds channel length {channel_len}"
         )
-    sampler = TAP_SAMPLERS[tap_dist]
+    if tap_dist not in TAP_SAMPLERS:
+        raise ConfigurationError(
+            f"tap_dist must be one of {tuple(TAP_SAMPLERS)}, got {tap_dist!r}")
+    if power_profile not in POWER_PROFILES:
+        raise ConfigurationError(
+            f"power_profile must be one of {POWER_PROFILES}, got {power_profile!r}")
 
-    shape = (grid.rows, grid.cols)
     if kind == ArrayKind.SIA or drift == 0.0:
         base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
         slots = np.broadcast_to(base, shape + (sparsity,))
     else:
-        slots = _walk_slots(grid, channel_len, sparsity, drift, rng)
-
-    if power_profile == "flat":
-        gains = np.ones(sparsity)
-    elif power_profile == "geometric":
+        slots = _walk_slots(shape, channel_len, sparsity, drift, rng)
+    if power_profile == "geometric":
         gains = geometric_gains(sparsity, rng)
     else:
-        raise ConfigurationError(f"unknown power_profile {power_profile!r}")
+        gains = np.ones(sparsity)
 
-    draws = _draw_taps(rng, grid.n_antennas * sparsity, sampler).reshape(
-        shape + (sparsity,)
-    )
+    draws = _draw_taps(rng, slots.size, TAP_SAMPLERS[tap_dist]).reshape(slots.shape)
     taps = np.zeros(shape + (channel_len,), dtype=complex)
-    support = np.zeros(shape + (channel_len,), dtype=bool)
     np.put_along_axis(taps, slots, gains * draws, axis=2)
-    np.put_along_axis(support, slots, True, axis=2)
-    return ChannelRealization(taps=taps, support=support)
+    return taps
 
 
 # ---------------------------------------------------------------------------
 # serialization for replay
 
-def channels_to_csv(realization: ChannelRealization, path) -> None:
+def channels_to_csv(taps: np.ndarray, path) -> None:
     """Write nonzero taps as rows (antenna_row, antenna_col, tap_index, re, im)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["antenna_row", "antenna_col", "tap_index", "re", "im"])
-        rows, cols, _ = realization.taps.shape
+        rows, cols, _ = taps.shape
         for r in range(rows):
             for c in range(cols):
-                for tap in np.flatnonzero(realization.support[r, c]):
-                    value = realization.taps[r, c, tap]
+                for tap in np.flatnonzero(taps[r, c]):
+                    value = taps[r, c, tap]
                     writer.writerow(
                         [r, c, int(tap), repr(float(value.real)), repr(float(value.imag))]
                     )
-

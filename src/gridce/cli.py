@@ -106,10 +106,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_generate_channels(args) -> int:
     spec = _load_spec(args)
-    realization = scene_channels(spec, 0, 0)
+    taps = scene_channels(spec, 0, 0)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "channels.csv"
-    channels_to_csv(realization, path)
+    channels_to_csv(taps, path)
     print(f"wrote {path}")
     return 0
 

@@ -80,14 +80,12 @@ ANTENNA_CHUNK = 16
 
 @dataclass
 class ReliableSet:
-    """One central antenna's view: its own top-U carriers, the carriers its
-    whole neighborhood agrees on, and the agreed symbols there, each read
-    on demand from the antenna's length-N rows of the grid arrays."""
+    """One central antenna's view: its own top-U carriers and the carriers
+    its whole neighborhood agrees on, each read on demand from the
+    antenna's length-N rows of the grid masks."""
 
     top_row: np.ndarray
     consensus_row: np.ndarray
-    decisions_row: np.ndarray
-    points: np.ndarray
 
     @property
     def own_top(self) -> np.ndarray:
@@ -96,10 +94,6 @@ class ReliableSet:
     @property
     def consensus(self) -> np.ndarray:
         return np.flatnonzero(self.consensus_row)
-
-    @property
-    def agreed_symbols(self) -> np.ndarray:
-        return self.points[self.decisions_row[self.consensus_row]]
 
 
 def distortion_covariance(
@@ -230,7 +224,6 @@ def select_and_agree(
     top: np.ndarray,
     decisions: np.ndarray,
     pilot_indices: np.ndarray,
-    alphabet: QamAlphabet,
     out: np.ndarray | None = None,
 ) -> list:
     """Neighborhood consensus for every central antenna at once.
@@ -241,16 +234,15 @@ def select_and_agree(
     of the neighborhood ranks it top-U (a stencil AND) and every member
     decoded it to the same symbol (stencil min equals stencil max).  An
     empty consensus is valid.  Returns ``[row][col]`` ReliableSets over row
-    views of ``top``, the consensus mask and ``decisions``; ``out``, when
-    given, receives the (M, G, N) consensus mask.
+    views of ``top`` and the consensus mask; ``out``, when given, receives
+    the (M, G, N) consensus mask.
     """
     agreed = stencil_reduce(top, np.logical_and)
     agreed &= stencil_reduce(decisions, np.minimum) == stencil_reduce(decisions, np.maximum)
     agreed[..., np.asarray(pilot_indices, dtype=int)] = False
     if out is not None:
         out[...] = agreed
-    return [[ReliableSet(*views, alphabet.points) for views in zip(*rows)]
-            for rows in zip(top, agreed, decisions)]
+    return [[ReliableSet(*views) for views in zip(*rows)] for rows in zip(top, agreed)]
 
 
 def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
@@ -382,7 +374,7 @@ def run_data_aided(
         stencil_reduce(budgets, np.maximum), config.noise_var,
     )
     consensus = np.empty_like(top)
-    agreements = select_and_agree(top, decisions, pilots, alphabet, out=consensus)
+    agreements = select_and_agree(top, decisions, pilots, out=consensus)
 
     taps = base.taps.copy()
     support = base.support.copy()

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import (
-    POWER_PROFILES,
-    AntennaGrid,
-    ArrayKind,
-    generate_channels,
-)
+from .channels import POWER_PROFILES, ArrayKind, generate_channels
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
     build_sensing_matrix,
@@ -201,9 +196,6 @@ class ExperimentSpec:
     @property
     def kind(self) -> ArrayKind:
         return ArrayKind[self.mode]
-
-    def grid(self) -> AntennaGrid:
-        return AntennaGrid(rows=self.grid_rows, cols=self.grid_cols)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -424,7 +416,7 @@ def count_bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> tuple
 
 @dataclass
 class TrialScene:
-    channels: object
+    taps: np.ndarray             # (M, G, L) true channels, support = taps != 0
     frame: object
     pilot_rows: np.ndarray       # K x L rows diag(x_freq) @ F_L on the pilots
     observations: np.ndarray     # (M, G, N) received carriers
@@ -438,11 +430,11 @@ def noise_var_for_snr(sparsity: int, n_carriers: int, snr_db: float) -> float:
 
 
 def scene_channels(spec: ExperimentSpec, point_index: int, trial: int):
-    """The channel realization that trial ``trial`` of sweep point
+    """The (M, G, L) channel taps that trial ``trial`` of sweep point
     ``point_index`` draws (stream 0 of its key)."""
     return generate_channels(
-        spec.grid(), spec.channel_len, spec.sparsity, spec.kind, spec.drift,
-        make_rng(spec.seed, point_index, trial, 0),
+        (spec.grid_rows, spec.grid_cols), spec.channel_len, spec.sparsity, spec.kind,
+        spec.drift, make_rng(spec.seed, point_index, trial, 0),
         power_profile=spec.power_profile,
     )
 
@@ -451,7 +443,7 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
                      point_index: int, trial: int) -> TrialScene:
     noise_var = noise_var_for_snr(spec.sparsity, spec.n_carriers, snr_db)
     alphabet = build_qam_alphabet(spec.qam_order)
-    channels = scene_channels(spec, point_index, trial)
+    taps = scene_channels(spec, point_index, trial)
     pilots = place_pilots(
         spec.n_carriers, n_pilots, (spec.seed, point_index, trial, 1)
     )
@@ -459,10 +451,10 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
                            make_rng(spec.seed, point_index, trial, 2))
     full = build_sensing_matrix(frame, spec.channel_len)
     observations = synthesize_received(
-        full, channels.taps, noise_var, make_rng(spec.seed, point_index, trial, 3),
+        full, taps, noise_var, make_rng(spec.seed, point_index, trial, 3),
     )
     return TrialScene(
-        channels=channels, frame=frame, pilot_rows=full[pilots],
+        taps=taps, frame=frame, pilot_rows=full[pilots],
         observations=observations, noise_var=noise_var, alphabet=alphabet,
         true_indices=alphabet.nearest_indices(frame.freq_symbols[frame.data_indices]),
     )
@@ -484,7 +476,7 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tupl
     ``run_data_aided`` made for these taps with the same detection, the
     bits are counted from it instead.
     """
-    ratio = error_ratio(scene.channels.taps, taps)
+    ratio = error_ratio(scene.taps, taps)
     n_carriers = scene.frame.n_carriers
     data_idx = scene.frame.data_indices
     alphabet = scene.alphabet
@@ -577,7 +569,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
 
     baselines = []
     if "oracle-LS" in spec.algorithms:  # the (M, G, n) true support slots
-        slots = np.nonzero(scene.channels.support)[-1].reshape(y_pilot.shape[:2] + (-1,))
+        slots = np.nonzero(scene.taps)[-1].reshape(y_pilot.shape[:2] + (-1,))
         baselines.append(("oracle-LS", oracle_ls_estimate, scene.pilot_rows, y_pilot, slots))
     if "SOMP" in spec.algorithms:
         baselines.append(("SOMP", somp_baseline, y_pilot, scene.pilot_rows, spec.sparsity,

@@ -62,10 +62,6 @@ def _truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
     return np.exp(-2j * np.pi * k * l / n_carriers) / np.sqrt(n_carriers)
 
 
-def truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
-    return _truncated_dft(n_carriers, channel_len).copy()
-
-
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
     """Length-N channel frequency response F_L @ h of a length-L CIR; a
     stack (..., L) of CIRs gives (..., N) in one FFT.  The unitary scale

@@ -12,8 +12,9 @@ LAPACK at the end.
 ``exhaustive_marginals`` score explicit supports one by one.  Priors are
 plain (L,) activity arrays, clamped as the solver clamps them.
 ``lattice_oracle`` evaluates the detected-tap lattice from scratch, with
-no chain value reused, and ``error_covariance``, ``full_covariance_oracle``
-and ``assign_scores`` are the per-antenna forms of
+no chain value reused (a numerically dependent column adds nothing, as
+``independent_taps`` decides), and ``error_covariance``,
+``full_covariance_oracle`` and ``assign_scores`` are the per-antenna forms of
 ``posterior.error_covariances`` and the integer scores of the grid runners.
 ``equalize_and_slice`` is zero-forcing detection of one antenna, the
 reference for the chunked BER scoring.  ``freq_response_oracle``,
@@ -35,8 +36,9 @@ masked passes in lexicographic (real, imag) point order, where only a
 strict improvement replaces the pick.  ``QamAlphabet.nearest_indices``
 slices each axis on its own instead.
 
-``neighbors`` is the set-based 4-neighborhood that the array stencils
-(``sharing.stencil_reduce`` and ``stencil_gather``) replaced.
+``neighbors`` is the set-based 4-neighborhood of a (rows, cols) grid
+that the array stencils (``sharing.stencil_reduce`` and
+``stencil_gather``) replaced.
 ``somp_loop_oracle`` and ``oracle_ls_loop_oracle`` are the per-antenna
 baselines that ``experiments.somp_baseline`` and ``oracle_ls_estimate``
 replaced with one Gram-domain batch: SOMP refits every stage with
@@ -50,8 +52,18 @@ its own first pass, as a trial ran each currency before
 ``generate_channels_loop_oracle`` is the per-antenna fill that
 ``channels.generate_channels`` and its SVA walk replaced with one diagonal
 index and ``np.put_along_axis``; it draws the same RNG values in the same
-order, so the two agree bit for bit.  ``read_channels_csv`` reads back
-what ``channels.channels_to_csv`` writes.
+order, so the two agree bit for bit, and it fills the support mask that
+the production draw leaves as ``taps != 0``.  ``read_channels_csv`` reads
+back what ``channels.channels_to_csv`` writes.  ``truncated_dft`` is the
+first L columns of the unitary N-point DFT, as ``ofdm`` builds them.
+
+``classify_array``, ``recommended_D``, ``lower_bound_D`` and
+``tier_population`` are the paper's design rules for an array of given
+spacing and bandwidth: the SIA/SVA regime, the sharing depth whose
+neighborhood stays support-invariant, the smallest depth whose
+neighborhood holds enough observations, and the antennas that depth
+reaches.  No trial reads them; the tests check them against the paper's
+numbers.
 """
 
 import csv
@@ -74,7 +86,7 @@ from gridce.data_aided import (
     distortion_covariance,
     top_reliable,
 )
-from gridce.ofdm import ZF_MIN_GAIN, equalize, freq_response
+from gridce.ofdm import ZF_MIN_GAIN, _truncated_dft, equalize, freq_response
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.sharing import (
     BeliefKind,
@@ -354,18 +366,50 @@ def exhaustive_marginals(sensing_rows, y, lambdas: np.ndarray, noise_var: float,
 def lattice_oracle(detected, sensing_rows, y, lambdas: np.ndarray, noise_var: float):
     """The detected-tap lattice evaluated from scratch: every nonempty
     subset (by size, then lexicographic in detection order) scored by
-    ``support_metric``.  Returns (subsets, posteriors, marginals), the
-    marginals aligned with ``detected``."""
+    ``support_metric``.  A subset that ``check_conditioning`` refuses is
+    scored on its independent columns (``independent_taps``) plus the prior
+    gains of the dropped taps: a dependent column adds nothing to the fit.
+    Returns (subsets, posteriors, marginals), the marginals aligned with
+    ``detected``."""
     detected = np.asarray(detected)
     positions = [combo for size in range(1, detected.size + 1)
                  for combo in combinations(range(detected.size), size)]
     subsets = [detected[list(combo)] for combo in positions]
-    nus = np.array([support_metric(s, y, sensing_rows, lambdas, noise_var) for s in subsets])
+    _, gain = _prior_terms(lambdas)
+
+    def score(support):
+        try:
+            return support_metric(support, y, sensing_rows, lambdas, noise_var)
+        except IllConditionedSupportError:
+            kept = independent_taps(sensing_rows, support)
+            dropped = np.setdiff1d(support, kept)
+            return (support_metric(kept, y, sensing_rows, lambdas, noise_var)
+                    + float(gain[dropped].sum()))
+
+    nus = np.array([score(s) for s in subsets])
     posteriors, _ = _normalize_log_posteriors(nus)
     marginals = np.zeros(detected.size)
     for combo, weight in zip(positions, posteriors):
         marginals[list(combo)] += weight
     return subsets, posteriors, marginals
+
+
+def independent_taps(sensing_rows, support) -> np.ndarray:
+    """The taps of ``support`` kept in order when each is dropped whose
+    column, orthogonalized against the kept ones, has at most
+    ``COLLINEARITY_TOL**2`` of its squared norm left: the pivot rule of
+    the lattice's Cholesky elimination, on explicit columns."""
+    a = np.asarray(sensing_rows)
+    kept = []
+    for tap in support:
+        column = a[:, tap]
+        left = column
+        if kept:
+            q, _ = np.linalg.qr(a[:, kept])
+            left = column - q @ (q.conj().T @ column)
+        if np.vdot(left, left).real > COLLINEARITY_TOL**2 * np.vdot(column, column).real:
+            kept.append(tap)
+    return np.array(kept, dtype=int)
 
 
 def error_covariance(estimate: SparseEstimate) -> np.ndarray:
@@ -575,33 +619,36 @@ def nearest_indices_oracle(alphabet, symbols, sq_distances=None):
     return nearest
 
 
-def neighbors(grid, antenna) -> list:
-    """In-grid 4-neighborhood (up, down, left, right) of an antenna."""
+def neighbors(shape, antenna) -> list:
+    """In-grid 4-neighborhood (up, down, left, right) of an antenna on a
+    (rows, cols) grid."""
+    rows, cols = shape
     r, c = antenna
-    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-        raise IndexError(f"antenna {antenna} outside {grid.rows}x{grid.cols} grid")
+    if not (0 <= r < rows and 0 <= c < cols):
+        raise IndexError(f"antenna {antenna} outside {rows}x{cols} grid")
     out = []
     if r > 0:
         out.append((r - 1, c))
-    if r < grid.rows - 1:
+    if r < rows - 1:
         out.append((r + 1, c))
     if c > 0:
         out.append((r, c - 1))
-    if c < grid.cols - 1:
+    if c < cols - 1:
         out.append((r, c + 1))
     return out
 
 
-def somp_loop_oracle(grid, observations, sensing_rows, n_taps):
+def somp_loop_oracle(shape, observations, sensing_rows, n_taps):
     """Per-antenna SOMP over the in-grid neighborhood; returns ((M, G, L)
     taps, [row][col] selected tap lists in pick order)."""
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     n_obs, length = a.shape
     col_norm = np.sqrt(np.einsum("ij,ij->j", a.conj(), a).real)
-    taps = np.zeros((grid.rows, grid.cols, length), dtype=complex)
-    picks = [[[] for _ in range(grid.cols)] for _ in range(grid.rows)]
-    for r, c in np.ndindex(grid.rows, grid.cols):
-        members = [(r, c)] + neighbors(grid, (r, c))
+    rows, cols = shape
+    taps = np.zeros((rows, cols, length), dtype=complex)
+    picks = [[[] for _ in range(cols)] for _ in range(rows)]
+    for r, c in np.ndindex(rows, cols):
+        members = [(r, c)] + neighbors(shape, (r, c))
         ys = np.ascontiguousarray(
             np.stack([observations[mr, mc] for mr, mc in members], axis=1)
         )
@@ -632,31 +679,32 @@ def oracle_ls_loop_oracle(sensing_rows, observations, supports):
     return taps.reshape(supports.shape[:-1] + (a.shape[1],))
 
 
-def generate_channels_loop_oracle(grid, channel_len, sparsity, kind, drift, rng,
+def generate_channels_loop_oracle(shape, channel_len, sparsity, kind, drift, rng,
                                   tap_dist="rayleigh", power_profile="flat"):
-    """(taps, support) of ``generate_channels``, filled antenna by antenna
-    from a per-diagonal list of SVA walk slots."""
+    """(taps, support) of ``generate_channels`` on a (rows, cols) grid,
+    filled antenna by antenna from a per-diagonal list of SVA walk slots."""
+    rows, cols = shape
     if kind == ArrayKind.SIA or drift == 0.0:
         base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
-        slots = np.broadcast_to(base, (grid.rows, grid.cols, sparsity)).copy()
+        slots = np.broadcast_to(base, (rows, cols, sparsity)).copy()
     else:
         current = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
         per_diagonal = [current.copy()]
-        for _ in range(1, grid.rows + grid.cols - 1):
+        for _ in range(1, rows + cols - 1):
             if drift > 0 and rng.random() < drift:
                 current = _migrate_one(current, channel_len, rng)
             per_diagonal.append(current.copy())
-        slots = np.zeros((grid.rows, grid.cols, sparsity), dtype=int)
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        slots = np.zeros((rows, cols, sparsity), dtype=int)
+        for r, c in np.ndindex(rows, cols):
             slots[r, c] = per_diagonal[r + c]
     gains = np.ones(sparsity) if power_profile == "flat" else geometric_gains(sparsity, rng)
 
-    taps = np.zeros((grid.rows, grid.cols, channel_len), dtype=complex)
-    support = np.zeros((grid.rows, grid.cols, channel_len), dtype=bool)
-    draws = _draw_taps(rng, grid.rows * grid.cols * sparsity, TAP_SAMPLERS[tap_dist]).reshape(
-        grid.rows, grid.cols, sparsity
+    taps = np.zeros((rows, cols, channel_len), dtype=complex)
+    support = np.zeros((rows, cols, channel_len), dtype=bool)
+    draws = _draw_taps(rng, rows * cols * sparsity, TAP_SAMPLERS[tap_dist]).reshape(
+        rows, cols, sparsity
     )
-    for r, c in np.ndindex(grid.rows, grid.cols):
+    for r, c in np.ndindex(rows, cols):
         taps[r, c, slots[r, c]] = gains * draws[r, c]
         support[r, c, slots[r, c]] = True
     return taps, support
@@ -672,3 +720,51 @@ def read_channels_csv(path, rows, cols, channel_len):
             taps[at] = float(row["re"]) + 1j * float(row["im"])
             support[at] = True
     return taps, support
+
+
+def truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
+    """First ``channel_len`` columns of the unitary N-point DFT matrix."""
+    return _truncated_dft(n_carriers, channel_len).copy()
+
+
+SPEED_OF_LIGHT = 2.998e8  # m/s
+
+
+def classify_array(rows: int, cols: int, spacing_m: float, bandwidth_hz: float) -> tuple:
+    """(kind, d_max_m): SIA when the farthest antennas cannot resolve
+    distinct delays.
+
+    Two taps are resolvable when their arrival-time difference exceeds
+    1/(10*BW); the largest arrival-time difference across the array is
+    d_max/C with d_max = (max(M, G) - 1) * d.
+    """
+    d_max = (max(rows, cols) - 1) * spacing_m
+    threshold = SPEED_OF_LIGHT / (10.0 * bandwidth_hz)
+    return (ArrayKind.SIA if d_max <= threshold else ArrayKind.SVA), d_max
+
+
+def recommended_D(spacing_m: float, bandwidth_hz: float) -> int:
+    """Largest sharing depth whose whole neighborhood stays support-invariant:
+    floor(C / (20 * d * BW))."""
+    if spacing_m <= 0 or bandwidth_hz <= 0:
+        raise ConfigurationError("spacing and bandwidth must be positive")
+    return int(np.floor(SPEED_OF_LIGHT / (20.0 * spacing_m * bandwidth_hz)))
+
+
+def lower_bound_D(sparsity: int, n_pilots: int) -> int:
+    """Smallest integer depth D with D > sqrt(n - K/2 - 1/4) - 1/2.
+
+    Guarantees the noise-free neighborhood observation count 2D(D+1)+1
+    exceeds 2n - K; returns 0 when the radicand is nonpositive (bound
+    vacuous).
+    """
+    radicand = sparsity - n_pilots / 2.0 - 0.25
+    if radicand <= 0:
+        return 0
+    bound = np.sqrt(radicand) - 0.5
+    return max(0, int(np.floor(bound)) + 1)
+
+
+def tier_population(depth: int) -> int:
+    """Antennas reached after ``depth`` sharing rounds, center included."""
+    return 2 * depth * (depth + 1) + 1

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from gridce.data_aided import reestimation_inputs, toeplitz_grams
 from gridce.errors import ConfigurationError, IllConditionedSupportError
-from gridce.ofdm import make_rng, truncated_dft
+from gridce.ofdm import make_rng
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
     COLLINEARITY_TOL,
@@ -40,6 +40,7 @@ from oracles import (
     gram_search_oracle,
     greedy_search,
     lattice_oracle,
+    truncated_dft,
 )
 
 #: relative agreement of nus, conditional means, combined taps, covariances,

@@ -1,76 +1,73 @@
-"""Grid topology, array classification, sparse channel generation, depth bounds."""
+"""Grid topology, array classification, sparse channel generation, depth bounds.
+
+The design rules (array classification and the depth bounds) live in the
+test oracles; these tests check them against the paper's numbers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridce.channels import (
-    AntennaGrid,
+    POWER_PROFILES,
+    TAP_SAMPLERS,
     ArrayKind,
     channels_to_csv,
-    classify_array,
     generate_channels,
-    lower_bound_D,
-    recommended_D,
-    tier_population,
 )
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
-from oracles import generate_channels_loop_oracle, neighbors, read_channels_csv
+from oracles import (
+    classify_array,
+    generate_channels_loop_oracle,
+    lower_bound_D,
+    neighbors,
+    read_channels_csv,
+    recommended_D,
+    tier_population,
+)
 
 
 class TestNeighbors:
     def test_interior_has_four(self):
-        grid = AntennaGrid(rows=20, cols=20)
-        assert len(neighbors(grid, (10, 10))) == 4
+        assert len(neighbors((20, 20), (10, 10))) == 4
 
     def test_corner_has_two(self):
-        grid = AntennaGrid(rows=20, cols=20)
-        assert len(neighbors(grid, (0, 0))) == 2
-        assert len(neighbors(grid, (19, 19))) == 2
+        assert len(neighbors((20, 20), (0, 0))) == 2
+        assert len(neighbors((20, 20), (19, 19))) == 2
 
     def test_edge_has_three(self):
-        grid = AntennaGrid(rows=20, cols=20)
-        assert len(neighbors(grid, (0, 5))) == 3
+        assert len(neighbors((20, 20), (0, 5))) == 3
 
     def test_out_of_grid(self):
-        grid = AntennaGrid(rows=3, cols=3)
         with pytest.raises(IndexError):
-            neighbors(grid, (3, 0))
+            neighbors((3, 3), (3, 0))
 
 
 class TestClassifyArray:
     def test_lte_10x10_is_sia(self):
-        grid = AntennaGrid(rows=10, cols=10, spacing_m=0.058, bandwidth_hz=20e6)
-        cls = classify_array(grid)
-        assert cls.kind == ArrayKind.SIA
-        assert abs(cls.d_max_m - 0.522) < 1e-9
+        kind, d_max_m = classify_array(10, 10, 0.058, 20e6)
+        assert kind == ArrayKind.SIA
+        assert abs(d_max_m - 0.522) < 1e-9
 
     def test_lte_50x50_is_sva(self):
-        grid = AntennaGrid(rows=50, cols=50, spacing_m=0.058, bandwidth_hz=20e6)
-        assert classify_array(grid).kind == ArrayKind.SVA
+        assert classify_array(50, 50, 0.058, 20e6)[0] == ArrayKind.SVA
 
     def test_cdma2000_100x100_is_sia(self):
         # 1.25 MHz bandwidth -> 24 m resolvability threshold
-        grid = AntennaGrid(rows=100, cols=100, spacing_m=0.150, bandwidth_hz=1.25e6)
-        assert classify_array(grid).kind == ArrayKind.SIA
+        assert classify_array(100, 100, 0.150, 1.25e6)[0] == ArrayKind.SIA
 
     def test_monotone_in_bandwidth_and_spacing(self):
         """Growing BW or d never flips SVA back to SIA."""
-        base = dict(rows=30, cols=30, spacing_m=0.05, bandwidth_hz=20e6)
-        kinds = []
-        for factor in (1.0, 2.0, 4.0, 8.0):
-            grid = AntennaGrid(rows=30, cols=30, spacing_m=0.05 * factor,
-                               bandwidth_hz=20e6)
-            kinds.append(classify_array(grid).kind)
+        kinds = [classify_array(30, 30, 0.05 * factor, 20e6)[0]
+                 for factor in (1.0, 2.0, 4.0, 8.0)]
         seen_sva = False
         for kind in kinds:
             if kind == ArrayKind.SVA:
                 seen_sva = True
             assert not (seen_sva and kind == ArrayKind.SIA)
-        grid = AntennaGrid(**base)
-        wider = AntennaGrid(rows=30, cols=30, spacing_m=0.05, bandwidth_hz=160e6)
-        if classify_array(grid).kind == ArrayKind.SVA:
-            assert classify_array(wider).kind == ArrayKind.SVA
+        if classify_array(30, 30, 0.05, 20e6)[0] == ArrayKind.SVA:
+            assert classify_array(30, 30, 0.05, 160e6)[0] == ArrayKind.SVA
 
 
 class TestDepthFormulas:
@@ -102,71 +99,70 @@ class TestDepthFormulas:
 
 class TestGeneration:
     def test_sia_supports_identical(self):
-        grid = AntennaGrid(rows=3, cols=3)
-        real = generate_channels(grid, 32, 3, ArrayKind.SIA, drift=0.05, rng=make_rng(0))
-        base = real.support[0, 0]
+        taps = generate_channels((3, 3), 32, 3, ArrayKind.SIA, drift=0.05, rng=make_rng(0))
+        support = taps != 0
         assert all(
-            np.array_equal(real.support[r, c], base)
-            for r, c in np.ndindex(grid.rows, grid.cols)
+            np.array_equal(support[r, c], support[0, 0]) for r, c in np.ndindex(3, 3)
         )
 
     def test_exact_sparsity_everywhere(self):
-        grid = AntennaGrid(rows=4, cols=5)
-        real = generate_channels(grid, 64, 3, ArrayKind.SVA, drift=0.3,
-                                 rng=make_rng(1))
-        np.testing.assert_array_equal(real.support.sum(axis=2), 3)
+        taps = generate_channels((4, 5), 64, 3, ArrayKind.SVA, drift=0.3, rng=make_rng(1))
+        np.testing.assert_array_equal((taps != 0).sum(axis=2), 3)
 
     def test_off_support_exactly_zero_on_support_nonzero(self):
-        grid = AntennaGrid(rows=3, cols=3)
-        real = generate_channels(grid, 32, 4, ArrayKind.SVA, drift=0.5,
-                                 rng=make_rng(2))
-        assert np.all(real.taps[~real.support] == 0)
-        assert np.all(np.abs(real.taps[real.support]) >= 1e-9)
+        taps = generate_channels((3, 3), 32, 4, ArrayKind.SVA, drift=0.5, rng=make_rng(2))
+        np.testing.assert_array_equal((taps == 0).sum(axis=2), 32 - 4)
+        assert np.all(np.abs(taps[taps != 0]) >= 1e-9)
 
     def test_sva_neighbors_differ_by_at_most_one_migration(self):
-        grid = AntennaGrid(rows=6, cols=6)
         for seed in range(10):
-            real = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.6,
-                                     rng=make_rng(seed))
-            for r, c in np.ndindex(grid.rows, grid.cols):
-                for nr, nc in neighbors(grid, (r, c)):
-                    sym_diff = np.logical_xor(real.support[r, c],
-                                              real.support[nr, nc]).sum()
+            support = generate_channels((6, 6), 32, 3, ArrayKind.SVA, drift=0.6,
+                                        rng=make_rng(seed)) != 0
+            for r, c in np.ndindex(6, 6):
+                for nr, nc in neighbors((6, 6), (r, c)):
+                    sym_diff = np.logical_xor(support[r, c], support[nr, nc]).sum()
                     assert sym_diff <= 2
 
     def test_sva_zero_drift_reduces_to_sia(self):
-        grid = AntennaGrid(rows=4, cols=4)
-        real = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.0,
-                                 rng=make_rng(3))
-        base = real.support[0, 0]
+        support = generate_channels((4, 4), 32, 3, ArrayKind.SVA, drift=0.0,
+                                    rng=make_rng(3)) != 0
         assert all(
-            np.array_equal(real.support[r, c], base)
-            for r, c in np.ndindex(grid.rows, grid.cols)
+            np.array_equal(support[r, c], support[0, 0]) for r, c in np.ndindex(4, 4)
         )
 
     def test_sva_actually_drifts(self):
-        grid = AntennaGrid(rows=8, cols=8)
-        real = generate_channels(grid, 64, 3, ArrayKind.SVA, drift=0.9,
-                                 rng=make_rng(4))
-        assert not np.array_equal(real.support[0, 0], real.support[7, 7])
+        support = generate_channels((8, 8), 64, 3, ArrayKind.SVA, drift=0.9,
+                                    rng=make_rng(4)) != 0
+        assert not np.array_equal(support[0, 0], support[7, 7])
 
     def test_sparsity_exceeding_length(self):
-        grid = AntennaGrid(rows=2, cols=2)
         with pytest.raises(ConfigurationError):
-            generate_channels(grid, 4, 5, ArrayKind.SIA, drift=0.05, rng=make_rng(0))
+            generate_channels((2, 2), 4, 5, ArrayKind.SIA, drift=0.05, rng=make_rng(0))
 
     @pytest.mark.parametrize("dist", ["rayleigh", "constant", "student_t"])
     def test_tap_distributions(self, dist):
-        grid = AntennaGrid(rows=2, cols=2)
-        real = generate_channels(grid, 16, 2, ArrayKind.SIA, drift=0.05, rng=make_rng(6),
+        taps = generate_channels((2, 2), 16, 2, ArrayKind.SIA, drift=0.05, rng=make_rng(6),
                                  tap_dist=dist)
-        assert np.all(np.abs(real.taps[real.support]) >= 1e-9)
+        np.testing.assert_array_equal((taps != 0).sum(axis=2), 2)
+        assert np.all(np.abs(taps[taps != 0]) >= 1e-9)
+
+    @pytest.mark.parametrize("argument, names", [
+        ("tap_dist", tuple(TAP_SAMPLERS)), ("power_profile", POWER_PROFILES),
+    ], ids=["tap_dist", "power_profile"])
+    def test_unknown_name_is_a_configuration_error_before_any_draw(self, argument, names):
+        """The error names every accepted value, and the generator is untouched."""
+        rng = make_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError) as excinfo:
+            generate_channels((2, 2), 16, 2, ArrayKind.SIA, drift=0.0, rng=rng,
+                              **{argument: "laplace"})
+        assert all(repr(name) in str(excinfo.value) for name in names)
+        assert rng.bit_generator.state == state
 
     def test_determinism(self):
-        grid = AntennaGrid(rows=3, cols=3)
-        a = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
-        b = generate_channels(grid, 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
-        np.testing.assert_array_equal(a.taps, b.taps)
+        a = generate_channels((3, 3), 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
+        b = generate_channels((3, 3), 32, 3, ArrayKind.SVA, drift=0.4, rng=make_rng(9))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestArrayFill:
@@ -180,24 +176,49 @@ class TestArrayFill:
     ])
     @pytest.mark.parametrize("power_profile", ["flat", "geometric"])
     def test_equals_per_antenna_fill(self, rows, cols, kind, drift, power_profile):
-        grid = AntennaGrid(rows=rows, cols=cols)
         for seed in range(3):
-            real = generate_channels(grid, 32, 4, kind, drift, make_rng(seed),
+            real = generate_channels((rows, cols), 32, 4, kind, drift, make_rng(seed),
                                      power_profile=power_profile)
             taps, support = generate_channels_loop_oracle(
-                grid, 32, 4, kind, drift, make_rng(seed), power_profile=power_profile)
-            assert np.array_equal(real.taps, taps)
-            assert np.array_equal(real.support, support)
+                (rows, cols), 32, 4, kind, drift, make_rng(seed), power_profile=power_profile)
+            assert np.array_equal(real, taps)
+            assert np.array_equal(real != 0, support)
+
+
+class TestSupportIsNonzero:
+    """Every antenna holds exactly ``sparsity`` nonzero taps, and they sit
+    where the per-antenna fill puts the support, for every tap sampler,
+    power profile and regime (drift 0.6: the SVA support walks)."""
+
+    @pytest.mark.parametrize("tap_dist", sorted(TAP_SAMPLERS))
+    @pytest.mark.parametrize("power_profile", POWER_PROFILES)
+    @pytest.mark.parametrize("kind", list(ArrayKind))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        channel_len=st.integers(1, 24),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nonzero_taps_are_the_support(self, tap_dist, power_profile, kind,
+                                          rows, cols, channel_len, data, seed):
+        sparsity = data.draw(st.integers(1, channel_len), label="sparsity")
+        args = ((rows, cols), channel_len, sparsity, kind, 0.6)
+        taps = generate_channels(*args, make_rng(seed), tap_dist=tap_dist,
+                                 power_profile=power_profile)
+        _, support = generate_channels_loop_oracle(*args, make_rng(seed), tap_dist=tap_dist,
+                                                   power_profile=power_profile)
+        np.testing.assert_array_equal((taps != 0).sum(axis=-1), sparsity)
+        np.testing.assert_array_equal(taps != 0, support)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        grid = AntennaGrid(rows=3, cols=4)
-        real = generate_channels(grid, 16, 3, ArrayKind.SVA, drift=0.3,
-                                 rng=make_rng(11))
+        real = generate_channels((3, 4), 16, 3, ArrayKind.SVA, drift=0.3, rng=make_rng(11))
         path = tmp_path / "channels.csv"
         channels_to_csv(real, path)
         taps, support = read_channels_csv(path, 3, 4, 16)
-        np.testing.assert_allclose(taps, real.taps, atol=0)
-        np.testing.assert_array_equal(support, real.support)
+        np.testing.assert_allclose(taps, real, atol=0)
+        np.testing.assert_array_equal(support, real != 0)
         np.testing.assert_array_equal(support.sum(axis=2), 3)

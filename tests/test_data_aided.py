@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+from gridce.channels import ArrayKind, generate_channels
 import gridce.data_aided
 from gridce import experiments
 from gridce.data_aided import (
@@ -48,7 +48,6 @@ from gridce.ofdm import (
     modulate_frame,
     place_pilots,
     synthesize_received,
-    truncated_dft,
 )
 from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
@@ -69,6 +68,7 @@ from oracles import (
     reestimation_inputs_oracle,
     sq_distances_oracle,
     top_carriers_oracle,
+    truncated_dft,
 )
 
 QAM4 = build_qam_alphabet(4)
@@ -77,22 +77,20 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
                seed=0, qam=4):
-    grid = AntennaGrid(rows=rows, cols=cols)
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
     alphabet = build_qam_alphabet(qam)
-    channels = generate_channels(grid, length, sparsity, ArrayKind.SIA, 0.0,
-                                 make_rng(seed, 0))
+    true_taps = generate_channels((rows, cols), length, sparsity, ArrayKind.SIA, 0.0,
+                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
     frame = modulate_frame(alphabet, n, pilots, make_rng(seed, 2))
     full_rows = build_sensing_matrix(frame, length)
-    observations = synthesize_received(full_rows, channels.taps, noise_var,
-                                       make_rng(seed, 3))
+    observations = synthesize_received(full_rows, true_taps, noise_var, make_rng(seed, 3))
     solver_cfg = GridSolverConfig(lambda_init=sparsity / length,
                                   noise_var=noise_var)
     first = first_pass(observations[..., pilots], full_rows[pilots], solver_cfg,
                        [BeliefKind.MARGINAL])
     base = run_marginal_based(first, solver_cfg, 2)
-    return grid, channels, alphabet, frame, full_rows, observations, base, solver_cfg
+    return (rows, cols), true_taps, alphabet, frame, full_rows, observations, base, solver_cfg
 
 
 def distortion_covariance_oracle(a, err_cov, noise_var, taps=None):
@@ -378,15 +376,15 @@ def top_reliable_oracle(reliability, eligible, count):
     return np.sort(idx[order[:count]])
 
 
-def select_and_agree_oracle(grid, top_sets, hard_decisions, pilot_indices):
+def select_and_agree_oracle(shape, top_sets, hard_decisions, pilot_indices):
     """Per-antenna consensus over Python sets: the intersection of the
     neighborhood's top sets minus the pilots, pruned to carriers where every
     member made the same hard decision.  Returns [row][col] (consensus,
     agreed symbols)."""
     pilot_set = set(int(i) for i in pilot_indices)
-    out = [[None] * grid.cols for _ in range(grid.rows)]
-    for r, c in np.ndindex(grid.rows, grid.cols):
-        members = [(r, c)] + neighbors(grid, (r, c))
+    out = [[None] * shape[1] for _ in range(shape[0])]
+    for r, c in np.ndindex(shape):
+        members = [(r, c)] + neighbors(shape, (r, c))
         common = set(int(i) for i in top_sets[r][c])
         for mr, mc in members[1:]:
             common &= set(int(i) for i in top_sets[mr][mc])
@@ -414,14 +412,15 @@ class TestSelectAndAgree:
     def test_unanimous_neighborhood_keeps_all(self):
         top = top_masks((3, 3, 16), [[[4, 9, 13]] * 3] * 3)
         decisions = np.full((3, 3, 16), 3)  # (1+1j)/sqrt(2) everywhere
-        sets = select_and_agree(top, decisions, np.array([0, 1]), QAM4)
+        sets = select_and_agree(top, decisions, np.array([0, 1]))
         assert list(sets[1][1].consensus) == [4, 9, 13]
-        np.testing.assert_array_equal(sets[1][1].agreed_symbols, QAM4.points[[3, 3, 3]])
+        np.testing.assert_array_equal(QAM4.points[decisions[1, 1]][sets[1][1].consensus],
+                                      QAM4.points[[3, 3, 3]])
 
     def test_disjoint_sets_empty(self):
         top = top_masks((1, 2, 16), [[[3], [7]]])
         decisions = np.zeros((1, 2, 16), dtype=int)
-        sets = select_and_agree(top, decisions, np.array([]), QAM4)
+        sets = select_and_agree(top, decisions, np.array([]))
         assert sets[0][0].consensus.size == 0
 
     def test_disagreeing_decisions_pruned(self):
@@ -430,13 +429,13 @@ class TestSelectAndAgree:
         decisions[0, 0, 3] = 3
         decisions[0, 1, 3] = 2  # disagree on 3
         decisions[0, :, 5] = 0
-        sets = select_and_agree(top, decisions, np.array([]), QAM4)
+        sets = select_and_agree(top, decisions, np.array([]))
         assert list(sets[0][0].consensus) == [5]
 
     def test_pilots_excluded(self):
         top = top_masks((1, 1, 8), [[[2, 3]]])
         decisions = np.ones((1, 1, 8), dtype=int)
-        sets = select_and_agree(top, decisions, np.array([2]), QAM4)
+        sets = select_and_agree(top, decisions, np.array([2]))
         assert list(sets[0][0].consensus) == [3]
 
     def test_top_u_size_contract(self):
@@ -462,26 +461,30 @@ def consensus_inputs(draw):
     flips = rng.random((rows, cols, n)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
     decisions[flips] = rng.integers(0, order, size=int(flips.sum()))
     pilots = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5])))
-    return AntennaGrid(rows=rows, cols=cols), top, decisions, pilots, order
+    return (rows, cols), top, decisions, pilots, order
 
 
 class TestLazyReliableSets:
     """The ``[row][col]`` sets read their fields from row views of the grid
-    arrays; they equal the sets built with every field computed up front."""
+    masks; they equal the sets built with every field computed up front, and
+    the decisions on their consensus are the eager sets' agreed symbols."""
 
     @staticmethod
     def assert_equal_sets(top, decisions, pilots, alphabet):
         consensus = np.empty_like(top)
-        sets = select_and_agree(top, decisions, pilots, alphabet, out=consensus)
+        sets = select_and_agree(top, decisions, pilots, out=consensus)
         want = eager_reliable_sets(top, consensus, decisions, alphabet)
         assert len(sets) == len(want) == top.shape[0]
-        for got_row, want_row in zip(sets, want):
+        for r, (got_row, want_row) in enumerate(zip(sets, want)):
             assert len(got_row) == len(want_row) == top.shape[1]
-            for got, expected in zip(got_row, want_row):
-                for name in ("own_top", "consensus", "agreed_symbols"):
+            for c, (got, expected) in enumerate(zip(got_row, want_row)):
+                for name in ("own_top", "consensus"):
                     value, reference = getattr(got, name), getattr(expected, name)
                     assert value.dtype == reference.dtype, name
                     np.testing.assert_array_equal(value, reference)
+                agreed = alphabet.points[decisions[r, c]][got.consensus]
+                assert agreed.dtype == expected.agreed_symbols.dtype
+                np.testing.assert_array_equal(agreed, expected.agreed_symbols)
         return consensus
 
     @PROPERTY
@@ -511,9 +514,8 @@ class TestLazyReliableSets:
         top = np.ones((2, 3, 8), dtype=bool)
         decisions = np.zeros((2, 3, 8), dtype=np.uint8)
         consensus = np.empty_like(top)
-        sets = select_and_agree(top, decisions, np.array([1]), QAM4, out=consensus)
+        sets = select_and_agree(top, decisions, np.array([1]), out=consensus)
         assert np.shares_memory(sets[1][2].top_row, top)
-        assert np.shares_memory(sets[1][2].decisions_row, decisions)
         np.testing.assert_array_equal(sets[1][2].consensus_row, consensus[1, 2])
         assert list(sets[1][2].consensus) == [0, 2, 3, 4, 5, 6, 7]
 
@@ -524,16 +526,16 @@ class TestStencilConsensus:
     @PROPERTY
     @given(consensus_inputs())
     def test_matches_set_based_consensus(self, case):
-        grid, top, decisions, pilots, order = case
-        alphabet = build_qam_alphabet(order)
-        sets = select_and_agree(top, decisions, pilots, alphabet)
-        top_sets = [[np.flatnonzero(top[r, c]) for c in range(grid.cols)]
-                    for r in range(grid.rows)]
-        want = select_and_agree_oracle(grid, top_sets, alphabet.points[decisions], pilots)
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        shape, top, decisions, pilots, order = case
+        points = build_qam_alphabet(order).points[decisions]
+        sets = select_and_agree(top, decisions, pilots)
+        top_sets = [[np.flatnonzero(top[r, c]) for c in range(shape[1])]
+                    for r in range(shape[0])]
+        want = select_and_agree_oracle(shape, top_sets, points, pilots)
+        for r, c in np.ndindex(shape):
             consensus, symbols = want[r][c]
             np.testing.assert_array_equal(sets[r][c].consensus, consensus)
-            np.testing.assert_array_equal(sets[r][c].agreed_symbols, symbols)
+            np.testing.assert_array_equal(points[r, c][sets[r][c].consensus], symbols)
             np.testing.assert_array_equal(sets[r][c].own_top, top_sets[r][c])
 
     @PROPERTY
@@ -675,10 +677,12 @@ class TestReliableBudget:
         np.testing.assert_array_equal(got[2], 0.3)
 
 
-def reestimate_oracle(frame, full_rows, observations, base, config, agreements):
+def reestimate_oracle(frame, full_rows, observations, base, config, agreements,
+                      decided_points):
     """The per-antenna re-estimation loop the closed forms replaced:
-    explicit augmented rows and one search per aided antenna.  Returns
-    (taps, support, error_cov, fallback) on the grid."""
+    explicit augmented rows, with the (M, G, N) ``decided_points`` standing
+    in as pilot symbols on each consensus, and one search per aided
+    antenna.  Returns (taps, support, error_cov, fallback) on the grid."""
     length = full_rows.shape[1]
     pilots = frame.pilot_indices
     dft = truncated_dft(frame.n_carriers, length)
@@ -690,7 +694,8 @@ def reestimate_oracle(frame, full_rows, observations, base, config, agreements):
         if failed or not reliable.consensus.size:
             continue
         a_aug = np.vstack([full_rows[pilots],
-                           reliable.agreed_symbols[:, None] * dft[reliable.consensus]])
+                           decided_points[r, c, reliable.consensus, None]
+                           * dft[reliable.consensus]])
         y_aug = observations[r, c, np.concatenate([pilots, reliable.consensus])]
         stack = greedy_search_batch(
             a_aug.conj().T @ a_aug, (a_aug.conj().T @ y_aug)[None],
@@ -714,11 +719,12 @@ class TestRunDataAided:
         """One batched solve on the closed-form inputs against the
         per-antenna loop on explicit augmented rows: equal supports and
         fallbacks, taps and error covariances within 1e-12 relative."""
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             rows=rows, cols=cols, qam=qam, snr_db=12.0, seed=seed)
         refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=n_reliable)
         taps, support, error_cov, fallback = reestimate_oracle(
-            frame, full_rows, obs, base, cfg, refined.diagnostics["agreements"])
+            frame, full_rows, obs, base, cfg, refined.diagnostics["agreements"],
+            alphabet.points[refined.diagnostics["base_decisions"]])
         np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"], fallback)
         np.testing.assert_array_equal(refined.support, support)
         assert_close(refined.taps, taps)
@@ -726,14 +732,14 @@ class TestRunDataAided:
         assert not fallback.all()
 
     def test_refinement_improves_or_matches_base(self):
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene()
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene()
         refined = run_data_aided(frame, obs, base, cfg, alphabet)
-        base_ratio = error_ratio(channels.taps, base.taps)
-        refined_ratio = error_ratio(channels.taps, refined.taps)
+        base_ratio = error_ratio(true_taps, base.taps)
+        refined_ratio = error_ratio(true_taps, refined.taps)
         assert refined_ratio <= base_ratio * 1.05
 
     def test_consensus_symbols_are_true_symbols_at_high_snr(self):
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             snr_db=25.0, seed=2
         )
         refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=8)
@@ -744,23 +750,23 @@ class TestRunDataAided:
         """Noiseless with an exact base estimate: all decisions are correct,
         the augmented rows equal the true ones and the refined NMSE does not
         exceed the base NMSE."""
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             snr_db=90.0, seed=3
         )
-        base_ratio = error_ratio(channels.taps, base.taps)
+        base_ratio = error_ratio(true_taps, base.taps)
         refined = run_data_aided(frame, obs, base, cfg, alphabet)
-        refined_ratio = error_ratio(channels.taps, refined.taps)
+        refined_ratio = error_ratio(true_taps, refined.taps)
         assert refined_ratio <= base_ratio + 1e-12
 
     def test_empty_consensus_returns_base(self):
         """With n_reliable=2 and decorrelated rankings some antennas fall
         back; their outputs must equal the base estimates exactly."""
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             seed=4, snr_db=10.0
         )
         refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=2)
         fallback = refined.diagnostics["fallback_no_consensus"]
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        for r, c in np.ndindex(shape):
             if fallback[r, c]:
                 np.testing.assert_array_equal(refined.taps[r, c], base.taps[r, c])
 
@@ -768,7 +774,7 @@ class TestRunDataAided:
         """A failed base pass leaves an antenna without taps, so it decodes
         no carrier, joins no consensus and falls back, flagged failed or
         not; the stage reads the same either way."""
-        grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(seed=6)
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(seed=6)
         taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
         for zeroed in (taps, support, error_cov):
             zeroed[1, 2] = 0
@@ -795,19 +801,20 @@ class TestRunDataAided:
         distributions coincide (KS distance < 0.1)."""
         ratios_aided, ratios_pilot = [], []
         for seed in range(10):
-            grid, channels, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+            shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
                 rows=3, cols=3, snr_db=20.0, seed=50 + seed
             )
             refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=12)
             agreements = refined.diagnostics["agreements"]
+            decided_points = alphabet.points[refined.diagnostics["base_decisions"]]
             pilots = frame.pilot_indices
             t_max = search_depth(32, cfg.lambda_init, pilots.size)
-            for r, c in np.ndindex(grid.rows, grid.cols):
+            for r, c in np.ndindex(shape):
                 reliable = agreements[r][c]
                 if reliable.consensus.size == 0:
                     continue
                 correct = np.allclose(
-                    reliable.agreed_symbols,
+                    decided_points[r, c, reliable.consensus],
                     frame.freq_symbols[reliable.consensus],
                 )
                 if not correct:
@@ -818,7 +825,7 @@ class TestRunDataAided:
                     a_pilot_run, obs[r, c, idx],
                     base.priors[r, c], cfg.noise_var, t_max,
                 )
-                h_true = channels.taps[r, c]
+                h_true = true_taps[r, c]
                 energy = float(np.sum(np.abs(h_true) ** 2))
                 ratios_aided.append(
                     float(np.sum(np.abs(refined.taps[r, c] - h_true) ** 2)) / energy

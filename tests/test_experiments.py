@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridce import experiments
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+from gridce.channels import ArrayKind, generate_channels
 from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
@@ -40,7 +40,7 @@ from gridce.experiments import (
     somp_stack,
     synthesize_scene,
 )
-from gridce.ofdm import freq_response, make_rng, truncated_dft
+from gridce.ofdm import freq_response, make_rng
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
@@ -58,6 +58,7 @@ from oracles import (
     per_currency_grid,
     read_channels_csv,
     somp_loop_oracle,
+    truncated_dft,
 )
 
 
@@ -185,7 +186,7 @@ class TestSpec:
         spec = small_spec(grid_rows=np.int64(2), trials=np.int32(2),
                           n_pilots=[np.int64(10)], depth=(np.int16(1),),
                           snr_db=(np.float32(15.0), 20), drift=np.float64(0.1))
-        assert spec.grid().n_antennas == 2 * 3
+        assert (spec.grid_rows, spec.grid_cols) == (2, 3)
         assert spec.n_pilots == (10,) and type(spec.n_pilots[0]) is int
         assert spec.snr_db == (15.0, 20) and type(spec.snr_db[0]) is float
         assert type(spec.grid_rows) is int and type(spec.drift) is float
@@ -262,9 +263,9 @@ class TestOracle:
         scene = synthesize_scene(spec, 10, 120.0, 0, 0)
         y = scene.observations[0, 0, scene.frame.pilot_indices]
         h = oracle_ls_estimate(
-            scene.pilot_rows, y, np.flatnonzero(scene.channels.support[0, 0])
+            scene.pilot_rows, y, np.flatnonzero(scene.taps[0, 0])
         )
-        np.testing.assert_allclose(h, scene.channels.taps[0, 0], atol=1e-5)
+        np.testing.assert_allclose(h, scene.taps[0, 0], atol=1e-5)
 
     def test_equals_blue_on_true_support(self):
         """The Gram-domain solve equals the SVD-based ``blue_estimate`` to
@@ -272,7 +273,7 @@ class TestOracle:
         spec = small_spec()
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[1, 1, scene.frame.pilot_indices]
-        support = np.flatnonzero(scene.channels.support[1, 1])
+        support = np.flatnonzero(scene.taps[1, 1])
         h = oracle_ls_estimate(scene.pilot_rows, y, support)
         np.testing.assert_allclose(
             h[support], blue_estimate(scene.pilot_rows[:, support], y),
@@ -285,7 +286,7 @@ class TestOracle:
         spec = small_spec(mode="SVA", drift=0.8)
         scene = synthesize_scene(spec, 10, 15.0, 0, 0)
         y = scene.observations[..., scene.frame.pilot_indices]
-        slots = np.stack([[np.flatnonzero(scene.channels.support[r, c]) for c in range(3)]
+        slots = np.stack([[np.flatnonzero(scene.taps[r, c]) for c in range(3)]
                           for r in range(3)])
         assert len({tuple(s) for s in slots.reshape(-1, 2)}) > 1  # supports drift
         got = oracle_ls_estimate(scene.pilot_rows, y, slots)
@@ -344,7 +345,7 @@ def score_oracle(scene, taps):
         bad = bad[data_idx]
         errors += int((true_bits != hard_bits)[~bad].sum()) + int(bad.sum()) * k
         total += data_idx.size * k
-    return error_ratio(scene.channels.taps, taps), errors, total
+    return error_ratio(scene.taps, taps), errors, total
 
 
 class TestBatchedScoring:
@@ -352,7 +353,7 @@ class TestBatchedScoring:
 
     def estimates(self, scene, seed):
         rng = make_rng(seed)
-        true = scene.channels.taps
+        true = scene.taps
         noise = rng.normal(size=true.shape) + 1j * rng.normal(size=true.shape)
         partial = true + 0.3 * noise
         partial[0, 0] = 0.0  # one antenna undecodable on every carrier
@@ -372,7 +373,7 @@ class TestBatchedScoring:
 
     def test_zero_estimate_gets_every_bit_wrong(self):
         scene = synthesize_scene(small_spec(qam_order=16), 10, 15.0, 0, 0)
-        ratio, errors, total = _score_algorithm(scene, np.zeros_like(scene.channels.taps))
+        ratio, errors, total = _score_algorithm(scene, np.zeros_like(scene.taps))
         assert ratio == 1.0
         assert errors == total == 9 * (64 - 10) * 4
 
@@ -478,14 +479,12 @@ class TestSharedFirstPass:
 
 class TestSomp:
     def test_single_antenna_single_tap_noiseless(self):
-        grid = AntennaGrid(rows=1, cols=1)
-        channels = generate_channels(grid, 16, 1, ArrayKind.SIA, 0.0, make_rng(3))
+        channels = generate_channels((1, 1), 16, 1, ArrayKind.SIA, 0.0, make_rng(3))
         rng = make_rng(4)
         a = (rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))) / np.sqrt(8)
-        y = channels.taps @ a.T
+        y = channels @ a.T
         taps = somp_baseline(y, a, 1)
-        assert np.flatnonzero(taps[0, 0]).tolist() == \
-            np.flatnonzero(channels.taps[0, 0]).tolist()
+        assert np.flatnonzero(taps[0, 0]).tolist() == np.flatnonzero(channels[0, 0]).tolist()
 
     def test_neighborhood_recovery_rate(self):
         """SIA 5-member neighborhood, noiseless, K >= 2n: exact support in at
@@ -493,16 +492,15 @@ class TestSomp:
         hits = 0
         trials = 200
         for seed in range(trials):
-            grid = AntennaGrid(rows=3, cols=3)
-            channels = generate_channels(grid, 32, 3, ArrayKind.SIA, 0.0,
+            channels = generate_channels((3, 3), 32, 3, ArrayKind.SIA, 0.0,
                                          make_rng(900 + seed))
             rng = make_rng(901, seed)
             a = (rng.normal(size=(10, 32)) + 1j * rng.normal(size=(10, 32)))
             a /= np.sqrt(10)
-            y = channels.taps @ a.T
+            y = channels @ a.T
             taps = somp_baseline(y, a, 3)
             found = set(np.flatnonzero(taps[1, 1]).tolist())
-            hits += found == set(np.flatnonzero(channels.support[1, 1]).tolist())
+            hits += found == set(np.flatnonzero(channels[1, 1]).tolist())
         assert hits / trials >= 0.95
 
     def test_sva_warns(self):
@@ -526,9 +524,9 @@ def assert_taps_close(got, ref, sensing_rows, supports):
         assert np.linalg.norm(g - r) <= tol * np.linalg.norm(r)
 
 
-def member_observations(grid, observations, antenna):
+def member_observations(shape, observations, antenna):
     """(K, members) observations of an antenna and its in-grid neighbors."""
-    members = [antenna] + neighbors(grid, antenna)
+    members = [antenna] + neighbors(shape, antenna)
     return np.stack([observations[m] for m in members], axis=1)
 
 
@@ -551,7 +549,7 @@ GRID_SHAPES = [(1, 1), (1, 6), (6, 1), (3, 5), (4, 4)]
 
 @st.composite
 def baseline_cases(draw):
-    """(grid, sensing rows A, (M, G, K) observations, n_taps, pilot_rows).
+    """((rows, cols), sensing rows A, (M, G, K) observations, n_taps, pilot_rows).
     A is random Gaussian or pilot rows diag(s) F_L; observations are
     Gaussian or all zero; n_taps runs up to K + 2."""
     rows, cols = draw(st.sampled_from(GRID_SHAPES))
@@ -571,7 +569,7 @@ def baseline_cases(draw):
     if draw(st.booleans()):
         y[:] = 0
     n_taps = draw(st.integers(1, n_obs + 2))
-    return AntennaGrid(rows=rows, cols=cols), a, y, n_taps, pilot_rows
+    return (rows, cols), a, y, n_taps, pilot_rows
 
 
 DESK10 = dict(grid_rows=10, grid_cols=10, n_carriers=512, channel_len=64, sparsity=3,
@@ -593,19 +591,19 @@ class TestBatchedBaselines:
         mirror-image taps correlate equally with the 1-D residual space.
         There the first differing picks must score equal in the loop, and
         both estimates must give the same fit A h."""
-        grid, a, y, n_taps, pilot_rows = case
-        ref, picks = somp_loop_oracle(grid, y, a, n_taps)
+        shape, a, y, n_taps, pilot_rows = case
+        ref, picks = somp_loop_oracle(shape, y, a, n_taps)
         support, coef = somp_stack(y, a, n_taps)
         got = somp_baseline(y, a, n_taps)
-        assert support.shape == coef.shape == (grid.rows, grid.cols, min(n_taps, a.shape[0]))
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        assert support.shape == coef.shape == (*shape, min(n_taps, a.shape[0]))
+        for r, c in np.ndindex(shape):
             batch, loop = support[r, c].tolist(), picks[r][c]
             if batch == loop:
                 assert_taps_close(got[r, c], ref[r, c], a, loop)
                 continue
             assert pilot_rows
             stage = next(i for i, (p, q) in enumerate(zip(batch, loop)) if p != q)
-            scores = somp_scores(a, member_observations(grid, y, (r, c)), loop[:stage])
+            scores = somp_scores(a, member_observations(shape, y, (r, c)), loop[:stage])
             assert scores[batch[stage]] == pytest.approx(scores[loop[stage]], rel=1e-12)
             np.testing.assert_allclose(a @ got[r, c], a @ ref[r, c],
                                        atol=1e-9 * np.linalg.norm(y[r, c]))
@@ -615,11 +613,11 @@ class TestBatchedBaselines:
     def test_oracle_ls_equals_loop_oracle(self, case, size, seed):
         """Random per-antenna supports of one size S <= K: the one batch
         raises where the loop raises, and agrees with it elsewhere."""
-        grid, a, y, _, _ = case
+        shape, a, y, _, _ = case
         n_obs, length = a.shape
         size = min(size, n_obs)
         order = make_rng(seed).permuted(
-            np.broadcast_to(np.arange(length), (grid.rows, grid.cols, length)), axis=-1)
+            np.broadcast_to(np.arange(length), (*shape, length)), axis=-1)
         slots = np.sort(order[..., :size], axis=-1)
         try:
             ref = oracle_ls_loop_oracle(a, y, slots)
@@ -659,14 +657,13 @@ class TestBatchedBaselines:
             scene = synthesize_scene(spec, 16, 10.0, 0, trial)
             a = scene.pilot_rows
             y = scene.observations[..., scene.frame.pilot_indices]
-            ref, picks = somp_loop_oracle(spec.grid(), y, a, spec.sparsity)
+            ref, picks = somp_loop_oracle((10, 10), y, a, spec.sparsity)
             support, _ = somp_stack(y, a, spec.sparsity)
             assert support.tolist() == picks
             got = somp_baseline(y, a, spec.sparsity)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-            support = scene.channels.support
-            slots = np.stack([[np.flatnonzero(support[r, c]) for c in range(10)]
+            slots = np.stack([[np.flatnonzero(scene.taps[r, c]) for c in range(10)]
                               for r in range(10)])
             got = oracle_ls_estimate(a, y, slots)
             ref = oracle_ls_loop_oracle(a, y, slots)
@@ -927,8 +924,8 @@ class TestCli:
         taps, support = read_channels_csv(tmp_path / "channels.csv", 2, 3, 16)
         spec = ExperimentSpec.from_file(cfg_path)
         scene = synthesize_scene(spec, 10, spec.snr_db[0], 0, 0)
-        np.testing.assert_array_equal(taps, scene.channels.taps)
-        np.testing.assert_array_equal(support, scene.channels.support)
+        np.testing.assert_array_equal(taps, scene.taps)
+        np.testing.assert_array_equal(support, scene.taps != 0)
 
     def test_experiment_with_config(self, tmp_path):
         config = dict(

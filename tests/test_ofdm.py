@@ -15,7 +15,6 @@ from gridce.ofdm import (
     modulate_frame,
     place_pilots,
     synthesize_received,
-    truncated_dft,
 )
 from gridce.qam import build_qam_alphabet
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     freq_response_oracle,
     qam_slice,
     synthesize_received_oracle,
+    truncated_dft,
 )
 
 QAM4 = build_qam_alphabet(4)

@@ -18,13 +18,15 @@ from gridce.posterior import (
     error_covariances,
     lattice_marginals,
 )
-from gridce.solver import COLLINEARITY_TOL, search_rows
+from gridce.solver import COLLINEARITY_TOL, ChainStack, _prior_terms, search_rows
 from oracles import (
     error_covariance,
     exhaustive_marginals,
     full_covariance_oracle,
     greedy_search,
+    independent_taps,
     lattice_oracle,
+    support_metric,
 )
 
 
@@ -169,6 +171,41 @@ class TestSubsetFits:
                 cols = a[:, subset]
                 left = y - cols @ np.linalg.lstsq(cols, y, rcond=None)[0]
                 assert residual == pytest.approx(np.vdot(left, left).real, rel=1e-12)
+
+
+class TestPivotBounds:
+    """The lattice's pivot bounds, reached through ``lattice_marginals``.
+    A greedy chain never holds a column its own earlier columns nearly
+    span, so the chain here is built by hand."""
+
+    def test_nearly_parallel_columns_in_a_non_prefix_subset(self):
+        """R's columns 1 and 2 differ by 1e-7 along the third axis, so in
+        the non-prefix subset {1, 2} the pivot of column 2 falls below its
+        bound and that column adds nothing; column 0 has a negative inner
+        product with column 2, so a bound read off the Gram's first row
+        would let the pivot through.  The explicit rows [R; 0] with y =
+        [Q^H y; e] give the same lattice, scored by ``lattice_oracle``."""
+        delta, noise_var = 1e-7, 0.1
+        r = np.array([[1.0, -0.3, -0.3], [0.0, 1.0, 1.0], [0.0, 0.0, delta]], dtype=complex)
+        qty = np.array([0.5, -0.2 + 0.1j, 0.7])
+        tail = 0.2
+        lambdas = np.array([0.2, 0.3, 0.25])
+        a = np.vstack((r, np.zeros((1, 3))))
+        y = np.append(qty, tail)
+        _, gain = _prior_terms(lambdas)
+        prefix = [support_metric([0], y, a, lambdas, noise_var),
+                  support_metric([0, 1], y, a, lambdas, noise_var)]
+        prefix.append(prefix[1] + gain[2])  # column 2 adds nothing to {0, 1}
+        stack = ChainStack(
+            chosen=np.array([[0, 1, 2]]), nus=np.array([prefix]),
+            residuals=np.array([[0.0, 0.0, tail**2]]), posteriors=np.zeros((1, 3)),
+            r_factors=r[None], r_inverses=np.linalg.inv(r)[None], qty=qty[None],
+            taps=np.zeros((1, 3), complex), noise_vars=np.array([noise_var]),
+            lengths=np.array([3]), skipped=np.zeros(1, bool), underflow=np.zeros(1, bool),
+        )
+        assert independent_taps(a, [1, 2]).tolist() == [1]
+        _, _, want = lattice_oracle(np.arange(3), a, y, lambdas, noise_var)
+        np.testing.assert_allclose(lattice_marginals(stack, lambdas)[0], want, atol=1e-12)
 
 
 class TestMarginals:

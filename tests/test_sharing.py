@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridce.channels import AntennaGrid, ArrayKind, generate_channels
+from gridce.channels import ArrayKind, generate_channels
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import (
     build_sensing_matrix,
@@ -35,15 +35,14 @@ from oracles import assign_scores, error_covariance, greedy_search, lattice_orac
 
 def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
                seed=0, kind=ArrayKind.SIA, drift=0.0):
-    grid = AntennaGrid(rows=rows, cols=cols)
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
-    channels = generate_channels(grid, length, sparsity, kind, drift,
+    channels = generate_channels((rows, cols), length, sparsity, kind, drift,
                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
     frame = modulate_frame(build_qam_alphabet(4), n, pilots, make_rng(seed, 2))
     full = build_sensing_matrix(frame, length)
-    y = synthesize_received(full, channels.taps, noise_var, make_rng(seed, 3))
-    return grid, channels, full[pilots], y[..., pilots], noise_var
+    y = synthesize_received(full, channels, noise_var, make_rng(seed, 3))
+    return (rows, cols), channels, full[pilots], y[..., pilots], noise_var
 
 
 def uniform_chains(observations, sensing_rows, config):
@@ -83,12 +82,11 @@ class TestStencils:
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (3, 4)])
     def test_gather_stacks_members_with_zero_rows_outside(self, rows, cols):
-        grid = AntennaGrid(rows=rows, cols=cols)
         x = make_rng(rows, cols).normal(size=(rows, cols, 2)) + 1.0
         members = stencil_gather(x)
         assert members.shape == (rows, cols, 5, 2)
-        for r, c in np.ndindex(grid.rows, grid.cols):
-            inside = [(r, c)] + neighbors(grid, (r, c))
+        for r, c in np.ndindex(rows, cols):
+            inside = [(r, c)] + neighbors((rows, cols), (r, c))
             for m, (dr, dc) in enumerate([(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]):
                 if (r + dr, c + dc) in inside:
                     np.testing.assert_array_equal(members[r, c, m], x[r + dr, c + dc])
@@ -223,24 +221,24 @@ class TestScoresToBeliefs:
 
 class TestGridAlgorithms:
     def test_depth_zero_marginal_is_self_reestimation(self):
-        grid, channels, sensing, y, nv = make_scene()
+        shape, channels, sensing, y, nv = make_scene()
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg,
                                  depth=0)
         assert not out.failed.any()
         # priors at undetected taps sit at lambda_small
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        for r, c in np.ndindex(shape):
             low = np.setdiff1d(np.arange(16), out.support[r, c])
             assert np.all(out.priors[r, c][low] <= 0.5)
 
     def test_depth_zero_integer(self):
-        grid, channels, sensing, y, nv = make_scene(seed=1)
+        shape, channels, sensing, y, nv = make_scene(seed=1)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         out = run_integer_based(first_pass(y, sensing, cfg, [BeliefKind.SCORE]), cfg, depth=0)
         assert not out.failed.any()
 
     def test_negative_depth_rejected(self):
-        grid, channels, sensing, y, nv = make_scene(seed=2)
+        shape, channels, sensing, y, nv = make_scene(seed=2)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         first = first_pass(y, sensing, cfg, [BeliefKind.MARGINAL])
         with pytest.raises(ConfigurationError):
@@ -251,7 +249,7 @@ class TestGridAlgorithms:
         final estimates is at least the first-pass rate, over paired seeds."""
         before_hits = after_hits = total = 0
         for seed in range(25):
-            grid, channels, sensing, y, nv = make_scene(
+            shape, channels, sensing, y, nv = make_scene(
                 rows=5, cols=5, k=6, length=16, sparsity=2, snr_db=40.0,
                 seed=100 + seed,
             )
@@ -259,8 +257,8 @@ class TestGridAlgorithms:
             out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg,
                                      depth=2)
             _, first_detected = uniform_chains(y, sensing, cfg)
-            for r, c in np.ndindex(grid.rows, grid.cols):
-                true = set(np.flatnonzero(channels.support[r, c]))
+            for r, c in np.ndindex(shape):
+                true = set(np.flatnonzero(channels[r, c]))
                 before_hits += len(true & set(np.flatnonzero(first_detected[r, c])))
                 after_hits += len(true & set(int(t) for t in out.support[r, c]))
                 total += len(true)
@@ -270,33 +268,33 @@ class TestGridAlgorithms:
     def test_locality(self):
         """Perturbing one corner antenna's observation leaves estimates at
         Manhattan distance > depth bit-identical."""
-        grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=3)
+        shape, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=3)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 2
         out1 = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, depth)
         y2 = y.copy()
         y2[0, 0] += 0.5 * np.exp(1j)  # perturb corner antenna only
         out2 = run_marginal_based(first_pass(y2, sensing, cfg, [BeliefKind.MARGINAL]), cfg, depth)
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        for r, c in np.ndindex(shape):
             if abs(r - 0) + abs(c - 0) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
         # sanity: the perturbed antenna itself changed
         assert not np.array_equal(out1.taps[0, 0], out2.taps[0, 0])
 
     def test_integer_locality(self):
-        grid, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=4)
+        shape, channels, sensing, y, nv = make_scene(rows=6, cols=6, seed=4)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         depth = 1
         out1 = run_integer_based(first_pass(y, sensing, cfg, [BeliefKind.SCORE]), cfg, depth)
         y2 = y.copy()
         y2[5, 5] *= 1.3
         out2 = run_integer_based(first_pass(y2, sensing, cfg, [BeliefKind.SCORE]), cfg, depth)
-        for r, c in np.ndindex(grid.rows, grid.cols):
+        for r, c in np.ndindex(shape):
             if abs(r - 5) + abs(c - 5) > depth:
                 np.testing.assert_array_equal(out1.taps[r, c], out2.taps[r, c])
 
     def test_deterministic_rerun(self):
-        grid, channels, sensing, y, nv = make_scene(seed=5)
+        shape, channels, sensing, y, nv = make_scene(seed=5)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         a = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 2)
         b = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 2)
@@ -305,7 +303,7 @@ class TestGridAlgorithms:
 
     def test_integer_rounds_exchange_integers(self):
         """Belief buffers hold integers after every non-final round."""
-        grid, channels, sensing, y, nv = make_scene(seed=6)
+        shape, channels, sensing, y, nv = make_scene(seed=6)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         t_max = search_depth(16, cfg.lambda_init, 12)
         stack, detected = uniform_chains(y, sensing, cfg)
@@ -320,7 +318,7 @@ class TestGridAlgorithms:
         """The trace holds each round's beliefs (round 0: the first pass)
         at every antenna's detected taps, equal to the per-antenna
         composition's beliefs after that round."""
-        grid, channels, sensing, y, nv = make_scene(rows=3, cols=3, seed=7)
+        shape, channels, sensing, y, nv = make_scene(rows=3, cols=3, seed=7)
         path = tmp_path / "trace.csv"
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv,
                                trace_path=str(path))
@@ -332,7 +330,7 @@ class TestGridAlgorithms:
             assert len(lines) > 1
             traced = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
             assert set(traced[:, 0]) == {0, 1, 2}
-            *_, rounds, detected = per_antenna_grid(kind, grid, y, sensing, cfg, 2)
+            *_, rounds, detected = per_antenna_grid(kind, y, sensing, cfg, 2)
             at = np.nonzero(detected)
             want_index = np.vstack([np.column_stack((np.full(at[0].size, i),) + at)
                                     for i in range(len(rounds))])
@@ -342,14 +340,14 @@ class TestGridAlgorithms:
 
     def test_paper_scale_runs(self):
         """D=3 on a 20x20 grid completes end to end."""
-        grid, channels, sensing, y, nv = make_scene(rows=20, cols=20, seed=8)
+        shape, channels, sensing, y, nv = make_scene(rows=20, cols=20, seed=8)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg, 3)
         assert out.taps.shape == (20, 20, 16)
         assert not out.failed.any()
 
 
-def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
+def per_antenna_grid(kind, observations, sensing_rows, config, depth):
     """The per-antenna composition the one-stack passes replaced, kept as
     the oracle: greedy_search at every antenna, then the from-scratch
     lattice or assign_scores for the first-pass beliefs, and
@@ -370,7 +368,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     values = np.zeros((rows, cols, length))
     detected = np.zeros((rows, cols, length), dtype=bool)
     failed = np.zeros((rows, cols), dtype=bool)
-    for r, c in np.ndindex(grid.rows, grid.cols):
+    for r, c in np.ndindex(rows, cols):
         prior = np.full(length, config.lambda_init)
         est = solve(r, c, prior)
         if est is None:
@@ -396,7 +394,7 @@ def per_antenna_grid(kind, grid, observations, sensing_rows, config, depth):
     support = np.zeros((rows, cols, t_max), dtype=int)
     error_cov = np.zeros((rows, cols, t_max, t_max), dtype=complex)
     lengths = np.zeros((rows, cols), dtype=int)
-    for r, c in np.ndindex(grid.rows, grid.cols):
+    for r, c in np.ndindex(rows, cols):
         est = solve(r, c, priors[r, c])
         if est is None:
             failed[r, c] = True
@@ -412,14 +410,13 @@ def rank_four_scene(seed=0, rows=4, cols=4, k=12, length=16):
     four of its T = 5 stages.  Each stage still has a unique best pick, so
     the batched and per-antenna searches cannot part on a rounding tie."""
     rng = make_rng(seed)
-    grid = AntennaGrid(rows=rows, cols=cols)
     a = np.zeros((k, length), complex)
     # tap 0 is a true tap: padding, which reads tap 0, must not overwrite it
     a[:, [0, 5, 6, 12]] = rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4))
     h = np.zeros((rows, cols, length), complex)
     h[..., [0, 12]] = rng.normal(size=(rows, cols, 2)) + 1j * rng.normal(size=(rows, cols, 2))
     y = h @ a.T + 0.1 * (rng.normal(size=(rows, cols, k)) + 1j * rng.normal(size=(rows, cols, k)))
-    return grid, a, y, 0.02
+    return (rows, cols), a, y, 0.02
 
 
 class TestOneStackPasses:
@@ -430,16 +427,16 @@ class TestOneStackPasses:
     @pytest.mark.parametrize("case", ["t_max_fills_pilots", "rank_deficient"])
     def test_matches_per_antenna_composition(self, kind, case):
         if case == "t_max_fills_pilots":
-            grid, _, sensing, y, nv = make_scene(rows=4, cols=4, k=5, seed=9)
+            _, _, sensing, y, nv = make_scene(rows=4, cols=4, k=5, seed=9)
             a, n_stages = sensing, 5
         else:
-            grid, a, y, nv = rank_four_scene()
+            _, a, y, nv = rank_four_scene()
             n_stages = 4
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         assert search_depth(16, cfg.lambda_init, a.shape[0]) == 5
         got = _run_grid(kind, first_pass(y, a, cfg, [kind]), cfg, 2)
         taps, support, error_cov, priors, failed, lengths, *_ = per_antenna_grid(
-            kind, grid, y, a, cfg, 2)
+            kind, y, a, cfg, 2)
         assert np.all(lengths == n_stages) and not failed.any()
         np.testing.assert_array_equal(got.failed, failed)
         np.testing.assert_array_equal(got.support, support)
@@ -454,7 +451,7 @@ class TestFirstPassRecord:
         """The record keeps (M, G, .) arrays, the (K, L) pilot rows and
         t_max: the chains are gone, and only the requested currencies'
         beliefs are there."""
-        grid, _, sensing, y, nv = make_scene(rows=3, cols=4, seed=10)
+        _, _, sensing, y, nv = make_scene(rows=3, cols=4, seed=10)
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         for kinds in ([BeliefKind.SCORE], [BeliefKind.MARGINAL], list(BeliefKind)):
             first = first_pass(y, sensing, cfg, kinds)
@@ -490,7 +487,7 @@ class TestRuntimeOrdering:
         kinds = {run_integer_based: BeliefKind.SCORE, run_marginal_based: BeliefKind.MARGINAL}
 
         def run_all(runner):
-            for grid, channels, sensing, y, nv in scenes:
+            for _, _, sensing, y, nv in scenes:
                 cfg = GridSolverConfig(lambda_init=3 / 64, noise_var=nv)
                 assert search_depth(64, cfg.lambda_init, 16) == 7
                 runner(first_pass(y, sensing, cfg, [kinds[runner]]), cfg, 3)
