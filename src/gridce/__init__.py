@@ -13,10 +13,10 @@ from .data_aided import (
 from .errors import ConfigurationError, IllConditionedSupportError, InvalidContextError
 from .ofdm import (
     OfdmFrame,
-    build_sensing_matrix,
     freq_response,
     make_rng,
     modulate_frame,
+    pilot_rows,
     place_pilots,
     synthesize_received,
 )

@@ -141,6 +141,8 @@ def generate_channels(
     nearest scatterers).  Profiles are normalized so the expected total tap
     power stays equal to the sparsity.
     """
+    if len(shape) != 2 or min(shape) < 1:
+        raise ConfigurationError(f"grid shape must hold two sides >= 1, got {shape}")
     if sparsity > channel_len:
         raise ConfigurationError(
             f"sparsity {sparsity} exceeds channel length {channel_len}"
@@ -176,11 +178,6 @@ def channels_to_csv(taps: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["antenna_row", "antenna_col", "tap_index", "re", "im"])
-        rows, cols, _ = taps.shape
-        for r in range(rows):
-            for c in range(cols):
-                for tap in np.flatnonzero(taps[r, c]):
-                    value = taps[r, c, tap]
-                    writer.writerow(
-                        [r, c, int(tap), repr(float(value.real)), repr(float(value.imag))]
-                    )
+        index = np.nonzero(taps)
+        for r, c, tap, value in zip(*(axis.tolist() for axis in index), taps[index].tolist()):
+            writer.writerow([r, c, tap, repr(value.real), repr(value.imag)])

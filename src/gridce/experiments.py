@@ -28,10 +28,10 @@ from . import __version__
 from .channels import POWER_PROFILES, ArrayKind, generate_channels
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
-    build_sensing_matrix,
     detect,
     make_rng,
     modulate_frame,
+    pilot_rows,
     place_pilots,
     synthesize_received,
 )
@@ -449,12 +449,11 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     )
     frame = modulate_frame(alphabet, spec.n_carriers, pilots,
                            make_rng(spec.seed, point_index, trial, 2))
-    full = build_sensing_matrix(frame, spec.channel_len)
     observations = synthesize_received(
-        full, taps, noise_var, make_rng(spec.seed, point_index, trial, 3),
+        frame, taps, noise_var, make_rng(spec.seed, point_index, trial, 3),
     )
     return TrialScene(
-        taps=taps, frame=frame, pilot_rows=full[pilots],
+        taps=taps, frame=frame, pilot_rows=pilot_rows(frame, spec.channel_len),
         observations=observations, noise_var=noise_var, alphabet=alphabet,
         true_indices=alphabet.nearest_indices(frame.freq_symbols[frame.data_indices]),
     )

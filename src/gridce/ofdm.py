@@ -1,4 +1,4 @@
-"""OFDM frame construction, pilot placement, sensing matrices and detection.
+"""OFDM frame construction, pilot placement, synthesis and detection.
 
 The frequency-domain model per receive antenna is
 
@@ -6,7 +6,10 @@ The frequency-domain model per receive antenna is
 
 where F_L holds the first L columns of the unitary N-point DFT matrix,
 h is the length-L impulse response and w is circular complex Gaussian
-noise with per-entry variance ``noise_var``.
+noise with per-entry variance ``noise_var``.  F_L @ h is one FFT
+(:func:`freq_response`), which synthesis and detection share; only the
+K pilot rows of diag(x_freq) @ F_L are ever formed as a matrix
+(:func:`pilot_rows`), for the estimators.
 
 All randomness flows through explicit numpy Generators.  Seeded streams
 are created with :func:`make_rng`, which pins PCG64 so pilot placement,
@@ -14,7 +17,6 @@ frames and noise are reproducible across runs and platforms.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,14 +54,6 @@ class OfdmFrame:
         mask = np.ones(self.n_carriers, dtype=bool)
         mask[self.pilot_indices] = False
         return np.flatnonzero(mask)
-
-
-@lru_cache(maxsize=8)
-def _truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
-    """First ``channel_len`` columns of the unitary N-point DFT matrix."""
-    k = np.arange(n_carriers)[:, None]
-    l = np.arange(channel_len)[None, :]
-    return np.exp(-2j * np.pi * k * l / n_carriers) / np.sqrt(n_carriers)
 
 
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
@@ -109,32 +103,35 @@ def modulate_frame(
     return OfdmFrame(freq_symbols=symbols, pilot_indices=pilots)
 
 
-def build_sensing_matrix(frame: OfdmFrame, channel_len: int) -> np.ndarray:
-    """The N x L rows diag(x_freq) @ F_L of a frame."""
+def pilot_rows(frame: OfdmFrame, channel_len: int) -> np.ndarray:
+    """The K x L rows diag(x_freq) @ F_L of a frame at its pilot carriers."""
     n = frame.n_carriers
     if channel_len > n:
-        raise ConfigurationError("channel_len exceeds carrier count")
-    return frame.freq_symbols[:, None] * _truncated_dft(n, channel_len)
+        raise ConfigurationError(f"channel length {channel_len} exceeds carrier count {n}")
+    k = frame.pilot_indices[:, None]
+    l = np.arange(channel_len)[None, :]
+    return frame.freq_symbols[frame.pilot_indices, None] * (
+        np.exp(-2j * np.pi * k * l / n) / np.sqrt(n))
 
 
 def synthesize_received(
-    sensing_rows: np.ndarray,
-    h: np.ndarray,
+    frame: OfdmFrame,
+    taps: np.ndarray,
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """y = A h + w with circular complex Gaussian noise of variance noise_var.
+    """y = diag(x_freq) @ F_L @ h + w for one (L,) CIR or a (..., L) stack,
+    with circular complex Gaussian noise of variance noise_var.
 
     The noise is drawn into one standard-normal buffer and scaled by
     sigma = sqrt(noise_var / 2), for the real parts and then the imaginary
-    parts: the values two ``rng.normal(0, sigma)`` calls draw."""
-    a = np.asarray(sensing_rows)
-    h = np.asarray(h)
-    if h.shape[-1] != a.shape[1]:
-        raise ValueError(
-            f"channel length {h.shape[-1]} does not match sensing columns {a.shape[1]}"
-        )
-    received = np.asarray(h @ a.T, dtype=complex)
+    parts: the values two ``rng.normal(0, sigma)`` calls draw.  An L > N
+    channel is refused: the N-point FFT would crop it silently."""
+    n, length = frame.n_carriers, np.shape(taps)[-1]
+    if length > n:
+        raise ConfigurationError(f"channel length {length} exceeds carrier count {n}")
+    received = freq_response(taps, n)
+    received *= frame.freq_symbols
     sigma = np.sqrt(noise_var / 2.0)
     noise = np.empty(received.shape)
     for part in (received.real, received.imag):

@@ -54,8 +54,13 @@ its own first pass, as a trial ran each currency before
 index and ``np.put_along_axis``; it draws the same RNG values in the same
 order, so the two agree bit for bit, and it fills the support mask that
 the production draw leaves as ``taps != 0``.  ``read_channels_csv`` reads
-back what ``channels.channels_to_csv`` writes.  ``truncated_dft`` is the
-first L columns of the unitary N-point DFT, as ``ofdm`` builds them.
+back what ``channels.channels_to_csv`` writes, and
+``channels_to_csv_loop_oracle`` writes the same bytes antenna by antenna.
+``truncated_dft`` is the dense N x L matrix F_L, the first L columns of the
+unitary N-point DFT, and ``dense_rows`` is diag(s) F_L for a frame: the
+matrix that ``ofdm.pilot_rows`` equals on the pilot rows bit for bit, and
+that ``synthesize_received_oracle`` multiplies where
+``ofdm.synthesize_received`` runs the FFT.
 
 ``classify_array``, ``recommended_D``, ``lower_bound_D`` and
 ``tier_population`` are the paper's design rules for an array of given
@@ -86,7 +91,7 @@ from gridce.data_aided import (
     distortion_covariance,
     top_reliable,
 )
-from gridce.ofdm import ZF_MIN_GAIN, _truncated_dft, equalize, freq_response
+from gridce.ofdm import ZF_MIN_GAIN, equalize, freq_response
 from gridce.posterior import error_covariances, lattice_marginals
 from gridce.sharing import (
     BeliefKind,
@@ -722,9 +727,32 @@ def read_channels_csv(path, rows, cols, channel_len):
     return taps, support
 
 
+def channels_to_csv_loop_oracle(taps, path):
+    """``channels_to_csv`` antenna by antenna."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["antenna_row", "antenna_col", "tap_index", "re", "im"])
+        rows, cols, _ = taps.shape
+        for r in range(rows):
+            for c in range(cols):
+                for tap in np.flatnonzero(taps[r, c]):
+                    value = taps[r, c, tap]
+                    writer.writerow(
+                        [r, c, int(tap), repr(float(value.real)), repr(float(value.imag))]
+                    )
+
+
 def truncated_dft(n_carriers: int, channel_len: int) -> np.ndarray:
     """First ``channel_len`` columns of the unitary N-point DFT matrix."""
-    return _truncated_dft(n_carriers, channel_len).copy()
+    k = np.arange(n_carriers)[:, None]
+    l = np.arange(channel_len)[None, :]
+    return np.exp(-2j * np.pi * k * l / n_carriers) / np.sqrt(n_carriers)
+
+
+def dense_rows(frame, channel_len: int) -> np.ndarray:
+    """The N x L rows diag(s) F_L of a frame, the matrix the FFT synthesis
+    replaced."""
+    return frame.freq_symbols[:, None] * truncated_dft(frame.n_carriers, channel_len)
 
 
 SPEED_OF_LIGHT = 2.998e8  # m/s

@@ -18,6 +18,7 @@ from gridce.channels import (
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
 from oracles import (
+    channels_to_csv_loop_oracle,
     classify_array,
     generate_channels_loop_oracle,
     lower_bound_D,
@@ -135,6 +136,18 @@ class TestGeneration:
                                     rng=make_rng(4)) != 0
         assert not np.array_equal(support[0, 0], support[7, 7])
 
+    @pytest.mark.parametrize("shape, kind, drift", [
+        ((0, 3), ArrayKind.SIA, 0.0), ((2, 0), ArrayKind.SVA, 0.5),
+        ((-1, 2), ArrayKind.SIA, 0.0), ((3,), ArrayKind.SIA, 0.0),
+    ])
+    def test_empty_or_negative_side_is_a_configuration_error_before_any_draw(
+            self, shape, kind, drift):
+        rng = make_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            generate_channels(shape, 16, 2, kind, drift, rng)
+        assert rng.bit_generator.state == state
+
     def test_sparsity_exceeding_length(self):
         with pytest.raises(ConfigurationError):
             generate_channels((2, 2), 4, 5, ArrayKind.SIA, drift=0.05, rng=make_rng(0))
@@ -222,3 +235,13 @@ class TestSerialization:
         np.testing.assert_allclose(taps, real, atol=0)
         np.testing.assert_array_equal(support, real != 0)
         np.testing.assert_array_equal(support.sum(axis=2), 3)
+
+    @pytest.mark.parametrize("kind, drift", [(ArrayKind.SIA, 0.0), (ArrayKind.SVA, 0.6)])
+    def test_bytes_equal_the_per_antenna_loop(self, tmp_path, kind, drift):
+        """One walk over the nonzero taps writes the per-antenna loop's file,
+        byte for byte; drift 0.6 walks the SVA support."""
+        taps = generate_channels((4, 5), 32, 3, kind, drift, make_rng(12),
+                                 tap_dist="student_t")
+        channels_to_csv(taps, tmp_path / "array.csv")
+        channels_to_csv_loop_oracle(taps, tmp_path / "loop.csv")
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

@@ -42,12 +42,10 @@ from gridce.errors import InvalidContextError
 from gridce.experiments import ExperimentSpec, error_ratio
 from gridce.ofdm import (
     ZF_MIN_GAIN,
-    build_sensing_matrix,
     freq_response,
     make_rng,
     modulate_frame,
     place_pilots,
-    synthesize_received,
 )
 from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
@@ -60,6 +58,7 @@ from gridce.sharing import (
 )
 from gridce.solver import greedy_search_batch, search_depth
 from oracles import (
+    dense_rows,
     eager_reliable_sets,
     error_covariance,
     greedy_search,
@@ -67,6 +66,7 @@ from oracles import (
     neighbors,
     reestimation_inputs_oracle,
     sq_distances_oracle,
+    synthesize_received_oracle,
     top_carriers_oracle,
     truncated_dft,
 )
@@ -83,8 +83,9 @@ def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
                                   make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
     frame = modulate_frame(alphabet, n, pilots, make_rng(seed, 2))
-    full_rows = build_sensing_matrix(frame, length)
-    observations = synthesize_received(full_rows, true_taps, noise_var, make_rng(seed, 3))
+    full_rows = dense_rows(frame, length)
+    observations = synthesize_received_oracle(full_rows, true_taps, noise_var,
+                                              make_rng(seed, 3))
     solver_cfg = GridSolverConfig(lambda_init=sparsity / length,
                                   noise_var=noise_var)
     first = first_pass(observations[..., pilots], full_rows[pilots], solver_cfg,

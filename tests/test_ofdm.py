@@ -1,23 +1,26 @@
-"""Frames, pilots, sensing matrices, received-signal synthesis, detection."""
+"""Frames, pilots, pilot rows, received-signal synthesis, detection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridce.errors import ConfigurationError
 from gridce.experiments import ExperimentSpec, synthesize_scene
 from gridce.ofdm import (
     OfdmFrame,
-    build_sensing_matrix,
     detect,
     equalize,
     freq_response,
     make_rng,
     modulate_frame,
+    pilot_rows,
     place_pilots,
     synthesize_received,
 )
 from gridce.qam import build_qam_alphabet
 from oracles import (
+    dense_rows,
     equalize_and_slice,
     equalize_oracle,
     freq_response_oracle,
@@ -27,6 +30,14 @@ from oracles import (
 )
 
 QAM4 = build_qam_alphabet(4)
+
+
+@st.composite
+def dimensions(draw):
+    """(N, L, K) with 1 <= L <= N and 1 <= K <= N; L = 1 and L = N included."""
+    n = draw(st.integers(1, 96))
+    length = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return n, length, draw(st.integers(1, n))
 
 
 def small_spec(**kw):
@@ -103,12 +114,12 @@ class TestFrame:
         np.testing.assert_array_equal(f1.freq_symbols, f2.freq_symbols)
 
 
-class TestSensingMatrix:
-    def test_all_ones_frame_gives_dft_columns(self):
+class TestPilotRows:
+    def test_all_ones_frame_gives_dft_rows(self):
         frame = OfdmFrame(freq_symbols=np.ones(32, complex),
-                          pilot_indices=np.arange(4))
-        sensing = build_sensing_matrix(frame, 8)
-        np.testing.assert_allclose(sensing, truncated_dft(32, 8), atol=1e-14)
+                          pilot_indices=np.array([0, 3, 17, 31]))
+        rows = pilot_rows(frame, 8)
+        np.testing.assert_allclose(rows, truncated_dft(32, 8)[frame.pilot_indices], atol=1e-14)
 
     def test_restricted_shape(self):
         scene = synthesize_scene(small_spec(), 12, 10.0, 0, 0)
@@ -117,23 +128,32 @@ class TestSensingMatrix:
     def test_rows_are_scaled_dft_rows(self):
         pilots = place_pilots(64, 12, 0)
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
-        sensing = build_sensing_matrix(frame, 16)
-        f = truncated_dft(64, 16)
+        f = truncated_dft(64, 16)[pilots]
         np.testing.assert_allclose(
-            sensing, frame.freq_symbols[:, None] * f, atol=1e-14
+            pilot_rows(frame, 16), frame.freq_symbols[pilots, None] * f, atol=1e-14
         )
 
     def test_rejects_channel_longer_than_frame(self):
         frame = OfdmFrame(freq_symbols=np.ones(8, complex), pilot_indices=np.arange(2))
         with pytest.raises(ConfigurationError):
-            build_sensing_matrix(frame, 9)
+            pilot_rows(frame, 9)
 
-    def test_restriction_is_exact_row_selection(self):
+    def test_scene_rows_are_the_dense_pilot_rows(self):
         """A scene's K x L pilot rows are bit for bit the pilot rows of the
-        matrix its observations were synthesized with."""
+        dense matrix diag(s) F_L."""
         scene = synthesize_scene(small_spec(), 12, 10.0, 0, 0)
-        full = build_sensing_matrix(scene.frame, 16)
+        full = dense_rows(scene.frame, 16)
         assert np.array_equal(full[scene.frame.pilot_indices], scene.pilot_rows)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dims=dimensions(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_rows_bit_for_bit(self, dims, seed):
+        n, length, k = dims
+        frame = modulate_frame(QAM4, n, place_pilots(n, k, seed), make_rng(seed))
+        pilots = frame.pilot_indices
+        want = frame.freq_symbols[pilots, None] * truncated_dft(n, length)[pilots]
+        np.testing.assert_array_equal(pilot_rows(frame, length).view(np.uint64),
+                                      want.view(np.uint64))
 
 
 class TestDftProperties:
@@ -170,77 +190,92 @@ class TestSynthesizeReceived:
     def test_noiseless_is_exact(self):
         pilots = place_pilots(64, 12, 0)
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
-        sensing = build_sensing_matrix(frame, 16)
         rng = np.random.default_rng(0)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
-        y = synthesize_received(sensing, h, 0.0, make_rng(1))
-        np.testing.assert_allclose(y, sensing @ h, atol=1e-14)
+        y = synthesize_received(frame, h, 0.0, make_rng(1))
+        np.testing.assert_allclose(y, dense_rows(frame, 16) @ h, atol=1e-14)
 
     def test_noise_variance_monte_carlo(self):
         """h = 0: the empirical per-entry variance over 1e5 draws must land
         within 5% of the configured value."""
         frame = OfdmFrame(freq_symbols=np.ones(10, complex), pilot_indices=np.arange(2))
-        sensing = build_sensing_matrix(frame, 4)
         h = np.zeros((10_000, 4))  # 10^5 total noise entries
-        y = synthesize_received(sensing, h, 0.25, make_rng(123))
+        y = synthesize_received(frame, h, 0.25, make_rng(123))
         empirical = np.mean(np.abs(y) ** 2)
         assert abs(empirical - 0.25) / 0.25 < 0.05
 
     def test_total_noise_energy(self):
         frame = OfdmFrame(freq_symbols=np.ones(64, complex), pilot_indices=np.arange(2))
-        sensing = build_sensing_matrix(frame, 8)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2000, 8)) + 0j
-        y = synthesize_received(sensing, h, 0.5, make_rng(5))
-        clean = h @ sensing.T
+        y = synthesize_received(frame, h, 0.5, make_rng(5))
+        clean = synthesize_received(frame, h, 0.0, make_rng(5))
         per_vector = np.sum(np.abs(y - clean) ** 2, axis=1)
         assert abs(np.mean(per_vector) - 64 * 0.5) / (64 * 0.5) < 0.05
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.3])
     def test_noise_added_in_place_matches_the_sum(self, noise_var):
-        """The in-place noise is h A^T + (re + 1j im), drawn real part first,
-        bit for bit."""
+        """The in-place noise is the noiseless spectrum plus (re + 1j im),
+        drawn real part first, bit for bit."""
         frame = modulate_frame(QAM4, 32, place_pilots(32, 6, 2), make_rng(2))
-        sensing = build_sensing_matrix(frame, 8)
         rng = np.random.default_rng(4)
         h = rng.normal(size=(3, 5, 8)) + 1j * rng.normal(size=(3, 5, 8))
-        y = synthesize_received(sensing, h, noise_var, make_rng(7))
+        y = synthesize_received(frame, h, noise_var, make_rng(7))
         g, sigma, shape = make_rng(7), np.sqrt(noise_var / 2.0), (3, 5, 32)
-        want = h @ sensing.T + (g.normal(0.0, sigma, shape) + 1j * g.normal(0.0, sigma, shape))
+        want = (freq_response(h, 32) * frame.freq_symbols
+                + (g.normal(0.0, sigma, shape) + 1j * g.normal(0.0, sigma, shape)))
         np.testing.assert_array_equal(y.view(np.uint64), want.view(np.uint64))
 
     def test_noise_matches_two_normal_draws_bit_for_bit(self):
         """One standard-normal block scaled by sigma is what two
         ``rng.normal(0, sigma)`` calls draw, real part first: 20 seeds on a
-        20 x 20 grid of 512 carriers."""
+        20 x 20 grid of 512 carriers.  With h = 0 the noise is all of y."""
         frame = modulate_frame(QAM4, 512, place_pilots(512, 16, 0), make_rng(0))
-        sensing = build_sensing_matrix(frame, 64)
-        h = make_rng(1).normal(size=(20, 20, 64)) + 0j
+        rows = dense_rows(frame, 64)
+        h = np.zeros((20, 20, 64), dtype=complex)
         for seed in range(20):
-            got = synthesize_received(sensing, h, 0.01 * (seed + 1), make_rng(seed, 3))
-            want = synthesize_received_oracle(sensing, h, 0.01 * (seed + 1), make_rng(seed, 3))
+            got = synthesize_received(frame, h, 0.01 * (seed + 1), make_rng(seed, 3))
+            want = synthesize_received_oracle(rows, h, 0.01 * (seed + 1), make_rng(seed, 3))
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dims=dimensions(), stack=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_oracle(self, dims, stack, seed):
+        """The FFT synthesis equals the dense h @ (diag(s) F_L)^T within
+        1e-12 of each antenna's norm, on one antenna and on an (M, G, L)
+        stack, and it leaves the noise stream where the oracle leaves it."""
+        n, length, k = dims
+        frame = modulate_frame(QAM4, n, place_pilots(n, k, seed), make_rng(seed))
+        shape = (3, 2, length) if stack else (length,)
+        g = make_rng(seed, 0)
+        h = g.normal(size=shape) + 1j * g.normal(size=shape)
+        got_rng, want_rng = make_rng(seed, 3), make_rng(seed, 3)
+        got = synthesize_received(frame, h, 0.1, got_rng)
+        want = synthesize_received_oracle(dense_rows(frame, length), h, 0.1, want_rng)
+        assert got.shape == want.shape == shape[:-1] + (n,)
+        error = np.linalg.norm(got - want, axis=-1)
+        assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=-1))
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
     def test_real_inputs_give_complex_observations(self):
-        sensing = np.arange(12.0).reshape(4, 3)
-        y = synthesize_received(sensing, np.ones((2, 3)), 0.1, make_rng(0))
+        frame = OfdmFrame(freq_symbols=np.arange(4.0) + 0j, pilot_indices=np.arange(2))
+        y = synthesize_received(frame, np.ones((2, 3)), 0.1, make_rng(0))
         assert np.iscomplexobj(y) and y.shape == (2, 4)
 
-    def test_dimension_mismatch(self):
+    def test_rejects_channel_longer_than_frame(self):
+        """An FFT of n=N would crop an L > N response silently."""
         frame = OfdmFrame(freq_symbols=np.ones(8, complex), pilot_indices=np.arange(2))
-        sensing = build_sensing_matrix(frame, 4)
-        with pytest.raises(ValueError):
-            synthesize_received(sensing, np.zeros(5), 0.0, make_rng(0))
+        with pytest.raises(ConfigurationError):
+            synthesize_received(frame, np.zeros(9), 0.0, make_rng(0))
 
 
 class TestEqualizeAndSlice:
     def test_perfect_equalization(self):
         pilots = place_pilots(64, 12, 0)
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
-        sensing = build_sensing_matrix(frame, 16)
         rng = np.random.default_rng(3)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
-        y = synthesize_received(sensing, h, 0.0, make_rng(0))
+        y = synthesize_received(frame, h, 0.0, make_rng(0))
         resp = freq_response(h, 64)
         equalized, bad = equalize(y, resp)
         hard = qam_slice(QAM4, equalized)

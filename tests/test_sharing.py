@@ -7,13 +7,7 @@ import pytest
 
 from gridce.channels import ArrayKind, generate_channels
 from gridce.errors import ConfigurationError, IllConditionedSupportError
-from gridce.ofdm import (
-    build_sensing_matrix,
-    make_rng,
-    modulate_frame,
-    place_pilots,
-    synthesize_received,
-)
+from gridce.ofdm import make_rng, modulate_frame, place_pilots
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
@@ -30,7 +24,15 @@ from gridce.sharing import (
     stencil_reduce,
 )
 from gridce.solver import ChainStack, search_depth, search_rows
-from oracles import assign_scores, error_covariance, greedy_search, lattice_oracle, neighbors
+from oracles import (
+    assign_scores,
+    dense_rows,
+    error_covariance,
+    greedy_search,
+    lattice_oracle,
+    neighbors,
+    synthesize_received_oracle,
+)
 
 
 def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
@@ -40,8 +42,8 @@ def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
                                  make_rng(seed, 0))
     pilots = place_pilots(n, k, (seed, 1))
     frame = modulate_frame(build_qam_alphabet(4), n, pilots, make_rng(seed, 2))
-    full = build_sensing_matrix(frame, length)
-    y = synthesize_received(full, channels, noise_var, make_rng(seed, 3))
+    full = dense_rows(frame, length)
+    y = synthesize_received_oracle(full, channels, noise_var, make_rng(seed, 3))
     return (rows, cols), channels, full[pilots], y[..., pilots], noise_var
 
 
