@@ -37,7 +37,6 @@ from .sharing import (
 from .solver import (
     ChainStack,
     greedy_search_batch,
-    greedy_search_stack,
     search_rows,
 )
 from .experiments import (

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, InvalidContextError
+from .errors import InvalidContextError
 from .ofdm import OfdmFrame, detect
 from .posterior import error_covariances
 from .qam import QamAlphabet, as_axes
@@ -129,7 +129,7 @@ def distortion_covariance(
     return diag + np.asarray(noise_var, dtype=float)[..., None]
 
 
-def carrier_reliability(x_hat, variance, alphabet, nearest_levels=None) -> np.ndarray:
+def carrier_reliability(x_hat, variance, alphabet, nearest_levels) -> np.ndarray:
     """Reliability of equalized symbols under a per-carrier Gaussian model.
 
     Ratio of the distortion density at the displacement to the nearest
@@ -138,15 +138,13 @@ def carrier_reliability(x_hat, variance, alphabet, nearest_levels=None) -> np.nd
     works elementwise, so a (B, N) stack of antennas works as one.  Where
     the ratio exceeds RELIABILITY_CAP (a symbol on a point with vanishing
     variance) the capped value is returned instead of infinity.
-    ``nearest_levels`` is ``alphabet.nearest_levels(x_hat)`` when the caller
-    already holds it.
+    ``nearest_levels`` is ``alphabet.nearest_levels(x_hat)``, which the
+    caller holds from detection.
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=complex))
     variance = np.broadcast_to(np.asarray(variance, dtype=float), x_hat.shape)
     if np.any(variance <= 0):
         raise InvalidContextError("distortion variance must be positive")
-    if nearest_levels is None:
-        nearest_levels = alphabet.nearest_levels(x_hat)
     levels = alphabet.levels
     axes = as_axes(x_hat)
     nearest_gap = axes - levels.take(nearest_levels)
@@ -337,7 +335,6 @@ def run_data_aided(
     base: GridEstimate,
     config: GridSolverConfig,
     alphabet: QamAlphabet,
-    n_reliable: int | None = None,
 ) -> GridEstimate:
     """Refine a pilot-based grid estimate with agreed reliable data carriers.
 
@@ -353,10 +350,6 @@ def run_data_aided(
     symbols = frame.freq_symbols
     pilots = frame.pilot_indices
     n_data = n_carriers - pilots.shape[0]
-    if n_reliable is not None and n_reliable > n_data:
-        raise ConfigurationError(
-            f"n_reliable={n_reliable} exceeds data carrier count {n_data}"
-        )
 
     data_mask = np.ones(n_carriers, dtype=bool)
     data_mask[pilots] = False
@@ -365,10 +358,7 @@ def run_data_aided(
     # budget in their neighborhood so one clean member cannot starve the
     # intersection of a struggling neighborhood (one extra shared integer)
     expected_actives = max(1, round(length * config.lambda_init))
-    budgets = (
-        np.full(base.failed.shape, n_reliable) if n_reliable is not None
-        else reliable_budget(base, pilots.shape[0], n_data, expected_actives)
-    )
+    budgets = reliable_budget(base, pilots.shape[0], n_data, expected_actives)
     top, decisions, undecodable = _top_carriers(
         base, observations_full, symbols, alphabet, data_mask,
         stencil_reduce(budgets, np.maximum), config.noise_var,
@@ -408,7 +398,6 @@ def run_data_aided(
         priors=base.priors,
         failed=base.failed.copy(),
         diagnostics={
-            **base.diagnostics,
             "fallback_no_consensus": fallback,
             "agreements": agreements,
             "base_decisions": decisions,

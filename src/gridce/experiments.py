@@ -92,8 +92,6 @@ class ExperimentSpec:
     algorithms: tuple = ("MB-P", "IB-P", "MB-R", "IB-R")
     trials: int = 100
     seed: int = 0
-    n_reliable: int | None = None
-    lambda_small: float = 1e-3
     workers: int = 1
 
     def __post_init__(self):
@@ -106,16 +104,13 @@ class ExperimentSpec:
             raise ConfigurationError("sweep axes and algorithms must be nonempty")
         if not all(isinstance(a, str) for a in self.algorithms):
             raise ConfigurationError(f"algorithms {self.algorithms} must hold names")
-        for name in ("drift", "lambda_small"):
-            if not _is_number(getattr(self, name), numbers.Real):
-                raise ConfigurationError(f"{name}={getattr(self, name)!r} must be a number")
+        if not _is_number(self.drift, numbers.Real):
+            raise ConfigurationError(f"drift={self.drift!r} must be a number")
         for name in ("experiment", "grid_rows", "grid_cols", "n_carriers", "channel_len",
                      "sparsity", "qam_order", "trials", "workers", "seed"):
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigurationError(f"{name}={value!r} must be an integer")
-        if self.n_reliable is not None and not _is_number(self.n_reliable):
-            raise ConfigurationError(f"n_reliable={self.n_reliable!r} must be an integer")
         for name in ("n_pilots", "depth"):
             if not all(_is_number(v) for v in getattr(self, name)):
                 raise ConfigurationError(f"{name} {getattr(self, name)} must hold integers")
@@ -174,19 +169,11 @@ class ExperimentSpec:
                 f"{marginal} search {t_max} taps at n_pilots={max(self.n_pilots)}, past "
                 f"the marginal lattice's guard of {MAX_LATTICE_TAPS}; lower sparsity or "
                 f"n_pilots, or run IB only")
-        n_data = n - max(self.n_pilots)
-        aided = [a for a in self.algorithms if a.endswith("-R")]
-        if aided and self.n_reliable is not None and not 1 <= self.n_reliable <= n_data:
-            raise ConfigurationError(
-                f"n_reliable={self.n_reliable} must lie in [1, {n_data}] (the data "
-                f"carriers left by the largest n_pilots) for {aided}")
         if any(d < 0 for d in self.depth):
             raise ConfigurationError(f"depth {self.depth} must be nonnegative")
         build_qam_alphabet(self.qam_order)
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if not 0.0 < self.lambda_small < 1.0:
-            raise ConfigurationError(f"lambda_small={self.lambda_small} must lie in (0, 1)")
         if not 0.0 <= self.drift <= 1.0:
             raise ConfigurationError(f"drift={self.drift} must lie in [0, 1]")
         if self.power_profile not in POWER_PROFILES:
@@ -521,7 +508,6 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     solver_cfg = GridSolverConfig(
         lambda_init=spec.sparsity / spec.channel_len,
         noise_var=scene.noise_var,
-        lambda_small=spec.lambda_small,
     )
     results: dict = {}
 
@@ -553,7 +539,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         seconds += first[1]
         aided = aided_name in spec.algorithms and attempt(
             [aided_name], run_data_aided, scene.frame, scene.observations, estimate,
-            solver_cfg, scene.alphabet, spec.n_reliable)
+            solver_cfg, scene.alphabet)
         detected = None
         if aided:
             refined, aided_seconds = aided
@@ -633,7 +619,7 @@ def _point_rows(spec: ExperimentSpec, point: tuple, outcomes: list) -> list:
 CSV_HEADER = "algorithm,K,snr_db,D,mode,nmse_db,ber,success_rate,wall_time_s,trials"
 
 
-def emit_results(rows: list, path, spec: ExperimentSpec | None = None) -> list:
+def emit_results(rows: list, path, spec: ExperimentSpec) -> list:
     """Write the result CSV plus a JSON metadata sidecar; byte-stable for
     fixed inputs.  Returns the written paths."""
     path = str(path)
@@ -652,10 +638,9 @@ def emit_results(rows: list, path, spec: ExperimentSpec | None = None) -> list:
             "snr_definition": SNR_DEFINITION,
             "rng": "numpy PCG64 seeded via SeedSequence((seed, point, trial, stream))",
             "versions": {"gridce": __version__, "numpy": np.__version__},
+            "spec": dataclasses.asdict(spec),
+            "seed": spec.seed,
         }
-        if spec is not None:
-            metadata["spec"] = dataclasses.asdict(spec)
-            metadata["seed"] = spec.seed
         with open(sidecar, "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -27,7 +27,9 @@ from .errors import ConfigurationError
 from .posterior import error_covariances, lattice_marginals
 from .solver import PRIOR_EPS, ChainStack, search_depth, search_rows
 
-DEFAULT_LAMBDA_SMALL = 1e-3
+#: the belief of a tap that no neighbor detected, and the lowest prior the
+#: final pass gives a tap
+LAMBDA_SMALL = 1e-3
 
 
 class BeliefKind(enum.Enum):
@@ -42,15 +44,12 @@ class GridSolverConfig:
     ``lambda_init`` is the uniform tap-activity probability every antenna
     starts from; with the pilot count it sets the search depth t_max
     (``solver.search_depth``), identical at every antenna.  ``noise_var``
-    is the noise level every antenna assumes.  ``lambda_small`` is the
-    lowest prior the final pass gives a tap, and the belief of a tap that
-    no neighbor detected.  With ``trace_path`` set, every averaging round's
-    beliefs are written to that CSV.
+    is the noise level every antenna assumes.  With ``trace_path`` set,
+    every averaging round's beliefs are written to that CSV.
     """
 
     lambda_init: float
     noise_var: float
-    lambda_small: float = DEFAULT_LAMBDA_SMALL
     trace_path: str | None = None
 
 
@@ -145,11 +144,10 @@ def _neighborhood_mean(values: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return total / _member_counts(*gate.shape[:2])[:, :, None]
 
 
-def average_marginals_round(values: np.ndarray, gate: np.ndarray,
-                            lambda_small: float) -> np.ndarray:
+def average_marginals_round(values: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """One simultaneous neighborhood-averaging round for marginal beliefs;
-    taps nobody in the neighborhood detected read lambda_small."""
-    return np.where(gate, _neighborhood_mean(values, gate), lambda_small)
+    taps nobody in the neighborhood detected read LAMBDA_SMALL."""
+    return np.where(gate, _neighborhood_mean(values, gate), LAMBDA_SMALL)
 
 
 def average_scores_round(values: np.ndarray, gate: np.ndarray,
@@ -163,13 +161,11 @@ def average_scores_round(values: np.ndarray, gate: np.ndarray,
     return np.where(gate, mean, 0.0)
 
 
-def scores_to_beliefs(
-    scores: np.ndarray, t_max: int, lambda_small: float = DEFAULT_LAMBDA_SMALL
-) -> np.ndarray:
-    """b = score / T_max, clamped into [lambda_small, 1 - eps] so it can act
+def scores_to_beliefs(scores: np.ndarray, t_max: int) -> np.ndarray:
+    """b = score / T_max, clamped into [LAMBDA_SMALL, 1 - eps] so it can act
     as a Bernoulli prior.  Marginals are beliefs already: they pass a scale
     of 1 for the clamp alone."""
-    return np.clip(np.asarray(scores, dtype=float) / t_max, lambda_small, 1 - PRIOR_EPS)
+    return np.clip(np.asarray(scores, dtype=float) / t_max, LAMBDA_SMALL, 1 - PRIOR_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +249,21 @@ def _run_grid(kind, first: FirstPass, config, depth) -> GridEstimate:
     rounds = [first.values[kind]]
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
-            rounds.append(average_marginals_round(rounds[-1], gate, config.lambda_small))
+            rounds.append(average_marginals_round(rounds[-1], gate))
         else:
             rounds.append(average_scores_round(rounds[-1], gate, final=(i == depth - 1)))
     if config.trace_path:
         _trace_rounds(config.trace_path, rounds, first.detected)
 
-    # off-gate values are zero (or lambda_small) and clamp to lambda_small
+    # off-gate values are zero (or LAMBDA_SMALL) and clamp to LAMBDA_SMALL
     scale = t_max if kind is BeliefKind.SCORE else 1
-    priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
+    priors = scores_to_beliefs(rounds[-1], scale)
     final = search_rows(first.pilot_rows, first.ys.reshape(-1, n_obs),
                         priors.reshape(-1, length), config.noise_var, t_max)
     return GridEstimate(
         taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
         failed=final.failed.reshape(grid),
-        diagnostics={"t_max": t_max},
     )
 
 

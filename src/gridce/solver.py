@@ -65,9 +65,9 @@ COLLINEARITY_TOL = 1e-6
 DML_Z = 2.0
 
 
-def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
+def dml_support_size(length: int, lam: float) -> int:
     """Support-search depth slightly above the expected active count:
-    ceil(L*lam + z*sqrt(L*lam*(1-lam))), capped at L.
+    ceil(L*lam + z*sqrt(L*lam*(1-lam))) with z = DML_Z, capped at L.
 
     Scalar ``math``, not numpy: ``ExperimentSpec`` calls this at
     construction, before a sweep's first trial, and a numpy scalar call
@@ -75,7 +75,7 @@ def dml_support_size(length: int, lam: float, z: float = DML_Z) -> int:
     numpy 2.4).  Both round alike: sqrt and ceil are exact IEEE operations.
     """
     expected = length * lam
-    slack = z * math.sqrt(length * lam * (1.0 - lam))
+    slack = DML_Z * math.sqrt(length * lam * (1.0 - lam))
     return min(length, math.ceil(expected + slack))
 
 

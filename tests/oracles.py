@@ -471,16 +471,16 @@ def per_currency_grid(kind, observations, sensing_rows, config, depth) -> GridEs
     values = values.reshape(*grid, length)
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
-            values = average_marginals_round(values, gate, config.lambda_small)
+            values = average_marginals_round(values, gate)
         else:
             values = average_scores_round(values, gate, final=(i == depth - 1))
     scale = t_max if kind is BeliefKind.SCORE else 1
-    priors = scores_to_beliefs(values, scale, config.lambda_small)
+    priors = scores_to_beliefs(values, scale)
     final = search_rows(sensing_rows, ys, priors.reshape(-1, length), noise_vars, t_max)
     return GridEstimate(
         taps=final.taps.reshape(*grid, length), support=final.chosen.reshape(*grid, t_max),
         error_cov=error_covariances(final).reshape(*grid, t_max, t_max), priors=priors,
-        failed=final.failed.reshape(grid), diagnostics={"t_max": t_max},
+        failed=final.failed.reshape(grid),
     )
 
 

@@ -259,16 +259,23 @@ class TestClosedForms:
             assert_close(got[b] - noise_vars[b], want[b] - noise_vars[b])
 
 
+def reliability(x_hat, variance, alphabet):
+    """``carrier_reliability`` on the nearest levels that detection would
+    hand it."""
+    x_hat = np.asarray(x_hat, dtype=complex)
+    return carrier_reliability(x_hat, variance, alphabet, alphabet.nearest_levels(x_hat))
+
+
 class TestCarrierReliability:
     def test_origin_equidistant(self):
         """4-QAM at the origin: one numerator over three equal terms -> 1/3."""
         alph = build_qam_alphabet(4)
-        m = carrier_reliability(np.array([0.0 + 0.0j]), np.array([0.5]), alph)
+        m = reliability(np.array([0.0 + 0.0j]), np.array([0.5]), alph)
         assert abs(m[0] - 1 / 3) < 1e-12
 
     def test_on_point_small_variance_capped(self):
         alph = build_qam_alphabet(4)
-        m = carrier_reliability(alph.points[:1], np.array([1e-12]), alph)
+        m = reliability(alph.points[:1], np.array([1e-12]), alph)
         assert np.isfinite(m[0])
         assert m[0] >= 1e290
 
@@ -281,7 +288,7 @@ class TestCarrierReliability:
         # sum is exp(-4 s^2 / variance) = exp(-2 / variance)
         variance = np.array([1e-12, 2 / 713.0, 2 / 600.0])
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            m = carrier_reliability(np.repeat(point, 3), variance, alph)
+            m = reliability(np.repeat(point, 3), variance, alph)
         capped = np.exp(np.log(RELIABILITY_CAP))
         np.testing.assert_array_equal(m[:2], capped)
         assert m[2] < capped
@@ -305,7 +312,7 @@ class TestCarrierReliability:
         alph = build_qam_alphabet(4)
         target = (1 + 1j) / np.sqrt(2)
         xs = np.linspace(0.02, target.real, 25) + 1j * target.imag
-        m = carrier_reliability(xs, np.full(25, 0.3), alph)
+        m = reliability(xs, np.full(25, 0.3), alph)
         assert np.all(np.diff(m) > 0)
 
     def test_scale_invariance_of_density_ratio(self):
@@ -315,13 +322,13 @@ class TestCarrierReliability:
         alph = build_qam_alphabet(16)
         rng = make_rng(5)
         x = rng.normal(size=20) + 1j * rng.normal(size=20)
-        m = carrier_reliability(x, np.full(20, 0.2), alph)
+        m = reliability(x, np.full(20, 0.2), alph)
         assert np.all(m > 0) and np.all(np.isfinite(m))
 
     def test_nonpositive_variance_rejected(self):
         alph = build_qam_alphabet(4)
         with pytest.raises(InvalidContextError):
-            carrier_reliability(np.array([0.1 + 0.1j]), np.array([0.0]), alph)
+            reliability(np.array([0.1 + 0.1j]), np.array([0.0]), alph)
 
     @PROPERTY
     @given(st.sampled_from([4, 16]), st.integers(0, 2**32 - 1))
@@ -342,7 +349,7 @@ class TestCarrierReliability:
         ])
         variance = 10.0 ** rng.uniform(-3, 1, size=x.size)
         variance[:12] = 1e-12  # on a point: capped
-        got = carrier_reliability(x, variance, alphabet)
+        got = reliability(x, variance, alphabet)
         want = carrier_reliability_oracle(x, variance, alphabet)
         bound = 16 * np.finfo(float).eps * (
             1 + sq_distances_oracle(alphabet, x).max(axis=-1) / variance)
@@ -711,18 +718,30 @@ def reestimate_oracle(frame, full_rows, observations, base, config, agreements,
     return taps, support, error_cov, fallback
 
 
+def fix_budget(monkeypatch, count):
+    """Give every antenna the carrier budget ``count`` in place of
+    ``reliable_budget``'s rule, through the module name ``run_data_aided``
+    calls."""
+    monkeypatch.setattr(gridce.data_aided, "reliable_budget",
+                        lambda base, *rule_inputs: np.full(base.failed.shape, count))
+
+
 class TestRunDataAided:
-    @pytest.mark.parametrize("rows, cols, qam, n_reliable, seed", [
+    @pytest.mark.parametrize("rows, cols, qam, budget, seed", [
         (1, 1, 4, None, 0), (1, 5, 16, None, 1), (5, 1, 4, 8, 2),
         (2, 3, 16, 8, 3), (3, 4, 4, None, 4), (4, 4, 4, 2, 5),
     ])
-    def test_matches_per_antenna_reestimation(self, rows, cols, qam, n_reliable, seed):
+    def test_matches_per_antenna_reestimation(self, rows, cols, qam, budget, seed,
+                                              monkeypatch):
         """One batched solve on the closed-form inputs against the
         per-antenna loop on explicit augmented rows: equal supports and
-        fallbacks, taps and error covariances within 1e-12 relative."""
+        fallbacks, taps and error covariances within 1e-12 relative, under
+        the budget rule and under fixed budgets."""
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             rows=rows, cols=cols, qam=qam, snr_db=12.0, seed=seed)
-        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=n_reliable)
+        if budget is not None:
+            fix_budget(monkeypatch, budget)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
         taps, support, error_cov, fallback = reestimate_oracle(
             frame, full_rows, obs, base, cfg, refined.diagnostics["agreements"],
             alphabet.points[refined.diagnostics["base_decisions"]])
@@ -732,6 +751,26 @@ class TestRunDataAided:
         assert_close(refined.error_cov, error_cov)
         assert not fallback.all()
 
+    def test_budget_is_read_from_the_rule(self, monkeypatch):
+        """``run_data_aided`` takes its budgets from one call of
+        ``reliable_budget`` with the pilot and data carrier counts and
+        round(L lambda_init) expected taps, through the module name, so
+        patching that name (as ``fix_budget`` does) replaces the rule and
+        nothing else."""
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(seed=7)
+        want = run_data_aided(frame, obs, base, cfg, alphabet)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return reliable_budget(*args)
+
+        monkeypatch.setattr(gridce.data_aided, "reliable_budget", spy)
+        got = run_data_aided(frame, obs, base, cfg, alphabet)
+        assert calls == [(16, 112, 3)]
+        for name in ("taps", "support", "error_cov"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_refinement_improves_or_matches_base(self):
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene()
         refined = run_data_aided(frame, obs, base, cfg, alphabet)
@@ -739,11 +778,12 @@ class TestRunDataAided:
         refined_ratio = error_ratio(true_taps, refined.taps)
         assert refined_ratio <= base_ratio * 1.05
 
-    def test_consensus_symbols_are_true_symbols_at_high_snr(self):
+    def test_consensus_symbols_are_true_symbols_at_high_snr(self, monkeypatch):
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             snr_db=25.0, seed=2
         )
-        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=8)
+        fix_budget(monkeypatch, 8)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
         fallback = refined.diagnostics["fallback_no_consensus"]
         assert not fallback.all()  # some antennas did refine
 
@@ -759,13 +799,14 @@ class TestRunDataAided:
         refined_ratio = error_ratio(true_taps, refined.taps)
         assert refined_ratio <= base_ratio + 1e-12
 
-    def test_empty_consensus_returns_base(self):
-        """With n_reliable=2 and decorrelated rankings some antennas fall
+    def test_empty_consensus_returns_base(self, monkeypatch):
+        """With a budget of 2 and decorrelated rankings some antennas fall
         back; their outputs must equal the base estimates exactly."""
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             seed=4, snr_db=10.0
         )
-        refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=2)
+        fix_budget(monkeypatch, 2)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
         fallback = refined.diagnostics["fallback_no_consensus"]
         for r, c in np.ndindex(shape):
             if fallback[r, c]:
@@ -795,17 +836,18 @@ class TestRunDataAided:
         assert flagged.diagnostics["base_undecodable"][1, 2].all()
         assert not flagged.diagnostics["fallback_no_consensus"].all()
 
-    def test_equivalent_to_genuine_pilots_when_decisions_correct(self):
+    def test_equivalent_to_genuine_pilots_when_decisions_correct(self, monkeypatch):
         """Correctly decided consensus carriers are genuine pilots: a fresh
         solve treating those carriers as pilots (rows from the true frame
         symbols) reproduces the refined estimates, so the paired NMSE
         distributions coincide (KS distance < 0.1)."""
         ratios_aided, ratios_pilot = [], []
+        fix_budget(monkeypatch, 12)
         for seed in range(10):
             shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
                 rows=3, cols=3, snr_db=20.0, seed=50 + seed
             )
-            refined = run_data_aided(frame, obs, base, cfg, alphabet, n_reliable=12)
+            refined = run_data_aided(frame, obs, base, cfg, alphabet)
             agreements = refined.diagnostics["agreements"]
             decided_points = alphabet.points[refined.diagnostics["base_decisions"]]
             pilots = frame.pilot_indices

@@ -119,7 +119,6 @@ class TestSpec:
         ("depth", (2, -1)),
         ("qam_order", 8),
         ("workers", 0),
-        ("lambda_small", 1.0),
         ("drift", 1.5),
         ("power_profile", "steep"),
         ("n_carriers", 0),
@@ -154,7 +153,6 @@ class TestSpec:
         ("qam_order", 4.0),
         ("trials", 1.5),
         ("workers", 1.0),
-        ("n_reliable", 20.5),
         ("n_pilots", (16.5,)),
         ("n_pilots", (10, True)),
         ("depth", (1.5,)),
@@ -167,13 +165,11 @@ class TestSpec:
         ("algorithms", None),
         ("drift", None),
         ("drift", "0.1"),
-        ("lambda_small", None),
-        ("lambda_small", "0.1"),
     ])
     def test_malformed_value_rejected_at_construction(self, field, value):
         """Sizes, counts and sweep entries must be integers (numpy integers
         allowed, bools not), the grid at least 1x1, every SNR finite, the
-        sweep axes lists and ``drift`` and ``lambda_small`` numbers;
+        sweep axes lists and ``drift`` a number;
         otherwise the spec fails before a trial or a ``range(trials)``
         would."""
         with pytest.raises(ConfigurationError, match=field):
@@ -226,18 +222,13 @@ class TestSpec:
             ExperimentSpec(grid_rows=2, grid_cols=2, channel_len=64, sparsity=sparsity,
                            n_pilots=(16, 32), algorithms=algorithms)
 
-    @pytest.mark.parametrize("n_reliable", [0, -1, 55, 60])
-    def test_n_reliable_outside_data_carriers_rejected(self, n_reliable):
-        """A fixed carrier budget must fit the data carriers left by the
-        largest K (64 - 10 = 54 here) when a data-aided algorithm runs;
-        without one the budget is never read."""
-        with pytest.raises(ConfigurationError, match="n_reliable"):
-            small_spec(n_pilots=(6, 10), algorithms=("MB-R",), n_reliable=n_reliable)
-        small_spec(n_pilots=(6, 10), n_reliable=n_reliable)
-
-    def test_n_reliable_at_the_bounds_accepted(self):
-        for n_reliable in (1, 54):
-            small_spec(n_pilots=(6, 10), algorithms=("IB-R",), n_reliable=n_reliable)
+    @pytest.mark.parametrize("field, value", [("n_reliable", 8), ("lambda_small", 1e-3)])
+    def test_fixed_rule_settings_rejected(self, field, value):
+        """The carrier budget (``data_aided.reliable_budget``) and the
+        undetected-tap belief (``sharing.LAMBDA_SMALL``) are fixed rules, so
+        a config that sets either names an unknown field."""
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec.from_dict({"algorithms": ["MB-R"], field: value})
 
     @pytest.mark.parametrize("experiment", range(1, 6))
     def test_presets_pass_validation(self, experiment):
@@ -817,7 +808,7 @@ class TestEmitResults:
 
     def test_csv_line_count_and_header(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_results(self.rows(), path)
+        emit_results(self.rows(), path, small_spec())
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == CSV_HEADER
@@ -831,11 +822,20 @@ class TestEmitResults:
         assert meta["seed"] == spec.seed
         assert "snr_definition" in meta
 
+    @pytest.mark.parametrize("experiment", range(1, 6))
+    def test_sidecar_spec_rebuilds_the_spec(self, tmp_path, experiment):
+        """Every preset spec comes back from its sidecar's JSON ``spec``
+        object unchanged, so a written run can be rerun from its sidecar."""
+        for i, spec in enumerate(experiment_presets(experiment)):
+            written = emit_results(self.rows(), tmp_path / f"out{i}.csv", spec)
+            meta = json.loads(Path(written[1]).read_text())
+            assert ExperimentSpec.from_dict(meta["spec"]) == spec
+
     def test_byte_stable_emission(self, tmp_path):
         rows = self.rows()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(rows, p1)
-        emit_results(rows, p2)
+        emit_results(rows, p1, small_spec())
+        emit_results(rows, p2, small_spec())
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_end_to_end_byte_stability(self, tmp_path):
@@ -855,16 +855,16 @@ class TestEmitResults:
         """Only the file name's suffix is replaced: an extensionless path
         inside a dotted directory keeps its sidecar next to it."""
         (tmp_path / "run.v2").mkdir()
-        written = emit_results(self.rows(), tmp_path / "run.v2" / "results")
+        written = emit_results(self.rows(), tmp_path / "run.v2" / "results", small_spec())
         assert written[1] == str(tmp_path / "run.v2" / "results.meta.json")
         assert written[0] == str(tmp_path / "run.v2" / "results")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2"]
-        csv = emit_results(self.rows(), tmp_path / "experiment3_1.csv")
+        csv = emit_results(self.rows(), tmp_path / "experiment3_1.csv", small_spec())
         assert csv[1] == str(tmp_path / "experiment3_1.meta.json")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            emit_results(self.rows(), tmp_path / "missing" / "out.csv")
+            emit_results(self.rows(), tmp_path / "missing" / "out.csv", small_spec())
 
 
 class TestWallTimeSemantics:
@@ -950,13 +950,13 @@ class TestCli:
         assert out.returncode == 2
         assert "oracle-LS" in out.stderr
 
-    def test_n_reliable_beyond_data_carriers_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [("n_reliable", 8), ("lambda_small", 1e-3)])
+    def test_fixed_rule_setting_exit_code(self, tmp_path, field, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(n_carriers=64, n_pilots=[10],
-                                            algorithms=["MB-R"], n_reliable=60)))
+        cfg_path.write_text(json.dumps({"algorithms": ["MB-R"], field: value}))
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
-        assert "n_reliable" in out.stderr
+        assert field in out.stderr and "Traceback" not in out.stderr
 
     def test_negative_seed_exit_code(self):
         out = self.run_cli("estimate", "--seed", "-1")

@@ -11,6 +11,7 @@ from gridce.ofdm import make_rng, modulate_frame, place_pilots
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
+    LAMBDA_SMALL,
     GridSolverConfig,
     _rank_scores,
     _run_grid,
@@ -130,7 +131,7 @@ class TestMarginalRound:
         values, detected = marginal_state(3, 3, 8)
         values[..., 2] = 0.8
         detected[..., 2] = True
-        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        out = average_marginals_round(values, gate_of(detected))
         assert np.allclose(out[..., 2], 0.8)
 
     def test_single_detector_center(self):
@@ -138,14 +139,14 @@ class TestMarginalRound:
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
-        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        out = average_marginals_round(values, gate_of(detected))
         assert abs(out[1, 1, 5] - 0.2) < 1e-12
 
     def test_nobody_detected_gets_lambda_small(self):
         values, detected = marginal_state(3, 3, 8)
         values[1, 1, 5] = 1.0
         detected[1, 1, 5] = True
-        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        out = average_marginals_round(values, gate_of(detected))
         assert out[0, 0, 3] == 1e-3  # tap 3 in nobody's gate
 
     def test_range_preserved(self):
@@ -154,7 +155,7 @@ class TestMarginalRound:
         detected = rng.random((4, 4, 8)) < 0.4
         values = values * detected
         for _ in range(4):
-            values = average_marginals_round(values, gate_of(detected), 1e-3)
+            values = average_marginals_round(values, gate_of(detected))
             assert values.min() >= 0 and values.max() <= 1
 
     def test_sia_fixed_point(self):
@@ -162,7 +163,7 @@ class TestMarginalRound:
         values, detected = marginal_state(4, 4, 8)
         values[..., [1, 6]] = [0.7, 0.3]
         detected[..., [1, 6]] = True
-        out = average_marginals_round(values, gate_of(detected), 1e-3)
+        out = average_marginals_round(values, gate_of(detected))
         inside = detected
         np.testing.assert_allclose(out[inside], values[inside], atol=1e-12)
 
@@ -209,15 +210,15 @@ class TestScoreRound:
 
 class TestScoresToBeliefs:
     def test_max_score_clamped(self):
-        b = scores_to_beliefs(np.array([3.0]), t_max=3, lambda_small=1e-3)
+        b = scores_to_beliefs(np.array([3.0]), t_max=3)
         assert abs(b[0] - (1 - 1e-6)) < 1e-9
 
     def test_arithmetic(self):
-        b = scores_to_beliefs(np.array([1.8]), t_max=3, lambda_small=1e-3)
+        b = scores_to_beliefs(np.array([1.8]), t_max=3)
         assert abs(b[0] - 0.6) < 1e-12
 
     def test_zero_clamped_to_lambda_small(self):
-        b = scores_to_beliefs(np.array([0.0]), t_max=3, lambda_small=1e-3)
+        b = scores_to_beliefs(np.array([0.0]), t_max=3)
         assert b[0] == 1e-3
 
 
@@ -228,7 +229,7 @@ class TestGridAlgorithms:
         out = run_marginal_based(first_pass(y, sensing, cfg, [BeliefKind.MARGINAL]), cfg,
                                  depth=0)
         assert not out.failed.any()
-        # priors at undetected taps sit at lambda_small
+        # priors at undetected taps sit at LAMBDA_SMALL
         for r, c in np.ndindex(shape):
             low = np.setdiff1d(np.arange(16), out.support[r, c])
             assert np.all(out.priors[r, c][low] <= 0.5)
@@ -238,6 +239,21 @@ class TestGridAlgorithms:
         cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
         out = run_integer_based(first_pass(y, sensing, cfg, [BeliefKind.SCORE]), cfg, depth=0)
         assert not out.failed.any()
+
+    @pytest.mark.parametrize("kind", list(BeliefKind))
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_untracked_taps_get_the_lambda_small_prior(self, kind, depth):
+        """The final pass gives a tap no neighbor detected (at depth 0, a tap
+        the antenna did not detect) the prior LAMBDA_SMALL exactly, and no
+        tap a lower one."""
+        _, _, sensing, y, nv = make_scene(rows=3, cols=4, seed=2)
+        cfg = GridSolverConfig(lambda_init=2 / 16, noise_var=nv)
+        first = first_pass(y, sensing, cfg, [kind])
+        out = _run_grid(kind, first, cfg, depth)
+        tracked = gate_of(first.detected) if depth else first.detected
+        assert (~tracked).any()
+        np.testing.assert_array_equal(out.priors[~tracked], LAMBDA_SMALL)
+        assert out.priors.min() == LAMBDA_SMALL == 1e-3
 
     def test_negative_depth_rejected(self):
         shape, channels, sensing, y, nv = make_scene(seed=2)
@@ -386,11 +402,11 @@ def per_antenna_grid(kind, observations, sensing_rows, config, depth):
     gate = gate_of(detected)
     rounds = [values]
     for i in range(depth):
-        rounds.append(average_marginals_round(rounds[-1], gate, config.lambda_small)
+        rounds.append(average_marginals_round(rounds[-1], gate)
                       if kind is BeliefKind.MARGINAL
                       else average_scores_round(rounds[-1], gate, final=(i == depth - 1)))
     scale = t_max if kind is BeliefKind.SCORE else 1
-    priors = scores_to_beliefs(rounds[-1], scale, config.lambda_small)
+    priors = scores_to_beliefs(rounds[-1], scale)
 
     taps = np.zeros((rows, cols, length), dtype=complex)
     support = np.zeros((rows, cols, t_max), dtype=int)

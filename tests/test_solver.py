@@ -11,7 +11,7 @@ import pytest
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.sharing import GridSolverConfig
-from gridce.solver import dml_support_size, search_depth, search_rows
+from gridce.solver import DML_Z, dml_support_size, search_depth, search_rows
 from oracles import blue_estimate, exhaustive_estimate, support_metric
 
 
@@ -41,7 +41,9 @@ class TestInitParams:
 
     def test_dml_size_example(self):
         # L=64, lambda=3/64, z=2: ceil(3 + 2*sqrt(3*61/64)) = 7
-        assert dml_support_size(64, 3 / 64, z=2.0) == 7
+        assert DML_Z == 2.0 and dml_support_size(64, 3 / 64) == 7
+        # L=4, lambda=0.9: ceil(3.6 + 2*0.6) = 5, capped at L
+        assert dml_support_size(4, 0.9) == 4
 
     def test_t_max_capped_at_observation_count(self):
         config = GridSolverConfig(lambda_init=0.5, noise_var=0.1)
