@@ -36,9 +36,22 @@ written without the cancelling subtraction.  That takes 2(m - 1)
 exponentials of non-positive arguments per symbol, no logarithm and no
 length-Q axis; r overflows only where it exceeds RELIABILITY_CAP anyway.
 
-Equalization, slicing, reliability and the re-estimation FFTs run on
-``ANTENNA_CHUNK`` antennas at a time; the consensus is stencil arithmetic
-on (M, G, N) carrier masks and symbol indices.
+The top-U pick ranks by falling reliability with ties to the lower
+carrier index.  A capped reliability is the largest value there is, and
+capped values tie, so an antenna with U capped offered carriers among its
+first w carriers takes the first U of them, whatever its other carriers
+hold.  So reliabilities are computed on a prefix of each ranked row that
+ends at its U-th data carrier and doubles until it holds U capped ones;
+only a row short of U capped carriers is ranked on every carrier.  At paper
+scale nearly every carrier is capped and the prefix is a few carriers of
+hundreds.  A tie order other than carrier index would have to visit the
+carriers in that order instead.
+
+Equalization, slicing, distortion variances and the re-estimation FFTs
+run on ``ANTENNA_CHUNK`` antennas at a time, and the prefix reliabilities
+of every chunk in calls of at most ``ANTENNA_CHUNK`` x N carriers; the
+consensus is stencil arithmetic on (M, G, N) carrier masks and symbol
+indices.
 """
 
 from dataclasses import dataclass
@@ -73,8 +86,9 @@ MIN_RELIABLE = 2
 
 #: antennas processed at once wherever a stage works on their length-N
 #: carrier rows: the (chunk, N) FFTs and the (chunk, N, 2) per-axis slicing
-#: and reliability temporaries here and in BER scoring; bounds memory,
-#: results do not depend on it
+#: and reliability temporaries here and in BER scoring (a reliability call
+#: takes at most ANTENNA_CHUNK x N carriers); bounds memory, results do not
+#: depend on it
 ANTENNA_CHUNK = 16
 
 
@@ -187,7 +201,11 @@ def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.nda
     A stable sort ranks the eligible carriers by falling reliability; the
     ones ranked below the budget are kept.  So a row whose budget covers
     all its eligible carriers keeps them all, whatever the reliabilities:
-    ``_top_carriers`` then does not compute them.
+    ``_top_carriers`` then does not compute them.  Capped reliabilities tie
+    at the top and go in carrier order, so where a prefix of the row holds
+    ``count`` capped eligible carriers, they are the pick: ``_rank_rows``
+    computes the reliabilities on that prefix only.  A different tie order
+    must change the order in which ``_rank_rows`` visits the carriers.
     """
     key = np.where(eligible, -reliability, np.inf)
     order = np.argsort(key, axis=-1, kind="stable")
@@ -248,14 +266,14 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     """Every antenna's top-U mask, hard-decision indices and undecodable
     mask, (M, G, N) each, under the receiver noise level ``noise_var``.
 
-    Works through ``ANTENNA_CHUNK`` antennas at a time: one detection (FFT,
-    division, per-axis slicing) and one distortion FFT per chunk; the
-    nearest levels give both the decisions and the reliabilities.  A
-    carrier is offered when it is eligible and decodable.  A budget that
-    covers every offered carrier keeps them all, so where every budget of
-    a chunk does (always in the pilot-starved regime), the chunk's top
-    sets are its offered carriers and no reliability is computed.  An
-    antenna without taps decodes no carrier, so its top set is empty.
+    Detection (FFT, division, per-axis slicing) runs on ``ANTENNA_CHUNK``
+    antennas at a time over every carrier; the nearest levels give both
+    the decisions and the reliabilities.  A carrier is offered when it is
+    eligible and decodable.  A row whose budget covers every offered
+    carrier keeps them all (always so in the pilot-starved regime, and
+    always for an antenna without taps, which decodes no carrier).  A
+    chunk with any other row also takes its distortion variances, one FFT,
+    and ``_rank_rows`` picks those rows' top sets.
     """
     n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
@@ -264,24 +282,91 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     support = base.support.reshape(n_ant, -1)
     error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
     budgets = budgets.reshape(n_ant)
-    top = np.empty((n_ant, n_carriers), dtype=bool)
+    top = np.empty((n_ant, n_carriers), dtype=bool)  # offered until the ranked rows pick
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
     undecodable = np.empty((n_ant, n_carriers), dtype=bool)
+    ranked = np.zeros(n_ant, dtype=bool)
+    if np.any(budgets < np.count_nonzero(eligible)):
+        # reliability inputs, filled on the chunks with a ranked row; where
+        # every budget covers every eligible carrier (the pilot-starved
+        # regime) no row ranks, and these arrays, even untouched, measurably
+        # slowed the rest of the trial
+        equalized = np.empty((n_ant, n_carriers), dtype=complex)
+        variance = np.empty((n_ant, n_carriers))
+        nearest = np.empty((n_ant, n_carriers, 2),
+                           dtype=np.min_scalar_type(alphabet.levels.size - 1))
     for start in range(0, n_ant, ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
-        equalized, nearest, bad = detect(observations[chunk], taps[chunk], alphabet)
-        decisions[chunk] = alphabet.indices_from_levels(nearest)
+        x, levels, bad = detect(observations[chunk], taps[chunk], alphabet)
+        decisions[chunk] = alphabet.indices_from_levels(levels)
         undecodable[chunk] = bad
-        offered = eligible & ~bad
-        if np.all(budgets[chunk] >= offered.sum(axis=-1)):
-            top[chunk] = offered
-            continue
-        variance = distortion_covariance(symbols, error_cov[chunk], noise_var,
-                                         taps=support[chunk])
-        reliability = carrier_reliability(equalized, variance, alphabet, nearest)
-        top[chunk] = top_reliable(reliability, offered, budgets[chunk])
+        top[chunk] = eligible & ~bad
+        ranked[chunk] = budgets[chunk] < top[chunk].sum(axis=-1)
+        if ranked[chunk].any():
+            equalized[chunk], nearest[chunk] = x, levels
+            variance[chunk] = distortion_covariance(symbols, error_cov[chunk], noise_var,
+                                                    taps=support[chunk])
+    if ranked.any():
+        offered = top.copy()
+        top[ranked] = False
+        _rank_rows(top, np.flatnonzero(ranked), eligible, offered, budgets, equalized,
+                   variance, nearest, alphabet)
     shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
+
+
+def _rank_rows(top, rows, eligible, offered, budgets, equalized, variance, nearest,
+               alphabet):
+    """Set in ``top``, zero on ``rows``, the ``budgets`` most reliable
+    ``offered`` carriers of each of ``rows``, as ``top_reliable`` picks them,
+    with reliabilities computed only on a prefix of the row where that
+    settles the pick.
+
+    A capped reliability is the largest value there is, and capped values
+    tie, which the stable sort settles by carrier index.  So a row holding
+    at least U capped offered carriers in a prefix has as its top U the
+    first U of them, whatever the rest of the row holds.  The first prefix
+    ends at the row's U-th eligible carrier, where its U-th offered one
+    sits unless an undecodable carrier comes first: no shorter prefix can
+    hold U.  Each further prefix doubles it (up to N), and only the added
+    carriers are scored.  A row short of U capped carriers over all N goes
+    through ``carrier_reliability`` and ``top_reliable`` on its full row.
+    Each pass gathers the added carriers of every open row, across chunks,
+    into calls of at most ``ANTENNA_CHUNK`` x N carriers.
+    """
+    n_carriers = offered.shape[-1]
+    count_dtype = np.min_scalar_type(n_carriers)
+    capped = np.zeros(offered.shape, dtype=bool)
+    end = np.searchsorted(np.cumsum(eligible), budgets[rows]) + 1
+    start = np.zeros_like(end)
+    short = []
+    while rows.size:
+        # the carriers [start, end) of every open row, as flat indices
+        lengths = end - start
+        offsets = np.cumsum(lengths) - lengths
+        flat = (np.arange(offsets[-1] + lengths[-1])
+                + np.repeat(rows * n_carriers + start - offsets, lengths))
+        for block in range(0, flat.size, ANTENNA_CHUNK * n_carriers):
+            idx = flat[block:block + ANTENNA_CHUNK * n_carriers]
+            reliability = carrier_reliability(equalized.take(idx), variance.take(idx),
+                                              alphabet, nearest.reshape(-1, 2)[idx])
+            np.put(capped, idx, (reliability == _CAPPED) & offered.take(idx))
+        # every capped carrier found so far lies before the longest prefix
+        width = end.max()
+        hold = capped[rows, :width]
+        rank = np.cumsum(hold, axis=-1, dtype=count_dtype)
+        settled = rank[:, -1] >= budgets[rows]
+        done = rows[settled]
+        top[done, :width] = hold[settled] & (rank[settled] <= budgets[done, None])
+        more = ~settled & (end < n_carriers)
+        short.append(rows[~settled & ~more])
+        rows, start, end = rows[more], end[more], np.minimum(2 * end[more], n_carriers)
+    short = np.concatenate(short)
+    for block in range(0, short.size, ANTENNA_CHUNK):
+        full = short[block:block + ANTENNA_CHUNK]
+        reliability = carrier_reliability(equalized[full], variance[full], alphabet,
+                                          nearest[full])
+        top[full] = top_reliable(reliability, offered[full], budgets[full])
 
 
 def toeplitz_grams(lags: np.ndarray) -> np.ndarray:

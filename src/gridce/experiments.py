@@ -196,8 +196,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The spec a JSON config file (UTF-8 text) holds."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ from gridce.channels import ArrayKind, generate_channels
 import gridce.data_aided
 from gridce import experiments
 from gridce.data_aided import (
+    ANTENNA_CHUNK,
     MIN_RELIABLE,
     RELIABILITY_CAP,
     RHO_REFERENCE,
+    _CAPPED,
     _EXP_NORMAL,
     _EXP_ZERO,
     _exp,
@@ -42,6 +44,7 @@ from gridce.errors import InvalidContextError
 from gridce.experiments import ExperimentSpec, error_ratio
 from gridce.ofdm import (
     ZF_MIN_GAIN,
+    detect,
     freq_response,
     make_rng,
     modulate_frame,
@@ -937,14 +940,86 @@ def top_carrier_inputs(draw):
     return case, np.maximum(offered + delta, 0)
 
 
+def capped_carrier_case(rng, rows, cols, n, length, t_max, order):
+    """``top_carrier_case`` made capped-heavy: noise-free observations
+    freq_response(taps) * symbols, a tiny error covariance and noise level,
+    so that a symbol on its point has a capped reliability; and (M, G)
+    budgets.
+
+    Each antenna pulls a share of its carriers (none, 5%, 30% or all) and,
+    on half of them, a leading block of up to N / 2 carriers to near the
+    origin, where the reliability stays far below the cap.  So rows are
+    settled by the first prefix, need it doubled, or fall short to the full
+    sort, and some hold no capped carrier.  Budgets mix counts of 0-3, any
+    count up to two past the offered carriers, and counts that cover them.
+    """
+    (base, _, symbols, alphabet, eligible, _), offered = top_carrier_case(
+        rng, rows, cols, n, length, t_max, order)
+    base.error_cov *= 1e-12
+    observations = freq_response(base.taps, n) * symbols
+    share = rng.choice([0.0, 0.05, 0.3, 1.0], size=(rows, cols, 1))
+    lead = rng.integers(0, n // 2 + 1, size=(rows, cols, 1)) * (rng.random((rows, cols, 1)) < 0.5)
+    observations[(rng.random((rows, cols, n)) < share) | (np.arange(n) < lead)] *= 1e-12
+    noise_var = 10.0 ** rng.uniform(-9, -7)
+    budgets = np.choose(rng.integers(0, 3, size=offered.shape),
+                        [rng.integers(0, 4, size=offered.shape), rng.integers(0, offered + 3),
+                         offered + rng.integers(0, 2, size=offered.shape)])
+    return (base, observations, symbols, alphabet, eligible, noise_var), budgets
+
+
+@st.composite
+def capped_carrier_inputs(draw):
+    """Capped-heavy grids of one to four ``ANTENNA_CHUNK``s, the last one
+    mostly ragged, over 8 to 96 carriers of QAM 4 or 16."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    n = draw(st.integers(8, 96))
+    length = draw(st.integers(2, 8))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    return capped_carrier_case(rng, rows, cols, n, length, draw(st.integers(1, length)),
+                               draw(st.sampled_from([4, 16])))
+
+
+def row_regimes(case, budgets):
+    """(M, G) labels of how ``_top_carriers`` meets each antenna, read off
+    every carrier's reliability: "cover" (the budget covers every offered
+    carrier), "first" (U capped offered carriers up to the U-th eligible
+    one), "doubled" (they lie further in) or "short" (the row has fewer);
+    and the (M, G) masks of rows with no capped offered carrier and of
+    rows with an undecodable carrier."""
+    base, observations, symbols, alphabet, eligible, noise_var = case
+    n_ant, n = base.failed.size, symbols.shape[0]
+    x, levels, bad = detect(observations.reshape(n_ant, n), base.taps.reshape(n_ant, -1),
+                            alphabet)
+    variance = distortion_covariance(
+        symbols, base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:]), noise_var,
+        taps=base.support.reshape(n_ant, -1))
+    offered = eligible & ~bad
+    capped = offered & (carrier_reliability(x, variance, alphabet, levels) == _CAPPED)
+    labels = []
+    for u, row_offered, row_capped in zip(budgets.ravel(), offered, capped):
+        if u >= row_offered.sum():
+            labels.append("cover")
+        elif u > row_capped.sum():
+            labels.append("short")
+        else:
+            first = u == 0 or (np.flatnonzero(row_capped)[u - 1]
+                               <= np.flatnonzero(eligible)[u - 1])
+            labels.append("first" if first else "doubled")
+    shape = base.failed.shape
+    return (np.reshape(labels, shape), ~capped.any(axis=-1).reshape(shape),
+            bad.any(axis=-1).reshape(shape))
+
+
 class CallCounter:
-    """Wraps a function and counts its calls."""
+    """Wraps a function and counts its calls and the elements of their
+    first arguments."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.sizes = fn, 0, []
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
+        self.sizes.append(np.size(args[0]))
         return self.fn(*args, **kwargs)
 
 
@@ -969,13 +1044,58 @@ def assert_top_carriers_match(case, budgets):
 
 
 class TestTopCarrierSkip:
-    """A chunk whose budgets cover every offered carrier keeps them all and
-    computes no reliability; the masks equal the path that scores them."""
+    """A row whose budget covers every offered carrier keeps them all; the
+    other rows score a prefix of the carriers and take its capped ones
+    where they suffice.  The masks equal the path that scores every
+    carrier of every chunk."""
 
     @PROPERTY
     @given(top_carrier_inputs())
     def test_matches_full_path(self, inputs):
         assert_top_carriers_match(*inputs)
+
+    @PROPERTY
+    @given(capped_carrier_inputs())
+    def test_capped_heavy_matches_full_path(self, inputs):
+        assert_top_carriers_match(*inputs)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_capped_prefix_scores_fewer_carriers(self, reliability_calls, order):
+        """On a capped-heavy grid of four chunks, the last one ragged, with
+        every row regime present, fewer carriers are scored than the ranked
+        rows hold."""
+        n = 64
+        case, budgets = capped_carrier_case(make_rng(5), 7, 9, n, 6, 4, order)
+        regimes, no_capped, undecodable = row_regimes(case, budgets)
+        assert set(regimes.ravel()) == {"cover", "first", "doubled", "short"}
+        ranked = regimes != "cover"
+        assert (ranked & no_capped).any() and (ranked & undecodable).any()
+        assert_top_carriers_match(case, budgets)
+        scored = reliability_calls["carrier_reliability"].sizes
+        assert sum(scored) < np.count_nonzero(ranked) * n
+
+    def test_calls_hold_at_most_a_chunk_of_rows(self, reliability_calls):
+        """Every row of a 63-antenna grid one carrier short: the prefixes of
+        all four chunks hold more than ``ANTENNA_CHUNK`` x N carriers, and
+        they go to ``carrier_reliability`` in calls of at most that many."""
+        case, offered = top_carrier_case(make_rng(23), 7, 9, 48, 6, 3, 4)
+        budgets = np.maximum(offered - 1, 0)
+        assert_top_carriers_match(case, budgets)
+        assert max(reliability_calls["carrier_reliability"].sizes) == ANTENNA_CHUNK * 48
+
+    @pytest.mark.parametrize("qam_order", [4, 16])
+    def test_trial_matches_full_path(self, reliability_calls, monkeypatch, qam_order):
+        """A ranking trial on two chunks scores and estimates exactly as
+        with the top sets from the path that scores every carrier."""
+        spec = ExperimentSpec(grid_rows=5, grid_cols=5, n_carriers=128, channel_len=16,
+                              sparsity=2, n_pilots=(10,), snr_db=(25.0,), depth=(2,),
+                              qam_order=qam_order, trials=1, seed=3)
+        point = (10, 25.0, 2)
+        got = experiments.run_point_trial(spec, 0, point, 0)
+        assert reliability_calls["carrier_reliability"].calls
+        monkeypatch.setattr(gridce.data_aided, "_top_carriers", top_carriers_oracle)
+        want = experiments.run_point_trial(spec, 0, point, 0)
+        assert {k: v[:3] for k, v in got.items()} == {k: v[:3] for k, v in want.items()}
 
     def test_budgets_equal_to_offered_count_skip(self, reliability_calls):
         case, offered = top_carrier_case(make_rng(21), 4, 4, 48, 6, 3, 16)
@@ -989,16 +1109,22 @@ class TestTopCarrierSkip:
         assert reliability_calls["distortion_covariance"].calls == 0
 
     def test_one_row_one_short_runs_full_path(self, reliability_calls):
-        """16 antennas are one chunk, so one row one carrier short sends the
-        whole chunk through the reliabilities; that row keeps all but one
-        of its offered carriers."""
+        """One row of a 16-antenna chunk one carrier short: the chunk takes
+        its distortion variances once, and only that row is scored.  It
+        holds no capped carrier, so its prefix up to its U-th eligible
+        carrier, the doubling of that prefix (clipped at N) and then its
+        full row are scored; it keeps all but one of its offered carriers."""
         case, offered = top_carrier_case(make_rng(22), 4, 4, 48, 6, 3, 4)
         budgets = offered.copy()
         row = np.unravel_index(np.argmax(offered), offered.shape)
         budgets[row] -= 1
         top, _, _ = assert_top_carriers_match(case, budgets)
         np.testing.assert_array_equal(top.sum(axis=-1), budgets)
-        assert reliability_calls["carrier_reliability"].calls == 1
+        regimes, no_capped, _ = row_regimes(case, budgets)
+        assert regimes[row] == "short" and no_capped[row]
+        first = np.flatnonzero(case[4])[budgets[row] - 1] + 1
+        assert 2 * first >= 48
+        assert reliability_calls["carrier_reliability"].sizes == [first, 48 - first, 48]
         assert reliability_calls["distortion_covariance"].calls == 1
 
     @pytest.mark.parametrize("n_pilots, skips", [(6, True), (10, False)])

@@ -106,6 +106,15 @@ class TestSpec:
         with pytest.raises(ConfigurationError, match="JSON object"):
             ExperimentSpec.from_dict(data)
 
+    def test_non_utf8_config_file_rejected(self, tmp_path):
+        """A config file that is not UTF-8 text is a configuration error
+        naming the file."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigurationError, match="UTF-8") as info:
+            ExperimentSpec.from_file(cfg_path)
+        assert str(cfg_path) in str(info.value)
+
     @pytest.mark.parametrize("algorithms", [[["MB-P"]], ["MB-P", 3], [None]])
     def test_non_string_algorithm_rejected(self, algorithms):
         """Algorithms are names; a nested list is not one (and is unhashable)."""
@@ -1008,6 +1017,13 @@ class TestCli:
         out = self.run_cli("estimate", "--config", str(cfg_path))
         assert out.returncode == 2
         assert "n_pilots" in out.stderr and "Traceback" not in out.stderr
+
+    def test_non_utf8_config_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe\x00")
+        out = self.run_cli("estimate", "--config", str(cfg_path))
+        assert out.returncode == 2
+        assert "UTF-8" in out.stderr and "Traceback" not in out.stderr
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
