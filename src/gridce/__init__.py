@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channels import ArrayKind, generate_channels
+from .channels import ARRAY_MODES, generate_channels
 from .data_aided import (
     ReliableSet,
     carrier_reliability,

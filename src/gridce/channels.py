@@ -4,12 +4,12 @@ A draw is one (rows, cols, L) complex tap array for the whole grid.  Its
 support is ``taps != 0``, exactly: the samplers' near-zero draws are
 redrawn, so every antenna holds exactly ``sparsity`` nonzero taps.
 
-Supports two spatial regimes.  In a space-invariant array (SIA) every
-antenna shares one support set; tap values still fade independently.  In
-a space-variant array (SVA) the support drifts slowly across the grid:
-the generator evolves it as a random walk indexed by the grid
-diagonal (row + col), so every antenna and each of its 4-neighbors differ
-by at most one migrated delay bin.
+Supports the two spatial regimes of ``ARRAY_MODES``.  In a space-invariant
+array ("SIA") every antenna shares one support set; tap values still fade
+independently.  In a space-variant array ("SVA") the support drifts slowly
+across the grid: the generator evolves it as a random walk indexed by the
+grid diagonal (row + col), so every antenna and each of its 4-neighbors
+differ by at most one migrated delay bin.
 
 No assumption is made about the distribution of the nonzero taps; the
 sampler is one of ``TAP_SAMPLERS`` and defaults to unit-variance complex
@@ -17,7 +17,6 @@ Gaussian (Rayleigh magnitude).
 """
 
 import csv
-import enum
 
 import numpy as np
 
@@ -29,10 +28,8 @@ MIN_TAP_MAGNITUDE = 1e-9
 #: named per-scatterer power profiles accepted by ``generate_channels``
 POWER_PROFILES = ("flat", "geometric")
 
-
-class ArrayKind(enum.Enum):
-    SIA = "SIA"
-    SVA = "SVA"
+#: spatial regimes (space-invariant, space-variant) accepted by ``generate_channels``
+ARRAY_MODES = ("SIA", "SVA")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,7 @@ def generate_channels(
     shape: tuple,
     channel_len: int,
     sparsity: int,
-    kind: ArrayKind,
+    mode: str,
     drift: float,
     rng: np.random.Generator,
     tap_dist: str = "rayleigh",
@@ -131,9 +128,10 @@ def generate_channels(
     """Draw one sparse channel realization over a (rows, cols) grid: the
     (rows, cols, L) taps, ``sparsity`` of them nonzero per antenna.
 
-    SIA: a single size-n support shared by all antennas.  SVA: the support
-    drifts across the grid as a random walk along its diagonals.  Tap values
-    are drawn per antenna from the ``TAP_SAMPLERS`` entry ``tap_dist``.
+    ``mode`` is one of ``ARRAY_MODES``.  "SIA": a single size-n support
+    shared by all antennas.  "SVA": the support drifts across the grid as a
+    random walk along its diagonals.  Tap values are drawn per antenna from
+    the ``TAP_SAMPLERS`` entry ``tap_dist``.
 
     ``power_profile`` (one of ``POWER_PROFILES``) scales the per-scatterer
     amplitudes: "flat" keeps them equal, "geometric" draws two-hop
@@ -147,6 +145,8 @@ def generate_channels(
         raise ConfigurationError(
             f"sparsity {sparsity} exceeds channel length {channel_len}"
         )
+    if mode not in ARRAY_MODES:
+        raise ConfigurationError(f"mode must be one of {ARRAY_MODES}, got {mode!r}")
     if tap_dist not in TAP_SAMPLERS:
         raise ConfigurationError(
             f"tap_dist must be one of {tuple(TAP_SAMPLERS)}, got {tap_dist!r}")
@@ -154,7 +154,7 @@ def generate_channels(
         raise ConfigurationError(
             f"power_profile must be one of {POWER_PROFILES}, got {power_profile!r}")
 
-    if kind == ArrayKind.SIA or drift == 0.0:
+    if mode == "SIA" or drift == 0.0:
         base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
         slots = np.broadcast_to(base, shape + (sparsity,))
     else:

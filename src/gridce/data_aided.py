@@ -51,7 +51,7 @@ Equalization, slicing, distortion variances and the re-estimation FFTs
 run on ``ANTENNA_CHUNK`` antennas at a time, and the prefix reliabilities
 of every chunk in calls of at most ``ANTENNA_CHUNK`` x N carriers; the
 consensus is stencil arithmetic on (M, G, N) carrier masks and symbol
-indices.
+indices, and its (M, G, N) mask is the stage's ``"consensus"`` diagnostic.
 """
 
 from dataclasses import dataclass
@@ -71,11 +71,6 @@ RELIABILITY_CAP = 1e300
 
 #: the value a capped ratio takes (the cap as the log-domain form rounded it)
 _CAPPED = np.exp(np.log(RELIABILITY_CAP))
-
-#: numpy's vectorized exp is fast only where its result is a normal float
-#: (arguments above about -708); its result is exactly zero below _EXP_ZERO
-_EXP_NORMAL = -700.0
-_EXP_ZERO = -750.0
 
 #: predicted relative error at which one pilot budget of reliable carriers is
 #: requested; the default carrier budget scales linearly with the prediction
@@ -173,25 +168,11 @@ def carrier_reliability(x_hat, variance, alphabet, nearest_levels) -> np.ndarray
         gap *= gap
         gap -= nearest_gap
         gap *= scale
-        other += _exp(gap)
+        other += np.exp(gap)
     other_i, other_q = other[..., 0], other[..., 1]
     with np.errstate(divide="ignore", over="ignore"):
         ratio = 1.0 / (other_i + other_q + other_i * other_q)
     return np.minimum(ratio, _CAPPED, out=ratio)
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x) bit for bit, with the arguments whose result underflows
-    kept off numpy's slow path: with a small distortion variance nearly
-    every other-level term is exactly zero, and only the rare arguments
-    between _EXP_ZERO and _EXP_NORMAL go through np.exp itself."""
-    out = np.maximum(x, _EXP_NORMAL)
-    np.exp(out, out=out)
-    out *= x >= _EXP_NORMAL
-    subnormal = (x < _EXP_NORMAL) & (x >= _EXP_ZERO)
-    if subnormal.any():
-        out[subnormal] = np.exp(x[subnormal])
-    return out
 
 
 def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.ndarray:
@@ -427,29 +408,28 @@ def run_data_aided(
     reliability from the base error covariance, pick the top U, agree with
     the neighborhood, then re-run the solver on the pilot rows plus the
     consensus carriers with the agreed decisions standing in as pilot
-    symbols.  Antennas with an empty consensus keep their base estimate
-    (flagged in diagnostics).  The products of the augmented systems
-    diag(s) F_L are taken in closed form from the frame symbols.
+    symbols; antennas with an empty consensus keep their base estimate.
+    The augmented systems diag(s) F_L are taken in closed form.  The
+    diagnostics are arrays: the (M, G) ``"fallback_no_consensus"`` flags,
+    the (M, G, N) ``"consensus"`` mask, and the base estimate's (M, G, N)
+    ``"base_decisions"`` and ``"base_undecodable"`` on every carrier.
     """
-    n_carriers, length = frame.n_carriers, base.taps.shape[-1]
+    length = base.taps.shape[-1]
     symbols = frame.freq_symbols
     pilots = frame.pilot_indices
-    n_data = n_carriers - pilots.shape[0]
-
-    data_mask = np.ones(n_carriers, dtype=bool)
-    data_mask[pilots] = False
 
     # each antenna's own carrier budget; neighbors then settle on the largest
     # budget in their neighborhood so one clean member cannot starve the
     # intersection of a struggling neighborhood (one extra shared integer)
     expected_actives = max(1, round(length * config.lambda_init))
-    budgets = reliable_budget(base, pilots.shape[0], n_data, expected_actives)
+    budgets = reliable_budget(base, pilots.shape[0], frame.data_indices.size,
+                              expected_actives)
     top, decisions, undecodable = _top_carriers(
-        base, observations_full, symbols, alphabet, data_mask,
+        base, observations_full, symbols, alphabet, frame.data_mask,
         stencil_reduce(budgets, np.maximum), config.noise_var,
     )
     consensus = np.empty_like(top)
-    agreements = select_and_agree(top, decisions, pilots, out=consensus)
+    select_and_agree(top, decisions, pilots, out=consensus)
 
     taps = base.taps.copy()
     support = base.support.copy()
@@ -484,7 +464,7 @@ def run_data_aided(
         failed=base.failed.copy(),
         diagnostics={
             "fallback_no_consensus": fallback,
-            "agreements": agreements,
+            "consensus": consensus,
             "base_decisions": decisions,
             "base_undecodable": undecodable,
         },

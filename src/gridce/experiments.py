@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import POWER_PROFILES, ArrayKind, generate_channels
+from .channels import ARRAY_MODES, POWER_PROFILES, generate_channels
 from .errors import ConfigurationError, IllConditionedSupportError
 from .ofdm import (
     detect,
@@ -130,8 +130,8 @@ class ExperimentSpec:
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name}={getattr(self, name)!r} must be a non-negative integer")
-        if self.mode not in ("SIA", "SVA"):
-            raise ConfigurationError(f"mode must be SIA or SVA, got {self.mode!r}")
+        if self.mode not in ARRAY_MODES:
+            raise ConfigurationError(f"mode must be one of {ARRAY_MODES}, got {self.mode!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigurationError(f"unknown algorithms: {sorted(unknown)}")
@@ -179,10 +179,6 @@ class ExperimentSpec:
         if self.power_profile not in POWER_PROFILES:
             raise ConfigurationError(
                 f"power_profile must be one of {POWER_PROFILES}, got {self.power_profile!r}")
-
-    @property
-    def kind(self) -> ArrayKind:
-        return ArrayKind[self.mode]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -309,16 +305,17 @@ def oracle_ls_estimate(sensing_rows: np.ndarray, observations: np.ndarray,
 
 
 def somp_baseline(observations: np.ndarray, sensing_rows: np.ndarray, n_taps: int,
-                  mode: ArrayKind = ArrayKind.SIA) -> np.ndarray:
+                  mode: str) -> np.ndarray:
     """Simultaneous OMP (Tropp, Gilbert & Strauss 2006) over each antenna's
     neighborhood observations, for the whole grid at once.
 
     Assumes a common support inside the neighborhood (SIA); every member's
     pilot observations vote on the next tap, and the center's coefficients
     come from an LS debias on the selected support.  (M, G, K) observations
-    give (M, G, L) taps.
+    give (M, G, L) taps.  ``mode`` is the scene's ``ARRAY_MODES`` entry;
+    an "SVA" scene warns.
     """
-    if mode == ArrayKind.SVA:
+    if mode == "SVA":
         warnings.warn("SOMP assumes a shared support; SVA violates that",
                       stacklevel=2)
     support, coef = somp_stack(observations, sensing_rows, n_taps)
@@ -425,7 +422,7 @@ def scene_channels(spec: ExperimentSpec, point_index: int, trial: int):
     """The (M, G, L) channel taps that trial ``trial`` of sweep point
     ``point_index`` draws (stream 0 of its key)."""
     return generate_channels(
-        (spec.grid_rows, spec.grid_cols), spec.channel_len, spec.sparsity, spec.kind,
+        (spec.grid_rows, spec.grid_cols), spec.channel_len, spec.sparsity, spec.mode,
         spec.drift, make_rng(spec.seed, point_index, trial, 0),
         power_profile=spec.power_profile,
     )
@@ -436,9 +433,8 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     noise_var = noise_var_for_snr(spec.sparsity, spec.n_carriers, snr_db)
     alphabet = build_qam_alphabet(spec.qam_order)
     taps = scene_channels(spec, point_index, trial)
-    pilots = place_pilots(
-        spec.n_carriers, n_pilots, (spec.seed, point_index, trial, 1)
-    )
+    pilots = place_pilots(spec.n_carriers, n_pilots,
+                          make_rng(spec.seed, point_index, trial, 1))
     frame = modulate_frame(alphabet, spec.n_carriers, pilots,
                            make_rng(spec.seed, point_index, trial, 2))
     observations = synthesize_received(
@@ -563,7 +559,7 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         baselines.append(("oracle-LS", oracle_ls_estimate, scene.pilot_rows, y_pilot, slots))
     if "SOMP" in spec.algorithms:
         baselines.append(("SOMP", somp_baseline, y_pilot, scene.pilot_rows, spec.sparsity,
-                          spec.kind))
+                          spec.mode))
     for name, fn, *args in baselines:
         outcome = attempt([name], fn, *args)
         if outcome:

@@ -17,6 +17,7 @@ frames and noise are reproducible across runs and platforms.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ def make_rng(*key) -> np.random.Generator:
 @dataclass(frozen=True)
 class OfdmFrame:
     """One transmitted OFDM symbol: N frequency-domain symbols plus the
-    sorted pilot index set."""
+    sorted pilot index set.  ``data_mask`` marks the data carriers, those
+    off the pilots, and ``data_indices`` lists them (computed once, read-only)."""
 
     freq_symbols: np.ndarray
     pilot_indices: np.ndarray
@@ -49,11 +51,18 @@ class OfdmFrame:
     def n_carriers(self) -> int:
         return self.freq_symbols.shape[0]
 
-    @property
-    def data_indices(self) -> np.ndarray:
+    @cached_property
+    def data_mask(self) -> np.ndarray:
         mask = np.ones(self.n_carriers, dtype=bool)
         mask[self.pilot_indices] = False
-        return np.flatnonzero(mask)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def data_indices(self) -> np.ndarray:
+        indices = np.flatnonzero(self.data_mask)
+        indices.flags.writeable = False
+        return indices
 
 
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
@@ -67,15 +76,14 @@ def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
     return response
 
 
-def place_pilots(n_carriers: int, n_pilots: int, rng_seed: int) -> np.ndarray:
-    """Draw n_pilots distinct carrier indices uniformly, returned sorted."""
+def place_pilots(n_carriers: int, n_pilots: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n_pilots distinct carrier indices uniformly from ``rng`` (a
+    trial's stream 1), returned sorted."""
     if n_pilots > n_carriers:
         raise ConfigurationError(
             f"cannot place {n_pilots} pilots on {n_carriers} carriers"
         )
-    rng = make_rng(rng_seed)
-    idx = rng.choice(n_carriers, size=n_pilots, replace=False)
-    return np.sort(idx)
+    return np.sort(rng.choice(n_carriers, size=n_pilots, replace=False))
 
 
 def modulate_frame(
@@ -90,17 +98,12 @@ def modulate_frame(
     """
     pilots = np.asarray(pilots)
     symbols = np.empty(n_carriers, dtype=complex)
+    frame = OfdmFrame(freq_symbols=symbols, pilot_indices=pilots)
     corners = alphabet.max_magnitude_points()
     symbols[pilots] = corners[rng.integers(0, corners.size, size=pilots.size)]
-
-    data_mask = np.ones(n_carriers, dtype=bool)
-    data_mask[pilots] = False
-    n_data = int(data_mask.sum())
-    if n_data:
-        symbols[data_mask] = alphabet.points[
-            rng.integers(0, alphabet.order, size=n_data)
-        ]
-    return OfdmFrame(freq_symbols=symbols, pilot_indices=pilots)
+    symbols[frame.data_mask] = alphabet.points[
+        rng.integers(0, alphabet.order, size=frame.data_indices.size)]
+    return frame
 
 
 def pilot_rows(frame: OfdmFrame, channel_len: int) -> np.ndarray:

@@ -105,20 +105,6 @@ def stencil_gather(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil_sum(x: np.ndarray) -> np.ndarray:
-    return stencil_reduce(x.astype(float), np.add)
-
-
-def _stencil_any(mask: np.ndarray) -> np.ndarray:
-    return stencil_reduce(mask, np.logical_or)
-
-
-def _member_counts(rows: int, cols: int) -> np.ndarray:
-    """|N+| per antenna: 5 interior, 4 edge, 3 corner (3 and 2 on a line)."""
-    ones = np.ones((rows, cols))
-    return _stencil_sum(ones)
-
-
 # ---------------------------------------------------------------------------
 # belief currencies
 
@@ -139,9 +125,10 @@ def _neighborhood_mean(values: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """Mean over N+ of (M, G, L) ``values``.  The (M, G, L) ``gate`` marks
     the taps each antenna tracks, the union of the first-pass detections
     over its N+; members contribute their value only for taps inside their
-    own gate (a member that never saw a tap adds 0)."""
-    total = _stencil_sum(np.where(gate, values, 0.0))
-    return total / _member_counts(*gate.shape[:2])[:, :, None]
+    own gate (a member that never saw a tap adds 0).  The divisor is |N+|:
+    5 interior, 4 edge, 3 corner (3 and 2 on a line)."""
+    total = stencil_reduce(np.where(gate, values, 0.0), np.add)
+    return total / stencil_reduce(np.ones(gate.shape[:2]), np.add)[:, :, None]
 
 
 def average_marginals_round(values: np.ndarray, gate: np.ndarray) -> np.ndarray:
@@ -245,7 +232,7 @@ def _run_grid(kind, first: FirstPass, config, depth) -> GridEstimate:
     grid = first.detected.shape[:2]
     n_obs, length = first.pilot_rows.shape
     t_max = first.t_max
-    gate = _stencil_any(first.detected)
+    gate = stencil_reduce(first.detected, np.logical_or)
     rounds = [first.values[kind]]
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:

@@ -65,9 +65,11 @@ COLLINEARITY_TOL = 1e-6
 DML_Z = 2.0
 
 
-def dml_support_size(length: int, lam: float) -> int:
-    """Support-search depth slightly above the expected active count:
-    ceil(L*lam + z*sqrt(L*lam*(1-lam))) with z = DML_Z, capped at L.
+def search_depth(length: int, lam: float, n_obs: int) -> int:
+    """The search depth t_max of every antenna, slightly above the expected
+    active count: the de Moivre-Laplace bound
+    ceil(L*lam + z*sqrt(L*lam*(1-lam))) with z = DML_Z, capped at L and at
+    the observation count, and at least 1.
 
     Scalar ``math``, not numpy: ``ExperimentSpec`` calls this at
     construction, before a sweep's first trial, and a numpy scalar call
@@ -76,13 +78,7 @@ def dml_support_size(length: int, lam: float) -> int:
     """
     expected = length * lam
     slack = DML_Z * math.sqrt(length * lam * (1.0 - lam))
-    return min(length, math.ceil(expected + slack))
-
-
-def search_depth(length: int, lam: float, n_obs: int) -> int:
-    """The search depth t_max of every antenna: ``dml_support_size`` capped
-    at the observation count, and at least 1."""
-    return max(1, min(dml_support_size(length, lam), n_obs))
+    return max(1, min(length, math.ceil(expected + slack), n_obs))
 
 
 def check_conditioning(a_s: np.ndarray):

@@ -79,7 +79,6 @@ import numpy as np
 
 from gridce.channels import (
     TAP_SAMPLERS,
-    ArrayKind,
     _draw_taps,
     _migrate_one,
     geometric_gains,
@@ -97,10 +96,10 @@ from gridce.sharing import (
     BeliefKind,
     GridEstimate,
     _rank_scores,
-    _stencil_any,
     average_marginals_round,
     average_scores_round,
     scores_to_beliefs,
+    stencil_reduce,
 )
 from gridce.solver import (
     COLLINEARITY_TOL,
@@ -467,7 +466,7 @@ def per_currency_grid(kind, observations, sensing_rows, config, depth) -> GridEs
     else:
         values = _rank_scores(first)
     detected = first.scatter(np.ones(first.chosen.shape, dtype=bool)).reshape(*grid, length)
-    gate = _stencil_any(detected)
+    gate = stencil_reduce(detected, np.logical_or)
     values = values.reshape(*grid, length)
     for i in range(depth):
         if kind is BeliefKind.MARGINAL:
@@ -684,12 +683,12 @@ def oracle_ls_loop_oracle(sensing_rows, observations, supports):
     return taps.reshape(supports.shape[:-1] + (a.shape[1],))
 
 
-def generate_channels_loop_oracle(shape, channel_len, sparsity, kind, drift, rng,
+def generate_channels_loop_oracle(shape, channel_len, sparsity, mode, drift, rng,
                                   tap_dist="rayleigh", power_profile="flat"):
     """(taps, support) of ``generate_channels`` on a (rows, cols) grid,
     filled antenna by antenna from a per-diagonal list of SVA walk slots."""
     rows, cols = shape
-    if kind == ArrayKind.SIA or drift == 0.0:
+    if mode == "SIA" or drift == 0.0:
         base = np.sort(rng.choice(channel_len, size=sparsity, replace=False))
         slots = np.broadcast_to(base, (rows, cols, sparsity)).copy()
     else:
@@ -759,7 +758,7 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 
 
 def classify_array(rows: int, cols: int, spacing_m: float, bandwidth_hz: float) -> tuple:
-    """(kind, d_max_m): SIA when the farthest antennas cannot resolve
+    """(mode, d_max_m): "SIA" when the farthest antennas cannot resolve
     distinct delays.
 
     Two taps are resolvable when their arrival-time difference exceeds
@@ -768,7 +767,7 @@ def classify_array(rows: int, cols: int, spacing_m: float, bandwidth_hz: float) 
     """
     d_max = (max(rows, cols) - 1) * spacing_m
     threshold = SPEED_OF_LIGHT / (10.0 * bandwidth_hz)
-    return (ArrayKind.SIA if d_max <= threshold else ArrayKind.SVA), d_max
+    return ("SIA" if d_max <= threshold else "SVA"), d_max
 
 
 def recommended_D(spacing_m: float, bandwidth_hz: float) -> int:

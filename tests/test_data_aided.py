@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridce.channels import ArrayKind, generate_channels
+from gridce.channels import generate_channels
 import gridce.data_aided
 from gridce import experiments
 from gridce.data_aided import (
@@ -27,9 +27,6 @@ from gridce.data_aided import (
     RELIABILITY_CAP,
     RHO_REFERENCE,
     _CAPPED,
-    _EXP_NORMAL,
-    _EXP_ZERO,
-    _exp,
     _top_carriers,
     carrier_reliability,
     distortion_covariance,
@@ -82,9 +79,9 @@ def full_scene(rows=4, cols=4, n=128, k=16, length=32, sparsity=3, snr_db=15.0,
                seed=0, qam=4):
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
     alphabet = build_qam_alphabet(qam)
-    true_taps = generate_channels((rows, cols), length, sparsity, ArrayKind.SIA, 0.0,
+    true_taps = generate_channels((rows, cols), length, sparsity, "SIA", 0.0,
                                   make_rng(seed, 0))
-    pilots = place_pilots(n, k, (seed, 1))
+    pilots = place_pilots(n, k, make_rng(seed, 1))
     frame = modulate_frame(alphabet, n, pilots, make_rng(seed, 2))
     full_rows = dense_rows(frame, length)
     observations = synthesize_received_oracle(full_rows, true_taps, noise_var,
@@ -295,19 +292,6 @@ class TestCarrierReliability:
         capped = np.exp(np.log(RELIABILITY_CAP))
         np.testing.assert_array_equal(m[:2], capped)
         assert m[2] < capped
-
-    def test_exp_matches_numpy(self):
-        """The underflow-aware exponential equals np.exp bit for bit: fast
-        normal results, the subnormal band, exact zeros and specials."""
-        rng = make_rng(7)
-        x = np.concatenate([
-            -rng.uniform(0, 800, 20000), np.arange(-690.0, -760.0, -0.003),
-            -np.abs(rng.normal(size=100)) * 1e5,
-            [0.0, -0.0, -np.inf, np.nan, _EXP_NORMAL, _EXP_ZERO,
-             np.nextafter(_EXP_NORMAL, 0), np.nextafter(_EXP_ZERO, -np.inf)],
-        ])
-        rng.shuffle(x)
-        np.testing.assert_array_equal(_exp(x), np.exp(x))
 
     def test_monotone_toward_point(self):
         """Reliability strictly increases moving from the decision boundary
@@ -688,12 +672,13 @@ class TestReliableBudget:
         np.testing.assert_array_equal(got[2], 0.3)
 
 
-def reestimate_oracle(frame, full_rows, observations, base, config, agreements,
+def reestimate_oracle(frame, full_rows, observations, base, config, consensus,
                       decided_points):
     """The per-antenna re-estimation loop the closed forms replaced:
     explicit augmented rows, with the (M, G, N) ``decided_points`` standing
-    in as pilot symbols on each consensus, and one search per aided
-    antenna.  Returns (taps, support, error_cov, fallback) on the grid."""
+    in as pilot symbols on each row of the (M, G, N) ``consensus`` mask, and
+    one search per aided antenna.  Returns (taps, support, error_cov,
+    fallback) on the grid."""
     length = full_rows.shape[1]
     pilots = frame.pilot_indices
     dft = truncated_dft(frame.n_carriers, length)
@@ -701,13 +686,11 @@ def reestimate_oracle(frame, full_rows, observations, base, config, agreements,
     taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
     fallback = np.ones(base.failed.shape, dtype=bool)
     for (r, c), failed in np.ndenumerate(base.failed):
-        reliable = agreements[r][c]
-        if failed or not reliable.consensus.size:
+        agreed = np.flatnonzero(consensus[r, c])
+        if failed or not agreed.size:
             continue
-        a_aug = np.vstack([full_rows[pilots],
-                           decided_points[r, c, reliable.consensus, None]
-                           * dft[reliable.consensus]])
-        y_aug = observations[r, c, np.concatenate([pilots, reliable.consensus])]
+        a_aug = np.vstack([full_rows[pilots], decided_points[r, c, agreed, None] * dft[agreed]])
+        y_aug = observations[r, c, np.concatenate([pilots, agreed])]
         stack = greedy_search_batch(
             a_aug.conj().T @ a_aug, (a_aug.conj().T @ y_aug)[None],
             [np.vdot(y_aug, y_aug).real], base.priors[r, c][None],
@@ -746,13 +729,46 @@ class TestRunDataAided:
             fix_budget(monkeypatch, budget)
         refined = run_data_aided(frame, obs, base, cfg, alphabet)
         taps, support, error_cov, fallback = reestimate_oracle(
-            frame, full_rows, obs, base, cfg, refined.diagnostics["agreements"],
+            frame, full_rows, obs, base, cfg, refined.diagnostics["consensus"],
             alphabet.points[refined.diagnostics["base_decisions"]])
         np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"], fallback)
         np.testing.assert_array_equal(refined.support, support)
         assert_close(refined.taps, taps)
         assert_close(refined.error_cov, error_cov)
         assert not fallback.all()
+
+    @pytest.mark.parametrize("rows, cols, budget, seed", [
+        (4, 4, None, 0), (1, 5, None, 1), (3, 4, 8, 4), (4, 4, 2, 5),
+    ])
+    def test_consensus_is_the_stencil_rule(self, rows, cols, budget, seed, monkeypatch):
+        """The ``"consensus"`` diagnostic is the (M, G, N) mask of the
+        carriers that every neighborhood member ranks top-U and decodes to
+        one symbol, off the pilots: the per-antenna rule on the top sets and
+        decisions the stage agreed on."""
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
+            rows=rows, cols=cols, snr_db=12.0, seed=seed)
+        if budget is not None:
+            fix_budget(monkeypatch, budget)
+        agreed_on = []
+
+        def spy(top, decisions, pilots, out=None):
+            agreed_on.append((top.copy(), decisions.copy()))
+            return select_and_agree(top, decisions, pilots, out=out)
+
+        monkeypatch.setattr(gridce.data_aided, "select_and_agree", spy)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
+        consensus = refined.diagnostics["consensus"]
+        [(top, decisions)] = agreed_on
+        np.testing.assert_array_equal(decisions, refined.diagnostics["base_decisions"])
+        assert consensus.shape == top.shape and consensus.dtype == bool
+        top_sets = [[np.flatnonzero(top[r, c]) for c in range(cols)] for r in range(rows)]
+        want = select_and_agree_oracle(shape, top_sets, alphabet.points[decisions],
+                                       frame.pilot_indices)
+        for r, c in np.ndindex(shape):
+            np.testing.assert_array_equal(np.flatnonzero(consensus[r, c]), want[r][c][0])
+        np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"],
+                                      ~consensus.any(axis=-1))
+        assert consensus.any()
 
     def test_budget_is_read_from_the_rule(self, monkeypatch):
         """``run_data_aided`` takes its budgets from one call of
@@ -851,21 +867,21 @@ class TestRunDataAided:
                 rows=3, cols=3, snr_db=20.0, seed=50 + seed
             )
             refined = run_data_aided(frame, obs, base, cfg, alphabet)
-            agreements = refined.diagnostics["agreements"]
+            consensus = refined.diagnostics["consensus"]
             decided_points = alphabet.points[refined.diagnostics["base_decisions"]]
             pilots = frame.pilot_indices
             t_max = search_depth(32, cfg.lambda_init, pilots.size)
             for r, c in np.ndindex(shape):
-                reliable = agreements[r][c]
-                if reliable.consensus.size == 0:
+                agreed = np.flatnonzero(consensus[r, c])
+                if agreed.size == 0:
                     continue
                 correct = np.allclose(
-                    decided_points[r, c, reliable.consensus],
-                    frame.freq_symbols[reliable.consensus],
+                    decided_points[r, c, agreed],
+                    frame.freq_symbols[agreed],
                 )
                 if not correct:
                     continue
-                idx = np.concatenate([pilots, reliable.consensus])
+                idx = np.concatenate([pilots, agreed])
                 a_pilot_run = full_rows[idx]  # rows from true symbols
                 est = greedy_search(
                     a_pilot_run, obs[r, c, idx],

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridce import experiments
-from gridce.channels import ArrayKind, generate_channels
+from gridce.channels import generate_channels
 from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
 from gridce.errors import ConfigurationError
 from gridce.experiments import (
@@ -224,7 +224,7 @@ class TestSpec:
         (16, ("IB-P",), False),    # IB builds no lattice
     ])
     def test_marginal_lattice_past_guard_rejected(self, sparsity, algorithms, rejected):
-        """MB searches t_max = min(dml_support_size(L, n/L), K) taps and
+        """MB searches t_max = search_depth(L, n/L, K) taps and
         enumerates their 2^t_max - 1 subsets; a spec whose largest K gives
         more than MAX_LATTICE_TAPS fails at construction, not in a trial."""
         with pytest.raises(ConfigurationError, match="lattice") if rejected else nullcontext():
@@ -479,11 +479,11 @@ class TestSharedFirstPass:
 
 class TestSomp:
     def test_single_antenna_single_tap_noiseless(self):
-        channels = generate_channels((1, 1), 16, 1, ArrayKind.SIA, 0.0, make_rng(3))
+        channels = generate_channels((1, 1), 16, 1, "SIA", 0.0, make_rng(3))
         rng = make_rng(4)
         a = (rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))) / np.sqrt(8)
         y = channels @ a.T
-        taps = somp_baseline(y, a, 1)
+        taps = somp_baseline(y, a, 1, "SIA")
         assert np.flatnonzero(taps[0, 0]).tolist() == np.flatnonzero(channels[0, 0]).tolist()
 
     def test_neighborhood_recovery_rate(self):
@@ -492,13 +492,13 @@ class TestSomp:
         hits = 0
         trials = 200
         for seed in range(trials):
-            channels = generate_channels((3, 3), 32, 3, ArrayKind.SIA, 0.0,
+            channels = generate_channels((3, 3), 32, 3, "SIA", 0.0,
                                          make_rng(900 + seed))
             rng = make_rng(901, seed)
             a = (rng.normal(size=(10, 32)) + 1j * rng.normal(size=(10, 32)))
             a /= np.sqrt(10)
             y = channels @ a.T
-            taps = somp_baseline(y, a, 3)
+            taps = somp_baseline(y, a, 3, "SIA")
             found = set(np.flatnonzero(taps[1, 1]).tolist())
             hits += found == set(np.flatnonzero(channels[1, 1]).tolist())
         assert hits / trials >= 0.95
@@ -508,7 +508,7 @@ class TestSomp:
         a = rng.normal(size=(6, 16)) + 0j
         y = np.zeros((2, 2, 6), complex)
         with pytest.warns(UserWarning):
-            somp_baseline(y, a, 2, mode=ArrayKind.SVA)
+            somp_baseline(y, a, 2, "SVA")
 
 
 def assert_taps_close(got, ref, sensing_rows, supports):
@@ -594,7 +594,7 @@ class TestBatchedBaselines:
         shape, a, y, n_taps, pilot_rows = case
         ref, picks = somp_loop_oracle(shape, y, a, n_taps)
         support, coef = somp_stack(y, a, n_taps)
-        got = somp_baseline(y, a, n_taps)
+        got = somp_baseline(y, a, n_taps, "SIA")
         assert support.shape == coef.shape == (*shape, min(n_taps, a.shape[0]))
         for r, c in np.ndindex(shape):
             batch, loop = support[r, c].tolist(), picks[r][c]
@@ -660,7 +660,7 @@ class TestBatchedBaselines:
             ref, picks = somp_loop_oracle((10, 10), y, a, spec.sparsity)
             support, _ = somp_stack(y, a, spec.sparsity)
             assert support.tolist() == picks
-            got = somp_baseline(y, a, spec.sparsity)
+            got = somp_baseline(y, a, spec.sparsity, spec.mode)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
             slots = np.stack([[np.flatnonzero(scene.taps[r, c]) for c in range(10)]

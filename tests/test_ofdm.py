@@ -65,36 +65,46 @@ class TestConfig:
 
 class TestPilotPlacement:
     def test_sorted_distinct_in_range(self):
-        p = place_pilots(512, 16, rng_seed=3)
+        p = place_pilots(512, 16, make_rng(3))
         assert p.shape == (16,)
         assert np.all(np.diff(p) > 0)
         assert p.min() >= 0 and p.max() < 512
 
     def test_small_pilot_budget(self):
-        assert place_pilots(512, 8, rng_seed=1).shape == (8,)
+        assert place_pilots(512, 8, make_rng(1)).shape == (8,)
 
     def test_too_many_pilots(self):
         with pytest.raises(ConfigurationError):
-            place_pilots(4, 5, rng_seed=0)
+            place_pilots(4, 5, make_rng(0))
 
     def test_reproducible(self):
         np.testing.assert_array_equal(
-            place_pilots(256, 12, rng_seed=42), place_pilots(256, 12, rng_seed=42)
+            place_pilots(256, 12, make_rng(42)), place_pilots(256, 12, make_rng(42))
         )
 
     def test_pinned_stream(self):
         """PCG64 is pinned, so a fixed seed yields these exact indices."""
         np.testing.assert_array_equal(
-            place_pilots(16, 4, rng_seed=0), place_pilots(16, 4, rng_seed=0)
+            place_pilots(16, 4, make_rng(0)), place_pilots(16, 4, make_rng(0))
         )
         assert not np.array_equal(
-            place_pilots(256, 12, rng_seed=0), place_pilots(256, 12, rng_seed=1)
+            place_pilots(256, 12, make_rng(0)), place_pilots(256, 12, make_rng(1))
         )
+
+    @pytest.mark.parametrize("n, k", [(512, 16), (64, 64), (16, 1), (96, 40)])
+    def test_trial_stream_equals_the_keyed_draw(self, n, k):
+        """A trial's stream 1, ``make_rng(s, p, t, 1)``, draws the pilots that
+        seeding from the whole key tuple, ``make_rng((s, p, t, 1))``, drew."""
+        for key in np.ndindex(3, 3, 3):
+            for seed in (key[0], 2**31 + key[0]):
+                s, p, t = seed, key[1], key[2]
+                keyed = np.sort(make_rng((s, p, t, 1)).choice(n, size=k, replace=False))
+                np.testing.assert_array_equal(place_pilots(n, k, make_rng(s, p, t, 1)), keyed)
 
 
 class TestFrame:
     def test_shape_and_alphabet_membership(self):
-        pilots = place_pilots(64, 12, 0)
+        pilots = place_pilots(64, 12, make_rng(0))
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0, 2))
         assert frame.freq_symbols.shape == (64,)
         d = np.abs(frame.freq_symbols[:, None] - QAM4.points[None, :]).min(axis=1)
@@ -107,8 +117,23 @@ class TestFrame:
         # every carrier carries a constant-modulus pilot point
         assert np.allclose(np.abs(frame.freq_symbols), np.abs(frame.freq_symbols[0]))
 
+    @pytest.mark.parametrize("pilots", [[0, 3, 17, 31], [], list(range(32)), [5]])
+    def test_data_mask_is_the_pilot_complement(self, pilots):
+        """The one data-carrier mask: every carrier off the pilots, computed
+        once, read-only, and listed by ``data_indices``."""
+        frame = modulate_frame(QAM4, 32, np.array(pilots, dtype=int), make_rng(3))
+        want = np.ones(32, dtype=bool)
+        want[pilots] = False
+        np.testing.assert_array_equal(frame.data_mask, want)
+        np.testing.assert_array_equal(frame.data_indices, np.flatnonzero(frame.data_mask))
+        assert frame.data_mask is frame.data_mask
+        assert frame.data_indices is frame.data_indices
+        for view in (frame.data_mask, frame.data_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0
+
     def test_same_seed_same_frame(self):
-        pilots = place_pilots(64, 12, 0)
+        pilots = place_pilots(64, 12, make_rng(0))
         f1 = modulate_frame(QAM4, 64, pilots, make_rng(7))
         f2 = modulate_frame(QAM4, 64, pilots, make_rng(7))
         np.testing.assert_array_equal(f1.freq_symbols, f2.freq_symbols)
@@ -126,7 +151,7 @@ class TestPilotRows:
         assert scene.pilot_rows.shape == (12, 16)
 
     def test_rows_are_scaled_dft_rows(self):
-        pilots = place_pilots(64, 12, 0)
+        pilots = place_pilots(64, 12, make_rng(0))
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         f = truncated_dft(64, 16)[pilots]
         np.testing.assert_allclose(
@@ -149,7 +174,7 @@ class TestPilotRows:
     @given(dims=dimensions(), seed=st.integers(0, 2**32 - 1))
     def test_equals_dense_rows_bit_for_bit(self, dims, seed):
         n, length, k = dims
-        frame = modulate_frame(QAM4, n, place_pilots(n, k, seed), make_rng(seed))
+        frame = modulate_frame(QAM4, n, place_pilots(n, k, make_rng(seed)), make_rng(seed))
         pilots = frame.pilot_indices
         want = frame.freq_symbols[pilots, None] * truncated_dft(n, length)[pilots]
         np.testing.assert_array_equal(pilot_rows(frame, length).view(np.uint64),
@@ -188,7 +213,7 @@ class TestDftProperties:
 
 class TestSynthesizeReceived:
     def test_noiseless_is_exact(self):
-        pilots = place_pilots(64, 12, 0)
+        pilots = place_pilots(64, 12, make_rng(0))
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         rng = np.random.default_rng(0)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -217,7 +242,7 @@ class TestSynthesizeReceived:
     def test_noise_added_in_place_matches_the_sum(self, noise_var):
         """The in-place noise is the noiseless spectrum plus (re + 1j im),
         drawn real part first, bit for bit."""
-        frame = modulate_frame(QAM4, 32, place_pilots(32, 6, 2), make_rng(2))
+        frame = modulate_frame(QAM4, 32, place_pilots(32, 6, make_rng(2)), make_rng(2))
         rng = np.random.default_rng(4)
         h = rng.normal(size=(3, 5, 8)) + 1j * rng.normal(size=(3, 5, 8))
         y = synthesize_received(frame, h, noise_var, make_rng(7))
@@ -230,7 +255,7 @@ class TestSynthesizeReceived:
         """One standard-normal block scaled by sigma is what two
         ``rng.normal(0, sigma)`` calls draw, real part first: 20 seeds on a
         20 x 20 grid of 512 carriers.  With h = 0 the noise is all of y."""
-        frame = modulate_frame(QAM4, 512, place_pilots(512, 16, 0), make_rng(0))
+        frame = modulate_frame(QAM4, 512, place_pilots(512, 16, make_rng(0)), make_rng(0))
         rows = dense_rows(frame, 64)
         h = np.zeros((20, 20, 64), dtype=complex)
         for seed in range(20):
@@ -245,7 +270,7 @@ class TestSynthesizeReceived:
         1e-12 of each antenna's norm, on one antenna and on an (M, G, L)
         stack, and it leaves the noise stream where the oracle leaves it."""
         n, length, k = dims
-        frame = modulate_frame(QAM4, n, place_pilots(n, k, seed), make_rng(seed))
+        frame = modulate_frame(QAM4, n, place_pilots(n, k, make_rng(seed)), make_rng(seed))
         shape = (3, 2, length) if stack else (length,)
         g = make_rng(seed, 0)
         h = g.normal(size=shape) + 1j * g.normal(size=shape)
@@ -271,7 +296,7 @@ class TestSynthesizeReceived:
 
 class TestEqualizeAndSlice:
     def test_perfect_equalization(self):
-        pilots = place_pilots(64, 12, 0)
+        pilots = place_pilots(64, 12, make_rng(0))
         frame = modulate_frame(QAM4, 64, pilots, make_rng(0))
         rng = np.random.default_rng(3)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)

@@ -15,7 +15,7 @@ from gridce.experiments import ExperimentSpec
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 #: sites whose entry point the package no longer calls, so their spans read 0
-#: until a benchmark change re-points them (ROADMAP items 2 and 3), by reason:
+#: until a benchmark change re-points them (ROADMAP item 1), by reason:
 KNOWN_MISSING = [
     # chains that fill every pilot row run in ``greedy_search_stack``, so
     # the grid runners no longer call ``greedy_search``

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridce.channels import ArrayKind, generate_channels
+from gridce.channels import generate_channels
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng, modulate_frame, place_pilots
 from gridce.qam import build_qam_alphabet
@@ -37,11 +37,11 @@ from oracles import (
 
 
 def make_scene(rows=5, cols=5, n=64, k=12, length=16, sparsity=2, snr_db=15.0,
-               seed=0, kind=ArrayKind.SIA, drift=0.0):
+               seed=0, mode="SIA", drift=0.0):
     noise_var = sparsity / (n * 10 ** (snr_db / 10))
-    channels = generate_channels((rows, cols), length, sparsity, kind, drift,
+    channels = generate_channels((rows, cols), length, sparsity, mode, drift,
                                  make_rng(seed, 0))
-    pilots = place_pilots(n, k, (seed, 1))
+    pilots = place_pilots(n, k, make_rng(seed, 1))
     frame = modulate_frame(build_qam_alphabet(4), n, pilots, make_rng(seed, 2))
     full = dense_rows(frame, length)
     y = synthesize_received_oracle(full, channels, noise_var, make_rng(seed, 3))

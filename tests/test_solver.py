@@ -11,7 +11,7 @@ import pytest
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.sharing import GridSolverConfig
-from gridce.solver import DML_Z, dml_support_size, search_depth, search_rows
+from gridce.solver import DML_Z, search_depth, search_rows
 from oracles import blue_estimate, exhaustive_estimate, support_metric
 
 
@@ -40,15 +40,19 @@ class TestInitParams:
     """The search depth every antenna starts from."""
 
     def test_dml_size_example(self):
-        # L=64, lambda=3/64, z=2: ceil(3 + 2*sqrt(3*61/64)) = 7
-        assert DML_Z == 2.0 and dml_support_size(64, 3 / 64) == 7
+        # L=64, lambda=3/64, z=2: ceil(3 + 2*sqrt(3*61/64)) = 7 < K
+        assert DML_Z == 2.0 and search_depth(64, 3 / 64, 16) == 7
         # L=4, lambda=0.9: ceil(3.6 + 2*0.6) = 5, capped at L
-        assert dml_support_size(4, 0.9) == 4
+        assert search_depth(4, 0.9, 10) == 4
 
     def test_t_max_capped_at_observation_count(self):
+        # L=64, lambda=0.5: ceil(32 + 2*4) = 40, capped at K
         config = GridSolverConfig(lambda_init=0.5, noise_var=0.1)
-        assert dml_support_size(64, 0.5) > 2
+        assert search_depth(64, config.lambda_init, 41) == 40
         assert search_depth(64, config.lambda_init, 2) == 2
+
+    def test_t_max_is_at_least_one(self):
+        assert search_depth(16, 0.0, 8) == 1
 
 
 class TestSupportMetric:
