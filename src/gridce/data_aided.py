@@ -357,12 +357,13 @@ def toeplitz_grams(lags: np.ndarray) -> np.ndarray:
     return sliding_window_view(lags, length, axis=-1)[..., ::-1]
 
 
-def reestimation_inputs(symbols, pilot_indices, observations, consensus, decisions,
+def reestimation_inputs(symbols, on_pilot, observations, consensus, decisions,
                         alphabet, length):
     """Gram lags (B, 2L - 1), A^H y (B, L) and ||y||^2 (B,) of B augmented
     systems A = diag(s) F_L on the pilots plus each antenna's consensus.
 
-    s holds the frame's pilot symbols and the agreed symbols
+    ``on_pilot`` is the (N,) pilot mask (a frame's ``~data_mask``).  s
+    holds the frame's pilot symbols and the agreed symbols
     ``alphabet.points[decisions]`` on the ``consensus`` (B, N) carriers, y
     the ``observations`` (B, N) there; both are zero on the other carriers.
     Then the Gram is ifft(|s|^2) at lags j - l mod N and A^H y is
@@ -370,8 +371,6 @@ def reestimation_inputs(symbols, pilot_indices, observations, consensus, decisio
     antennas, with no augmented row matrix.
     """
     n_ant, n_carriers = observations.shape
-    on_pilot = np.zeros(n_carriers, dtype=bool)
-    on_pilot[pilot_indices] = True
     pilot_symbols = np.where(on_pilot, symbols, 0.0)
     lags = np.empty((n_ant, 2 * length - 1), dtype=complex)
     corr = np.empty((n_ant, length), dtype=complex)
@@ -444,7 +443,7 @@ def run_data_aided(
         # carrier and joins no consensus; an aided antenna's Gram holds the
         # pilots' energy on its diagonal, so its chain cannot fail either
         lags, corr, y_norm2 = reestimation_inputs(
-            symbols, pilots, observations_full[aided], consensus[aided],
+            symbols, ~frame.data_mask, observations_full[aided], consensus[aided],
             decisions[aided], alphabet, length,
         )
         stack = greedy_search_batch(

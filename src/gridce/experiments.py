@@ -390,14 +390,14 @@ def error_ratio(true_taps: np.ndarray, estimated: np.ndarray) -> float:
     return float(num[good].sum() / den[good].sum())
 
 
-def count_bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> tuple:
-    """Bit errors of decided symbol indices against the true ones, looked up
-    in the alphabet's Hamming table; any shape, the true indices broadcast
-    against the decided ones.  Undecodable carriers count every bit as
-    wrong.  Returns (errors, total_bits)."""
-    k = alphabet.bits_per_symbol
-    wrong = np.where(bad_mask, k, alphabet.hamming[true_indices, decided_indices])
-    return int(wrong.sum()), wrong.size * k
+def bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> np.ndarray:
+    """Bit errors of each decided symbol index against the true one; any
+    shape, the true indices broadcast against the decided ones.  A point
+    index is its bit word, so two indices differ in the popcount of their
+    XOR.  Undecodable entries count every bit as wrong."""
+    wrong = alphabet.popcount.take(np.bitwise_xor(decided_indices, true_indices))
+    wrong[bad_mask] = alphabet.bits_per_symbol
+    return wrong
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ class TrialScene:
     observations: np.ndarray     # (M, G, N) received carriers
     noise_var: float
     alphabet: object
-    true_indices: np.ndarray     # transmitted symbol index per data carrier
+    true_indices: np.ndarray     # transmitted symbol index per carrier, pilots included
 
 
 def noise_var_for_snr(sparsity: int, n_carriers: int, snr_db: float) -> float:
@@ -443,7 +443,7 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     return TrialScene(
         taps=taps, frame=frame, pilot_rows=pilot_rows(frame, spec.channel_len),
         observations=observations, noise_var=noise_var, alphabet=alphabet,
-        true_indices=alphabet.nearest_indices(frame.freq_symbols[frame.data_indices]),
+        true_indices=alphabet.nearest_indices(frame.freq_symbols),
     )
 
 
@@ -458,20 +458,20 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tupl
     """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
 
     Detection (``ofdm.detect``) runs on every carrier, ``ANTENNA_CHUNK``
-    antennas at a time, and the bits are counted on the data carriers.
-    With ``detected``, the (decisions, undecodable) pair (M, G, N) that
-    ``run_data_aided`` made for these taps with the same detection, the
-    bits are counted from it instead.
+    antennas at a time; the bit errors are summed per carrier over the
+    chunks and counted on the data carriers once.  With ``detected``, the
+    (decisions, undecodable) pair (M, G, N) that ``run_data_aided`` made
+    for these taps with the same detection, the bits are counted from it
+    instead.
     """
     ratio = error_ratio(scene.taps, taps)
-    n_carriers = scene.frame.n_carriers
-    data_idx = scene.frame.data_indices
-    alphabet = scene.alphabet
+    frame, alphabet = scene.frame, scene.alphabet
+    n_carriers = frame.n_carriers
     taps = taps.reshape(-1, taps.shape[-1])
     observations = scene.observations.reshape(-1, n_carriers)
     if detected is not None:
         decisions, undecodable = (d.reshape(-1, n_carriers) for d in detected)
-    errors = total = 0
+    per_carrier = np.zeros(n_carriers, dtype=np.intp)
     for start in range(0, taps.shape[0], ANTENNA_CHUNK):
         chunk = slice(start, start + ANTENNA_CHUNK)
         if detected is None:
@@ -479,11 +479,9 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tupl
             decided = alphabet.indices_from_levels(nearest)
         else:
             decided, bad = decisions[chunk], undecodable[chunk]
-        e, t = count_bit_errors(alphabet, scene.true_indices, decided[:, data_idx],
-                                bad[:, data_idx])
-        errors += e
-        total += t
-    return ratio, errors, total
+        per_carrier += bit_errors(alphabet, scene.true_indices, decided, bad).sum(axis=0)
+    errors = int(per_carrier[frame.data_mask].sum())
+    return ratio, errors, taps.shape[0] * frame.data_indices.size * alphabet.bits_per_symbol
 
 
 def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,

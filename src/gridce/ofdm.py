@@ -41,11 +41,18 @@ def make_rng(*key) -> np.random.Generator:
 @dataclass(frozen=True)
 class OfdmFrame:
     """One transmitted OFDM symbol: N frequency-domain symbols plus the
-    sorted pilot index set.  ``data_mask`` marks the data carriers, those
-    off the pilots, and ``data_indices`` lists them (computed once, read-only)."""
+    sorted pilot index set.  The frame keeps a read-only copy of the
+    pilots, so ``data_mask``, which marks the data carriers (those off the
+    pilots), and ``data_indices``, which lists them, are computed once and
+    stay read-only and current."""
 
     freq_symbols: np.ndarray
     pilot_indices: np.ndarray
+
+    def __post_init__(self):
+        pilots = np.array(self.pilot_indices)
+        pilots.flags.writeable = False
+        object.__setattr__(self, "pilot_indices", pilots)
 
     @property
     def n_carriers(self) -> int:

@@ -125,10 +125,10 @@ class QamAlphabet:
         return self.indices_from_levels(self.nearest_levels(symbols))
 
     @cached_property
-    def hamming(self) -> np.ndarray:
-        """(Q, Q) table: bits differing between the words of two indices."""
-        bits = self.bits_from_indices(np.arange(self.order))
-        return (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
+    def popcount(self) -> np.ndarray:
+        """(Q,) table: the set bits of each index's word, so indices a and
+        b differ in ``popcount[a ^ b]`` bits."""
+        return self.bits_from_indices(np.arange(self.order)).sum(axis=-1)
 
     def max_magnitude_points(self) -> np.ndarray:
         """The constant-modulus corner points (used for pilot symbols)."""

@@ -326,13 +326,13 @@ def gram_systems(draw):
         n_carriers = draw(st.integers(length, 2 * length))
         alphabet = build_qam_alphabet(4)
         symbols = alphabet.points[rng.integers(0, 4, size=n_carriers)]
-        pilots = np.flatnonzero(rng.random(n_carriers) < draw(st.sampled_from([0.0, 0.1, 0.3])))
+        on_pilot = rng.random(n_carriers) < draw(st.sampled_from([0.0, 0.1, 0.3]))
         consensus = rng.random((n, n_carriers)) < rng.uniform(0, 1, size=(n, 1))
-        consensus[:, pilots] = False
+        consensus[:, on_pilot] = False
         decisions = rng.integers(0, 4, size=(n, n_carriers))
         observations = rng.normal(size=(n, n_carriers)) + 1j * rng.normal(size=(n, n_carriers))
         observations[0] *= not zero_y
-        lags, corr, y_norm2 = reestimation_inputs(symbols, pilots, observations, consensus,
+        lags, corr, y_norm2 = reestimation_inputs(symbols, on_pilot, observations, consensus,
                                                   decisions, alphabet, length)
         return toeplitz_grams(lags), corr, y_norm2, lambdas, noise_vars, t_max
     k = draw(st.integers(1, 24))
@@ -426,19 +426,18 @@ def lattice_systems(draw):
         n_carriers = draw(st.integers(length, 2 * length))
         alphabet = build_qam_alphabet(4)
         symbols = alphabet.points[rng.integers(0, 4, size=n_carriers)]
-        pilots = np.flatnonzero(rng.random(n_carriers) < 0.3)
+        on_pilot = rng.random(n_carriers) < 0.3
         consensus = rng.random((n_obs, n_carriers)) < rng.uniform(0, 1, size=(n_obs, 1))
-        consensus[:, pilots] = False
+        consensus[:, on_pilot] = False
         decisions = rng.integers(0, 4, size=(n_obs, n_carriers))
         lambdas = rng.uniform(0.01, 0.5, size=(n_obs, length))
-        pilot_symbols = np.zeros(n_carriers, complex)
-        pilot_symbols[pilots] = symbols[pilots]
+        pilot_symbols = np.where(on_pilot, symbols, 0.0)
         s = np.where(consensus, alphabet.points[decisions], pilot_symbols)
         rows = s[:, :, None] * truncated_dft(n_carriers, length)
         noise = rng.normal(size=(n_obs, n_carriers)) + 1j * rng.normal(size=(n_obs, n_carriers))
         ys = (rows @ h[:, :, None])[..., 0] + np.sqrt(noise_vars[:, None] / 2) * noise
         ys[s == 0] = 0.0  # reestimation_inputs reads the used carriers only
-        lags, corr, y_norm2 = reestimation_inputs(symbols, pilots, ys, consensus, decisions,
+        lags, corr, y_norm2 = reestimation_inputs(symbols, on_pilot, ys, consensus, decisions,
                                                   alphabet, length)
         stack = greedy_search_batch(toeplitz_grams(lags), corr, y_norm2, lambdas,
                                     noise_vars, t_max)

@@ -28,7 +28,7 @@ from gridce.experiments import (
     ExperimentSpec,
     ResultRow,
     _score_algorithm,
-    count_bit_errors,
+    bit_errors,
     emit_results,
     error_ratio,
     experiment_presets,
@@ -315,9 +315,8 @@ class TestMetrics:
     def test_identical_bits_zero_ber(self):
         alphabet = build_qam_alphabet(4)
         indices = np.array([0, 1, 3, 2])
-        errors, total = count_bit_errors(alphabet, indices, indices.copy(),
-                                         np.zeros(4, bool))
-        assert errors == 0 and total == 8
+        errors = bit_errors(alphabet, indices, indices.copy(), np.zeros(4, bool))
+        assert errors.tolist() == [0, 0, 0, 0]
 
     def test_pooled_ratio(self):
         true = np.zeros((1, 2, 2), complex)

@@ -132,6 +132,18 @@ class TestFrame:
             with pytest.raises(ValueError, match="read-only"):
                 view[...] = 0
 
+    def test_pilots_are_a_read_only_copy(self):
+        """The mask is cached from the pilots, so the frame's pilots cannot
+        be written; the caller's array stays its own."""
+        pilots = np.array([0, 3, 17, 31])
+        frame = modulate_frame(QAM4, 32, pilots, make_rng(3))
+        assert frame.data_mask[5]  # cached before the write
+        with pytest.raises(ValueError, match="read-only"):
+            frame.pilot_indices[0] = 5
+        pilots[0] = 5
+        np.testing.assert_array_equal(frame.pilot_indices, [0, 3, 17, 31])
+        assert not frame.data_mask[0] and frame.data_mask[5]
+
     def test_same_seed_same_frame(self):
         pilots = place_pilots(64, 12, make_rng(0))
         f1 = modulate_frame(QAM4, 64, pilots, make_rng(7))

@@ -69,6 +69,15 @@ class TestGrayMapping:
         bits = alph.bits_from_indices(idx)
         np.testing.assert_array_equal(indices_from_bits(alph, bits), idx)
 
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_popcount_of_xor_is_the_hamming_distance(self, order):
+        """popcount[a ^ b] counts the bits in which the words of a and b differ."""
+        alph = build_qam_alphabet(order)
+        idx = np.arange(order)
+        bits = alph.bits_from_indices(idx)
+        hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
+        np.testing.assert_array_equal(alph.popcount[idx[:, None] ^ idx[None, :]], hamming)
+
     def test_documented_4qam_table(self):
         """The module docstring's 4-QAM table: bit b1 drives I, b0 drives Q."""
         alph = build_qam_alphabet(4)
