@@ -376,18 +376,14 @@ def error_ratio(true_taps: np.ndarray, estimated: np.ndarray) -> float:
     """||h_est - h||^2 / ||h||^2 with one trial's channels stacked.
 
     A grid trial pools every antenna's taps into one vector, so the ratio
-    is energy weighted; a single faded antenna cannot dominate it.
+    is energy weighted; a single faded antenna cannot dominate it, and an
+    antenna without channel energy still adds its estimate's error.
     """
-    diff = np.abs(estimated - true_taps) ** 2
-    power = np.abs(true_taps) ** 2
-    num = diff.reshape(-1, true_taps.shape[-1]).sum(axis=1)
-    den = power.reshape(-1, true_taps.shape[-1]).sum(axis=1)
-    good = den > 0
-    if not good.any():
+    num = (np.abs(estimated - true_taps) ** 2).reshape(-1, true_taps.shape[-1]).sum(axis=1)
+    den = (np.abs(true_taps) ** 2).reshape(-1, true_taps.shape[-1]).sum(axis=1)
+    if not den.any():
         raise ConfigurationError("all-zero channels cannot be scored")
-    if not good.all():
-        logger.warning("excluding %d all-zero channels from NMSE", (~good).sum())
-    return float(num[good].sum() / den[good].sum())
+    return float(num.sum() / den.sum())
 
 
 def bit_errors(alphabet, true_indices, decided_indices, bad_mask) -> np.ndarray:
@@ -447,13 +443,6 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     )
 
 
-def _worst_case(scene) -> tuple:
-    """(ratio, bit errors, bits) of a failed estimate: every data bit wrong."""
-    bits = (scene.frame.data_indices.size * scene.observations[..., 0].size
-            * scene.alphabet.bits_per_symbol)
-    return 1.0, bits, bits
-
-
 def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tuple:
     """(trial error ratio, data-carrier bit errors, total bits) for one estimate.
 
@@ -492,12 +481,13 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     ``ALGORITHMS`` order.  The MB and IB algorithms share one pilot-only
     first pass (``sharing.first_pass``), which computes the beliefs of
     each requested currency; every grid entry's seconds include that
-    shared pass.  A data-aided algorithm reuses its pilot-only base
-    estimate; the base solve time is included in both entries.  When both
-    run, the pilot-only entry is scored from the detection the data-aided
-    stage made on the base.  A stage whose solver fails scores each of its
-    algorithms as the worst case in 0 s, and the trial goes on; a failed
-    first pass fails every requested grid algorithm.
+    shared pass and its own rounds and final pass, and an R entry adds
+    its data-aided stage.  When both run, the pilot-only entry is scored
+    from the detection the data-aided stage made on the base.  A grid
+    stage never raises: an antenna without a usable pilot column keeps
+    zero taps.  Only the baselines solve a trial's system directly; one
+    that LAPACK refuses logs a warning and scores zero taps, the worst
+    case, in 0 s, and the trial goes on.
     """
     n_pilots, snr_db, depth = point
     scene = synthesize_scene(spec, n_pilots, snr_db, point_index, trial)
@@ -510,38 +500,25 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     )
     results: dict = {}
 
-    def attempt(names, fn, *args):
-        """(fn(*args), seconds), or None after scoring ``names`` as failed."""
-        start = time.perf_counter()
-        try:
-            out = fn(*args)
-        except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
-            logger.warning("seed %d point %d trial %d %s failed: %s", spec.seed, point_index,
-                           trial, "/".join(names), exc)
-            results.update(dict.fromkeys(names, (*_worst_case(scene), 0.0)))
-            return None
-        return out, time.perf_counter() - start
-
     # MB and IB start from one pilot-only pass under the uniform prior
     pipelines = [stage for stage in (("MB-P", "MB-R", BeliefKind.MARGINAL, run_marginal_based),
                                      ("IB-P", "IB-R", BeliefKind.SCORE, run_integer_based))
                  if set(stage[:2]) & set(spec.algorithms)]
-    grid_names = [name for stage in pipelines for name in stage[:2] if name in spec.algorithms]
-    first = pipelines and attempt(grid_names, first_pass, y_pilot, scene.pilot_rows,
-                                  solver_cfg, [kind for _, _, kind, _ in pipelines])
-    for pilot_name, aided_name, _, runner in pipelines if first else ():
-        names = [name for name in (pilot_name, aided_name) if name in spec.algorithms]
-        base = attempt(names, runner, first[0], solver_cfg, depth)
-        if not base:
-            continue
-        estimate, seconds = base
-        seconds += first[1]
-        aided = aided_name in spec.algorithms and attempt(
-            [aided_name], run_data_aided, scene.frame, scene.observations, estimate,
-            solver_cfg, scene.alphabet)
+    if pipelines:
+        start = time.perf_counter()
+        first = first_pass(y_pilot, scene.pilot_rows, solver_cfg,
+                           [kind for _, _, kind, _ in pipelines])
+        first_seconds = time.perf_counter() - start
+    for pilot_name, aided_name, _, runner in pipelines:
+        start = time.perf_counter()
+        estimate = runner(first, solver_cfg, depth)
+        seconds = time.perf_counter() - start + first_seconds
         detected = None
-        if aided:
-            refined, aided_seconds = aided
+        if aided_name in spec.algorithms:
+            start = time.perf_counter()
+            refined = run_data_aided(scene.frame, scene.observations, estimate, solver_cfg,
+                                     scene.alphabet)
+            aided_seconds = time.perf_counter() - start
             results[aided_name] = (*_score_algorithm(scene, refined.taps),
                                    seconds + aided_seconds)
             # the -R stage already detected the base estimate on every carrier
@@ -559,9 +536,15 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
         baselines.append(("SOMP", somp_baseline, y_pilot, scene.pilot_rows, spec.sparsity,
                           spec.mode))
     for name, fn, *args in baselines:
-        outcome = attempt([name], fn, *args)
-        if outcome:
-            results[name] = (*_score_algorithm(scene, outcome[0]), outcome[1])
+        start = time.perf_counter()
+        try:
+            taps, seconds = fn(*args), time.perf_counter() - start
+        except (IllConditionedSupportError, np.linalg.LinAlgError) as exc:
+            logger.warning("seed %d point %d trial %d %s failed: %s", spec.seed, point_index,
+                           trial, name, exc)
+            # zero taps score the worst case: ratio 1.0 with every data bit wrong
+            taps, seconds = np.zeros_like(scene.taps), 0.0
+        results[name] = (*_score_algorithm(scene, taps), seconds)
 
     return {name: results[name] for name in ALGORITHMS if name in results}
 

@@ -327,6 +327,19 @@ class TestMetrics:
         # pooled: 1 / (4 + 1)
         assert abs(error_ratio(true, est) - 0.2) < 1e-12
 
+    def test_antenna_without_channel_energy_adds_its_error(self):
+        true = np.zeros((1, 2, 2), complex)
+        true[0, 0] = [2.0, 0.0]
+        est = true.copy()
+        est[0, 1] = [1.0, 0.0]
+        # pooled: (0 + 1) / (4 + 0)
+        assert error_ratio(true, est) == 0.25
+
+    def test_all_zero_channels_rejected(self):
+        true = np.zeros((1, 2, 2), complex)
+        with pytest.raises(ConfigurationError, match="all-zero"):
+            error_ratio(true, np.ones_like(true))
+
 
 def score_oracle(scene, taps):
     """Per antenna: FFT, equalize and slice, then compare the bit words of
@@ -414,21 +427,6 @@ class TestPilotScoringFromAidedStage:
                                 0, point, 0)
         for name in ("MB-P", "IB-P"):
             assert both[name][:3] == alone[name][:3]
-
-    def test_raising_aided_stage_scores_pilot_from_its_taps(self, monkeypatch):
-        spec = ExperimentSpec(**self.SPEC, algorithms=("MB-P", "MB-R"))
-        point = (16, 10.0, 3)
-        alone = run_point_trial(dataclasses.replace(spec, algorithms=("MB-P",)), 0, point, 0)
-
-        def fail(*args, **kwargs):
-            raise IllConditionedSupportError("forced")
-
-        monkeypatch.setattr(experiments, "run_data_aided", fail)
-        got = run_point_trial(spec, 0, point, 0)
-        assert list(got) == ["MB-P", "MB-R"]
-        assert got["MB-P"][:3] == alone["MB-P"][:3]
-        ratio, errors, total, seconds = got["MB-R"]
-        assert (ratio, seconds) == (1.0, 0.0) and errors == total
 
 
 class TestSharedFirstPass:
@@ -714,34 +712,28 @@ class TestRunExperiment:
             assert row.trials == 3
 
     def test_solver_failure_counts_worst_case(self, monkeypatch):
-        """A per-trial solver blowup must not abort the run; the trial is
-        scored with the worst-case metrics."""
-        import gridce.experiments as ex
-
+        """A baseline's per-trial solver blowup must not abort the run; the
+        trial is scored with the worst-case metrics."""
         def boom(*args, **kwargs):
             raise IllConditionedSupportError("forced failure")
 
-        monkeypatch.setattr(ex, "run_marginal_based", boom)
-        rows = run_experiment(small_spec(algorithms=("MB-P",), trials=2))
+        monkeypatch.setattr(experiments, "oracle_ls_estimate", boom)
+        rows = run_experiment(small_spec(algorithms=("oracle-LS",), trials=2))
         assert rows[0].ber == 1.0
         assert rows[0].success_rate == 0.0
         assert abs(rows[0].nmse_db) < 1e-9  # ratio 1.0
 
     @pytest.mark.parametrize("error", [IllConditionedSupportError, np.linalg.LinAlgError])
     @pytest.mark.parametrize("stage, failed", [
-        ("first_pass", ("MB-P", "MB-R", "IB-P", "IB-R")),
-        ("run_marginal_based", ("MB-P", "MB-R")),
-        ("run_integer_based", ("IB-P", "IB-R")),
-        ("run_data_aided", ("MB-R", "IB-R")),
-        ("oracle_ls_estimate", ("oracle-LS",)),
-        ("somp_baseline", ("SOMP",)),
+        ("oracle_ls_estimate", "oracle-LS"),
+        ("somp_baseline", "SOMP"),
     ])
     def test_failed_stage_scores_its_algorithms_worst_case(self, monkeypatch, caplog,
                                                            stage, failed, error):
-        """A stage whose solver raises scores each of its algorithms as ratio
-        1 with every data bit wrong, in 0 s; every other entry reads as in
-        the unpatched trial, and the keys keep stage order.  The warning
-        names the seed, sweep point, trial and failed algorithms."""
+        """A baseline whose solver raises scores as ratio 1 with every data
+        bit wrong, in 0 s; every other entry reads as in the unpatched
+        trial, and the keys keep stage order.  The warning names the seed,
+        sweep point, trial and failed algorithm."""
         spec = small_spec(algorithms=ALGORITHMS)
         point = (10, 15.0, 2)
         clean = run_point_trial(spec, 4, point, 0)
@@ -752,17 +744,56 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, stage, fail)
         with caplog.at_level("WARNING", logger=experiments.__name__):
             got = run_point_trial(spec, 4, point, 0)
-        # the data-aided stage runs once per currency, every other stage once
-        calls = [[name] for name in failed] if stage == "run_data_aided" else [failed]
         assert [record.getMessage() for record in caplog.records] == [
-            f"seed 1 point 4 trial 0 {'/'.join(names)} failed: forced failure" for names in calls]
+            f"seed 1 point 4 trial 0 {failed} failed: forced failure"]
         assert list(got) == ["MB-P", "MB-R", "IB-P", "IB-R", "oracle-LS", "SOMP"]
         bits = 3 * 3 * (64 - 10) * 2  # antennas x data carriers x bits per symbol
         for name, entry in got.items():
-            if name in failed:
+            if name == failed:
                 assert entry == (1.0, bits, bits, 0.0)
             else:
                 assert entry[:3] == clean[name][:3]
+
+    @pytest.mark.parametrize("error", [IllConditionedSupportError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("stage", ["first_pass", "run_marginal_based", "run_integer_based",
+                                       "run_data_aided"])
+    def test_grid_stage_errors_reach_the_caller(self, monkeypatch, caplog, stage, error):
+        """Only the baselines' solves are guarded: an error inside a grid
+        stage is a fault of the program, so it leaves the trial unchanged
+        instead of being logged and scored as a worst case."""
+        def fail(*args, **kwargs):
+            raise error("forced failure")
+
+        monkeypatch.setattr(experiments, stage, fail)
+        with caplog.at_level("WARNING", logger=experiments.__name__):
+            with pytest.raises(error, match="forced failure"):
+                run_point_trial(small_spec(algorithms=ALGORITHMS), 4, (10, 15.0, 2), 0)
+        assert caplog.records == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_pilots", [4, 10])  # t_max = K (K domain), and Gram domain
+    def test_unusable_pilot_rows_score_worst_case_without_raising(self, monkeypatch, caplog,
+                                                                  n_pilots):
+        """With every pilot column zero no antenna has a usable column: the
+        greedy search skips every candidate, so each grid entry keeps zero
+        taps and scores ratio 1 with every data bit wrong, and no grid stage
+        raises or warns.  oracle-LS solves the system directly, so it logs
+        its failure and scores the worst case in 0 s."""
+        # SOMP is left out: it divides its picks' scores by the column norms
+        spec = small_spec(algorithms=ALGORITHMS[:5], n_pilots=(n_pilots,))
+        monkeypatch.setattr(experiments, "pilot_rows",
+                            lambda frame, length: np.zeros((n_pilots, length), complex))
+        with caplog.at_level("WARNING", logger=experiments.__name__):
+            got = run_point_trial(spec, 0, (n_pilots, 15.0, 2), 0)
+        assert [record.getMessage() for record in caplog.records] == [
+            "seed 1 point 0 trial 0 oracle-LS failed: "
+            "sensing columns numerically rank deficient"]
+        assert list(got) == list(ALGORITHMS[:5])
+        bits = 3 * 3 * (64 - n_pilots) * 2  # antennas x data carriers x bits per symbol
+        for name in ALGORITHMS[:4]:
+            ratio, errors, total, seconds = got[name]
+            assert (ratio, errors, total) == (1.0, bits, bits) and seconds > 0, name
+        assert got["oracle-LS"] == (1.0, bits, bits, 0.0)
 
     def test_tiny_pilot_budget_runs(self):
         """K=2 with n=3 (the sweep's low end) completes without error."""
@@ -885,6 +916,16 @@ class TestWallTimeSemantics:
         a = ResultRow("MB-P", 16, 10.0, 3, "SIA", -12.5, 0.01, 0.9, 1.0, 100)
         b = ResultRow("MB-P", 16, 10.0, 3, "SIA", -12.4, 0.01, 0.9, 1.0, 100)
         assert a != b
+
+    def test_entry_seconds_count_the_stages_they_rest_on(self):
+        """An R entry's seconds hold its P entry's (the shared first pass,
+        the rounds and the final pass) plus its data-aided stage; every
+        entry that ran a solver reads more than 0 s."""
+        got = run_point_trial(small_spec(algorithms=ALGORITHMS), 0, (10, 15.0, 2), 0)
+        seconds = {name: entry[3] for name, entry in got.items()}
+        for currency in ("MB", "IB"):
+            assert seconds[f"{currency}-R"] >= seconds[f"{currency}-P"] > 0, currency
+        assert seconds["oracle-LS"] > 0 and seconds["SOMP"] > 0
 
 
 class TestCli:
