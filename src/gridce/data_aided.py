@@ -47,11 +47,28 @@ scale nearly every carrier is capped and the prefix is a few carriers of
 hundreds.  A tie order other than carrier index would have to visit the
 carriers in that order instead.
 
+Nor does a capped carrier need its distortion variance.  The FFT of the
+lag sums c cannot exceed sum_m |c_m| <= sum_jk |R_jk| in magnitude, so
+
+    v_bar_n = (1 + SPREAD_SLACK) sum_jk |R_jk| |s_n|^2 / N + sigma_w^2
+
+bounds the variance at carrier n with no FFT.  With A = ln RELIABILITY_CAP
++ ln(2 m^2), a symbol whose smallest exponent gap (x_I - a_k)^2 - (x_I -
+a_{n_I})^2 over both axes exceeds A v_bar_n has each of the 2(m - 1) terms
+of O_I and O_Q below 1 / (2 m^2 RELIABILITY_CAP) under any variance up to
+the bound, so its ratio clears the cap by a factor of m: the bound settles
+it exactly.  Only the offered carriers the bound leaves in doubt take the
+exact variance, and a row's variances come from the FFT, ``ANTENNA_CHUNK``
+rows per call, the first time one of its carriers is in doubt.  At paper
+scale that is a few rows per trial; where carriers sit near their decision
+boundaries most ranked rows still take it.
+
 Equalization, slicing, distortion variances and the re-estimation FFTs
-run on ``ANTENNA_CHUNK`` antennas at a time, and the prefix reliabilities
-of every chunk in calls of at most ``ANTENNA_CHUNK`` x N carriers; the
-consensus is stencil arithmetic on (M, G, N) carrier masks and symbol
-indices, and its (M, G, N) mask is the stage's ``"consensus"`` diagnostic.
+run on ``ANTENNA_CHUNK`` antennas at a time, and the prefix bounds and
+reliabilities of every chunk in calls of at most ``ANTENNA_CHUNK`` x N
+carriers; the consensus is stencil arithmetic on (M, G, N) carrier masks
+and symbol indices, and its (M, G, N) mask is the stage's ``"consensus"``
+diagnostic.
 """
 
 from dataclasses import dataclass
@@ -71,6 +88,10 @@ RELIABILITY_CAP = 1e300
 
 #: the value a capped ratio takes (the cap as the log-domain form rounded it)
 _CAPPED = np.exp(np.log(RELIABILITY_CAP))
+
+#: relative slack of the distortion variance bound over the FFT's rounding,
+#: which stays orders of magnitude below it at any carrier count used here
+SPREAD_SLACK = 1e-9
 
 #: predicted relative error at which one pilot budget of reliable carriers is
 #: requested; the default carrier budget scales linearly with the prediction
@@ -154,25 +175,50 @@ def carrier_reliability(x_hat, variance, alphabet, nearest_levels) -> np.ndarray
     variance = np.broadcast_to(np.asarray(variance, dtype=float), x_hat.shape)
     if np.any(variance <= 0):
         raise InvalidContextError("distortion variance must be positive")
-    levels = alphabet.levels
-    axes = as_axes(x_hat)
-    nearest_gap = axes - levels.take(nearest_levels)
-    nearest_gap *= nearest_gap
     scale = -1.0 / variance[..., None]
-    # O_I and O_Q: every other level of an axis, visited as the cyclic
-    # offsets j = 1..m-1 from the nearest one (m is a power of two, so the
-    # mask also undoes any wrap of the small unsigned level indices)
-    other = np.zeros_like(axes)
-    for offset in range(1, levels.size):
-        gap = axes - levels.take((nearest_levels + offset) & (levels.size - 1))
-        gap *= gap
-        gap -= nearest_gap
+    # O_I and O_Q, one other level of both axes at a time
+    other = np.zeros((*x_hat.shape, 2))
+    for gap in _level_gaps(x_hat, nearest_levels, alphabet.levels):
         gap *= scale
         other += np.exp(gap)
     other_i, other_q = other[..., 0], other[..., 1]
     with np.errstate(divide="ignore", over="ignore"):
         ratio = 1.0 / (other_i + other_q + other_i * other_q)
     return np.minimum(ratio, _CAPPED, out=ratio)
+
+
+def _level_gaps(x_hat, nearest_levels, levels):
+    """The density-ratio exponent gaps (u - a_k)^2 - (u - a_n)^2 of both
+    axes u of the symbols ``x_hat``, (..., 2) arrays, one other level k per
+    array: every other level of an axis, visited as the cyclic offsets
+    j = 1..m-1 from the nearest one n (m is a power of two, so the mask also
+    undoes any wrap of the small unsigned level indices)."""
+    axes = as_axes(x_hat)
+    nearest_gap = axes - levels.take(nearest_levels)
+    nearest_gap *= nearest_gap
+    for offset in range(1, levels.size):
+        gap = axes - levels.take((nearest_levels + offset) & (levels.size - 1))
+        gap *= gap
+        gap -= nearest_gap
+        yield gap
+
+
+def _capped_for_sure(x_hat, nearest_levels, bound, alphabet) -> np.ndarray:
+    """Mask of the symbols whose ``carrier_reliability`` is capped under
+    every distortion variance up to ``bound``, elementwise.
+
+    Such a symbol's smallest exponent gap exceeds A * bound, with
+    A = ln(RELIABILITY_CAP) + ln(2 m^2).  Then every exponent is below -A
+    under any variance up to the bound, each of the 2(m - 1) terms of
+    O_I + O_Q is below 1 / (2 m^2 RELIABILITY_CAP), and the ratio clears
+    the cap by a factor of m, far beyond any rounding.
+    """
+    gaps = _level_gaps(x_hat, nearest_levels, alphabet.levels)
+    floor = next(gaps)
+    for gap in gaps:
+        np.minimum(floor, gap, out=floor)
+    margin = np.log(RELIABILITY_CAP) + np.log(2.0 * alphabet.levels.size ** 2)
+    return np.minimum(floor[..., 0], floor[..., 1]) > margin * bound
 
 
 def top_reliable(reliability: np.ndarray, eligible: np.ndarray, count) -> np.ndarray:
@@ -252,16 +298,14 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
     the decisions and the reliabilities.  A carrier is offered when it is
     eligible and decodable.  A row whose budget covers every offered
     carrier keeps them all (always so in the pilot-starved regime, and
-    always for an antenna without taps, which decodes no carrier).  A
-    chunk with any other row also takes its distortion variances, one FFT,
-    and ``_rank_rows`` picks those rows' top sets.
+    always for an antenna without taps, which decodes no carrier).
+    ``_rank_rows`` picks the other rows' top sets, and takes distortion
+    variances only for the rows where a bound leaves a carrier in doubt.
     """
     n_carriers, length = symbols.shape[0], base.taps.shape[-1]
     n_ant = base.failed.size
     taps = base.taps.reshape(n_ant, length)
     observations = observations_full.reshape(n_ant, n_carriers)
-    support = base.support.reshape(n_ant, -1)
-    error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
     budgets = budgets.reshape(n_ant)
     top = np.empty((n_ant, n_carriers), dtype=bool)  # offered until the ranked rows pick
     decisions = np.empty((n_ant, n_carriers), dtype=np.min_scalar_type(alphabet.order - 1))
@@ -273,7 +317,6 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
         # regime) no row ranks, and these arrays, even untouched, measurably
         # slowed the rest of the trial
         equalized = np.empty((n_ant, n_carriers), dtype=complex)
-        variance = np.empty((n_ant, n_carriers))
         nearest = np.empty((n_ant, n_carriers, 2),
                            dtype=np.min_scalar_type(alphabet.levels.size - 1))
     for start in range(0, n_ant, ANTENNA_CHUNK):
@@ -285,23 +328,67 @@ def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,
         ranked[chunk] = budgets[chunk] < top[chunk].sum(axis=-1)
         if ranked[chunk].any():
             equalized[chunk], nearest[chunk] = x, levels
-            variance[chunk] = distortion_covariance(symbols, error_cov[chunk], noise_var,
-                                                    taps=support[chunk])
     if ranked.any():
         offered = top.copy()
         top[ranked] = False
+        distortion = _RowDistortion(symbols, base, noise_var)
         _rank_rows(top, np.flatnonzero(ranked), eligible, offered, budgets, equalized,
-                   variance, nearest, alphabet)
+                   nearest, alphabet, distortion)
     shape = (*base.failed.shape, n_carriers)
     return top.reshape(shape), decisions.reshape(shape), undecodable.reshape(shape)
 
 
-def _rank_rows(top, rows, eligible, offered, budgets, equalized, variance, nearest,
-               alphabet):
+class _RowDistortion:
+    """The distortion variances of a grid's antenna rows, read two ways: a
+    bound at any carrier with no FFT, and the exact variances of a row,
+    taken from ``distortion_covariance``, ``ANTENNA_CHUNK`` rows per call,
+    the first time the row is asked for."""
+
+    def __init__(self, symbols, base, noise_var):
+        n_ant = base.failed.size
+        self.symbols, self.noise_var = symbols, noise_var
+        self.support = base.support.reshape(n_ant, -1)
+        self.error_cov = base.error_cov.reshape(n_ant, *base.error_cov.shape[-2:])
+        self.spread = (1.0 + SPREAD_SLACK) * np.abs(self.error_cov).sum(axis=(-2, -1))
+        self.power = np.abs(symbols) ** 2 / symbols.shape[0]
+        self.variance = None  # (n_ant, N), allocated when a row first needs it
+        self.known = np.zeros(n_ant, dtype=bool)
+
+    def bound(self, flat):
+        """Upper bounds on the variances at flat (row, carrier) indices:
+        (1 + SPREAD_SLACK) sum_jk |R_jk| |s_n|^2 / N + sigma_w^2.
+
+        The FFT of the lag sums c cannot exceed sum_m |c_m| <= sum_jk |R_jk|
+        in magnitude, and the slack covers its rounding.  Both then take
+        the same |s_n|^2 / N and sigma_w^2, and rounding keeps the order of
+        a product and a sum.
+        """
+        row, carrier = np.divmod(flat, self.power.size)
+        return self.spread.take(row) * self.power.take(carrier) + self.noise_var
+
+    def variances(self, rows):
+        """The (n_ant, N) variances, exact at least on ``rows`` (repeats
+        allowed)."""
+        if self.variance is None:
+            self.variance = np.empty((self.known.size, self.power.size))
+        # a mask, not np.unique, which adds ~1.3 MiB to peak RSS
+        asked = np.zeros_like(self.known)
+        asked[rows] = True
+        new = np.flatnonzero(asked & ~self.known)
+        for block in range(0, new.size, ANTENNA_CHUNK):
+            stack = new[block:block + ANTENNA_CHUNK]
+            self.variance[stack] = distortion_covariance(
+                self.symbols, self.error_cov[stack], self.noise_var, taps=self.support[stack])
+        self.known[new] = True
+        return self.variance
+
+
+def _rank_rows(top, rows, eligible, offered, budgets, equalized, nearest, alphabet,
+               distortion):
     """Set in ``top``, zero on ``rows``, the ``budgets`` most reliable
     ``offered`` carriers of each of ``rows``, as ``top_reliable`` picks them,
     with reliabilities computed only on a prefix of the row where that
-    settles the pick.
+    settles the pick, and exactly only where a bound leaves them in doubt.
 
     A capped reliability is the largest value there is, and capped values
     tie, which the stable sort settles by carrier index.  So a row holding
@@ -312,11 +399,19 @@ def _rank_rows(top, rows, eligible, offered, budgets, equalized, variance, neare
     hold U.  Each further prefix doubles it (up to N), and only the added
     carriers are scored.  A row short of U capped carriers over all N goes
     through ``carrier_reliability`` and ``top_reliable`` on its full row.
-    Each pass gathers the added carriers of every open row, across chunks,
-    into calls of at most ``ANTENNA_CHUNK`` x N carriers.
+
+    Scoring a carrier first asks ``_capped_for_sure`` under the
+    ``distortion`` bound; only the offered carriers it leaves in doubt go
+    through ``carrier_reliability`` with their rows' exact variances.  The
+    bound is exact where it settles (the reliability is capped under any
+    variance it covers), so the pick is the one the exact reliabilities
+    make.  Each pass gathers the added carriers of every open row, across
+    chunks, into calls of at most ``ANTENNA_CHUNK`` x N carriers.
     """
     n_carriers = offered.shape[-1]
     count_dtype = np.min_scalar_type(n_carriers)
+    step = ANTENNA_CHUNK * n_carriers
+    flat_nearest = nearest.reshape(-1, 2)
     capped = np.zeros(offered.shape, dtype=bool)
     end = np.searchsorted(np.cumsum(eligible), budgets[rows]) + 1
     start = np.zeros_like(end)
@@ -327,11 +422,22 @@ def _rank_rows(top, rows, eligible, offered, budgets, equalized, variance, neare
         offsets = np.cumsum(lengths) - lengths
         flat = (np.arange(offsets[-1] + lengths[-1])
                 + np.repeat(rows * n_carriers + start - offsets, lengths))
-        for block in range(0, flat.size, ANTENNA_CHUNK * n_carriers):
-            idx = flat[block:block + ANTENNA_CHUNK * n_carriers]
-            reliability = carrier_reliability(equalized.take(idx), variance.take(idx),
-                                              alphabet, nearest.reshape(-1, 2)[idx])
-            np.put(capped, idx, (reliability == _CAPPED) & offered.take(idx))
+        doubt = []
+        for block in range(0, flat.size, step):
+            idx = flat[block:block + step]
+            sure = _capped_for_sure(equalized.take(idx), flat_nearest[idx],
+                                    distortion.bound(idx), alphabet)
+            on = offered.take(idx)
+            np.put(capped, idx, sure & on)
+            doubt.append(idx[on & ~sure])
+        doubt = np.concatenate(doubt)
+        if doubt.size:
+            variance = distortion.variances(doubt // n_carriers)
+            for block in range(0, doubt.size, step):
+                idx = doubt[block:block + step]
+                reliability = carrier_reliability(equalized.take(idx), variance.take(idx),
+                                                  alphabet, flat_nearest[idx])
+                np.put(capped, idx, reliability == _CAPPED)
         # every capped carrier found so far lies before the longest prefix
         width = end.max()
         hold = capped[rows, :width]
@@ -343,6 +449,8 @@ def _rank_rows(top, rows, eligible, offered, budgets, equalized, variance, neare
         short.append(rows[~settled & ~more])
         rows, start, end = rows[more], end[more], np.minimum(2 * end[more], n_carriers)
     short = np.concatenate(short)
+    if short.size:
+        variance = distortion.variances(short)
     for block in range(0, short.size, ANTENNA_CHUNK):
         full = short[block:block + ANTENNA_CHUNK]
         reliability = carrier_reliability(equalized[full], variance[full], alphabet,

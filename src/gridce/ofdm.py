@@ -106,7 +106,7 @@ def modulate_frame(
     pilots = np.asarray(pilots)
     symbols = np.empty(n_carriers, dtype=complex)
     frame = OfdmFrame(freq_symbols=symbols, pilot_indices=pilots)
-    corners = alphabet.max_magnitude_points()
+    corners = alphabet.corners
     symbols[pilots] = corners[rng.integers(0, corners.size, size=pilots.size)]
     symbols[frame.data_mask] = alphabet.points[
         rng.integers(0, alphabet.order, size=frame.data_indices.size)]
@@ -155,16 +155,18 @@ def equalize(received: np.ndarray, freq_resp: np.ndarray):
     """Zero-forcing per-carrier division, for one antenna or a stack.
 
     Returns (equalized, undecodable_mask).  Carriers whose estimated gain
-    falls below ZF_MIN_GAIN are flagged rather than divided and equalize
-    to 0; callers count their bits as errors.
+    falls below ZF_MIN_GAIN are flagged and equalize to 0: every carrier is
+    divided, with no mask, and the flagged quotients (inf or nan where the
+    gain is 0) are overwritten.  Callers count their bits as errors.
     """
     received = np.asarray(received)
     freq_resp = np.asarray(freq_resp)
     if received.shape != freq_resp.shape:
         raise ValueError("received and frequency response shapes differ")
     bad = np.abs(freq_resp) < ZF_MIN_GAIN
-    equalized = np.zeros(received.shape, dtype=np.result_type(received, freq_resp))
-    np.divide(received, freq_resp, out=equalized, where=~bad)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        equalized = received / freq_resp
+    equalized[bad] = 0.0
     return equalized, bad
 
 

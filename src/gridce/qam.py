@@ -22,7 +22,7 @@ a float midpoint that is not an exact tie goes to the strictly nearer level.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class QamAlphabet:
     """Square Gray-mapped QAM constellation with unit average energy.
 
     ``points[v]`` is the symbol whose bit word (MSB first) has integer
-    value ``v``.
+    value ``v``.  The alphabet keeps a read-only copy of the points, and
+    its tables are read-only too, so one instance can be shared:
+    ``build_qam_alphabet`` returns the same one for every call of an order.
     """
 
     order: int
@@ -72,14 +74,16 @@ class QamAlphabet:
 
     def __post_init__(self):
         object.__setattr__(self, "bits_per_symbol", int(np.log2(self.order)))
+        points = np.array(self.points)
         # the real parts of the bottom row are the m levels (np.unique
         # would import numpy.ma)
-        levels = np.sort(self.points.real[self.points.imag == self.points.imag.min()])
+        levels = np.sort(points.real[points.imag == points.imag.min()])
         table = np.empty((levels.size, levels.size), dtype=np.intp)
-        table[np.searchsorted(levels, self.points.real),
-              np.searchsorted(levels, self.points.imag)] = np.arange(self.order)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "level_table", table)
+        table[np.searchsorted(levels, points.real),
+              np.searchsorted(levels, points.imag)] = np.arange(self.order)
+        for name, value in (("points", points), ("levels", levels), ("level_table", table)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def bits_from_indices(self, idx: np.ndarray) -> np.ndarray:
         """Unpack symbol indices into bits (..., k) MSB-first."""
@@ -99,13 +103,14 @@ class QamAlphabet:
         """
         axes = as_axes(symbols)
         dtype = np.min_scalar_type(self.levels.size - 1)
-        nearest = np.zeros(axes.shape, dtype=dtype)
         best = np.abs(axes - self.levels[0])
-        for k in range(1, self.levels.size):
+        dist = np.abs(axes - self.levels[1])
+        nearest = (dist < best).astype(dtype)
+        for k in range(2, self.levels.size):
+            np.minimum(best, dist, out=best)
             dist = np.abs(axes - self.levels[k])
             # the pick is the last level that improved: a branch-free max
             np.maximum(nearest, np.multiply(dist < best, k, dtype=dtype), out=nearest)
-            np.minimum(best, dist, out=best)
         return nearest
 
     def indices_from_levels(self, nearest_levels: np.ndarray) -> np.ndarray:
@@ -128,19 +133,26 @@ class QamAlphabet:
     def popcount(self) -> np.ndarray:
         """(Q,) table: the set bits of each index's word, so indices a and
         b differ in ``popcount[a ^ b]`` bits."""
-        return self.bits_from_indices(np.arange(self.order)).sum(axis=-1)
+        table = self.bits_from_indices(np.arange(self.order)).sum(axis=-1)
+        table.flags.writeable = False
+        return table
 
-    def max_magnitude_points(self) -> np.ndarray:
-        """The constant-modulus corner points (used for pilot symbols)."""
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """The constant-modulus corner points, read-only (the pilot symbols)."""
         mags = np.abs(self.points)
-        return self.points[np.isclose(mags, mags.max())]
+        corners = self.points[np.isclose(mags, mags.max())]
+        corners.flags.writeable = False
+        return corners
 
 
+@lru_cache
 def build_qam_alphabet(order: int) -> QamAlphabet:
     """Gray-mapped square QAM of the given order, unit average energy.
 
-    Raises ConfigurationError for orders without a square constellation
-    (anything other than 4, 16, 64, ...).
+    Built once per order: every call with that order returns the same
+    read-only instance.  Raises ConfigurationError for orders without a
+    square constellation (anything other than 4, 16, 64, ...).
     """
     if not _is_square_qam_order(order):
         raise ConfigurationError(

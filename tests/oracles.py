@@ -18,11 +18,12 @@ no chain value reused (a numerically dependent column adds nothing, as
 ``posterior.error_covariances`` and the integer scores of the grid runners.
 ``equalize_and_slice`` is zero-forcing detection of one antenna, the
 reference for the chunked BER scoring.  ``freq_response_oracle``,
-``equalize_oracle``, ``synthesize_received_oracle`` and
-``reestimation_inputs_oracle`` are the carrier-domain forms that divide
-complex values by reals, store through masks, draw the noise as two
-``rng.normal`` calls and stack the two spectra; the production forms
-must equal them bit for bit.  ``qam_slice`` and
+``equalize_oracle``, ``equalize_masked_oracle``,
+``synthesize_received_oracle`` and ``reestimation_inputs_oracle`` are the
+carrier-domain forms that divide complex values by reals, divide by 1 or
+not at all on the undecodable carriers, store through masks, draw the
+noise as two ``rng.normal`` calls and stack the two spectra; the
+production forms must equal them bit for bit.  ``qam_slice`` and
 ``indices_from_bits`` are the alphabet helpers only the tests use.
 
 ``top_carriers_oracle`` is the data-aided stage's top-U pick that scores
@@ -30,7 +31,9 @@ every chunk's reliabilities, whether or not the budgets leave a choice;
 ``eager_reliable_sets`` builds the ``[row][col]`` consensus views with
 their index arrays computed up front, antenna by antenna.
 
-``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
+``nearest_levels_oracle`` is the per-axis slicer as a running minimum
+from a zero pick over every level, the form ``QamAlphabet.nearest_levels``
+trimmed.  ``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
 constellation-wide slicer: a (..., Q) array of squared distances and Q
 masked passes in lexicographic (real, imag) point order, where only a
 strict improvement replaces the pick.  ``QamAlphabet.nearest_indices``
@@ -92,6 +95,7 @@ from gridce.data_aided import (
 )
 from gridce.ofdm import ZF_MIN_GAIN, equalize, freq_response
 from gridce.posterior import error_covariances, lattice_marginals
+from gridce.qam import as_axes
 from gridce.sharing import (
     BeliefKind,
     GridEstimate,
@@ -494,6 +498,13 @@ def equalize_oracle(received, freq_resp):
     return equalized, bad
 
 
+def equalize_masked_oracle(received, freq_resp):
+    bad = np.abs(freq_resp) < ZF_MIN_GAIN
+    equalized = np.zeros(received.shape, dtype=np.result_type(received, freq_resp))
+    np.divide(received, freq_resp, out=equalized, where=~bad)
+    return equalized, bad
+
+
 def synthesize_received_oracle(sensing_rows, h, noise_var, rng):
     received = np.asarray(h @ np.asarray(sensing_rows).T, dtype=complex)
     sigma = np.sqrt(noise_var / 2.0)
@@ -594,6 +605,20 @@ def indices_from_bits(alphabet, bits):
     k = alphabet.bits_per_symbol
     weights = 1 << np.arange(k - 1, -1, -1)
     return np.asarray(bits).reshape(-1, k) @ weights
+
+
+def nearest_levels_oracle(alphabet, symbols):
+    """``QamAlphabet.nearest_levels`` as a running minimum that starts from
+    a zero pick and updates after every level, the last one included."""
+    axes = as_axes(symbols)
+    dtype = np.min_scalar_type(alphabet.levels.size - 1)
+    nearest = np.zeros(axes.shape, dtype=dtype)
+    best = np.abs(axes - alphabet.levels[0])
+    for k in range(1, alphabet.levels.size):
+        dist = np.abs(axes - alphabet.levels[k])
+        np.maximum(nearest, np.multiply(dist < best, k, dtype=dtype), out=nearest)
+        np.minimum(best, dist, out=best)
+    return nearest
 
 
 def sq_distances_oracle(alphabet, symbols):

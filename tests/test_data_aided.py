@@ -27,6 +27,8 @@ from gridce.data_aided import (
     RELIABILITY_CAP,
     RHO_REFERENCE,
     _CAPPED,
+    _RowDistortion,
+    _capped_for_sure,
     _top_carriers,
     carrier_reliability,
     distortion_covariance,
@@ -967,7 +969,7 @@ def top_carrier_inputs(draw):
     return case, np.maximum(offered + delta, 0)
 
 
-def capped_carrier_case(rng, rows, cols, n, length, t_max, order):
+def capped_carrier_case(rng, rows, cols, n, length, t_max, order, pulled=True):
     """``top_carrier_case`` made capped-heavy: noise-free observations
     freq_response(taps) * symbols, a tiny error covariance and noise level,
     so that a symbol on its point has a capped reliability; and (M, G)
@@ -977,8 +979,10 @@ def capped_carrier_case(rng, rows, cols, n, length, t_max, order):
     on half of them, a leading block of up to N / 2 carriers to near the
     origin, where the reliability stays far below the cap.  So rows are
     settled by the first prefix, need it doubled, or fall short to the full
-    sort, and some hold no capped carrier.  Budgets mix counts of 0-3, any
-    count up to two past the offered carriers, and counts that cover them.
+    sort, and some hold no capped carrier.  With ``pulled`` false no
+    carrier is pulled (the draws are made all the same).  Budgets mix
+    counts of 0-3, any count up to two past the offered carriers, and
+    counts that cover them.
     """
     (base, _, symbols, alphabet, eligible, _), offered = top_carrier_case(
         rng, rows, cols, n, length, t_max, order)
@@ -986,7 +990,8 @@ def capped_carrier_case(rng, rows, cols, n, length, t_max, order):
     observations = freq_response(base.taps, n) * symbols
     share = rng.choice([0.0, 0.05, 0.3, 1.0], size=(rows, cols, 1))
     lead = rng.integers(0, n // 2 + 1, size=(rows, cols, 1)) * (rng.random((rows, cols, 1)) < 0.5)
-    observations[(rng.random((rows, cols, n)) < share) | (np.arange(n) < lead)] *= 1e-12
+    pull = (rng.random((rows, cols, n)) < share) | (np.arange(n) < lead)
+    observations[pull & pulled] *= 1e-12
     noise_var = 10.0 ** rng.uniform(-9, -7)
     budgets = np.choose(rng.integers(0, 3, size=offered.shape),
                         [rng.integers(0, 4, size=offered.shape), rng.integers(0, offered + 3),
@@ -1035,6 +1040,120 @@ def row_regimes(case, budgets):
     shape = base.failed.shape
     return (np.reshape(labels, shape), ~capped.any(axis=-1).reshape(shape),
             bad.any(axis=-1).reshape(shape))
+
+
+def bound_case(rng, order, n_rows, n, length, t_max):
+    """A stack of ``n_rows`` antenna rows for the distortion bound: a
+    ``GridEstimate`` of random error covariances (scaled PSD matrices on
+    random supports, zero-padded to ``t_max``; some rows all zero, as after
+    a failed pass, where the bound is the exact variance, the noise level),
+    the frame's QAM symbols, a noise level, and equalized symbols displaced
+    from them by 1e-9 to 1 in any direction.
+
+    On the all-zero rows a quarter of the carriers instead sit, on both
+    axes, where the exponent gap to the next level inward is theta times
+    the noise level, theta within a few units of ln RELIABILITY_CAP: the
+    two density ratios exp(-theta) then decide whether the cap is reached,
+    on either side of the bound's margin."""
+    alphabet = build_qam_alphabet(order)
+    symbols = alphabet.points[rng.integers(0, order, size=n)]
+    support = np.zeros((n_rows, t_max), dtype=int)
+    error_cov = np.zeros((n_rows, t_max, t_max), dtype=complex)
+    for b in range(n_rows):
+        if rng.random() < 0.15:
+            continue
+        t = int(rng.integers(1, t_max + 1))
+        m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
+        support[b, :t] = rng.permutation(length)[:t]
+        error_cov[b, :t, :t] = 10.0 ** rng.uniform(-12, 0) * (m @ m.conj().T)
+    base = GridEstimate(taps=np.zeros((n_rows, length), dtype=complex), support=support,
+                        error_cov=error_cov, priors=np.full((n_rows, length), 0.1),
+                        failed=np.zeros(n_rows, dtype=bool))
+    noise_var = 10.0 ** rng.uniform(-12, -3)
+    shift = rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+    x = symbols + 10.0 ** rng.uniform(-9, 0, size=(n_rows, n)) * shift
+    # (spacing - d)^2 - d^2 = theta sigma_w^2 for a displacement d inward
+    spacing = alphabet.levels[1] - alphabet.levels[0]
+    theta = np.log(RELIABILITY_CAP) + rng.uniform(-1, np.log(2 * order) + 1, size=(n_rows, n))
+    inward = (spacing ** 2 - theta * noise_var) / (2 * spacing)
+    edge = ((rng.random((n_rows, n)) < 0.25) & ~error_cov.any(axis=(-2, -1))[:, None]
+            & (inward >= 0))
+    edge_x = symbols - inward * (np.sign(symbols.real) + 1j * np.sign(symbols.imag))
+    x[edge] = edge_x[edge]
+    return base, symbols, alphabet, noise_var, x
+
+
+@st.composite
+def bound_inputs(draw):
+    """``bound_case`` stacks of one to three ``ANTENNA_CHUNK``s over QAM 4,
+    16 and 64."""
+    n = draw(st.integers(2, 64))
+    length = draw(st.integers(1, min(n, 12)))
+    return bound_case(make_rng(draw(st.integers(0, 2**32 - 1))),
+                      draw(st.sampled_from([4, 16, 64])),
+                      draw(st.integers(1, 2 * ANTENNA_CHUNK + 3)), n, length,
+                      draw(st.integers(1, length)))
+
+
+def chunked_variances(base, symbols, noise_var):
+    """``distortion_covariance`` of consecutive ``ANTENNA_CHUNK``s of rows."""
+    return np.concatenate([
+        distortion_covariance(symbols, base.error_cov[start:start + ANTENNA_CHUNK],
+                              noise_var, taps=base.support[start:start + ANTENNA_CHUNK])
+        for start in range(0, base.failed.size, ANTENNA_CHUNK)])
+
+
+class TestCappedBound:
+    """The bound that settles capped carriers without the distortion FFT
+    is sound: it covers every exact variance, and a carrier it calls capped
+    for sure has the capped reliability under its exact variance."""
+
+    @PROPERTY
+    @given(bound_inputs())
+    def test_capped_for_sure_is_capped(self, inputs):
+        base, symbols, alphabet, noise_var, x = inputs
+        n_rows, n = x.shape
+        distortion = _RowDistortion(symbols, base, noise_var)
+        bound = distortion.bound(np.arange(n_rows * n)).reshape(n_rows, n)
+        exact = chunked_variances(base, symbols, noise_var)
+        assert np.all(exact <= bound)
+        nearest = alphabet.nearest_levels(x)
+        sure = _capped_for_sure(x, nearest, bound, alphabet)
+        reliability = carrier_reliability(x[sure], exact[sure], alphabet, nearest[sure])
+        np.testing.assert_array_equal(reliability, _CAPPED)
+
+    @PROPERTY
+    @given(bound_inputs(), st.randoms(use_true_random=False))
+    def test_row_variances_equal_chunked_bit_for_bit(self, inputs, random):
+        """Rows asked for in any order and any groups get the variances that
+        ``distortion_covariance`` gives on consecutive chunks, bit for bit;
+        a row asked for again keeps them."""
+        base, symbols, _, noise_var, _ = inputs
+        rows = np.arange(base.failed.size)
+        random.shuffle(rows)
+        distortion = _RowDistortion(symbols, base, noise_var)
+        assert distortion.variance is None  # allocated on the first request
+        cut = random.randint(0, rows.size)
+        distortion.variances(rows[:cut])
+        variance = distortion.variances(rows)
+        want = chunked_variances(base, symbols, noise_var)
+        np.testing.assert_array_equal(variance.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_bound_settles_some_and_doubts_some(self, order):
+        """On one stack the bound settles some carriers and leaves others in
+        doubt, some of them capped after all: every carrier capped for sure
+        is capped, not every capped one is settled."""
+        base, symbols, alphabet, noise_var, x = bound_case(make_rng(order), order, 40, 64,
+                                                           12, 6)
+        bound = _RowDistortion(symbols, base, noise_var).bound(np.arange(x.size))
+        nearest = alphabet.nearest_levels(x)
+        sure = _capped_for_sure(x, nearest, bound.reshape(x.shape), alphabet)
+        assert sure.any() and not sure.all()
+        exact = chunked_variances(base, symbols, noise_var)
+        capped = carrier_reliability(x, exact, alphabet, nearest) == _CAPPED
+        assert not np.any(sure & ~capped)
+        assert np.any(capped & ~sure)
 
 
 class CallCounter:
@@ -1112,14 +1231,16 @@ class TestTopCarrierSkip:
 
     @pytest.mark.parametrize("qam_order", [4, 16])
     def test_trial_matches_full_path(self, reliability_calls, monkeypatch, qam_order):
-        """A ranking trial on two chunks scores and estimates exactly as
-        with the top sets from the path that scores every carrier."""
+        """A ranking trial on two chunks, at an SNR where the bound leaves
+        carriers in doubt, scores and estimates exactly as with the top sets
+        from the path that scores every carrier."""
         spec = ExperimentSpec(grid_rows=5, grid_cols=5, n_carriers=128, channel_len=16,
-                              sparsity=2, n_pilots=(10,), snr_db=(25.0,), depth=(2,),
+                              sparsity=2, n_pilots=(10,), snr_db=(15.0,), depth=(2,),
                               qam_order=qam_order, trials=1, seed=3)
-        point = (10, 25.0, 2)
+        point = (10, 15.0, 2)
         got = experiments.run_point_trial(spec, 0, point, 0)
         assert reliability_calls["carrier_reliability"].calls
+        assert reliability_calls["distortion_covariance"].calls
         monkeypatch.setattr(gridce.data_aided, "_top_carriers", top_carriers_oracle)
         want = experiments.run_point_trial(spec, 0, point, 0)
         assert {k: v[:3] for k, v in got.items()} == {k: v[:3] for k, v in want.items()}
@@ -1136,11 +1257,13 @@ class TestTopCarrierSkip:
         assert reliability_calls["distortion_covariance"].calls == 0
 
     def test_one_row_one_short_runs_full_path(self, reliability_calls):
-        """One row of a 16-antenna chunk one carrier short: the chunk takes
-        its distortion variances once, and only that row is scored.  It
-        holds no capped carrier, so its prefix up to its U-th eligible
-        carrier, the doubling of that prefix (clipped at N) and then its
-        full row are scored; it keeps all but one of its offered carriers."""
+        """One row of a 16-antenna chunk one carrier short: only that row is
+        scored, and it takes its distortion variances once.  It holds no
+        capped carrier, so the bound settles none of its carriers: the
+        offered carriers of its prefix up to its U-th eligible carrier, then
+        of the doubling of that prefix (clipped at N), go to the exact
+        reliability, and then its full row; it keeps all but one of its
+        offered carriers."""
         case, offered = top_carrier_case(make_rng(22), 4, 4, 48, 6, 3, 4)
         budgets = offered.copy()
         row = np.unravel_index(np.argmax(offered), offered.shape)
@@ -1151,8 +1274,25 @@ class TestTopCarrierSkip:
         assert regimes[row] == "short" and no_capped[row]
         first = np.flatnonzero(case[4])[budgets[row] - 1] + 1
         assert 2 * first >= 48
-        assert reliability_calls["carrier_reliability"].sizes == [first, 48 - first, 48]
+        row_offered = case[4] & (np.abs(freq_response(case[0].taps[row], 48)) >= ZF_MIN_GAIN)
+        assert row_offered[:first].sum() < first  # the doubt excludes the pilots
+        assert reliability_calls["carrier_reliability"].sizes == [
+            row_offered[:first].sum(), row_offered[first:].sum(), 48]
         assert reliability_calls["distortion_covariance"].calls == 1
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_capped_rows_settle_without_variances(self, reliability_calls, order):
+        """A capped-heavy grid of four chunks with no carrier pulled off its
+        point: the bound settles every carrier the ranked rows score, so no
+        distortion variance and no exact reliability is computed, and the
+        masks are the full path's."""
+        case, budgets = capped_carrier_case(make_rng(6), 7, 9, 64, 6, 4, order,
+                                            pulled=False)
+        regimes, no_capped, _ = row_regimes(case, budgets)
+        assert {"first", "doubled"} <= set(regimes.ravel()) <= {"cover", "first", "doubled"}
+        assert_top_carriers_match(case, budgets)
+        assert reliability_calls["distortion_covariance"].calls == 0
+        assert reliability_calls["carrier_reliability"].calls == 0
 
     @pytest.mark.parametrize("n_pilots, skips", [(6, True), (10, False)])
     def test_reliability_only_where_budgets_leave_a_choice(self, reliability_calls,

@@ -1,5 +1,7 @@
 """Frames, pilots, pilot rows, received-signal synthesis, detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from gridce.errors import ConfigurationError
 from gridce.experiments import ExperimentSpec, synthesize_scene
 from gridce.ofdm import (
+    ZF_MIN_GAIN,
     OfdmFrame,
     detect,
     equalize,
@@ -22,6 +25,7 @@ from gridce.qam import build_qam_alphabet
 from oracles import (
     dense_rows,
     equalize_and_slice,
+    equalize_masked_oracle,
     equalize_oracle,
     freq_response_oracle,
     qam_slice,
@@ -327,17 +331,28 @@ class TestEqualizeAndSlice:
         assert equalized[1] == 0.0
 
     def test_equalize_matches_masked_store_bit_for_bit(self):
-        """The masked division into zeros equals dividing by 1 on the
-        undecodable carriers and storing zeros there."""
+        """Dividing every carrier and zeroing the undecodable ones equals
+        dividing by 1 there and storing zeros, and the masked division into
+        zeros, with no warning: on zero gains (with zero or nonzero
+        numerators), gains under and at ZF_MIN_GAIN, subnormal gains and
+        tiny observations."""
         rng = make_rng(11)
         received = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
         resp = rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64))
         resp[rng.random((16, 64)) < 0.1] = 0.0
         resp[3, :5] = 1e-13
-        got, got_bad = equalize(received, resp)
-        want, want_bad = equalize_oracle(received, resp)
-        np.testing.assert_array_equal(got_bad, want_bad)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        resp[4, :4] = [ZF_MIN_GAIN, -ZF_MIN_GAIN, 1e-310, 1e-310j]
+        received[5, :8] = 0.0
+        resp[5, :4] = 0.0
+        received[6, :8] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_bad = equalize(received, resp)
+        assert got_bad[4].tolist()[:4] == [False, False, True, True]
+        for oracle in (equalize_oracle, equalize_masked_oracle):
+            want, want_bad = oracle(received, resp)
+            np.testing.assert_array_equal(got_bad, want_bad)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_detect_matches_per_antenna_and_carrier_subsets(self, order):

@@ -44,9 +44,10 @@ def test_every_span_site_resolves():
 
 
 def test_traced_trial_records_runner_round_and_consensus_spans():
-    """K = 10 ranks carriers by reliability; K = 6 with two expected taps is
-    the pilot-starved regime, where every offered carrier is kept and no
-    reliability is computed."""
+    """K = 10 ranks carriers by reliability, and at SNR 15 the bound leaves
+    some of them in doubt, so both ranking spans record calls; K = 6 with
+    two expected taps is the pilot-starved regime, where every offered
+    carrier is kept and no reliability is computed."""
     spans = load_spans()
     for n_pilots, starved in ((10, False), (6, True)):
         spec = ExperimentSpec(grid_rows=3, grid_cols=3, n_carriers=64, channel_len=16,

@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridce.errors import ConfigurationError
-from gridce.qam import build_qam_alphabet
-from oracles import indices_from_bits, nearest_indices_oracle, qam_slice
+from gridce.qam import QamAlphabet, build_qam_alphabet
+from oracles import (
+    indices_from_bits,
+    nearest_indices_oracle,
+    nearest_levels_oracle,
+    qam_slice,
+)
 
 
 class TestAlphabetConstruction:
@@ -44,6 +49,26 @@ class TestAlphabetConstruction:
     def test_non_square_orders_rejected(self, order):
         with pytest.raises(ConfigurationError):
             build_qam_alphabet(order)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_one_shared_read_only_alphabet_per_order(self, order):
+        """Every call with an order returns one instance, and none of its
+        arrays can be written, so no caller can change what the others see."""
+        alph = build_qam_alphabet(order)
+        assert build_qam_alphabet(order) is alph
+        assert build_qam_alphabet(4 if order != 4 else 16) is not alph
+        for table in (alph.points, alph.levels, alph.level_table, alph.popcount,
+                      alph.corners):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+        np.testing.assert_allclose(np.abs(alph.corners), np.abs(alph.points).max())
+
+    def test_points_are_a_read_only_copy(self):
+        """An alphabet built from a caller's points copies them."""
+        points = build_qam_alphabet(4).points.copy()
+        alph = QamAlphabet(order=4, points=points)
+        points[0] = 0.0
+        assert points.flags.writeable and alph.points[0] != 0.0
 
 
 class TestGrayMapping:
@@ -145,6 +170,27 @@ class TestSeparableSlicing:
         ])
         np.testing.assert_array_equal(alph.nearest_indices(x),
                                       nearest_indices_oracle(alph, x))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 16, 64]), st.integers(0, 2**32 - 1))
+    def test_levels_match_running_minimum_oracle(self, order, seed):
+        """The slicer that starts from its first comparison and skips the
+        minimum after the last level picks the running-minimum oracle's
+        levels bit for bit, dtype included: on random symbols, points,
+        exact and inexact midpoints, +-0.0, far-out values, inf and nan."""
+        alph = build_qam_alphabet(order)
+        rng = np.random.default_rng(seed)
+        levels = alph.levels
+        axis_values = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2,
+                                      [0.0, -0.0, np.inf, -np.inf, np.nan],
+                                      1e6 * levels, rng.normal(size=8)])
+        x = np.empty((8, 24), dtype=complex)
+        x.real = rng.choice(np.concatenate([axis_values, rng.normal(size=96)]), x.shape)
+        x.imag = rng.choice(np.concatenate([axis_values, rng.normal(size=96)]), x.shape)
+        got = alph.nearest_levels(x)
+        want = nearest_levels_oracle(alph, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_inexact_midpoint_goes_to_nearer_level(self, order):
