@@ -78,7 +78,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidContextError
 from .ofdm import OfdmFrame, detect
-from .posterior import error_covariances
 from .qam import QamAlphabet, as_axes
 from .sharing import GridEstimate, GridSolverConfig, stencil_reduce
 from .solver import greedy_search_batch
@@ -502,20 +501,29 @@ def reestimation_inputs(symbols, on_pilot, observations, consensus, decisions,
     return lags, corr, y_norm2
 
 
+@dataclass
+class AidedEstimate:
+    """What the data-aided stage hands on: the refined (M, G, L) taps and
+    the diagnostics arrays ``run_data_aided`` lists."""
+
+    taps: np.ndarray
+    diagnostics: dict
+
+
 def run_data_aided(
     frame: OfdmFrame,
     observations_full: np.ndarray,
     base: GridEstimate,
     config: GridSolverConfig,
     alphabet: QamAlphabet,
-) -> GridEstimate:
+) -> AidedEstimate:
     """Refine a pilot-based grid estimate with agreed reliable data carriers.
 
     Per antenna: equalize with the base estimate, score data-carrier
     reliability from the base error covariance, pick the top U, agree with
     the neighborhood, then re-run the solver on the pilot rows plus the
     consensus carriers with the agreed decisions standing in as pilot
-    symbols; antennas with an empty consensus keep their base estimate.
+    symbols; antennas with an empty consensus keep their base taps.
     The augmented systems diag(s) F_L are taken in closed form.  The
     diagnostics are arrays: the (M, G) ``"fallback_no_consensus"`` flags,
     the (M, G, N) ``"consensus"`` mask, and the base estimate's (M, G, N)
@@ -529,7 +537,7 @@ def run_data_aided(
     # budget in their neighborhood so one clean member cannot starve the
     # intersection of a struggling neighborhood (one extra shared integer)
     expected_actives = max(1, round(length * config.lambda_init))
-    budgets = reliable_budget(base, pilots.shape[0], frame.data_indices.size,
+    budgets = reliable_budget(base, pilots.shape[0], np.count_nonzero(frame.data_mask),
                               expected_actives)
     top, decisions, undecodable = _top_carriers(
         base, observations_full, symbols, alphabet, frame.data_mask,
@@ -539,10 +547,8 @@ def run_data_aided(
     select_and_agree(top, decisions, pilots, out=consensus)
 
     taps = base.taps.copy()
-    support = base.support.copy()
-    error_cov = base.error_cov.copy()
-    fallback = np.ones(base.failed.shape, dtype=bool)
-    aided = np.nonzero(consensus.any(axis=-1))
+    fallback = ~consensus.any(axis=-1)
+    aided = np.nonzero(~fallback)
     if aided[0].size:
         # every augmented system has at least K + 1 > t_max rows, so no chain
         # fills its rows and all of them go through one batched search; the
@@ -554,25 +560,14 @@ def run_data_aided(
             symbols, ~frame.data_mask, observations_full[aided], consensus[aided],
             decisions[aided], alphabet, length,
         )
-        stack = greedy_search_batch(
+        taps[aided] = greedy_search_batch(
             toeplitz_grams(lags), corr, y_norm2, base.priors[aided], config.noise_var,
             base.support.shape[-1],
-        )
-        taps[aided] = stack.taps
-        support[aided] = stack.chosen
-        error_cov[aided] = error_covariances(stack)
-        fallback[aided] = False
+        ).taps
 
-    return GridEstimate(
-        taps=taps,
-        support=support,
-        error_cov=error_cov,
-        priors=base.priors,
-        failed=base.failed.copy(),
-        diagnostics={
-            "fallback_no_consensus": fallback,
-            "consensus": consensus,
-            "base_decisions": decisions,
-            "base_undecodable": undecodable,
-        },
-    )
+    return AidedEstimate(taps=taps, diagnostics={
+        "fallback_no_consensus": fallback,
+        "consensus": consensus,
+        "base_decisions": decisions,
+        "base_undecodable": undecodable,
+    })

@@ -439,7 +439,7 @@ def synthesize_scene(spec: ExperimentSpec, n_pilots: int, snr_db: float,
     return TrialScene(
         taps=taps, frame=frame, pilot_rows=pilot_rows(frame, spec.channel_len),
         observations=observations, noise_var=noise_var, alphabet=alphabet,
-        true_indices=alphabet.nearest_indices(frame.freq_symbols),
+        true_indices=alphabet.indices_from_levels(alphabet.nearest_levels(frame.freq_symbols)),
     )
 
 
@@ -470,7 +470,9 @@ def _score_algorithm(scene: TrialScene, taps: np.ndarray, detected=None) -> tupl
             decided, bad = decisions[chunk], undecodable[chunk]
         per_carrier += bit_errors(alphabet, scene.true_indices, decided, bad).sum(axis=0)
     errors = int(per_carrier[frame.data_mask].sum())
-    return ratio, errors, taps.shape[0] * frame.data_indices.size * alphabet.bits_per_symbol
+    # a Python int, so the row's BER is a Python float the CSV writes as such
+    n_data = int(np.count_nonzero(frame.data_mask))
+    return ratio, errors, taps.shape[0] * n_data * alphabet.bits_per_symbol
 
 
 def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,

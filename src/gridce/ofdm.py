@@ -43,8 +43,7 @@ class OfdmFrame:
     """One transmitted OFDM symbol: N frequency-domain symbols plus the
     sorted pilot index set.  The frame keeps a read-only copy of the
     pilots, so ``data_mask``, which marks the data carriers (those off the
-    pilots), and ``data_indices``, which lists them, are computed once and
-    stay read-only and current."""
+    pilots), is computed once and stays read-only and current."""
 
     freq_symbols: np.ndarray
     pilot_indices: np.ndarray
@@ -65,19 +64,17 @@ class OfdmFrame:
         mask.flags.writeable = False
         return mask
 
-    @cached_property
-    def data_indices(self) -> np.ndarray:
-        indices = np.flatnonzero(self.data_mask)
-        indices.flags.writeable = False
-        return indices
-
 
 def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
     """Length-N channel frequency response F_L @ h of a length-L CIR; a
-    stack (..., L) of CIRs gives (..., N) in one FFT.  The unitary scale
-    multiplies the float view by 1/sqrt(N), which is what dividing the
-    complex values by sqrt(N) computes."""
-    response = np.fft.fft(h, n=n_carriers)
+    stack (..., L) of CIRs gives (..., N) in one FFT, zero-padded and
+    transformed in the output buffer.  The unitary scale multiplies the
+    float view by 1/sqrt(N), which is what dividing the complex values by
+    sqrt(N) computes."""
+    h = np.asarray(h)[..., :n_carriers]  # an L > N CIR is cropped, as np.fft.fft(h, N) crops
+    response = np.zeros((*h.shape[:-1], n_carriers), dtype=complex)
+    response[..., :h.shape[-1]] = h
+    np.fft.fft(response, out=response)
     parts = response.view(float)
     np.multiply(parts, 1.0 / np.sqrt(n_carriers), out=parts)
     return response
@@ -109,7 +106,7 @@ def modulate_frame(
     corners = alphabet.corners
     symbols[pilots] = corners[rng.integers(0, corners.size, size=pilots.size)]
     symbols[frame.data_mask] = alphabet.points[
-        rng.integers(0, alphabet.order, size=frame.data_indices.size)]
+        rng.integers(0, alphabet.order, size=np.count_nonzero(frame.data_mask))]
     return frame
 
 

@@ -85,13 +85,6 @@ class QamAlphabet:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def bits_from_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Unpack symbol indices into bits (..., k) MSB-first."""
-        k = self.bits_per_symbol
-        idx = np.asarray(idx).reshape(-1)
-        shifts = np.arange(k - 1, -1, -1)
-        return ((idx[:, None] >> shifts) & 1).astype(np.int8)
-
     def nearest_levels(self, symbols: np.ndarray) -> np.ndarray:
         """(..., 2) indices into ``levels`` of each symbol's nearest I and Q
         levels.
@@ -119,21 +112,11 @@ class QamAlphabet:
         flat += nearest_levels[..., 1]
         return self.level_table.take(flat)
 
-    def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
-        """Index of the nearest constellation point for each input symbol.
-
-        The squared distance splits into an I and a Q term, so the nearest
-        point pairs the nearest I level with the nearest Q level.  Ties
-        break toward the lower level on each axis: the point with
-        lexicographically smaller (real, imag), so slicing is deterministic.
-        """
-        return self.indices_from_levels(self.nearest_levels(symbols))
-
     @cached_property
     def popcount(self) -> np.ndarray:
         """(Q,) table: the set bits of each index's word, so indices a and
         b differ in ``popcount[a ^ b]`` bits."""
-        table = self.bits_from_indices(np.arange(self.order)).sum(axis=-1)
+        table = np.array([bin(v).count("1") for v in range(self.order)], dtype=np.intp)
         table.flags.writeable = False
         return table
 

@@ -18,7 +18,7 @@ distance D.
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -68,7 +68,6 @@ class GridEstimate:
     error_cov: np.ndarray                  # (M, G, T, T)
     priors: np.ndarray                     # (M, G, L) priors used in the final pass
     failed: np.ndarray                     # (M, G) bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,9 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     b2 = np.broadcast_to(col_norm2, (n, length)).copy()   # ||P_S_perp a_j||^2
     bhr = corr.copy()                                     # a_j^H P_S_perp y
     res2 = np.asarray(y_norm2, dtype=float).copy()
-    w = np.zeros((t_max - 1, n, length), dtype=complex)  # stage-major rows of W
+    # stage-major rows of W, each written whole before any stage reads it (the
+    # first by a product over zero stages, which writes zeros)
+    w = np.empty((t_max - 1, n, length), dtype=complex)
     r_fact = np.zeros((t_max, t_max, n), dtype=complex)  # R and R^-1, rows last
     r_inv = np.zeros_like(r_fact)
     qty = np.zeros((n, t_max), dtype=complex)
@@ -396,14 +398,18 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
         q_basis[:, :, stage] = q
         qty[:, stage] = _stacked_vdot(q, r)
 
-        r -= q * qty[:, stage, None]
         res2 = np.maximum(res2 - drop[rows, j], 0.0)
         prior_term = prior_term + gain[rows, j]
         nus[:, stage] = -res2 / two_nv + prior_term
         residuals[:, stage] = res2
-        b -= q[:, :, None] * (q.conj()[:, None, :] @ b)
         available[rows, j] = False
         chosen[:, stage] = j
+        if stage == t_max - 1:
+            break
+
+        # the residuals and the columns lose the new basis vector's part
+        r -= q * qty[:, stage, None]
+        b -= q[:, :, None] * (q.conj()[:, None, :] @ b)
 
     return _finish_chains(chosen, nus, residuals, r_fact, r_inv, qty, noise_vars, lengths,
                           skipped, length)

@@ -23,8 +23,10 @@ reference for the chunked BER scoring.  ``freq_response_oracle``,
 carrier-domain forms that divide complex values by reals, divide by 1 or
 not at all on the undecodable carriers, store through masks, draw the
 noise as two ``rng.normal`` calls and stack the two spectra; the
-production forms must equal them bit for bit.  ``qam_slice`` and
-``indices_from_bits`` are the alphabet helpers only the tests use.
+production forms must equal them bit for bit.  ``qam_slice``,
+``bit_words_oracle`` and ``indices_from_bits`` are the alphabet helpers
+only the tests use; ``bit_words_oracle`` unpacks point indices into the
+bit words that BER scoring counts by popcount.
 
 ``top_carriers_oracle`` is the data-aided stage's top-U pick that scores
 every chunk's reliabilities, whether or not the budgets leave a choice;
@@ -36,8 +38,9 @@ from a zero pick over every level, the form ``QamAlphabet.nearest_levels``
 trimmed.  ``sq_distances_oracle`` and ``nearest_indices_oracle`` are the
 constellation-wide slicer: a (..., Q) array of squared distances and Q
 masked passes in lexicographic (real, imag) point order, where only a
-strict improvement replaces the pick.  ``QamAlphabet.nearest_indices``
-slices each axis on its own instead.
+strict improvement replaces the pick.  ``QamAlphabet.nearest_levels``
+slices each axis on its own instead, and ``indices_from_levels`` pairs
+the two levels into a point index.
 
 ``neighbors`` is the set-based 4-neighborhood of a (rows, cols) grid
 that the array stencils (``sharing.stencil_reduce`` and
@@ -596,12 +599,19 @@ def eager_reliable_sets(top, consensus, decisions, alphabet) -> list:
 
 def qam_slice(alphabet, symbols):
     """Hard decisions: the nearest constellation point of each symbol."""
-    return alphabet.points[alphabet.nearest_indices(symbols)]
+    return alphabet.points[alphabet.indices_from_levels(alphabet.nearest_levels(symbols))]
+
+
+def bit_words_oracle(alphabet, indices):
+    """The (..., k) bit words, MSB first, of point indices: ``points[v]``
+    carries the bits of the integer v."""
+    shifts = np.arange(alphabet.bits_per_symbol - 1, -1, -1)
+    return ((np.asarray(indices)[..., None] >> shifts) & 1).astype(np.int8)
 
 
 def indices_from_bits(alphabet, bits):
     """Pack bits (..., k) MSB-first into symbol indices, the inverse of
-    ``QamAlphabet.bits_from_indices``."""
+    ``bit_words_oracle``."""
     k = alphabet.bits_per_symbol
     weights = 1 << np.arange(k - 1, -1, -1)
     return np.asarray(bits).reshape(-1, k) @ weights

@@ -49,7 +49,6 @@ from gridce.ofdm import (
     modulate_frame,
     place_pilots,
 )
-from gridce.posterior import error_covariances
 from gridce.qam import build_qam_alphabet
 from gridce.sharing import (
     BeliefKind,
@@ -690,13 +689,12 @@ def reestimate_oracle(frame, full_rows, observations, base, config, consensus,
     """The per-antenna re-estimation loop the closed forms replaced:
     explicit augmented rows, with the (M, G, N) ``decided_points`` standing
     in as pilot symbols on each row of the (M, G, N) ``consensus`` mask, and
-    one search per aided antenna.  Returns (taps, support, error_cov,
-    fallback) on the grid."""
+    one search per aided antenna.  Returns (taps, fallback) on the grid."""
     length = full_rows.shape[1]
     pilots = frame.pilot_indices
     dft = truncated_dft(frame.n_carriers, length)
     t_max = search_depth(length, config.lambda_init, pilots.size)
-    taps, support, error_cov = base.taps.copy(), base.support.copy(), base.error_cov.copy()
+    taps = base.taps.copy()
     fallback = np.ones(base.failed.shape, dtype=bool)
     for (r, c), failed in np.ndenumerate(base.failed):
         agreed = np.flatnonzero(consensus[r, c])
@@ -711,10 +709,9 @@ def reestimate_oracle(frame, full_rows, observations, base, config, consensus,
         )
         if stack.failed[0]:
             continue
-        taps[r, c], support[r, c] = stack.taps[0], stack.chosen[0]
-        error_cov[r, c] = error_covariances(stack)[0]
+        taps[r, c] = stack.taps[0]
         fallback[r, c] = False
-    return taps, support, error_cov, fallback
+    return taps, fallback
 
 
 def fix_budget(monkeypatch, count):
@@ -733,21 +730,19 @@ class TestRunDataAided:
     def test_matches_per_antenna_reestimation(self, rows, cols, qam, budget, seed,
                                               monkeypatch):
         """One batched solve on the closed-form inputs against the
-        per-antenna loop on explicit augmented rows: equal supports and
-        fallbacks, taps and error covariances within 1e-12 relative, under
-        the budget rule and under fixed budgets."""
+        per-antenna loop on explicit augmented rows: equal fallbacks and
+        taps within 1e-12 relative, under the budget rule and under fixed
+        budgets."""
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(
             rows=rows, cols=cols, qam=qam, snr_db=12.0, seed=seed)
         if budget is not None:
             fix_budget(monkeypatch, budget)
         refined = run_data_aided(frame, obs, base, cfg, alphabet)
-        taps, support, error_cov, fallback = reestimate_oracle(
+        taps, fallback = reestimate_oracle(
             frame, full_rows, obs, base, cfg, refined.diagnostics["consensus"],
             alphabet.points[refined.diagnostics["base_decisions"]])
         np.testing.assert_array_equal(refined.diagnostics["fallback_no_consensus"], fallback)
-        np.testing.assert_array_equal(refined.support, support)
         assert_close(refined.taps, taps)
-        assert_close(refined.error_cov, error_cov)
         assert not fallback.all()
 
     @pytest.mark.parametrize("rows, cols, budget, seed", [
@@ -800,8 +795,9 @@ class TestRunDataAided:
         monkeypatch.setattr(gridce.data_aided, "reliable_budget", spy)
         got = run_data_aided(frame, obs, base, cfg, alphabet)
         assert calls == [(16, 112, 3)]
-        for name in ("taps", "support", "error_cov"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.taps, want.taps)
+        for key, value in want.diagnostics.items():
+            np.testing.assert_array_equal(got.diagnostics[key], value)
 
     def test_refinement_improves_or_matches_base(self):
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene()
@@ -860,8 +856,7 @@ class TestRunDataAided:
                 base, taps=taps, support=support, error_cov=error_cov, failed=failed,
             ), cfg, alphabet))
         clean, flagged = runs
-        for name in ("taps", "support", "error_cov"):
-            np.testing.assert_array_equal(getattr(flagged, name), getattr(clean, name))
+        np.testing.assert_array_equal(flagged.taps, clean.taps)
         for key in ("fallback_no_consensus", "base_decisions", "base_undecodable"):
             np.testing.assert_array_equal(flagged.diagnostics[key], clean.diagnostics[key])
         assert flagged.diagnostics["fallback_no_consensus"][1, 2]

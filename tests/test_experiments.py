@@ -6,6 +6,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import types
@@ -51,8 +52,10 @@ from gridce.sharing import (
 )
 from gridce.solver import IllConditionedSupportError
 from oracles import (
+    bit_words_oracle,
     blue_estimate,
     equalize_and_slice,
+    nearest_indices_oracle,
     neighbors,
     oracle_ls_loop_oracle,
     per_currency_grid,
@@ -346,14 +349,14 @@ def score_oracle(scene, taps):
     the re-sliced decisions with the true ones."""
     alphabet = scene.alphabet
     k = alphabet.bits_per_symbol
-    data_idx = scene.frame.data_indices
-    true_bits = alphabet.bits_from_indices(
-        alphabet.nearest_indices(scene.frame.freq_symbols[data_idx]))
+    data_idx = np.flatnonzero(scene.frame.data_mask)
+    true_bits = bit_words_oracle(
+        alphabet, nearest_indices_oracle(alphabet, scene.frame.freq_symbols[data_idx]))
     errors = total = 0
     for r, c in np.ndindex(taps.shape[:2]):
         resp = freq_response(taps[r, c], scene.frame.n_carriers)
         _, hard, bad = equalize_and_slice(scene.observations[r, c], resp, alphabet)
-        hard_bits = alphabet.bits_from_indices(alphabet.nearest_indices(hard[data_idx]))
+        hard_bits = bit_words_oracle(alphabet, nearest_indices_oracle(alphabet, hard[data_idx]))
         bad = bad[data_idx]
         errors += int((true_bits != hard_bits)[~bad].sum()) + int(bad.sum()) * k
         total += data_idx.size * k
@@ -889,6 +892,10 @@ class TestEmitResults:
         emit_results(norm1, p1, spec=spec)
         emit_results(norm2, p2, spec=spec)
         assert p1.read_bytes() == p2.read_bytes()
+        # every number is written as a Python repr, which reads back as a
+        # number; a numpy scalar in a row would write "np.float64(...)"
+        for fields in (line.split(",") for line in p1.read_text().splitlines()[1:]):
+            [float(value) for value in fields[1:4] + fields[5:]]
 
     def test_sidecar_stays_in_a_dotted_directory(self, tmp_path):
         """Only the file name's suffix is replaced: an extensionless path
@@ -928,12 +935,44 @@ class TestWallTimeSemantics:
         assert seconds["oracle-LS"] > 0 and seconds["SOMP"] > 0
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: prints the BLAS thread variables as they stood when ``import gridce``
+#: first imported numpy, which reads them as it loads
+NUMPY_IMPORT_SPY = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((key, os.environ.get(key)) for key in {BLAS_THREADS!r})
+sys.meta_path.insert(0, Spy())
+import gridce
+print(json.dumps(seen))
+"""
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "gridce", *args],
             capture_output=True, text=True,
         )
+
+    @pytest.mark.parametrize("user, want", [
+        ({}, dict.fromkeys(BLAS_THREADS, "1")),
+        ({"OMP_NUM_THREADS": "2"}, {**dict.fromkeys(BLAS_THREADS), "OMP_NUM_THREADS": "2"}),
+    ])
+    def test_numpy_loads_with_one_blas_thread_unless_the_user_set_a_count(self, user, want):
+        """A process that imports gridce first (the CLI, and the sweep
+        workers it forks) loads numpy with one BLAS thread, so parallel
+        sweeps do not oversubscribe the cores; a count the user set in any
+        of the three variables leaves all three as the user left them."""
+        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+        out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env={**env, **user},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == want
 
     def test_estimate_smoke(self, tmp_path):
         config = dict(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gridce.errors import ConfigurationError
 from gridce.qam import QamAlphabet, build_qam_alphabet
 from oracles import (
+    bit_words_oracle,
     indices_from_bits,
     nearest_indices_oracle,
     nearest_levels_oracle,
@@ -91,7 +92,7 @@ class TestGrayMapping:
     def test_bits_round_trip(self):
         alph = build_qam_alphabet(16)
         idx = np.arange(16)
-        bits = alph.bits_from_indices(idx)
+        bits = bit_words_oracle(alph, idx)
         np.testing.assert_array_equal(indices_from_bits(alph, bits), idx)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
@@ -99,7 +100,7 @@ class TestGrayMapping:
         """popcount[a ^ b] counts the bits in which the words of a and b differ."""
         alph = build_qam_alphabet(order)
         idx = np.arange(order)
-        bits = alph.bits_from_indices(idx)
+        bits = bit_words_oracle(alph, idx)
         hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
         np.testing.assert_array_equal(alph.popcount[idx[:, None] ^ idx[None, :]], hamming)
 
@@ -117,7 +118,7 @@ class TestSlicing:
     def test_points_map_to_themselves(self):
         alph = build_qam_alphabet(16)
         np.testing.assert_array_equal(
-            alph.nearest_indices(alph.points), np.arange(16)
+            alph.indices_from_levels(alph.nearest_levels(alph.points)), np.arange(16)
         )
 
     def test_nearest_point_example(self):
@@ -168,7 +169,7 @@ class TestSeparableSlicing:
             np.array([0.0, -0.0]) + 1j * np.array([-0.0, 0.0]),
             10.0 * (rng.normal(size=16) + 1j * rng.normal(size=16)),
         ])
-        np.testing.assert_array_equal(alph.nearest_indices(x),
+        np.testing.assert_array_equal(alph.indices_from_levels(alph.nearest_levels(x)),
                                       nearest_indices_oracle(alph, x))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
