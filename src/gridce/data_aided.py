@@ -71,6 +71,7 @@ and symbol indices, and its (M, G, N) mask is the stage's ``"consensus"``
 diagnostic.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +268,7 @@ def select_and_agree(
     decisions: np.ndarray,
     pilot_indices: np.ndarray,
     out: np.ndarray | None = None,
-) -> list:
+) -> Iterator[list[ReliableSet]]:
     """Neighborhood consensus for every central antenna at once.
 
     ``top`` (M, G, N) marks each antenna's own top-U carriers and
@@ -275,16 +276,16 @@ def select_and_agree(
     carrier joins an antenna's consensus when it is no pilot, every member
     of the neighborhood ranks it top-U (a stencil AND) and every member
     decoded it to the same symbol (stencil min equals stencil max).  An
-    empty consensus is valid.  Returns ``[row][col]`` ReliableSets over row
-    views of ``top`` and the consensus mask; ``out``, when given, receives
-    the (M, G, N) consensus mask.
+    empty consensus is valid.  The mask is computed at once, into ``out``
+    when given; the rows of ReliableSets over row views of ``top`` and the
+    mask are built only as the returned generator is iterated.
     """
     agreed = stencil_reduce(top, np.logical_and)
     agreed &= stencil_reduce(decisions, np.minimum) == stencil_reduce(decisions, np.maximum)
     agreed[..., np.asarray(pilot_indices, dtype=int)] = False
     if out is not None:
         out[...] = agreed
-    return [[ReliableSet(*views) for views in zip(*rows)] for rows in zip(top, agreed)]
+    return ([ReliableSet(*views) for views in zip(*rows)] for rows in zip(top, agreed))
 
 
 def _top_carriers(base, observations_full, symbols, alphabet, eligible, budgets,

@@ -70,8 +70,12 @@ def freq_response(h: np.ndarray, n_carriers: int) -> np.ndarray:
     stack (..., L) of CIRs gives (..., N) in one FFT, zero-padded and
     transformed in the output buffer.  The unitary scale multiplies the
     float view by 1/sqrt(N), which is what dividing the complex values by
-    sqrt(N) computes."""
-    h = np.asarray(h)[..., :n_carriers]  # an L > N CIR is cropped, as np.fft.fft(h, N) crops
+    sqrt(N) computes.  An L > N channel is refused: the N-point FFT would
+    crop it silently."""
+    h = np.asarray(h)
+    if h.shape[-1] > n_carriers:
+        raise ConfigurationError(
+            f"channel length {h.shape[-1]} exceeds carrier count {n_carriers}")
     response = np.zeros((*h.shape[:-1], n_carriers), dtype=complex)
     response[..., :h.shape[-1]] = h
     np.fft.fft(response, out=response)
@@ -133,11 +137,8 @@ def synthesize_received(
     The noise is drawn into one standard-normal buffer and scaled by
     sigma = sqrt(noise_var / 2), for the real parts and then the imaginary
     parts: the values two ``rng.normal(0, sigma)`` calls draw.  An L > N
-    channel is refused: the N-point FFT would crop it silently."""
-    n, length = frame.n_carriers, np.shape(taps)[-1]
-    if length > n:
-        raise ConfigurationError(f"channel length {length} exceeds carrier count {n}")
-    received = freq_response(taps, n)
+    channel is refused (``freq_response``)."""
+    received = freq_response(taps, frame.n_carriers)
     received *= frame.freq_symbols
     sigma = np.sqrt(noise_var / 2.0)
     noise = np.empty(received.shape)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .solver import (
     COLLINEARITY_TOL,
+    TEMPER,
     ChainStack,
     _normalize_log_posteriors,
     _stack_prior_terms,
@@ -118,7 +119,7 @@ def _lattice_nus(chain_nus, source, chain_res2, base, gains, noise_vars):
     Gram's diagonal."""
     n_detected = chain_nus.shape[1]
     bounds = COLLINEARITY_TOL**2 * source[:-1:n_detected + 2].real
-    two_nv = 2.0 * noise_vars[:, None]
+    scale = TEMPER * noise_vars[:, None]
     nus = np.empty((source.shape[1], 2 ** n_detected - 1))
     first = 0
     for size, block in enumerate(_position_combos(n_detected), start=1):
@@ -128,7 +129,7 @@ def _lattice_nus(chain_nus, source, chain_res2, base, gains, noise_vars):
             rest = block[1:]
             res2 = np.maximum(chain_res2[:, None] + _subset_fits(source, bounds, size).T, 0.0)
             nus[:, first + 1:first + block.shape[0]] = (
-                -res2 / two_nv + base[:, None] + gains[:, rest].sum(axis=2))
+                -res2 / scale + base[:, None] + gains[:, rest].sum(axis=2))
         first += block.shape[0]
     return nus
 

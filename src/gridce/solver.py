@@ -11,9 +11,10 @@ log posterior
 
 with P_S_perp = I - A_S (A_S^H A_S)^-1 A_S^H.  The data term is a
 tempered likelihood, not the CN(0, sigma_w^2) one: that noise model's
-log-likelihood is -||P_S_perp y||^2 / sigma_w^2, and the factor 2 halves
-it.  (On a 5 x 5 grid with K = 16 pilots, 1 / sigma_w^2 in its place
-made every grid algorithm 1.9-4.3 dB worse on Rayleigh taps.)
+log-likelihood is -||P_S_perp y||^2 / sigma_w^2, and the factor 2 (the
+constant TEMPER, read by every log posterior here and in ``posterior``)
+halves it.  (On a 5 x 5 grid with K = 16 pilots, 1 / sigma_w^2 in its
+place made every grid algorithm 1.9-4.3 dB worse on Rayleigh taps.)
 Support-independent constants cancel once posteriors are normalized, so
 they are omitted.  Conditional means are replaced by the best linear
 unbiased estimate (A_S^H A_S)^-1 A_S^H y, and the final estimate is the
@@ -26,7 +27,9 @@ domain, where the row count K drops out after one product.
 ``greedy_search_stack`` grows them with an order-recursive QR
 factorization on shared rows: each stage scores all single-index
 extensions of the previous support in O(K*L) by updating the
-orthogonalized column residuals, never re-solving from scratch.
+orthogonalized column residuals, never re-solving from scratch.  Both
+keep only their candidate state; one ``_Chains`` record holds the rest,
+from the stage's candidate mask to the padded result.
 ``search_rows`` is the entry point on shared rows and picks between the
 two.
 
@@ -53,6 +56,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IllConditionedSupportError
+
+#: the likelihood temper: the data term of nu(S) is -||P_S_perp y||^2 /
+#: (TEMPER sigma_w^2), half the CN(0, sigma_w^2) log-likelihood
+TEMPER = 2.0
 
 #: prior probabilities are clamped to [PRIOR_EPS, 1 - PRIOR_EPS]
 PRIOR_EPS = 1e-6
@@ -176,6 +183,99 @@ class ChainStack:
         return np.cumsum(self.posteriors[:, ::-1], axis=1)[:, ::-1]
 
 
+class _Chains:
+    """The state both stage loops share: the prior, the tempered noise
+    ``scale`` = TEMPER sigma_w^2 (B,), the current residual energy ``res2``
+    and the result's buffers, R and R^-1 grown (T, T, B), rows last.  A
+    loop opens each stage with ``open_stage``, hands its picks to
+    ``record`` and ends with ``finish``; ``t_limit`` is its largest t_max."""
+
+    def __init__(self, n, length, t_max, t_limit, lambdas, noise_vars, y_norm2, col_norm2):
+        self.noise_vars = noise_vars = np.full(n, noise_vars, dtype=float)
+        if not np.all(noise_vars > 0):  # NaN (a None noise_var) included
+            raise ConfigurationError("noise_var must be positive")
+        if t_max < 1 or t_max > t_limit:
+            raise ConfigurationError(f"t_max={t_max} must lie in [1, {t_limit}]")
+        self.scale = TEMPER * noise_vars
+        self.prior_term, self.gain = _stack_prior_terms(lambdas, n, length)
+        self.threshold = COLLINEARITY_TOL**2 * col_norm2
+        self.res2 = np.asarray(y_norm2, dtype=float)
+        self.rows = np.arange(n)
+        self.r_fact = np.zeros((t_max, t_max, n), dtype=complex)
+        self.r_inv = np.zeros_like(self.r_fact)
+        self.qty = np.zeros((n, t_max), dtype=complex)
+        self.chosen = np.zeros((n, t_max), dtype=int)
+        self.nus = np.zeros((n, t_max))
+        self.residuals = np.zeros((n, t_max))
+        self.available = np.ones((n, length), dtype=bool)
+        self.valid = np.empty((n, length), dtype=bool)
+        self.lengths = np.zeros(n, dtype=int)
+        self.stopped = np.zeros(n, dtype=bool)
+        self.skipped = np.zeros(n, dtype=bool)
+
+    def open_stage(self, b2: np.ndarray) -> np.ndarray:
+        """The (B, L) candidates of the next stage: available taps whose
+        orthogonalized squared norm ``b2`` clears the collinearity bound.
+        A row left without one stops; a row that passes over an available
+        tap is flagged skipped."""
+        valid = np.greater(b2, self.threshold, out=self.valid)
+        valid &= self.available
+        self.stopped |= ~valid.any(axis=1)
+        self.lengths += ~self.stopped
+        self.skipped |= ~self.stopped & (self.available != valid).any(axis=1)
+        return valid
+
+    def pivots(self, b2_j: np.ndarray):
+        """(rho, 1 / rho) of the picks with squared norms ``b2_j`` (B,); a
+        stopped row carries finite filler, replaced by padding at the end."""
+        norm = np.sqrt(np.where(self.stopped, 1.0, b2_j))
+        return norm, 1.0 / norm
+
+    def record(self, stage, j, col, norm, inv_norm, qty, drop):
+        """Record the picks ``j`` (B,) at position ``stage``: R's new column
+        ``col`` = Q^H a_j (stage, B) above ``norm``, R^-1's from them,
+        (Q^H y)_stage = ``qty``, and the residual energy less ``drop``."""
+        self.r_fact[:stage, stage] = col
+        self.r_fact[stage, stage] = norm
+        _grow_inverse(self.r_inv, col, inv_norm, stage)
+        self.qty[:, stage] = qty
+        self.res2 = np.maximum(self.res2 - drop, 0.0)
+        self.prior_term = self.prior_term + self.gain[self.rows, j]
+        self.nus[:, stage] = -self.res2 / self.scale + self.prior_term
+        self.residuals[:, stage] = self.res2
+        self.available[self.rows, j] = False
+        self.chosen[:, stage] = j
+
+    def finish(self) -> ChainStack:
+        """Lay R and R^-1 out per row, pad each row past its length (see
+        ``ChainStack``), normalize its posteriors over its own chain and
+        combine the taps."""
+        chosen, nus, qty, lengths = self.chosen, self.nus, self.qty, self.lengths
+        n, t_max = chosen.shape
+        r_fact, r_inv = (np.ascontiguousarray(f.transpose(2, 0, 1))
+                         for f in (self.r_fact, self.r_inv))
+        pad = np.arange(t_max) >= lengths[:, None]
+        for array, fill in ((chosen, 0), (nus, -np.inf), (qty, 0.0)):
+            np.copyto(array, fill, where=pad)
+        for factor in (r_fact, r_inv):
+            np.copyto(factor, np.eye(t_max), where=pad[:, None, :])
+        # per chain length, so each row sums exactly the terms a one-vector call
+        # sums (trailing zeros would regroup numpy's pairwise sum from 8 terms)
+        posteriors = np.zeros((n, t_max))
+        underflow = np.zeros(n, dtype=bool)
+        for s in set(lengths.tolist()) - {0}:
+            group = lengths == s
+            posteriors[group, :s], underflow[group] = _normalize_log_posteriors(nus[group, :s])
+        stack = ChainStack(chosen=chosen, nus=nus, residuals=self.residuals, posteriors=posteriors,
+                           r_factors=r_fact, r_inverses=r_inv, qty=qty, noise_vars=self.noise_vars,
+                           taps=np.zeros((n, self.available.shape[1]), dtype=complex),
+                           lengths=lengths, skipped=self.skipped, underflow=underflow)
+        # sum_s p_s (R_s^-1 Q_s^H y) zero-padded = R^-1 (tail weights * Q^H y)
+        coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]
+        stack.scatter(coef, out=stack.taps)
+        return stack
+
+
 def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
                         lambdas: np.ndarray, noise_vars: np.ndarray,
                         t_max: int) -> ChainStack:
@@ -197,11 +297,10 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
         a_j^H P_S_perp y   = (A^H y)_j - sum_s W_sj^* (Q^H y)_s
 
     so after the products above the work no longer depends on K.
-    Candidates are ranked by the Gram loop's key and R^-1 grows with R (see
-    the module docstring).  Each stage writes into buffers allocated once
-    per call.  Rows never interact: each row's result equals a one-row
-    call's bit for bit.  A row whose candidates run out stops there and is
-    padded (see ``ChainStack``).
+    Candidates are ranked by the Gram loop's key (see the module
+    docstring), into buffers allocated once per call.  Rows never interact:
+    each row's result equals a one-row call's bit for bit.  A row whose
+    candidates run out stops there and is padded (see ``ChainStack``).
 
     Exact ties in the model are still decided by rounding, because their
     computed scores differ in the last bits.  One such tie is systematic:
@@ -216,70 +315,33 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
     gram_t = gram.transpose(0, 2, 1) if per_row else np.ascontiguousarray(gram.T)
     corr = np.asarray(corr, dtype=complex)
     n, length = corr.shape
-    noise_vars = np.full(n, noise_vars, dtype=float)
-    if not np.all(noise_vars > 0):  # NaN (a None noise_var) included
-        raise ConfigurationError("noise_var must be positive")
-    if t_max < 1 or t_max > length:
-        raise ConfigurationError(f"t_max={t_max} must lie in [1, L]")
-
-    prior_term, gain = _stack_prior_terms(lambdas, n, length)
     col_norm2 = np.einsum("...jj->...j", gram).real     # (L,) or (B, L)
-    threshold = COLLINEARITY_TOL**2 * col_norm2
-    rows = np.arange(n)
-    two_nv = 2.0 * noise_vars
+    chains = _Chains(n, length, t_max, length, lambdas, noise_vars, y_norm2, col_norm2)
+    rows = chains.rows
 
     b2 = np.broadcast_to(col_norm2, (n, length)).copy()   # ||P_S_perp a_j||^2
     bhr = corr.copy()                                     # a_j^H P_S_perp y
-    res2 = np.asarray(y_norm2, dtype=float).copy()
     # stage-major rows of W, each written whole before any stage reads it (the
     # first by a product over zero stages, which writes zeros)
     w = np.empty((t_max - 1, n, length), dtype=complex)
-    r_fact = np.zeros((t_max, t_max, n), dtype=complex)  # R and R^-1, rows last
-    r_inv = np.zeros_like(r_fact)
-    qty = np.zeros((n, t_max), dtype=complex)
-    chosen = np.zeros((n, t_max), dtype=int)
-    nus = np.zeros((n, t_max))
-    residuals = np.zeros((n, t_max))
-    available = np.ones((n, length), dtype=bool)
-    lengths = np.zeros(n, dtype=int)
-    stopped = np.zeros(n, dtype=bool)
-    skipped = np.zeros(n, dtype=bool)
-    valid = np.empty((n, length), dtype=bool)
     score = np.empty((n, length))
     work = np.empty((n, length))
     update = np.empty((n, length), dtype=complex)
 
     for stage in range(t_max):
-        np.greater(b2, threshold, out=valid)
-        valid &= available
-        stopped |= ~valid.any(axis=1)
-        lengths += ~stopped
-        skipped |= ~stopped & (available != valid).any(axis=1)
+        valid = chains.open_stage(b2)
         _abs2(bhr, out=work, work=score)
         score.fill(-np.inf)
         np.divide(work, b2, out=score, where=valid)     # the drop of each candidate
-        score /= two_nv[:, None]
-        score += gain
+        score /= chains.scale[:, None]
+        score += chains.gain
         j = np.argmax(score, axis=1)  # first max = smallest tap index on ties
 
-        # a stopped row carries finite filler, replaced by padding at the end
         b2_j = b2[rows, j]
-        norm = np.sqrt(np.where(stopped, 1.0, b2_j))
-        inv_norm = 1.0 / norm
-        bhr_j = bhr[rows, j]
-        drop_j = np.divide(work[rows, j], b2_j, out=np.zeros(n), where=~stopped)
+        norm, inv_norm = chains.pivots(b2_j)
+        drop_j = np.divide(work[rows, j], b2_j, out=np.zeros(n), where=~chains.stopped)
         q_a = w[:stage, rows, j].conj()                   # Q^H a_j, (stage, B)
-        r_fact[:stage, stage] = q_a
-        r_fact[stage, stage] = norm
-        _grow_inverse(r_inv, q_a, inv_norm, stage)
-        qty[:, stage] = bhr_j * inv_norm
-
-        res2 = np.maximum(res2 - drop_j, 0.0)
-        prior_term = prior_term + gain[rows, j]
-        nus[:, stage] = -res2 / two_nv + prior_term
-        residuals[:, stage] = res2
-        available[rows, j] = False
-        chosen[:, stage] = j
+        chains.record(stage, j, q_a, norm, inv_norm, bhr[rows, j] * inv_norm, drop_j)
         if stage == t_max - 1:
             break
 
@@ -292,11 +354,10 @@ def greedy_search_batch(gram: np.ndarray, corr: np.ndarray, y_norm2: np.ndarray,
         np.multiply(w_new.view(float), inv_norm[:, None], out=w_new.view(float))
         _abs2(w_new, out=work, work=score)
         b2 -= work
-        np.multiply(w_new, qty[:, stage, None], out=update)
+        np.multiply(w_new, chains.qty[:, stage, None], out=update)
         bhr -= update
 
-    return _finish_chains(chosen, nus, residuals, r_fact, r_inv, qty, noise_vars, lengths,
-                          skipped, length)
+    return chains.finish()
 
 
 def _abs2(z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -339,117 +400,53 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     ys = np.ascontiguousarray(ys, dtype=complex)
     k, length = a.shape
     n = ys.shape[0]
-    noise_vars = np.full(n, noise_vars, dtype=float)
-    if not np.all(noise_vars > 0):
-        raise ConfigurationError("noise_var must be positive")
-    if t_max < 1 or t_max > min(k, length):
-        raise ConfigurationError(f"t_max={t_max} must lie in [1, min(K, L)]")
-
-    prior_term, gain = _stack_prior_terms(lambdas, n, length)
-    col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
-    rows = np.arange(n)
-    two_nv = 2.0 * noise_vars
+    chains = _Chains(n, length, t_max, min(k, length), lambdas, noise_vars,
+                     _stacked_vdot(ys, ys).real, np.einsum("ij,ij->j", a.conj(), a).real)
+    rows = chains.rows
 
     b = np.broadcast_to(a, (n, k, length)).copy()     # columns orthogonalized per row
     b_conj = np.empty_like(b)
     r = ys.copy()                                       # residuals P_S_perp y
-    res2 = _stacked_vdot(ys, ys).real
     q_basis = np.zeros((n, k, t_max), dtype=complex)
     # the picked column a_j as a strided vector, as a[:, j] of the 2-D
     # rows is: BLAS takes another gemv path for unit stride, which rounds R
     # apart
     a_col = np.zeros((n, k, 2), dtype=complex)
-    r_fact = np.zeros((t_max, t_max, n), dtype=complex)  # R and R^-1, rows last
-    r_inv = np.zeros_like(r_fact)
-    qty = np.zeros((n, t_max), dtype=complex)
-    chosen = np.zeros((n, t_max), dtype=int)
-    nus = np.zeros((n, t_max))
-    residuals = np.zeros((n, t_max))
-    available = np.ones((n, length), dtype=bool)
-    lengths = np.zeros(n, dtype=int)
-    stopped = np.zeros(n, dtype=bool)
-    skipped = np.zeros(n, dtype=bool)
 
     for stage in range(t_max):
         np.conjugate(b, out=b_conj)
         b2 = np.einsum("bij,bij->bj", b_conj, b).real
-        valid = available & (b2 > COLLINEARITY_TOL**2 * col_norm2)
-        stopped |= ~valid.any(axis=1)
-        lengths += ~stopped
-        skipped |= ~stopped & (available & ~valid).any(axis=1)
+        valid = chains.open_stage(b2)
         bhr = (b_conj.transpose(0, 2, 1) @ r[..., None])[..., 0]
         drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
         nu_cand = np.where(
             valid,
-            -(res2[:, None] - drop) / two_nv[:, None] + prior_term[:, None] + gain,
+            -(chains.res2[:, None] - drop) / chains.scale[:, None] + chains.prior_term[:, None]
+            + chains.gain,
             -np.inf,
         )
         j = np.argmax(nu_cand, axis=1)  # first max = smallest tap index on ties
 
-        # a stopped row carries finite filler, replaced by padding at the end
-        norm = np.sqrt(np.where(stopped, 1.0, b2[rows, j]))
+        norm, inv_norm = chains.pivots(b2[rows, j])
         q = b[rows, :, j] / norm[:, None]
         a_col[:, :, 0] = a.T[j]
-        r_fact[:stage, stage] = (
-            q_basis[:, :, :stage].conj().transpose(0, 2, 1) @ a_col[:, :, :1]
-        )[..., 0].T
-        r_fact[stage, stage] = norm
-        _grow_inverse(r_inv, r_fact[:stage, stage], 1.0 / norm, stage)
+        q_a = (q_basis[:, :, :stage].conj().transpose(0, 2, 1) @ a_col[:, :, :1])[..., 0].T
         q_basis[:, :, stage] = q
-        qty[:, stage] = _stacked_vdot(q, r)
-
-        res2 = np.maximum(res2 - drop[rows, j], 0.0)
-        prior_term = prior_term + gain[rows, j]
-        nus[:, stage] = -res2 / two_nv + prior_term
-        residuals[:, stage] = res2
-        available[rows, j] = False
-        chosen[:, stage] = j
+        chains.record(stage, j, q_a, norm, inv_norm, _stacked_vdot(q, r), drop[rows, j])
         if stage == t_max - 1:
             break
 
         # the residuals and the columns lose the new basis vector's part
-        r -= q * qty[:, stage, None]
+        r -= q * chains.qty[:, stage, None]
         b -= q[:, :, None] * (q.conj()[:, None, :] @ b)
 
-    return _finish_chains(chosen, nus, residuals, r_fact, r_inv, qty, noise_vars, lengths,
-                          skipped, length)
+    return chains.finish()
 
 
 def _stacked_vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.vdot`` of each row pair of two (B, K) stacks, as (B,) 1 x 1
     products, which round as ``np.vdot`` does."""
     return (x.conj()[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _finish_chains(chosen, nus, residuals, r_fact, r_inv, qty, noise_vars, lengths,
-                   skipped, length) -> ChainStack:
-    """The stage loops' common tail: lay R and R^-1 out per row (the loops
-    grow them (T, T, B)), pad each row past its length (see ``ChainStack``),
-    normalize its posteriors over its own chain and combine the taps."""
-    n, t_max = chosen.shape
-    r_fact, r_inv = (np.ascontiguousarray(f.transpose(2, 0, 1)) for f in (r_fact, r_inv))
-    pad = np.arange(t_max) >= lengths[:, None]
-    for array, fill in ((chosen, 0), (nus, -np.inf), (qty, 0.0)):
-        np.copyto(array, fill, where=pad)
-    for factor in (r_fact, r_inv):
-        np.copyto(factor, np.eye(t_max), where=pad[:, None, :])
-    # per chain length, so each row sums exactly the terms a one-vector call
-    # sums (trailing zeros would regroup numpy's pairwise sum from 8 terms)
-    posteriors = np.zeros((n, t_max))
-    underflow = np.zeros(n, dtype=bool)
-    for s in set(lengths.tolist()) - {0}:
-        group = lengths == s
-        posteriors[group, :s], underflow[group] = _normalize_log_posteriors(nus[group, :s])
-    stack = ChainStack(
-        chosen=chosen, nus=nus, residuals=residuals, posteriors=posteriors,
-        r_factors=r_fact, r_inverses=r_inv, qty=qty,
-        taps=np.zeros((n, length), dtype=complex), noise_vars=noise_vars,
-        lengths=lengths, skipped=skipped, underflow=underflow,
-    )
-    # sum_s p_s (R_s^-1 Q_s^H y) zero-padded = R^-1 (tail weights * Q^H y)
-    coef = (r_inv @ (stack.tail_weights() * qty)[:, :, None])[:, :, 0]
-    stack.scatter(coef, out=stack.taps)
-    return stack
 
 
 def search_rows(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.ndarray,

@@ -26,6 +26,7 @@ from gridce.data_aided import (
     MIN_RELIABLE,
     RELIABILITY_CAP,
     RHO_REFERENCE,
+    ReliableSet,
     _CAPPED,
     _RowDistortion,
     _capped_for_sure,
@@ -419,7 +420,7 @@ class TestSelectAndAgree:
     def test_unanimous_neighborhood_keeps_all(self):
         top = top_masks((3, 3, 16), [[[4, 9, 13]] * 3] * 3)
         decisions = np.full((3, 3, 16), 3)  # (1+1j)/sqrt(2) everywhere
-        sets = select_and_agree(top, decisions, np.array([0, 1]))
+        sets = list(select_and_agree(top, decisions, np.array([0, 1])))
         assert list(sets[1][1].consensus) == [4, 9, 13]
         np.testing.assert_array_equal(QAM4.points[decisions[1, 1]][sets[1][1].consensus],
                                       QAM4.points[[3, 3, 3]])
@@ -427,7 +428,7 @@ class TestSelectAndAgree:
     def test_disjoint_sets_empty(self):
         top = top_masks((1, 2, 16), [[[3], [7]]])
         decisions = np.zeros((1, 2, 16), dtype=int)
-        sets = select_and_agree(top, decisions, np.array([]))
+        sets = list(select_and_agree(top, decisions, np.array([])))
         assert sets[0][0].consensus.size == 0
 
     def test_disagreeing_decisions_pruned(self):
@@ -436,13 +437,13 @@ class TestSelectAndAgree:
         decisions[0, 0, 3] = 3
         decisions[0, 1, 3] = 2  # disagree on 3
         decisions[0, :, 5] = 0
-        sets = select_and_agree(top, decisions, np.array([]))
+        sets = list(select_and_agree(top, decisions, np.array([])))
         assert list(sets[0][0].consensus) == [5]
 
     def test_pilots_excluded(self):
         top = top_masks((1, 1, 8), [[[2, 3]]])
         decisions = np.ones((1, 1, 8), dtype=int)
-        sets = select_and_agree(top, decisions, np.array([2]))
+        sets = list(select_and_agree(top, decisions, np.array([2])))
         assert list(sets[0][0].consensus) == [3]
 
     def test_top_u_size_contract(self):
@@ -479,7 +480,7 @@ class TestLazyReliableSets:
     @staticmethod
     def assert_equal_sets(top, decisions, pilots, alphabet):
         consensus = np.empty_like(top)
-        sets = select_and_agree(top, decisions, pilots, out=consensus)
+        sets = list(select_and_agree(top, decisions, pilots, out=consensus))
         want = eager_reliable_sets(top, consensus, decisions, alphabet)
         assert len(sets) == len(want) == top.shape[0]
         for r, (got_row, want_row) in enumerate(zip(sets, want)):
@@ -521,7 +522,7 @@ class TestLazyReliableSets:
         top = np.ones((2, 3, 8), dtype=bool)
         decisions = np.zeros((2, 3, 8), dtype=np.uint8)
         consensus = np.empty_like(top)
-        sets = select_and_agree(top, decisions, np.array([1]), out=consensus)
+        sets = list(select_and_agree(top, decisions, np.array([1]), out=consensus))
         assert np.shares_memory(sets[1][2].top_row, top)
         np.testing.assert_array_equal(sets[1][2].consensus_row, consensus[1, 2])
         assert list(sets[1][2].consensus) == [0, 2, 3, 4, 5, 6, 7]
@@ -535,7 +536,7 @@ class TestStencilConsensus:
     def test_matches_set_based_consensus(self, case):
         shape, top, decisions, pilots, order = case
         points = build_qam_alphabet(order).points[decisions]
-        sets = select_and_agree(top, decisions, pilots)
+        sets = list(select_and_agree(top, decisions, pilots))
         top_sets = [[np.flatnonzero(top[r, c]) for c in range(shape[1])]
                     for r in range(shape[0])]
         want = select_and_agree_oracle(shape, top_sets, points, pilots)
@@ -805,6 +806,22 @@ class TestRunDataAided:
         base_ratio = error_ratio(true_taps, base.taps)
         refined_ratio = error_ratio(true_taps, refined.taps)
         assert refined_ratio <= base_ratio * 1.05
+
+    def test_builds_no_reliable_sets(self, monkeypatch):
+        """The stage reads the consensus mask alone, so it builds none of
+        the per-antenna ``ReliableSet`` views; a refined antenna shows the
+        consensus was formed."""
+        shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(seed=2)
+        built = []
+
+        def counting(*views):
+            built.append(views)
+            return ReliableSet(*views)
+
+        monkeypatch.setattr(gridce.data_aided, "ReliableSet", counting)
+        refined = run_data_aided(frame, obs, base, cfg, alphabet)
+        assert not refined.diagnostics["fallback_no_consensus"].all()
+        assert built == []
 
     def test_consensus_symbols_are_true_symbols_at_high_snr(self, monkeypatch):
         shape, true_taps, alphabet, frame, full_rows, obs, base, cfg = full_scene(

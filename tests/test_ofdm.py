@@ -215,10 +215,15 @@ class TestDftProperties:
     @pytest.mark.parametrize("n_carriers", [1, 16, 64, 512])
     def test_freq_response_matches_division_bit_for_bit(self, n_carriers):
         """Scaling the float view by 1/sqrt(N) is the complex division by
-        sqrt(N), on one CIR and on a stack."""
+        sqrt(N), on one CIR and on a stack; a CIR longer than the frame is
+        refused, not cropped."""
         rng = make_rng(n_carriers)
         for shape in ((1,), (16,), (3, 5, 16)):
             h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if shape[-1] > n_carriers:
+                with pytest.raises(ConfigurationError):
+                    freq_response(h, n_carriers)
+                continue
             np.testing.assert_array_equal(
                 freq_response(h, n_carriers).view(np.uint64),
                 freq_response_oracle(h, n_carriers).view(np.uint64))
