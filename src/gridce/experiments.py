@@ -45,8 +45,7 @@ from .sharing import (
     run_marginal_based,
     stencil_gather,
 )
-from .posterior import MAX_LATTICE_TAPS
-from .solver import check_conditioning, search_depth
+from .solver import MAX_LATTICE_TAPS, check_conditioning, search_depth
 
 logger = logging.getLogger(__name__)
 
@@ -551,11 +550,6 @@ def run_point_trial(spec: ExperimentSpec, point_index: int, point: tuple,
     return {name: results[name] for name in ALGORITHMS if name in results}
 
 
-def _trial_worker(args):
-    spec, point_index, point, trial = args
-    return run_point_trial(spec, point_index, point, trial)
-
-
 def run_experiment(spec: ExperimentSpec) -> list:
     """Full sweep x algorithms x trials; returns aggregated ResultRows.
 
@@ -574,7 +568,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
             for point_index, point in enumerate(points) for t in range(spec.trials)]
     parallel = spec.workers > 1
     with ProcessPoolExecutor(max_workers=spec.workers) if parallel else nullcontext() as pool:
-        outcomes = list((pool.map if parallel else map)(_trial_worker, jobs))
+        outcomes = list((pool.map if parallel else map)(run_point_trial, *zip(*jobs)))
     rows: list[ResultRow] = []
     for start, point in zip(range(0, len(jobs), spec.trials), points):
         rows.extend(_point_rows(spec, point, outcomes[start:start + spec.trials]))

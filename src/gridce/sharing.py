@@ -24,8 +24,14 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConfigurationError
-from .posterior import error_covariances, lattice_marginals
-from .solver import PRIOR_EPS, ChainStack, search_depth, search_rows
+from .solver import (
+    PRIOR_EPS,
+    ChainStack,
+    error_covariances,
+    lattice_marginals,
+    search_depth,
+    search_rows,
+)
 
 #: the belief of a tap that no neighbor detected, and the lowest prior the
 #: final pass gives a tap

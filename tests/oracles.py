@@ -15,7 +15,7 @@ plain (L,) activity arrays, clamped as the solver clamps them.
 no chain value reused (a numerically dependent column adds nothing, as
 ``independent_taps`` decides), and ``error_covariance``,
 ``full_covariance_oracle`` and ``assign_scores`` are the per-antenna forms of
-``posterior.error_covariances`` and the integer scores of the grid runners.
+``solver.error_covariances`` and the integer scores of the grid runners.
 ``equalize_and_slice`` is zero-forcing detection of one antenna, the
 reference for the chunked BER scoring.  ``freq_response_oracle``,
 ``equalize_oracle``, ``equalize_masked_oracle``,
@@ -97,7 +97,6 @@ from gridce.data_aided import (
     top_reliable,
 )
 from gridce.ofdm import ZF_MIN_GAIN, equalize, freq_response
-from gridce.posterior import error_covariances, lattice_marginals
 from gridce.qam import as_axes
 from gridce.sharing import (
     BeliefKind,
@@ -114,6 +113,8 @@ from gridce.solver import (
     _normalize_log_posteriors,
     _prior_terms,
     check_conditioning,
+    error_covariances,
+    lattice_marginals,
     search_depth,
     search_rows,
 )

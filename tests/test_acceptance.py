@@ -18,9 +18,8 @@ from gridce.experiments import (
     synthesize_scene,
 )
 from gridce.ofdm import make_rng
-from gridce.posterior import _position_combos, lattice_marginals
 from gridce.sharing import BeliefKind, GridSolverConfig, first_pass, run_marginal_based
-from gridce.solver import search_rows
+from gridce.solver import _position_combos, lattice_marginals, search_rows
 from oracles import exhaustive_estimate, lattice_oracle
 
 

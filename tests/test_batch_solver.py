@@ -22,15 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridce import solver
 from gridce.data_aided import reestimation_inputs, toeplitz_grams
 from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
-from gridce.posterior import error_covariances, lattice_marginals
 from gridce.solver import (
     COLLINEARITY_TOL,
     PRIOR_EPS,
+    error_covariances,
     greedy_search_batch,
     greedy_search_stack,
+    lattice_marginals,
     search_rows,
 )
 from gridce.qam import build_qam_alphabet
@@ -649,3 +651,25 @@ def test_priors_at_zero_and_one_clamp(k, t_max):
     marginals = lattice_marginals(exact, lambdas)
     np.testing.assert_array_equal(marginals, lattice_marginals(eps, clamped))
     assert np.isfinite(marginals).all()
+
+
+@pytest.mark.parametrize("k, t_max", [(12, 4), (6, 6)])
+def test_temper_is_read_where_each_log_posterior_is_formed(monkeypatch, k, t_max):
+    """Doubling ``solver.TEMPER`` scores every support as doubling the noise
+    level does, in both solver forms (Gram, and K domain at t_max == K) and
+    in the lattice, so no copy of the temper hides elsewhere.  Powers of
+    two scale exactly: the two runs agree bit for bit."""
+    rng = make_rng(13)
+    a = random_rows(rng, k, 16, 0)
+    ys = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
+    lambdas = rng.uniform(0.05, 0.4, size=(5, 16))
+    noise_vars = 10 ** rng.uniform(-2, 0, size=5)
+
+    def solve(noise):
+        stack = search_rows(a, ys, lambdas, noise, t_max)
+        arrays = [getattr(stack, name) for name in ("chosen", "nus", "posteriors", "taps")]
+        return [x.tobytes() for x in arrays + [lattice_marginals(stack, lambdas)]]
+
+    want = solve(2 * noise_vars)
+    monkeypatch.setattr(solver, "TEMPER", 2 * solver.TEMPER)
+    assert solve(noise_vars) == want

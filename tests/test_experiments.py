@@ -937,7 +937,7 @@ class TestWallTimeSemantics:
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: prints the BLAS thread variables as they stood when ``import gridce``
+#: prints the BLAS thread variables as they stood when ``import gridce.cli``
 #: first imported numpy, which reads them as it loads
 NUMPY_IMPORT_SPY = f"""
 import json, os, sys
@@ -947,7 +947,7 @@ class Spy:
         if name == "numpy" and not seen:
             seen.update((key, os.environ.get(key)) for key in {BLAS_THREADS!r})
 sys.meta_path.insert(0, Spy())
-import gridce
+import gridce.cli
 print(json.dumps(seen))
 """
 

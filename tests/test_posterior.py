@@ -11,14 +11,17 @@ import pytest
 
 from gridce.errors import ConfigurationError
 from gridce.ofdm import make_rng
-from gridce.posterior import (
+from gridce.solver import (
+    COLLINEARITY_TOL,
+    ChainStack,
     _lattice_sums,
     _position_combos,
+    _prior_terms,
     _subset_fits,
     error_covariances,
     lattice_marginals,
+    search_rows,
 )
-from gridce.solver import COLLINEARITY_TOL, ChainStack, _prior_terms, search_rows
 from oracles import (
     error_covariance,
     exhaustive_marginals,
