@@ -40,10 +40,12 @@ The top-U pick ranks by falling reliability with ties to the lower
 carrier index.  A capped reliability is the largest value there is, and
 capped values tie, so an antenna with U capped offered carriers among its
 first w carriers takes the first U of them, whatever its other carriers
-hold.  So reliabilities are computed on a prefix of each ranked row that
-ends at its U-th data carrier and doubles until it holds U capped ones;
-only a row short of U capped carriers is ranked on every carrier.  At paper
-scale nearly every carrier is capped and the prefix is a few carriers of
+hold.  So reliabilities are computed on a prefix of the ranked rows, one
+carrier window shared by every open row per round: the first ends at the
+U-th data carrier of the largest budget, and each later one doubles the
+prefix, up to N, until a row holds U capped carriers; only a row short of
+U capped carriers over all N is ranked on every carrier.  At paper scale
+nearly every carrier is capped and the prefix is a few carriers of
 hundreds.  A tie order other than carrier index would have to visit the
 carriers in that order instead.
 
@@ -57,15 +59,18 @@ bounds the variance at carrier n with no FFT.  With A = ln RELIABILITY_CAP
 a_{n_I})^2 over both axes exceeds A v_bar_n has each of the 2(m - 1) terms
 of O_I and O_Q below 1 / (2 m^2 RELIABILITY_CAP) under any variance up to
 the bound, so its ratio clears the cap by a factor of m: the bound settles
-it exactly.  Only the offered carriers the bound leaves in doubt take the
-exact variance, and a row's variances come from the FFT, ``ANTENNA_CHUNK``
-rows per call, the first time one of its carriers is in doubt.  At paper
+it exactly.  An offered carrier the bound leaves in doubt takes the exact
+variance only while its row holds fewer than U capped carriers before it,
+those capped in earlier windows and those capped for sure earlier in the
+window: with ties to the lower index, a carrier after the U-th cannot
+enter the top U.  A row's variances come from the FFT, ``ANTENNA_CHUNK``
+rows per call, the first time one of its carriers is taken so.  At paper
 scale that is a few rows per trial; where carriers sit near their decision
 boundaries most ranked rows still take it.
 
 Equalization, slicing, distortion variances and the re-estimation FFTs
-run on ``ANTENNA_CHUNK`` antennas at a time, and the prefix bounds and
-reliabilities of every chunk in calls of at most ``ANTENNA_CHUNK`` x N
+run on ``ANTENNA_CHUNK`` antennas at a time, and each window's bounds and
+reliabilities in (rows, carriers) blocks of at most ``ANTENNA_CHUNK`` x N
 carriers; the consensus is stencil arithmetic on (M, G, N) carrier masks
 and symbol indices, and its (M, G, N) mask is the stage's ``"consensus"``
 diagnostic.
@@ -354,8 +359,9 @@ class _RowDistortion:
         self.variance = None  # (n_ant, N), allocated when a row first needs it
         self.known = np.zeros(n_ant, dtype=bool)
 
-    def bound(self, flat):
-        """Upper bounds on the variances at flat (row, carrier) indices:
+    def bound(self, rows, window):
+        """(rows, carriers) upper bounds on the variances of ``rows`` at the
+        carriers ``window``:
         (1 + SPREAD_SLACK) sum_jk |R_jk| |s_n|^2 / N + sigma_w^2.
 
         The FFT of the lag sums c cannot exceed sum_m |c_m| <= sum_jk |R_jk|
@@ -363,8 +369,7 @@ class _RowDistortion:
         the same |s_n|^2 / N and sigma_w^2, and rounding keeps the order of
         a product and a sum.
         """
-        row, carrier = np.divmod(flat, self.power.size)
-        return self.spread.take(row) * self.power.take(carrier) + self.noise_var
+        return self.spread[rows, None] * self.power[window] + self.noise_var
 
     def variances(self, rows):
         """The (n_ant, N) variances, exact at least on ``rows`` (repeats
@@ -387,72 +392,61 @@ def _rank_rows(top, rows, eligible, offered, budgets, equalized, nearest, alphab
                distortion):
     """Set in ``top``, zero on ``rows``, the ``budgets`` most reliable
     ``offered`` carriers of each of ``rows``, as ``top_reliable`` picks them,
-    with reliabilities computed only on a prefix of the row where that
+    with reliabilities computed only on a prefix of the rows where that
     settles the pick, and exactly only where a bound leaves them in doubt.
 
     A capped reliability is the largest value there is, and capped values
     tie, which the stable sort settles by carrier index.  So a row holding
     at least U capped offered carriers in a prefix has as its top U the
-    first U of them, whatever the rest of the row holds.  The first prefix
-    ends at the row's U-th eligible carrier, where its U-th offered one
-    sits unless an undecodable carrier comes first: no shorter prefix can
-    hold U.  Each further prefix doubles it (up to N), and only the added
-    carriers are scored.  A row short of U capped carriers over all N goes
-    through ``carrier_reliability`` and ``top_reliable`` on its full row.
+    first U of them, whatever the rest of the row holds.  Each round scores
+    one carrier window ``[start, end)`` of every open row.  The first ends
+    at the U-th eligible carrier of the largest budget, where that row's
+    U-th offered one sits unless an undecodable carrier comes first: no
+    shorter prefix can settle it.  Each further window doubles the prefix
+    (up to N).  A row short of U capped carriers over all N goes through
+    ``carrier_reliability`` and ``top_reliable`` on its full row.
 
     Scoring a carrier first asks ``_capped_for_sure`` under the
-    ``distortion`` bound; only the offered carriers it leaves in doubt go
-    through ``carrier_reliability`` with their rows' exact variances.  The
-    bound is exact where it settles (the reliability is capped under any
-    variance it covers), so the pick is the one the exact reliabilities
-    make.  Each pass gathers the added carriers of every open row, across
-    chunks, into calls of at most ``ANTENNA_CHUNK`` x N carriers.
+    ``distortion`` bound, which is exact where it settles (the reliability
+    is capped under any variance it covers).  An offered carrier it leaves
+    in doubt goes through ``carrier_reliability`` with its row's exact
+    variances only while the row holds fewer than U capped carriers before
+    it: those capped in earlier windows and those capped for sure earlier
+    in this one.  A carrier after the U-th cannot enter the top U.  The
+    window is scored in (rows, carriers) blocks of at most
+    ``ANTENNA_CHUNK`` x N carriers, and at least one row.
     """
     n_carriers = offered.shape[-1]
-    count_dtype = np.min_scalar_type(n_carriers)
-    step = ANTENNA_CHUNK * n_carriers
-    flat_nearest = nearest.reshape(-1, 2)
     capped = np.zeros(offered.shape, dtype=bool)
-    end = np.searchsorted(np.cumsum(eligible), budgets[rows]) + 1
-    start = np.zeros_like(end)
-    short = []
-    while rows.size:
-        # the carriers [start, end) of every open row, as flat indices
-        lengths = end - start
-        offsets = np.cumsum(lengths) - lengths
-        flat = (np.arange(offsets[-1] + lengths[-1])
-                + np.repeat(rows * n_carriers + start - offsets, lengths))
-        doubt = []
-        for block in range(0, flat.size, step):
-            idx = flat[block:block + step]
-            sure = _capped_for_sure(equalized.take(idx), flat_nearest[idx],
-                                    distortion.bound(idx), alphabet)
-            on = offered.take(idx)
-            np.put(capped, idx, sure & on)
-            doubt.append(idx[on & ~sure])
-        doubt = np.concatenate(doubt)
-        if doubt.size:
-            variance = distortion.variances(doubt // n_carriers)
-            for block in range(0, doubt.size, step):
-                idx = doubt[block:block + step]
-                reliability = carrier_reliability(equalized.take(idx), variance.take(idx),
-                                                  alphabet, flat_nearest[idx])
-                np.put(capped, idx, reliability == _CAPPED)
-        # every capped carrier found so far lies before the longest prefix
-        width = end.max()
-        hold = capped[rows, :width]
-        rank = np.cumsum(hold, axis=-1, dtype=count_dtype)
-        settled = rank[:, -1] >= budgets[rows]
+    held = np.zeros(rows.size, dtype=int)  # capped carriers of each open row so far
+    start, end = 0, np.searchsorted(np.cumsum(eligible), budgets[rows].max()) + 1
+    while True:
+        window = slice(start, end)
+        step = max(1, ANTENNA_CHUNK * n_carriers // (end - start))
+        for block in range(0, rows.size, step):
+            part = slice(block, block + step)
+            ids = rows[part]
+            x, levels, on = equalized[ids, window], nearest[ids, window], offered[ids, window]
+            hit = on & _capped_for_sure(x, levels, distortion.bound(ids, window), alphabet)
+            doubt = on & ~hit & (held[part, None] + np.cumsum(hit, axis=-1) < budgets[ids, None])
+            if doubt.any():
+                variance = distortion.variances(ids[doubt.any(axis=-1)])[ids, window]
+                hit[doubt] = carrier_reliability(x[doubt], variance[doubt], alphabet,
+                                                 levels[doubt]) == _CAPPED
+            capped[ids, window] = hit
+            held[part] += hit.sum(axis=-1)
+        settled = held >= budgets[rows]
         done = rows[settled]
-        top[done, :width] = hold[settled] & (rank[settled] <= budgets[done, None])
-        more = ~settled & (end < n_carriers)
-        short.append(rows[~settled & ~more])
-        rows, start, end = rows[more], end[more], np.minimum(2 * end[more], n_carriers)
-    short = np.concatenate(short)
-    if short.size:
-        variance = distortion.variances(short)
-    for block in range(0, short.size, ANTENNA_CHUNK):
-        full = short[block:block + ANTENNA_CHUNK]
+        hold = capped[done, :end]
+        top[done, :end] = hold & (np.cumsum(hold, axis=-1) <= budgets[done, None])
+        rows, held = rows[~settled], held[~settled]
+        if not rows.size or end == n_carriers:
+            break
+        start, end = end, min(2 * end, n_carriers)
+    if rows.size:
+        variance = distortion.variances(rows)
+    for block in range(0, rows.size, ANTENNA_CHUNK):
+        full = rows[block:block + ANTENNA_CHUNK]
         reliability = carrier_reliability(equalized[full], variance[full], alphabet,
                                           nearest[full])
         top[full] = top_reliable(reliability, offered[full], budgets[full])

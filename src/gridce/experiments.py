@@ -556,7 +556,9 @@ def run_experiment(spec: ExperimentSpec) -> list:
     Rows are ordered by sweep point then by the spec's algorithm order and
     are reproducible for a fixed seed regardless of worker count.  With
     several workers one process pool takes every (point, trial) job of the
-    sweep in one map, so no point waits for the previous one to finish.
+    sweep in one map, so no point waits for the previous one to finish;
+    the pool holds no more workers than there are jobs, and one job runs in
+    the calling process.
     """
     points = [
         (k, snr, d)
@@ -566,8 +568,9 @@ def run_experiment(spec: ExperimentSpec) -> list:
     ]
     jobs = [(spec, point_index, point, t)
             for point_index, point in enumerate(points) for t in range(spec.trials)]
-    parallel = spec.workers > 1
-    with ProcessPoolExecutor(max_workers=spec.workers) if parallel else nullcontext() as pool:
+    workers = min(spec.workers, len(jobs))
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         outcomes = list((pool.map if parallel else map)(run_point_trial, *zip(*jobs)))
     rows: list[ResultRow] = []
     for start, point in zip(range(0, len(jobs), spec.trials), points):

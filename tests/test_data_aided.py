@@ -1124,9 +1124,9 @@ class TestCappedBound:
     @given(bound_inputs())
     def test_capped_for_sure_is_capped(self, inputs):
         base, symbols, alphabet, noise_var, x = inputs
-        n_rows, n = x.shape
+        n_rows = x.shape[0]
         distortion = _RowDistortion(symbols, base, noise_var)
-        bound = distortion.bound(np.arange(n_rows * n)).reshape(n_rows, n)
+        bound = distortion.bound(np.arange(n_rows), slice(None))
         exact = chunked_variances(base, symbols, noise_var)
         assert np.all(exact <= bound)
         nearest = alphabet.nearest_levels(x)
@@ -1158,9 +1158,10 @@ class TestCappedBound:
         is capped, not every capped one is settled."""
         base, symbols, alphabet, noise_var, x = bound_case(make_rng(order), order, 40, 64,
                                                            12, 6)
-        bound = _RowDistortion(symbols, base, noise_var).bound(np.arange(x.size))
+        bound = _RowDistortion(symbols, base, noise_var).bound(np.arange(x.shape[0]),
+                                                               slice(None))
         nearest = alphabet.nearest_levels(x)
-        sure = _capped_for_sure(x, nearest, bound.reshape(x.shape), alphabet)
+        sure = _capped_for_sure(x, nearest, bound, alphabet)
         assert sure.any() and not sure.all()
         exact = chunked_variances(base, symbols, noise_var)
         capped = carrier_reliability(x, exact, alphabet, nearest) == _CAPPED
@@ -1305,6 +1306,36 @@ class TestTopCarrierSkip:
         assert_top_carriers_match(case, budgets)
         assert reliability_calls["distortion_covariance"].calls == 0
         assert reliability_calls["carrier_reliability"].calls == 0
+
+    def test_no_exact_reliability_past_the_budget(self, reliability_calls):
+        """Two ranked rows on a flat channel share the first window, which
+        ends at the 20th eligible carrier for row B's budget.  Row A's
+        budget is 2, and its first two offered carriers are capped for sure;
+        its later carriers sit near the origin, in doubt.  They come after
+        A's second capped carrier, so no exact reliability and no variance
+        is taken for them; row B's are all capped for sure."""
+        n = 32
+        alphabet = QAM4
+        symbols = alphabet.points[make_rng(7).integers(0, 4, size=n)]
+        eligible = np.arange(n) % 8 != 0
+        taps = np.zeros((1, 2, 4), dtype=complex)
+        taps[..., 0] = 1.0
+        base = GridEstimate(taps=taps, support=np.zeros((1, 2, 1), dtype=int),
+                            error_cov=np.full((1, 2, 1, 1), 1e-12, dtype=complex),
+                            priors=np.full(taps.shape, 0.1), failed=np.zeros((1, 2), bool))
+        observations = freq_response(taps, n) * symbols
+        observations[0, 0, 3:] *= 1e-12
+        budgets = np.array([[2, 20]])
+        case = (base, observations, symbols, alphabet, eligible, 1e-9)
+        x, levels, _ = detect(observations[0, :1], taps[0, :1], alphabet)
+        bound = _RowDistortion(symbols, base, 1e-9).bound(np.arange(1), slice(None))
+        sure = _capped_for_sure(x, levels, bound, alphabet)[0]
+        np.testing.assert_array_equal(sure, np.arange(n) < 3)
+        top, _, _ = assert_top_carriers_match(case, budgets)
+        np.testing.assert_array_equal(np.flatnonzero(top[0, 0]), [1, 2])
+        np.testing.assert_array_equal(np.flatnonzero(top[0, 1]), np.flatnonzero(eligible)[:20])
+        assert reliability_calls["carrier_reliability"].calls == 0
+        assert reliability_calls["distortion_covariance"].calls == 0
 
     @pytest.mark.parametrize("n_pilots, skips", [(6, True), (10, False)])
     def test_reliability_only_where_budgets_leave_a_choice(self, reliability_calls,

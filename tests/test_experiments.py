@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridce import experiments
+from gridce import data_aided, experiments
 from gridce.channels import generate_channels
 from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
 from gridce.errors import ConfigurationError
@@ -670,6 +670,60 @@ class TestBatchedBaselines:
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts a recording fake in place of ``ProcessPoolExecutor``: it notes
+    each pool's ``max_workers`` and maps in the calling process, so no
+    process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestChunkInvariance:
+    """Rows do not depend on ``ANTENNA_CHUNK``: detection, ranking,
+    re-estimation and scoring give every algorithm the same ratio and bit
+    counts at any chunk size, ragged last chunks and a one-antenna chunk
+    included."""
+
+    SPECS = [dict(n_pilots=(10,), snr_db=(15.0,)),
+             dict(n_pilots=(10,), snr_db=(0.0,), qam_order=16),
+             dict(n_pilots=(6,), snr_db=(15.0,))]
+
+    @staticmethod
+    def outcomes(spec):
+        point = (spec.n_pilots[0], spec.snr_db[0], spec.depth[0])
+        return [{name: entry[:3] for name, entry in run_point_trial(spec, 0, point, t).items()}
+                for t in range(spec.trials)]
+
+    def test_rows_equal_at_every_chunk_size(self, monkeypatch):
+        specs = [ExperimentSpec(grid_rows=5, grid_cols=5, n_carriers=128, channel_len=16,
+                                sparsity=2, depth=(2,), algorithms=ALGORITHMS, trials=2,
+                                seed=1, **axes) for axes in self.SPECS]
+        want = [self.outcomes(spec) for spec in specs]
+        full_rows, top_reliable = [], data_aided.top_reliable
+        monkeypatch.setattr(data_aided, "top_reliable",
+                            lambda *args: full_rows.append(args) or top_reliable(*args))
+        for chunk in (1, 7, 16, 400):
+            monkeypatch.setattr(data_aided, "ANTENNA_CHUNK", chunk)
+            monkeypatch.setattr(experiments, "ANTENNA_CHUNK", chunk)
+            assert [self.outcomes(spec) for spec in specs] == want, chunk
+        assert full_rows  # some ranked rows went through the full-row path
+
+
 class TestRunExperiment:
     def test_rows_cover_sweep_and_algorithms(self):
         spec = small_spec(n_pilots=(8, 10), depth=(1, 2))
@@ -706,6 +760,24 @@ class TestRunExperiment:
         spec = small_spec(grid_rows=rows, grid_cols=cols, trials=3,
                           algorithms=("MB-P", "IB-R", "oracle-LS"))
         assert run_experiment(spec) == run_experiment(dataclasses.replace(spec, workers=2))
+
+    def test_pool_holds_no_more_workers_than_jobs(self, pool_sizes):
+        """A 2-job sweep at 8 workers opens a pool of 2, and a 1-job sweep at
+        4 workers runs in the calling process; the rows are the serial ones."""
+        two_jobs = small_spec(trials=2)
+        serial = run_experiment(two_jobs)
+        assert run_experiment(dataclasses.replace(two_jobs, workers=8)) == serial
+        assert pool_sizes == [2]
+        one_job = small_spec(trials=1)
+        serial = run_experiment(one_job)
+        assert run_experiment(dataclasses.replace(one_job, workers=4)) == serial
+        assert pool_sizes == [2]
+
+    def test_worker_count_invariance_past_the_job_count(self):
+        """Three workers asked for two jobs: the two-process pool gives the
+        serial rows."""
+        spec = small_spec(trials=2)
+        assert run_experiment(dataclasses.replace(spec, workers=3)) == run_experiment(spec)
 
     def test_metrics_in_range(self):
         rows = run_experiment(small_spec())
