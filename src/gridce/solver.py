@@ -27,9 +27,12 @@ domain, where the row count K drops out after one product.
 ``greedy_search_stack`` grows them with an order-recursive QR
 factorization on shared rows: each stage scores all single-index
 extensions of the previous support in O(K*L) by updating the
-orthogonalized column residuals, never re-solving from scratch.  Both
-keep only their candidate state; one ``_Chains`` record holds the rest,
-from the stage's candidate mask to the padded result.
+orthogonalized column residuals, never re-solving from scratch.  It keeps
+those columns conjugated, which rounds as its one-vector oracle does
+without a conjugation per stage, and writes each stage into buffers
+allocated once per call.  Both loops keep only their candidate state;
+one ``_Chains`` record holds the rest, from the stage's candidate mask
+to the padded result.
 ``search_rows`` is the entry point on shared rows and picks between the
 two.
 
@@ -138,10 +141,16 @@ def _stack_prior_terms(lambdas: np.ndarray, n: int, length: int):
     return np.broadcast_to(base, (n,)), np.broadcast_to(gain, (n, length))
 
 
-def _log_posterior(res2, scale, prior, gain=0.0):
+def _log_posterior(res2, scale, prior, gain=0.0, out=None):
     """nu(S) of supports with residual energy ``res2``, tempered noise
-    ``scale`` (TEMPER sigma_w^2) and log prior ``prior`` + ``gain``."""
-    return -res2 / scale + prior + gain
+    ``scale`` (TEMPER sigma_w^2) and log prior ``prior`` + ``gain``, as
+    -res2 / scale + prior + gain in that order; into ``out`` when given,
+    which may be ``res2`` itself.  ``res2`` has the result's shape."""
+    nu = np.negative(res2, out=out)
+    nu /= scale
+    nu += prior
+    nu += gain
+    return nu
 
 
 def _normalize_log_posteriors(nus: np.ndarray):
@@ -409,47 +418,68 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
     """The chains of ``greedy_search_batch`` for a stack of B observation
     vectors ``ys`` (B, K) on shared rows A (K, L), grown in the K domain.
 
-    Each row keeps its own orthogonalized columns (B, K, L) and residual
-    (B, K), and every expression keeps the form of the one-vector
+    Each row keeps its own orthogonalized columns, conjugated (B, K, L),
+    and residual (B, K), and every value rounds as in the one-vector
     recursion (``greedy_search`` in ``tests/oracles.py``; numpy hands each
     row of a stacked product to the kernel the 2-D call uses), so each row
-    rounds as a one-vector call does and equals it bit for bit up to R^-1
-    and the combined taps.  The rank-filling tie (t_max == K) is therefore
-    settled as that recursion settles it.  ``lambdas`` and ``noise_vars``
-    are taken as ``greedy_search_batch`` takes them; a row whose candidates
-    run out stops and is padded (see ``ChainStack``), a row without a
-    usable column has length 0.
+    equals a one-vector call bit for bit up to R^-1 and the combined taps:
+    - conj(x) y is conj(x conj(y)) bit for bit, so the products on the
+      conjugated columns are the conjugates of the recursion's;
+    - ||b_j||^2 is re^2 + im^2 summed over K in row order, which is what
+      the recursion's einsum of conj(b) b sums;
+    - the candidates' scores go through ``_log_posterior``.
+    The rank-filling tie (t_max == K) is therefore settled as that
+    recursion settles it.  Every stage writes into buffers allocated once
+    per call.  ``lambdas`` and ``noise_vars`` are taken as
+    ``greedy_search_batch`` takes them; a row whose candidates run out
+    stops and is padded (see ``ChainStack``), a row without a usable
+    column has length 0.
     """
     a = np.ascontiguousarray(sensing_rows, dtype=complex)
     ys = np.ascontiguousarray(ys, dtype=complex)
     k, length = a.shape
     n = ys.shape[0]
+    col_norm2 = np.einsum("ij,ij->j", a.conj(), a).real
     chains = _Chains(n, length, t_max, min(k, length), lambdas, noise_vars,
-                     _stacked_vdot(ys, ys).real, np.einsum("ij,ij->j", a.conj(), a).real)
+                     _stacked_vdot(ys, ys).real, col_norm2)
     rows = chains.rows
 
-    b = np.broadcast_to(a, (n, k, length)).copy()     # columns orthogonalized per row
-    b_conj = np.empty_like(b)
+    b_conj = np.broadcast_to(a.conj(), (n, k, length)).copy()   # conj(P_S_perp a_j) per row
     r = ys.copy()                                       # residuals P_S_perp y
     q_basis = np.zeros((n, k, t_max), dtype=complex)
     # the picked column a_j as a strided vector, as a[:, j] of the 2-D
     # rows is: BLAS takes another gemv path for unit stride, which rounds R
     # apart
     a_col = np.zeros((n, k, 2), dtype=complex)
+    b2 = np.broadcast_to(col_norm2, (n, length)).copy()   # ||P_S_perp a_j||^2
+    entries = np.empty((n, k, length))                  # |b_ij|^2
+    work = np.empty_like(entries)
+    update = np.empty_like(b_conj)
+    bhr = np.empty((n, length), dtype=complex)          # a_j^H P_S_perp y
+    proj = np.empty((n, 1, length), dtype=complex)
+    drop = np.empty((n, length))
+    score = np.empty((n, length))
+    invalid = np.empty((n, length), dtype=bool)
 
     for stage in range(t_max):
-        np.conjugate(b, out=b_conj)
-        b2 = np.einsum("bij,bij->bj", b_conj, b).real
+        if stage:
+            _abs2(b_conj, out=entries, work=work)
+            entries.sum(axis=1, out=b2)
         valid = chains.open_stage(b2)
-        bhr = (b_conj.transpose(0, 2, 1) @ r[..., None])[..., 0]
-        drop = np.where(valid, np.abs(bhr) ** 2 / np.where(valid, b2, 1.0), 0.0)
-        nu_cand = _log_posterior(chains.res2[:, None] - drop, chains.scale[:, None],
-                                 chains.prior_term[:, None], chains.gain)
-        nu_cand = np.where(valid, nu_cand, -np.inf)
-        j = np.argmax(nu_cand, axis=1)  # first max = smallest tap index on ties
+        np.logical_not(valid, out=invalid)
+        np.matmul(b_conj.transpose(0, 2, 1), r[..., None], out=bhr[..., None])
+        np.abs(bhr, out=score)      # |bhr|^2 through np.abs, as the recursion forms it
+        np.square(score, out=score)
+        np.divide(score, b2, out=drop, where=valid)     # the drop of each candidate
+        np.copyto(drop, 0.0, where=invalid)
+        np.subtract(chains.res2[:, None], drop, out=score)
+        _log_posterior(score, chains.scale[:, None], chains.prior_term[:, None], chains.gain,
+                       out=score)
+        np.copyto(score, -np.inf, where=invalid)
+        j = np.argmax(score, axis=1)  # first max = smallest tap index on ties
 
         norm, inv_norm = chains.pivots(b2[rows, j])
-        q = b[rows, :, j] / norm[:, None]
+        q = b_conj[rows, :, j].conj() / norm[:, None]
         a_col[:, :, 0] = a.T[j]
         q_a = (q_basis[:, :, :stage].conj().transpose(0, 2, 1) @ a_col[:, :, :1])[..., 0].T
         q_basis[:, :, stage] = q
@@ -457,9 +487,12 @@ def greedy_search_stack(sensing_rows: np.ndarray, ys: np.ndarray, lambdas: np.nd
         if stage == t_max - 1:
             break
 
-        # the residuals and the columns lose the new basis vector's part
+        # the residuals and the columns lose the new basis vector's part: the
+        # columns' by the conjugate of the recursion's q (q^H b)
         r -= q * chains.qty[:, stage, None]
-        b -= q[:, :, None] * (q.conj()[:, None, :] @ b)
+        np.matmul(q[:, None, :], b_conj, out=proj)
+        np.multiply(q.conj()[:, :, None], proj, out=update)
+        b_conj -= update
 
     return chains.finish()
 

@@ -15,6 +15,7 @@ it must read as zeros.  Both stage loops grow R^-1 next to R, so every
 stack checks R^-1 R = I.
 """
 
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +29,7 @@ from gridce.errors import ConfigurationError, IllConditionedSupportError
 from gridce.ofdm import make_rng
 from gridce.solver import (
     COLLINEARITY_TOL,
+    ChainStack,
     PRIOR_EPS,
     error_covariances,
     greedy_search_batch,
@@ -403,9 +405,28 @@ def lattice_systems(draw):
     Gram domain) and at t_max == K (the rank-filling stack), and
     ``greedy_search_batch`` on one Toeplitz-view Gram per row from
     ``reestimation_inputs``, whose rows are diag(s) F_L on the pilots and
-    that antenna's consensus carriers.
+    that antenna's consensus carriers (see ``lattice_case``)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    producer = draw(st.sampled_from(["gram", "rank-filling", "toeplitz"]))
+    t_max = draw(st.integers(1, 7))
+    length = draw(st.integers(max(t_max, 2), 24))
+    n_obs = draw(st.integers(1, 3))
+    if producer == "toeplitz":
+        n_carriers = draw(st.integers(length, 2 * length))
+        return lattice_case(seed, producer, t_max, length, n_obs, n_carriers=n_carriers)
+    k = t_max if producer == "rank-filling" else draw(st.integers(t_max + 1, 16))
+    near = draw(st.booleans()) and k > 1  # the step takes a row of its own
+    margin = draw(st.floats(256.0, 1024.0))
+    return lattice_case(seed, producer, t_max, length, n_obs, k=k, near=near, margin=margin)
 
-    On shared rows one column may sit just above the skip tolerance.  It
+
+def lattice_case(seed, producer, t_max, length, n_obs, n_carriers=None, k=None, near=False,
+                 margin=None):
+    """One ``lattice_systems`` example: (stack, rows, ys, lambdas,
+    noise_vars) of ``producer``'s chains, with ``n_carriers`` carriers
+    for "toeplitz" and K = ``k`` shared rows otherwise.
+
+    With ``near`` one shared column sits just above the skip tolerance.  It
     repeats another plus a step along the last row, which no other column
     and no noise touches; its squared orthogonalized norm is then about
     ``margin`` * COLLINEARITY_TOL**2 of the largest squared column norm
@@ -413,11 +434,6 @@ def lattice_systems(draw):
     pulls it into the chains.  Every subset fit stays well determined,
     because an observation's last entry comes from that column's own tap
     alone."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    producer = draw(st.sampled_from(["gram", "rank-filling", "toeplitz"]))
-    t_max = draw(st.integers(1, 7))
-    length = draw(st.integers(max(t_max, 2), 24))
-    n_obs = draw(st.integers(1, 3))
     rng = make_rng(seed)
     noise_vars = 10 ** rng.uniform(-3, 0, size=n_obs)
     h = np.zeros((n_obs, length), complex)
@@ -425,7 +441,6 @@ def lattice_systems(draw):
         taps = rng.choice(length, size=min(3, length), replace=False)
         row[taps] = rng.normal(size=taps.size) + 1j * rng.normal(size=taps.size)
     if producer == "toeplitz":
-        n_carriers = draw(st.integers(length, 2 * length))
         alphabet = build_qam_alphabet(4)
         symbols = alphabet.points[rng.integers(0, 4, size=n_carriers)]
         on_pilot = rng.random(n_carriers) < 0.3
@@ -444,9 +459,6 @@ def lattice_systems(draw):
         stack = greedy_search_batch(toeplitz_grams(lags), corr, y_norm2, lambdas,
                                     noise_vars, t_max)
         return stack, rows, ys, lambdas, noise_vars
-    k = t_max if producer == "rank-filling" else draw(st.integers(t_max + 1, 16))
-    near = draw(st.booleans()) and k > 1  # the step takes a row of its own
-    margin = draw(st.floats(256.0, 1024.0))
     a = random_rows(rng, k, length, 0)
     lambdas = np.tile(rng.uniform(0.01, 0.5, size=length), (n_obs, 1))
     noise = rng.normal(size=(n_obs, k)) + 1j * rng.normal(size=(n_obs, k))
@@ -487,6 +499,19 @@ def test_lattice_matches_oracle_up_to_seven_taps(case):
                 assert np.all(pivots > COLLINEARITY_TOL**2 * np.diagonal(sub).real)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "lattice_marginals misses criterion 4's 1e-12 on this valid rank-filling chain: row 1 reads "
+    "0.15074178144927253 against the oracle's 0.15074178145042316; against a 60-digit mpmath "
+    "evaluation the production marginal is off by 1.15e-12 and the oracle by 2.3e-16.  The "
+    "subset fits go through the Gram of [R | Q^H y], which squares R's conditioning."))
+def test_lattice_matches_oracle_on_near_column_rank_filling_chain():
+    """A ``lattice_systems`` example that the property test can draw: two
+    observations on K = t_max = 4 shared rows, L = 21, with a near column
+    at margin 298."""
+    case = lattice_case(2147483644, "rank-filling", 4, 21, 2, k=4, near=True, margin=298.0)
+    test_lattice_matches_oracle_up_to_seven_taps.hypothesis.inner_test(case)
+
+
 @PROPERTY
 @given(antenna_systems(), st.integers(0, 3))
 def test_rows_do_not_interact(case, target):
@@ -524,6 +549,29 @@ def test_rows_do_not_interact(case, target):
             lattice_marginals(search_rows(a, obs, lambdas, noise_vars, t_max), lambdas)
             for obs in (ys, moved))
         np.testing.assert_array_equal(unmoved[others], perturbed[others])
+
+
+@PROPERTY
+@given(shared_row_systems(), st.integers(0, 63))
+def test_stack_rows_do_not_interact(case, target):
+    """``greedy_search_stack``'s twin of ``test_rows_do_not_interact``:
+    perturbing one observation leaves every other row bit-identical in
+    every ``ChainStack`` field, and the perturbed row equals a one-row call
+    bit for bit, R^-1 and the combined taps included.  So no buffer the
+    loop allocates once per call carries a value across rows or stages."""
+    a, ys, lambdas, noise_vars, t_max = case
+    target %= ys.shape[0]
+    before = greedy_search_stack(a, ys, lambdas, noise_vars, t_max)
+    moved = ys.copy()
+    moved[target] += 0.25 - 0.5j
+    after = greedy_search_stack(a, moved, lambdas, noise_vars, t_max)
+    one = slice(target, target + 1)
+    alone = greedy_search_stack(a, moved[one], lambdas[one], noise_vars[one], t_max)
+    others = np.arange(ys.shape[0]) != target
+    for name in (field.name for field in fields(ChainStack)):
+        np.testing.assert_array_equal(getattr(before, name)[others],
+                                      getattr(after, name)[others])
+        np.testing.assert_array_equal(getattr(alone, name)[0], getattr(after, name)[target])
 
 
 def ragged(systems):

@@ -4,6 +4,7 @@
 ``_score_algorithm`` replaced, kept as its reference.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridce
 from gridce import data_aided, experiments
 from gridce.channels import generate_channels
 from gridce.data_aided import ANTENNA_CHUNK, run_data_aided
@@ -1022,6 +1024,72 @@ sys.meta_path.insert(0, Spy())
 import gridce.cli
 print(json.dumps(seen))
 """
+
+
+class FakeLibc:
+    """Records the mallopt calls it receives; its ``mallopt`` takes the
+    ctypes declarations as a foreign function does."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestMallocDefault:
+    """``import gridce`` fixes glibc's malloc thresholds by the rule of
+    ``gridce._fix_malloc_thresholds``, checked on a fake libc."""
+
+    @pytest.fixture
+    def glibc(self, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+
+    @pytest.mark.parametrize("environ", [
+        {},
+        {"PATH": "/usr/bin", "OMP_NUM_THREADS": "1"},
+        {"GLIBC_TUNABLES": "glibc.rtld.optional_static_tls=512"},
+    ])
+    def test_untuned_glibc_gets_fixed_thresholds(self, glibc, environ):
+        """mmap threshold 32 MiB (M_MMAP_THRESHOLD, -3) and trim threshold
+        64 MiB (M_TRIM_THRESHOLD, -1)."""
+        libc = FakeLibc()
+        gridce._fix_malloc_thresholds(environ, libc)
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert libc.mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("environ", [
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"MALLOC_ARENA_MAX": "2"},
+        {"MALLOC_": ""},
+        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+        {"GLIBC_TUNABLES": "glibc.rtld.optional_static_tls=512:glibc.malloc.mmap_threshold=1"},
+    ])
+    def test_tuned_malloc_is_left_alone(self, glibc, environ):
+        libc = FakeLibc()
+        gridce._fix_malloc_thresholds(environ, libc)
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_other_libcs_are_left_alone(self, monkeypatch, error):
+        """musl, macOS and others do not know CS_GNU_LIBC_VERSION."""
+        def confstr(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        libc = FakeLibc()
+        gridce._fix_malloc_thresholds({}, libc)
+        assert libc.calls == []
+
+    def test_platforms_without_confstr_are_left_alone(self, monkeypatch):
+        monkeypatch.delattr(os, "confstr", raising=False)
+        libc = FakeLibc()
+        gridce._fix_malloc_thresholds({}, libc)
+        assert libc.calls == []
 
 
 class TestCli:
